@@ -45,6 +45,7 @@ from .finitegap import (
     e_interior_grid,
     gap_interior_grid,
     gap_realness,
+    m_values,
     profile_from_json,
     reflectionless_defect,
     sharp_bound,
@@ -52,6 +53,7 @@ from .finitegap import (
     weyl_from_M,
 )
 from .herglotz import (
+    KreinSample,
     MFunction,
     asymptotic_W,
     herglotz_defect,
@@ -146,16 +148,21 @@ class Report:
 # config parsing
 
 def _parse_real_grid(spec, name: str) -> np.ndarray:
-    if isinstance(spec, dict):
-        if set(spec) != {"start", "stop", "count"}:
-            raise ConfigError(f'"{name}" range needs exactly start/stop/count')
-        return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
+    if isinstance(spec, dict) and set(spec) != {"start", "stop", "count"}:
+        raise ConfigError(f'"{name}" range needs exactly start/stop/count')
     try:
-        grid = np.array([float(v) for v in spec], dtype=float)
+        if isinstance(spec, dict):
+            grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
+        else:
+            grid = np.array([float(v) for v in spec], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f'"{name}" must be a list of numbers or a range object') from exc
     if grid.ndim != 1 or len(grid) == 0:
-        raise ConfigError(f'"{name}" must be a nonempty flat list')
+        raise ConfigError(f'"{name}" must be a nonempty flat list or range')
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f'"{name}" entries must be finite')
+    if name == "xgrid" and (grid[0] != 0.0 or np.any(np.diff(grid) <= 0)):
+        raise ConfigError('"xgrid" must be increasing and start at 0')
     return grid
 
 
@@ -167,6 +174,8 @@ def _parse_zgrid(spec) -> np.ndarray:
         raise ConfigError('"zgrid" must be a list of [re, im] pairs') from exc
     if len(pts) == 0:
         raise ConfigError('"zgrid" must be nonempty')
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError('"zgrid" entries must be finite')
     return pts
 
 
@@ -265,8 +274,9 @@ def _mfun(cfg: RunConfig, profile: KreinProfile) -> MFunction:
         return base
     # documented negative control: a scalar factor breaks det M = -1
     # (and the checks downstream of it) without touching symmetry
-    return MFunction(lambda z: (1.0 + 1e-6) * base(z),
-                     source="det-corrupted", gapset=profile.gapset)
+    return MFunction(lambda z: (1.0 + 1e-6) * base.evaluator(z),
+                     source="det-corrupted", gapset=profile.gapset,
+                     vectorized=base.vectorized)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +322,7 @@ def run_construct(cfg: RunConfig) -> Report:
              "M00_re", "M00_im", "M01_re", "M01_im",
              "M10_re", "M10_im", "M11_re", "M11_im"]
     mrows = []
-    for z in zgrid:
-        m = mfun(complex(z))
+    for z, m in zip(zgrid, m_values(mfun, zgrid)):
         mrows.append([z.real, z.imag,
                       m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
                       m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag])
@@ -351,7 +360,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else _default_tgrid(gs)
     egrid = e_interior_grid(gs)
-    mats = [mfun(complex(z)) for z in zgrid]
+    mats = m_values(mfun, zgrid)
 
     rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
               lambda: max(abs(np.linalg.det(m) + 1.0) for m in mats))
@@ -371,12 +380,27 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     rep.probe(prefix + "weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
               lambda: max(np.linalg.norm(assemble_M(weyl_from_M(m)) - m, 2)
                           for m in mats))
+    # the xi probes share their boundary samples: each t is evaluated once,
+    # and a failed evaluation fails every probe that reaches that t
+    xi_seen: dict[float, KreinSample | KreinDiracError] = {}
+
+    def xi_at(t) -> np.ndarray:
+        t = float(t)
+        if t not in xi_seen:
+            try:
+                xi_seen[t] = krein_xi(mfun, t, xi_tol=cfg.xi_tol)
+            except KreinDiracError as exc:
+                xi_seen[t] = exc
+        hit = xi_seen[t]
+        if isinstance(hit, KreinDiracError):
+            raise hit
+        return hit.xi
+
     rep.probe(prefix + "xi_trace", 1e-8, "tr xi = 1",
-              lambda: max(abs(np.trace(krein_xi(mfun, float(t), xi_tol=cfg.xi_tol).xi) - 1.0)
+              lambda: max(abs(np.trace(xi_at(t)) - 1.0)
                           for t in np.concatenate([tgrid, egrid])))
     rep.probe(prefix + "xi_on_bands", cfg.xi_tol, "xi = I/2 on the interior of E",
-              lambda: max(np.linalg.norm(krein_xi(mfun, float(t), xi_tol=cfg.xi_tol).xi
-                                         - 0.5 * np.eye(2), 2) for t in egrid))
+              lambda: max(np.linalg.norm(xi_at(t) - 0.5 * np.eye(2), 2) for t in egrid))
 
     rep.probe(prefix + "re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E",
               lambda: reflectionless_defect(mfun, gs, egrid))
@@ -384,8 +408,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
         rep.probe(prefix + "gap_projection", cfg.xi_tol,
                   "xi equals the input projection inside each gap",
                   lambda: max(np.linalg.norm(
-                      krein_xi(mfun, float(t), xi_tol=cfg.xi_tol).xi
-                      - profile.projection(gs.containing_gap(float(t))), 2)
+                      xi_at(t) - profile.projection(gs.containing_gap(float(t))), 2)
                       for t in tgrid))
         if profile.is_uniform:
             rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps",
@@ -463,15 +486,15 @@ def run_oracle(cfg: RunConfig) -> Report:
 
     rows = []
     d_ode = d_gap_p = d_gap_m = d_mat = 0.0
-    for z in zgrid:
+    for z, m in zip(zgrid, build_M(profile, zgrid)):
         z = complex(z)
         cw = const_weyl(p, q, z)
         ow = ode_weyl(step, z)
         d_ode = max(d_ode, abs(cw.m_plus - ow.m_plus), abs(cw.m_minus - ow.m_minus))
-        gw = weyl_from_M(build_M(profile, z))
+        gw = weyl_from_M(m)
         d_gap_p = max(d_gap_p, abs(cw.m_plus - gw.m_plus))
         d_gap_m = max(d_gap_m, abs(cw.m_minus - gw.m_minus))
-        d_mat = max(d_mat, float(np.linalg.norm(assemble_M(cw) - build_M(profile, z), 2)))
+        d_mat = max(d_mat, float(np.linalg.norm(assemble_M(cw) - m, 2)))
         rows.append([z.real, z.imag,
                      cw.m_plus.real, cw.m_plus.imag,
                      cw.m_minus.real, cw.m_minus.imag])

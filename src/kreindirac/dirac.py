@@ -39,7 +39,7 @@ from .errors import (
 from .finitegap import (KreinProfile, PotentialSample, sharp_bound, WeylPair,
                         assemble_M, build_M)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import im_part, mexp, mlog_spectral
+from .mat2 import mexp, mlog_batch
 
 __all__ = [
     "POLE_GUARD",
@@ -269,35 +269,16 @@ def _gap_nodes(gapset, n: int):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _blog(w: np.ndarray) -> np.ndarray:
-    # vectorized branch_log: argument in (-pi/2, 3pi/2)
-    ang = np.angle(w)
-    ang = np.where(ang < -0.5 * np.pi, ang + 2.0 * np.pi, ang)
-    return np.log(np.abs(w)) + 1j * ang
+_HALF_I = 0.5 * np.eye(2)
 
 
 def _xi_defect(mats: np.ndarray) -> np.ndarray:
     """Batched Im log(M)/pi - I/2 for symmetric det = -1 matrices.
 
-    Uses the two-point interpolation form of the matrix logarithm with the
-    same branch as mlog_spectral; near-confluent nodes (eigenvalues can
-    only collide at +-i here) fall back to the scalar path.
+    The logarithm of a symmetric matrix is symmetric, so its matrix
+    imaginary part is the entrywise one.
     """
-    tr_half = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
-    disc = np.sqrt(tr_half * tr_half + 1.0)
-    lam1, lam2 = tr_half + disc, tr_half - disc
-    eye = np.eye(2)
-    l1, l2 = _blog(lam1), _blog(lam2)
-    gap = lam1 - lam2
-    ok = np.abs(gap) > 1e-6 * (np.abs(lam1) + np.abs(lam2))
-    gap_safe = np.where(ok, gap, 1.0)
-    logm = (l1[:, None, None] * (mats - lam2[:, None, None] * eye)
-            - l2[:, None, None] * (mats - lam1[:, None, None] * eye)) \
-        / gap_safe[:, None, None]
-    out = logm.imag / np.pi - 0.5 * eye
-    for i in np.nonzero(~ok)[0]:
-        out[i] = im_part(mlog_spectral(mats[i])) / np.pi - 0.5 * eye
-    return out
+    return mlog_batch(mats).imag / np.pi - _HALF_I
 
 
 def _trace_w(mats: np.ndarray, wts: np.ndarray) -> tuple[float, float]:
@@ -403,7 +384,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     ts_c, ws_c = _gap_nodes(gs, max(4, (7 * quad_nodes) // 10))
     nf = len(ts_f)
     ts = np.concatenate([ts_f, ts_c])
-    mats = _pin(np.stack([build_M(profile, t) for t in ts]))
+    mats = _pin(build_M(profile, ts))
     bound = sharp_bound(gs)
 
     def w_of(mats):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,17 @@ from .errors import (
     NotUniform,
     PoleAt,
 )
-from .mat2 import I2, J, as_mat2, eig2, im_part, mexp, op_norm_sym, re_part
+from .mat2 import (
+    I2,
+    J,
+    as_mat2,
+    branch_log_batch,
+    eig2,
+    im_part,
+    mexp_batch,
+    op_norm_sym,
+    re_part,
+)
 from .numerics import LimitSchedule, adaptive_gauss_legendre, extrapolate_schedule
 
 __all__ = [
@@ -47,6 +58,7 @@ __all__ = [
     "build_logM",
     "eigen_lambda",
     "build_M",
+    "m_values",
     "weyl_from_M",
     "assemble_M",
     "trace_formula_W0",
@@ -112,13 +124,28 @@ class GapSet:
                 return j
         return None
 
-    def assert_off_endpoints(self, t: float) -> None:
-        """Reject real evaluation points inside an endpoint exclusion zone."""
-        for j, (a, b) in enumerate(self.gaps):
-            m = self.margin(j)
-            if abs(t - a) < m or abs(t - b) < m:
-                raise EndpointSingularity(
-                    f"t = {t} is within the exclusion margin of gap ({a}, {b})")
+    @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right gap endpoints as two read-only arrays of length n."""
+        ab = np.array(self.gaps, dtype=float).reshape(-1, 2).T.copy()
+        ab.flags.writeable = False
+        return ab[0], ab[1]
+
+    def assert_off_endpoints(self, t) -> None:
+        """Reject real evaluation points inside an endpoint exclusion zone.
+
+        ``t`` is one point or an array of points; the error names the first
+        offending point and, for it, the first gap.
+        """
+        ts = np.asarray(t, dtype=float).reshape(-1, 1)
+        a, b = self.endpoints
+        m = ENDPOINT_MARGIN * (b - a)
+        bad = (np.abs(ts - a) < m) | (np.abs(ts - b) < m)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            a, b = self.gaps[j]
+            raise EndpointSingularity(
+                f"t = {float(ts[i, 0])} is within the exclusion margin of gap ({a}, {b})")
 
 
 def _circular_angle(alpha: float) -> float:
@@ -180,6 +207,18 @@ class KreinProfile:
     def projection(self, j: int, t: float | None = None) -> np.ndarray:
         return projection_angle(self.angle_at(j, t))
 
+    @cached_property
+    def projection_defects(self) -> np.ndarray:
+        """Read-only (n, 2, 2) stack of P_j - I/2 (piecewise-constant mode)."""
+        ang = np.array(self.angles, dtype=float)
+        c, s = np.cos(ang), np.sin(ang)
+        out = np.empty((self.gapset.n, 2, 2))
+        out[:, 0, 0] = c * c - 0.5
+        out[:, 0, 1] = out[:, 1, 0] = s * c
+        out[:, 1, 1] = s * s - 0.5
+        out.flags.writeable = False
+        return out
+
 
 def profile_from_json(obj: dict) -> KreinProfile:
     """Build a profile from the JSON form {"gaps": [[a, b], ...], "angles": [...]}.
@@ -209,34 +248,52 @@ def profile_to_json(profile: KreinProfile) -> dict:
     return out
 
 
-def _gap_logs(gapset: GapSet, z: complex) -> list[complex]:
-    """Per-gap values of log((b - z)/(a - z)) with the upper-boundary branch.
+# Largest (points x gaps) block of gap logarithms held at once; longer
+# point arrays are evaluated in consecutive slices.
+_BLOCK = 1 << 15
 
-    For Im z > 0 the Moebius factor lies in the upper half plane and the
+
+def _gap_logs(gapset: GapSet, z: np.ndarray) -> np.ndarray:
+    """(N, n) values of log((b_j - z)/(a_j - z)) with the upper-boundary branch.
+
+    ``z`` is a 1-D complex array on the closed upper half plane.  For
+    Im z > 0 the Moebius factor lies in the upper half plane and the
     principal logarithm applies.  For real z the limit from above is taken:
     inside the own gap the ratio is negative and picks up +i pi, from E the
-    ratio is positive and the logarithm is real.  Real points inside an
-    endpoint exclusion zone raise EndpointSingularity.
+    ratio is positive and the logarithm is real.  Real points are evaluated
+    in real arithmetic with the +i pi set explicitly, so no result hangs on
+    the sign of a zero imaginary part.  The caller has checked real points
+    against the endpoint margins.
     """
-    z = complex(z)
-    if z.imag < 0:
+    a, b = gapset.endpoints
+    zc = z[:, None]
+    # off the real axis the factor lies in the upper half plane, where the
+    # strip branch is the principal logarithm; real rows are replaced below
+    out = branch_log_batch((b - zc) / (a - zc))
+    real = z.imag == 0
+    if real.any():
+        t = z.real[real, None]
+        inside = (a < t) & (t < b)
+        out[real] = np.log(np.abs((b - t) / (a - t))) + 1j * np.pi * inside
+    return out
+
+
+def _points(gapset: GapSet, z) -> np.ndarray:
+    """``z`` as a 1-D complex array, checked against the closed upper half
+    plane and, for real points, against the endpoint margins."""
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError("z must be one point or a 1-D array of points")
+    zs = zs.reshape(-1)
+    if (zs.imag < 0).any():
         raise ValueError("evaluation is defined on the closed upper half plane only")
-    logs: list[complex] = []
-    if z.imag > 0:
-        for a, b in gapset.gaps:
-            logs.append(complex(np.log((b - z) / (a - z))))
-        return logs
-    t = z.real
-    gapset.assert_off_endpoints(t)
-    for a, b in gapset.gaps:
-        if a < t < b:
-            logs.append(complex(math.log((b - t) / (t - a)), math.pi))
-        else:
-            logs.append(complex(math.log((b - t) / (a - t))))
-    return logs
+    real = zs.imag == 0
+    if real.any():
+        gapset.assert_off_endpoints(zs.real[real])
+    return zs
 
 
-def build_logM(profile: KreinProfile, z: complex) -> np.ndarray:
+def build_logM(profile: KreinProfile, z) -> np.ndarray:
     """Logarithm of the constructed Herglotz function at z.
 
         log M(z) = (i pi / 2) I + sum_j log((b_j - z)/(a_j - z)) (P_j - I/2)
@@ -245,13 +302,24 @@ def build_logM(profile: KreinProfile, z: complex) -> np.ndarray:
     (inside gaps this is the analytic continuation through the gap, on the
     interior of E it is the purely-imaginary reflectionless boundary value).
     Piecewise-constant profiles only.
+
+    ``z`` is one point, giving a (2, 2) array, or a 1-D array of N points,
+    giving an (N, 2, 2) stack.  Real points inside an endpoint exclusion
+    zone raise EndpointSingularity.
     """
     if not profile.is_piecewise_constant:
         raise NotPiecewiseConstant("closed form needs per-gap constant angles")
-    total = 0.5j * math.pi * I2.copy()
-    for j, lg in enumerate(_gap_logs(profile.gapset, z)):
-        total = total + lg * (profile.projection(j) - 0.5 * I2)
-    return total
+    gs = profile.gapset
+    zs = _points(gs, z)
+    defect = profile.projection_defects
+    out = np.zeros((len(zs), 2, 2), dtype=complex)
+    step = max(1, _BLOCK // max(gs.n, 1))
+    for lo in range(0, len(zs), step):
+        logs = _gap_logs(gs, zs[lo:lo + step])
+        out[lo:lo + step] = np.einsum("pj,jab->pab", logs, defect)
+    out[:, 0, 0] += 0.5j * math.pi
+    out[:, 1, 1] += 0.5j * math.pi
+    return out if np.ndim(z) else out[0]
 
 
 def eigen_lambda(profile: KreinProfile, z: complex) -> tuple[complex, complex]:
@@ -264,13 +332,35 @@ def eigen_lambda(profile: KreinProfile, z: complex) -> tuple[complex, complex]:
     """
     if not (profile.is_piecewise_constant and profile.is_uniform):
         raise NotUniform("eigenvalue formula requires one common angle")
-    s = sum(_gap_logs(profile.gapset, z))
+    gs = profile.gapset
+    s = complex(_gap_logs(gs, _points(gs, complex(z)))[0].sum())
     return 0.5j * math.pi + 0.5 * s, 0.5j * math.pi - 0.5 * s
 
 
-def build_M(profile: KreinProfile, z: complex) -> np.ndarray:
-    """The constructed matrix Herglotz function M(z) = exp(build_logM(z))."""
-    return mexp(build_logM(profile, z))
+def build_M(profile: KreinProfile, z) -> np.ndarray:
+    """The constructed matrix Herglotz function M(z) = exp(build_logM(z)).
+
+    One point gives a (2, 2) array, a 1-D array of N points an (N, 2, 2)
+    stack, as for :func:`build_logM`.
+    """
+    m = mexp_batch(build_logM(profile, np.atleast_1d(z)))
+    return m if np.ndim(z) else m[0]
+
+
+def m_values(mfun, zs) -> np.ndarray:
+    """M at every point of the 1-D array ``zs``, as an (N, 2, 2) stack.
+
+    Uses ``mfun.many`` when the function has a batched form (an
+    ``MFunction``); any other callable is called once per point and the
+    finite 2x2 values are stacked.
+    """
+    many = getattr(mfun, "many", None)
+    if many is not None:
+        return many(zs)
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    if not len(zs):
+        return np.empty((0, 2, 2), dtype=complex)
+    return np.stack([as_mat2(mfun(complex(z))) for z in zs])
 
 
 @dataclass(frozen=True)
@@ -393,14 +483,15 @@ def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float],
     polynomial extrapolation).  Vanishes for reflectionless functions.
     """
     schedule = schedule or LimitSchedule()
+    ys = schedule.offsets()
     worst = 0.0
     for t in grid:
         t = float(t)
         if gapset.containing_gap(t) is not None:
             raise ValueError(f"grid point {t} lies inside a gap, not in E")
         gapset.assert_off_endpoints(t)
-        samples = [re_part(mfun(t + 1j * y)) for y in schedule.offsets()]
-        limit, _ = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
+        samples = re_part(m_values(mfun, t + 1j * ys))
+        limit, _ = extrapolate_schedule(ys, samples, schedule.order)
         worst = max(worst, float(np.linalg.norm(limit, 2)))
     return worst
 
@@ -414,13 +505,13 @@ def gap_realness(profile: KreinProfile, grid: Sequence[float] | None = None) -> 
     """
     if grid is None:
         grid = gap_interior_grid(profile.gapset)
-    worst = 0.0
-    for t in grid:
-        t = float(t)
+    ts = np.array([float(t) for t in grid])
+    for t in ts:
         if profile.gapset.containing_gap(t) is None:
             raise ValueError(f"grid point {t} is not inside a gap")
-        worst = max(worst, float(np.linalg.norm(im_part(build_M(profile, t)), 2)))
-    return worst
+    if not len(ts):
+        return 0.0
+    return float(np.linalg.norm(im_part(build_M(profile, ts)), 2, axis=(1, 2)).max())
 
 
 def commutator_diag(profile: KreinProfile, t: float) -> float:

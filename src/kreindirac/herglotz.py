@@ -33,11 +33,12 @@ from .finitegap import (
     GapSet,
     KreinProfile,
     PotentialSample,
-    _gap_logs,
+    build_logM,
     build_M,
     gap_interior_grid,
+    m_values,
 )
-from .mat2 import I2, as_mat2, im_part, mexp, mlog_spectral
+from .mat2 import I2, as_mat2, as_mat2_batch, im_part, mexp, mlog_batch
 from .numerics import (
     LimitSchedule,
     adaptive_gauss_legendre,
@@ -68,15 +69,25 @@ class MFunction:
     records how the function arose: "constructed" (explicit finite-gap
     formula), "ode-oracle" (half-line Weyl functions of a Dirac system) or
     "assembled" (from a user-supplied Weyl pair).  ``gapset`` carries the
-    declared logarithmic singularities when known.
+    declared logarithmic singularities when known.  ``vectorized`` states
+    that ``evaluator`` also maps a 1-D array of N points to an (N, 2, 2)
+    stack in one call.
     """
 
     evaluator: Callable[[complex], np.ndarray]
     source: str = "constructed"
     gapset: GapSet | None = None
+    vectorized: bool = False
 
     def __call__(self, z: complex) -> np.ndarray:
         return as_mat2(self.evaluator(z))
+
+    def many(self, zs) -> np.ndarray:
+        """M at every point of the 1-D array ``zs``, as an (N, 2, 2) stack:
+        one evaluator call when it is vectorized, else one call per point."""
+        if self.vectorized:
+            return as_mat2_batch(self.evaluator(np.asarray(zs, dtype=complex)))
+        return m_values(self.evaluator, zs)
 
 
 def profile_m_function(profile: KreinProfile) -> MFunction:
@@ -86,7 +97,8 @@ def profile_m_function(profile: KreinProfile) -> MFunction:
     through the exponential representation with A = 0.
     """
     if profile.is_piecewise_constant:
-        return MFunction(lambda z: build_M(profile, z), "constructed", profile.gapset)
+        return MFunction(lambda z: build_M(profile, z), "constructed", profile.gapset,
+                         vectorized=True)
     zero = np.zeros((2, 2))
     return MFunction(lambda z: mexp(rep_logM(profile, zero, z)),
                      "constructed", profile.gapset)
@@ -124,7 +136,7 @@ def krein_xi(mfun, t: float, schedule: LimitSchedule | None = None,
     if gapset is not None:
         gapset.assert_off_endpoints(t)
     ys = schedule.offsets()
-    samples = [im_part(mlog_spectral(mfun(t + 1j * y))) / np.pi for y in ys]
+    samples = im_part(mlog_batch(m_values(mfun, t + 1j * ys))) / np.pi
     limit, residual = extrapolate_schedule(ys, samples, schedule.order)
     require_convergence(residual, xi_tol, f"krein_xi at t = {t}")
     xi = limit.real
@@ -147,11 +159,9 @@ def rep_logM(profile: KreinProfile, a0, z: complex) -> np.ndarray:
     A0 = as_mat2(a0)
     if float(np.max(np.abs(A0.imag))) > 1e-12 or abs(A0[0, 1] - A0[1, 0]) > 1e-12:
         raise ValueError("A0 must be real symmetric")
-    total = A0 + 0.5j * np.pi * I2
     if profile.is_piecewise_constant:
-        for j, lg in enumerate(_gap_logs(profile.gapset, z)):
-            total = total + lg * (profile.projection(j) - 0.5 * I2)
-        return total
+        return A0 + build_logM(profile, z)
+    total = A0 + 0.5j * np.pi * I2
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("sampled profiles are evaluated on the open upper half plane")
@@ -201,12 +211,14 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
         raise ValueError("ygrid must be increasing with at least 3 entries")
     if gapset is not None and gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
         raise ValueError("smallest height must be at least 4 spectral radii")
-    if route == "value":
-        vals = [1j * y * I2 - y * as_mat2(mfun(1j * y)) for y in ys]
-    elif route == "log":
-        vals = [1j * y * (0.5j * np.pi * I2 - mlog_spectral(mfun(1j * y))) for y in ys]
-    else:
+    if route not in ("value", "log"):
         raise ValueError(f"unknown route {route!r}")
+    mats = m_values(mfun, 1j * ys)
+    y = ys[:, None, None]
+    if route == "value":
+        vals = 1j * y * I2 - y * mats
+    else:
+        vals = 1j * y * (0.5j * np.pi * I2 - mlog_batch(mats))
     limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
     require_convergence(residual, rtol * max(1.0, float(np.max(np.abs(limit)))),
                         "large-z extrapolation")
@@ -234,17 +246,15 @@ def herglotz_defect(mfun, gapset: GapSet | None = None,
     """
     gapset = gapset if gapset is not None else getattr(mfun, "gapset", None)
     scale = max(1.0, gapset.spectral_radius) if gapset is not None else 1.0
-    pts = [complex(a, b)
-           for a in np.linspace(-1.5 * scale, 1.5 * scale, re_points)
-           for b in scale * np.geomspace(1e-2, 3.0, im_points)]
+    re = np.linspace(-1.5 * scale, 1.5 * scale, re_points)
+    im = scale * np.geomspace(1e-2, 3.0, im_points)
+    pts = (re[:, None] + 1j * im).ravel()
     if gapset is not None and gapset.n:
         heights = scale * np.geomspace(1e-4, 3e-2, 9)
-        pts += [complex(t, b) for t in gap_interior_grid(gapset, per_gap=15)
-                for b in heights]
-    worst = np.inf
-    for z in pts:
-        m = as_mat2(mfun(z))
-        low = float(np.linalg.eigvalsh((m - m.conj().T) / 2j)[0])
-        if low < worst:
-            worst = low
-    return worst
+        cols = gap_interior_grid(gapset, per_gap=15)
+        pts = np.concatenate([pts, (cols[:, None] + 1j * heights).ravel()])
+    h = im_part(m_values(mfun, pts))
+    # smallest eigenvalue of the hermitian 2x2 Im M, in closed form
+    mean = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
+    half_diff = 0.5 * (h[:, 0, 0].real - h[:, 1, 1].real)
+    return float(np.min(mean - np.hypot(half_diff, np.abs(h[:, 0, 1]))))

@@ -13,11 +13,16 @@ defined:
 * matrices are treated by the 2x2 Lagrange-Sylvester formula, with a
   confluent (Jordan) fallback f(A) = f(lam) I + f'(lam) N when the two
   eigenvalues coalesce;
+* every routine works on a stack of matrices, an ``(N, 2, 2)`` array, in
+  closed form and without a Python loop over the stack; the one-matrix
+  functions (``mexp``, ``mlog_spectral``, ``branch_log``) wrap the stacked
+  ones;
 * an independent integral representation of the logarithm,
   log A = int_0^inf [ t/(t^2+1) I - (t I + A)^(-1) ] dt, valid for spectra in
   the open upper half plane, serves as a cross-check route.
 
-Matrices are plain ``(2, 2)`` complex ``numpy`` arrays throughout.
+Matrices are plain ``(2, 2)`` complex ``numpy`` arrays, stacks are
+``(N, 2, 2)`` arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import QuadratureFailure, SpectrumNotUpper, SpectrumOnCut
 
@@ -35,14 +39,19 @@ __all__ = [
     "JORDAN_TOL",
     "EigenDecomp2",
     "as_mat2",
+    "as_mat2_batch",
     "mat2",
     "is_symmetric",
     "re_part",
     "im_part",
+    "eigvals_batch",
     "eig2",
     "branch_log",
+    "branch_log_batch",
     "mexp",
+    "mexp_batch",
     "mlog_spectral",
+    "mlog_batch",
     "mlog_integral",
     "herglotz_positive",
     "op_norm_sym",
@@ -52,13 +61,23 @@ __all__ = [
 J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-# Relative eigenvalue-collision threshold below which a matrix is treated as
-# confluent (single eigenvalue, possibly with a nilpotent part).
-JORDAN_TOL = 1e-9
+# Relative eigenvalue gap |lam1 - lam2| <= JORDAN_TOL * scale below which
+# a matrix is treated as confluent (single eigenvalue, possibly with a
+# nilpotent part).  The scale is |lam1| + |lam2| + |a01| + |a10|: within a
+# factor 2 of the entry sum, so of ||A||, at the cost of two moduli.  The
+# eigenvalues come from a square root of the discriminant, so a gap g
+# carries a rounding error of about eps ||A|| / g, which the
+# Lagrange-Sylvester divided difference inherits; the confluent formula is
+# off by about g^2 instead.  The two errors meet near g = 1e-5 ||A||, and
+# at 1e-6 both stay below 1e-10 ||A||.
+JORDAN_TOL = 1e-6
 
 # Relative distance to the branch cut below which the spectral logarithm
 # refuses to choose a branch.
 _CUT_TOL = 1e-13
+
+# (2, 1) column turning a half trace h and a root d into the pair h +/- d.
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 def as_mat2(a) -> np.ndarray:
@@ -75,6 +94,22 @@ def as_mat2(a) -> np.ndarray:
     return m
 
 
+def as_mat2_batch(a) -> np.ndarray:
+    """Coerce ``a`` to a finite (N, 2, 2) complex stack, with the checks of
+    :func:`as_mat2` applied to every matrix."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise ValueError(f"expected an (N, 2, 2) stack, got shape {m.shape}")
+    if not np.isfinite(m.view(float)).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def _as_one_or_stack(a) -> np.ndarray:
+    m = np.asarray(a)
+    return as_mat2_batch(m) if m.ndim == 3 else as_mat2(m)
+
+
 def mat2(m11, m12, m21, m22) -> np.ndarray:
     """Build a validated 2x2 complex matrix from four entries."""
     return as_mat2([[m11, m12], [m21, m22]])
@@ -88,15 +123,17 @@ def is_symmetric(a, tol: float = 1e-12) -> bool:
 
 
 def re_part(a) -> np.ndarray:
-    """Matrix real part (A + A*)/2 (entrywise real part for symmetric A)."""
-    m = as_mat2(a)
-    return (m + m.conj().T) / 2.0
+    """Matrix real part (A + A*)/2 (entrywise real part for symmetric A), of
+    one matrix or of each matrix in a stack."""
+    m = _as_one_or_stack(a)
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
 
 
 def im_part(a) -> np.ndarray:
-    """Matrix imaginary part (A - A*)/(2i) (entrywise imaginary part for symmetric A)."""
-    m = as_mat2(a)
-    return (m - m.conj().T) / 2.0j
+    """Matrix imaginary part (A - A*)/(2i) (entrywise imaginary part for
+    symmetric A), of one matrix or of each matrix in a stack."""
+    m = _as_one_or_stack(a)
+    return (m - np.swapaxes(m, -1, -2).conj()) / 2.0j
 
 
 @dataclass(frozen=True)
@@ -127,13 +164,32 @@ class EigenDecomp2:
         return v @ np.diag([self.lam1, self.lam2]) @ np.linalg.inv(v)
 
 
+def _eig_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # half traces h and eigenvalue pairs h +/- sqrt(h^2 - det); the
+    # explicit form keeps conjugate symmetry and avoids LAPACK
+    half_tr = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    return half_tr, half_tr + _PLUS_MINUS * np.sqrt(half_tr * half_tr - det)
+
+
+def eigvals_batch(a) -> np.ndarray:
+    """Eigenvalue pairs of an (N, 2, 2) stack as a (2, N) array.
+
+    Row 0 holds lam1 = h + d and row 1 lam2 = h - d, the roots of
+    lam^2 - 2 h lam + det with h the half trace and d = sqrt(h^2 - det).
+    """
+    return _eig_pairs(as_mat2_batch(a))[1]
+
+
+def _scale(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    # per matrix |lam1| + |lam2| + |a01| + |a10| (see JORDAN_TOL); the
+    # eigenvalue moduli alone miss non-normal matrices with tiny spectra
+    return mod[0] + mod[1] + np.abs(a[:, 0, 1]) + np.abs(a[:, 1, 0])
+
+
 def _eigvals2(a: np.ndarray) -> tuple[complex, complex]:
-    # Roots of lam^2 - tr lam + det; the explicit form keeps conjugate
-    # symmetry and avoids LAPACK overhead on this hot path.
-    half_tr = 0.5 * (a[0, 0] + a[1, 1])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = np.sqrt(half_tr * half_tr - det + 0j)
-    return complex(half_tr + disc), complex(half_tr - disc)
+    lam = eigvals_batch(a[None])[:, 0]
+    return complex(lam[0]), complex(lam[1])
 
 
 def eig2(a, jordan_tol: float = JORDAN_TOL) -> EigenDecomp2:
@@ -144,8 +200,9 @@ def eig2(a, jordan_tol: float = JORDAN_TOL) -> EigenDecomp2:
     a : array_like
         2x2 complex matrix.
     jordan_tol : float
-        Relative threshold: eigenvalues with |lam1 - lam2| <= jordan_tol * ||A||
-        are treated as a single (possibly defective) eigenvalue.
+        Relative threshold: eigenvalues with
+        |lam1 - lam2| <= jordan_tol * (|lam1| + |lam2| + |a01| + |a10|) are
+        treated as a single (possibly defective) eigenvalue.
 
     Returns
     -------
@@ -155,11 +212,11 @@ def eig2(a, jordan_tol: float = JORDAN_TOL) -> EigenDecomp2:
     """
     m = as_mat2(a)
     lam1, lam2 = _eigvals2(m)
-    scale = max(np.linalg.norm(m, 2), 1e-300)
+    scale = abs(lam1) + abs(lam2) + abs(m[0, 1]) + abs(m[1, 0])
     if abs(lam1 - lam2) <= jordan_tol * scale:
         lam = 0.5 * (lam1 + lam2)
         nil = m - lam * I2
-        if np.linalg.norm(nil, 2) <= jordan_tol * scale:
+        if np.abs(nil).max() <= jordan_tol * scale:
             # Scalar matrix: diagonalizable in the standard basis.
             return EigenDecomp2(lam, lam, I2.copy())
         return EigenDecomp2(lam, lam, None, nilpotent=nil)
@@ -177,6 +234,25 @@ def eig2(a, jordan_tol: float = JORDAN_TOL) -> EigenDecomp2:
     return EigenDecomp2(lam1, lam2, np.column_stack(vecs))
 
 
+def _branch_log(w: np.ndarray) -> np.ndarray:
+    # argument moved from (-pi, pi] into (-pi/2, 3pi/2); arctan2 and log|w|
+    # cost a fraction of numpy's complex log on short arrays
+    out = np.empty(w.shape, dtype=complex)
+    out.real = np.log(np.abs(w))
+    ang = np.arctan2(w.imag, w.real)
+    ang[ang < -0.5 * np.pi] += 2.0 * np.pi
+    out.imag = ang
+    return out
+
+
+def branch_log_batch(w) -> np.ndarray:
+    """Elementwise :func:`branch_log` of a complex array."""
+    w = np.asarray(w, dtype=complex)
+    if (w == 0).any():
+        raise SpectrumOnCut("logarithm of 0 requested")
+    return _branch_log(w)
+
+
 def branch_log(w: complex) -> complex:
     """Scalar logarithm with the branch cut on the negative imaginary axis.
 
@@ -184,36 +260,69 @@ def branch_log(w: complex) -> complex:
     the argument is taken in (-pi/2, 3pi/2), so negative reals get argument
     +pi (the limit from the upper half plane) and log 1 = 0.
     """
-    w = complex(w)
-    if w == 0:
-        raise SpectrumOnCut("logarithm of 0 requested")
-    ang = np.angle(w)
-    if ang < -np.pi / 2:
-        ang += 2 * np.pi
-    return complex(np.log(abs(w)), ang)
+    return complex(branch_log_batch([complex(w)])[0])
 
 
-def _cut_distance(w: complex) -> float:
-    # Distance from w to the ray {-iy : y >= 0}.
-    if w.imag >= 0.0:
-        return abs(w)
-    return abs(w.real)
+def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
+                    mod: np.ndarray, f, fprime) -> np.ndarray:
+    """f(A) for a stack with eigenvalue pairs ``lam`` ((2, N)), their
+    moduli ``mod`` and the half traces ``half_tr``.
+
+    Newton form of the Lagrange-Sylvester interpolant on the nodes
+    lam1, lam2: f(A) = f(lam2) I + s (A - lam2 I), s the divided difference
+    (f(lam1) - f(lam2)) / (lam1 - lam2).  On confluent matrices (JORDAN_TOL)
+    the node is the mean half_tr and s = f'(half_tr), which is
+    f(lam) I + f'(lam) N.
+    """
+    gap = lam[0] - lam[1]
+    conf = np.abs(gap) <= JORDAN_TOL * _scale(a, mod)
+    f_lam = f(lam)
+    # adding conf keeps the confluent denominators off zero; their s is replaced
+    s = (f_lam[0] - f_lam[1]) / (gap + conf)
+    mu, f_mu = lam[1], f_lam[1]
+    if conf.any():
+        mu = np.where(conf, half_tr, mu)
+        f_mu = np.where(conf, f(mu), f_mu)
+        s = np.where(conf, fprime(mu), s)
+    out = s[:, None, None] * a
+    diag = f_mu - s * mu
+    out[:, 0, 0] += diag
+    out[:, 1, 1] += diag
+    return out
 
 
-def _apply_analytic(a: np.ndarray, f, fprime) -> np.ndarray:
-    """f(A) by Lagrange-Sylvester interpolation with a confluent fallback."""
-    lam1, lam2 = _eigvals2(a)
-    scale = max(np.linalg.norm(a, 2), 1e-300)
-    if abs(lam1 - lam2) > JORDAN_TOL * scale:
-        f1, f2 = f(lam1), f(lam2)
-        return (f1 * (a - lam2 * I2) - f2 * (a - lam1 * I2)) / (lam1 - lam2)
-    lam = 0.5 * (lam1 + lam2)
-    return f(lam) * I2 + fprime(lam) * (a - lam * I2)
+def mexp_batch(a) -> np.ndarray:
+    """Matrix exponential of every matrix in an (N, 2, 2) stack."""
+    m = as_mat2_batch(a)
+    half_tr, lam = _eig_pairs(m)
+    return _apply_analytic(m, half_tr, lam, np.abs(lam), np.exp, np.exp)
 
 
 def mexp(a) -> np.ndarray:
     """Matrix exponential of a 2x2 matrix (spectral form, confluent-safe)."""
-    return _apply_analytic(as_mat2(a), np.exp, np.exp)
+    return mexp_batch(as_mat2(a)[None])[0]
+
+
+def mlog_batch(a) -> np.ndarray:
+    """:func:`mlog_spectral` of every matrix in an (N, 2, 2) stack.
+
+    Raises
+    ------
+    SpectrumOnCut
+        Naming the first matrix of the stack with an eigenvalue on the cut.
+    """
+    m = as_mat2_batch(a)
+    half_tr, lam = _eig_pairs(m)
+    mod = np.abs(lam)
+    # an eigenvalue is on the ray {-iy : y >= 0} when its distance to it,
+    # |lam| in the upper half plane and |Re lam| below, is within _CUT_TOL
+    # of the larger modulus
+    tol = _CUT_TOL * np.maximum(mod[0], mod[1])
+    bad = (np.abs(lam.real) <= tol) & ((lam.imag < 0.0) | (mod <= tol))
+    if bad.any():
+        k, i = np.argwhere(bad.T)[0]
+        raise SpectrumOnCut(f"eigenvalue {complex(lam[i, k])} lies on the branch cut")
+    return _apply_analytic(m, half_tr, lam, mod, _branch_log, np.reciprocal)
 
 
 def mlog_spectral(a) -> np.ndarray:
@@ -232,13 +341,7 @@ def mlog_spectral(a) -> np.ndarray:
         If an eigenvalue lies on the excluded ray {-iy : y >= 0} within a
         relative distance of 1e-13.
     """
-    m = as_mat2(a)
-    lam1, lam2 = _eigvals2(m)
-    scale = max(abs(lam1), abs(lam2), 1e-300)
-    for lam in (lam1, lam2):
-        if _cut_distance(lam) <= _CUT_TOL * scale:
-            raise SpectrumOnCut(f"eigenvalue {lam} lies on the branch cut")
-    return _apply_analytic(m, branch_log, lambda w: 1.0 / w)
+    return mlog_batch(as_mat2(a)[None])[0]
 
 
 def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
@@ -259,6 +362,9 @@ def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
     QuadratureFailure
         If the quadrature error estimate exceeds the target budget.
     """
+    # imported here so that the package and its command line start without scipy
+    from scipy.integrate import quad_vec
+
     m = as_mat2(a)
     lam1, lam2 = _eigvals2(m)
     if lam1.imag <= 0 or lam2.imag <= 0:

@@ -42,23 +42,28 @@ class LimitSchedule:
         return self.y0 * 0.5 ** np.arange(self.halvings)
 
 
+def _neville_column(xs, values, levels: int) -> np.ndarray:
+    """Column ``levels`` of the Neville tableau at 0: entry i is the value at
+    0 of the polynomial through points i, ..., i + levels."""
+    xs = np.asarray(xs, dtype=float)
+    tab = np.asarray(values, dtype=complex)
+    n = len(tab)
+    if n == 0 or xs.shape != (n,):
+        raise ValueError("need one abscissa per value")
+    # one tableau column per step, all its entries at once
+    x = xs.reshape((n,) + (1,) * (tab.ndim - 1))
+    for k in range(1, levels + 1):
+        tab = (x[k:] * tab[:-1] - x[:-k] * tab[1:]) / (x[k:] - x[:-k])
+    return tab
+
+
 def neville_at_zero(xs, values) -> np.ndarray:
     """Value at 0 of the polynomial through (xs[i], values[i]).
 
     ``values`` may be scalars or arrays of a common shape; the tableau is
     carried entrywise.
     """
-    xs = np.asarray(xs, dtype=float)
-    tab = [np.asarray(v, dtype=complex) for v in values]
-    n = len(tab)
-    if n == 0 or xs.shape != (n,):
-        raise ValueError("need one abscissa per value")
-    for k in range(1, n):
-        nxt = []
-        for i in range(n - k):
-            nxt.append((xs[i + k] * tab[i] - xs[i] * tab[i + 1]) / (xs[i + k] - xs[i]))
-        tab = nxt
-    return tab[0]
+    return _neville_column(xs, values, len(values) - 1)[0]
 
 
 def extrapolate_schedule(xs, values, order: int):
@@ -76,10 +81,11 @@ def extrapolate_schedule(xs, values, order: int):
     xs = np.asarray(xs, dtype=float)
     if len(values) < order + 1:
         raise ValueError(f"need at least {order + 1} samples for order {order}")
-    last = neville_at_zero(xs[-(order + 1):], values[-(order + 1):])
     if len(values) > order + 1:
-        prev = neville_at_zero(xs[-(order + 2):-1], values[-(order + 2):-1])
+        # one tableau over the last order + 2 samples holds both windows
+        prev, last = _neville_column(xs[-(order + 2):], values[-(order + 2):], order)
     else:
+        last = neville_at_zero(xs[-(order + 1):], values[-(order + 1):])
         prev = neville_at_zero(xs[-order:], values[-order:])
     residual = float(np.max(np.abs(last - prev)))
     return last, residual

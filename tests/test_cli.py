@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,11 +161,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
         dict(SINGLE_GAP, zgrid=[[0.0, -1.0]]),                # lower half z
         dict(SINGLE_GAP, xgrid={"start": 0, "count": 3}),     # missing stop
         dict(SINGLE_GAP, output={"path": "x", "mode": "w"}),  # bad output key
+        dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]]),            # non-finite z
+        dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1, "count": 0}),  # empty
+        dict(SINGLE_GAP, xgrid=[0.0, 0.5, 0.25]),             # not increasing
+        dict(SINGLE_GAP, xgrid=[0.1, 0.2]),                   # not starting at 0
     ]
     for cfg in bad_cases:
         code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
         assert code == 2, cfg
     assert cli.main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
+    # the same bad grids under the commands that use them
+    for command, cfg in (("construct", dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]])),
+                         ("evolve", dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1,
+                                                           "count": 0}))):
+        assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2, cfg
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only mlog_integral, so starting the command line must not
+    # pay for importing it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, kreindirac.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_csv_format_layout(tmp_path):

@@ -126,10 +126,17 @@ def test_mlog_integral_rejects_lower_spectrum():
 
 def test_mlog_near_confluent_stability():
     # eigenvalues a distance eps apart must not blow up the log
-    for eps in (1e-4, 1e-7, 1e-10, 0.0):
+    for eps in (1e-4, 1e-7, 3e-9, 1.1e-9, 1e-10, 0.0):
         a = np.array([[1j, 1.0], [0.0, 1j * (1 + eps)]])
         la = mlog_spectral(a)
         np.testing.assert_allclose(mexp(la), a, atol=1e-8)
+        # exp of the triangular matrix has the divided difference
+        # (e^l1 - e^l2)/(l1 - l2) = e^l2 (1 + d/2 + d^2/6 + ...) in the corner
+        l1, l2 = a[0, 0], a[1, 1]
+        d = l1 - l2
+        corner = np.exp(l2) * (1 + d / 2 + d * d / 6 + d ** 3 / 24 + d ** 4 / 120)
+        exact = np.array([[np.exp(l1), corner], [0.0, np.exp(l2)]])
+        np.testing.assert_allclose(mexp(a), exact, rtol=0, atol=1e-10)
 
 
 @given(finite, finite)
