@@ -24,7 +24,7 @@ print("principal-log would give:", np.round(np.log(np.linalg.eigvals(a)), 6))
 print("exp(log A) residual:     ", np.linalg.norm(mexp(la) - a, 2))
 print()
 
-# spectral and contour-integral routes agree on upper-spectrum matrices
+# spectral and integral-representation routes agree on upper-spectrum matrices
 worst = 0.0
 for _ in range(50):
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

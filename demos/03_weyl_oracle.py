@@ -1,10 +1,10 @@
 """Three independent routes to the same Weyl functions.
 
 For a constant potential W = [[p, q], [q, -p]] the half-line Weyl disks
-degenerate to points with closed forms (route 1).  Integrating the
-Riccati flow from a distant initial condition reaches the same fixed
-point (route 2).  And the gap construction with the matching single gap
-and angle assembles the same M function (route 3).
+degenerate to points with closed forms (route 1).  Transporting the
+decaying tail eigenvectors by transfer matrices (``ode_weyl``) reaches
+the same pair (route 2).  And the gap construction with the matching
+single gap and angle assembles the same M function (route 3).
 """
 
 import numpy as np

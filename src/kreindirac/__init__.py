@@ -51,8 +51,6 @@ from .dirac import (
     const_weyl,
     ode_weyl,
     ode_m_function,
-    riccati_rhs,
-    riccati_step,
     sample_potential,
 )
 
@@ -103,8 +101,6 @@ __all__ = [
     "const_weyl",
     "ode_weyl",
     "ode_m_function",
-    "riccati_rhs",
-    "riccati_step",
     "sample_potential",
     "__version__",
 ]

@@ -163,7 +163,16 @@ def _parse_real_grid(spec, name: str) -> np.ndarray:
         raise ConfigError(f'"{name}" entries must be finite')
     if name == "xgrid" and (grid[0] != 0.0 or np.any(np.diff(grid) <= 0)):
         raise ConfigError('"xgrid" must be increasing and start at 0')
+    if name == "ygrid" and (len(grid) < 3 or grid[0] <= 0 or np.any(np.diff(grid) <= 0)):
+        raise ConfigError('"ygrid" must be positive and increasing with at least 3 entries')
     return grid
+
+
+def _check_ygrid(ygrid, gapset: GapSet) -> None:
+    # the large-z law needs its lowest height 4 spectral radii out
+    if ygrid is not None and gapset.n and ygrid[0] < 4.0 * gapset.spectral_radius:
+        raise ConfigError(f'"ygrid" must start at least 4 spectral radii '
+                          f'({4.0 * gapset.spectral_radius!r}) out')
 
 
 def _parse_zgrid(spec) -> np.ndarray:
@@ -246,6 +255,8 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
         command == "verify" and not cfg.random_profiles)
     if needs_profile and cfg.profile is None:
         raise ConfigError(f'"{command}" needs a "profile"')
+    if cfg.profile is not None:
+        _check_ygrid(cfg.ygrid, cfg.profile.gapset)
     if command == "oracle" and cfg.constant is None:
         raise ConfigError('"oracle" needs a "constant" [p, q]')
     if cfg.zgrid is not None and command in ("verify", "oracle", "construct"):
@@ -356,6 +367,8 @@ def _random_aligned_profile(rng: np.random.Generator) -> KreinProfile:
 
 def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str) -> None:
     gs = profile.gapset
+    # random profiles meet the ygrid only here, before any probe runs
+    _check_ygrid(cfg.ygrid, gs)
     mfun = _mfun(cfg, profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else _default_tgrid(gs)
@@ -584,12 +597,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command,
                           {"seed": args.seed, "out": args.out, "format": args.format})
+        rep = run(cfg)
     except ConfigError as exc:
+        # raised by run too, where a random profile meets the config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        rep = run(cfg)
     except KreinDiracError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

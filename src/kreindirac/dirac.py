@@ -13,12 +13,10 @@ Riccati equation
     m' = (p - z) - 2 q m - (p + z) m^2.
 
 The module provides step potentials with exact piecewise transfer matrices,
-closed-form Weyl functions for constant coefficients, an embedded
-Dormand-Prince 5(4) Riccati stepper with a pole-chart switch (the inverted
-coordinate 1/m obeys the same equation under (p, q, z) -> (p, -q, -z)), and
-the orbit sampler that marches the gap boundary values of the Herglotz
-matrix by congruence, M_x(t) = T M_0(t) T^t, and reads W(x) off the trace
-formula over the shifted Krein density.
+closed-form Weyl functions for constant coefficients (the fixed points of
+this equation), and the orbit sampler that marches the gap boundary values
+of the Herglotz matrix by congruence, M_x(t) = T M_0(t) T^t, and reads W(x)
+off the trace formula over the shifted Krein density.
 """
 
 from __future__ import annotations
@@ -29,20 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    DegenerateDichotomy,
-    NoConvergence,
-    PoleCrossing,
-    StepRejected,
-)
+from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (KreinProfile, PotentialSample, sharp_bound, WeylPair,
                         assemble_M, build_M)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
 from .mat2 import mexp, mlog_batch
 
 __all__ = [
-    "POLE_GUARD",
     "StepPotential",
     "step_potential_from_json",
     "step_potential_to_json",
@@ -51,14 +42,8 @@ __all__ = [
     "const_weyl",
     "ode_weyl",
     "ode_m_function",
-    "riccati_rhs",
-    "riccati_step",
     "sample_potential",
 ]
-
-# Chart-switch threshold for Riccati trajectories on the Riemann sphere.
-POLE_GUARD = 1e6
-
 
 @dataclass(frozen=True)
 class StepPotential:
@@ -202,61 +187,6 @@ def ode_m_function(w: StepPotential) -> MFunction:
     """The matrix Herglotz function assembled from a step potential's Weyl
     pair (an independent oracle for the explicit construction)."""
     return MFunction(lambda z: assemble_M(ode_weyl(w, z)), source="ode-oracle")
-
-
-def riccati_rhs(m, p: float, q: float, z: complex):
-    """Right-hand side (p - z) - 2 q m - (p + z) m^2 (vectorizes over m)."""
-    return (p - z) - 2.0 * q * m - (p + z) * m * m
-
-
-# Dormand-Prince 5(4) tableau (stage weights; the equation is autonomous).
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def _dp_step(y, h: float, rhs):
-    """One embedded 5(4) step; returns (y5, per-component error estimate)."""
-    k = [rhs(y)]
-    for row in _DP_A:
-        acc = row[0] * k[0]
-        for a, ki in zip(row[1:], k[1:]):
-            if a:
-                acc = acc + a * ki
-        k.append(rhs(y + h * acc))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b)
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e)
-    return y5, np.abs(err)
-
-
-def riccati_step(m: complex, p: float, q: float, z: complex, h: float,
-                 tol: float = 1e-9, pole_guard: float = POLE_GUARD) -> complex:
-    """Advance the Riccati equation by one embedded 5(4) step of size h.
-
-    Raises
-    ------
-    StepRejected
-        If the embedded error estimate exceeds tol * (1 + |m_new|); the
-        estimate rides in the exception for step-size control.
-    PoleCrossing
-        If the result leaves the chart (|m_new| > pole_guard).  Drivers
-        switch to the inverted coordinate w = 1/m, which satisfies the same
-        equation with parameters (p, -q, -z).
-    """
-    y5, err = _dp_step(complex(m), float(h), lambda v: riccati_rhs(v, p, q, z))
-    scale = tol * (1.0 + abs(y5))
-    if err > scale:
-        raise StepRejected(float(err))
-    if abs(y5) > pole_guard:
-        raise PoleCrossing(y5)
-    return complex(y5)
 
 
 def _gap_nodes(gapset, n: int):

@@ -59,26 +59,6 @@ class PoleAt(KreinDiracError):
         super().__init__(message or f"pole of M at z = {z}")
 
 
-class StepRejected(KreinDiracError):
-    """A single adaptive step exceeded its local error target.
-
-    The embedded error estimate is carried in ``err`` so that drivers can
-    rescale the step size.
-    """
-
-    def __init__(self, err, message=None):
-        self.err = float(err)
-        super().__init__(message or f"step rejected, local error estimate {err:.3e}")
-
-
-class PoleCrossing(KreinDiracError):
-    """A Riccati trajectory left the working chart (|m| exceeded the pole guard)."""
-
-    def __init__(self, value, message=None):
-        self.value = value
-        super().__init__(message or f"trajectory escaped chart at |m| = {abs(value):.3e}")
-
-
 class BoundViolation(KreinDiracError):
     """A sampled potential exceeded the sharp norm bound beyond tolerance."""
 
@@ -86,6 +66,3 @@ class BoundViolation(KreinDiracError):
 class NotAdmissible(KreinDiracError):
     """The matrix is not in the admissible class of the requested operation."""
 
-
-class ConfigError(KreinDiracError):
-    """A run configuration is malformed or inconsistent."""

@@ -165,6 +165,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1, "count": 0}),  # empty
         dict(SINGLE_GAP, xgrid=[0.0, 0.5, 0.25]),             # not increasing
         dict(SINGLE_GAP, xgrid=[0.1, 0.2]),                   # not starting at 0
+        dict(SINGLE_GAP, ygrid=[1, 2, 3]),                    # below 4 radii
+        {"random_profiles": 2, "ygrid": [1, 2, 3]},           # below 4 radii
+        dict(SINGLE_GAP, ygrid=[8, 4, 16]),                   # not increasing
+        dict(SINGLE_GAP, ygrid=[8, 16]),                      # too short
     ]
     for cfg in bad_cases:
         code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
@@ -173,17 +177,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # the same bad grids under the commands that use them
     for command, cfg in (("construct", dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]])),
                          ("evolve", dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1,
-                                                           "count": 0}))):
+                                                           "count": 0})),
+                         ("evolve", dict(SINGLE_GAP, ygrid=[1, 2, 3]))):
         assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2, cfg
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy serves only mlog_integral, so starting the command line must not
-    # pay for importing it
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # numpy is the only runtime dependency: the command line starts without
+    # loading scipy, and with scipy blocked the package, mlog_integral and a
+    # CLI run still work
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = "import sys, kreindirac.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    cfg = _write(tmp_path, {"constant": [0.0, 1.0]})
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import numpy as np, kreindirac",
+        "from kreindirac import cli",
+        "a = np.array([[1j, 0.5], [0.2, 2.0 + 1j]])",
+        "d = np.abs(kreindirac.mlog_integral(a) - kreindirac.mlog_spectral(a)).max()",
+        "assert d < 1e-9, d",
+        f"sys.exit(cli.main(['oracle', '--config', {cfg!r}, '--out', {cfg + '.out'!r}]))",
+    ])
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

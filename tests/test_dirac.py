@@ -12,11 +12,8 @@ from kreindirac import (
     assemble_M,
     build_M,
     const_weyl,
-    mexp,
     ode_m_function,
     ode_weyl,
-    riccati_rhs,
-    riccati_step,
     sample_potential,
     sharp_bound,
     trace_formula_W0,
@@ -28,12 +25,7 @@ from kreindirac.dirac import (
     step_potential_from_json,
     step_potential_to_json,
 )
-from kreindirac.errors import (
-    BoundViolation,
-    DegenerateDichotomy,
-    PoleCrossing,
-    StepRejected,
-)
+from kreindirac.errors import BoundViolation, DegenerateDichotomy
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
@@ -98,10 +90,11 @@ def test_const_weyl_is_riccati_fixed_point():
         p, q = rng.normal(size=2)
         z = complex(rng.normal(), abs(rng.normal()) + 0.1)
         pair = const_weyl(p, q, z)
-        # m_plus is the attracting fixed point of the Riccati flow and
-        # -m_minus is the other algebraic root of the same quadratic
-        assert abs(riccati_rhs(pair.m_plus, p, q, z)) < 1e-9
-        assert abs(riccati_rhs(-pair.m_minus, p, q, z)) < 1e-9
+        # m_plus is the attracting fixed point of the Riccati flow
+        # m' = (p - z) - 2 q m - (p + z) m^2 and -m_minus is the other
+        # algebraic root of the same quadratic
+        for m in (pair.m_plus, -pair.m_minus):
+            assert abs((p - z) - 2.0 * q * m - (p + z) * m * m) < 1e-9
         assert pair.m_plus.imag > 0
 
 
@@ -144,33 +137,6 @@ def test_ode_m_function_triangle():
         np.testing.assert_allclose(mfun(z), build_M(prof, z), atol=1e-8)
         np.testing.assert_allclose(assemble_M(const_weyl(p, q, z)),
                                    build_M(prof, z), atol=1e-8)
-
-
-def test_riccati_step_matches_moebius_transport():
-    # DP integration against the matrix-exponential Moebius action
-    rng = np.random.default_rng(44)
-    steps = 0
-    while steps < 2000:
-        p, q = rng.normal(size=2)
-        z = complex(rng.normal(), abs(rng.normal()) + 0.1)
-        m0 = complex(rng.normal(), abs(rng.normal()))
-        h = rng.uniform(0.005, 0.05)
-        T = mexp(h * coefficient_matrix(p, q, z))
-        denom = T[1, 0] * m0 + T[1, 1]
-        if abs(denom) < 1e-3:
-            continue
-        exact = (T[0, 0] * m0 + T[0, 1]) / denom
-        try:
-            stepped = riccati_step(m0, p, q, z, h, tol=1e-10)
-        except (StepRejected, PoleCrossing):
-            continue
-        assert abs(stepped - exact) <= 1e-8 * (1.0 + abs(exact))
-        steps += 1
-
-
-def test_riccati_step_rejects_large_steps():
-    with pytest.raises(StepRejected):
-        riccati_step(50.0 + 1j, 2.0, 1.0, 3.0 + 0.5j, h=1.0, tol=1e-12)
 
 
 def test_march_single_gap_is_constant():

@@ -18,7 +18,7 @@ from kreindirac import (
     mlog_spectral,
     op_norm_sym,
 )
-from kreindirac.errors import SpectrumNotUpper, SpectrumOnCut
+from kreindirac.errors import QuadratureFailure, SpectrumNotUpper, SpectrumOnCut
 from kreindirac.mat2 import as_mat2, im_part, is_symmetric, re_part
 
 
@@ -122,6 +122,16 @@ def test_mlog_dual_routes_agree():
 def test_mlog_integral_rejects_lower_spectrum():
     with pytest.raises(SpectrumNotUpper):
         mlog_integral(np.array([[1.0 - 1j, 0.0], [0.0, 1j]]))
+
+
+def test_mlog_integral_near_the_negative_axis():
+    # an eigenvalue near -1 puts a near pole of (tI + A)^-1 at t = 1: the
+    # rule resolves it 1e-3 off the axis, and must raise, not return a wrong
+    # matrix, where no level resolves it
+    a = np.diag([-1.0 + 1e-3j, 2j])
+    np.testing.assert_allclose(mlog_integral(a), mlog_spectral(a), atol=1e-9)
+    with pytest.raises(QuadratureFailure):
+        mlog_integral(np.diag([-1.0 + 1e-6j, 2j]))
 
 
 def test_mlog_near_confluent_stability():
