@@ -479,6 +479,8 @@ def run_evolve(cfg: RunConfig) -> Report:
         rep.info("norm_min", min(norms), "smallest sampled ||W(x)||")
         rep.check("bound", max(norms) - bound, cfg.bound_slack,
                   "||W(x)|| <= (1/2) sum of gap widths")
+        rep.check("residual", max(s.residual for s in samples), 1e-5 * max(1.0, bound),
+                  "trace formula quadrature and seed check residuals stay small")
         if gs.n == 1 and rep.numerical_failure is None:
             # one gap: the orbit is a rotation, the norm stays pinned
             rep.check("norm_constancy", max(norms) - min(norms), 1e-6,

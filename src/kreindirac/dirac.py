@@ -16,7 +16,10 @@ The module provides step potentials with exact piecewise transfer matrices,
 closed-form Weyl functions for constant coefficients (the fixed points of
 this equation), and the orbit sampler that marches the gap boundary values
 of the Herglotz matrix by congruence, M_x(t) = T M_0(t) T^t, and reads W(x)
-off the trace formula over the shifted Krein density.
+off the trace formula over the shifted Krein density.  The sampler works in
+the co-rotating frame: moving the spectral parameter by c only rotates the
+potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so it marches the profile
+with gaps moved by the midpoint c of their hull and turns each sample back.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
-from .finitegap import (KreinProfile, PotentialSample, sharp_bound, WeylPair,
-                        assemble_M, build_M)
+from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
+                        WeylPair, assemble_M, build_M)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
 from .mat2 import mexp, mlog_batch
 
@@ -211,13 +214,6 @@ def _xi_defect(mats: np.ndarray) -> np.ndarray:
     return mlog_batch(mats).imag / np.pi - _HALF_I
 
 
-def _trace_w(mats: np.ndarray, wts: np.ndarray) -> tuple[float, float]:
-    """(p, q) by the trace formula: integrate xi_x(t) - I/2 over the gaps,
-    reading the shifted Krein density off the gap boundary matrices."""
-    acc = np.einsum("n,nij->ij", wts, _xi_defect(mats))
-    return 0.5 * (acc[0, 0] - acc[1, 1]), 0.5 * (acc[0, 1] + acc[1, 0])
-
-
 def _pin(mats: np.ndarray) -> np.ndarray:
     # project back onto the symmetric det = -1 slice (rounding control)
     mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
@@ -259,10 +255,18 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     shifted origin, W(x) = integral over the gaps of (xi_x(t) - I/2) dt.
     The march freezes (p, q) per substep with a midpoint corrector,
     controls the local error by step doubling, and applies one Richardson
-    sweep to the boundary matrices.  Every node evolves at a bounded rate
-    (at most ||W||), unlike the Weyl trajectories m_pm(x, iY), which repel
-    perturbations at rate 2Y and cannot carry a forward march; the Weyl
-    asymptotics instead cross-check the x = 0 sample.
+    sweep to the boundary matrices; each march state costs one matrix
+    logarithm over all quadrature nodes.  A node t evolves at rate at most
+    max(||W||, |t|), unlike the Weyl trajectories m_pm(x, iY), which repel
+    perturbations at rate 2Y and cannot carry a forward march.
+
+    The march runs in the co-rotating frame.  Moving every gap by -c turns
+    the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), with the norm
+    unchanged; so the profile with gaps moved by the hull midpoint
+    c = (a_1 + b_n)/2, the shift with the smallest largest |t|, is marched,
+    and each sample is turned back by e^{2icx} before the bound check.  For
+    c = 0 the frame is the identity.  The large-z Weyl asymptotics of the
+    original profile cross-check the x = 0 sample.
 
     Parameters
     ----------
@@ -310,19 +314,31 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         return [PotentialSample(x=float(x), p=0.0, q=0.0, residual=0.0)
                 for x in xg]
 
-    ts_f, ws_f = _gap_nodes(gs, quad_nodes)
-    ts_c, ws_c = _gap_nodes(gs, max(4, (7 * quad_nodes) // 10))
+    bound = sharp_bound(gs)
+    # co-rotating frame; the hull midpoint gives the smallest largest |t|
+    c = 0.5 * (gs.gaps[0][0] + gs.gaps[-1][1])
+    frame = KreinProfile(GapSet(tuple((a - c, b - c) for a, b in gs.gaps)),
+                         profile.angles)
+    ts_f, ws_f = _gap_nodes(frame.gapset, quad_nodes)
+    ts_c, ws_c = _gap_nodes(frame.gapset, max(4, (7 * quad_nodes) // 10))
     nf = len(ts_f)
     ts = np.concatenate([ts_f, ts_c])
-    mats = _pin(build_M(profile, ts))
-    bound = sharp_bound(gs)
+    mats = _pin(build_M(frame, ts))
 
     def w_of(mats):
-        pf, qf = _trace_w(mats[:nf], ws_f)
-        pc, qc = _trace_w(mats[nf:], ws_c)
+        # (p, q) by the trace formula, integrating xi_x(t) - I/2 over the
+        # gaps; one matrix log of the joined stack serves both node sets
+        xi = _xi_defect(mats)
+        f = np.einsum("n,nij->ij", ws_f, xi[:nf])
+        g = np.einsum("n,nij->ij", ws_c, xi[nf:])
+        pf, qf = 0.5 * (f[0, 0] - f[1, 1]), 0.5 * (f[0, 1] + f[1, 0])
+        pc, qc = 0.5 * (g[0, 0] - g[1, 1]), 0.5 * (g[0, 1] + g[1, 0])
         return pf, qf, math.hypot(pf - pc, qf - qc)
 
     def record(x, p, q, residual):
+        if c:  # at c = 0 the frame is the identity, signed zeros included
+            cos, sin = math.cos(2.0 * c * x), math.sin(2.0 * c * x)
+            p, q = p * cos - q * sin, p * sin + q * cos
         sample = PotentialSample(x=float(x), p=p, q=q, residual=residual)
         if sample.norm > bound + bound_slack:
             raise BoundViolation(
@@ -336,8 +352,12 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         pm, qm, _ = w_of(half)
         return _congruence_step(mats, ts, pm, qm, span)
 
-    p0, q0, quad_res = w_of(mats)
-    # independent seed check: the large-z Weyl law against the trace formula
+    # (p, q, quadrature residual) of the current state, carried from each
+    # accepted step into the next predictor and the grid-point sample
+    state = w_of(mats)
+    p0, q0, quad_res = state
+    # independent seed check: the large-z Weyl law of the original profile
+    # against the trace formula (the frame turns nothing at x = 0)
     seed = asymptotic_W(profile_m_function(profile), ygrid)
     seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
     samples: list[PotentialSample] = []
@@ -348,7 +368,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
             h = x_next - x
             while x < x_next - 1e-13 * max(1.0, abs(x_next)):
                 h = min(h, x_next - x)
-                p0, q0, _ = w_of(mats)
+                p0, q0, _ = state
                 coarse = pc_step(mats, p0, q0, h)
                 mid = pc_step(mats, p0, q0, 0.5 * h)
                 pm, qm, _ = w_of(mid)
@@ -366,14 +386,13 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                     else:
                         h *= 3.0
                     # interior acceptances also face the bound check
-                    pb, qb, res_b = w_of(mats)
-                    record(x, pb, qb, res_b)
+                    state = w_of(mats)
+                    record(x, *state)
                 else:
                     h *= max(0.25, 0.9 * (loc_tol / err) ** (1 / 3))
                     if h < 1e-10 * max(x_next, 1.0):
                         raise NoConvergence(f"x-march stalled near x = {x}")
-            p, q, residual = w_of(mats)
-            samples.append(record(x_next, p, q, residual))
+            samples.append(record(x_next, *state))
     except (BoundViolation, NoConvergence) as exc:
         # grid points accepted before the failure ride along so callers
         # can report the last good x next to the certificate

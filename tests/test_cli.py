@@ -120,6 +120,23 @@ def test_evolve_extremal_rows(tmp_path):
     assert _records(text)["norm_constancy"]["status"] == "pass"
 
 
+def test_evolve_gates_the_residual(tmp_path):
+    code, text = _run(tmp_path, "evolve", SINGLE_GAP)
+    assert code == 0
+    rec = _records(text)["residual"]
+    assert rec["status"] == "pass" and rec["tolerance"] == 1e-5
+    # a two-gap march to x = 20 outruns the trace-formula quadrature: the
+    # bound holds, but the residual at x = 20 is about 2e-3, so it fails
+    cfg = {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": math.pi / 4},
+           "xgrid": [0, 10, 20]}
+    code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 1
+    failed = [r["name"] for r in json.loads(text)["records"]
+              if r["status"] == "fail"]
+    assert failed == ["residual"]
+    assert _records(text)["residual"]["value"] > 1e-4
+
+
 def test_evolve_witness_exits_3_with_partial_rows(tmp_path):
     cfg = dict(WITNESS, xgrid={"start": 0.0, "stop": 0.8, "count": 17})
     out = tmp_path / "report.json"

@@ -20,6 +20,7 @@ from kreindirac import (
     transfer,
     weyl_from_M,
 )
+from kreindirac import dirac
 from kreindirac.dirac import (
     coefficient_matrix,
     step_potential_from_json,
@@ -160,6 +161,66 @@ def test_march_off_center_gap_rotates():
         pred = (w0.p + 1j * w0.q) * np.exp(2j * c * s.x)
         assert abs((s.p + 1j * s.q) - pred) < 1e-7
         assert abs(s.norm - r) < 1e-12
+
+
+# march values of off-centre profiles on xgrid = linspace(0, 0.5, 6), frozen
+# from the march in the original frame (before the co-rotating frame): the
+# march now runs every profile in its co-rotating frame, so only these
+# values check the gauge identity independently
+OFF_CENTRE_MARCHES = [
+    (((3.0, 3.5), (4.5, 5.2)), (0.4, 0.4), [
+        (0.4180240256083, 0.4304136545397), (-0.0391852646763, 0.5922938451790),
+        (-0.4514252685124, 0.3552109999811), (-0.5345224463097, -0.0939571170474),
+        (-0.2614016134226, -0.4249490752085), (0.1318668045930, -0.4237049030677)]),
+    (((-7.0, -6.4), (8.0, 8.5)), (0.2, 1.2), [
+        (0.0919698693156, 0.2856912978304), (0.0231424646782, -0.4392324543745),
+        (0.0133269707551, -0.3655373033829), (-0.1452649393535, 0.3563014632057),
+        (-0.1543098881243, 0.3940794509213), (0.2143306527886, -0.2391611209124)]),
+    (((20.0, 20.4), (21.0, 21.5), (22.3, 22.8)), (0.9, 0.9, 0.9), [
+        (-0.1590414662852, 0.6816933416147), (0.6757738879606, -0.1372341404194),
+        (-0.3880313622808, -0.5321199989715), (-0.2971298283664, 0.5304192959412),
+        (0.5377621729845, 0.0429565309081), (-0.1574841886445, -0.4276066659109)]),
+]
+
+
+@pytest.mark.parametrize("gaps, angles, frozen", OFF_CENTRE_MARCHES)
+def test_march_off_centre_frozen_values(gaps, angles, frozen):
+    ss = sample_potential(KreinProfile(GapSet(gaps), angles), np.linspace(0.0, 0.5, 6))
+    for s, (p, q) in zip(ss, frozen):
+        assert abs(complex(s.p - p, s.q - q)) < 1e-7
+
+
+@pytest.mark.parametrize("c", [100.0, -100.0])
+def test_march_far_gap_follows_the_rotation_law(c):
+    # far from 0 the orbit is the rotation e^{2icx} W(0); its sign checks
+    # the turn back out of the co-rotating frame
+    prof = KreinProfile.uniform(GapSet(((c - 0.25, c + 0.25),)), 1.1)
+    w0 = trace_formula_W0(prof)
+    for s in sample_potential(prof, np.linspace(0.0, 0.5, 6)):
+        pred = (w0.p + 1j * w0.q) * np.exp(2j * c * s.x)
+        assert abs((s.p + 1j * s.q) - pred) < 1e-7
+
+
+def test_march_takes_one_matrix_log_per_state(monkeypatch):
+    # every march state costs one trace-formula log: each congruence step
+    # makes one state, and accepted states carry their (p, q) along
+    counts = {"xi": 0, "cong": 0}
+    xi_defect, congruence_step = dirac._xi_defect, dirac._congruence_step
+
+    def counted_xi(mats):
+        counts["xi"] += 1
+        return xi_defect(mats)
+
+    def counted_cong(*args):
+        counts["cong"] += 1
+        return congruence_step(*args)
+
+    monkeypatch.setattr(dirac, "_xi_defect", counted_xi)
+    monkeypatch.setattr(dirac, "_congruence_step", counted_cong)
+    gaps, alpha = TAYLOR_PROFILE
+    sample_potential(KreinProfile.uniform(GapSet(gaps), alpha), [0.0, 0.1, 0.2, 0.3])
+    assert counts["cong"] > 0
+    assert counts["xi"] <= 1.2 * counts["cong"] + 2
 
 
 def test_march_two_gap_frozen_values():
