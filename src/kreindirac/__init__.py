@@ -21,6 +21,7 @@ from .mat2 import (
     mlog_spectral,
     mlog_integral,
     herglotz_positive,
+    op_norm,
     op_norm_sym,
 )
 from .numerics import LimitSchedule
@@ -44,7 +45,16 @@ from .finitegap import (
     commutator_diag,
     hull_norm,
 )
-from .herglotz import MFunction, KreinSample, profile_m_function, krein_xi, rep_logM, asymptotic_W, herglotz_defect
+from .herglotz import (
+    MFunction,
+    KreinSample,
+    profile_m_function,
+    krein_xi,
+    krein_xi_grid,
+    rep_logM,
+    asymptotic_W,
+    herglotz_defect,
+)
 from .dirac import (
     StepPotential,
     transfer,
@@ -69,6 +79,7 @@ __all__ = [
     "mlog_spectral",
     "mlog_integral",
     "herglotz_positive",
+    "op_norm",
     "op_norm_sym",
     "LimitSchedule",
     "GapSet",
@@ -93,6 +104,7 @@ __all__ = [
     "KreinSample",
     "profile_m_function",
     "krein_xi",
+    "krein_xi_grid",
     "rep_logM",
     "asymptotic_W",
     "herglotz_defect",

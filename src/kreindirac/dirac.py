@@ -228,7 +228,8 @@ def _congruence_step(mats: np.ndarray, ts: np.ndarray, p: float, q: float,
 
     K(p, q, t) is real for real t with K^2 = (p^2 + q^2 - t^2) I, so T has
     the closed form cosh(kappa h) I + sinh(kappa h)/kappa K, hyperbolic or
-    rotational depending on the sign of kappa^2."""
+    rotational depending on the sign of kappa^2.  A step that overflows
+    returns non-finite states."""
     kap = np.sqrt((p * p + q * q - ts * ts).astype(complex))
     th = kap * h
     ch = np.cosh(th).real
@@ -327,7 +328,11 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
 
     def w_of(mats):
         # (p, q) by the trace formula, integrating xi_x(t) - I/2 over the
-        # gaps; one matrix log of the joined stack serves both node sets
+        # gaps; one matrix log of the joined stack serves both node sets.
+        # A trial state that overflowed has no potential: NaN, which the
+        # step control rejects
+        if not np.isfinite(mats).all():
+            return math.nan, math.nan, math.nan
         xi = _xi_defect(mats)
         f = np.einsum("n,nij->ij", ws_f, xi[:nf])
         g = np.einsum("n,nij->ij", ws_c, xi[nf:])
@@ -363,36 +368,43 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     samples: list[PotentialSample] = []
     try:
         samples.append(record(xg[0], p0, q0, quad_res + seed_res))
-        for x_next in xg[1:]:
-            x = samples[-1].x
-            h = x_next - x
-            while x < x_next - 1e-13 * max(1.0, abs(x_next)):
-                h = min(h, x_next - x)
-                p0, q0, _ = state
-                coarse = pc_step(mats, p0, q0, h)
-                mid = pc_step(mats, p0, q0, 0.5 * h)
-                pm, qm, _ = w_of(mid)
-                fine = pc_step(mid, pm, qm, 0.5 * h)
-                pa, qa, _ = w_of(coarse)
-                pb, qb, _ = w_of(fine)
-                err = math.hypot(pa - pb, qa - qb)
-                if err <= loc_tol:
-                    # the midpoint scheme is second order, so the coarse/fine
-                    # pair admits one Richardson sweep on the states
-                    mats = _pin((4.0 * fine - coarse) / 3.0)
-                    x += h
-                    if err:
-                        h *= min(3.0, max(1.0, 0.9 * (loc_tol / err) ** (1 / 3)))
+        # an overflowing trial step yields non-finite states, which the
+        # step control rejects; numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for x_next in xg[1:]:
+                x = samples[-1].x
+                h = x_next - x
+                while x < x_next - 1e-13 * max(1.0, abs(x_next)):
+                    h = min(h, x_next - x)
+                    p0, q0, _ = state
+                    coarse = pc_step(mats, p0, q0, h)
+                    pa, qa, _ = w_of(coarse)
+                    # a trial whose states overflow is a rejected step
+                    err = math.inf
+                    if math.isfinite(pa):
+                        mid = pc_step(mats, p0, q0, 0.5 * h)
+                        pm, qm, _ = w_of(mid)
+                        fine = pc_step(mid, pm, qm, 0.5 * h)
+                        pb, qb, _ = w_of(fine)
+                        if math.isfinite(pb):
+                            err = math.hypot(pa - pb, qa - qb)
+                    if err <= loc_tol:
+                        # the midpoint scheme is second order, so the coarse/fine
+                        # pair admits one Richardson sweep on the states
+                        mats = _pin((4.0 * fine - coarse) / 3.0)
+                        x += h
+                        if err:
+                            h *= min(3.0, max(1.0, 0.9 * (loc_tol / err) ** (1 / 3)))
+                        else:
+                            h *= 3.0
+                        # interior acceptances also face the bound check
+                        state = w_of(mats)
+                        record(x, *state)
                     else:
-                        h *= 3.0
-                    # interior acceptances also face the bound check
-                    state = w_of(mats)
-                    record(x, *state)
-                else:
-                    h *= max(0.25, 0.9 * (loc_tol / err) ** (1 / 3))
-                    if h < 1e-10 * max(x_next, 1.0):
-                        raise NoConvergence(f"x-march stalled near x = {x}")
-            samples.append(record(x_next, *state))
+                        h *= max(0.25, 0.9 * (loc_tol / err) ** (1 / 3))
+                        if h < 1e-10 * max(x_next, 1.0):
+                            raise NoConvergence(f"x-march stalled near x = {x}")
+                samples.append(record(x_next, *state))
     except (BoundViolation, NoConvergence) as exc:
         # grid points accepted before the failure ride along so callers
         # can report the last good x next to the certificate

@@ -36,11 +36,15 @@ from .errors import (
 from .mat2 import (
     I2,
     J,
+    JORDAN_TOL,
     as_mat2,
+    as_mat2_batch,
     branch_log_batch,
-    eig2,
+    eigvals_batch,
+    eigvec_batch,
     im_part,
     mexp_batch,
+    op_norm,
     op_norm_sym,
     re_part,
 )
@@ -63,6 +67,7 @@ __all__ = [
     "assemble_M",
     "trace_formula_W0",
     "sharp_bound",
+    "boundary_offsets",
     "reflectionless_defect",
     "gap_realness",
     "commutator_diag",
@@ -119,10 +124,8 @@ class GapSet:
 
     def containing_gap(self, t: float) -> int | None:
         """Index of the open gap containing t, or None (t in E)."""
-        for j, (a, b) in enumerate(self.gaps):
-            if a < t < b:
-                return j
-        return None
+        j = int(self.containing_gaps(float(t))[0])
+        return None if j < 0 else j
 
     @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,21 +134,40 @@ class GapSet:
         ab.flags.writeable = False
         return ab[0], ab[1]
 
+    def containing_gaps(self, ts) -> np.ndarray:
+        """Per point of ``ts``, the index of the open gap containing it, or
+        -1 for points of E."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if not self.n:
+            return np.full(len(ts), -1)
+        a, b = self.endpoints
+        j = np.maximum(np.searchsorted(a, ts, side="right") - 1, 0)
+        return np.where((a[j] < ts) & (ts < b[j]), j, -1)
+
+    def endpoint_errors(self, ts) -> dict[int, EndpointSingularity]:
+        """The EndpointSingularity of each point of ``ts`` inside an endpoint
+        exclusion zone, keyed by the point's index in increasing order; each
+        names its point and the first gap whose zone holds it."""
+        ts = np.asarray(ts, dtype=float).reshape(-1, 1)
+        a, b = self.endpoints
+        m = ENDPOINT_MARGIN * (b - a)
+        bad = (np.abs(ts - a) < m) | (np.abs(ts - b) < m)
+        errs = {}
+        for i in np.flatnonzero(bad.any(axis=1)):
+            a, b = self.gaps[int(np.argmax(bad[i]))]
+            errs[int(i)] = EndpointSingularity(
+                f"t = {float(ts[i, 0])} is within the exclusion margin of gap ({a}, {b})")
+        return errs
+
     def assert_off_endpoints(self, t) -> None:
         """Reject real evaluation points inside an endpoint exclusion zone.
 
         ``t`` is one point or an array of points; the error names the first
         offending point and, for it, the first gap.
         """
-        ts = np.asarray(t, dtype=float).reshape(-1, 1)
-        a, b = self.endpoints
-        m = ENDPOINT_MARGIN * (b - a)
-        bad = (np.abs(ts - a) < m) | (np.abs(ts - b) < m)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            a, b = self.gaps[j]
-            raise EndpointSingularity(
-                f"t = {float(ts[i, 0])} is within the exclusion margin of gap ({a}, {b})")
+        errs = self.endpoint_errors(t)
+        if errs:
+            raise next(iter(errs.values()))
 
 
 def _circular_angle(alpha: float) -> float:
@@ -365,7 +387,8 @@ def m_values(mfun, zs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeylPair:
-    """Half-line Weyl functions (m_plus, m_minus) at one point z.
+    """Half-line Weyl functions (m_plus, m_minus) at one point z, or at
+    each of N points as two (N,) complex arrays.
 
     Values live on the Riemann sphere: ``complex(inf)`` encodes the point at
     infinity of the solution-ratio coordinate.
@@ -375,35 +398,64 @@ class WeylPair:
     m_minus: complex
 
 
+def _first(*masks: np.ndarray) -> int | None:
+    """Index of the first point flagged by any of the masks, or None."""
+    hit = np.flatnonzero(np.logical_or.reduce(masks))
+    return int(hit[0]) if len(hit) else None
+
+
 def weyl_from_M(m) -> WeylPair:
     """Recover the Weyl pair from M via the eigenvectors of M J.
 
     M J has eigenvalues -1 and +1; the eigenvector (v1, v2) for -1 is
     proportional to (m_plus, 1) and the one for +1 to (-m_minus, 1).
     Requires M symmetric with det M = -1 (within 1e-8).
+
+    ``m`` is one matrix, giving a pair of complex numbers, or an (N, 2, 2)
+    stack, giving a pair of (N,) arrays.  On a stack the first offending
+    matrix raises, with the error the one-matrix call would raise.
     """
-    M = as_mat2(m)
-    scale = max(np.linalg.norm(M, 2), 1.0)
-    if abs(M[0, 1] - M[1, 0]) > 1e-8 * scale:
-        raise NotAdmissible("M must be symmetric")
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det + 1.0) > 1e-8 * scale * scale:
-        raise NotAdmissible(f"det M = {det}, expected -1")
-    dec = eig2(M @ J)
-    if dec.is_jordan:
-        raise DegenerateEigenproblem("M J is numerically defective")
-    pairs = sorted([(dec.lam1, dec.basis[:, 0]), (dec.lam2, dec.basis[:, 1])],
-                   key=lambda lv: lv[0].real)
-    (lam_m, v_m), (lam_p, v_p) = pairs
-    if abs(lam_m + 1.0) > 1e-6 or abs(lam_p - 1.0) > 1e-6:
-        raise NotAdmissible(f"eigenvalues of M J are {lam_m}, {lam_p}, expected -1, +1")
+    M = np.asarray(m)
+    stack = as_mat2_batch(M) if M.ndim == 3 else as_mat2(M)[None]
+    scale = np.maximum(op_norm(stack), 1.0)
+    asym = np.abs(stack[:, 0, 1] - stack[:, 1, 0]) > 1e-8 * scale
+    det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+    bad_det = np.abs(det + 1.0) > 1e-8 * scale * scale
+    mj = stack @ J
+    lam = eigvals_batch(mj)
+    # confluent eigenvalues (JORDAN_TOL, as in eig2); a scalar M J is
+    # antisymmetric M or det M = 0, so a confluent M J that passed the
+    # checks above is defective
+    tol = JORDAN_TOL * (np.abs(lam).sum(axis=0) + np.abs(mj[:, 0, 1]) + np.abs(mj[:, 1, 0]))
+    defective = np.abs(lam[0] - lam[1]) <= tol
+    # pairs ordered by real part, the first one kept on a tie
+    swap = lam[0].real > lam[1].real
+    lam_m, lam_p = np.where(swap, lam[1], lam[0]), np.where(swap, lam[0], lam[1])
+    bad_eig = (np.abs(lam_m + 1.0) > 1e-6) | (np.abs(lam_p - 1.0) > 1e-6)
+    k = _first(asym, bad_det, defective, bad_eig)
+    if k is not None:
+        if asym[k]:
+            raise NotAdmissible("M must be symmetric")
+        if bad_det[k]:
+            # the one-matrix determinant in scalar arithmetic: the stacked
+            # one can round differently in the last digit the message shows
+            a = stack[k]
+            raise NotAdmissible(f"det M = {a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]}, expected -1")
+        if defective[k]:
+            raise DegenerateEigenproblem("M J is numerically defective")
+        raise NotAdmissible(f"eigenvalues of M J are {complex(lam_m[k])}, "
+                            f"{complex(lam_p[k])}, expected -1, +1")
 
     def ratio(v, sign):
-        if abs(v[1]) <= 1e-14 * abs(v[0]):
-            return complex(np.inf)
-        return sign * complex(v[0] / v[1])
+        # v0 / v1 on the Riemann sphere
+        inf = np.abs(v[:, 1]) <= 1e-14 * np.abs(v[:, 0])
+        return np.where(inf, np.inf, sign * v[:, 0] / np.where(inf, 1.0, v[:, 1]))
 
-    return WeylPair(m_plus=ratio(v_m, +1.0), m_minus=ratio(v_p, -1.0))
+    m_plus = ratio(eigvec_batch(mj, lam_m), 1.0)
+    m_minus = ratio(eigvec_batch(mj, lam_p), -1.0)
+    if M.ndim == 3:
+        return WeylPair(m_plus=m_plus, m_minus=m_minus)
+    return WeylPair(m_plus=complex(m_plus[0]), m_minus=complex(m_minus[0]))
 
 
 def assemble_M(pair: WeylPair) -> np.ndarray:
@@ -413,21 +465,35 @@ def assemble_M(pair: WeylPair) -> np.ndarray:
                                    [m_plus - m_minus,  2]]
 
     Infinite entries of the pair are handled as Riemann-sphere limits; a
-    vanishing denominator m_plus + m_minus raises PoleAt.
+    vanishing denominator m_plus + m_minus raises PoleAt.  A pair of
+    complex numbers gives a (2, 2) matrix, a pair of (N,) arrays an
+    (N, 2, 2) stack; on arrays the first offending point raises.
     """
-    mp, mm = complex(pair.m_plus), complex(pair.m_minus)
-    p_inf, m_inf = not np.isfinite(mp), not np.isfinite(mm)
-    if p_inf and m_inf:
-        raise PoleAt(None, "both Weyl functions are infinite")
-    if p_inf:
-        return np.array([[2.0 * mm, -1.0], [-1.0, 0.0]], dtype=complex)
-    if m_inf:
-        return np.array([[2.0 * mp, 1.0], [1.0, 0.0]], dtype=complex)
-    den = mp + mm
-    if abs(den) <= 1e-12 * max(1.0, abs(mp), abs(mm)):
-        raise PoleAt(None, f"m_plus + m_minus = {den} vanishes")
-    return (-1.0 / den) * np.array([[-2.0 * mp * mm, mp - mm], [mp - mm, 2.0]],
-                                   dtype=complex)
+    one = np.ndim(pair.m_plus) == 0
+    mp = np.atleast_1d(np.asarray(pair.m_plus, dtype=complex))
+    mm = np.atleast_1d(np.asarray(pair.m_minus, dtype=complex))
+    p_inf, m_inf = ~np.isfinite(mp), ~np.isfinite(mm)
+    fin = ~(p_inf | m_inf)
+    # infinite entries go through the finite formula as 0, then are replaced
+    mp0, mm0 = np.where(fin, mp, 0.0), np.where(fin, mm, 0.0)
+    den = mp0 + mm0
+    pole = fin & (np.abs(den) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(mp0), np.abs(mm0))))
+    k = _first(p_inf & m_inf, pole)
+    if k is not None:
+        if p_inf[k]:
+            raise PoleAt(None, "both Weyl functions are infinite")
+        raise PoleAt(None, f"m_plus + m_minus = {complex(den[k])} vanishes")
+    c = -1.0 / np.where(fin, den, 1.0)
+    out = np.empty((len(mp), 2, 2), dtype=complex)
+    out[:, 0, 0] = c * (-2.0 * mp0 * mm0)
+    out[:, 0, 1] = out[:, 1, 0] = c * (mp0 - mm0)
+    out[:, 1, 1] = c * 2.0
+    # Riemann-sphere limits: m_plus = inf gives [[2 m_minus, -1], [-1, 0]],
+    # m_minus = inf gives [[2 m_plus, 1], [1, 0]]
+    for inf, other, sign in ((p_inf, mm, -1.0), (m_inf, mp, 1.0)):
+        out[inf] = [[0.0, sign], [sign, 0.0]]
+        out[inf, 0, 0] = 2.0 * other[inf]
+    return out[0] if one else out
 
 
 @dataclass(frozen=True)
@@ -474,26 +540,52 @@ def sharp_bound(gapset: GapSet) -> float:
     return 0.5 * float(np.sum(gapset.widths()))
 
 
+def boundary_offsets(gapset: GapSet | None, ts: np.ndarray,
+                     schedule: LimitSchedule) -> np.ndarray:
+    """(K, T) heights at which the limit schedule samples each point of
+    ``ts``: the schedule offsets times min(1, d_t / y0), d_t the distance
+    from t to the nearest gap endpoint.
+
+    A point closer to an endpoint than y0 is approached in proportion, so
+    the samples see the singularity no nearer than the offsets would at
+    distance y0.  The Neville weights at 0 are invariant under a common
+    scale of the abscissae, so the unscaled offsets serve as abscissae of
+    every point's extrapolation.
+    """
+    ys = schedule.offsets()[:, None]
+    if gapset is None or not gapset.n:
+        return np.repeat(ys, len(ts), axis=1)
+    a, b = gapset.endpoints
+    t = ts[:, None]
+    dist = np.minimum(np.abs(t - a), np.abs(t - b)).min(axis=1)
+    return ys * np.minimum(1.0, dist / schedule.y0)
+
+
 def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float],
                           schedule: LimitSchedule | None = None) -> float:
     """sup over the grid of || Re M(t + i0) || on the interior of E.
 
     Each grid point must lie in E beyond the endpoint margins; the boundary
-    value is reached through the limit schedule (geometric offsets plus
-    polynomial extrapolation).  Vanishes for reflectionless functions.
+    value is reached through the limit schedule (offsets scaled to the
+    nearest endpoint, see :func:`boundary_offsets`, plus polynomial
+    extrapolation), in one evaluation of M over the whole grid.  Vanishes
+    for reflectionless functions.
     """
     schedule = schedule or LimitSchedule()
-    ys = schedule.offsets()
-    worst = 0.0
-    for t in grid:
-        t = float(t)
-        if gapset.containing_gap(t) is not None:
-            raise ValueError(f"grid point {t} lies inside a gap, not in E")
-        gapset.assert_off_endpoints(t)
-        samples = re_part(m_values(mfun, t + 1j * ys))
-        limit, _ = extrapolate_schedule(ys, samples, schedule.order)
-        worst = max(worst, float(np.linalg.norm(limit, 2)))
-    return worst
+    ts = np.array([float(t) for t in grid])
+    if not len(ts):
+        return 0.0
+    # the first bad point raises; inside a gap takes precedence at a point
+    inside = np.flatnonzero(gapset.containing_gaps(ts) >= 0)
+    near = gapset.endpoint_errors(ts)
+    if len(inside) and (not near or inside[0] <= min(near)):
+        raise ValueError(f"grid point {float(ts[inside[0]])} lies inside a gap, not in E")
+    if near:
+        raise next(iter(near.values()))
+    hs = boundary_offsets(gapset, ts, schedule)
+    samples = re_part(m_values(mfun, (ts + 1j * hs).ravel())).reshape(hs.shape + (2, 2))
+    limit, _ = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
+    return float(op_norm(limit).max())
 
 
 def gap_realness(profile: KreinProfile, grid: Sequence[float] | None = None) -> float:
@@ -506,12 +598,12 @@ def gap_realness(profile: KreinProfile, grid: Sequence[float] | None = None) -> 
     if grid is None:
         grid = gap_interior_grid(profile.gapset)
     ts = np.array([float(t) for t in grid])
-    for t in ts:
-        if profile.gapset.containing_gap(t) is None:
-            raise ValueError(f"grid point {t} is not inside a gap")
+    outside = np.flatnonzero(profile.gapset.containing_gaps(ts) < 0)
+    if len(outside):
+        raise ValueError(f"grid point {float(ts[outside[0]])} is not inside a gap")
     if not len(ts):
         return 0.0
-    return float(np.linalg.norm(im_part(build_M(profile, ts)), 2, axis=(1, 2)).max())
+    return float(op_norm(im_part(build_M(profile, ts))).max())
 
 
 def commutator_diag(profile: KreinProfile, t: float) -> float:
@@ -529,7 +621,7 @@ def commutator_diag(profile: KreinProfile, t: float) -> float:
     xi = profile.projection(j, float(t))
     re_log = re_part(build_logM(profile, float(t)))
     comm = re_log @ xi - xi @ re_log
-    return float(np.linalg.norm(comm, 2))
+    return float(op_norm(comm))
 
 
 def hull_norm(q) -> float:

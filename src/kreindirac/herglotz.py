@@ -28,11 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotTraceless
+from .errors import KreinDiracError, NotTraceless
 from .finitegap import (
     GapSet,
     KreinProfile,
     PotentialSample,
+    boundary_offsets,
     build_logM,
     build_M,
     gap_interior_grid,
@@ -42,6 +43,7 @@ from .mat2 import I2, as_mat2, as_mat2_batch, im_part, mexp, mlog_batch
 from .numerics import (
     LimitSchedule,
     adaptive_gauss_legendre,
+    convergence_error,
     extrapolate_schedule,
     require_convergence,
 )
@@ -50,6 +52,7 @@ __all__ = [
     "MFunction",
     "KreinSample",
     "profile_m_function",
+    "krein_xi_grid",
     "krein_xi",
     "rep_logM",
     "asymptotic_W",
@@ -117,31 +120,67 @@ class KreinSample:
     residual: float = 0.0
 
 
+def krein_xi_grid(mfun, ts, schedule: LimitSchedule | None = None,
+                  xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
+    """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
+    ``ts`` by extrapolation.
+
+    One evaluation of M and one matrix logarithm cover the schedule offsets
+    of every point, scaled to its nearest gap endpoint (see
+    :func:`boundary_offsets`), and one Neville tableau extrapolates them all
+    to y = 0.  Failures stay per point: the list holds, in grid order, each
+    point's KreinSample or the error :func:`krein_xi` raises there, an
+    EndpointSingularity for a point inside a gap-endpoint margin of the
+    function's gap set or a NoConvergence when the last two extrapolants
+    differ by more than ``xi_tol``.
+
+    Raises
+    ------
+    SpectrumOnCut
+        If a sampled M has an eigenvalue on the cut of the logarithm; this
+        fails the whole grid.
+    """
+    schedule = schedule or LimitSchedule()
+    ts = np.array([float(t) for t in np.atleast_1d(ts)])
+    gapset = getattr(mfun, "gapset", None)
+    out: list = [None] * len(ts)
+    if gapset is not None:
+        for i, err in gapset.endpoint_errors(ts).items():
+            out[i] = err
+    ok = np.flatnonzero([hit is None for hit in out])
+    if len(ok):
+        hs = boundary_offsets(gapset, ts[ok], schedule)
+        logs = mlog_batch(m_values(mfun, (ts[ok] + 1j * hs).ravel()))
+        samples = im_part(logs).reshape(hs.shape + (2, 2)) / np.pi
+        limit, residual = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
+        xi = limit.real
+        xi = 0.5 * (xi + np.swapaxes(xi, -1, -2))
+        for i, x, r in zip(ok, xi, residual):
+            t = float(ts[i])
+            out[i] = (convergence_error(r, xi_tol, f"krein_xi at t = {t}")
+                      or KreinSample(t=t, xi=x, residual=float(r)))
+    return out
+
+
 def krein_xi(mfun, t: float, schedule: LimitSchedule | None = None,
              xi_tol: float = XI_TOL) -> KreinSample:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) by extrapolation.
 
-    Samples the matrix logarithm along the schedule offsets and extrapolates
-    polynomially to y = 0.  The point t must stay clear of the declared
-    gap-endpoint margins when the function carries a gap set.
+    The one-point form of :func:`krein_xi_grid`.  The point t must stay
+    clear of the declared gap-endpoint margins when the function carries a
+    gap set.
 
     Raises
     ------
+    EndpointSingularity
+        If t lies inside a gap-endpoint margin.
     NoConvergence
         If the last two extrapolants differ by more than ``xi_tol``.
     """
-    schedule = schedule or LimitSchedule()
-    t = float(t)
-    gapset = getattr(mfun, "gapset", None)
-    if gapset is not None:
-        gapset.assert_off_endpoints(t)
-    ys = schedule.offsets()
-    samples = im_part(mlog_batch(m_values(mfun, t + 1j * ys))) / np.pi
-    limit, residual = extrapolate_schedule(ys, samples, schedule.order)
-    require_convergence(residual, xi_tol, f"krein_xi at t = {t}")
-    xi = limit.real
-    xi = 0.5 * (xi + xi.T)
-    return KreinSample(t=t, xi=xi, residual=residual)
+    hit = krein_xi_grid(mfun, [float(t)], schedule, xi_tol)[0]
+    if isinstance(hit, KreinDiracError):
+        raise hit
+    return hit
 
 
 def rep_logM(profile: KreinProfile, a0, z: complex) -> np.ndarray:

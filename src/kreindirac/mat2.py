@@ -17,6 +17,7 @@ defined:
   closed form and without a Python loop over the stack; the one-matrix
   functions (``mexp``, ``mlog_spectral``, ``branch_log``) wrap the stacked
   ones;
+* the spectral norm has a closed form too (``op_norm``), so no SVD runs;
 * an independent integral representation of the logarithm,
   log A = int_0^inf [ t/(t^2+1) I - (t I + A)^(-1) ] dt, valid for spectra in
   the open upper half plane, serves as a cross-check route.
@@ -45,6 +46,7 @@ __all__ = [
     "re_part",
     "im_part",
     "eigvals_batch",
+    "eigvec_batch",
     "eig2",
     "branch_log",
     "branch_log_batch",
@@ -54,6 +56,7 @@ __all__ = [
     "mlog_batch",
     "mlog_integral",
     "herglotz_positive",
+    "op_norm",
     "op_norm_sym",
 ]
 
@@ -123,8 +126,24 @@ def mat2(m11, m12, m21, m22) -> np.ndarray:
 def is_symmetric(a, tol: float = 1e-12) -> bool:
     """True if ``a`` equals its transpose up to ``tol`` relative to its norm."""
     m = as_mat2(a)
-    scale = max(np.linalg.norm(m, 2), 1.0)
-    return abs(m[0, 1] - m[1, 0]) <= tol * scale
+    return abs(m[0, 1] - m[1, 0]) <= tol * max(op_norm(m), 1.0)
+
+
+def op_norm(a):
+    """Spectral norm (largest singular value) of one matrix, as a float, or
+    of each matrix of a stack, as an (N,) array.
+
+    Closed form sqrt((F + sqrt(F^2 - 4 |det A|^2)) / 2) with F = ||A||_F^2.
+    The discriminant is formed as (p - q)^2 + 4 |r|^2 from the entries
+    [[p, r], [r*, q]] of A* A, a sum of squares, so it keeps full relative
+    accuracy where the singular values nearly coincide.
+    """
+    m = _as_one_or_stack(a)
+    sq = m.real ** 2 + m.imag ** 2
+    p = sq[..., 0, 0] + sq[..., 1, 0]
+    q = sq[..., 0, 1] + sq[..., 1, 1]
+    r = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
+    return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
 
 
 def re_part(a) -> np.ndarray:
@@ -186,6 +205,20 @@ def eigvals_batch(a) -> np.ndarray:
     return _eig_pairs(as_mat2_batch(a))[1]
 
 
+def eigvec_batch(a, lam) -> np.ndarray:
+    """Eigenvectors of an (N, 2, 2) stack for one eigenvalue per matrix, as
+    an (N, 2) array.
+
+    An eigenvector annihilates both rows of A - lam I; each vector is the
+    kernel direction (-r1, r0) of the numerically larger row r (by
+    |r0| + |r1|, the first row on a tie), not normalized.
+    """
+    r = as_mat2_batch(a) - np.asarray(lam)[:, None, None] * I2
+    size = np.abs(r[:, :, 0]) + np.abs(r[:, :, 1])
+    row = r[np.arange(len(r)), (size[:, 1] > size[:, 0]).astype(int)]
+    return np.stack([-row[:, 1], row[:, 0]], axis=1)
+
+
 def _scale(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     # per matrix |lam1| + |lam2| + |a01| + |a10| (see JORDAN_TOL); the
     # eigenvalue moduli alone miss non-normal matrices with tiny spectra
@@ -226,17 +259,9 @@ def eig2(a, jordan_tol: float = JORDAN_TOL) -> EigenDecomp2:
             return EigenDecomp2(lam, lam, I2.copy())
         return EigenDecomp2(lam, lam, None, nilpotent=nil)
 
-    vecs = []
-    for lam in (lam1, lam2):
-        r = m - lam * I2
-        # An eigenvector annihilates both rows; take the kernel direction of
-        # the numerically larger row.
-        rows = [r[0], r[1]]
-        row = max(rows, key=lambda x: abs(x[0]) + abs(x[1]))
-        v = np.array([-row[1], row[0]], dtype=complex)
-        v /= np.linalg.norm(v)
-        vecs.append(v)
-    return EigenDecomp2(lam1, lam2, np.column_stack(vecs))
+    vecs = eigvec_batch(np.stack([m, m]), [lam1, lam2])
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return EigenDecomp2(lam1, lam2, vecs.T.copy())
 
 
 def _branch_log(w: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared extrapolation and quadrature plumbing.
 
 Boundary values on the real axis are never evaluated directly: they are
-reached by sampling along a geometric schedule y_k = y0 * 2^(-k) and
+reached by sampling along a geometric schedule y_k = y0 * 2^(-k) (scaled
+down near gap endpoints, see ``finitegap.boundary_offsets``) and
 extrapolating polynomially to y = 0 (the sampled quantities extend
 analytically through the relevant real intervals, so low-order polynomial
 extrapolation converges fast).  Large-z asymptotics use the same Neville
@@ -21,6 +22,8 @@ __all__ = [
     "LimitSchedule",
     "neville_at_zero",
     "extrapolate_schedule",
+    "convergence_error",
+    "require_convergence",
     "adaptive_gauss_legendre",
 ]
 
@@ -69,10 +72,14 @@ def neville_at_zero(xs, values) -> np.ndarray:
 def extrapolate_schedule(xs, values, order: int):
     """Extrapolate samples along a schedule to 0 and estimate the residual.
 
-    Uses the last ``order + 1`` samples for the returned limit.  The
-    residual is the maximum entry difference against a second extrapolant:
-    the preceding window of the same length when one exists, otherwise the
-    order-lowered extrapolant on the same tail.  Needs ``order + 1`` samples.
+    ``values`` holds one sample per abscissa along its first axis: a 2x2
+    matrix, or a stack of them (shape (K, ..., 2, 2)), which shares the
+    abscissae and one tableau.  Uses the last ``order + 1`` samples for the
+    returned limit.  The residual is the maximum entry difference against a
+    second extrapolant: the preceding window of the same length when one
+    exists, otherwise the order-lowered extrapolant on the same tail.  It is
+    taken per matrix, so a float for matrix samples and an array of the
+    stack's shape for stacked ones.  Needs ``order + 1`` samples.
 
     Returns
     -------
@@ -87,14 +94,23 @@ def extrapolate_schedule(xs, values, order: int):
     else:
         last = neville_at_zero(xs[-(order + 1):], values[-(order + 1):])
         prev = neville_at_zero(xs[-order:], values[-order:])
-    residual = float(np.max(np.abs(last - prev)))
+    residual = np.abs(last - prev).max(axis=(-2, -1))
     return last, residual
+
+
+def convergence_error(residual: float, tol: float, what: str) -> NoConvergence | None:
+    """The NoConvergence for an extrapolation residual beyond ``tol`` (NaN
+    included), or None."""
+    if residual <= tol:
+        return None
+    return NoConvergence(f"{what}: residual {residual:.3e} exceeds {tol:.1e}")
 
 
 def require_convergence(residual: float, tol: float, what: str) -> None:
     """Raise NoConvergence when an extrapolation residual exceeds ``tol``."""
-    if not residual <= tol:
-        raise NoConvergence(f"{what}: residual {residual:.3e} exceeds {tol:.1e}")
+    err = convergence_error(residual, tol, what)
+    if err is not None:
+        raise err
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-12,

@@ -10,9 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from kreindirac import GapSet, KreinProfile, build_logM, build_M, mexp, mlog_spectral
-from kreindirac.errors import EndpointSingularity
-from kreindirac.mat2 import mexp_batch, mlog_batch
+from kreindirac import (
+    GapSet,
+    KreinProfile,
+    LimitSchedule,
+    WeylPair,
+    assemble_M,
+    build_logM,
+    build_M,
+    krein_xi,
+    mexp,
+    mlog_spectral,
+    profile_m_function,
+    weyl_from_M,
+)
+from kreindirac.errors import (
+    DegenerateEigenproblem,
+    EndpointSingularity,
+    KreinDiracError,
+    NoConvergence,
+    NotAdmissible,
+)
+from kreindirac.finitegap import ENDPOINT_MARGIN
+from kreindirac.herglotz import krein_xi_grid
+from kreindirac.mat2 import im_part, mexp_batch, mlog_batch, op_norm
+from kreindirac.numerics import extrapolate_schedule
 
 
 def _close(batched, reference, rtol):
@@ -160,3 +182,142 @@ def test_batched_mexp_mlog_agree_with_one_matrix(stack):
     for a, lg in zip(stack, logs):
         assert _close(lg, mlog_spectral(a), 1e-13)
         assert _close(mexp(lg), a, 1e-8)
+
+
+def _xi_reference(mfun, t, xi_tol):
+    """The one-point limit: the schedule offsets scaled by
+    min(1, d_t / y0), one log per offset, extrapolated to 0."""
+    sched = LimitSchedule()
+    a, b = mfun.gapset.endpoints
+    d = min(np.abs(t - a).min(), np.abs(t - b).min()) if mfun.gapset.n else np.inf
+    ys = sched.offsets()
+    samples = im_part(mlog_batch(mfun.many(t + 1j * min(1.0, d / sched.y0) * ys))) / np.pi
+    limit, residual = extrapolate_schedule(ys, samples, sched.order)
+    return 0.5 * (limit.real + limit.real.T), residual
+
+
+@st.composite
+def xi_grids(draw):
+    """A piecewise-constant profile with 1 to 4 gaps of widths 1e-6 to 2
+    and a shuffled grid of gap-interior and band points, one of them
+    (sometimes) inside an endpoint margin."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.floats(-4.0, 0.0))
+    gaps = []
+    for _ in range(n):
+        w = 10.0 ** draw(st.floats(-6.0, 0.3))
+        gaps.append((a, a + w))
+        a += w + draw(st.floats(0.05, 1.5))
+    gs = GapSet(tuple(gaps))
+    prof = KreinProfile(gs, tuple(draw(st.floats(0.0, math.pi)) for _ in gaps))
+    ts = [g0 + (g1 - g0) * (0.05 + 0.9 * draw(unit)) for g0, g1 in gaps]
+    ts += [gaps[0][0] - 0.01 - draw(unit), gaps[-1][1] + 0.01 + draw(unit)]
+    if draw(st.booleans()):
+        g0, g1 = gaps[draw(st.integers(0, n - 1))]
+        ts.append(g1 - 0.5 * ENDPOINT_MARGIN * (g1 - g0))
+    order = draw(st.permutations(range(len(ts))))
+    return prof, np.array([ts[i] for i in order])
+
+
+@given(xi_grids(), st.sampled_from((1e-6, 1e-16)))
+@settings(max_examples=60, deadline=None)
+def test_krein_xi_grid_agrees_with_points(case, xi_tol):
+    prof, ts = case
+    mfun = profile_m_function(prof)
+    hits = krein_xi_grid(mfun, ts, xi_tol=xi_tol)
+    assert len(hits) == len(ts)
+    for t, hit in zip(ts, hits):
+        try:
+            one = krein_xi(mfun, float(t), xi_tol=xi_tol)
+        except KreinDiracError as exc:
+            # the grid holds the error the one-point call raises
+            assert type(hit) is type(exc) and str(hit) == str(exc)
+            continue
+        assert hit.t == one.t == float(t)
+        assert np.abs(hit.xi - one.xi).max() <= 1e-14
+        assert abs(hit.residual - one.residual) <= 1e-14
+        xi, residual = _xi_reference(mfun, float(t), xi_tol)
+        assert np.abs(hit.xi - xi).max() <= 1e-14
+        assert abs(hit.residual - residual) <= 1e-14
+    # only the margin point (if any) is an endpoint failure, and at the
+    # default tolerance nothing else fails
+    a, b = prof.gapset.endpoints
+    m = ENDPOINT_MARGIN * (b - a)
+    in_margin = [bool(((np.abs(t - a) < m) | (np.abs(t - b) < m)).any()) for t in ts]
+    assert [isinstance(h, EndpointSingularity) for h in hits] == in_margin
+    failed = [isinstance(h, KreinDiracError) for h in hits]
+    if xi_tol == 1e-6:
+        assert failed == in_margin
+    else:
+        assert any(isinstance(h, NoConvergence) for h in hits)
+
+
+def _inf_pair_matrix(m_other, which):
+    # M with m_plus (or m_minus) at the point at infinity
+    pair = WeylPair(np.inf, m_other) if which == "plus" else WeylPair(m_other, np.inf)
+    return assemble_M(pair)
+
+
+def test_weyl_from_M_stack_agrees_with_matrices():
+    rng = np.random.default_rng(5)
+    prof = KreinProfile(GapSet(((-2.0, -1.0), (0.5, 1.5))), (0.4, 1.3))
+    zs = rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.05, 3.0, 12)
+    mats = np.concatenate([build_M(prof, zs),
+                           [_inf_pair_matrix(0.3 + 2.0j, "plus"),
+                            _inf_pair_matrix(-0.1 + 0.5j, "minus")]])
+    pair = weyl_from_M(mats)
+    assert pair.m_plus.shape == pair.m_minus.shape == (14,)
+    for k, m in enumerate(mats):
+        one = weyl_from_M(m)
+        assert isinstance(one.m_plus, complex)
+        for got, want in ((pair.m_plus[k], one.m_plus), (pair.m_minus[k], one.m_minus)):
+            assert got == want or abs(got - want) <= 1e-14 * abs(want)
+    assert pair.m_plus[12] == np.inf and pair.m_minus[13] == np.inf
+    back = assemble_M(pair)
+    assert back.shape == (14, 2, 2)
+    assert np.abs(back - mats).max() <= 1e-12
+    for k, m in enumerate(mats):
+        np.testing.assert_allclose(assemble_M(weyl_from_M(m)), back[k], rtol=0, atol=1e-14)
+
+
+def test_weyl_from_M_stack_raises_typed_errors():
+    good = build_M(KreinProfile.uniform(GapSet(((-1.0, 1.0),)), 0.7), np.array([1j, 2 + 1j]))
+    bad = {
+        NotAdmissible: [np.array([[1j, 0.2], [0.3, 1j]]),         # not symmetric
+                        np.array([[2j, 0.0], [0.0, 2j]]),         # det is -4
+                        np.array([[1e5, 0.0], [0.0, 1e-5]])],     # eig(MJ) = +-i
+        DegenerateEigenproblem: [np.array([[1e5, 0.0], [0.0, 0.0]])],  # MJ nilpotent
+    }
+    for kind, mats in bad.items():
+        for m in mats:
+            with pytest.raises(kind) as one:
+                weyl_from_M(m)
+            # the first offending matrix of a stack raises the same error
+            stack = np.stack([good[0], m, np.array([[2j, 0.0], [0.0, 2j]]), good[1]])
+            with pytest.raises(kind) as many:
+                weyl_from_M(stack)
+            assert str(many.value) == str(one.value)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[1.0, 2.0], [3.0, 4.0]]),
+    np.array([[1 + 2j, -0.5j], [3.0, 0.25 - 1j]]),
+    (0.3 - 1.7j) * np.eye(2),                        # scalar
+    np.zeros((2, 2)),
+    np.array([[2.0 + 1j, 1.0], [0.0, 2.0 + 1j]]),    # Jordan block
+    np.array([[0.0, 1.0], [0.0, 0.0]]),              # nilpotent
+    np.array([[0.0, 1.85e-32j], [-1j, 0.0]]),
+])
+def test_op_norm_closed_form(m):
+    want = np.linalg.norm(m, 2)
+    assert abs(op_norm(m) - want) <= 1e-12 * want
+    stack = np.stack([m, 2.0 * m, m.T])
+    np.testing.assert_allclose(op_norm(stack), np.linalg.norm(stack, 2, axis=(1, 2)),
+                               rtol=1e-12, atol=0)
+
+
+@given(matrix_stacks())
+@settings(max_examples=100, deadline=None)
+def test_op_norm_random_stacks(stack):
+    want = np.linalg.norm(stack, 2, axis=(1, 2))
+    assert np.all(np.abs(op_norm(stack) - want) <= 1e-12 * want)

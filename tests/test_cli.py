@@ -80,6 +80,10 @@ def test_verify_uniform_all_pass(tmp_path):
     statuses = {r["name"]: r["status"] for r in json.loads(text)["records"]}
     assert statuses and all(s == "pass" for s in statuses.values())
     assert "det" in statuses and "asymptotics" in statuses
+    # a tgrid point in E is held to the density I/2 there
+    code, text = _run(tmp_path, "verify", dict(SINGLE_GAP, tgrid=[0.0, 2.0]))
+    assert code == 0
+    assert _records(text)["gap_projection"]["value"] < 1e-8
 
 
 def test_verify_det_corruption_hook(tmp_path):
@@ -87,6 +91,44 @@ def test_verify_det_corruption_hook(tmp_path):
     code, text = _run(tmp_path, "verify", cfg)
     assert code == 1
     assert _records(text)["det"]["status"] == "fail"
+
+
+def test_verify_det_corruption_failures_are_frozen(tmp_path):
+    # the negative control fails the same checks, with the same identities,
+    # as the one-matrix-at-a-time probes did
+    cfg = {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": 0.3},
+           "inject_det_error": True}
+    code, text = _run(tmp_path, "verify", cfg)
+    assert code == 1
+    failed = {r["name"]: r["identity"] for r in json.loads(text)["records"]
+              if r["status"] == "fail"}
+    assert failed == {
+        "det": "det M = -1 on C+",
+        "mj_spectrum": "eig(MJ) = {+1, -1}",
+        "weyl_roundtrip": "raised NotAdmissible: det M = "
+                          "(-1.0000020000009997+1.0928757898653885e-16j), expected -1",
+        "asymptotics": "raised NoConvergence: large-z extrapolation: "
+                       "residual 1.598e-05 exceeds 1.0e-06",
+    }
+
+
+@pytest.mark.parametrize("gaps", [[[0.0, 1e-2]], [[0.0, 1e-6]],
+                                  [[5.0, 5.000001], [7.0, 8.0]]])
+def test_narrow_gaps_construct_and_verify(tmp_path, gaps):
+    # the limit schedule scales to the nearest endpoint, so gap-interior
+    # densities converge however narrow the gap
+    cfg = {"profile": {"gaps": gaps, "uniform": 0.3}}
+    code, text = _run(tmp_path, "construct", cfg)
+    assert code == 0
+    rows = json.loads(text)["tables"]["xi"]["rows"]
+    assert len(rows) == 7 * len(gaps)
+    c, s = math.cos(0.3), math.sin(0.3)
+    for row in rows:
+        np.testing.assert_allclose(row[1:5], [c * c, s * c, s * c, s * s], atol=1e-6)
+        assert row[5] <= 1e-6
+    code, text = _run(tmp_path, "verify", cfg)
+    assert code == 0
+    assert all(r["status"] == "pass" for r in json.loads(text)["records"])
 
 
 def test_verify_witness_fails_herglotz_only(tmp_path):
@@ -135,6 +177,16 @@ def test_evolve_gates_the_residual(tmp_path):
               if r["status"] == "fail"]
     assert failed == ["residual"]
     assert _records(text)["residual"]["value"] > 1e-4
+    # a wide centred pair overflows the first march trials: they count as
+    # rejected steps, and the march ends on the residual gate (about 0.14)
+    # instead of a traceback
+    cfg = {"profile": {"gaps": [[-20, -1], [1, 20]], "uniform": 0.3}, "xgrid": [0, 1]}
+    code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 1
+    failed = [r["name"] for r in json.loads(text)["records"]
+              if r["status"] == "fail"]
+    assert failed == ["residual"]
+    assert 0.1 < _records(text)["residual"]["value"] < 0.2
 
 
 def test_evolve_witness_exits_3_with_partial_rows(tmp_path):
