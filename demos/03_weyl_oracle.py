@@ -1,9 +1,10 @@
 """Three independent routes to the same Weyl functions.
 
 For a constant potential W = [[p, q], [q, -p]] the half-line Weyl disks
-degenerate to points with closed forms (route 1).  Transporting the
-decaying tail eigenvectors by transfer matrices (``ode_weyl``) reaches
-the same pair (route 2).  And the gap construction with the matching
+degenerate to points with closed forms (route 1).  Writing the potential
+as a step potential with breakpoints at -l and l and transporting the
+decaying tail eigenvectors from them to 0 by transfer matrices
+(``ode_weyl``) reaches the same pair (route 2).  And the gap construction with the matching
 single gap and angle assembles the same M function (route 3).
 """
 
@@ -16,19 +17,23 @@ p, q = 3.0, 4.0
 r = np.hypot(p, q)
 alpha = 0.5 * np.arctan2(q, p)
 prof = KreinProfile.uniform(GapSet(((-r, r),)), alpha)
-step = StepPotential.constant(p, q)
+zs = np.array([1j, 0.5 + 2j, -4.0 + 0.25j, 10j])
+# l |K| stays of order 1, so the transfer matrices are well conditioned
+ell = 1.0 / max(1.0, r, np.abs(zs).max())
+step = StepPotential((-ell, ell), ((p, q),), ((p, q), (p, q)))
 
 print(f"constant potential p = {p}, q = {q}  ->  gap (-{r}, {r}), "
-      f"angle {alpha:.6f}")
+      f"angle {alpha:.6f}, breakpoints +-{ell:g}")
 print()
+# every route takes the whole z grid in one call
+exact = const_weyl(p, q, zs)
+marched = ode_weyl(step, zs)
+dev_ode = np.maximum(abs(marched.m_plus - exact.m_plus),
+                     abs(marched.m_minus - exact.m_minus))
+dev_gap = np.linalg.norm(build_M(prof, zs) - assemble_M(exact), 2, axis=(1, 2))
 print(f"{'z':>12}  {'|ode - const|':>14}  {'|gap M - assembled|':>20}")
-for z in (1j, 0.5 + 2j, -4.0 + 0.25j, 10j):
-    exact = const_weyl(p, q, z)
-    marched = ode_weyl(step, z)
-    dev_ode = max(abs(marched.m_plus - exact.m_plus),
-                  abs(marched.m_minus - exact.m_minus))
-    dev_gap = np.linalg.norm(build_M(prof, z) - assemble_M(exact), 2)
-    print(f"{str(z):>12}  {dev_ode:14.3e}  {dev_gap:20.3e}")
+for z, d_ode, d_gap in zip(zs, dev_ode, dev_gap):
+    print(f"{str(complex(z)):>12}  {d_ode:14.3e}  {d_gap:20.3e}")
 print()
 pair = const_weyl(p, q, 1j)
 print("m_plus(i)  =", pair.m_plus)

@@ -12,10 +12,7 @@ from . import errors
 from .mat2 import (
     J,
     I2,
-    EigenDecomp2,
     as_mat2,
-    mat2,
-    eig2,
     branch_log,
     mexp,
     mlog_spectral,
@@ -70,10 +67,7 @@ __all__ = [
     "errors",
     "J",
     "I2",
-    "EigenDecomp2",
     "as_mat2",
-    "mat2",
-    "eig2",
     "branch_log",
     "mexp",
     "mlog_spectral",

@@ -16,7 +16,8 @@ evolve
     March the potential W(x) along the shift orbit and tabulate it.
 oracle
     Cross-check the three independent routes to the constant-potential
-    Weyl functions (closed form, ODE transport, gap construction).
+    Weyl functions (closed form, ODE transport from breakpoints at -l and
+    l, gap construction).
 
 Reports are deterministic for a fixed config and seed: no timestamps,
 floats rendered with repr (JSON) or 17 significant digits (CSV).  Exit
@@ -40,14 +41,13 @@ from .errors import BoundViolation, KreinDiracError, NoConvergence
 from .finitegap import (
     GapSet,
     KreinProfile,
-    WeylPair,
     assemble_M,
     build_M,
     commutator_diag,
     e_interior_grid,
     gap_interior_grid,
     gap_realness,
-    m_values,
+    mj_eigenpairs,
     profile_from_json,
     reflectionless_defect,
     sharp_bound,
@@ -61,7 +61,7 @@ from .herglotz import (
     krein_xi_grid,
     profile_m_function,
 )
-from .mat2 import J, eigvals_batch, op_norm
+from .mat2 import op_norm
 
 __all__ = ["RunConfig", "Record", "Report", "load_config", "run", "main", "console_main"]
 
@@ -287,8 +287,7 @@ def _mfun(cfg: RunConfig, profile: KreinProfile) -> MFunction:
     # documented negative control: a scalar factor breaks det M = -1
     # (and the checks downstream of it) without touching symmetry
     return MFunction(lambda z: (1.0 + 1e-6) * base.evaluator(z),
-                     source="det-corrupted", gapset=profile.gapset,
-                     vectorized=base.vectorized)
+                     source="det-corrupted", gapset=profile.gapset)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +333,7 @@ def run_construct(cfg: RunConfig) -> Report:
              "M00_re", "M00_im", "M01_re", "M01_im",
              "M10_re", "M10_im", "M11_re", "M11_im"]
     mrows = []
-    for z, m in zip(zgrid, m_values(mfun, zgrid)):
+    for z, m in zip(zgrid, mfun(zgrid)):
         mrows.append([z.real, z.imag,
                       m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
                       m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag])
@@ -375,7 +374,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else _default_tgrid(gs)
     egrid = e_interior_grid(gs)
-    mats = m_values(mfun, zgrid)
+    mats = mfun(zgrid)
 
     rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
@@ -385,10 +384,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
               lambda: -herglotz_defect(mfun, gs))
 
     def mj_dev():
-        lam = eigvals_batch(mats @ J)
-        # pairs ordered by real part, the first one kept on a tie
-        swap = lam[0].real > lam[1].real
-        lo, hi = np.where(swap, lam[1], lam[0]), np.where(swap, lam[0], lam[1])
+        _, lo, hi = mj_eigenpairs(mats)
         return max(np.abs(lo + 1.0).max(), np.abs(hi - 1.0).max())
 
     rep.probe(prefix + "mj_spectrum", 1e-10, "eig(MJ) = {+1, -1}", mj_dev)
@@ -514,23 +510,18 @@ def run_oracle(cfg: RunConfig) -> Report:
     else:
         profile = KreinProfile(GapSet(()), ())
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(profile.gapset)
-    step = StepPotential.constant(p, q)
+    # the constant potential as a step potential with breakpoints at -l and
+    # l, so the ODE route transports through transfer matrices exp(l K)
+    # whose exponents are of order 1
+    ell = 1.0 / max(1.0, r, float(np.abs(zgrid).max()))
+    step = StepPotential((-ell, ell), ((p, q),), ((p, q), (p, q)))
 
-    rows = []
-    d_ode = 0.0
-    cws = []
-    for z in zgrid:
-        z = complex(z)
-        cw = const_weyl(p, q, z)
-        ow = ode_weyl(step, z)
-        d_ode = max(d_ode, abs(cw.m_plus - ow.m_plus), abs(cw.m_minus - ow.m_minus))
-        cws.append(cw)
-        rows.append([z.real, z.imag,
-                     cw.m_plus.real, cw.m_plus.imag,
-                     cw.m_minus.real, cw.m_minus.imag])
+    cw = const_weyl(p, q, zgrid)
+    ow = ode_weyl(step, zgrid)
+    d_ode = max(_sphere_dev(cw.m_plus, ow.m_plus), _sphere_dev(cw.m_minus, ow.m_minus))
+    rows = [[z.real, z.imag, mp.real, mp.imag, mm.real, mm.imag]
+            for z, mp, mm in zip(zgrid, cw.m_plus, cw.m_minus)]
     # the gap route: one Weyl extraction and one assembly over the grid
-    cw = WeylPair(m_plus=np.array([w.m_plus for w in cws]),
-                  m_minus=np.array([w.m_minus for w in cws]))
     mats = build_M(profile, zgrid)
     gw = weyl_from_M(mats)
     d_gap_p = _sphere_dev(cw.m_plus, gw.m_plus)

@@ -32,14 +32,12 @@ import numpy as np
 
 from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
-                        WeylPair, assemble_M, build_M)
+                        WeylPair, assemble_M, build_M, sphere_ratio)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import mexp, mlog_batch
+from .mat2 import I2, J, mexp, mlog_spectral
 
 __all__ = [
     "StepPotential",
-    "step_potential_from_json",
-    "step_potential_to_json",
     "coefficient_matrix",
     "transfer",
     "const_weyl",
@@ -86,104 +84,90 @@ class StepPotential:
         return self.pieces[i - 1]
 
 
-def step_potential_from_json(obj: dict) -> StepPotential:
-    """Build from {"breakpoints": [...], "pieces": [[p, q], ...],
-    "tails": [[p, q], [p, q]]}."""
-    try:
-        return StepPotential(tuple(obj["breakpoints"]),
-                             tuple(tuple(pq) for pq in obj.get("pieces", ())),
-                             tuple(tuple(pq) for pq in obj["tails"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed step potential: {exc}") from exc
+def coefficient_matrix(p: float, q: float, z) -> np.ndarray:
+    """K = J (W + z) = J W + z J = [[-q, p - z], [p + z, q]] (trace zero),
+    for one z or as an (N, 2, 2) stack for an array of N points."""
+    return np.array([[-q, p], [p, q]], dtype=complex) + np.multiply.outer(z, J)
 
 
-def step_potential_to_json(w: StepPotential) -> dict:
-    return {"breakpoints": list(w.breakpoints),
-            "pieces": [list(pq) for pq in w.pieces],
-            "tails": [list(pq) for pq in w.tails]}
-
-
-def coefficient_matrix(p: float, q: float, z: complex) -> np.ndarray:
-    """K = J (W + z) = [[-q, p - z], [p + z, q]] (trace zero)."""
-    return np.array([[-q, p - z], [p + z, q]], dtype=complex)
-
-
-def transfer(w: StepPotential, x0: float, x1: float, z: complex) -> np.ndarray:
+def transfer(w: StepPotential, x0: float, x1: float, z) -> np.ndarray:
     """Propagator T with y(x1) = T y(x0); det T = 1.
 
     The product of per-segment matrix exponentials exp(l K) over the
     constant pieces covering [x0, x1].  For the free piece (p = q = 0) a
     segment contributes the rotation [[cos zl, -sin zl], [sin zl, cos zl]].
+    One z gives a (2, 2) matrix, an array of N points an (N, 2, 2) stack.
     """
     if not x0 <= x1:
         raise ValueError("need x0 <= x1")
     cuts = [x0] + [b for b in w.breakpoints if x0 < b < x1] + [x1]
-    T = np.eye(2, dtype=complex)
+    # at least one segment, so the product takes the shape of exp(l K)
+    T = I2
     for u, v in zip(cuts, cuts[1:]):
         p, q = w.value_at(0.5 * (u + v))
         T = mexp((v - u) * coefficient_matrix(p, q, z)) @ T
     return T
 
 
-def _dichotomy(p: float, q: float, z: complex) -> tuple[complex, complex]:
+def _dichotomy(p: float, q: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_plus, lambda_minus) with Re lambda_plus > 0 > Re lambda_minus
-    for the constant-coefficient system; lambda^2 = p^2 + q^2 - z^2."""
-    lam = complex(np.sqrt(complex(p * p + q * q - z * z)))
-    if abs(lam.real) <= 1e-12 * max(1.0, abs(lam)):
-        raise DegenerateDichotomy(f"Re lambda = {lam.real:.3e} at z = {z}")
-    if lam.real < 0:
-        lam = -lam
+    for the constant-coefficient system, at each z; lambda^2 = p^2 + q^2 - z^2.
+    The first z without a dichotomy raises."""
+    z = np.asarray(z, dtype=complex)
+    lam = np.sqrt(p * p + q * q - z * z)
+    flat = np.abs(lam.real) <= 1e-12 * np.maximum(1.0, np.abs(lam))
+    if flat.any():
+        k = np.argmax(flat)  # the first z without one
+        raise DegenerateDichotomy(f"Re lambda = {lam.flat[k].real:.3e} at z = {z.flat[k]}")
+    lam = np.where(lam.real < 0, -lam, lam)
     return lam, -lam
 
 
-def _ratio(v0: complex, v1: complex) -> complex:
-    if abs(v1) <= 1e-14 * abs(v0):
-        return complex(np.inf)
-    return complex(v0 / v1)
-
-
-def const_weyl(p: float, q: float, z: complex) -> WeylPair:
+def const_weyl(p: float, q: float, z) -> WeylPair:
     """Weyl pair of the constant potential [[p, q], [q, -p]] at Im z > 0.
 
         m_plus = (p - z)/(lambda_minus + q),
         m_minus = -(p - z)/(lambda_plus + q),
 
-    from the decaying eigenvectors (p - z, q + lambda) of K.
+    from the decaying eigenvectors (p - z, q + lambda) of K.  One z gives a
+    pair of complex numbers, an array of N points a pair of (N,) arrays.
     """
-    z = complex(z)
-    if not z.imag > 0:
+    z = np.asarray(z, dtype=complex)
+    if not (z.imag > 0).all():
         raise ValueError("const_weyl needs Im z > 0")
     lam_p, lam_m = _dichotomy(p, q, z)
-    return WeylPair(m_plus=_ratio(p - z, q + lam_m),
-                    m_minus=-_ratio(p - z, q + lam_p))
+    return WeylPair(m_plus=sphere_ratio(p - z, q + lam_m),
+                    m_minus=sphere_ratio(z - p, q + lam_p))
 
 
-def ode_weyl(w: StepPotential, z: complex) -> WeylPair:
+def ode_weyl(w: StepPotential, z) -> WeylPair:
     """Weyl pair of a step potential by seeding decaying tail eigenvectors
     at the outer breakpoints and transporting them to 0 with transfer
-    matrices."""
-    z = complex(z)
-    if not z.imag > 0:
+    matrices.  One z gives a pair of complex numbers, an array of N points
+    a pair of (N,) arrays."""
+    z = np.asarray(z, dtype=complex)
+    if not (z.imag > 0).all():
         raise ValueError("ode_weyl needs Im z > 0")
     b_first, b_last = w.breakpoints[0], w.breakpoints[-1]
 
     pt, qt = w.tails[1]
-    lam_p, lam_m = _dichotomy(pt, qt, z)
-    v = np.array([pt - z, qt + lam_m], dtype=complex)
+    _, lam_m = _dichotomy(pt, qt, z)
+    v0, v1 = pt - z, qt + lam_m
     if b_last > 0:
         T = transfer(w, 0.0, b_last, z)
         # inverse of a det-1 matrix
-        v = np.array([T[1, 1] * v[0] - T[0, 1] * v[1],
-                      -T[1, 0] * v[0] + T[0, 0] * v[1]])
-    m_plus = _ratio(v[0], v[1])
+        v0, v1 = (T[..., 1, 1] * v0 - T[..., 0, 1] * v1,
+                  -T[..., 1, 0] * v0 + T[..., 0, 0] * v1)
+    m_plus = sphere_ratio(v0, v1)
 
     pt, qt = w.tails[0]
-    lam_p, lam_m = _dichotomy(pt, qt, z)
-    v = np.array([pt - z, qt + lam_p], dtype=complex)
+    lam_p, _ = _dichotomy(pt, qt, z)
+    v0, v1 = pt - z, qt + lam_p
     if b_first < 0:
-        v = transfer(w, b_first, 0.0, z) @ v
-    m_minus = -_ratio(v[0], v[1])
-    return WeylPair(m_plus=m_plus, m_minus=m_minus)
+        T = transfer(w, b_first, 0.0, z)
+        v0, v1 = (T[..., 0, 0] * v0 + T[..., 0, 1] * v1,
+                  T[..., 1, 0] * v0 + T[..., 1, 1] * v1)
+    return WeylPair(m_plus=m_plus, m_minus=sphere_ratio(-v0, v1))
 
 
 def ode_m_function(w: StepPotential) -> MFunction:
@@ -211,7 +195,7 @@ def _xi_defect(mats: np.ndarray) -> np.ndarray:
     The logarithm of a symmetric matrix is symmetric, so its matrix
     imaginary part is the entrywise one.
     """
-    return mlog_batch(mats).imag / np.pi - _HALF_I
+    return mlog_spectral(mats).imag / np.pi - _HALF_I
 
 
 def _pin(mats: np.ndarray) -> np.ndarray:

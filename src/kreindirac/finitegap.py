@@ -38,12 +38,11 @@ from .mat2 import (
     J,
     JORDAN_TOL,
     as_mat2,
-    as_mat2_batch,
-    branch_log_batch,
+    branch_log,
     eigvals_batch,
     eigvec_batch,
     im_part,
-    mexp_batch,
+    mexp,
     op_norm,
     op_norm_sym,
     re_part,
@@ -62,7 +61,8 @@ __all__ = [
     "build_logM",
     "eigen_lambda",
     "build_M",
-    "m_values",
+    "mj_eigenpairs",
+    "sphere_ratio",
     "weyl_from_M",
     "assemble_M",
     "trace_formula_W0",
@@ -117,10 +117,6 @@ class GapSet:
         if not self.gaps:
             return 0.0
         return max(abs(self.gaps[0][0]), abs(self.gaps[-1][1]))
-
-    def margin(self, j: int) -> float:
-        a, b = self.gaps[j]
-        return ENDPOINT_MARGIN * (b - a)
 
     def containing_gap(self, t: float) -> int | None:
         """Index of the open gap containing t, or None (t in E)."""
@@ -291,7 +287,7 @@ def _gap_logs(gapset: GapSet, z: np.ndarray) -> np.ndarray:
     zc = z[:, None]
     # off the real axis the factor lies in the upper half plane, where the
     # strip branch is the principal logarithm; real rows are replaced below
-    out = branch_log_batch((b - zc) / (a - zc))
+    out = branch_log((b - zc) / (a - zc))
     real = z.imag == 0
     if real.any():
         t = z.real[real, None]
@@ -365,37 +361,43 @@ def build_M(profile: KreinProfile, z) -> np.ndarray:
     One point gives a (2, 2) array, a 1-D array of N points an (N, 2, 2)
     stack, as for :func:`build_logM`.
     """
-    m = mexp_batch(build_logM(profile, np.atleast_1d(z)))
-    return m if np.ndim(z) else m[0]
-
-
-def m_values(mfun, zs) -> np.ndarray:
-    """M at every point of the 1-D array ``zs``, as an (N, 2, 2) stack.
-
-    Uses ``mfun.many`` when the function has a batched form (an
-    ``MFunction``); any other callable is called once per point and the
-    finite 2x2 values are stacked.
-    """
-    many = getattr(mfun, "many", None)
-    if many is not None:
-        return many(zs)
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    if not len(zs):
-        return np.empty((0, 2, 2), dtype=complex)
-    return np.stack([as_mat2(mfun(complex(z))) for z in zs])
+    return mexp(build_logM(profile, z))
 
 
 @dataclass(frozen=True)
 class WeylPair:
-    """Half-line Weyl functions (m_plus, m_minus) at one point z, or at
-    each of N points as two (N,) complex arrays.
+    """Half-line Weyl functions (m_plus, m_minus) at one point z, as two
+    complex numbers, or at each of N points, as two (N,) complex arrays.
 
-    Values live on the Riemann sphere: ``complex(inf)`` encodes the point at
+    Values live on the Riemann sphere: ``inf`` encodes the point at
     infinity of the solution-ratio coordinate.
     """
 
     m_plus: complex
     m_minus: complex
+
+    def __post_init__(self):
+        # a pair at one point holds Python complex numbers
+        for name in ("m_plus", "m_minus"):
+            if np.ndim(getattr(self, name)) == 0:
+                object.__setattr__(self, name, complex(getattr(self, name)))
+
+
+def sphere_ratio(v0, v1):
+    """v0 / v1 on the Riemann sphere, elementwise: ``inf`` where
+    |v1| <= 1e-14 |v0|."""
+    inf = np.abs(v1) <= 1e-14 * np.abs(v0)
+    return np.where(inf, np.inf, v0 / np.where(inf, 1.0, v1))
+
+
+def mj_eigenpairs(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M J for one matrix or a stack M, with its eigenvalues ordered by real
+    part, the first of :func:`eigvals_batch` kept on a tie: (M J, low,
+    high).  For an admissible M the pair is (-1, +1)."""
+    mj = np.asarray(m) @ J
+    lam = eigvals_batch(mj)
+    swap = lam[0].real > lam[1].real
+    return mj, np.where(swap, lam[1], lam[0]), np.where(swap, lam[0], lam[1])
 
 
 def _first(*masks: np.ndarray) -> int | None:
@@ -415,22 +417,18 @@ def weyl_from_M(m) -> WeylPair:
     stack, giving a pair of (N,) arrays.  On a stack the first offending
     matrix raises, with the error the one-matrix call would raise.
     """
-    M = np.asarray(m)
-    stack = as_mat2_batch(M) if M.ndim == 3 else as_mat2(M)[None]
+    M = as_mat2(m)
+    stack = M.reshape(-1, 2, 2)
     scale = np.maximum(op_norm(stack), 1.0)
     asym = np.abs(stack[:, 0, 1] - stack[:, 1, 0]) > 1e-8 * scale
     det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
     bad_det = np.abs(det + 1.0) > 1e-8 * scale * scale
-    mj = stack @ J
-    lam = eigvals_batch(mj)
-    # confluent eigenvalues (JORDAN_TOL, as in eig2); a scalar M J is
+    mj, lam_m, lam_p = mj_eigenpairs(stack)
+    # confluent eigenvalues (JORDAN_TOL, as in the kernel); a scalar M J is
     # antisymmetric M or det M = 0, so a confluent M J that passed the
     # checks above is defective
-    tol = JORDAN_TOL * (np.abs(lam).sum(axis=0) + np.abs(mj[:, 0, 1]) + np.abs(mj[:, 1, 0]))
-    defective = np.abs(lam[0] - lam[1]) <= tol
-    # pairs ordered by real part, the first one kept on a tie
-    swap = lam[0].real > lam[1].real
-    lam_m, lam_p = np.where(swap, lam[1], lam[0]), np.where(swap, lam[0], lam[1])
+    tol = JORDAN_TOL * (np.abs(lam_m) + np.abs(lam_p) + np.abs(mj[:, 0, 1]) + np.abs(mj[:, 1, 0]))
+    defective = np.abs(lam_m - lam_p) <= tol
     bad_eig = (np.abs(lam_m + 1.0) > 1e-6) | (np.abs(lam_p - 1.0) > 1e-6)
     k = _first(asym, bad_det, defective, bad_eig)
     if k is not None:
@@ -445,17 +443,9 @@ def weyl_from_M(m) -> WeylPair:
             raise DegenerateEigenproblem("M J is numerically defective")
         raise NotAdmissible(f"eigenvalues of M J are {complex(lam_m[k])}, "
                             f"{complex(lam_p[k])}, expected -1, +1")
-
-    def ratio(v, sign):
-        # v0 / v1 on the Riemann sphere
-        inf = np.abs(v[:, 1]) <= 1e-14 * np.abs(v[:, 0])
-        return np.where(inf, np.inf, sign * v[:, 0] / np.where(inf, 1.0, v[:, 1]))
-
-    m_plus = ratio(eigvec_batch(mj, lam_m), 1.0)
-    m_minus = ratio(eigvec_batch(mj, lam_p), -1.0)
-    if M.ndim == 3:
-        return WeylPair(m_plus=m_plus, m_minus=m_minus)
-    return WeylPair(m_plus=complex(m_plus[0]), m_minus=complex(m_minus[0]))
+    vp, vm = eigvec_batch(mj, lam_m), eigvec_batch(mj, lam_p)
+    return WeylPair(m_plus=sphere_ratio(vp[:, 0], vp[:, 1]).reshape(M.shape[:-2]),
+                    m_minus=sphere_ratio(-vm[:, 0], vm[:, 1]).reshape(M.shape[:-2]))
 
 
 def assemble_M(pair: WeylPair) -> np.ndarray:
@@ -583,7 +573,7 @@ def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float],
     if near:
         raise next(iter(near.values()))
     hs = boundary_offsets(gapset, ts, schedule)
-    samples = re_part(m_values(mfun, (ts + 1j * hs).ravel())).reshape(hs.shape + (2, 2))
+    samples = re_part(mfun((ts + 1j * hs).ravel())).reshape(hs.shape + (2, 2))
     limit, _ = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
     return float(op_norm(limit).max())
 
@@ -632,6 +622,8 @@ def hull_norm(q) -> float:
     equality exactly at the projections themselves.
     """
     Q = as_mat2(q)
+    if Q.ndim != 2:
+        raise ValueError(f"expected a 2x2 matrix, got shape {Q.shape}")
     if float(np.max(np.abs(Q.imag))) > 1e-10 or abs(Q[0, 1] - Q[1, 0]) > 1e-10:
         raise NotAdmissible("Q must be real symmetric")
     if abs(Q[0, 0].real + Q[1, 1].real - 1.0) > 1e-10:

@@ -37,9 +37,8 @@ from .finitegap import (
     build_logM,
     build_M,
     gap_interior_grid,
-    m_values,
 )
-from .mat2 import I2, as_mat2, as_mat2_batch, im_part, mexp, mlog_batch
+from .mat2 import I2, as_mat2, im_part, mexp, mlog_spectral
 from .numerics import (
     LimitSchedule,
     adaptive_gauss_legendre,
@@ -66,45 +65,44 @@ XI_TOL = 1e-6
 class MFunction:
     """A matrix Herglotz function as an evaluator plus provenance.
 
-    ``evaluator`` maps z to a 2x2 complex array; it must be defined on the
-    open upper half plane and may extend to real points away from the
-    declared gap endpoints (as the constructed functions do).  ``source``
-    records how the function arose: "constructed" (explicit finite-gap
-    formula), "ode-oracle" (half-line Weyl functions of a Dirac system) or
-    "assembled" (from a user-supplied Weyl pair).  ``gapset`` carries the
-    declared logarithmic singularities when known.  ``vectorized`` states
-    that ``evaluator`` also maps a 1-D array of N points to an (N, 2, 2)
-    stack in one call.
+    ``evaluator`` maps one point z to a 2x2 complex array and a 1-D array
+    of N points to an (N, 2, 2) stack; calling the MFunction calls it and
+    checks the values.  It must be defined on the open upper half plane and
+    may extend to real points away from the declared gap endpoints (as the
+    constructed functions do).  ``source`` records how the function arose:
+    "constructed" (explicit finite-gap formula), "ode-oracle" (half-line
+    Weyl functions of a Dirac system) or "assembled" (from a user-supplied
+    Weyl pair).  ``gapset`` carries the declared logarithmic singularities
+    when known.
     """
 
     evaluator: Callable[[complex], np.ndarray]
     source: str = "constructed"
     gapset: GapSet | None = None
-    vectorized: bool = False
 
-    def __call__(self, z: complex) -> np.ndarray:
-        return as_mat2(self.evaluator(z))
-
-    def many(self, zs) -> np.ndarray:
-        """M at every point of the 1-D array ``zs``, as an (N, 2, 2) stack:
-        one evaluator call when it is vectorized, else one call per point."""
-        if self.vectorized:
-            return as_mat2_batch(self.evaluator(np.asarray(zs, dtype=complex)))
-        return m_values(self.evaluator, zs)
+    def __call__(self, z) -> np.ndarray:
+        m = as_mat2(self.evaluator(z))
+        if m.shape != np.shape(z) + (2, 2):
+            raise ValueError(f"evaluator gave shape {m.shape} for points of shape {np.shape(z)}")
+        return m
 
 
 def profile_m_function(profile: KreinProfile) -> MFunction:
     """The constructed M function of a Krein profile.
 
     Piecewise-constant profiles use the closed form; sampled profiles go
-    through the exponential representation with A = 0.
+    through the exponential representation with A = 0, one quadrature per
+    point.
     """
     if profile.is_piecewise_constant:
-        return MFunction(lambda z: build_M(profile, z), "constructed", profile.gapset,
-                         vectorized=True)
+        return MFunction(lambda z: build_M(profile, z), "constructed", profile.gapset)
     zero = np.zeros((2, 2))
-    return MFunction(lambda z: mexp(rep_logM(profile, zero, z)),
-                     "constructed", profile.gapset)
+
+    def sampled(z):
+        logs = [rep_logM(profile, zero, w) for w in np.atleast_1d(z)]
+        return mexp(np.reshape(logs, np.shape(z) + (2, 2)))
+
+    return MFunction(sampled, "constructed", profile.gapset)
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def krein_xi_grid(mfun, ts, schedule: LimitSchedule | None = None,
     ok = np.flatnonzero([hit is None for hit in out])
     if len(ok):
         hs = boundary_offsets(gapset, ts[ok], schedule)
-        logs = mlog_batch(m_values(mfun, (ts[ok] + 1j * hs).ravel()))
+        logs = mlog_spectral(mfun((ts[ok] + 1j * hs).ravel()))
         samples = im_part(logs).reshape(hs.shape + (2, 2)) / np.pi
         limit, residual = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
         xi = limit.real
@@ -222,7 +220,8 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
     Parameters
     ----------
     mfun : MFunction or callable
-        The matrix Herglotz function.
+        The matrix Herglotz function; a callable maps a 1-D array of
+        points to an (N, 2, 2) stack, as an MFunction does.
     ygrid : sequence of float, optional
         Increasing evaluation heights; defaults to (8, 16, 32, 64, 128)
         times max(1, spectral radius of the declared gap endpoints).  The
@@ -252,12 +251,12 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
         raise ValueError("smallest height must be at least 4 spectral radii")
     if route not in ("value", "log"):
         raise ValueError(f"unknown route {route!r}")
-    mats = m_values(mfun, 1j * ys)
+    mats = mfun(1j * ys)
     y = ys[:, None, None]
     if route == "value":
         vals = 1j * y * I2 - y * mats
     else:
-        vals = 1j * y * (0.5j * np.pi * I2 - mlog_batch(mats))
+        vals = 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats))
     limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
     require_convergence(residual, rtol * max(1.0, float(np.max(np.abs(limit)))),
                         "large-z extrapolation")
@@ -292,7 +291,7 @@ def herglotz_defect(mfun, gapset: GapSet | None = None,
         heights = scale * np.geomspace(1e-4, 3e-2, 9)
         cols = gap_interior_grid(gapset, per_gap=15)
         pts = np.concatenate([pts, (cols[:, None] + 1j * heights).ravel()])
-    h = im_part(m_values(mfun, pts))
+    h = im_part(mfun(pts))
     # smallest eigenvalue of the hermitian 2x2 Im M, in closed form
     mean = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
     half_diff = 0.5 * (h[:, 0, 0].real - h[:, 1, 1].real)

@@ -13,10 +13,11 @@ defined:
 * matrices are treated by the 2x2 Lagrange-Sylvester formula, with a
   confluent (Jordan) fallback f(A) = f(lam) I + f'(lam) N when the two
   eigenvalues coalesce;
-* every routine works on a stack of matrices, an ``(N, 2, 2)`` array, in
-  closed form and without a Python loop over the stack; the one-matrix
-  functions (``mexp``, ``mlog_spectral``, ``branch_log``) wrap the stacked
-  ones;
+* every operation has one entry point, which takes one matrix or a stack
+  of matrices, an ``(N, 2, 2)`` array, and works in closed form without a
+  Python loop over the stack; the stacked routines behind the entry points
+  are private (``_mexp``, ``_mlog``), so no entry point calls itself by
+  its public name;
 * the spectral norm has a closed form too (``op_norm``), so no SVD runs;
 * an independent integral representation of the logarithm,
   log A = int_0^inf [ t/(t^2+1) I - (t I + A)^(-1) ] dt, valid for spectra in
@@ -28,8 +29,6 @@ Matrices are plain ``(2, 2)`` complex ``numpy`` arrays, stacks are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import QuadratureFailure, SpectrumNotUpper, SpectrumOnCut
@@ -38,22 +37,15 @@ __all__ = [
     "J",
     "I2",
     "JORDAN_TOL",
-    "EigenDecomp2",
     "as_mat2",
-    "as_mat2_batch",
-    "mat2",
     "is_symmetric",
     "re_part",
     "im_part",
     "eigvals_batch",
     "eigvec_batch",
-    "eig2",
     "branch_log",
-    "branch_log_batch",
     "mexp",
-    "mexp_batch",
     "mlog_spectral",
-    "mlog_batch",
     "mlog_integral",
     "herglotz_positive",
     "op_norm",
@@ -89,43 +81,30 @@ _PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 def as_mat2(a) -> np.ndarray:
-    """Coerce ``a`` to a finite (2, 2) complex array.
+    """Coerce ``a`` to a finite complex (2, 2) matrix or (N, 2, 2) stack.
 
-    Raises ``ValueError`` on wrong shape or non-finite entries; this is the
-    only entry validation the kernel performs.
+    Raises ``ValueError`` on any other shape or on non-finite entries; this
+    is the only entry validation the kernel performs.
     """
     m = np.asarray(a, dtype=complex)
-    if m.shape != (2, 2):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or an (N, 2, 2) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def _one(a) -> np.ndarray:
+    # as_mat2 for the functions defined on one matrix only
+    m = as_mat2(a)
+    if m.ndim != 2:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
     return m
-
-
-def as_mat2_batch(a) -> np.ndarray:
-    """Coerce ``a`` to a finite (N, 2, 2) complex stack, with the checks of
-    :func:`as_mat2` applied to every matrix."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (2, 2):
-        raise ValueError(f"expected an (N, 2, 2) stack, got shape {m.shape}")
-    if not np.isfinite(m.view(float)).all():
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def _as_one_or_stack(a) -> np.ndarray:
-    m = np.asarray(a)
-    return as_mat2_batch(m) if m.ndim == 3 else as_mat2(m)
-
-
-def mat2(m11, m12, m21, m22) -> np.ndarray:
-    """Build a validated 2x2 complex matrix from four entries."""
-    return as_mat2([[m11, m12], [m21, m22]])
 
 
 def is_symmetric(a, tol: float = 1e-12) -> bool:
     """True if ``a`` equals its transpose up to ``tol`` relative to its norm."""
-    m = as_mat2(a)
+    m = _one(a)
     return abs(m[0, 1] - m[1, 0]) <= tol * max(op_norm(m), 1.0)
 
 
@@ -136,56 +115,35 @@ def op_norm(a):
     Closed form sqrt((F + sqrt(F^2 - 4 |det A|^2)) / 2) with F = ||A||_F^2.
     The discriminant is formed as (p - q)^2 + 4 |r|^2 from the entries
     [[p, r], [r*, q]] of A* A, a sum of squares, so it keeps full relative
-    accuracy where the singular values nearly coincide.
+    accuracy where the singular values nearly coincide.  Each matrix is
+    first scaled by 2^-e, with 2^e the power of two just above its largest
+    entry modulus (at least 2^-1022, so the factor stays finite), and the
+    norm by 2^e after: the squares then neither underflow nor overflow, and
+    scaling by a power of two is exact.
     """
-    m = _as_one_or_stack(a)
-    sq = m.real ** 2 + m.imag ** 2
+    m = as_mat2(a)
+    _, e = np.frexp(np.abs(m).max(axis=(-2, -1)))
+    e = np.maximum(e, -1022)
+    u = m * np.ldexp(1.0, -e)[..., None, None]
+    sq = u.real ** 2 + u.imag ** 2
     p = sq[..., 0, 0] + sq[..., 1, 0]
     q = sq[..., 0, 1] + sq[..., 1, 1]
-    r = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
-    return np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r)))
+    r = u[..., 0, 0].conj() * u[..., 0, 1] + u[..., 1, 0].conj() * u[..., 1, 1]
+    return np.ldexp(np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r))), e)
 
 
 def re_part(a) -> np.ndarray:
     """Matrix real part (A + A*)/2 (entrywise real part for symmetric A), of
     one matrix or of each matrix in a stack."""
-    m = _as_one_or_stack(a)
+    m = as_mat2(a)
     return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
 
 
 def im_part(a) -> np.ndarray:
     """Matrix imaginary part (A - A*)/(2i) (entrywise imaginary part for
     symmetric A), of one matrix or of each matrix in a stack."""
-    m = _as_one_or_stack(a)
+    m = as_mat2(a)
     return (m - np.swapaxes(m, -1, -2).conj()) / 2.0j
-
-
-@dataclass(frozen=True)
-class EigenDecomp2:
-    """Closed-form eigendata of a 2x2 complex matrix.
-
-    For a diagonalizable matrix ``basis`` holds the two eigenvectors as
-    columns (ordered like ``lam1``, ``lam2``) and ``nilpotent`` is ``None``.
-    In the confluent case ``lam1 == lam2`` is the double eigenvalue and
-    ``nilpotent`` is the (numerically squared-to-zero) part N with
-    A = lam I + N; ``basis`` is ``None`` then.
-    """
-
-    lam1: complex
-    lam2: complex
-    basis: np.ndarray | None
-    nilpotent: np.ndarray | None = None
-
-    @property
-    def is_jordan(self) -> bool:
-        return self.nilpotent is not None
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the matrix from the eigendata (test aid)."""
-        if self.is_jordan:
-            return self.lam1 * I2 + self.nilpotent
-        v = self.basis
-        return v @ np.diag([self.lam1, self.lam2]) @ np.linalg.inv(v)
 
 
 def _eig_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,71 +155,36 @@ def _eig_pairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigvals_batch(a) -> np.ndarray:
-    """Eigenvalue pairs of an (N, 2, 2) stack as a (2, N) array.
+    """Eigenvalue pairs of one matrix, as a (2,) array, or of an (N, 2, 2)
+    stack, as a (2, N) array.
 
     Row 0 holds lam1 = h + d and row 1 lam2 = h - d, the roots of
     lam^2 - 2 h lam + det with h the half trace and d = sqrt(h^2 - det).
     """
-    return _eig_pairs(as_mat2_batch(a))[1]
+    m = as_mat2(a)
+    return _eig_pairs(m.reshape(-1, 2, 2))[1].reshape((2,) + m.shape[:-2])
 
 
 def eigvec_batch(a, lam) -> np.ndarray:
-    """Eigenvectors of an (N, 2, 2) stack for one eigenvalue per matrix, as
-    an (N, 2) array.
+    """Eigenvector of one matrix for the eigenvalue ``lam``, as a (2,)
+    array, or of each matrix of an (N, 2, 2) stack for one eigenvalue per
+    matrix, as an (N, 2) array.
 
     An eigenvector annihilates both rows of A - lam I; each vector is the
     kernel direction (-r1, r0) of the numerically larger row r (by
     |r0| + |r1|, the first row on a tie), not normalized.
     """
-    r = as_mat2_batch(a) - np.asarray(lam)[:, None, None] * I2
+    m = as_mat2(a)
+    r = m.reshape(-1, 2, 2) - np.asarray(lam)[..., None, None] * I2
     size = np.abs(r[:, :, 0]) + np.abs(r[:, :, 1])
     row = r[np.arange(len(r)), (size[:, 1] > size[:, 0]).astype(int)]
-    return np.stack([-row[:, 1], row[:, 0]], axis=1)
+    return np.stack([-row[:, 1], row[:, 0]], axis=1).reshape(m.shape[:-1])
 
 
 def _scale(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     # per matrix |lam1| + |lam2| + |a01| + |a10| (see JORDAN_TOL); the
     # eigenvalue moduli alone miss non-normal matrices with tiny spectra
     return mod[0] + mod[1] + np.abs(a[:, 0, 1]) + np.abs(a[:, 1, 0])
-
-
-def _eigvals2(a: np.ndarray) -> tuple[complex, complex]:
-    lam = eigvals_batch(a[None])[:, 0]
-    return complex(lam[0]), complex(lam[1])
-
-
-def eig2(a, jordan_tol: float = JORDAN_TOL) -> EigenDecomp2:
-    """Eigendecomposition of a 2x2 matrix with an explicit confluent branch.
-
-    Parameters
-    ----------
-    a : array_like
-        2x2 complex matrix.
-    jordan_tol : float
-        Relative threshold: eigenvalues with
-        |lam1 - lam2| <= jordan_tol * (|lam1| + |lam2| + |a01| + |a10|) are
-        treated as a single (possibly defective) eigenvalue.
-
-    Returns
-    -------
-    EigenDecomp2
-        Either two eigenpairs (reconstruction accurate to ~ ||A|| * 1e-12 for
-        well separated spectra) or the confluent data (lam, N) with N^2 ~ 0.
-    """
-    m = as_mat2(a)
-    lam1, lam2 = _eigvals2(m)
-    scale = abs(lam1) + abs(lam2) + abs(m[0, 1]) + abs(m[1, 0])
-    if abs(lam1 - lam2) <= jordan_tol * scale:
-        lam = 0.5 * (lam1 + lam2)
-        nil = m - lam * I2
-        if np.abs(nil).max() <= jordan_tol * scale:
-            # Scalar matrix: diagonalizable in the standard basis.
-            return EigenDecomp2(lam, lam, I2.copy())
-        return EigenDecomp2(lam, lam, None, nilpotent=nil)
-
-    vecs = eigvec_batch(np.stack([m, m]), [lam1, lam2])
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return EigenDecomp2(lam1, lam2, vecs.T.copy())
 
 
 def _branch_log(w: np.ndarray) -> np.ndarray:
@@ -275,22 +198,19 @@ def _branch_log(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_log_batch(w) -> np.ndarray:
-    """Elementwise :func:`branch_log` of a complex array."""
-    w = np.asarray(w, dtype=complex)
-    if (w == 0).any():
-        raise SpectrumOnCut("logarithm of 0 requested")
-    return _branch_log(w)
-
-
-def branch_log(w: complex) -> complex:
-    """Scalar logarithm with the branch cut on the negative imaginary axis.
+def branch_log(w):
+    """Logarithm with the branch cut on the negative imaginary axis, of one
+    number, as a complex, or elementwise of an array.
 
     Agrees with the principal logarithm off the third/fourth-quadrant wedge:
     the argument is taken in (-pi/2, 3pi/2), so negative reals get argument
     +pi (the limit from the upper half plane) and log 1 = 0.
     """
-    return complex(branch_log_batch([complex(w)])[0])
+    arr = np.asarray(w, dtype=complex)
+    if (arr == 0).any():
+        raise SpectrumOnCut("logarithm of 0 requested")
+    out = _branch_log(np.atleast_1d(arr))
+    return out if arr.ndim else complex(out[0])
 
 
 def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
@@ -321,27 +241,19 @@ def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
     return out
 
 
-def mexp_batch(a) -> np.ndarray:
-    """Matrix exponential of every matrix in an (N, 2, 2) stack."""
-    m = as_mat2_batch(a)
+def _mexp(m: np.ndarray) -> np.ndarray:
     half_tr, lam = _eig_pairs(m)
     return _apply_analytic(m, half_tr, lam, np.abs(lam), np.exp, np.exp)
 
 
 def mexp(a) -> np.ndarray:
-    """Matrix exponential of a 2x2 matrix (spectral form, confluent-safe)."""
-    return mexp_batch(as_mat2(a)[None])[0]
+    """Matrix exponential (spectral form, confluent-safe) of one matrix or
+    of every matrix in an (N, 2, 2) stack."""
+    m = as_mat2(a)
+    return _mexp(m.reshape(-1, 2, 2)).reshape(m.shape)
 
 
-def mlog_batch(a) -> np.ndarray:
-    """:func:`mlog_spectral` of every matrix in an (N, 2, 2) stack.
-
-    Raises
-    ------
-    SpectrumOnCut
-        Naming the first matrix of the stack with an eigenvalue on the cut.
-    """
-    m = as_mat2_batch(a)
+def _mlog(m: np.ndarray) -> np.ndarray:
     half_tr, lam = _eig_pairs(m)
     mod = np.abs(lam)
     # an eigenvalue is on the ray {-iy : y >= 0} when its distance to it,
@@ -356,7 +268,8 @@ def mlog_batch(a) -> np.ndarray:
 
 
 def mlog_spectral(a) -> np.ndarray:
-    """Matrix logarithm with spectrum mapped into the strip -pi/2 < Im < 3pi/2.
+    """Matrix logarithm with spectrum mapped into the strip -pi/2 < Im < 3pi/2,
+    of one matrix or of every matrix in an (N, 2, 2) stack.
 
     The scalar branch of :func:`branch_log` is applied to both eigenvalues;
     the confluent case A = lam I + N returns log(lam) I + N / lam.  This is
@@ -369,9 +282,11 @@ def mlog_spectral(a) -> np.ndarray:
     ------
     SpectrumOnCut
         If an eigenvalue lies on the excluded ray {-iy : y >= 0} within a
-        relative distance of 1e-13.
+        relative distance of 1e-13; on a stack it names the first such
+        matrix.
     """
-    return mlog_batch(as_mat2(a)[None])[0]
+    m = as_mat2(a)
+    return _mlog(m.reshape(-1, 2, 2)).reshape(m.shape)
 
 
 def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
@@ -401,10 +316,11 @@ def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
         If the levels run out before two of them agree, as they do for
         eigenvalues close to the negative real axis.
     """
-    m = as_mat2(a)
-    lam1, lam2 = _eigvals2(m)
-    if lam1.imag <= 0 or lam2.imag <= 0:
-        raise SpectrumNotUpper(f"spectrum {{{lam1}, {lam2}}} is not in the open upper half plane")
+    m = _one(a)
+    lam = _eig_pairs(m[None])[1][:, 0]
+    if (lam.imag <= 0).any():
+        raise SpectrumNotUpper(f"spectrum {{{complex(lam[0])}, {complex(lam[1])}}} "
+                               "is not in the open upper half plane")
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
@@ -436,7 +352,7 @@ def herglotz_positive(a, tol: float = 0.0) -> bool:
     For the 2x2 hermitian imaginary part positivity is equivalent to
     trace > 0 together with det > 0; ``tol`` loosens both checks.
     """
-    b = im_part(as_mat2(a))
+    b = im_part(_one(a))
     tr = b[0, 0].real + b[1, 1].real
     det = (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]).real
     return tr > -tol and det > -tol * max(tr, 1.0)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -33,7 +33,7 @@ from kreindirac.errors import (
 )
 from kreindirac.finitegap import ENDPOINT_MARGIN
 from kreindirac.herglotz import krein_xi_grid
-from kreindirac.mat2 import im_part, mexp_batch, mlog_batch, op_norm
+from kreindirac.mat2 import im_part, op_norm
 from kreindirac.numerics import extrapolate_schedule
 
 
@@ -173,12 +173,12 @@ def _off_cut(m):
 @given(matrix_stacks())
 @settings(max_examples=150, deadline=None)
 def test_batched_mexp_mlog_agree_with_one_matrix(stack):
-    exps = mexp_batch(stack)
+    exps = mexp(stack)
     for a, e in zip(stack, exps):
         assert _close(e, mexp(a), 1e-13)
         assert _close(e, _exp_reference(a), 1e-9)
     stack = np.array([a for a in stack if _off_cut(a)]).reshape(-1, 2, 2)
-    logs = mlog_batch(stack)
+    logs = mlog_spectral(stack)
     for a, lg in zip(stack, logs):
         assert _close(lg, mlog_spectral(a), 1e-13)
         assert _close(mexp(lg), a, 1e-8)
@@ -191,7 +191,7 @@ def _xi_reference(mfun, t, xi_tol):
     a, b = mfun.gapset.endpoints
     d = min(np.abs(t - a).min(), np.abs(t - b).min()) if mfun.gapset.n else np.inf
     ys = sched.offsets()
-    samples = im_part(mlog_batch(mfun.many(t + 1j * min(1.0, d / sched.y0) * ys))) / np.pi
+    samples = im_part(mlog_spectral(mfun(t + 1j * min(1.0, d / sched.y0) * ys))) / np.pi
     limit, residual = extrapolate_schedule(ys, samples, sched.order)
     return 0.5 * (limit.real + limit.real.T), residual
 
@@ -317,6 +317,10 @@ def test_op_norm_closed_form(m):
 
 
 @given(matrix_stacks())
+# squared entries that underflow, overflow, or both
+@example(np.array([[[0.0, 0.0], [0.0, 2.2e-313j]]]))
+@example(np.array([[[1e160, 0.0], [0.0, 1.0]]]))
+@example(np.diag([1e200, 1e200])[None])
 @settings(max_examples=100, deadline=None)
 def test_op_norm_random_stacks(stack):
     want = np.linalg.norm(stack, 2, axis=(1, 2))

@@ -21,11 +21,7 @@ from kreindirac import (
     weyl_from_M,
 )
 from kreindirac import dirac
-from kreindirac.dirac import (
-    coefficient_matrix,
-    step_potential_from_json,
-    step_potential_to_json,
-)
+from kreindirac.dirac import coefficient_matrix
 from kreindirac.errors import BoundViolation, DegenerateDichotomy
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
@@ -51,15 +47,6 @@ def test_step_potential_lookup():
     with pytest.raises(ValueError):
         StepPotential(breakpoints=(1.0, 0.0), pieces=((0, 0),),
                       tails=((0, 0), (0, 0)))
-
-
-def test_step_potential_json_round_trip():
-    w = StepPotential(breakpoints=(-0.5, 0.5), pieces=((0.2, -0.3),),
-                      tails=((1.0, 0.0), (0.0, 1.0)))
-    again = step_potential_from_json(step_potential_to_json(w))
-    assert again == w
-    with pytest.raises(ValueError):
-        step_potential_from_json({"breakpoints": [0.0]})
 
 
 def test_coefficient_matrix_square_is_scalar():
@@ -115,13 +102,21 @@ def test_dichotomy_degenerates_on_bands():
         const_weyl(0.0, 1.0, 5.0)
 
 
+def _constant_steps(p, q, z):
+    """The constant potential (p, q) as a step potential with breakpoints
+    at -l and l, l = 1 / max(1, r, |z|): the ODE route then transports
+    through transfer matrices with exponents of order 1."""
+    ell = 1.0 / max(1.0, math.hypot(p, q), float(np.abs(z).max()))
+    return StepPotential((-ell, ell), ((p, q),), ((p, q), (p, q)))
+
+
 def test_ode_weyl_matches_const_weyl():
     rng = np.random.default_rng(43)
     for _ in range(20):
         p, q = rng.normal(size=2)
         z = complex(rng.normal(), abs(rng.normal()) + 0.2)
         cw = const_weyl(p, q, z)
-        ow = ode_weyl(StepPotential.constant(p, q), z)
+        ow = ode_weyl(_constant_steps(p, q, z), z)
         assert abs(cw.m_plus - ow.m_plus) < 1e-10
         assert abs(cw.m_minus - ow.m_minus) < 1e-10
     with pytest.raises(ValueError):
@@ -133,11 +128,37 @@ def test_ode_m_function_triangle():
     # route, the closed Weyl form and the gap construction coincide
     p, q = 3.0, 4.0
     prof = KreinProfile.uniform(GapSet(((-5.0, 5.0),)), 0.5 * math.atan2(q, p))
-    mfun = ode_m_function(StepPotential.constant(p, q))
-    for z in (2j, 6j, 1.0 + 3.0j, -4.0 + 0.5j):
+    zs = np.array([2j, 6j, 1.0 + 3.0j, -4.0 + 0.5j])
+    mfun = ode_m_function(_constant_steps(p, q, zs))
+    for z in zs:
         np.testing.assert_allclose(mfun(z), build_M(prof, z), atol=1e-8)
         np.testing.assert_allclose(assemble_M(const_weyl(p, q, z)),
                                    build_M(prof, z), atol=1e-8)
+
+
+def test_weyl_routes_take_z_arrays():
+    # one call over an array of z gives the per-z values
+    w = StepPotential(breakpoints=(-0.4, 0.3, 1.1), pieces=((1.0, 0.5), (-0.4, 0.9)),
+                      tails=((0.2, -0.7), (0.0, -0.8)))
+    zs = np.array([0.5j, 1.0 + 2.0j, -3.0 + 0.1j, 40j])
+    np.testing.assert_array_equal(coefficient_matrix(0.3, -0.2, zs),
+                                  [coefficient_matrix(0.3, -0.2, z) for z in zs])
+    ts = transfer(w, -1.0, 2.0, zs)
+    assert ts.shape == (4, 2, 2)
+    for z, t in zip(zs, ts):
+        np.testing.assert_allclose(transfer(w, -1.0, 2.0, z), t, rtol=1e-14, atol=0)
+    for pair, one in ((const_weyl(0.3, -0.2, zs), lambda z: const_weyl(0.3, -0.2, z)),
+                      (ode_weyl(w, zs), lambda z: ode_weyl(w, z))):
+        assert pair.m_plus.shape == pair.m_minus.shape == (4,)
+        for k, z in enumerate(zs):
+            single = one(z)
+            assert isinstance(single.m_plus, complex)
+            np.testing.assert_allclose([pair.m_plus[k], pair.m_minus[k]],
+                                       [single.m_plus, single.m_minus], rtol=1e-14)
+    mats = ode_m_function(w)(zs)
+    assert mats.shape == (4, 2, 2)
+    with pytest.raises(ValueError):
+        ode_weyl(w, np.array([1j, 2.0]))  # one point off the upper half plane
 
 
 def test_march_single_gap_is_constant():

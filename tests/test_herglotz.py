@@ -33,6 +33,20 @@ def test_mfunction_wraps_and_coerces():
     assert mfun.source == "test"
 
 
+def test_mfunction_maps_a_point_array_to_a_stack():
+    prof = KreinProfile.uniform(TWO_GAP, 0.8)
+    sampled = KreinProfile(TWO_GAP, (lambda t: 0.8, lambda t: 0.8))
+    zs = np.array([0.5j, 2.0 + 1.0j, -3.0 + 0.25j])
+    for mfun in (profile_m_function(prof), profile_m_function(sampled)):
+        mats = mfun(zs)
+        assert mats.shape == (3, 2, 2)
+        for z, m in zip(zs, mats):
+            np.testing.assert_allclose(m, build_M(prof, z), atol=1e-9)
+    # an evaluator of one point only is refused on an array
+    with pytest.raises(ValueError, match="shape"):
+        MFunction(lambda z: np.eye(2))(zs)
+
+
 def test_profile_m_function_matches_closed_form():
     prof = KreinProfile.uniform(TWO_GAP, 0.8)
     mfun = profile_m_function(prof)

@@ -11,15 +11,16 @@ from kreindirac import (
     I2,
     J,
     branch_log,
-    eig2,
     herglotz_positive,
+    hull_norm,
     mexp,
     mlog_integral,
     mlog_spectral,
     op_norm_sym,
 )
 from kreindirac.errors import QuadratureFailure, SpectrumNotUpper, SpectrumOnCut
-from kreindirac.mat2 import as_mat2, im_part, is_symmetric, re_part
+from kreindirac.mat2 import (as_mat2, eigvals_batch, eigvec_batch, im_part, is_symmetric,
+                             re_part)
 
 
 def test_constants():
@@ -36,26 +37,33 @@ def matrices(draw):
     return np.array(entries).reshape(2, 2)
 
 
-@given(matrices())
+@given(st.lists(matrices(), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_eig2_reconstructs(a):
-    # the reconstruction bound needs a spectral gap; confluence is tested
-    # separately with its dedicated branch
-    lam = np.linalg.eigvals(a)
-    assume(abs(lam[0] - lam[1]) > 1e-2 * (1 + np.abs(a).max()))
-    dec = eig2(a)
-    np.testing.assert_allclose(dec.reconstruct(), a, atol=1e-9 * (1 + np.abs(a).max()))
-    # eigenvalues solve the characteristic polynomial
-    for lam in (dec.lam1, dec.lam2):
-        cp = lam * lam - np.trace(a) * lam + np.linalg.det(a)
-        assert abs(cp) <= 1e-8 * (1 + np.abs(a).max()) ** 2
+def test_eigvec_batch_solves_the_eigenproblem(mats):
+    # needs a spectral gap; the confluent choice is tested on Jordan blocks
+    mats = [a for a in mats
+            if abs(np.subtract(*np.linalg.eigvals(a))) > 1e-2 * (1 + np.abs(a).max())]
+    assume(mats)
+    stack = np.stack(mats)
+    for lam in eigvals_batch(stack):
+        v = eigvec_batch(stack, lam)
+        for a, l, x in zip(stack, lam, v):
+            res = np.linalg.norm(a @ x - l * x)
+            assert res <= 1e-12 * (np.linalg.norm(a, 2) + abs(l)) * np.linalg.norm(x)
+            assert np.linalg.norm(x) > 0
+        # one matrix gives the vector of the stack
+        np.testing.assert_array_equal(eigvec_batch(stack[0], lam[0]), v[0])
 
 
-def test_eig2_confluent():
-    dec = eig2(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    assert dec.is_jordan
-    assert dec.lam1 == dec.lam2 == 2.0
-    np.testing.assert_allclose(dec.nilpotent, [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
+def test_eigvec_batch_takes_the_larger_row():
+    # A - lam I is nilpotent on a Jordan block: the kernel direction comes
+    # from its nonzero row, and from the first row on a tie
+    stack = np.array([[[2.0, 1.0], [0.0, 2.0]],
+                      [[2.0, 0.0], [1.0, 2.0]],
+                      [[1.0, 1.0], [1.0, 1.0]]])
+    v = eigvec_batch(stack, [2.0, 2.0, 0.0])
+    np.testing.assert_array_equal(v, [[-1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(eigvec_batch(stack[0], 2.0), [-1.0, 0.0])
 
 
 def test_branch_log_values():
@@ -170,6 +178,37 @@ def test_parts_and_symmetry_helpers():
     assert np.allclose(im_part(a), im_part(a).conj().T)
     assert is_symmetric(np.array([[1.0, 2j], [2j, 3.0]]))
     assert not is_symmetric(np.array([[1.0, 2j], [2.1j, 3.0]]))
+
+
+def test_entry_points_take_one_matrix_or_a_stack():
+    stack = np.array([[[1j, 0.5], [0.5, 2j]], [[-1.0 + 1j, 0.0], [2.0, 1j]]])
+    assert as_mat2(stack).shape == (2, 2, 2)
+    for fn in (mexp, mlog_spectral, re_part, im_part):
+        out = fn(stack)
+        assert out.shape == (2, 2, 2)
+        for a, one in zip(stack, out):
+            np.testing.assert_array_equal(fn(a), one)
+    ws = np.array([[1.0, -1.0], [1j, -1j]])
+    np.testing.assert_array_equal(branch_log(ws), [[branch_log(w) for w in row] for row in ws])
+    assert isinstance(branch_log(2.0), complex)
+    with pytest.raises(SpectrumOnCut):
+        branch_log(np.array([1.0, 0.0]))
+    # functions defined on one matrix refuse a stack
+    q = np.array([[0.5, 0.5], [0.5, 0.5]])
+    for fn, a in ((is_symmetric, stack), (herglotz_positive, stack),
+                  (mlog_integral, stack), (hull_norm, np.stack([q, q]))):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            fn(a)
+
+
+def test_as_mat2_takes_strided_views():
+    # a transpose is not contiguous along its last axis
+    a = np.array([[1.0, 2j], [3.0, 4.0 - 1j]])
+    np.testing.assert_array_equal(as_mat2(a.T), a.T)
+    stack = np.stack([a, 2.0 * a]).transpose(0, 2, 1)
+    np.testing.assert_array_equal(mexp(stack)[1], mexp(2.0 * a.T))
+    with pytest.raises(ValueError, match="finite"):
+        as_mat2(np.array([[1.0, np.nan], [0.0, 1.0]]).T)
 
 
 def test_as_mat2_validates_shape():
