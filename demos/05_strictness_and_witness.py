@@ -50,7 +50,7 @@ print()
 witness = KreinProfile(gs, (0.3, 1.9))
 mfun = profile_m_function(witness)
 print("witness profile, angles (0.3, 1.9):")
-print("  Herglotz defect:        ", herglotz_defect(mfun, gs))
+print("  Herglotz defect:        ", herglotz_defect(mfun))
 print("  Im M inside the gaps:   ", gap_realness(witness))
 print("  projection commutator:  ", commutator_diag(witness, 1.5))
 try:

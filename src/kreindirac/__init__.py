@@ -21,7 +21,6 @@ from .mat2 import (
     op_norm,
     op_norm_sym,
 )
-from .numerics import LimitSchedule
 from .finitegap import (
     GapSet,
     KreinProfile,
@@ -75,7 +74,6 @@ __all__ = [
     "herglotz_positive",
     "op_norm",
     "op_norm_sym",
-    "LimitSchedule",
     "GapSet",
     "KreinProfile",
     "WeylPair",

@@ -1,7 +1,12 @@
 """Command line driver for constructing, verifying and evolving the
 matrix Herglotz functions of finite gap reflectionless Dirac operators.
 
-One run is one JSON config file.  Subcommands:
+One run is one command and one JSON config file:
+
+    kreindirac {construct,verify,evolve,oracle} --config FILE
+               [--out FILE] [--format {json,csv}] [--seed N]
+
+Commands:
 
 construct
     Tabulate M on a z-grid and the Krein density on the gap interiors,
@@ -47,6 +52,7 @@ from .finitegap import (
     e_interior_grid,
     gap_interior_grid,
     gap_realness,
+    json_number,
     mj_eigenpairs,
     profile_from_json,
     reflectionless_defect,
@@ -68,13 +74,6 @@ __all__ = ["RunConfig", "Record", "Report", "load_config", "run", "main", "conso
 
 class ConfigError(ValueError):
     """The config file does not satisfy the run contract (exit code 2)."""
-
-
-_KNOWN_KEYS = {
-    "command", "profile", "constant", "zgrid", "tgrid", "xgrid", "ygrid",
-    "xi_tol", "loc_tol", "bound_slack", "random_profiles",
-    "inject_det_error", "seed", "output",
-}
 
 
 @dataclass
@@ -146,27 +145,114 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: one converter per value type (json_number for a finite
+# number, _integer, _flag, _path), and one per key built from them
 
-def _parse_real_grid(spec, name: str) -> np.ndarray:
-    if isinstance(spec, dict) and set(spec) != {"start", "stop", "count"}:
-        raise ConfigError(f'"{name}" range needs exactly start/stop/count')
-    try:
-        if isinstance(spec, dict):
-            grid = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
-        else:
-            grid = np.array([float(v) for v in spec], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'"{name}" must be a list of numbers or a range object') from exc
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ConfigError(f'"{name}" must be a nonempty flat list or range')
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError(f'"{name}" entries must be finite')
-    if name == "xgrid" and (grid[0] != 0.0 or np.any(np.diff(grid) <= 0)):
-        raise ConfigError('"xgrid" must be increasing and start at 0')
-    if name == "ygrid" and (len(grid) < 3 or grid[0] <= 0 or np.any(np.diff(grid) <= 0)):
-        raise ConfigError('"ygrid" must be positive and increasing with at least 3 entries')
+def _integer(v, low: int) -> int:
+    """A JSON integer no smaller than ``low``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{v!r} is not an integer")
+    if v < low:
+        raise ValueError(f"{v!r} is below {low}")
+    return v
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"{v!r} is not true or false")
+    return v
+
+
+def _path(v) -> str:
+    if not isinstance(v, str) or not v or "\0" in v:
+        raise TypeError(f"{v!r} is not a file path")
+    return v
+
+
+def _format(v) -> str:
+    if v not in ("json", "csv"):
+        raise ValueError(f"unknown output format {v!r}")
+    return v
+
+
+def _tolerance(v) -> float:
+    v = json_number(v)
+    if not 0 < v < 1:
+        raise ValueError(f"{v!r} does not lie in (0, 1)")
+    return v
+
+
+def _pair(v) -> tuple[float, float]:
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValueError("must be a [p, q] pair")
+    return json_number(v[0]), json_number(v[1])
+
+
+def _grid(spec) -> np.ndarray:
+    """A nonempty list of finite numbers or a {start, stop, count} range."""
+    if isinstance(spec, dict):
+        if set(spec) != {"start", "stop", "count"}:
+            raise ValueError("a range needs exactly start/stop/count")
+        return np.linspace(json_number(spec["start"]), json_number(spec["stop"]),
+                           _integer(spec["count"], 1))
+    if not (isinstance(spec, list) and spec):
+        raise TypeError("must be a nonempty list of numbers or a range object")
+    return np.array([json_number(v) for v in spec])
+
+
+def _xgrid(spec) -> np.ndarray:
+    grid = _grid(spec)
+    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("must be increasing and start at 0")
     return grid
+
+
+def _ygrid(spec) -> np.ndarray:
+    grid = _grid(spec)
+    if len(grid) < 3 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("must be positive and increasing with at least 3 entries")
+    return grid
+
+
+def _zgrid(spec) -> np.ndarray:
+    # complex points are [re, im] pairs; JSON has no complex literal
+    if not (isinstance(spec, list) and spec):
+        raise TypeError("must be a nonempty list of [re, im] pairs")
+    return np.array([complex(*_pair(v)) for v in spec])
+
+
+def _output(spec) -> tuple[str | None, str]:
+    if not isinstance(spec, dict) or set(spec) - {"path", "format"}:
+        raise ValueError('takes only "path" and "format"')
+    path = _path(spec["path"]) if "path" in spec else None
+    return path, _format(spec.get("format", "json"))
+
+
+# the parse of each config key; "command" is checked against the invocation
+_KEYS = {
+    "profile": profile_from_json,
+    "constant": _pair,
+    "zgrid": _zgrid,
+    "tgrid": _grid,
+    "xgrid": _xgrid,
+    "ygrid": _ygrid,
+    "xi_tol": _tolerance,
+    "loc_tol": _tolerance,
+    "bound_slack": _tolerance,
+    "random_profiles": lambda v: _integer(v, 1),
+    "inject_det_error": _flag,
+    "seed": lambda v: _integer(v, 0),
+    "output": _output,
+}
+
+
+def _convert(name: str, parse, value):
+    """``parse(value)``; a value of the wrong type or range (an int beyond
+    float range included) is a ConfigError naming its key or flag."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _check_ygrid(ygrid, gapset: GapSet) -> None:
@@ -176,31 +262,24 @@ def _check_ygrid(ygrid, gapset: GapSet) -> None:
                           f'({4.0 * gapset.spectral_radius!r}) out')
 
 
-def _parse_zgrid(spec) -> np.ndarray:
-    # complex points are [re, im] pairs; JSON has no complex literal
-    try:
-        pts = np.array([complex(float(a), float(b)) for a, b in spec])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError('"zgrid" must be a list of [re, im] pairs') from exc
-    if len(pts) == 0:
-        raise ConfigError('"zgrid" must be nonempty')
-    if not np.all(np.isfinite(pts)):
-        raise ConfigError('"zgrid" entries must be finite')
-    return pts
-
-
 def load_config(path: str, command: str, overrides: dict) -> RunConfig:
-    """Read and validate a JSON config against the subcommand contract."""
+    """Read and validate a JSON config against the command's contract.
+
+    ``overrides`` holds the command line flags "seed", "out" and "format"
+    as typed (strings), None or absent when not given; they win over the
+    config's keys and go through the same converters.
+    """
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not text, or nesting too deep to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(obj) - _KNOWN_KEYS
+    unknown = set(obj) - set(_KEYS) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "command" in obj and obj["command"] != command:
@@ -208,49 +287,17 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
             f'config says command "{obj["command"]}" but "{command}" was invoked')
 
     cfg = RunConfig(command=command)
-    if "profile" in obj:
-        try:
-            cfg.profile = profile_from_json(obj["profile"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad profile: {exc}") from exc
-    if "constant" in obj:
-        c = obj["constant"]
-        if not (isinstance(c, (list, tuple)) and len(c) == 2):
-            raise ConfigError('"constant" must be a [p, q] pair')
-        cfg.constant = (float(c[0]), float(c[1]))
-    if "zgrid" in obj:
-        cfg.zgrid = _parse_zgrid(obj["zgrid"])
-    for key in ("tgrid", "xgrid", "ygrid"):
-        if key in obj:
-            setattr(cfg, key, _parse_real_grid(obj[key], key))
-    for key in ("xi_tol", "loc_tol", "bound_slack"):
-        if key in obj:
-            val = float(obj[key])
-            if not (0 < val < 1):
-                raise ConfigError(f'"{key}" must lie in (0, 1)')
-            setattr(cfg, key, val)
-    if "random_profiles" in obj:
-        n = int(obj["random_profiles"])
-        if n < 1:
-            raise ConfigError('"random_profiles" must be a positive integer')
-        cfg.random_profiles = n
-    cfg.inject_det_error = bool(obj.get("inject_det_error", False))
-    cfg.seed = int(obj.get("seed", 0))
-    out = obj.get("output", {})
-    if not isinstance(out, dict) or set(out) - {"path", "format"}:
-        raise ConfigError('"output" takes only "path" and "format"')
-    cfg.out = out.get("path")
-    cfg.fmt = out.get("format", "json")
-
-    # command line flags win over the config
+    values = {key: _convert(f'"{key}"', _KEYS[key], v)
+              for key, v in obj.items() if key != "command"}
+    cfg.out, cfg.fmt = values.pop("output", (None, "json"))
+    for key, v in values.items():
+        setattr(cfg, key, v)
     if overrides.get("seed") is not None:
-        cfg.seed = int(overrides["seed"])
+        cfg.seed = _convert("--seed", lambda s: _KEYS["seed"](int(s)), overrides["seed"])
     if overrides.get("out") is not None:
-        cfg.out = overrides["out"]
+        cfg.out = _convert("--out", _path, overrides["out"])
     if overrides.get("format") is not None:
-        cfg.fmt = overrides["format"]
-    if cfg.fmt not in ("json", "csv"):
-        raise ConfigError(f'unknown output format "{cfg.fmt}"')
+        cfg.fmt = _convert("--format", _format, overrides["format"])
 
     needs_profile = command in ("construct", "evolve") or (
         command == "verify" and not cfg.random_profiles)
@@ -276,18 +323,13 @@ def _default_zgrid(gapset: GapSet) -> np.ndarray:
     return np.array([complex(a, b) for b in ims for a in res])
 
 
-def _default_tgrid(gapset: GapSet) -> np.ndarray:
-    return gap_interior_grid(gapset, per_gap=7)
-
-
 def _mfun(cfg: RunConfig, profile: KreinProfile) -> MFunction:
     base = profile_m_function(profile)
     if not cfg.inject_det_error:
         return base
     # documented negative control: a scalar factor breaks det M = -1
     # (and the checks downstream of it) without touching symmetry
-    return MFunction(lambda z: (1.0 + 1e-6) * base.evaluator(z),
-                     source="det-corrupted", gapset=profile.gapset)
+    return MFunction(lambda z: (1.0 + 1e-6) * base.evaluator(z), profile.gapset)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +341,7 @@ def run_construct(cfg: RunConfig) -> Report:
     gs = profile.gapset
     mfun = _mfun(cfg, profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
-    tgrid = cfg.tgrid if cfg.tgrid is not None else _default_tgrid(gs)
+    tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
 
     bound = sharp_bound(gs)
     w0 = trace_formula_W0(profile)
@@ -326,7 +368,7 @@ def run_construct(cfg: RunConfig) -> Report:
         else:
             rep.info("gap_realness", realness, "sup ||Im M|| on the gaps")
             rep.info("commutator", comm, "sup ||[Re log M, xi]|| on the gaps")
-    rep.info("herglotz_defect", herglotz_defect(mfun, gs),
+    rep.info("herglotz_defect", herglotz_defect(mfun),
              "min eigenvalue of Im M over a C+ scan; negative refutes realizability")
 
     mcols = ["z_re", "z_im",
@@ -372,7 +414,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     _check_ygrid(cfg.ygrid, gs)
     mfun = _mfun(cfg, profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
-    tgrid = cfg.tgrid if cfg.tgrid is not None else _default_tgrid(gs)
+    tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
     egrid = e_interior_grid(gs)
     mats = mfun(zgrid)
 
@@ -381,7 +423,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     rep.probe(prefix + "symmetry", 1e-12, "M = M^t",
               lambda: np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max())
     rep.probe(prefix + "herglotz", 1e-9, "Im M >= 0 on C+ (grid scan)",
-              lambda: -herglotz_defect(mfun, gs))
+              lambda: -herglotz_defect(mfun))
 
     def mj_dev():
         _, lo, hi = mj_eigenpairs(mats)
@@ -591,25 +633,23 @@ def run(cfg: RunConfig) -> Report:
             "evolve": run_evolve, "oracle": run_oracle}[cfg.command](cfg)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kreindirac",
-        description="finite gap reflectionless Dirac operators: construct, "
-                    "verify, evolve, oracle")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-            ("construct", "tabulate M and xi, classify the profile"),
-            ("verify", "run the invariant suite"),
-            ("evolve", "march the potential along the shift orbit"),
-            ("oracle", "cross-check the constant potential routes")):
-        sp = sub.add_parser(name, help=blurb)
-        sp.add_argument("--config", required=True, help="JSON run description")
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"),
-                        help="report format (default json)")
-        sp.add_argument("--seed", type=int, help="override the config seed")
-    args = parser.parse_args(argv)
+# Built once: a parser costs about a millisecond, a third of a small job.
+# The flag values stay text, for load_config's converters.
+_PARSER = argparse.ArgumentParser(
+    prog="kreindirac",
+    description="finite gap reflectionless Dirac operators: construct (tabulate M "
+                "and xi, classify the profile), verify (run the invariant suite), "
+                "evolve (march the potential along the shift orbit), oracle "
+                "(cross-check the constant potential routes)")
+_PARSER.add_argument("command", choices=("construct", "verify", "evolve", "oracle"))
+_PARSER.add_argument("--config", required=True, help="JSON run description")
+_PARSER.add_argument("--out", help="write the report here instead of stdout")
+_PARSER.add_argument("--format", help="report format: json (default) or csv")
+_PARSER.add_argument("--seed", help="override the config seed, an integer >= 0")
 
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command,
                           {"seed": args.seed, "out": args.out, "format": args.format})
@@ -624,8 +664,12 @@ def main(argv=None) -> int:
 
     text = _render_json(rep) if cfg.fmt == "json" else _render_csv(rep)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if rep.numerical_failure:

@@ -173,7 +173,7 @@ def ode_weyl(w: StepPotential, z) -> WeylPair:
 def ode_m_function(w: StepPotential) -> MFunction:
     """The matrix Herglotz function assembled from a step potential's Weyl
     pair (an independent oracle for the explicit construction)."""
-    return MFunction(lambda z: assemble_M(ode_weyl(w, z)), source="ode-oracle")
+    return MFunction(lambda z: assemble_M(ode_weyl(w, z)))
 
 
 def _gap_nodes(gapset, n: int):
@@ -229,8 +229,7 @@ def _congruence_step(mats: np.ndarray, ts: np.ndarray, p: float, q: float,
 
 
 def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
-                     loc_tol: float = 1e-8, bound_slack: float = 1e-4,
-                     quad_nodes: int = 20) -> list[PotentialSample]:
+                     loc_tol: float = 1e-8, bound_slack: float = 1e-4) -> list[PotentialSample]:
     """Sample the potential W(x) along the shift orbit of a Krein profile.
 
     The shifted operator is reflectionless on the same bands, so its
@@ -265,9 +264,6 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         Local error target per march substep.
     bound_slack : float
         Slack over the sharp bound before BoundViolation is raised.
-    quad_nodes : int
-        Gauss-Legendre nodes per gap for the trace formula; a coarser
-        companion grid rides along to expose the quadrature error.
 
     Returns
     -------
@@ -286,7 +282,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         bound, and the exception then certifies non-realizability (check
         herglotz_defect for an independent witness).  Never ignored.
     NoConvergence
-        If the step size underflows before reaching the next grid point.
+        If the step size underflows before reaching the next grid point, or
+        the x = 0 Weyl-law cross-check does not converge (no samples then).
 
     Both exceptions carry the grid samples accepted before the failure in
     their ``samples`` attribute.
@@ -304,8 +301,10 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     c = 0.5 * (gs.gaps[0][0] + gs.gaps[-1][1])
     frame = KreinProfile(GapSet(tuple((a - c, b - c) for a, b in gs.gaps)),
                          profile.angles)
-    ts_f, ws_f = _gap_nodes(frame.gapset, quad_nodes)
-    ts_c, ws_c = _gap_nodes(frame.gapset, max(4, (7 * quad_nodes) // 10))
+    # the trace formula takes a 20-node Gauss-Legendre rule per gap; a coarse
+    # 14-node companion rides along to expose the quadrature error
+    ts_f, ws_f = _gap_nodes(frame.gapset, 20)
+    ts_c, ws_c = _gap_nodes(frame.gapset, 14)
     nf = len(ts_f)
     ts = np.concatenate([ts_f, ts_c])
     mats = _pin(build_M(frame, ts))
@@ -345,12 +344,12 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     # accepted step into the next predictor and the grid-point sample
     state = w_of(mats)
     p0, q0, quad_res = state
-    # independent seed check: the large-z Weyl law of the original profile
-    # against the trace formula (the frame turns nothing at x = 0)
-    seed = asymptotic_W(profile_m_function(profile), ygrid)
-    seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
     samples: list[PotentialSample] = []
     try:
+        # independent seed check: the large-z Weyl law of the original
+        # profile against the trace formula (the frame turns nothing at x = 0)
+        seed = asymptotic_W(profile_m_function(profile), ygrid)
+        seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
         samples.append(record(xg[0], p0, q0, quad_res + seed_res))
         # an overflowing trial step yields non-finite states, which the
         # step control rejects; numpy need not warn about them

@@ -54,10 +54,6 @@ class DegenerateDichotomy(KreinDiracError):
 class PoleAt(KreinDiracError):
     """The Weyl functions satisfy m_plus + m_minus ~ 0, a pole of the matrix function."""
 
-    def __init__(self, z, message=None):
-        self.z = z
-        super().__init__(message or f"pole of M at z = {z}")
-
 
 class BoundViolation(KreinDiracError):
     """A sampled potential exceeded the sharp norm bound beyond tolerance."""

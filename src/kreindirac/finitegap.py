@@ -47,7 +47,7 @@ from .mat2 import (
     op_norm_sym,
     re_part,
 )
-from .numerics import LimitSchedule, adaptive_gauss_legendre, extrapolate_schedule
+from .numerics import LIMIT_OFFSETS, LIMIT_ORDER, adaptive_gauss_legendre, extrapolate_schedule
 
 __all__ = [
     "ENDPOINT_MARGIN",
@@ -56,6 +56,7 @@ __all__ = [
     "WeylPair",
     "PotentialSample",
     "projection_angle",
+    "json_number",
     "profile_from_json",
     "profile_to_json",
     "build_logM",
@@ -198,6 +199,8 @@ class KreinProfile:
         if len(kinds) > 1:
             raise ValueError("angles must be all numbers or all callables")
         if angles and not callable(angles[0]):
+            if not all(math.isfinite(a) for a in angles):
+                raise ValueError("angles must be finite")
             angles = tuple(_circular_angle(a) for a in angles)
         object.__setattr__(self, "angles", angles)
 
@@ -238,21 +241,41 @@ class KreinProfile:
         return out
 
 
+def json_number(v) -> float:
+    """A finite JSON number (an int or float, not a bool) as a float.
+
+    Raises TypeError for any other type, ValueError for a non-finite value
+    and OverflowError for an int beyond float range.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"{v!r} is not finite")
+    return v
+
+
 def profile_from_json(obj: dict) -> KreinProfile:
     """Build a profile from the JSON form {"gaps": [[a, b], ...], "angles": [...]}.
 
     A common angle may be given as {"uniform": alpha} instead of "angles".
-    Angles are radians.
+    Angles are radians.  Every value goes through :func:`json_number`,
+    and any other key is rejected (ValueError).
     """
     if not isinstance(obj, dict) or "gaps" not in obj:
         raise ValueError('profile JSON must be an object with a "gaps" list')
-    gapset = GapSet(tuple((float(a), float(b)) for a, b in obj["gaps"]))
+    unknown = set(obj) - {"gaps", "angles", "uniform"}
+    if unknown:
+        raise ValueError(f"unknown profile keys: {sorted(unknown)}")
+    gaps, angles = obj["gaps"], obj.get("angles", [])
+    if not (isinstance(gaps, list) and isinstance(angles, list)):
+        raise TypeError('"gaps" and "angles" must be lists')
+    gapset = GapSet(tuple((json_number(a), json_number(b)) for a, b in gaps))
     if "uniform" in obj:
         if "angles" in obj:
             raise ValueError('give either "angles" or "uniform", not both')
-        return KreinProfile.uniform(gapset, float(obj["uniform"]))
-    angles = obj.get("angles", ())
-    return KreinProfile(gapset, tuple(float(a) for a in angles))
+        return KreinProfile.uniform(gapset, json_number(obj["uniform"]))
+    return KreinProfile(gapset, tuple(json_number(a) for a in angles))
 
 
 def profile_to_json(profile: KreinProfile) -> dict:
@@ -471,8 +494,8 @@ def assemble_M(pair: WeylPair) -> np.ndarray:
     k = _first(p_inf & m_inf, pole)
     if k is not None:
         if p_inf[k]:
-            raise PoleAt(None, "both Weyl functions are infinite")
-        raise PoleAt(None, f"m_plus + m_minus = {complex(den[k])} vanishes")
+            raise PoleAt("both Weyl functions are infinite")
+        raise PoleAt(f"m_plus + m_minus = {complex(den[k])} vanishes")
     c = -1.0 / np.where(fin, den, 1.0)
     out = np.empty((len(mp), 2, 2), dtype=complex)
     out[:, 0, 0] = c * (-2.0 * mp0 * mm0)
@@ -530,11 +553,10 @@ def sharp_bound(gapset: GapSet) -> float:
     return 0.5 * float(np.sum(gapset.widths()))
 
 
-def boundary_offsets(gapset: GapSet | None, ts: np.ndarray,
-                     schedule: LimitSchedule) -> np.ndarray:
+def boundary_offsets(gapset: GapSet | None, ts: np.ndarray) -> np.ndarray:
     """(K, T) heights at which the limit schedule samples each point of
-    ``ts``: the schedule offsets times min(1, d_t / y0), d_t the distance
-    from t to the nearest gap endpoint.
+    ``ts``: ``LIMIT_OFFSETS`` times min(1, d_t / y0), d_t the distance from
+    t to the nearest gap endpoint and y0 = 1e-2 the first offset.
 
     A point closer to an endpoint than y0 is approached in proportion, so
     the samples see the singularity no nearer than the offsets would at
@@ -542,17 +564,16 @@ def boundary_offsets(gapset: GapSet | None, ts: np.ndarray,
     scale of the abscissae, so the unscaled offsets serve as abscissae of
     every point's extrapolation.
     """
-    ys = schedule.offsets()[:, None]
+    ys = LIMIT_OFFSETS[:, None]
     if gapset is None or not gapset.n:
         return np.repeat(ys, len(ts), axis=1)
     a, b = gapset.endpoints
     t = ts[:, None]
     dist = np.minimum(np.abs(t - a), np.abs(t - b)).min(axis=1)
-    return ys * np.minimum(1.0, dist / schedule.y0)
+    return ys * np.minimum(1.0, dist / LIMIT_OFFSETS[0])
 
 
-def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float],
-                          schedule: LimitSchedule | None = None) -> float:
+def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float]) -> float:
     """sup over the grid of || Re M(t + i0) || on the interior of E.
 
     Each grid point must lie in E beyond the endpoint margins; the boundary
@@ -561,7 +582,6 @@ def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float],
     extrapolation), in one evaluation of M over the whole grid.  Vanishes
     for reflectionless functions.
     """
-    schedule = schedule or LimitSchedule()
     ts = np.array([float(t) for t in grid])
     if not len(ts):
         return 0.0
@@ -572,9 +592,9 @@ def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float],
         raise ValueError(f"grid point {float(ts[inside[0]])} lies inside a gap, not in E")
     if near:
         raise next(iter(near.values()))
-    hs = boundary_offsets(gapset, ts, schedule)
+    hs = boundary_offsets(gapset, ts)
     samples = re_part(mfun((ts + 1j * hs).ravel())).reshape(hs.shape + (2, 2))
-    limit, _ = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
+    limit, _ = extrapolate_schedule(LIMIT_OFFSETS, samples, LIMIT_ORDER)
     return float(op_norm(limit).max())
 
 
@@ -634,31 +654,33 @@ def hull_norm(q) -> float:
     return float(np.hypot(Q[0, 0].real - 0.5, Q[0, 1].real))
 
 
-def gap_interior_grid(gapset: GapSet, per_gap: int = 7, inset: float = 0.05) -> np.ndarray:
-    """Evaluation points strictly inside each gap, clear of the margins."""
+def gap_interior_grid(gapset: GapSet, per_gap: int = 7) -> np.ndarray:
+    """Evaluation points strictly inside each gap, clear of the margins:
+    ``per_gap`` equispaced points from 5% to 95% of each gap's width."""
     pts: list[float] = []
     for a, b in gapset.gaps:
         w = b - a
-        pts.extend(a + w * np.linspace(inset, 1.0 - inset, per_gap))
+        pts.extend(a + w * np.linspace(0.05, 0.95, per_gap))
     return np.array(pts)
 
 
-def e_interior_grid(gapset: GapSet, per_region: int = 3, pad: float = 1.0) -> np.ndarray:
+def e_interior_grid(gapset: GapSet) -> np.ndarray:
     """Evaluation points in the interior of E, clear of the margins.
 
-    Covers the two unbounded components and every bounded band between
-    consecutive gaps.
+    Three points in each of the two unbounded components, 0.3 to 1.2
+    spectral scales out, and three in every bounded band between
+    consecutive gaps, from 10% to 90% of its width.
     """
     if gapset.n == 0:
         return np.array([-1.0, 0.0, 1.0])
     a1 = gapset.gaps[0][0]
     bn = gapset.gaps[-1][1]
     scale = max(1.0, gapset.spectral_radius)
-    pts = list(a1 - pad * scale * np.linspace(0.3, 1.2, per_region))
-    pts.extend(bn + pad * scale * np.linspace(0.3, 1.2, per_region))
+    pts = list(a1 - scale * np.linspace(0.3, 1.2, 3))
+    pts.extend(bn + scale * np.linspace(0.3, 1.2, 3))
     for (_, b), (a2, _) in zip(gapset.gaps, gapset.gaps[1:]):
         width = a2 - b
         lo = b + 0.1 * width
         hi = a2 - 0.1 * width
-        pts.extend(np.linspace(lo, hi, per_region))
+        pts.extend(np.linspace(lo, hi, 3))
     return np.array(sorted(pts))

@@ -40,7 +40,8 @@ from .finitegap import (
 )
 from .mat2 import I2, as_mat2, im_part, mexp, mlog_spectral
 from .numerics import (
-    LimitSchedule,
+    LIMIT_OFFSETS,
+    LIMIT_ORDER,
     adaptive_gauss_legendre,
     convergence_error,
     extrapolate_schedule,
@@ -63,21 +64,17 @@ XI_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MFunction:
-    """A matrix Herglotz function as an evaluator plus provenance.
+    """A matrix Herglotz function: an evaluator and, when known, its gap set.
 
     ``evaluator`` maps one point z to a 2x2 complex array and a 1-D array
     of N points to an (N, 2, 2) stack; calling the MFunction calls it and
     checks the values.  It must be defined on the open upper half plane and
     may extend to real points away from the declared gap endpoints (as the
-    constructed functions do).  ``source`` records how the function arose:
-    "constructed" (explicit finite-gap formula), "ode-oracle" (half-line
-    Weyl functions of a Dirac system) or "assembled" (from a user-supplied
-    Weyl pair).  ``gapset`` carries the declared logarithmic singularities
-    when known.
+    constructed functions do).  ``gapset`` carries the declared logarithmic
+    singularities when known.
     """
 
     evaluator: Callable[[complex], np.ndarray]
-    source: str = "constructed"
     gapset: GapSet | None = None
 
     def __call__(self, z) -> np.ndarray:
@@ -92,17 +89,12 @@ def profile_m_function(profile: KreinProfile) -> MFunction:
 
     Piecewise-constant profiles use the closed form; sampled profiles go
     through the exponential representation with A = 0, one quadrature per
-    point.
+    gap over all points.
     """
     if profile.is_piecewise_constant:
-        return MFunction(lambda z: build_M(profile, z), "constructed", profile.gapset)
+        return MFunction(lambda z: build_M(profile, z), profile.gapset)
     zero = np.zeros((2, 2))
-
-    def sampled(z):
-        logs = [rep_logM(profile, zero, w) for w in np.atleast_1d(z)]
-        return mexp(np.reshape(logs, np.shape(z) + (2, 2)))
-
-    return MFunction(sampled, "constructed", profile.gapset)
+    return MFunction(lambda z: mexp(rep_logM(profile, zero, z)), profile.gapset)
 
 
 @dataclass(frozen=True)
@@ -118,8 +110,7 @@ class KreinSample:
     residual: float = 0.0
 
 
-def krein_xi_grid(mfun, ts, schedule: LimitSchedule | None = None,
-                  xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
+def krein_xi_grid(mfun, ts, xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
     ``ts`` by extrapolation.
 
@@ -138,7 +129,6 @@ def krein_xi_grid(mfun, ts, schedule: LimitSchedule | None = None,
         If a sampled M has an eigenvalue on the cut of the logarithm; this
         fails the whole grid.
     """
-    schedule = schedule or LimitSchedule()
     ts = np.array([float(t) for t in np.atleast_1d(ts)])
     gapset = getattr(mfun, "gapset", None)
     out: list = [None] * len(ts)
@@ -147,10 +137,10 @@ def krein_xi_grid(mfun, ts, schedule: LimitSchedule | None = None,
             out[i] = err
     ok = np.flatnonzero([hit is None for hit in out])
     if len(ok):
-        hs = boundary_offsets(gapset, ts[ok], schedule)
+        hs = boundary_offsets(gapset, ts[ok])
         logs = mlog_spectral(mfun((ts[ok] + 1j * hs).ravel()))
         samples = im_part(logs).reshape(hs.shape + (2, 2)) / np.pi
-        limit, residual = extrapolate_schedule(schedule.offsets(), samples, schedule.order)
+        limit, residual = extrapolate_schedule(LIMIT_OFFSETS, samples, LIMIT_ORDER)
         xi = limit.real
         xi = 0.5 * (xi + np.swapaxes(xi, -1, -2))
         for i, x, r in zip(ok, xi, residual):
@@ -160,8 +150,7 @@ def krein_xi_grid(mfun, ts, schedule: LimitSchedule | None = None,
     return out
 
 
-def krein_xi(mfun, t: float, schedule: LimitSchedule | None = None,
-             xi_tol: float = XI_TOL) -> KreinSample:
+def krein_xi(mfun, t: float, xi_tol: float = XI_TOL) -> KreinSample:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) by extrapolation.
 
     The one-point form of :func:`krein_xi_grid`.  The point t must stay
@@ -175,13 +164,13 @@ def krein_xi(mfun, t: float, schedule: LimitSchedule | None = None,
     NoConvergence
         If the last two extrapolants differ by more than ``xi_tol``.
     """
-    hit = krein_xi_grid(mfun, [float(t)], schedule, xi_tol)[0]
+    hit = krein_xi_grid(mfun, [float(t)], xi_tol)[0]
     if isinstance(hit, KreinDiracError):
         raise hit
     return hit
 
 
-def rep_logM(profile: KreinProfile, a0, z: complex) -> np.ndarray:
+def rep_logM(profile: KreinProfile, a0, z) -> np.ndarray:
     """Evaluate the exponential representation for profile boundary data.
 
         rep_logM = A0 + (i pi / 2) I + sum_j int_gap_j (xi(t) - I/2)/(t - z) dt
@@ -192,19 +181,29 @@ def rep_logM(profile: KreinProfile, a0, z: complex) -> np.ndarray:
     log((b_j - z)/(a_j - z)) (P_j - I/2) (so rep_logM with A0 = 0 coincides
     with the closed-form construction); sampled profiles are integrated by
     Gauss-Legendre panels and require Im z > 0.
+
+    ``A0`` is one 2x2 matrix.  ``z`` is one point, giving a (2, 2) array,
+    or a 1-D array of N points, giving an (N, 2, 2) stack.
     """
     A0 = as_mat2(a0)
+    if A0.ndim != 2:
+        raise ValueError(f"A0 must be one 2x2 matrix, got shape {A0.shape}")
     if float(np.max(np.abs(A0.imag))) > 1e-12 or abs(A0[0, 1] - A0[1, 0]) > 1e-12:
         raise ValueError("A0 must be real symmetric")
     if profile.is_piecewise_constant:
         return A0 + build_logM(profile, z)
-    total = A0 + 0.5j * np.pi * I2
-    z = complex(z)
-    if not z.imag > 0:
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError("z must be one point or a 1-D array of points")
+    if not (zs.imag > 0).all():
         raise ValueError("sampled profiles are evaluated on the open upper half plane")
+    # one quadrature per gap covers every point: the integrand at a node t
+    # is the stack of (xi(t) - I/2) / (t - z) over the points
+    w = zs[..., None, None]
+    total = A0 + 0.5j * np.pi * I2
     for j, (a, b) in enumerate(profile.gapset.gaps):
         total = total + adaptive_gauss_legendre(
-            lambda t, j=j: (profile.projection(j, t) - 0.5 * I2) / (t - z), a, b)
+            lambda t, j=j: (profile.projection(j, t) - 0.5 * I2) / (t - w), a, b)
     return total
 
 
@@ -213,8 +212,8 @@ def _default_ygrid(gapset: GapSet | None) -> np.ndarray:
     return scale * np.array([8.0, 16.0, 32.0, 64.0, 128.0])
 
 
-def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value",
-                 rtol: float = 1e-6) -> PotentialSample:
+def asymptotic_W(mfun, ygrid: Sequence[float] | None = None,
+                 route: str = "value") -> PotentialSample:
     """Extract W(0) from the large-z law by Richardson extrapolation.
 
     Parameters
@@ -230,8 +229,6 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
         "value" fits W(0) ~ z (I - M(z)/i); "log" fits
         W(0) ~ z ((i pi/2) I - log M(z)).  The two routes agree for
         admissible functions and provide independent consistency checks.
-    rtol : float
-        Residual bound for the extrapolation (NoConvergence beyond it).
 
     Returns
     -------
@@ -240,6 +237,8 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
 
     Raises
     ------
+    NoConvergence
+        If the extrapolation residual exceeds 1e-6 max(1, |W(0)|).
     NotTraceless
         If the extrapolated matrix has |trace| > 1e-6.
     """
@@ -258,7 +257,7 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
     else:
         vals = 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats))
     limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
-    require_convergence(residual, rtol * max(1.0, float(np.max(np.abs(limit)))),
+    require_convergence(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
                         "large-z extrapolation")
     tr = abs(limit[0, 0] + limit[1, 1])
     if tr > 1e-6:
@@ -270,22 +269,22 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None, route: str = "value
     return PotentialSample(x=0.0, p=p, q=q, residual=max(residual, float(drift)))
 
 
-def herglotz_defect(mfun, gapset: GapSet | None = None,
-                    re_points: int = 41, im_points: int = 13) -> float:
+def herglotz_defect(mfun) -> float:
     """Worst (most negative) eigenvalue of Im M over an upper-half-plane grid.
 
     A matrix Herglotz function has Im M(z) >= 0 throughout C+, so a
     negative return value certifies that ``mfun`` is not the M function of
-    any Dirac operator; values >= 0 merely fail to find a witness.
-    Positivity of the formal constructions with mismatched gap projections
-    fails just above the gaps, so when a gap set is available the
-    rectangular grid is refined by gap-interior columns at geometrically
-    small heights.
+    any Dirac operator; values >= 0 merely fail to find a witness.  The
+    grid is 41 x 13 points, real parts across 1.5 spectral scales either
+    side of 0 and heights 1e-2 to 3 scales.  Positivity of the formal
+    constructions with mismatched gap projections fails just above the
+    gaps, so when ``mfun`` carries a gap set the grid is refined by
+    gap-interior columns at geometrically small heights.
     """
-    gapset = gapset if gapset is not None else getattr(mfun, "gapset", None)
+    gapset = getattr(mfun, "gapset", None)
     scale = max(1.0, gapset.spectral_radius) if gapset is not None else 1.0
-    re = np.linspace(-1.5 * scale, 1.5 * scale, re_points)
-    im = scale * np.geomspace(1e-2, 3.0, im_points)
+    re = np.linspace(-1.5 * scale, 1.5 * scale, 41)
+    im = scale * np.geomspace(1e-2, 3.0, 13)
     pts = (re[:, None] + 1j * im).ravel()
     if gapset is not None and gapset.n:
         heights = scale * np.geomspace(1e-4, 3e-2, 9)

@@ -71,10 +71,12 @@ JORDAN_TOL = 1e-6
 # refuses to choose a branch.
 _CUT_TOL = 1e-13
 
-# Exp-sinh rule of mlog_integral: nodes s in [-_ES_SPAN, _ES_SPAN], and
-# at most _ES_LEVELS halvings of the unit step.
+# Exp-sinh rule of mlog_integral: nodes s in [-_ES_SPAN, _ES_SPAN], at
+# most _ES_LEVELS halvings of the unit step, and levels that agree to _ES_TOL
+# relative end it.
 _ES_SPAN = 4.0
 _ES_LEVELS = 14
+_ES_TOL = 1e-12
 
 # (2, 1) column turning a half trace h and a root d into the pair h +/- d.
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
@@ -289,7 +291,7 @@ def mlog_spectral(a) -> np.ndarray:
     return _mlog(m.reshape(-1, 2, 2)).reshape(m.shape)
 
 
-def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
+def mlog_integral(a) -> np.ndarray:
     """Matrix logarithm by the integral representation (upper spectra only).
 
         log A = int_0^inf [ t/(t^2+1) I - (t I + A)^(-1) ] dt
@@ -303,7 +305,7 @@ def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
     integrated by the exp-sinh rule of Takahasi & Mori (Publ. RIMS 9, 1974):
     the trapezoidal rule in s on the nodes t = exp(pi/2 sinh s), |s| <= 4,
     with the step h halved until two successive levels agree to
-    ``quad_tol * max(1, |result|)`` (entrywise maximum).  For spectra in the
+    ``1e-12 * max(1, |result|)`` (entrywise maximum).  For spectra in the
     open upper half plane this agrees with :func:`mlog_spectral`; the two
     routes share no code, so their agreement is a genuine cross-check of the
     branch choice.
@@ -340,7 +342,7 @@ def mlog_integral(a, quad_tol: float = 1e-12) -> np.ndarray:
         total += node_sum(np.arange(0.5 * h - _ES_SPAN, _ES_SPAN, h))
         h *= 0.5
         prev, res = res, h * total
-        if np.abs(res - prev).max() <= quad_tol * max(1.0, np.abs(res).max()):
+        if np.abs(res - prev).max() <= _ES_TOL * max(1.0, np.abs(res).max()):
             return res
     raise QuadratureFailure(f"logarithm quadrature still moved by {np.abs(res - prev).max():.3e} "
                             f"at step {h:g}")

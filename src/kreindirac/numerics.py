@@ -1,25 +1,25 @@
 """Shared extrapolation and quadrature plumbing.
 
 Boundary values on the real axis are never evaluated directly: they are
-reached by sampling along a geometric schedule y_k = y0 * 2^(-k) (scaled
-down near gap endpoints, see ``finitegap.boundary_offsets``) and
-extrapolating polynomially to y = 0 (the sampled quantities extend
-analytically through the relevant real intervals, so low-order polynomial
-extrapolation converges fast).  Large-z asymptotics use the same Neville
+reached by sampling at the heights ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k)
+for k = 0, ..., 7 (scaled down near gap endpoints, see
+``finitegap.boundary_offsets``), and extrapolating to y = 0 by polynomials
+of order ``LIMIT_ORDER`` = 3 (the sampled quantities extend analytically
+through the relevant real intervals, so low-order polynomial extrapolation
+converges fast).  Large-z asymptotics use the same Neville
 tableau in the variable 1/Y.  Smooth gap integrals for sampled Krein
 profiles go through composite Gauss-Legendre rules with node doubling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, QuadratureFailure
 
 __all__ = [
-    "LimitSchedule",
+    "LIMIT_OFFSETS",
+    "LIMIT_ORDER",
     "neville_at_zero",
     "extrapolate_schedule",
     "convergence_error",
@@ -27,22 +27,14 @@ __all__ = [
     "adaptive_gauss_legendre",
 ]
 
+LIMIT_OFFSETS = 1e-2 * 0.5 ** np.arange(8)
+LIMIT_OFFSETS.flags.writeable = False
+LIMIT_ORDER = 3
 
-@dataclass(frozen=True)
-class LimitSchedule:
-    """Geometric approach schedule for boundary limits.
-
-    ``y0`` is the first offset, ``halvings`` the number of samples
-    (y0, y0/2, ..., y0 * 2^(1 - halvings)) and ``order`` the polynomial
-    order used for the final extrapolation window.
-    """
-
-    y0: float = 1e-2
-    halvings: int = 8
-    order: int = 3
-
-    def offsets(self) -> np.ndarray:
-        return self.y0 * 0.5 ** np.arange(self.halvings)
+# Gauss-Legendre node doubling stops at this relative agreement, or fails
+# past this many nodes.
+_GL_TOL = 1e-12
+_GL_MAX_NODES = 1024
 
 
 def _neville_column(xs, values, levels: int) -> np.ndarray:
@@ -113,27 +105,26 @@ def require_convergence(residual: float, tol: float, what: str) -> None:
         raise err
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-12,
-                            max_nodes: int = 1024) -> np.ndarray:
+def adaptive_gauss_legendre(f, a: float, b: float) -> np.ndarray:
     """Integrate a smooth (matrix-valued) function over [a, b].
 
     Gauss-Legendre rules with doubling node counts until two consecutive
-    results agree within ``tol`` (relative to the result size).  Intended
-    for analytic integrands such as sampled Krein profiles against Cauchy
+    results agree to 1e-12 relative to the result size, up to 1024 nodes.
+    Intended for analytic integrands such as sampled Krein profiles against Cauchy
     kernels with z off the interval.
     """
     prev = None
     n = 16
-    while n <= max_nodes:
+    while n <= _GL_MAX_NODES:
         nodes, weights = np.polynomial.legendre.leggauss(n)
         t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         acc = sum(w * np.asarray(f(ti), dtype=complex) for ti, w in zip(t, weights))
         acc = 0.5 * (b - a) * acc
         if prev is not None:
             scale = max(1.0, float(np.max(np.abs(acc))))
-            if float(np.max(np.abs(acc - prev))) <= tol * scale:
+            if float(np.max(np.abs(acc - prev))) <= _GL_TOL * scale:
                 return acc
         prev = acc
         n *= 2
-    raise QuadratureFailure(f"Gauss-Legendre did not stabilize below {tol:.1e} "
-                            f"with {max_nodes} nodes on [{a}, {b}]")
+    raise QuadratureFailure(f"Gauss-Legendre did not stabilize below {_GL_TOL:.1e} "
+                            f"with {_GL_MAX_NODES} nodes on [{a}, {b}]")

@@ -13,7 +13,6 @@ from scipy.linalg import expm
 from kreindirac import (
     GapSet,
     KreinProfile,
-    LimitSchedule,
     WeylPair,
     assemble_M,
     build_logM,
@@ -34,7 +33,7 @@ from kreindirac.errors import (
 from kreindirac.finitegap import ENDPOINT_MARGIN
 from kreindirac.herglotz import krein_xi_grid
 from kreindirac.mat2 import im_part, op_norm
-from kreindirac.numerics import extrapolate_schedule
+from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
 
 def _close(batched, reference, rtol):
@@ -187,12 +186,11 @@ def test_batched_mexp_mlog_agree_with_one_matrix(stack):
 def _xi_reference(mfun, t, xi_tol):
     """The one-point limit: the schedule offsets scaled by
     min(1, d_t / y0), one log per offset, extrapolated to 0."""
-    sched = LimitSchedule()
     a, b = mfun.gapset.endpoints
     d = min(np.abs(t - a).min(), np.abs(t - b).min()) if mfun.gapset.n else np.inf
-    ys = sched.offsets()
-    samples = im_part(mlog_spectral(mfun(t + 1j * min(1.0, d / sched.y0) * ys))) / np.pi
-    limit, residual = extrapolate_schedule(ys, samples, sched.order)
+    ys = LIMIT_OFFSETS
+    samples = im_part(mlog_spectral(mfun(t + 1j * min(1.0, d / ys[0]) * ys))) / np.pi
+    limit, residual = extrapolate_schedule(ys, samples, LIMIT_ORDER)
     return 0.5 * (limit.real + limit.real.T), residual
 
 

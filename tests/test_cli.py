@@ -1,5 +1,6 @@
 """Command line driver: exit codes, determinism, report formats."""
 
+import argparse
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kreindirac import cli
 
@@ -297,3 +300,174 @@ def test_stdout_default_and_format_flag(tmp_path, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["command"] == "oracle"
+
+
+# ---------------------------------------------------------------------------
+# every malformed config value or flag exits 2 with one line on stderr
+
+_JSON_TYPES = {
+    "str": st.text(max_size=4),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "int": st.integers(-3, 3),
+    "float": st.floats(-3.0, 3.0),
+    "list": st.lists(st.integers(0, 2), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+}
+
+
+def _other_than(*types):
+    """JSON values of every type but ``types``."""
+    return st.one_of(*[s for name, s in _JSON_TYPES.items() if name not in types])
+
+
+# what no number slot takes: other types, non-finite floats and an int
+# beyond float range
+_NOT_A_NUMBER = st.one_of(_other_than("int", "float"),
+                          st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]))
+_NOT_A_COUNT = st.one_of(_other_than("int"), st.floats(-3.0, 3.0), st.integers(-3, 0))
+_BAD_GRID = st.one_of(
+    _other_than("list", "dict"),
+    st.just([]),
+    _NOT_A_NUMBER.map(lambda v: [0.0, 1.0, v]),
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2), min_size=1, max_size=2),
+    _NOT_A_NUMBER.map(lambda v: {"start": v, "stop": 1.0, "count": 3}),
+    _NOT_A_COUNT.map(lambda v: {"start": 0.0, "stop": 1.0, "count": v}),
+    st.just({"start": 0.0, "count": 3}),
+    st.just({"start": 0.0, "stop": 1.0, "count": 3, "step": 1}),
+)
+_BAD_TOL = st.one_of(_NOT_A_NUMBER, st.floats(max_value=0.0), st.floats(min_value=1.0),
+                     st.integers(max_value=0), st.integers(min_value=1))
+
+BAD_VALUES = {
+    "command": _other_than("str"),
+    "profile": st.one_of(
+        _other_than("dict"),
+        _other_than("list").map(lambda v: {"gaps": v}),
+        _other_than("list").map(lambda v: {"gaps": [[-1, 1]], "angles": v}),
+        _NOT_A_NUMBER.map(lambda v: {"gaps": [[-1, v]], "uniform": 0.3}),
+        _NOT_A_NUMBER.map(lambda v: {"gaps": [[-1, 1]], "angles": [v]}),
+        _NOT_A_NUMBER.map(lambda v: {"gaps": [[-1, 1]], "uniform": v}),
+        st.just({"gaps": [-1, 1]}),
+        st.just({"gaps": [[-1, 1, 2]]}),
+        st.just({"gaps": [[-1, 1]], "uniform": 0.3, "colour": 1}),
+    ),
+    "constant": st.one_of(
+        _other_than("list"),
+        st.lists(st.floats(-1.0, 1.0), max_size=4).filter(lambda v: len(v) != 2),
+        _NOT_A_NUMBER.map(lambda v: [v, 1.0]),
+        _NOT_A_NUMBER.map(lambda v: [0.0, v]),
+    ),
+    "zgrid": st.one_of(
+        _other_than("list"),
+        st.just([]),
+        _NOT_A_NUMBER.map(lambda v: [[v, 1.0]]),
+        st.one_of(_NOT_A_NUMBER, st.floats(-1.0, 1.0), st.just([1.0, 2.0, 3.0])).map(
+            lambda v: [[0.0, 1.0], v]),
+    ),
+    "tgrid": _BAD_GRID,
+    "xgrid": st.one_of(_BAD_GRID, st.just([0.5, 1.0]), st.just([0.0, 1.0, 0.5])),
+    "ygrid": st.one_of(_BAD_GRID, st.just([-8.0, 16.0, 32.0]), st.just([8.0, 16.0])),
+    "xi_tol": _BAD_TOL,
+    "loc_tol": _BAD_TOL,
+    "bound_slack": _BAD_TOL,
+    "random_profiles": _NOT_A_COUNT,
+    "inject_det_error": _other_than("bool"),
+    "seed": st.one_of(_other_than("int"), st.integers(max_value=-1)),
+    "output": st.one_of(
+        _other_than("dict"),
+        st.one_of(_other_than("str"), st.just("")).map(lambda v: {"path": v}),
+        st.one_of(_other_than("str"), st.text(max_size=5)).filter(
+            lambda v: v not in ("json", "csv")).map(lambda v: {"format": v}),
+        st.just({"path": "report.json", "mode": "w"}),
+    ),
+}
+
+BAD_FLAGS = st.one_of(
+    st.tuples(st.just("--seed"), st.one_of(
+        st.sampled_from(["x", "1.5", "nan", "inf", "", "1e3", "0x10", "true", "[1]"]),
+        st.integers(max_value=-1).map(str))),
+    st.tuples(st.just("--format"), st.text(max_size=5).filter(lambda v: v not in ("json", "csv"))),
+    st.tuples(st.just("--out"), st.sampled_from(["", "a\0b"])),
+)
+
+
+def _assert_config_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), err
+
+
+@given(st.sampled_from(sorted(BAD_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), BAD_VALUES[key])))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_bad_config_value_exits_2(tmp_path, capsys, case):
+    key, value = case
+    cfg = dict(SINGLE_GAP, **{key: value})
+    code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
+    _assert_config_error(code, capsys.readouterr().err)
+
+
+@given(BAD_FLAGS)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_bad_flag_value_exits_2(tmp_path, capsys, flag):
+    name, value = flag
+    code = cli.main(["verify", "--config", _write(tmp_path, SINGLE_GAP), f"{name}={value}"])
+    _assert_config_error(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("cfg,flags", [
+    (dict(SINGLE_GAP, xi_tol="abc"), []),
+    ({"constant": ["a", 1]}, []),
+    (dict(SINGLE_GAP, seed="x"), []),
+    ({"profile": {"gaps": [[-1, 1]], "angles": [math.nan]}}, []),
+    ({"random_profiles": 1, "seed": -1}, []),
+    ({"random_profiles": 1}, ["--seed", "-4"]),
+    (dict(SINGLE_GAP, output={"path": 7}), []),
+    (dict(SINGLE_GAP, inject_det_error="no"), []),
+    ({"random_profiles": 1.5}, []),
+    (dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1, "count": "3"}), []),
+    ({"profile": {"gaps": [[-1, 1]], "angles": ["0.3"]}}, []),
+    ({"profile": dict(SINGLE_GAP["profile"], colour=1)}, []),
+])
+def test_reported_bad_inputs_exit_2(tmp_path, capsys, cfg, flags):
+    # each of these ended in a traceback, ran on a wrong value, or wrote
+    # into an open file descriptor
+    command = "oracle" if "constant" in cfg else "verify"
+    code = cli.main([command, "--config", _write(tmp_path, cfg), *flags])
+    _assert_config_error(code, capsys.readouterr().err)
+
+
+def test_unreadable_config_files_exit_2(tmp_path, capsys):
+    # nesting too deep for the JSON parser, and bytes that are not UTF-8
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"profile": ' + "[" * 100000 + "]" * 100000 + "}")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"seed": "\xff\xfe"}')
+    for path in (deep, binary):
+        code = cli.main(["verify", "--config", str(path)])
+        _assert_config_error(code, capsys.readouterr().err)
+
+
+def test_evolve_failed_seed_check_exits_3(tmp_path):
+    # the x = 0 Weyl-law cross-check does not converge this far out; the
+    # march reports it with no samples instead of a traceback
+    cfg = {"profile": {"gaps": [[-1, 1]], "uniform": 0.3}, "ygrid": [1e10, 2e10, 4e10]}
+    code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 3
+    failure = json.loads(text)["numerical_failure"]
+    assert failure.startswith("NoConvergence: large-z extrapolation")
+    assert failure.endswith("(last good x = nan)")
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    # the parser is built once, at import, not per call
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    code, text = _run(tmp_path, "oracle", {"constant": [0.0, 1.0]})
+    assert code == 0 and json.loads(text)["command"] == "oracle"

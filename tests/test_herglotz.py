@@ -27,10 +27,9 @@ TWO_GAP = GapSet(((-2.0, -1.0), (1.0, 2.0)))
 
 
 def test_mfunction_wraps_and_coerces():
-    mfun = MFunction(lambda z: [[z, 0], [0, z]], source="test")
+    mfun = MFunction(lambda z: [[z, 0], [0, z]])
     out = mfun(1j)
     assert out.shape == (2, 2) and out.dtype == complex
-    assert mfun.source == "test"
 
 
 def test_mfunction_maps_a_point_array_to_a_stack():
@@ -73,6 +72,22 @@ def test_rep_logM_closed_form_coincidence():
                                build_logM(prof, z), atol=1e-13)
     with pytest.raises(ValueError):
         rep_logM(prof, np.array([[0.0, 1j], [1j, 0.0]]), z)  # A0 not real
+
+
+def test_rep_logM_takes_z_arrays_for_sampled_profiles():
+    # one call over a point array equals the per-point calls, for the
+    # quadrature route as for the closed form
+    a0 = np.array([[0.2, -0.1], [-0.1, 0.3]])
+    zs = np.array([0.5j, 2.0 + 1.0j, -3.0 + 0.25j, 1.5 + 0.3j])
+    for prof in (KreinProfile(TWO_GAP, (0.4, 1.1)),
+                 KreinProfile(TWO_GAP, (lambda t: 0.4 + 0.1 * t, lambda t: 1.1))):
+        logs = rep_logM(prof, a0, zs)
+        assert logs.shape == (4, 2, 2)
+        for z, lg in zip(zs, logs):
+            np.testing.assert_allclose(lg, rep_logM(prof, a0, z), rtol=0, atol=1e-13)
+        # a stack of constants is not one A0
+        with pytest.raises(ValueError, match="shape"):
+            rep_logM(prof, np.stack([a0, a0]), zs)
 
 
 def test_krein_xi_recovers_projection_and_half():

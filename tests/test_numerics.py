@@ -3,20 +3,15 @@
 import numpy as np
 import pytest
 
-from kreindirac import LimitSchedule
 from kreindirac.errors import NoConvergence
 from kreindirac.numerics import (
+    LIMIT_OFFSETS,
+    LIMIT_ORDER,
     adaptive_gauss_legendre,
     extrapolate_schedule,
     neville_at_zero,
     require_convergence,
 )
-
-
-def test_limit_schedule_offsets():
-    sched = LimitSchedule(y0=0.02, halvings=5)
-    np.testing.assert_allclose(sched.offsets(),
-                               [0.02, 0.01, 0.005, 0.0025, 0.00125])
 
 
 def test_neville_exact_on_polynomials():
@@ -36,11 +31,10 @@ def test_neville_carries_matrix_samples():
 
 
 def test_extrapolate_schedule_converges_and_reports_residual():
-    sched = LimitSchedule()
-    xs = sched.offsets()
+    xs = LIMIT_OFFSETS
     # smooth limit with a small curvature term
     values = [np.array([[1.0 + y + y ** 2, 0.0], [0.0, 2.0 - 3.0 * y]]) for y in xs]
-    limit, residual = extrapolate_schedule(xs, values, sched.order)
+    limit, residual = extrapolate_schedule(xs, values, LIMIT_ORDER)
     np.testing.assert_allclose(limit, np.diag([1.0, 2.0]), atol=1e-10)
     assert residual < 1e-10
 
