@@ -28,9 +28,7 @@ from .finitegap import (
     PotentialSample,
     projection_angle,
     profile_from_json,
-    profile_to_json,
     build_logM,
-    eigen_lambda,
     build_M,
     weyl_from_M,
     assemble_M,
@@ -80,9 +78,7 @@ __all__ = [
     "PotentialSample",
     "projection_angle",
     "profile_from_json",
-    "profile_to_json",
     "build_logM",
-    "eigen_lambda",
     "build_M",
     "weyl_from_M",
     "assemble_M",

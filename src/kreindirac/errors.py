@@ -35,10 +35,6 @@ class EndpointSingularity(KreinDiracError):
     """Evaluation was requested too close to a gap endpoint (a logarithmic singularity)."""
 
 
-class NotUniform(KreinDiracError):
-    """The operation requires a profile with one common projection angle on all gaps."""
-
-
 class NotPiecewiseConstant(KreinDiracError):
     """The operation requires a piecewise-constant (per-gap angle) profile."""
 

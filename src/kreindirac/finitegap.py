@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .errors import (
     EndpointSingularity,
     NotAdmissible,
     NotPiecewiseConstant,
-    NotUniform,
     PoleAt,
 )
 from .mat2 import (
@@ -58,9 +56,7 @@ __all__ = [
     "projection_angle",
     "json_number",
     "profile_from_json",
-    "profile_to_json",
     "build_logM",
-    "eigen_lambda",
     "build_M",
     "mj_eigenpairs",
     "sphere_ratio",
@@ -68,7 +64,7 @@ __all__ = [
     "assemble_M",
     "trace_formula_W0",
     "sharp_bound",
-    "boundary_offsets",
+    "boundary_limit",
     "reflectionless_defect",
     "gap_realness",
     "commutator_diag",
@@ -91,9 +87,14 @@ def projection_angle(alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GapSet:
-    """Ordered disjoint open gaps (a_1, b_1), ..., (a_n, b_n), possibly none."""
+    """Ordered disjoint open gaps (a_1, b_1), ..., (a_n, b_n), possibly none.
+
+    ``endpoints`` holds the left and right gap endpoints as two read-only
+    arrays of length n.
+    """
 
     gaps: tuple[tuple[float, float], ...]
+    endpoints: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = tuple((float(a), float(b)) for a, b in self.gaps)
@@ -104,6 +105,9 @@ class GapSet:
             if not b < a2:
                 raise ValueError("gaps must be strictly increasing and disjoint")
         object.__setattr__(self, "gaps", norm)
+        ab = np.array(norm, dtype=float).reshape(-1, 2).T.copy()
+        ab.flags.writeable = False
+        object.__setattr__(self, "endpoints", (ab[0], ab[1]))
 
     @property
     def n(self) -> int:
@@ -118,18 +122,6 @@ class GapSet:
         if not self.gaps:
             return 0.0
         return max(abs(self.gaps[0][0]), abs(self.gaps[-1][1]))
-
-    def containing_gap(self, t: float) -> int | None:
-        """Index of the open gap containing t, or None (t in E)."""
-        j = int(self.containing_gaps(float(t))[0])
-        return None if j < 0 else j
-
-    @cached_property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right gap endpoints as two read-only arrays of length n."""
-        ab = np.array(self.gaps, dtype=float).reshape(-1, 2).T.copy()
-        ab.flags.writeable = False
-        return ab[0], ab[1]
 
     def containing_gaps(self, ts) -> np.ndarray:
         """Per point of ``ts``, the index of the open gap containing it, or
@@ -156,16 +148,6 @@ class GapSet:
                 f"t = {float(ts[i, 0])} is within the exclusion margin of gap ({a}, {b})")
         return errs
 
-    def assert_off_endpoints(self, t) -> None:
-        """Reject real evaluation points inside an endpoint exclusion zone.
-
-        ``t`` is one point or an array of points; the error names the first
-        offending point and, for it, the first gap.
-        """
-        errs = self.endpoint_errors(t)
-        if errs:
-            raise next(iter(errs.values()))
-
 
 def _circular_angle(alpha: float) -> float:
     # Projection angles live on R / pi Z.
@@ -185,11 +167,13 @@ class KreinProfile:
     ``angles`` holds one entry per gap, either all floats (piecewise-constant
     mode; normalized into [0, pi)) or all callables t -> angle (sampled
     mode).  The gapless profile (n = 0) is admissible and describes the free
-    function M = i I.
+    function M = i I.  ``projection_defects`` is the read-only (n, 2, 2)
+    stack of P_j - I/2 in piecewise-constant mode, None in sampled mode.
     """
 
     gapset: GapSet
     angles: tuple = field(default=())
+    projection_defects: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         angles = tuple(self.angles)
@@ -203,6 +187,16 @@ class KreinProfile:
                 raise ValueError("angles must be finite")
             angles = tuple(_circular_angle(a) for a in angles)
         object.__setattr__(self, "angles", angles)
+        defects = None
+        if self.is_piecewise_constant:
+            ang = np.array(angles, dtype=float)
+            c, s = np.cos(ang), np.sin(ang)
+            defects = np.empty((self.gapset.n, 2, 2))
+            defects[:, 0, 0] = c * c - 0.5
+            defects[:, 0, 1] = defects[:, 1, 0] = s * c
+            defects[:, 1, 1] = s * s - 0.5
+            defects.flags.writeable = False
+        object.__setattr__(self, "projection_defects", defects)
 
     @classmethod
     def uniform(cls, gapset: GapSet, alpha: float) -> "KreinProfile":
@@ -227,18 +221,6 @@ class KreinProfile:
 
     def projection(self, j: int, t: float | None = None) -> np.ndarray:
         return projection_angle(self.angle_at(j, t))
-
-    @cached_property
-    def projection_defects(self) -> np.ndarray:
-        """Read-only (n, 2, 2) stack of P_j - I/2 (piecewise-constant mode)."""
-        ang = np.array(self.angles, dtype=float)
-        c, s = np.cos(ang), np.sin(ang)
-        out = np.empty((self.gapset.n, 2, 2))
-        out[:, 0, 0] = c * c - 0.5
-        out[:, 0, 1] = out[:, 1, 0] = s * c
-        out[:, 1, 1] = s * s - 0.5
-        out.flags.writeable = False
-        return out
 
 
 def json_number(v) -> float:
@@ -278,17 +260,6 @@ def profile_from_json(obj: dict) -> KreinProfile:
     return KreinProfile(gapset, tuple(json_number(a) for a in angles))
 
 
-def profile_to_json(profile: KreinProfile) -> dict:
-    if not profile.is_piecewise_constant:
-        raise NotPiecewiseConstant("sampled profiles have no JSON form")
-    out: dict = {"gaps": [[a, b] for a, b in profile.gapset.gaps]}
-    if profile.gapset.n and profile.is_uniform:
-        out["uniform"] = profile.angles[0]
-    else:
-        out["angles"] = list(profile.angles)
-    return out
-
-
 # Largest (points x gaps) block of gap logarithms held at once; longer
 # point arrays are evaluated in consecutive slices.
 _BLOCK = 1 << 15
@@ -309,8 +280,11 @@ def _gap_logs(gapset: GapSet, z: np.ndarray) -> np.ndarray:
     a, b = gapset.endpoints
     zc = z[:, None]
     # off the real axis the factor lies in the upper half plane, where the
-    # strip branch is the principal logarithm; real rows are replaced below
-    out = branch_log((b - zc) / (a - zc))
+    # strip branch is the principal logarithm; real rows are replaced below.
+    # A ratio beyond float range gives a non-finite logarithm, which the
+    # kernel rejects with a ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = branch_log((b - zc) / (a - zc))
     real = z.imag == 0
     if real.any():
         t = z.real[real, None]
@@ -330,7 +304,10 @@ def _points(gapset: GapSet, z) -> np.ndarray:
         raise ValueError("evaluation is defined on the closed upper half plane only")
     real = zs.imag == 0
     if real.any():
-        gapset.assert_off_endpoints(zs.real[real])
+        # the first offending point raises, named with its first gap
+        errs = gapset.endpoint_errors(zs.real[real])
+        if errs:
+            raise next(iter(errs.values()))
     return zs
 
 
@@ -361,21 +338,6 @@ def build_logM(profile: KreinProfile, z) -> np.ndarray:
     out[:, 0, 0] += 0.5j * math.pi
     out[:, 1, 1] += 0.5j * math.pi
     return out if np.ndim(z) else out[0]
-
-
-def eigen_lambda(profile: KreinProfile, z: complex) -> tuple[complex, complex]:
-    """Eigenvalues of log M(z) for a uniform profile.
-
-    With S(z) = sum_j log((b_j - z)/(a_j - z)) these are
-    lambda_plus/minus = i pi/2 +/- S(z)/2; lambda_plus belongs to the
-    eigenvector (cos alpha, sin alpha).  In a gap interior Im lambda_plus = pi
-    and Im lambda_minus = 0, as z -> infinity both tend to i pi/2.
-    """
-    if not (profile.is_piecewise_constant and profile.is_uniform):
-        raise NotUniform("eigenvalue formula requires one common angle")
-    gs = profile.gapset
-    s = complex(_gap_logs(gs, _points(gs, complex(z)))[0].sum())
-    return 0.5j * math.pi + 0.5 * s, 0.5j * math.pi - 0.5 * s
 
 
 def build_M(profile: KreinProfile, z) -> np.ndarray:
@@ -553,35 +515,44 @@ def sharp_bound(gapset: GapSet) -> float:
     return 0.5 * float(np.sum(gapset.widths()))
 
 
-def boundary_offsets(gapset: GapSet | None, ts: np.ndarray) -> np.ndarray:
-    """(K, T) heights at which the limit schedule samples each point of
-    ``ts``: ``LIMIT_OFFSETS`` times min(1, d_t / y0), d_t the distance from
-    t to the nearest gap endpoint and y0 = 1e-2 the first offset.
+def boundary_limit(mfun, ts: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary value part(M(t + i0)) at every point of ``ts``, by the
+    limit schedule: the (T, 2, 2) stack of limits and the (T,) residuals of
+    :func:`extrapolate_schedule`.
 
-    A point closer to an endpoint than y0 is approached in proportion, so
-    the samples see the singularity no nearer than the offsets would at
-    distance y0.  The Neville weights at 0 are invariant under a common
-    scale of the abscissae, so the unscaled offsets serve as abscissae of
-    every point's extrapolation.
+    ``part`` maps an (N, 2, 2) stack of M values to the stack of sampled
+    matrices.  Each point t is sampled at the heights ``LIMIT_OFFSETS``
+    times min(1, d_t / y0), d_t the distance from t to the nearest endpoint
+    of ``mfun.gapset`` and y0 = 1e-2 the first offset: a point closer to an
+    endpoint than y0 is approached in proportion, so the samples see the
+    singularity no nearer than the offsets would at distance y0.  One
+    evaluation of M covers every height of every point, and one Neville
+    tableau extrapolates them all to y = 0; the Neville weights at 0 are
+    invariant under a common scale of the abscissae, so the unscaled
+    offsets serve as abscissae of every point's extrapolation.
     """
     ys = LIMIT_OFFSETS[:, None]
-    if gapset is None or not gapset.n:
-        return np.repeat(ys, len(ts), axis=1)
-    a, b = gapset.endpoints
-    t = ts[:, None]
-    dist = np.minimum(np.abs(t - a), np.abs(t - b)).min(axis=1)
-    return ys * np.minimum(1.0, dist / LIMIT_OFFSETS[0])
+    gapset = mfun.gapset
+    if gapset.n:
+        a, b = gapset.endpoints
+        t = ts[:, None]
+        dist = np.minimum(np.abs(t - a), np.abs(t - b)).min(axis=1)
+        # min(1, d_t / y0), formed so that a far point cannot overflow
+        ys = ys * (np.minimum(dist, LIMIT_OFFSETS[0]) / LIMIT_OFFSETS[0])
+    zs = ts + 1j * ys
+    samples = part(mfun(zs.ravel())).reshape(zs.shape + (2, 2))
+    return extrapolate_schedule(LIMIT_OFFSETS, samples, LIMIT_ORDER)
 
 
-def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float]) -> float:
+def reflectionless_defect(mfun, grid: Sequence[float]) -> float:
     """sup over the grid of || Re M(t + i0) || on the interior of E.
 
-    Each grid point must lie in E beyond the endpoint margins; the boundary
-    value is reached through the limit schedule (offsets scaled to the
-    nearest endpoint, see :func:`boundary_offsets`, plus polynomial
-    extrapolation), in one evaluation of M over the whole grid.  Vanishes
-    for reflectionless functions.
+    Each grid point must lie in E, the complement of the gaps of
+    ``mfun.gapset``, beyond the endpoint margins; the boundary value is
+    reached through :func:`boundary_limit`.  Vanishes for reflectionless
+    functions.
     """
+    gapset = mfun.gapset
     ts = np.array([float(t) for t in grid])
     if not len(ts):
         return 0.0
@@ -592,9 +563,7 @@ def reflectionless_defect(mfun, gapset: GapSet, grid: Sequence[float]) -> float:
         raise ValueError(f"grid point {float(ts[inside[0]])} lies inside a gap, not in E")
     if near:
         raise next(iter(near.values()))
-    hs = boundary_offsets(gapset, ts)
-    samples = re_part(mfun((ts + 1j * hs).ravel())).reshape(hs.shape + (2, 2))
-    limit, _ = extrapolate_schedule(LIMIT_OFFSETS, samples, LIMIT_ORDER)
+    limit, _ = boundary_limit(mfun, ts, re_part)
     return float(op_norm(limit).max())
 
 
@@ -616,8 +585,8 @@ def gap_realness(profile: KreinProfile, grid: Sequence[float] | None = None) -> 
     return float(op_norm(im_part(build_M(profile, ts))).max())
 
 
-def commutator_diag(profile: KreinProfile, t: float) -> float:
-    """|| [Re log M(t), xi(t)] || at a gap-interior point t.
+def commutator_diag(profile: KreinProfile, grid: Sequence[float]) -> float:
+    """sup over gap-interior points of || [Re log M(t), xi(t)] ||.
 
     For a uniform profile every Re log M(t) commutes with the common
     projection, so the value vanishes; a nonzero value witnesses angle
@@ -625,13 +594,17 @@ def commutator_diag(profile: KreinProfile, t: float) -> float:
     """
     if profile.gapset.n == 0:
         return 0.0
-    j = profile.gapset.containing_gap(float(t))
-    if j is None:
-        raise ValueError(f"t = {t} is not inside a gap")
-    xi = profile.projection(j, float(t))
-    re_log = re_part(build_logM(profile, float(t)))
+    ts = np.array([float(t) for t in grid])
+    js = profile.gapset.containing_gaps(ts)
+    outside = np.flatnonzero(js < 0)
+    if len(outside):
+        raise ValueError(f"grid point {float(ts[outside[0]])} is not inside a gap")
+    if not len(ts):
+        return 0.0
+    xi = np.array([profile.projection(j) for j in js])
+    re_log = re_part(build_logM(profile, ts))
     comm = re_log @ xi - xi @ re_log
-    return float(op_norm(comm))
+    return float(op_norm(comm).max())
 
 
 def hull_norm(q) -> float:

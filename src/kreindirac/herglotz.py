@@ -33,20 +33,13 @@ from .finitegap import (
     GapSet,
     KreinProfile,
     PotentialSample,
-    boundary_offsets,
+    boundary_limit,
     build_logM,
     build_M,
     gap_interior_grid,
 )
 from .mat2 import I2, as_mat2, im_part, mexp, mlog_spectral
-from .numerics import (
-    LIMIT_OFFSETS,
-    LIMIT_ORDER,
-    adaptive_gauss_legendre,
-    convergence_error,
-    extrapolate_schedule,
-    require_convergence,
-)
+from .numerics import adaptive_gauss_legendre, convergence_error, extrapolate_schedule
 
 __all__ = [
     "MFunction",
@@ -64,18 +57,18 @@ XI_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MFunction:
-    """A matrix Herglotz function: an evaluator and, when known, its gap set.
+    """A matrix Herglotz function: an evaluator and its gap set.
 
     ``evaluator`` maps one point z to a 2x2 complex array and a 1-D array
     of N points to an (N, 2, 2) stack; calling the MFunction calls it and
     checks the values.  It must be defined on the open upper half plane and
     may extend to real points away from the declared gap endpoints (as the
     constructed functions do).  ``gapset`` carries the declared logarithmic
-    singularities when known.
+    singularities; the default, the gapless set, declares none.
     """
 
     evaluator: Callable[[complex], np.ndarray]
-    gapset: GapSet | None = None
+    gapset: GapSet = GapSet(())
 
     def __call__(self, z) -> np.ndarray:
         m = as_mat2(self.evaluator(z))
@@ -110,18 +103,18 @@ class KreinSample:
     residual: float = 0.0
 
 
-def krein_xi_grid(mfun, ts, xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
+def krein_xi_grid(mfun: MFunction, ts,
+                  xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
     ``ts`` by extrapolation.
 
-    One evaluation of M and one matrix logarithm cover the schedule offsets
-    of every point, scaled to its nearest gap endpoint (see
-    :func:`boundary_offsets`), and one Neville tableau extrapolates them all
-    to y = 0.  Failures stay per point: the list holds, in grid order, each
-    point's KreinSample or the error :func:`krein_xi` raises there, an
-    EndpointSingularity for a point inside a gap-endpoint margin of the
-    function's gap set or a NoConvergence when the last two extrapolants
-    differ by more than ``xi_tol``.
+    One :func:`boundary_limit` call, with one matrix logarithm per sample,
+    covers every point clear of the endpoint margins.  Failures stay per
+    point: the list holds, in grid order, each point's KreinSample or the
+    error :func:`krein_xi` raises there, an EndpointSingularity for a point
+    inside a gap-endpoint margin of the function's gap set or a
+    NoConvergence when the last two extrapolants differ by more than
+    ``xi_tol``.
 
     Raises
     ------
@@ -130,17 +123,13 @@ def krein_xi_grid(mfun, ts, xi_tol: float = XI_TOL) -> list[KreinSample | KreinD
         fails the whole grid.
     """
     ts = np.array([float(t) for t in np.atleast_1d(ts)])
-    gapset = getattr(mfun, "gapset", None)
     out: list = [None] * len(ts)
-    if gapset is not None:
-        for i, err in gapset.endpoint_errors(ts).items():
-            out[i] = err
+    for i, err in mfun.gapset.endpoint_errors(ts).items():
+        out[i] = err
     ok = np.flatnonzero([hit is None for hit in out])
     if len(ok):
-        hs = boundary_offsets(gapset, ts[ok])
-        logs = mlog_spectral(mfun((ts[ok] + 1j * hs).ravel()))
-        samples = im_part(logs).reshape(hs.shape + (2, 2)) / np.pi
-        limit, residual = extrapolate_schedule(LIMIT_OFFSETS, samples, LIMIT_ORDER)
+        limit, residual = boundary_limit(mfun, ts[ok],
+                                         lambda m: im_part(mlog_spectral(m)) / np.pi)
         xi = limit.real
         xi = 0.5 * (xi + np.swapaxes(xi, -1, -2))
         for i, x, r in zip(ok, xi, residual):
@@ -150,12 +139,11 @@ def krein_xi_grid(mfun, ts, xi_tol: float = XI_TOL) -> list[KreinSample | KreinD
     return out
 
 
-def krein_xi(mfun, t: float, xi_tol: float = XI_TOL) -> KreinSample:
+def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) by extrapolation.
 
     The one-point form of :func:`krein_xi_grid`.  The point t must stay
-    clear of the declared gap-endpoint margins when the function carries a
-    gap set.
+    clear of the gap-endpoint margins of the function's gap set.
 
     Raises
     ------
@@ -207,20 +195,18 @@ def rep_logM(profile: KreinProfile, a0, z) -> np.ndarray:
     return total
 
 
-def _default_ygrid(gapset: GapSet | None) -> np.ndarray:
-    scale = max(1.0, gapset.spectral_radius) if gapset is not None else 1.0
-    return scale * np.array([8.0, 16.0, 32.0, 64.0, 128.0])
+def _default_ygrid(gapset: GapSet) -> np.ndarray:
+    return max(1.0, gapset.spectral_radius) * np.array([8.0, 16.0, 32.0, 64.0, 128.0])
 
 
-def asymptotic_W(mfun, ygrid: Sequence[float] | None = None,
+def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
                  route: str = "value") -> PotentialSample:
     """Extract W(0) from the large-z law by Richardson extrapolation.
 
     Parameters
     ----------
-    mfun : MFunction or callable
-        The matrix Herglotz function; a callable maps a 1-D array of
-        points to an (N, 2, 2) stack, as an MFunction does.
+    mfun : MFunction
+        The matrix Herglotz function.
     ygrid : sequence of float, optional
         Increasing evaluation heights; defaults to (8, 16, 32, 64, 128)
         times max(1, spectral radius of the declared gap endpoints).  The
@@ -242,11 +228,11 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None,
     NotTraceless
         If the extrapolated matrix has |trace| > 1e-6.
     """
-    gapset = getattr(mfun, "gapset", None)
+    gapset = mfun.gapset
     ys = np.asarray(_default_ygrid(gapset) if ygrid is None else ygrid, dtype=float)
     if len(ys) < 3 or np.any(np.diff(ys) <= 0):
         raise ValueError("ygrid must be increasing with at least 3 entries")
-    if gapset is not None and gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
+    if gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
         raise ValueError("smallest height must be at least 4 spectral radii")
     if route not in ("value", "log"):
         raise ValueError(f"unknown route {route!r}")
@@ -257,8 +243,10 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None,
     else:
         vals = 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats))
     limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
-    require_convergence(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
-                        "large-z extrapolation")
+    err = convergence_error(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
+                            "large-z extrapolation")
+    if err is not None:
+        raise err
     tr = abs(limit[0, 0] + limit[1, 1])
     if tr > 1e-6:
         raise NotTraceless(f"extracted W(0) has trace magnitude {tr:.3e}")
@@ -269,7 +257,7 @@ def asymptotic_W(mfun, ygrid: Sequence[float] | None = None,
     return PotentialSample(x=0.0, p=p, q=q, residual=max(residual, float(drift)))
 
 
-def herglotz_defect(mfun) -> float:
+def herglotz_defect(mfun: MFunction) -> float:
     """Worst (most negative) eigenvalue of Im M over an upper-half-plane grid.
 
     A matrix Herglotz function has Im M(z) >= 0 throughout C+, so a
@@ -278,15 +266,15 @@ def herglotz_defect(mfun) -> float:
     grid is 41 x 13 points, real parts across 1.5 spectral scales either
     side of 0 and heights 1e-2 to 3 scales.  Positivity of the formal
     constructions with mismatched gap projections fails just above the
-    gaps, so when ``mfun`` carries a gap set the grid is refined by
-    gap-interior columns at geometrically small heights.
+    gaps, so the grid is refined by gap-interior columns of ``mfun.gapset``
+    at geometrically small heights.
     """
-    gapset = getattr(mfun, "gapset", None)
-    scale = max(1.0, gapset.spectral_radius) if gapset is not None else 1.0
+    gapset = mfun.gapset
+    scale = max(1.0, gapset.spectral_radius)
     re = np.linspace(-1.5 * scale, 1.5 * scale, 41)
     im = scale * np.geomspace(1e-2, 3.0, 13)
     pts = (re[:, None] + 1j * im).ravel()
-    if gapset is not None and gapset.n:
+    if gapset.n:
         heights = scale * np.geomspace(1e-4, 3e-2, 9)
         cols = gap_interior_grid(gapset, per_gap=15)
         pts = np.concatenate([pts, (cols[:, None] + 1j * heights).ravel()])

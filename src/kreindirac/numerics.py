@@ -3,7 +3,7 @@
 Boundary values on the real axis are never evaluated directly: they are
 reached by sampling at the heights ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k)
 for k = 0, ..., 7 (scaled down near gap endpoints, see
-``finitegap.boundary_offsets``), and extrapolating to y = 0 by polynomials
+``finitegap.boundary_limit``), and extrapolating to y = 0 by polynomials
 of order ``LIMIT_ORDER`` = 3 (the sampled quantities extend analytically
 through the relevant real intervals, so low-order polynomial extrapolation
 converges fast).  Large-z asymptotics use the same Neville
@@ -23,7 +23,6 @@ __all__ = [
     "neville_at_zero",
     "extrapolate_schedule",
     "convergence_error",
-    "require_convergence",
     "adaptive_gauss_legendre",
 ]
 
@@ -96,13 +95,6 @@ def convergence_error(residual: float, tol: float, what: str) -> NoConvergence |
     if residual <= tol:
         return None
     return NoConvergence(f"{what}: residual {residual:.3e} exceeds {tol:.1e}")
-
-
-def require_convergence(residual: float, tol: float, what: str) -> None:
-    """Raise NoConvergence when an extrapolation residual exceeds ``tol``."""
-    err = convergence_error(residual, tol, what)
-    if err is not None:
-        raise err
 
 
 def adaptive_gauss_legendre(f, a: float, b: float) -> np.ndarray:

@@ -94,9 +94,9 @@ def test_criterion_03_reflectionless_characterization():
             worst_half = max(worst_half,
                              float(np.linalg.norm(xi - 0.5 * np.eye(2), 2)))
         worst_re = max(worst_re,
-                       reflectionless_defect(mfun, prof.gapset, egrid))
-        for t in gap_interior_grid(prof.gapset, per_gap=3):
-            j = prof.gapset.containing_gap(float(t))
+                       reflectionless_defect(mfun, egrid))
+        gaps = gap_interior_grid(prof.gapset, per_gap=3)
+        for t, j in zip(gaps, prof.gapset.containing_gaps(gaps)):
             xi = krein_xi(mfun, float(t)).xi
             worst_proj = max(worst_proj,
                              float(np.linalg.norm(xi - prof.projection(j), 2)))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,13 @@ _BAD_GRID = st.one_of(
     st.just({"start": 0.0, "count": 3}),
     st.just({"start": 0.0, "stop": 1.0, "count": 3, "step": 1}),
 )
+
+
+def _not_an_upper_point(v) -> bool:
+    """False for an [re, im] pair of numbers with im > 0, a valid z."""
+    return not (isinstance(v, list) and len(v) == 2 and v[1] > 0)
+
+
 _BAD_TOL = st.one_of(_NOT_A_NUMBER, st.floats(max_value=0.0), st.floats(min_value=1.0),
                      st.integers(max_value=0), st.integers(min_value=1))
 
@@ -362,8 +370,9 @@ BAD_VALUES = {
         _other_than("list"),
         st.just([]),
         _NOT_A_NUMBER.map(lambda v: [[v, 1.0]]),
-        st.one_of(_NOT_A_NUMBER, st.floats(-1.0, 1.0), st.just([1.0, 2.0, 3.0])).map(
-            lambda v: [[0.0, 1.0], v]),
+        # a drawn list can be a valid [re, im] pair with im > 0: not here
+        st.one_of(_NOT_A_NUMBER.filter(_not_an_upper_point), st.floats(-1.0, 1.0),
+                  st.just([1.0, 2.0, 3.0])).map(lambda v: [[0.0, 1.0], v]),
     ),
     "tgrid": _BAD_GRID,
     "xgrid": st.one_of(_BAD_GRID, st.just([0.5, 1.0]), st.just([0.0, 1.0, 0.5])),
@@ -461,6 +470,34 @@ def test_evolve_failed_seed_check_exits_3(tmp_path):
     failure = json.loads(text)["numerical_failure"]
     assert failure.startswith("NoConvergence: large-z extrapolation")
     assert failure.endswith("(last good x = nan)")
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("cfg", [
+    {"profile": {"gaps": [[0, 1]], "uniform": 0.3}, "zgrid": [[1e308, 1e308]]},
+    {"profile": {"gaps": [[0, 1e200]], "uniform": 0.3}, "zgrid": [[0, 1e-200]]},
+])
+def test_run_stage_value_error_exits_3(tmp_path, capsys, command, cfg):
+    # the gap ratio (b - z)/(a - z) overflows at these points and the kernel
+    # refuses the non-finite M: one typed line, and no overflow warning,
+    # which this filter would turn into an escaping exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", _write(tmp_path, cfg)])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: ValueError: matrix entries must be finite\n"
+
+
+def test_far_tgrid_point_warns_nothing(tmp_path):
+    # the limit offsets of a point far from every gap are formed without
+    # overflow: xi there is I/2, and no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = _run(tmp_path, "construct", dict(SINGLE_GAP, tgrid=[1e308]))
+    assert code == 0
+    row = json.loads(text)["tables"]["xi"]["rows"][0]
+    np.testing.assert_allclose(row[1:5], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_main_builds_no_parser(tmp_path, monkeypatch):

@@ -14,24 +14,18 @@ from kreindirac import (
     build_M,
     build_logM,
     commutator_diag,
-    eigen_lambda,
     gap_realness,
     herglotz_positive,
     hull_norm,
     profile_from_json,
-    profile_to_json,
+    profile_m_function,
     projection_angle,
     reflectionless_defect,
     sharp_bound,
     trace_formula_W0,
     weyl_from_M,
 )
-from kreindirac.errors import (
-    EndpointSingularity,
-    NotAdmissible,
-    NotPiecewiseConstant,
-    NotUniform,
-)
+from kreindirac.errors import EndpointSingularity, NotAdmissible
 from kreindirac.finitegap import e_interior_grid, gap_interior_grid
 from kreindirac.mat2 import im_part, is_symmetric
 
@@ -67,8 +61,7 @@ def test_gapset_validation():
     assert gs.n == 2
     np.testing.assert_allclose(gs.widths(), [1.0, 1.0])
     assert gs.spectral_radius == 2.0
-    assert gs.containing_gap(1.5) == 1
-    assert gs.containing_gap(0.0) is None
+    np.testing.assert_array_equal(gs.containing_gaps([1.5, 0.0, -1.5]), [1, -1, 0])
     with pytest.raises(ValueError):
         GapSet(((1.0, -1.0),))
     with pytest.raises(ValueError):
@@ -79,9 +72,13 @@ def test_gapset_validation():
 
 def test_endpoint_margin_guard():
     gs = GapSet(((-1.0, 1.0),))
-    gs.assert_off_endpoints(0.5)
-    with pytest.raises(EndpointSingularity):
-        gs.assert_off_endpoints(1.0 - 1e-5)  # margin is 1e-3 * width
+    assert gs.endpoint_errors([0.5]) == {}
+    errs = gs.endpoint_errors([0.5, 1.0 - 1e-5, 2.0])  # margin is 1e-3 * width
+    assert list(errs) == [1] and isinstance(errs[1], EndpointSingularity)
+    # a real evaluation point in the margin raises the first such error
+    prof = KreinProfile.uniform(gs, 0.3)
+    with pytest.raises(EndpointSingularity, match="t = 0.99999"):
+        build_logM(prof, np.array([0.5, 1.0 - 1e-5, -1.0 + 1e-5]))
 
 
 def test_profile_validation_and_normalization():
@@ -100,17 +97,15 @@ def test_profile_validation_and_normalization():
 
 def test_profile_json_round_trip():
     prof = profile_from_json({"gaps": [[-2, -1], [1, 2]], "angles": [0.3, 1.9]})
-    assert profile_to_json(prof) == {"gaps": [[-2.0, -1.0], [1.0, 2.0]],
-                                     "angles": [0.3, 1.9]}
+    assert prof.gapset.gaps == ((-2.0, -1.0), (1.0, 2.0))
+    assert prof.angles == (0.3, 1.9)
     uni = profile_from_json({"gaps": [[-1, 1]], "uniform": 0.7})
     assert uni.is_uniform
-    assert profile_to_json(uni) == {"gaps": [[-1.0, 1.0]], "uniform": 0.7}
+    assert uni.gapset.gaps == ((-1.0, 1.0),) and uni.angles == (0.7,)
     with pytest.raises(ValueError):
         profile_from_json({"angles": [0.1]})
     with pytest.raises(ValueError):
         profile_from_json({"gaps": [[-1, 1]], "uniform": 0.1, "angles": [0.2]})
-    with pytest.raises(NotPiecewiseConstant):
-        profile_to_json(KreinProfile(GapSet(((-1.0, 1.0),)), (lambda t: 0.1,)))
 
 
 def _random_profiles(count, seed, aligned=False):
@@ -152,13 +147,6 @@ def test_trace_of_logM_is_i_pi():
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
         np.testing.assert_allclose(np.trace(build_logM(prof, z)), 1j * math.pi,
                                    atol=1e-10)
-    # the closed-form eigenvalues exist for one common angle only
-    for prof in _random_profiles(10, seed=7, aligned=True):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        l1, l2 = eigen_lambda(prof, z)
-        np.testing.assert_allclose(l1 + l2, 1j * math.pi, atol=1e-10)
-    with pytest.raises(NotUniform):
-        eigen_lambda(KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES), 1j)
 
 
 def test_gap_boundary_log_has_projection_imag_part():
@@ -230,11 +218,11 @@ def test_sharp_bound():
 
 def test_reflectionless_defect_vanishes_on_bands():
     prof = KreinProfile.uniform(GapSet(((-2.0, -1.0), (1.0, 2.0))), 0.9)
-    mfun = lambda z: build_M(prof, z)
+    mfun = profile_m_function(prof)
     grid = e_interior_grid(prof.gapset)
-    assert reflectionless_defect(mfun, prof.gapset, grid) < 1e-8
+    assert reflectionless_defect(mfun, grid) < 1e-8
     with pytest.raises(ValueError):
-        reflectionless_defect(mfun, prof.gapset, [1.5])  # inside a gap
+        reflectionless_defect(mfun, [1.5])  # inside a gap
 
 
 def test_gap_realness_separates_aligned_from_witness():
@@ -245,10 +233,16 @@ def test_gap_realness_separates_aligned_from_witness():
 
 def test_commutator_diag():
     gs = GapSet(WITNESS_GAPS)
-    assert commutator_diag(KreinProfile.uniform(gs, 0.3), 1.5) < 1e-12
-    assert commutator_diag(KreinProfile(gs, WITNESS_ANGLES), 1.5) > 5e-3
-    with pytest.raises(ValueError):
-        commutator_diag(KreinProfile.uniform(gs, 0.3), 0.0)  # not in a gap
+    grid = gap_interior_grid(gs)
+    assert commutator_diag(KreinProfile.uniform(gs, 0.3), grid) < 1e-12
+    witness = KreinProfile(gs, WITNESS_ANGLES)
+    # the sup over an array is the largest of the one-point values
+    each = [commutator_diag(witness, [t]) for t in grid]
+    assert min(each) > 5e-3
+    assert commutator_diag(witness, grid) == max(each)
+    assert commutator_diag(witness, []) == 0.0
+    with pytest.raises(ValueError, match="grid point 0.0 is not inside a gap"):
+        commutator_diag(KreinProfile.uniform(gs, 0.3), [1.5, 0.0])
 
 
 def test_hull_norm_bound_and_equality():
@@ -274,10 +268,8 @@ def test_hull_norm_convex_combination_property(a1, a2, lam):
 def test_interior_grids_respect_margins():
     gs = GapSet(((-2.0, -1.0), (1.0, 2.0)))
     tg = gap_interior_grid(gs)
-    assert all(gs.containing_gap(t) is not None for t in tg)
-    for t in tg:
-        gs.assert_off_endpoints(float(t))
+    assert (gs.containing_gaps(tg) >= 0).all()
+    assert gs.endpoint_errors(tg) == {}
     eg = e_interior_grid(gs)
-    assert all(gs.containing_gap(t) is None for t in eg)
-    for t in eg:
-        gs.assert_off_endpoints(float(t))
+    assert (gs.containing_gaps(eg) == -1).all()
+    assert gs.endpoint_errors(eg) == {}

@@ -1,0 +1,63 @@
+"""Golden reports: one fixed config per command, run through ``cli.main``,
+against the report stored next to it in ``tests/golden``.
+
+Everything but the numbers must match exactly: the exit code, record names,
+statuses, identities and tolerances, table names, columns and row counts.
+Numbers must agree to 1e-10 relative; a value at round-off level (an
+invariant's defect, a quadrature residual) is held to 1e-12 absolute, since
+its digits are rounding noise that may differ between hosts' libm.
+
+To regenerate a report after an intended change of the numbers:
+
+    PYTHONPATH=src python -m kreindirac.cli CMD \\
+        --config tests/golden/CMD.json --out tests/golden/CMD.report.json
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from kreindirac import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ("construct", "verify", "evolve", "oracle")
+
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+
+
+def _same_number(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):  # inf as repr, from a failed probe
+        return a == b
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_matches_golden(tmp_path, command):
+    out = tmp_path / "report.json"
+    code = cli.main([command, "--config", str(GOLDEN / f"{command}.json"), "--out", str(out)])
+    assert code == 0
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN / f"{command}.report.json").read_text())
+
+    assert set(got) == set(want)
+    assert got["command"] == want["command"] == command
+    assert got.get("numerical_failure") == want.get("numerical_failure")
+    keys = ("name", "status", "tolerance", "identity")
+    assert [[r[k] for k in keys] for r in got["records"]] == \
+        [[r[k] for k in keys] for r in want["records"]]
+    for g, w in zip(got["records"], want["records"]):
+        assert _same_number(g["value"], w["value"]), (g["name"], g["value"], w["value"])
+
+    assert list(got["tables"]) == list(want["tables"])
+    for name, table in want["tables"].items():
+        mine = got["tables"][name]
+        assert mine["columns"] == table["columns"]
+        assert len(mine["rows"]) == len(table["rows"])
+        for i, (g, w) in enumerate(zip(mine["rows"], table["rows"])):
+            assert len(g) == len(w)
+            bad = [(c, x, y) for c, x, y in zip(table["columns"], g, w)
+                   if not _same_number(x, y)]
+            assert not bad, (name, i, bad)

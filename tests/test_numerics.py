@@ -8,9 +8,9 @@ from kreindirac.numerics import (
     LIMIT_OFFSETS,
     LIMIT_ORDER,
     adaptive_gauss_legendre,
+    convergence_error,
     extrapolate_schedule,
     neville_at_zero,
-    require_convergence,
 )
 
 
@@ -44,12 +44,13 @@ def test_extrapolate_schedule_needs_enough_samples():
         extrapolate_schedule([0.1, 0.05], [1.0, 1.0], order=3)
 
 
-def test_require_convergence():
-    require_convergence(1e-9, 1e-6, "fine")
-    with pytest.raises(NoConvergence):
-        require_convergence(1e-3, 1e-6, "coarse")
-    with pytest.raises(NoConvergence):
-        require_convergence(float("nan"), 1e-6, "nan is not convergence")
+def test_convergence_error():
+    assert convergence_error(1e-9, 1e-6, "fine") is None
+    err = convergence_error(1e-3, 1e-6, "coarse")
+    assert isinstance(err, NoConvergence)
+    assert str(err) == "coarse: residual 1.000e-03 exceeds 1.0e-06"
+    assert isinstance(convergence_error(float("nan"), 1e-6, "nan is not convergence"),
+                      NoConvergence)
 
 
 def test_adaptive_gauss_legendre_polynomial():
