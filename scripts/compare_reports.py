@@ -7,13 +7,16 @@ OLD_SRC and NEW_SRC are directories that hold a ``kreindirac`` package
 every workload in ``perfbench/workloads.py`` and its edge configs.  Each
 tree runs all of them through ``cli.main`` in its own Python process.  The
 script lists every job whose report, exit code or stderr differs between
-the trees, and exits 1 if any does, 0 if none does.  Standard library
-only.
+the trees, and exits 1 if any does, 0 if none does.  For a report that
+differs it also prints the largest relative difference among the report's
+numbers and its JSON path, so round-off drift can be told from a real
+change.  Standard library only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +88,58 @@ def collect(proc: subprocess.Popen, src: str) -> list:
     return json.loads(text)
 
 
+def _leaves(x, y, path: str = "$"):
+    # (path, x, y) for every number the two JSON trees hold at the same
+    # place, and (path, None, None) where their shapes part
+    if isinstance(x, dict) and isinstance(y, dict):
+        if x.keys() != y.keys():
+            yield path, None, None
+        for key in x:
+            if key in y:
+                yield from _leaves(x[key], y[key], f"{path}.{key}")
+    elif isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            yield path, None, None
+        for i, (u, v) in enumerate(zip(x, y)):
+            yield from _leaves(u, v, f"{path}[{i}]")
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+        yield path, x, y
+    elif x != y:
+        yield path, None, None
+
+
+def largest_difference(old: str, new: str) -> tuple[float, str, tuple, list[str]]:
+    """The largest relative difference |a - b| / max(|a|, |b|) among the
+    numbers two JSON reports hold at the same place, with its JSON path and
+    the pair (a, b) (0.0, "" and () if all agree), and the paths where the
+    reports differ in shape or in a value that is not a number."""
+    worst, where, pair, parted = 0.0, "", (), []
+    for path, a, b in _leaves(json.loads(old), json.loads(new)):
+        if a is None:
+            parted.append(path)
+        elif a != b:
+            scale = max(abs(a), abs(b))
+            rel = abs(a - b) / scale if 0.0 < scale < math.inf else math.inf
+            if math.isnan(rel):  # a NaN on one side
+                rel = math.inf
+            if rel > worst:
+                worst, where, pair = rel, path, (a, b)
+    return worst, where, pair, parted
+
+
+def _difference_line(old, new) -> str:
+    # the size of a report difference, or why there is none to measure
+    try:
+        rel, path, pair, parted = largest_difference(old, new)
+    except (TypeError, ValueError):
+        return "    reports are not both JSON"
+    line = (f"    largest relative difference {rel:.3g} at {path}: {pair[0]!r} -> {pair[1]!r}"
+            if path else "    every number agrees")
+    if parted:
+        line += f"; shapes or other values differ at {len(parted)} paths, first {parted[0]}"
+    return line
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python scripts/compare_reports.py OLD_SRC NEW_SRC", file=sys.stderr)
@@ -104,6 +159,8 @@ def main(argv: list[str]) -> int:
             differ += 1
             print(f"{job['name']} ({job['cmd']}): {', '.join(parts)} differ"
                   f"; exit code {a[0]} -> {b[0]}")
+            if "report" in parts:
+                print(_difference_line(a[1], b[1]))
     print(f"{differ} of {len(jobs)} jobs differ")
     return 1 if differ else 0
 

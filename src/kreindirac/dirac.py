@@ -34,7 +34,7 @@ from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
                         WeylPair, assemble_M, build_M, sphere_ratio)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import I2, J, mexp, mlog_spectral
+from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
 
 __all__ = [
     "StepPotential",
@@ -112,9 +112,11 @@ def transfer(w: StepPotential, x0: float, x1: float, z) -> np.ndarray:
 def _dichotomy(p: float, q: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_plus, lambda_minus) with Re lambda_plus > 0 > Re lambda_minus
     for the constant-coefficient system, at each z; lambda^2 = p^2 + q^2 - z^2.
-    The first z without a dichotomy raises."""
+    The first z without a dichotomy raises, as does a z so large that
+    lambda overflows (its real part is then not finite)."""
     z = np.asarray(z, dtype=complex)
-    lam = np.sqrt(p * p + q * q - z * z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.sqrt(p * p + q * q - z * z)
     flat = np.abs(lam.real) <= 1e-12 * np.maximum(1.0, np.abs(lam))
     if flat.any():
         k = np.argmax(flat)  # the first z without one
@@ -186,46 +188,102 @@ def _gap_nodes(gapset, n: int):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-_HALF_I = 0.5 * np.eye(2)
+# predictor step fractions of a stacked trial, as a (2, 1) column: the
+# coarse step's and the first fine step's; their correctors take twice these
+_PAIR = np.array([[0.5], [0.25]], dtype=complex)
 
 
-def _xi_defect(mats: np.ndarray) -> np.ndarray:
-    """Batched Im log(M)/pi - I/2 for symmetric det = -1 matrices.
+def _pin(states: np.ndarray) -> np.ndarray:
+    # rescale symmetric states (a, b, d) in place back to det = -1 (rounding
+    # control); a division, so an overflowed state stays non-finite.  A
+    # congruence keeps det = -1, so b^2 - a d is 1 up to rounding; a node
+    # where it is off by more than 1/2 has lost its determinant to
+    # cancellation (entries near 1e15 after a strongly hyperbolic trial)
+    # and becomes NaN, an overflowed state that the step control rejects
+    a, b, d = states
+    s2 = b * b - a * d
+    lost = np.abs(s2 - 1.0) > 0.5
+    if lost.any():
+        s2[lost] = np.nan
+    states /= np.sqrt(s2)
+    return states
 
-    The logarithm of a symmetric matrix is symmetric, so its matrix
-    imaginary part is the entrywise one.
-    """
-    return mlog_spectral(mats).imag / np.pi - _HALF_I
 
-
-def _pin(mats: np.ndarray) -> np.ndarray:
-    # project back onto the symmetric det = -1 slice (rounding control)
-    mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
-    dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    return mats / np.sqrt(-dets)[:, None, None]
-
-
-def _congruence_step(mats: np.ndarray, ts: np.ndarray, p: float, q: float,
-                     h: float) -> np.ndarray:
+def _congruence_step(states: np.ndarray, ts: np.ndarray, p, q, h) -> np.ndarray:
     """Advance gap boundary values by M(t) <- T M(t) T^t with the
     frozen-coefficient propagator T = exp(h K(p, q, t)) per node.
 
-    K(p, q, t) is real for real t with K^2 = (p^2 + q^2 - t^2) I, so T has
-    the closed form cosh(kappa h) I + sinh(kappa h)/kappa K, hyperbolic or
-    rotational depending on the sign of kappa^2.  A step that overflows
-    returns non-finite states."""
-    kap = np.sqrt((p * p + q * q - ts * ts).astype(complex))
+    ``states`` is a (3, S, N) array of the components (a, b, d) of S stacks
+    of symmetric matrices [[a, b], [b, d]] over the nodes ``ts``, a complex
+    (1, N) row.  p, q and h are numbers or (S, 1) columns, one value per
+    stack.  K(p, q, t) is real for real t with K^2 = (p^2 + q^2 - t^2) I,
+    so T has the closed form cosh(kappa h) I + sinh(kappa h)/kappa K,
+    hyperbolic or rotational depending on the sign of kappa^2; its
+    coefficients are held complex, which numpy multiplies into complex
+    states faster than real ones.  The product is written out on the
+    components, so the result is symmetric by construction.  A step that
+    overflows returns non-finite states."""
+    kap = np.sqrt(p * p + q * q - ts * ts)
     th = kap * h
-    ch = np.cosh(th).real
-    small = np.abs(th) < 1e-8
-    safe = np.where(small, 1.0, kap)
-    sh = np.where(small, h * (1.0 + th * th / 6.0), np.sinh(th) / safe).real
-    T = np.empty((len(ts), 2, 2))
-    T[:, 0, 0] = ch - sh * q
-    T[:, 0, 1] = sh * (p - ts)
-    T[:, 1, 0] = sh * (p + ts)
-    T[:, 1, 1] = ch + sh * q
-    return _pin(np.einsum("nij,njk,nlk->nil", T, mats, T))
+    if kap.all():
+        sh = np.sinh(th) / kap
+    else:  # sinh(kappa h)/kappa -> h as kappa -> 0
+        sh = np.where(kap == 0, h, np.sinh(th) / np.where(kap == 0, 1.0, kap))
+    ch = np.cosh(th)
+    shq = sh * q
+    t00, t01, t10, t11 = ch - shq, sh * (p - ts), sh * (p + ts), ch + shq
+    a, b, d = states
+    u0, u1 = t00 * a + t01 * b, t00 * b + t01 * d
+    v0, v1 = t10 * a + t11 * b, t10 * b + t11 * d
+    out = np.empty((3,) + u0.shape, dtype=complex)
+    np.add(u0 * t00, u1 * t01, out=out[0])
+    np.add(u0 * t10, u1 * t11, out=out[1])
+    np.add(v0 * t10, v1 * t11, out=out[2])
+    return _pin(out)
+
+
+def _trace_pq(states: np.ndarray, wq: np.ndarray):
+    """Trace-formula integrals of stacked march states, with no matrix log.
+
+    ``states`` is a (3, S, N) array of the components (a, b, d) of
+    symmetric matrices M = [[a, b], [b, d]].  ``wq`` is an (R, 2 N) array
+    of R quadrature rules over the N nodes, divided by pi, with the weight
+    of node k in column 2 k + 1 and zeros in the even columns: it
+    integrates the imaginary parts of a complex row read as floats.  The
+    sums run in einsum's own loop, which, unlike a matmul, touches no BLAS
+    work buffer, so a march adds nothing to the peak memory.  With M = h I + N,
+    N = [[u, b], [b, -u]] and r = sqrt(u^2 + b^2), the eigenvalues are
+    h +/- r and log M = log(h - r) I + sigma (M - (h - r) I), sigma the
+    divided difference of the branch logarithm (1/h on confluent
+    matrices), as in :func:`mat2.mlog_spectral`.  Only the traceless part
+    sigma N of log M enters W, so
+
+        p = (1/pi) int Im(sigma u),   q = (1/pi) int Im(sigma b).
+
+    Returns the (2, S, R) array of (p, q) per stack and rule, NaN on a
+    stack with a non-finite entry, and per stack either None or the
+    SpectrumOnCut error that ``mlog_spectral`` raises on its matrices.
+    """
+    a, b, d = states
+    h = 0.5 * (a + d)
+    u = 0.5 * (a - d)
+    r = np.sqrt(u * u + b * b)
+    lam = np.empty((2,) + h.shape, dtype=complex)
+    np.add(h, r, out=lam[0])
+    np.subtract(h, r, out=lam[1])
+    mod = np.abs(lam)
+    sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam), np.reciprocal)
+    pq = np.empty((2,) + h.shape, dtype=complex)
+    np.multiply(sigma, u, out=pq[0])
+    np.multiply(sigma, b, out=pq[1])
+    pq = np.einsum("ijk,rk->ijr", pq.view(float), wq)
+    finite = np.isfinite(states).all(axis=(0, 2))
+    bad = _on_cut(lam, mod)
+    hit = bad.any(axis=(0, 2)) & finite
+    errors = [_cut_error(lam[:, k], bad[:, k]) if cut else None for k, cut in enumerate(hit)]
+    if not finite.all():
+        pq[:, ~finite] = np.nan
+    return pq, errors
 
 
 def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
@@ -239,8 +297,11 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     shifted origin, W(x) = integral over the gaps of (xi_x(t) - I/2) dt.
     The march freezes (p, q) per substep with a midpoint corrector,
     controls the local error by step doubling, and applies one Richardson
-    sweep to the boundary matrices; each march state costs one matrix
-    logarithm over all quadrature nodes.  A node t evolves at rate at most
+    sweep to the boundary matrices.  Each march state costs one
+    evaluation of the trace density over all quadrature nodes, which reads
+    the traceless part of log M off the eigenvalues of M without forming
+    the logarithm (see _trace_pq); the coarse step and the first fine
+    step of a trial run as one stacked pass.  A node t evolves at rate at most
     max(||W||, |t|), unlike the Weyl trajectories m_pm(x, iY), which repel
     perturbations at rate 2Y and cannot carry a forward march.
 
@@ -307,21 +368,32 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     ts_c, ws_c = _gap_nodes(frame.gapset, 14)
     nf = len(ts_f)
     ts = np.concatenate([ts_f, ts_c])
-    mats = _pin(build_M(frame, ts))
+    # the two rules as the rows of one weight array, over pi, on the
+    # imaginary parts of complex node values read as floats
+    wq = np.zeros((2, 2 * len(ts)))
+    wq[0, 1:2 * nf:2] = ws_f / np.pi
+    wq[1, 2 * nf + 1::2] = ws_c / np.pi
+    m0 = build_M(frame, ts)
+    # one stack of states (a, b, d), symmetrised and pinned to det = -1
+    mats = _pin(np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))[:, None])
+    ts = ts.astype(complex)[None]
 
-    def w_of(mats):
-        # (p, q) by the trace formula, integrating xi_x(t) - I/2 over the
-        # gaps; one matrix log of the joined stack serves both node sets.
-        # A trial state that overflowed has no potential: NaN, which the
-        # step control rejects
-        if not np.isfinite(mats).all():
-            return math.nan, math.nan, math.nan
-        xi = _xi_defect(mats)
-        f = np.einsum("n,nij->ij", ws_f, xi[:nf])
-        g = np.einsum("n,nij->ij", ws_c, xi[nf:])
-        pf, qf = 0.5 * (f[0, 0] - f[1, 1]), 0.5 * (f[0, 1] + f[1, 0])
-        pc, qc = 0.5 * (g[0, 0] - g[1, 1]), 0.5 * (g[0, 1] + g[1, 0])
-        return pf, qf, math.hypot(pf - pc, qf - qc)
+    def w_of(states):
+        # (p, q, quadrature residual) of each stacked state by the trace
+        # formula, the 20-node rule against the 14-node one, and its branch
+        # cut error or None.  A trial state that overflowed has no
+        # potential: NaN, which the step control rejects
+        pq, errors = _trace_pq(states, wq)
+        res = np.hypot(pq[0, :, 0] - pq[0, :, 1], pq[1, :, 0] - pq[1, :, 1])
+        return [((p, q, r), err) for p, q, r, err in
+                zip(pq[0, :, 0].tolist(), pq[1, :, 0].tolist(), res.tolist(), errors)]
+
+    def w_one(states):
+        # w_of of one stack, raising its branch cut error
+        w, err = w_of(states)[0]
+        if err is not None:
+            raise err
+        return w
 
     def record(x, p, q, residual):
         if c:  # at c = 0 the frame is the identity, signed zeros included
@@ -334,15 +406,9 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                 f"{bound:.8f} + {bound_slack:g}")
         return sample
 
-    def pc_step(mats, p0, q0, span):
-        # frozen-coefficient midpoint predictor-corrector
-        half = _congruence_step(mats, ts, p0, q0, 0.5 * span)
-        pm, qm, _ = w_of(half)
-        return _congruence_step(mats, ts, pm, qm, span)
-
     # (p, q, quadrature residual) of the current state, carried from each
     # accepted step into the next predictor and the grid-point sample
-    state = w_of(mats)
+    state = w_one(mats)
     p0, q0, quad_res = state
     samples: list[PotentialSample] = []
     try:
@@ -360,28 +426,49 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                 while x < x_next - 1e-13 * max(1.0, abs(x_next)):
                     h = min(h, x_next - x)
                     p0, q0, _ = state
-                    coarse = pc_step(mats, p0, q0, h)
-                    pa, qa, _ = w_of(coarse)
-                    # a trial whose states overflow is a rejected step
+                    # frozen-coefficient midpoint predictor-corrector: a
+                    # coarse step of h against two fine steps of h/2.  The
+                    # coarse step and the first fine step start from the
+                    # same state, so their predictors (h/2 and h/4) and
+                    # correctors (h and h/2) run as one pass over two stacks
+                    pair = np.concatenate((mats, mats), axis=1)
+                    (w_c, err_c), (w_f, err_f) = w_of(
+                        _congruence_step(pair, ts, p0, q0, _PAIR * h))
+                    if err_c is not None:
+                        raise err_c
+                    pm, qm = np.array([w_c[:2], w_f[:2]], dtype=complex).T[:, :, None]
+                    both = _congruence_step(pair, ts, pm, qm, _PAIR * (2.0 * h))
+                    (coarse_w, err_a), (mid_w, err_m) = w_of(both)
+                    if err_a is not None:
+                        raise err_a
+                    pa, qa, _ = coarse_w
+                    # a trial whose states overflow is a rejected step; the
+                    # fine steps' failures count only after a coarse step
+                    # that stays finite and off the cut
                     err = math.inf
                     if math.isfinite(pa):
-                        mid = pc_step(mats, p0, q0, 0.5 * h)
-                        pm, qm, _ = w_of(mid)
-                        fine = pc_step(mid, pm, qm, 0.5 * h)
-                        pb, qb, _ = w_of(fine)
+                        for e in (err_f, err_m):
+                            if e is not None:
+                                raise e
+                        mid = both[:, 1:]
+                        pm, qm, _ = mid_w
+                        half = _congruence_step(mid, ts, pm, qm, 0.25 * h)
+                        pm, qm, _ = w_one(half)
+                        fine = _congruence_step(mid, ts, pm, qm, 0.5 * h)
+                        pb, qb, _ = w_one(fine)
                         if math.isfinite(pb):
                             err = math.hypot(pa - pb, qa - qb)
                     if err <= loc_tol:
                         # the midpoint scheme is second order, so the coarse/fine
                         # pair admits one Richardson sweep on the states
-                        mats = _pin((4.0 * fine - coarse) / 3.0)
+                        mats = _pin((4.0 * fine - both[:, :1]) / 3.0)
                         x += h
                         if err:
                             h *= min(3.0, max(1.0, 0.9 * (loc_tol / err) ** (1 / 3)))
                         else:
                             h *= 3.0
                         # interior acceptances also face the bound check
-                        state = w_of(mats)
+                        state = w_one(mats)
                         record(x, *state)
                     else:
                         h *= max(0.25, 0.9 * (loc_tol / err) ** (1 / 3))

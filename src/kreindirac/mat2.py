@@ -183,20 +183,14 @@ def eigvec_batch(a, lam) -> np.ndarray:
     return np.stack([-row[:, 1], row[:, 0]], axis=1).reshape(m.shape[:-1])
 
 
-def _scale(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    # per matrix |lam1| + |lam2| + |a01| + |a10| (see JORDAN_TOL); the
-    # eigenvalue moduli alone miss non-normal matrices with tiny spectra
-    return mod[0] + mod[1] + np.abs(a[:, 0, 1]) + np.abs(a[:, 1, 0])
-
-
 def _branch_log(w: np.ndarray) -> np.ndarray:
     # argument moved from (-pi, pi] into (-pi/2, 3pi/2); arctan2 and log|w|
     # cost a fraction of numpy's complex log on short arrays
     out = np.empty(w.shape, dtype=complex)
-    out.real = np.log(np.abs(w))
-    ang = np.arctan2(w.imag, w.real)
-    ang[ang < -0.5 * np.pi] += 2.0 * np.pi
-    out.imag = ang
+    np.log(np.abs(w), out=out.real)
+    ang = out.imag
+    np.arctan2(w.imag, w.real, out=ang)
+    np.add(ang, 2.0 * np.pi, out=ang, where=ang < -0.5 * np.pi)
     return out
 
 
@@ -215,6 +209,46 @@ def branch_log(w):
     return out if arr.ndim else complex(out[0])
 
 
+def _on_cut(lam: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues ``lam`` (a (2, ...) array of pairs, moduli
+    ``mod``) on the ray {-iy : y >= 0}: their distance to it, |lam| in the
+    upper half plane and |Re lam| below, is within _CUT_TOL of the larger
+    modulus of their pair."""
+    tol = _CUT_TOL * np.maximum(mod[0], mod[1])
+    near = np.abs(lam.real) <= tol
+    if not near.any():
+        return near
+    return near & ((lam.imag < 0.0) | (mod <= tol))
+
+
+def _cut_error(lam: np.ndarray, bad: np.ndarray) -> SpectrumOnCut:
+    # the error naming the first matrix of a (2, N) pair stack with an
+    # eigenvalue on the cut, as _on_cut marks them in ``bad``
+    k, i = np.argwhere(bad.T)[0]
+    return SpectrumOnCut(f"eigenvalue {complex(lam[i, k])} lies on the branch cut")
+
+
+def _slope(lam: np.ndarray, mod: np.ndarray, half_tr: np.ndarray, a01: np.ndarray,
+           a10: np.ndarray, f_lam: np.ndarray, fprime) -> tuple[np.ndarray, np.ndarray | None]:
+    """Divided difference s = (f(lam1) - f(lam2)) / (lam1 - lam2) of
+    matrices with eigenvalue pairs ``lam`` (a (2, ...) array), their moduli
+    ``mod``, half traces ``half_tr``, off-diagonal entries ``a01``, ``a10``
+    and values ``f_lam`` = f(lam), with the confluence mask (None when no
+    matrix is confluent).
+
+    A matrix is confluent when |lam1 - lam2| <= JORDAN_TOL times its scale
+    |lam1| + |lam2| + |a01| + |a10| (the eigenvalue moduli alone miss
+    non-normal matrices with tiny spectra); its s is fprime(half_tr).
+    """
+    gap = lam[0] - lam[1]
+    conf = np.abs(gap) <= JORDAN_TOL * (mod[0] + mod[1] + np.abs(a01) + np.abs(a10))
+    # adding conf keeps the confluent denominators off zero; their s is replaced
+    s = (f_lam[0] - f_lam[1]) / (gap + conf)
+    if not conf.any():
+        return s, None
+    return np.where(conf, fprime(half_tr), s), conf
+
+
 def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
                     mod: np.ndarray, f, fprime) -> np.ndarray:
     """f(A) for a stack with eigenvalue pairs ``lam`` ((2, N)), their
@@ -222,20 +256,15 @@ def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
 
     Newton form of the Lagrange-Sylvester interpolant on the nodes
     lam1, lam2: f(A) = f(lam2) I + s (A - lam2 I), s the divided difference
-    (f(lam1) - f(lam2)) / (lam1 - lam2).  On confluent matrices (JORDAN_TOL)
-    the node is the mean half_tr and s = f'(half_tr), which is
-    f(lam) I + f'(lam) N.
+    of :func:`_slope`.  On confluent matrices (JORDAN_TOL) the node is the
+    mean half_tr and s = f'(half_tr), which is f(lam) I + f'(lam) N.
     """
-    gap = lam[0] - lam[1]
-    conf = np.abs(gap) <= JORDAN_TOL * _scale(a, mod)
     f_lam = f(lam)
-    # adding conf keeps the confluent denominators off zero; their s is replaced
-    s = (f_lam[0] - f_lam[1]) / (gap + conf)
+    s, conf = _slope(lam, mod, half_tr, a[:, 0, 1], a[:, 1, 0], f_lam, fprime)
     mu, f_mu = lam[1], f_lam[1]
-    if conf.any():
+    if conf is not None:
         mu = np.where(conf, half_tr, mu)
         f_mu = np.where(conf, f(mu), f_mu)
-        s = np.where(conf, fprime(mu), s)
     out = s[:, None, None] * a
     diag = f_mu - s * mu
     out[:, 0, 0] += diag
@@ -258,14 +287,9 @@ def mexp(a) -> np.ndarray:
 def _mlog(m: np.ndarray) -> np.ndarray:
     half_tr, lam = _eig_pairs(m)
     mod = np.abs(lam)
-    # an eigenvalue is on the ray {-iy : y >= 0} when its distance to it,
-    # |lam| in the upper half plane and |Re lam| below, is within _CUT_TOL
-    # of the larger modulus
-    tol = _CUT_TOL * np.maximum(mod[0], mod[1])
-    bad = (np.abs(lam.real) <= tol) & ((lam.imag < 0.0) | (mod <= tol))
+    bad = _on_cut(lam, mod)
     if bad.any():
-        k, i = np.argwhere(bad.T)[0]
-        raise SpectrumOnCut(f"eigenvalue {complex(lam[i, k])} lies on the branch cut")
+        raise _cut_error(lam, bad)
     return _apply_analytic(m, half_tr, lam, mod, _branch_log, np.reciprocal)
 
 

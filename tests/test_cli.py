@@ -428,6 +428,37 @@ def test_every_bad_flag_value_exits_2(tmp_path, capsys, flag):
     _assert_config_error(code, capsys.readouterr().err)
 
 
+@st.composite
+def evolve_scales(draw):
+    # 1 to 4 gaps with widths and spacings from 1e-6 to 1e2, the first one
+    # starting anywhere in [-1e6, 1e6], and a short march
+    n = draw(st.integers(1, 4))
+    decades = st.floats(-6.0, 2.0)
+    left, gaps = draw(st.floats(-1e6, 1e6)), []
+    for _ in range(n):
+        width = 10.0 ** draw(decades)
+        gaps.append([left, left + width])
+        left += width + 10.0 ** draw(decades)
+    angles = draw(st.lists(st.floats(0.0, math.pi), min_size=n, max_size=n))
+    stop = draw(st.floats(1e-3, 0.2))
+    return {"profile": {"gaps": gaps, "angles": angles}, "xgrid": [0.0, 0.5 * stop, stop]}
+
+
+@given(evolve_scales())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evolve_across_scales_keeps_the_exit_contract(tmp_path, capsys, cfg):
+    # every scale either marches or fails with a typed line: exit 0 or 1
+    # (failed checks, in the report) write nothing to stderr, exit 2 or 3
+    # one line, and nothing escapes as a traceback
+    code = cli.main(["evolve", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), cfg
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code >= 2), (cfg, err)
+
+
 @pytest.mark.parametrize("cfg,flags", [
     (dict(SINGLE_GAP, xi_tol="abc"), []),
     ({"constant": ["a", 1]}, []),
@@ -487,6 +518,20 @@ def test_run_stage_value_error_exits_3(tmp_path, capsys, command, cfg):
     assert code == 3
     assert capsys.readouterr().err == \
         "numerical failure: ValueError: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("point", [[1e308, 1e308], [1e200, 1e200]])
+def test_oracle_far_zgrid_point_exits_3_without_warning(tmp_path, capsys, point):
+    # lambda^2 = p^2 + q^2 - z^2 overflows: the dichotomy check refuses the
+    # non-finite lambda with one typed line and no overflow warning
+    cfg = {"constant": [0.3, 0.4], "zgrid": [point]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["oracle", "--config", _write(tmp_path, cfg)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: DegenerateDichotomy: Re lambda = inf")
+    assert err.count("\n") == 1
 
 
 def test_far_tgrid_point_warns_nothing(tmp_path):

@@ -22,7 +22,8 @@ from kreindirac import (
 )
 from kreindirac import dirac
 from kreindirac.dirac import coefficient_matrix
-from kreindirac.errors import BoundViolation, DegenerateDichotomy
+from kreindirac.errors import BoundViolation, DegenerateDichotomy, SpectrumOnCut
+from kreindirac.mat2 import im_part, mexp, mlog_spectral
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
@@ -222,26 +223,177 @@ def test_march_far_gap_follows_the_rotation_law(c):
         assert abs((s.p + 1j * s.q) - pred) < 1e-7
 
 
-def test_march_takes_one_matrix_log_per_state(monkeypatch):
-    # every march state costs one trace-formula log: each congruence step
-    # makes one state, and accepted states carry their (p, q) along
-    counts = {"xi": 0, "cong": 0}
-    xi_defect, congruence_step = dirac._xi_defect, dirac._congruence_step
+def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
+    # every march state costs one trace-formula evaluation: each congruence
+    # step makes one state per stack, and accepted states carry their
+    # (p, q) along.  Stacked passes hold several states, so states are
+    # counted as stack columns over the node count, not as calls
+    counts = {"trace": 0, "cong": 0}
+    trace_pq, congruence_step = dirac._trace_pq, dirac._congruence_step
 
-    def counted_xi(mats):
-        counts["xi"] += 1
-        return xi_defect(mats)
+    def counted_trace(states, wq):
+        counts["trace"] += states[0].size // (wq.shape[1] // 2)
+        return trace_pq(states, wq)
 
-    def counted_cong(*args):
-        counts["cong"] += 1
-        return congruence_step(*args)
+    def counted_cong(states, ts, *args):
+        out = congruence_step(states, ts, *args)
+        counts["cong"] += out[0].size // ts.size
+        return out
 
-    monkeypatch.setattr(dirac, "_xi_defect", counted_xi)
+    monkeypatch.setattr(dirac, "_trace_pq", counted_trace)
     monkeypatch.setattr(dirac, "_congruence_step", counted_cong)
     gaps, alpha = TAYLOR_PROFILE
     sample_potential(KreinProfile.uniform(GapSet(gaps), alpha), [0.0, 0.1, 0.2, 0.3])
     assert counts["cong"] > 0
-    assert counts["xi"] <= 1.2 * counts["cong"] + 2
+    assert counts["trace"] <= 1.2 * counts["cong"] + 2
+
+
+@pytest.mark.parametrize("coarse_overflows", [True, False])
+def test_fine_step_errors_count_only_after_a_finite_coarse_step(monkeypatch, coarse_overflows):
+    # the first stacked pass reports a branch cut error on its fine stack;
+    # as in a sequential march it is raised only if the coarse step stays
+    # finite and off the cut, and an overflowed coarse step is a rejected
+    # trial instead
+    trace_pq = dirac._trace_pq
+    injected = []
+
+    def faulty(states, wq):
+        pq, errors = trace_pq(states, wq)
+        if len(errors) == 2 and not injected:
+            injected.append(True)
+            errors[1] = SpectrumOnCut("injected")
+            if coarse_overflows:
+                pq[:, 0] = np.nan
+        return pq, errors
+
+    monkeypatch.setattr(dirac, "_trace_pq", faulty)
+    prof = KreinProfile.uniform(GapSet(WITNESS_GAPS), 0.7)
+    if coarse_overflows:
+        assert len(sample_potential(prof, [0.0, 0.1])) == 2
+    else:
+        with pytest.raises(SpectrumOnCut, match="injected"):
+            sample_potential(prof, [0.0, 0.1])
+    assert injected
+
+
+def _states(mats):
+    # symmetric (N, 2, 2) matrices as one (3, 1, N) stack of march states
+    return np.stack((mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]))[:, None]
+
+
+def _per_node(n):
+    # trace_pq weights that return each node's density instead of a sum:
+    # rule k is node k, over pi, read off the imaginary parts
+    wq = np.zeros((n, 2 * n))
+    wq[:, 1::2] = np.eye(n) / np.pi
+    return wq
+
+
+def _near_confluent(rng, n):
+    # complex symmetric det = -1 matrices h I + N with a small traceless
+    # part N = eps [[u, b], [b, -u]] and h^2 = eps^2 (u^2 + b^2) - 1,
+    # Im h > 0, on both sides of the JORDAN_TOL confluence threshold
+    eps = np.logspace(-12, -2, n)
+    u, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    u, b = eps * u, eps * b
+    h = np.sqrt(u * u + b * b - 1.0)
+    h = np.where(h.imag < 0, -h, h)
+    return np.stack([np.array([[hk + uk, bk], [bk, hk - uk]]) for hk, uk, bk in zip(h, u, b)])
+
+
+def _kernel_cases():
+    gs = GapSet(WITNESS_GAPS)
+    ts, _ = dirac._gap_nodes(gs, 20)
+    rng = np.random.default_rng(9)
+    return {
+        # real gap values of aligned profiles
+        "aligned": build_M(KreinProfile.uniform(gs, 0.7), ts),
+        # complex gap values of mismatched angles, |Im M| up to about 0.2
+        "witness": build_M(KreinProfile(gs, WITNESS_ANGLES), ts),
+        "mismatched": build_M(KreinProfile(gs, (0.0, 1.2)), ts),
+        "near_confluent": _near_confluent(rng, 40),
+    }
+
+
+@pytest.mark.parametrize("kind", ["aligned", "witness", "mismatched", "near_confluent"])
+def test_trace_kernel_matches_the_matrix_log(kind):
+    # the fused trace density is the traceless part of Im log(M)/pi
+    mats = _kernel_cases()[kind]
+    if kind == "mismatched":
+        assert 0.1 < np.abs(mats.imag).max() <= 0.2
+    xi = im_part(mlog_spectral(mats)) / np.pi
+    pq, errors = dirac._trace_pq(_states(mats), _per_node(len(mats)))
+    assert errors == [None]
+    np.testing.assert_allclose(pq[0, 0], 0.5 * (xi[:, 0, 0] - xi[:, 1, 1]), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(pq[1, 0], xi[:, 0, 1], rtol=0, atol=1e-13)
+
+
+def test_congruence_step_matches_the_propagator():
+    # T M T^t with T = exp(h K(p, q, t)) per node, on two stacks with their
+    # own (p, q, h): hyperbolic nodes (|t| < ||W||), rotational ones, and
+    # t = 0.5 where kappa = 0 for (p, q) = (0, 0.5), so T = I + h K there
+    ts = np.array([-2.0, -0.5, 0.1, 0.5, 1.7])
+    mats = _kernel_cases()["witness"][:5]
+    pqh = [(0.0, 0.5, 0.3), (-0.4, 0.7, 0.05)]
+    cols = [np.array([[v[k]] for v in pqh], dtype=complex) for k in range(3)]
+    states = np.concatenate([_states(mats)] * 2, axis=1)
+    out = dirac._congruence_step(states, ts.astype(complex)[None], *cols)
+    for k, (p, q, h) in enumerate(pqh):
+        t = np.array([mexp(h * coefficient_matrix(p, q, tk)) for tk in ts])
+        ref = t @ mats @ np.transpose(t, (0, 2, 1))
+        ref /= np.sqrt(-np.linalg.det(ref))[:, None, None]
+        np.testing.assert_allclose(out[:, k], [ref[:, 0, 0], ref[:, 0, 1], ref[:, 1, 1]],
+                                   rtol=0, atol=1e-13)
+
+
+def test_pin_rescales_and_drops_lost_determinants():
+    # b^2 - ad is 1 up to rounding after a congruence: such a node is
+    # rescaled onto det = -1, and a node whose determinant cancelled away
+    # (entries near 1e15) becomes NaN, which the march rejects
+    big = 4e15
+    states = np.array([[[2.0, big]], [[1.5 * (1 + 1e-10), big * (1 + 1e-15)]],
+                       [[0.625, big]]], dtype=complex)
+    with np.errstate(invalid="ignore"):  # as in the march
+        a, b, d = dirac._pin(states.copy())
+    assert abs(b[0, 0] ** 2 - a[0, 0] * d[0, 0] - 1.0) < 1e-15
+    assert np.isnan([a[0, 1], b[0, 1], d[0, 1]]).all()
+
+
+def _rotated(eigs, angle):
+    # the symmetric matrix Q diag(eigs) Q^t for a real rotation Q
+    c, s = math.cos(angle), math.sin(angle)
+    q = np.array([[c, -s], [s, c]])
+    return q @ np.diag(eigs).astype(complex) @ q.T
+
+
+@pytest.mark.parametrize("eigs", [
+    (-2j, -0.5j),                          # both eigenvalues on the cut
+    (1e-15 - 2j, -1.0 / (1e-15 - 2j)),     # within the cut tolerance
+    (1e-6 - 2j, -1.0 / (1e-6 - 2j)),       # just off it
+    (2.0, -0.5),                           # real, the negative one limits from above
+    (1j, 1j),                              # confluent, on the imaginary axis
+])
+def test_trace_kernel_refuses_the_cut_where_mlog_does(eigs):
+    good = _kernel_cases()["witness"]
+    mats = np.concatenate([good[:3], [_rotated(eigs, 0.4)], good[3:6]])
+    try:
+        mlog_spectral(mats)
+        expected = None
+    except SpectrumOnCut:
+        expected = SpectrumOnCut
+    # three stacks: the matrices above, a clean one, and one that overflowed
+    states = np.concatenate([_states(mats), _states(good[:7]), _states(good[:7])], axis=1)
+    states[1, 2, 4] = np.inf
+    # the march evaluates overflowed states under the same errstate
+    with np.errstate(invalid="ignore", over="ignore"):
+        pq, errors = dirac._trace_pq(states, _per_node(7))
+    assert errors[1] is None and errors[2] is None
+    if expected is None:
+        assert errors[0] is None
+    else:
+        assert isinstance(errors[0], SpectrumOnCut)
+        assert "lies on the branch cut" in str(errors[0])
+    assert np.isnan(pq[:, 2]).all() and np.isfinite(pq[:, 1]).all()
 
 
 def test_march_two_gap_frozen_values():
