@@ -34,7 +34,7 @@ from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
                         WeylPair, assemble_M, build_M, sphere_ratio)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
+from .mat2 import I2, J, _CUT_TOL, _branch_log, _cut_error, _on_cut, _slope, mexp
 
 __all__ = [
     "StepPotential",
@@ -178,9 +178,19 @@ def ode_m_function(w: StepPotential) -> MFunction:
     return MFunction(lambda z: assemble_M(ode_weyl(w, z)))
 
 
+# Gauss-Legendre rules on [-1, 1] by node count, computed on first use:
+# numpy.polynomial is not loaded until a march needs it
+_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _gap_nodes(gapset, n: int):
     """Gauss-Legendre nodes and weights on each gap, concatenated."""
-    u, w = np.polynomial.legendre.leggauss(n)
+    if n not in _LEGENDRE:
+        rule = np.polynomial.legendre.leggauss(n)
+        for a in rule:
+            a.flags.writeable = False
+        _LEGENDRE[n] = rule
+    u, w = _LEGENDRE[n]
     ts, ws = [], []
     for a, b in gapset.gaps:
         ts.append(0.5 * (a + b) + 0.5 * (b - a) * u)
@@ -190,7 +200,7 @@ def _gap_nodes(gapset, n: int):
 
 # predictor step fractions of a stacked trial, as a (2, 1) column: the
 # coarse step's and the first fine step's; their correctors take twice these
-_PAIR = np.array([[0.5], [0.25]], dtype=complex)
+_PAIR = np.array([[0.5], [0.25]])
 
 
 def _pin(states: np.ndarray) -> np.ndarray:
@@ -214,44 +224,68 @@ def _congruence_step(states: np.ndarray, ts: np.ndarray, p, q, h) -> np.ndarray:
     frozen-coefficient propagator T = exp(h K(p, q, t)) per node.
 
     ``states`` is a (3, S, N) array of the components (a, b, d) of S stacks
-    of symmetric matrices [[a, b], [b, d]] over the nodes ``ts``, a complex
-    (1, N) row.  p, q and h are numbers or (S, 1) columns, one value per
-    stack.  K(p, q, t) is real for real t with K^2 = (p^2 + q^2 - t^2) I,
-    so T has the closed form cosh(kappa h) I + sinh(kappa h)/kappa K,
-    hyperbolic or rotational depending on the sign of kappa^2; its
-    coefficients are held complex, which numpy multiplies into complex
-    states faster than real ones.  The product is written out on the
-    components, so the result is symmetric by construction.  A step that
-    overflows returns non-finite states."""
-    kap = np.sqrt(p * p + q * q - ts * ts)
-    th = kap * h
+    of symmetric matrices [[a, b], [b, d]] over the nodes ``ts``, a (1, N)
+    row of the states' dtype.  p, q and h are numbers or (S, 1) columns,
+    one value per stack.  K(p, q, t) is real for real t with
+    K^2 = (p^2 + q^2 - t^2) I, so T has the closed form
+    cosh(kappa h) I + sinh(kappa h)/kappa K, hyperbolic or rotational
+    depending on the sign of kappa^2.  Complex states take complex
+    coefficients, which numpy multiplies into complex states faster than
+    real ones; real states take real ones, cosh and sinh where kappa^2 > 0
+    and cos(omega h), sin(omega h)/omega with omega = |kappa| where
+    kappa^2 < 0.  The product is written out on the components, so the
+    result is symmetric by construction.  A step that overflows returns
+    non-finite states."""
+    if states.dtype.kind == "c":
+        kap = np.sqrt(p * p + q * q - ts * ts)
+        th = kap * h
+        ch, sh = np.cosh(th), np.sinh(th)
+    else:
+        k2 = p * p + q * q - ts * ts
+        kap = np.sqrt(np.abs(k2))
+        th = kap * h
+        hyp = k2 > 0
+        ch = np.where(hyp, np.cosh(th), np.cos(th))
+        sh = np.where(hyp, np.sinh(th), np.sin(th))
     if kap.all():
-        sh = np.sinh(th) / kap
+        sh /= kap
     else:  # sinh(kappa h)/kappa -> h as kappa -> 0
-        sh = np.where(kap == 0, h, np.sinh(th) / np.where(kap == 0, 1.0, kap))
-    ch = np.cosh(th)
+        sh = np.where(kap == 0, h, sh / np.where(kap == 0, 1.0, kap))
     shq = sh * q
     t00, t01, t10, t11 = ch - shq, sh * (p - ts), sh * (p + ts), ch + shq
     a, b, d = states
     u0, u1 = t00 * a + t01 * b, t00 * b + t01 * d
     v0, v1 = t10 * a + t11 * b, t10 * b + t11 * d
-    out = np.empty((3,) + u0.shape, dtype=complex)
+    out = np.empty((3,) + u0.shape, dtype=states.dtype)
     np.add(u0 * t00, u1 * t01, out=out[0])
     np.add(u0 * t10, u1 * t11, out=out[1])
     np.add(v0 * t10, v1 * t11, out=out[2])
     return _pin(out)
 
 
+def _real_pairs(h: np.ndarray, r: np.ndarray, bad: np.ndarray):
+    # the eigenvalue pairs (h + r, h - r) of real states, complex, as
+    # _cut_error takes them, with ``bad`` moved onto the small member of each
+    # pair; the small one is formed as -1/(the large one), which does not cancel
+    up = h >= 0
+    big = np.where(up, h + r, h - r)
+    small = -1.0 / big
+    lam = np.where(up, [big, small], [small, big]).astype(complex)
+    return lam, np.array([bad & ~up, bad & up])
+
+
 def _trace_pq(states: np.ndarray, wq: np.ndarray):
     """Trace-formula integrals of stacked march states, with no matrix log.
 
     ``states`` is a (3, S, N) array of the components (a, b, d) of
-    symmetric matrices M = [[a, b], [b, d]].  ``wq`` is an (R, 2 N) array
-    of R quadrature rules over the N nodes, divided by pi, with the weight
-    of node k in column 2 k + 1 and zeros in the even columns: it
-    integrates the imaginary parts of a complex row read as floats.  The
-    sums run in einsum's own loop, which, unlike a matmul, touches no BLAS
-    work buffer, so a march adds nothing to the peak memory.  With M = h I + N,
+    symmetric matrices M = [[a, b], [b, d]], complex or real.  ``wq`` holds
+    R quadrature rules over the N nodes.  For complex states it is an
+    (R, 2 N) array, divided by pi, with the weight of node k in column
+    2 k + 1 and zeros in the even columns: it integrates the imaginary
+    parts of a complex row read as floats.  For real states it is an
+    (R, N) array of the weights times -1/2.  The sums run in einsum's own
+    loop, which, unlike a matmul, touches no BLAS work buffer, so a march
+    adds nothing to the peak memory.  With M = h I + N,
     N = [[u, b], [b, -u]] and r = sqrt(u^2 + b^2), the eigenvalues are
     h +/- r and log M = log(h - r) I + sigma (M - (h - r) I), sigma the
     divided difference of the branch logarithm (1/h on confluent
@@ -260,6 +294,16 @@ def _trace_pq(states: np.ndarray, wq: np.ndarray):
 
         p = (1/pi) int Im(sigma u),   q = (1/pi) int Im(sigma b).
 
+    A real state has det M = h^2 - r^2 = -1, so r >= 1 and its eigenvalues
+    h + r > 0 > h - r have opposite signs: Im log M / pi is the projector
+    onto the negative eigenvector, Im sigma = -pi/(2 r), and
+
+        p = -1/2 int u/r,   q = -1/2 int b/r,
+
+    with no logarithm and no confluent case.  Its smaller eigenvalue
+    modulus is 1/(|h| + r), which is on the cut where it is within
+    _CUT_TOL of the larger one, |h| + r, as ``mlog_spectral`` tests it.
+
     Returns the (2, S, R) array of (p, q) per stack and rule, NaN on a
     stack with a non-finite entry, and per stack either None or the
     SpectrumOnCut error that ``mlog_spectral`` raises on its matrices.
@@ -267,19 +311,36 @@ def _trace_pq(states: np.ndarray, wq: np.ndarray):
     a, b, d = states
     h = 0.5 * (a + d)
     u = 0.5 * (a - d)
-    r = np.sqrt(u * u + b * b)
-    lam = np.empty((2,) + h.shape, dtype=complex)
-    np.add(h, r, out=lam[0])
-    np.subtract(h, r, out=lam[1])
-    mod = np.abs(lam)
-    sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam), np.reciprocal)
-    pq = np.empty((2,) + h.shape, dtype=complex)
-    np.multiply(sigma, u, out=pq[0])
-    np.multiply(sigma, b, out=pq[1])
-    pq = np.einsum("ijk,rk->ijr", pq.view(float), wq)
+    if states.dtype.kind == "c":
+        r = np.sqrt(u * u + b * b)
+        lam = np.empty((2,) + h.shape, dtype=complex)
+        np.add(h, r, out=lam[0])
+        np.subtract(h, r, out=lam[1])
+        mod = np.abs(lam)
+        sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam), np.reciprocal)
+        pq = np.empty((2,) + h.shape, dtype=complex)
+        np.multiply(sigma, u, out=pq[0])
+        np.multiply(sigma, b, out=pq[1])
+        pq = np.einsum("ijk,rk->ijr", pq.view(float), wq)
+        bad = _on_cut(lam, mod)
+        hit = bad.any(axis=(0, 2))
+    else:
+        r = np.hypot(u, b)
+        pq = np.empty((2,) + h.shape)
+        np.divide(u, r, out=pq[0])
+        np.divide(b, r, out=pq[1])
+        pq = np.einsum("ijk,rk->ijr", pq, wq)
+        # 1/(|h| + r) <= _CUT_TOL (|h| + r), squared; the largest |h| + r
+        # of all stacks, NaN ignored, decides whether any node is on the cut
+        big = np.abs(h) + r
+        top = np.fmax.reduce(big, axis=None)
+        hit = False
+        if _CUT_TOL * top * top >= 1.0:
+            bad = _CUT_TOL * big * big >= 1.0
+            hit = bad.any(axis=1)
+            lam, bad = _real_pairs(h, r, bad)
     finite = np.isfinite(states).all(axis=(0, 2))
-    bad = _on_cut(lam, mod)
-    hit = bad.any(axis=(0, 2)) & finite
+    hit = hit & finite
     errors = [_cut_error(lam[:, k], bad[:, k]) if cut else None for k, cut in enumerate(hit)]
     if not finite.all():
         pq[:, ~finite] = np.nan
@@ -311,7 +372,11 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     c = (a_1 + b_n)/2, the shift with the smallest largest |t|, is marched,
     and each sample is turned back by e^{2icx} before the bound check.  For
     c = 0 the frame is the identity.  The large-z Weyl asymptotics of the
-    original profile cross-check the x = 0 sample.
+    frame cross-check the x = 0 sample: W(0) depends only on the gap
+    widths and angles, so the frame has the original's W(0), and its
+    heights stay near the hull's half width, where y (iI - M(iy)) keeps its
+    digits for gaps far from 0.  The law is an independent route to W(0)
+    all the same, as it shares no code with the trace formula.
 
     Parameters
     ----------
@@ -319,8 +384,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     xgrid : array_like
         Increasing sample positions starting at 0.
     ygrid : array_like, optional
-        Heights for the x = 0 Weyl-law cross-check; defaults to
-        (8, ..., 128) times the spectral scale.
+        Heights for the x = 0 Weyl-law cross-check of the frame; defaults
+        to (8, ..., 128) times the frame's spectral scale.
     loc_tol : float
         Local error target per march substep.
     bound_slack : float
@@ -368,15 +433,27 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     ts_c, ws_c = _gap_nodes(frame.gapset, 14)
     nf = len(ts_f)
     ts = np.concatenate([ts_f, ts_c])
-    # the two rules as the rows of one weight array, over pi, on the
-    # imaginary parts of complex node values read as floats
-    wq = np.zeros((2, 2 * len(ts)))
-    wq[0, 1:2 * nf:2] = ws_f / np.pi
-    wq[1, 2 * nf + 1::2] = ws_c / np.pi
+    rules = np.zeros((2, len(ts)))
+    rules[0, :nf] = ws_f
+    rules[1, nf:] = ws_c
     m0 = build_M(frame, ts)
-    # one stack of states (a, b, d), symmetrised and pinned to det = -1
-    mats = _pin(np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))[:, None])
-    ts = ts.astype(complex)[None]
+    # one stack of states (a, b, d), symmetrised
+    mats = np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))[:, None]
+    if profile.is_uniform:
+        # gap values of a uniform profile are real: real states, and the two
+        # rules times -1/2 for the closed-form density -N/(2r)
+        mats = np.ascontiguousarray(mats.real)
+        wq = -0.5 * rules
+    else:
+        # the two rules over pi, on the imaginary parts of complex node
+        # values read as floats
+        wq = np.zeros((2, 2 * len(ts)))
+        wq[:, 1::2] = rules / np.pi
+    # pinned to det = -1; the nodes, step fractions and per-stack (p, q)
+    # columns take the states' dtype
+    mats = _pin(mats)
+    ts = ts.astype(mats.dtype)[None]
+    fracs = _PAIR.astype(mats.dtype)
 
     def w_of(states):
         # (p, q, quadrature residual) of each stacked state by the trace
@@ -412,9 +489,9 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     p0, q0, quad_res = state
     samples: list[PotentialSample] = []
     try:
-        # independent seed check: the large-z Weyl law of the original
-        # profile against the trace formula (the frame turns nothing at x = 0)
-        seed = asymptotic_W(profile_m_function(profile), ygrid)
+        # independent seed check: the large-z Weyl law of the frame against
+        # the trace formula (the frame turns nothing at x = 0)
+        seed = asymptotic_W(profile_m_function(frame), ygrid)
         seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
         samples.append(record(xg[0], p0, q0, quad_res + seed_res))
         # an overflowing trial step yields non-finite states, which the
@@ -433,11 +510,11 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                     # correctors (h and h/2) run as one pass over two stacks
                     pair = np.concatenate((mats, mats), axis=1)
                     (w_c, err_c), (w_f, err_f) = w_of(
-                        _congruence_step(pair, ts, p0, q0, _PAIR * h))
+                        _congruence_step(pair, ts, p0, q0, fracs * h))
                     if err_c is not None:
                         raise err_c
-                    pm, qm = np.array([w_c[:2], w_f[:2]], dtype=complex).T[:, :, None]
-                    both = _congruence_step(pair, ts, pm, qm, _PAIR * (2.0 * h))
+                    pm, qm = np.array([w_c[:2], w_f[:2]], dtype=mats.dtype).T[:, :, None]
+                    both = _congruence_step(pair, ts, pm, qm, fracs * (2.0 * h))
                     (coarse_w, err_a), (mid_w, err_m) = w_of(both)
                     if err_a is not None:
                         raise err_a

@@ -258,11 +258,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
 def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: the command line starts without
     # loading scipy, and with scipy blocked the package, mlog_integral and a
-    # CLI run still work
+    # CLI run still work.  Nor does it load numpy.polynomial: the march
+    # computes its Gauss-Legendre rules on first use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, kreindirac.cli; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, kreindirac.cli; "
+            "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     cfg = _write(tmp_path, {"constant": [0.0, 1.0]})
     code = "\n".join([
@@ -448,6 +450,10 @@ def evolve_scales(draw):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_evolve_across_scales_keeps_the_exit_contract(tmp_path, capsys, cfg):
+    _assert_evolve_exit_contract(tmp_path, capsys, cfg)
+
+
+def _assert_evolve_exit_contract(tmp_path, capsys, cfg):
     # every scale either marches or fails with a typed line: exit 0 or 1
     # (failed checks, in the report) write nothing to stderr, exit 2 or 3
     # one line, and nothing escapes as a traceback
@@ -457,6 +463,45 @@ def test_evolve_across_scales_keeps_the_exit_contract(tmp_path, capsys, cfg):
     assert code in (0, 1, 2, 3), cfg
     assert "Traceback" not in err
     assert len(err.splitlines()) == (code >= 2), (cfg, err)
+
+
+@st.composite
+def evolve_many_gaps(draw):
+    # 16, 32 or 64 gaps with widths and spacings from 1e-2 to 1e1, the
+    # first one starting anywhere in [-1e6, 1e6], one angle for all gaps
+    # (a march on real states) or one per gap, and a march to x <= 0.02
+    n = draw(st.sampled_from([16, 32, 64]))
+    decades = st.floats(-2.0, 1.0)
+    left, gaps = draw(st.floats(-1e6, 1e6)), []
+    for _ in range(n):
+        width = 10.0 ** draw(decades)
+        gaps.append([left, left + width])
+        left += width + 10.0 ** draw(decades)
+    angle = st.floats(0.0, math.pi)
+    if draw(st.booleans()):
+        angles = [draw(angle)] * n
+    else:
+        angles = draw(st.lists(angle, min_size=n, max_size=n))
+    stop = draw(st.floats(1e-3, 0.02))
+    return {"profile": {"gaps": gaps, "angles": angles}, "xgrid": [0.0, 0.5 * stop, stop]}
+
+
+@given(evolve_many_gaps())
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evolve_with_many_gaps_keeps_the_exit_contract(tmp_path, capsys, cfg):
+    _assert_evolve_exit_contract(tmp_path, capsys, cfg)
+
+
+def test_evolve_far_gap_seeds_on_the_frame(tmp_path):
+    # a gap near 1e6: the x = 0 Weyl-law check runs on the co-rotating
+    # frame, whose heights keep their digits, so the run passes
+    cfg = {"profile": {"gaps": [[999950, 1000050]], "uniform": 0.3}, "xgrid": [0, 0.2]}
+    code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 0
+    records = _records(text)
+    assert records["residual"]["status"] == "pass"
+    assert records["norm_constancy"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("cfg,flags", [

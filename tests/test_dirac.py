@@ -227,17 +227,17 @@ def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
     # every march state costs one trace-formula evaluation: each congruence
     # step makes one state per stack, and accepted states carry their
     # (p, q) along.  Stacked passes hold several states, so states are
-    # counted as stack columns over the node count, not as calls
+    # counted as stacks, the middle axis of a (3, S, N) array, not as calls
     counts = {"trace": 0, "cong": 0}
     trace_pq, congruence_step = dirac._trace_pq, dirac._congruence_step
 
     def counted_trace(states, wq):
-        counts["trace"] += states[0].size // (wq.shape[1] // 2)
+        counts["trace"] += states.shape[1]
         return trace_pq(states, wq)
 
     def counted_cong(states, ts, *args):
         out = congruence_step(states, ts, *args)
-        counts["cong"] += out[0].size // ts.size
+        counts["cong"] += out.shape[1]
         return out
 
     monkeypatch.setattr(dirac, "_trace_pq", counted_trace)
@@ -344,6 +344,103 @@ def test_congruence_step_matches_the_propagator():
         ref /= np.sqrt(-np.linalg.det(ref))[:, None, None]
         np.testing.assert_allclose(out[:, k], [ref[:, 0, 0], ref[:, 0, 1], ref[:, 1, 1]],
                                    rtol=0, atol=1e-13)
+
+
+def _real_per_node(n):
+    # the real-state layout of _per_node: node k's density times -1/2
+    return -0.5 * np.eye(n)
+
+
+def test_real_trace_kernel_matches_the_complex_one():
+    # uniform profiles march real states, whose density is -N/(2r) in
+    # closed form: the same numbers as the complex kernel on the same states
+    mats = _kernel_cases()["aligned"]
+    assert np.abs(mats.imag).max() < 1e-15 * np.abs(mats).max()
+    real = np.ascontiguousarray(_states(mats).real)
+    pq_r, errors_r = dirac._trace_pq(real, _real_per_node(len(mats)))
+    pq_c, errors_c = dirac._trace_pq(real.astype(complex), _per_node(len(mats)))
+    assert pq_r.dtype == float and errors_r == errors_c == [None]
+    np.testing.assert_allclose(pq_r, pq_c, rtol=0, atol=1e-14)
+
+
+def test_real_congruence_step_matches_the_complex_one():
+    # the real propagator takes cosh/sinh where kappa^2 > 0 and cos/sin
+    # where kappa^2 < 0; t = 0.5 is a kappa = 0 node for (p, q) = (0, 0.5),
+    # t = -0.3 is hyperbolic there and t = 1.7 rotational for both stacks
+    ts = np.array([-2.0, -0.5, -0.3, 0.1, 0.5, 1.7])
+    mats = _kernel_cases()["aligned"][:6]
+    real = np.ascontiguousarray(np.concatenate([_states(mats)] * 2, axis=1).real)
+    pqh = [(0.0, 0.5, 0.3), (-0.4, 0.7, 0.05)]
+    cols = [np.array([[v[k]] for v in pqh]) for k in range(3)]
+    k2 = cols[0] ** 2 + cols[1] ** 2 - ts ** 2
+    assert (k2 > 0).any() and (k2 < 0).any() and (k2 == 0).any()
+    out = dirac._congruence_step(real, ts[None], *cols)
+    ref = dirac._congruence_step(real.astype(complex), ts.astype(complex)[None],
+                                 *(c.astype(complex) for c in cols))
+    assert out.dtype == float
+    np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("big", [1e6, 2e6, 5e6, 1e7])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_real_trace_kernel_refuses_the_cut_where_mlog_does(big, sign):
+    # a real det = -1 state has eigenvalues of opposite signs, the smaller
+    # modulus 1/(|h| + r); it lies on the cut once (|h| + r)^2 >= 1/_CUT_TOL
+    # = 1e13, between 2e6 and 5e6 here, as mlog_spectral decides it
+    good = _kernel_cases()["aligned"]
+    eigs = (big, -1.0 / big) if sign > 0 else (1.0 / big, -big)
+    mats = np.concatenate([good[:3], [_rotated(eigs, 0.4)], good[3:6]])
+    try:
+        mlog_spectral(mats)
+        expected = None
+    except SpectrumOnCut:
+        expected = SpectrumOnCut
+    assert (expected is None) == (big < 3e6)
+    # three stacks: the matrices above, a clean one, and one that overflowed
+    states = np.concatenate([_states(mats), _states(good[:7]), _states(good[:7])], axis=1)
+    states = np.ascontiguousarray(states.real)
+    states[1, 2, 4] = np.inf
+    states[0, 2, 5] = np.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        pq, errors = dirac._trace_pq(states, _real_per_node(7))
+    assert errors[1] is None and errors[2] is None
+    if expected is None:
+        assert errors[0] is None
+    else:
+        assert isinstance(errors[0], SpectrumOnCut)
+        # the small eigenvalue, -1/big or 1/big, is the one on the cut
+        word, lam, *rest = str(errors[0]).split()
+        assert word == "eigenvalue" and " ".join(rest) == "lies on the branch cut"
+        assert abs(complex(lam) + sign / big) < 1e-12 / big
+    assert np.isnan(pq[:, 2]).all() and np.isfinite(pq[:, 1]).all()
+
+
+@pytest.mark.parametrize("angles, dtype", [((0.7, 0.7), float), (WITNESS_ANGLES, complex)])
+def test_uniform_marches_carry_real_states(monkeypatch, angles, dtype):
+    # gap values of a uniform profile are real, so its march runs on float
+    # states; mismatched angles keep complex ones
+    seen = set()
+    trace_pq = dirac._trace_pq
+
+    def recorded(states, wq):
+        seen.add(states.dtype)
+        return trace_pq(states, wq)
+
+    monkeypatch.setattr(dirac, "_trace_pq", recorded)
+    sample_potential(KreinProfile(GapSet(WITNESS_GAPS), angles), [0.0, 0.1])
+    assert seen == {np.dtype(dtype)}
+
+
+def test_gap_nodes_are_the_legendre_rules():
+    # the rules are computed once and kept; the nodes and weights are
+    # numpy's, bit for bit
+    gs = GapSet(WITNESS_GAPS)
+    for n in (14, 20):
+        u, w = np.polynomial.legendre.leggauss(n)
+        for _ in range(2):
+            ts, ws = dirac._gap_nodes(gs, n)
+            np.testing.assert_array_equal(ts, np.concatenate([-1.5 + 0.5 * u, 1.5 + 0.5 * u]))
+            np.testing.assert_array_equal(ws, np.concatenate([0.5 * w, 0.5 * w]))
 
 
 def test_pin_rescales_and_drops_lost_determinants():
