@@ -8,10 +8,10 @@ center while the norm stays pinned at the gap radius.
 sample_potential marches every profile in its co-rotating frame: it moves
 the gaps by the midpoint c of their hull, which turns the potential by
 e^{-2icx}, and turns each sample back by e^{2icx}.  For one gap the moved
-gap is centered, so the frame march is the constant one above and the
+gap is centered, so its divisor stands still in the frame and the
 rotation below is that turn back; the rotation-law column compares it with
 W(0) from the closed form, and W(0) itself is checked against the large-z
-Weyl law of the original, off-center profile.
+Weyl law of the frame.
 """
 
 import numpy as np

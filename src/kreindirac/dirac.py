@@ -14,12 +14,20 @@ Riccati equation
 
 The module provides step potentials with exact piecewise transfer matrices,
 closed-form Weyl functions for constant coefficients (the fixed points of
-this equation), and the orbit sampler that marches the gap boundary values
-of the Herglotz matrix by congruence, M_x(t) = T M_0(t) T^t, and reads W(x)
-off the trace formula over the shifted Krein density.  The sampler works in
-the co-rotating frame: moving the spectral parameter by c only rotates the
-potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so it marches the profile
-with gaps moved by the midpoint c of their hull and turns each sample back.
+this equation), and the orbit sampler, which has two routes:
+
+* a uniform profile (one angle for all gaps) marches its Dirichlet divisor,
+  the zeros mu_j(x) of M_11(x, .), one per gap, by Dubrovin's equations
+  with an embedded Dormand-Prince 5(4) pair, and reads W(x) off the trace
+  formula p = sum_j mu_j - (1/2) sum_k (a_k + b_k);
+* any other profile marches the gap boundary values of its Herglotz
+  matrix by congruence, M_x(t) = T M_0(t) T^t, and reads W(x) off the
+  trace formula over the shifted Krein density.
+
+Both work in the co-rotating frame: moving the spectral parameter by c
+only rotates the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so the
+sampler marches the profile with gaps moved by the midpoint c of their
+hull and turns each sample back.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
                         WeylPair, assemble_M, build_M, sphere_ratio)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import I2, J, _CUT_TOL, _branch_log, _cut_error, _on_cut, _slope, mexp
+from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
 
 __all__ = [
     "StepPotential",
@@ -43,6 +51,7 @@ __all__ = [
     "const_weyl",
     "ode_weyl",
     "ode_m_function",
+    "co_rotating_frame",
     "sample_potential",
 ]
 
@@ -179,7 +188,7 @@ def ode_m_function(w: StepPotential) -> MFunction:
 
 
 # Gauss-Legendre rules on [-1, 1] by node count, computed on first use:
-# numpy.polynomial is not loaded until a march needs it
+# numpy.polynomial is not loaded until a congruence march needs it
 _LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -200,7 +209,7 @@ def _gap_nodes(gapset, n: int):
 
 # predictor step fractions of a stacked trial, as a (2, 1) column: the
 # coarse step's and the first fine step's; their correctors take twice these
-_PAIR = np.array([[0.5], [0.25]])
+_PAIR = np.array([[0.5], [0.25]], dtype=complex)
 
 
 def _pin(states: np.ndarray) -> np.ndarray:
@@ -223,30 +232,19 @@ def _congruence_step(states: np.ndarray, ts: np.ndarray, p, q, h) -> np.ndarray:
     """Advance gap boundary values by M(t) <- T M(t) T^t with the
     frozen-coefficient propagator T = exp(h K(p, q, t)) per node.
 
-    ``states`` is a (3, S, N) array of the components (a, b, d) of S stacks
-    of symmetric matrices [[a, b], [b, d]] over the nodes ``ts``, a (1, N)
-    row of the states' dtype.  p, q and h are numbers or (S, 1) columns,
-    one value per stack.  K(p, q, t) is real for real t with
+    ``states`` is a complex (3, S, N) array of the components (a, b, d) of
+    S stacks of symmetric matrices [[a, b], [b, d]] over the nodes ``ts``,
+    a complex (1, N) row.  p, q and h are numbers or (S, 1) columns, one
+    value per stack.  K(p, q, t) is real for real t with
     K^2 = (p^2 + q^2 - t^2) I, so T has the closed form
     cosh(kappa h) I + sinh(kappa h)/kappa K, hyperbolic or rotational
-    depending on the sign of kappa^2.  Complex states take complex
-    coefficients, which numpy multiplies into complex states faster than
-    real ones; real states take real ones, cosh and sinh where kappa^2 > 0
-    and cos(omega h), sin(omega h)/omega with omega = |kappa| where
-    kappa^2 < 0.  The product is written out on the components, so the
-    result is symmetric by construction.  A step that overflows returns
-    non-finite states."""
-    if states.dtype.kind == "c":
-        kap = np.sqrt(p * p + q * q - ts * ts)
-        th = kap * h
-        ch, sh = np.cosh(th), np.sinh(th)
-    else:
-        k2 = p * p + q * q - ts * ts
-        kap = np.sqrt(np.abs(k2))
-        th = kap * h
-        hyp = k2 > 0
-        ch = np.where(hyp, np.cosh(th), np.cos(th))
-        sh = np.where(hyp, np.sinh(th), np.sin(th))
+    depending on the sign of kappa^2; complex coefficients, which numpy
+    multiplies into complex states faster than real ones, cover both.  The
+    product is written out on the components, so the result is symmetric
+    by construction.  A step that overflows returns non-finite states."""
+    kap = np.sqrt(p * p + q * q - ts * ts)
+    sh = np.sinh(kap * h)
+    ch = np.cosh(kap * h)
     if kap.all():
         sh /= kap
     else:  # sinh(kappa h)/kappa -> h as kappa -> 0
@@ -256,53 +254,30 @@ def _congruence_step(states: np.ndarray, ts: np.ndarray, p, q, h) -> np.ndarray:
     a, b, d = states
     u0, u1 = t00 * a + t01 * b, t00 * b + t01 * d
     v0, v1 = t10 * a + t11 * b, t10 * b + t11 * d
-    out = np.empty((3,) + u0.shape, dtype=states.dtype)
+    out = np.empty((3,) + u0.shape, dtype=complex)
     np.add(u0 * t00, u1 * t01, out=out[0])
     np.add(u0 * t10, u1 * t11, out=out[1])
     np.add(v0 * t10, v1 * t11, out=out[2])
     return _pin(out)
 
 
-def _real_pairs(h: np.ndarray, r: np.ndarray, bad: np.ndarray):
-    # the eigenvalue pairs (h + r, h - r) of real states, complex, as
-    # _cut_error takes them, with ``bad`` moved onto the small member of each
-    # pair; the small one is formed as -1/(the large one), which does not cancel
-    up = h >= 0
-    big = np.where(up, h + r, h - r)
-    small = -1.0 / big
-    lam = np.where(up, [big, small], [small, big]).astype(complex)
-    return lam, np.array([bad & ~up, bad & up])
-
-
 def _trace_pq(states: np.ndarray, wq: np.ndarray):
     """Trace-formula integrals of stacked march states, with no matrix log.
 
-    ``states`` is a (3, S, N) array of the components (a, b, d) of
-    symmetric matrices M = [[a, b], [b, d]], complex or real.  ``wq`` holds
-    R quadrature rules over the N nodes.  For complex states it is an
-    (R, 2 N) array, divided by pi, with the weight of node k in column
-    2 k + 1 and zeros in the even columns: it integrates the imaginary
-    parts of a complex row read as floats.  For real states it is an
-    (R, N) array of the weights times -1/2.  The sums run in einsum's own
-    loop, which, unlike a matmul, touches no BLAS work buffer, so a march
-    adds nothing to the peak memory.  With M = h I + N,
-    N = [[u, b], [b, -u]] and r = sqrt(u^2 + b^2), the eigenvalues are
-    h +/- r and log M = log(h - r) I + sigma (M - (h - r) I), sigma the
-    divided difference of the branch logarithm (1/h on confluent
+    ``states`` is a complex (3, S, N) array of the components (a, b, d) of
+    symmetric matrices M = [[a, b], [b, d]].  ``wq`` is an (R, 2 N) array
+    of R quadrature rules over the N nodes, divided by pi, with the weight
+    of node k in column 2 k + 1 and zeros in the even columns: it
+    integrates the imaginary parts of a complex row read as floats.  The
+    sums run in einsum's own loop, which, unlike a matmul, touches no BLAS
+    work buffer, so a march adds nothing to the peak memory.  With
+    M = h I + N, N = [[u, b], [b, -u]] and r = sqrt(u^2 + b^2), the
+    eigenvalues are h +/- r and log M = log(h - r) I + sigma (M - (h - r) I),
+    sigma the divided difference of the branch logarithm (1/h on confluent
     matrices), as in :func:`mat2.mlog_spectral`.  Only the traceless part
     sigma N of log M enters W, so
 
         p = (1/pi) int Im(sigma u),   q = (1/pi) int Im(sigma b).
-
-    A real state has det M = h^2 - r^2 = -1, so r >= 1 and its eigenvalues
-    h + r > 0 > h - r have opposite signs: Im log M / pi is the projector
-    onto the negative eigenvector, Im sigma = -pi/(2 r), and
-
-        p = -1/2 int u/r,   q = -1/2 int b/r,
-
-    with no logarithm and no confluent case.  Its smaller eigenvalue
-    modulus is 1/(|h| + r), which is on the cut where it is within
-    _CUT_TOL of the larger one, |h| + r, as ``mlog_spectral`` tests it.
 
     Returns the (2, S, R) array of (p, q) per stack and rule, NaN on a
     stack with a non-finite entry, and per stack either None or the
@@ -311,72 +286,353 @@ def _trace_pq(states: np.ndarray, wq: np.ndarray):
     a, b, d = states
     h = 0.5 * (a + d)
     u = 0.5 * (a - d)
-    if states.dtype.kind == "c":
-        r = np.sqrt(u * u + b * b)
-        lam = np.empty((2,) + h.shape, dtype=complex)
-        np.add(h, r, out=lam[0])
-        np.subtract(h, r, out=lam[1])
-        mod = np.abs(lam)
-        sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam), np.reciprocal)
-        pq = np.empty((2,) + h.shape, dtype=complex)
-        np.multiply(sigma, u, out=pq[0])
-        np.multiply(sigma, b, out=pq[1])
-        pq = np.einsum("ijk,rk->ijr", pq.view(float), wq)
-        bad = _on_cut(lam, mod)
-        hit = bad.any(axis=(0, 2))
-    else:
-        r = np.hypot(u, b)
-        pq = np.empty((2,) + h.shape)
-        np.divide(u, r, out=pq[0])
-        np.divide(b, r, out=pq[1])
-        pq = np.einsum("ijk,rk->ijr", pq, wq)
-        # 1/(|h| + r) <= _CUT_TOL (|h| + r), squared; the largest |h| + r
-        # of all stacks, NaN ignored, decides whether any node is on the cut
-        big = np.abs(h) + r
-        top = np.fmax.reduce(big, axis=None)
-        hit = False
-        if _CUT_TOL * top * top >= 1.0:
-            bad = _CUT_TOL * big * big >= 1.0
-            hit = bad.any(axis=1)
-            lam, bad = _real_pairs(h, r, bad)
+    r = np.sqrt(u * u + b * b)
+    lam = np.empty((2,) + h.shape, dtype=complex)
+    np.add(h, r, out=lam[0])
+    np.subtract(h, r, out=lam[1])
+    mod = np.abs(lam)
+    sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam), np.reciprocal)
+    pq = np.empty((2,) + h.shape, dtype=complex)
+    np.multiply(sigma, u, out=pq[0])
+    np.multiply(sigma, b, out=pq[1])
+    pq = np.einsum("ijk,rk->ijr", pq.view(float), wq)
+    bad = _on_cut(lam, mod)
     finite = np.isfinite(states).all(axis=(0, 2))
-    hit = hit & finite
+    hit = bad.any(axis=(0, 2)) & finite
     errors = [_cut_error(lam[:, k], bad[:, k]) if cut else None for k, cut in enumerate(hit)]
     if not finite.all():
         pq[:, ~finite] = np.nan
     return pq, errors
 
 
+
+
+def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
+    """March the gap boundary values of ``frame`` by congruence.
+
+    A generator: it yields (x, p, q, residual, on_grid) for x = 0, for
+    every accepted step and for every grid point of ``xg`` past 0, with
+    ``residual`` the quadrature residual of the trace formula there.  The
+    march freezes (p, q) per substep with a midpoint corrector, controls
+    the local error by step doubling against ``loc_tol``, and applies one
+    Richardson sweep to the boundary matrices.  Each march state costs one
+    evaluation of the trace density over all quadrature nodes (see
+    _trace_pq); the coarse step and the first fine step of a trial run as
+    one stacked pass.  A node t evolves at rate at most max(||W||, |t|),
+    unlike the Weyl trajectories m_pm(x, iY), which repel perturbations at
+    rate 2Y and cannot carry a forward march.
+    """
+    # the trace formula takes a 20-node Gauss-Legendre rule per gap; a coarse
+    # 14-node companion rides along to expose the quadrature error
+    ts_f, ws_f = _gap_nodes(frame.gapset, 20)
+    ts_c, ws_c = _gap_nodes(frame.gapset, 14)
+    nf = len(ts_f)
+    ts = np.concatenate([ts_f, ts_c])
+    rules = np.zeros((2, len(ts)))
+    rules[0, :nf] = ws_f
+    rules[1, nf:] = ws_c
+    # the two rules over pi, on the imaginary parts of complex node values
+    # read as floats
+    wq = np.zeros((2, 2 * len(ts)))
+    wq[:, 1::2] = rules / np.pi
+    m0 = build_M(frame, ts)
+    # one stack of states (a, b, d), symmetrised and pinned to det = -1
+    mats = _pin(np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))[:, None])
+    ts = ts.astype(complex)[None]
+
+    def w_of(states):
+        # (p, q, quadrature residual) of each stacked state by the trace
+        # formula, the 20-node rule against the 14-node one, and its branch
+        # cut error or None.  A trial state that overflowed has no
+        # potential: NaN, which the step control rejects
+        pq, errors = _trace_pq(states, wq)
+        res = np.hypot(pq[0, :, 0] - pq[0, :, 1], pq[1, :, 0] - pq[1, :, 1])
+        return [((p, q, r), err) for p, q, r, err in
+                zip(pq[0, :, 0].tolist(), pq[1, :, 0].tolist(), res.tolist(), errors)]
+
+    def w_one(states):
+        # w_of of one stack, raising its branch cut error
+        w, err = w_of(states)[0]
+        if err is not None:
+            raise err
+        return w
+
+    # (p, q, quadrature residual) of the current state, carried from each
+    # accepted step into the next predictor and the grid-point sample
+    state = w_one(mats)
+    yield (0.0, *state, True)
+    for x, x_next in zip(xg[:-1], xg[1:]):
+        h = x_next - x
+        while x < x_next - 1e-13 * max(1.0, abs(x_next)):
+            h = min(h, x_next - x)
+            p0, q0, _ = state
+            # frozen-coefficient midpoint predictor-corrector: a coarse step
+            # of h against two fine steps of h/2.  The coarse step and the
+            # first fine step start from the same state, so their
+            # predictors (h/2 and h/4) and correctors (h and h/2) run as one
+            # pass over two stacks
+            pair = np.concatenate((mats, mats), axis=1)
+            (w_c, err_c), (w_f, err_f) = w_of(
+                _congruence_step(pair, ts, p0, q0, _PAIR * h))
+            if err_c is not None:
+                raise err_c
+            pm, qm = np.array([w_c[:2], w_f[:2]], dtype=complex).T[:, :, None]
+            both = _congruence_step(pair, ts, pm, qm, _PAIR * (2.0 * h))
+            (coarse_w, err_a), (mid_w, err_m) = w_of(both)
+            if err_a is not None:
+                raise err_a
+            pa, qa, _ = coarse_w
+            # a trial whose states overflow is a rejected step; the fine
+            # steps' failures count only after a coarse step that stays
+            # finite and off the cut
+            err = math.inf
+            if math.isfinite(pa):
+                for e in (err_f, err_m):
+                    if e is not None:
+                        raise e
+                mid = both[:, 1:]
+                pm, qm, _ = mid_w
+                half = _congruence_step(mid, ts, pm, qm, 0.25 * h)
+                pm, qm, _ = w_one(half)
+                fine = _congruence_step(mid, ts, pm, qm, 0.5 * h)
+                pb, qb, _ = w_one(fine)
+                if math.isfinite(pb):
+                    err = math.hypot(pa - pb, qa - qb)
+            if err <= loc_tol:
+                # the midpoint scheme is second order, so the coarse/fine
+                # pair admits one Richardson sweep on the states
+                mats = _pin((4.0 * fine - both[:, :1]) / 3.0)
+                x += h
+                if err:
+                    h *= min(3.0, max(1.0, 0.9 * (loc_tol / err) ** (1 / 3)))
+                else:
+                    h *= 3.0
+                state = w_one(mats)
+                yield (x, *state, False)
+            else:
+                h *= max(0.25, 0.9 * (loc_tol / err) ** (1 / 3))
+                if h < 1e-10 * max(x_next, 1.0):
+                    raise NoConvergence(f"x-march stalled near x = {x}")
+        yield (x_next, *state, True)
+
+
+# Dormand-Prince 5(4) pair.  The stage rows: the last one holds the
+# fifth-order weights, so its stage is the rate at the new point, which is
+# the next step's first stage.  Then the weights of the embedded error
+# estimate, the fifth-order step minus the fourth-order one.
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_ERR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+
+
+def _divisor(a: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Dirichlet divisors of uniform profiles on the gaps (a_j, b_j), as angles.
+
+    ``alphas`` is an (S, 1) column of common angles.  Row k of the (S, n)
+    result holds the angles phi_j of alphas[k]: mu_j = c_j + r_j cos(phi_j),
+    with c_j and r_j the midpoint and half width of gap j, is the zero of
+    M_11 in gap j, and sin(phi_j) has the sign of M_12(mu_j).
+
+    Inside gap j the constructed M is -e^{L/2} P + e^{-L/2} (I - P), with
+    P the projection onto (cos alpha, sin alpha) and
+    L(t) = sum_k log|(b_k - t)/(a_k - t)|.  So M_11 vanishes where
+    L(t) = 2 log|tan alpha|, once in each gap, and M_12 = -sign(sin 2 alpha)
+    there, in every gap.  With t = c_j - r_j tanh(s), gap j's own term of
+    L is 2 s, and s solves
+
+        2 s + G_j(t) = 2 log|tan alpha|,
+
+    G_j the sum over the other gaps.  G_j increases on gap j, so its values
+    at the gap's ends bracket s.  The left side increases with s:
+    |dG_j/ds| = r_j sech^2(s) G_j'(t) < 2, as G_j'(t) is below
+    1/(t - a_j) + 1/(b_j - t).  Newton's method runs on every gap at once,
+    bisecting the bracket where a step leaves it.  On one gap G_j is 0 and
+    the first guess is the root.
+    """
+    n = len(a)
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    own = np.eye(n, dtype=bool)
+
+    def other_gaps(t):
+        # G_j(t_j) and dG_j/dt, the sums over the gaps k != j
+        d = t[..., None]
+        g = np.where(own, 0.0, np.log(np.abs((d - b) / (d - a))))
+        dg = np.where(own, 0.0, (b - a) / ((d - a) * (d - b)))
+        return g.sum(axis=-1), dg.sum(axis=-1)
+
+    # the own gap's terms are infinite at its ends, and are dropped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # 2 log|tan alpha|, held finite: at alpha = 0 or pi/2 every zero
+        # sits on a gap end, phi = 0 or pi
+        rhs = np.clip(2.0 * np.log(np.abs(np.tan(alphas))), -600.0, 600.0)
+        lo = 0.5 * (rhs - other_gaps(b)[0])
+        hi = 0.5 * (rhs - other_gaps(a)[0])
+        s = np.clip(0.5 * rhs, lo, hi)
+        for _ in range(100):
+            th = np.tanh(s)
+            g, dg = other_gaps(c - r * th)
+            f = 2.0 * s + g - rhs
+            lo = np.where(f < 0, s, lo)
+            hi = np.where(f > 0, s, hi)
+            step = s - f / (2.0 - r * (1.0 - th * th) * dg)
+            new = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(new - s) <= 1e-12 * (1.0 + np.abs(s))
+            s = new
+            if done.all():
+                break
+        # cos(phi) = -tanh(s), sin(phi) = sech(s) before the sign of M_12
+        phi = 2.0 * np.arctan(np.exp(s))
+    return np.where(np.sin(2.0 * alphas) > 0, -phi, phi)
+
+
+def _divisor_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
+    """March the Dirichlet divisors of the uniform profile ``frame``.
+
+    A generator, as :func:`_congruence_orbit`: it yields
+    (x, p, q, residual, on_grid) for x = 0, for every accepted step and
+    for every grid point of ``xg`` past 0, with ``residual`` the
+    integrator's error estimate accumulated up to x.
+
+    The divisor of W(x) is the set of zeros mu_j(x) of M_11(x, .), one in
+    each gap (Gesztesy & Holden, Soliton Equations and Their
+    Algebro-Geometric Solutions I, AKNS hierarchy).  With
+    mu_j = c_j + r_j cos(phi_j), c_j and r_j the midpoint and half width of
+    gap j in increasing order, the trace formula reads
+
+        p = sum_j mu_j - (1/2) sum_k (a_k + b_k) = sum_j r_j cos(phi_j),
+
+    and Dubrovin's equations, d_x M_11 = 2 (p - mu) M_12 at a zero, where
+    M_12 = +-1 since det M = -1 and sin(phi_j) takes its sign, become
+
+        phi_j' = 2 (p - mu_j) prod_{k != j} sqrt((mu_j - a_k)(mu_j - b_k)) / |mu_j - mu_k|,
+
+    as the own gap's factor sqrt(-(mu_j - a_j)(mu_j - b_j)) = r_j |sin(phi_j)|
+    cancels against d mu_j / d phi_j: there is no endpoint singularity.  The
+    product runs over ratios, each near 1 for far gaps, where two products
+    of n - 1 factors would overflow at large n.  The profile with its angle
+    lowered by pi/4 has the potential
+    [[q, -p], [-p, -q]], so q is the p of its divisor: both systems, 2 n
+    angles, advance as one state with the embedded Dormand-Prince 5(4)
+    pair.  A step is accepted where its error estimate, mapped to (p, q) by
+    |dp| <= sum_j r_j |dphi_j| and the same for q, is at most ``loc_tol``
+    per unit of phase, loc_tol R h with R the frame's largest |t|: the
+    divisor turns at rates up to about 2 R.
+    """
+    a, b = frame.gapset.endpoints
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    alpha = frame.angles[0]
+    phi = _divisor(a, b, np.array([[alpha], [alpha - 0.25 * math.pi]]))
+    n = len(a)
+    a_k, b_k = a[:, None], b[:, None]
+    tol = loc_tol * max(-a[0], b[-1])
+
+    def rates(phi):
+        # the two rows of Dubrovin's equations.  Ratios run over [system,
+        # k, j] and are squared: their product passes float range only
+        # where the rates themselves pass 1e154.  The ratio of k = j is 1
+        rc = r * np.cos(phi)
+        mu = c + rc
+        m = mu[:, None, :]
+        ratio = (m - a_k) * (m - b_k)
+        den = m - mu[:, :, None]
+        den *= den
+        den.reshape(2, -1)[:, ::n + 1] = 1.0
+        ratio /= den
+        ratio.reshape(2, -1)[:, ::n + 1] = 1.0
+        return 2.0 * (rc.sum(axis=1, keepdims=True) - mu) * np.sqrt(ratio.prod(axis=1))
+
+    def pq(phi):
+        p, q = (r * np.cos(phi)).sum(axis=1).tolist()
+        return p, q
+
+    err_sum = 0.0
+    yield (0.0, *pq(phi), err_sum, True)
+    # the stages of a step; the last one, the rate at the new point, is the
+    # next step's first
+    ks = np.empty((len(_DP_ERR),) + phi.shape)
+    ks[0] = rates(phi)
+    # the step carries over from one grid interval to the next
+    h = float(xg[1]) if len(xg) > 1 else 0.0
+    for x, x_next in zip(xg[:-1].tolist(), xg[1:].tolist()):
+        while x < x_next - 1e-13 * max(1.0, abs(x_next)):
+            step = min(h, x_next - x)
+            for i, row in enumerate(_DP_A, 1):
+                y = phi + step * np.einsum("i,ijk->jk", row, ks[:i])
+                ks[i] = rates(y)
+            e = np.abs(step * np.einsum("i,ijk->jk", _DP_ERR, ks))
+            err = math.hypot(*(r * e).sum(axis=1).tolist())
+            if not math.isfinite(err):
+                err = math.inf
+            target = tol * step
+            factor = min(5.0, max(0.2, 0.9 * (target / err) ** 0.2)) if err else 5.0
+            if err <= target:
+                x += step
+                phi = y
+                ks[0] = ks[-1]
+                err_sum += err
+                # a step cut short at a grid point keeps the longer step
+                h = max(h, step * factor) if step < h else step * factor
+                yield (x, *pq(phi), err_sum, False)
+            else:
+                h = step * factor
+                if h < 1e-10 * max(x_next, 1.0):
+                    raise NoConvergence(f"divisor march stalled near x = {x}")
+        yield (x_next, *pq(phi), err_sum, True)
+
+
+def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
+    """The hull midpoint c = (a_1 + b_n)/2 of the profile's gaps and the
+    profile with every gap moved by -c (c = 0 for the gapless profile).
+
+    Moving every gap by -c turns the potential,
+    (p + iq)(x) -> e^{-2icx} (p + iq)(x), and leaves W(0), which depends
+    only on the gap widths and angles.  Of all shifts, the hull midpoint
+    gives the smallest largest |t|, so large-z asymptotics of the frame
+    keep their digits for gaps far from 0.
+    """
+    gs = profile.gapset
+    if not gs.n:
+        return 0.0, profile
+    c = 0.5 * (gs.gaps[0][0] + gs.gaps[-1][1])
+    return c, KreinProfile(GapSet(tuple((a - c, b - c) for a, b in gs.gaps)), profile.angles)
+
+
 def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                      loc_tol: float = 1e-8, bound_slack: float = 1e-4) -> list[PotentialSample]:
     """Sample the potential W(x) along the shift orbit of a Krein profile.
 
-    The shifted operator is reflectionless on the same bands, so its
-    Herglotz matrix has gap boundary values M_x(t) = T(0->x, t) M_0(t)
-    T(0->x, t)^t with the (real, unimodular) transfer matrices of the
-    potential itself, and W(x) follows from the trace formula at the
-    shifted origin, W(x) = integral over the gaps of (xi_x(t) - I/2) dt.
-    The march freezes (p, q) per substep with a midpoint corrector,
-    controls the local error by step doubling, and applies one Richardson
-    sweep to the boundary matrices.  Each march state costs one
-    evaluation of the trace density over all quadrature nodes, which reads
-    the traceless part of log M off the eigenvalues of M without forming
-    the logarithm (see _trace_pq); the coarse step and the first fine
-    step of a trial run as one stacked pass.  A node t evolves at rate at most
-    max(||W||, |t|), unlike the Weyl trajectories m_pm(x, iY), which repel
-    perturbations at rate 2Y and cannot carry a forward march.
+    The shifted operator is reflectionless on the same bands.  Two routes
+    march it:
 
-    The march runs in the co-rotating frame.  Moving every gap by -c turns
-    the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), with the norm
-    unchanged; so the profile with gaps moved by the hull midpoint
-    c = (a_1 + b_n)/2, the shift with the smallest largest |t|, is marched,
-    and each sample is turned back by e^{2icx} before the bound check.  For
-    c = 0 the frame is the identity.  The large-z Weyl asymptotics of the
-    frame cross-check the x = 0 sample: W(0) depends only on the gap
-    widths and angles, so the frame has the original's W(0), and its
-    heights stay near the hull's half width, where y (iI - M(iy)) keeps its
-    digits for gaps far from 0.  The law is an independent route to W(0)
-    all the same, as it shares no code with the trace formula.
+    * A uniform profile (one angle for all gaps) marches its Dirichlet
+      divisor, the zeros of M_11(x, .) in the gaps, by Dubrovin's
+      equations, and reads W(x) off the trace formula for the divisor
+      (see _divisor_orbit).  The route carries 2 n angles, has no growing
+      mode and no quadrature, and its residual is the x = 0 seed check
+      below plus the integrator's accumulated error estimate.
+    * Any other profile has complex gap values and no real divisor.  Its
+      Herglotz matrix has gap boundary values
+      M_x(t) = T(0->x, t) M_0(t) T(0->x, t)^t with the (real, unimodular)
+      transfer matrices of the potential itself, and W(x) is the trace
+      formula at the shifted origin, the integral over the gaps of
+      xi_x(t) - I/2 (see _congruence_orbit).  Its residual is the
+      quadrature residual of the trace formula, plus the seed check at
+      x = 0.
+
+    Both routes run in the co-rotating frame of :func:`co_rotating_frame`:
+    the profile with gaps moved by the hull midpoint c is marched, and each
+    sample is turned back by e^{2icx} before the bound check.  For c = 0
+    the frame is the identity.  The large-z Weyl asymptotics of the frame
+    cross-check the x = 0 sample: the frame has the original's W(0), and
+    its heights stay near the hull's half width, where y (iI - M(iy))
+    keeps its digits for gaps far from 0.  The law is an independent route
+    to W(0), as it shares no code with the trace formula or the divisor.
 
     Parameters
     ----------
@@ -387,7 +643,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         Heights for the x = 0 Weyl-law cross-check of the frame; defaults
         to (8, ..., 128) times the frame's spectral scale.
     loc_tol : float
-        Local error target per march substep.
+        Local error target: per march substep of the congruence route, and
+        per unit of phase of the divisor route.
     bound_slack : float
         Slack over the sharp bound before BoundViolation is raised.
 
@@ -423,54 +680,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                 for x in xg]
 
     bound = sharp_bound(gs)
-    # co-rotating frame; the hull midpoint gives the smallest largest |t|
-    c = 0.5 * (gs.gaps[0][0] + gs.gaps[-1][1])
-    frame = KreinProfile(GapSet(tuple((a - c, b - c) for a, b in gs.gaps)),
-                         profile.angles)
-    # the trace formula takes a 20-node Gauss-Legendre rule per gap; a coarse
-    # 14-node companion rides along to expose the quadrature error
-    ts_f, ws_f = _gap_nodes(frame.gapset, 20)
-    ts_c, ws_c = _gap_nodes(frame.gapset, 14)
-    nf = len(ts_f)
-    ts = np.concatenate([ts_f, ts_c])
-    rules = np.zeros((2, len(ts)))
-    rules[0, :nf] = ws_f
-    rules[1, nf:] = ws_c
-    m0 = build_M(frame, ts)
-    # one stack of states (a, b, d), symmetrised
-    mats = np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))[:, None]
-    if profile.is_uniform:
-        # gap values of a uniform profile are real: real states, and the two
-        # rules times -1/2 for the closed-form density -N/(2r)
-        mats = np.ascontiguousarray(mats.real)
-        wq = -0.5 * rules
-    else:
-        # the two rules over pi, on the imaginary parts of complex node
-        # values read as floats
-        wq = np.zeros((2, 2 * len(ts)))
-        wq[:, 1::2] = rules / np.pi
-    # pinned to det = -1; the nodes, step fractions and per-stack (p, q)
-    # columns take the states' dtype
-    mats = _pin(mats)
-    ts = ts.astype(mats.dtype)[None]
-    fracs = _PAIR.astype(mats.dtype)
-
-    def w_of(states):
-        # (p, q, quadrature residual) of each stacked state by the trace
-        # formula, the 20-node rule against the 14-node one, and its branch
-        # cut error or None.  A trial state that overflowed has no
-        # potential: NaN, which the step control rejects
-        pq, errors = _trace_pq(states, wq)
-        res = np.hypot(pq[0, :, 0] - pq[0, :, 1], pq[1, :, 0] - pq[1, :, 1])
-        return [((p, q, r), err) for p, q, r, err in
-                zip(pq[0, :, 0].tolist(), pq[1, :, 0].tolist(), res.tolist(), errors)]
-
-    def w_one(states):
-        # w_of of one stack, raising its branch cut error
-        w, err = w_of(states)[0]
-        if err is not None:
-            raise err
-        return w
+    c, frame = co_rotating_frame(profile)
 
     def record(x, p, q, residual):
         if c:  # at c = 0 the frame is the identity, signed zeros included
@@ -483,75 +693,27 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                 f"{bound:.8f} + {bound_slack:g}")
         return sample
 
-    # (p, q, quadrature residual) of the current state, carried from each
-    # accepted step into the next predictor and the grid-point sample
-    state = w_one(mats)
-    p0, q0, quad_res = state
+    orbit = (_divisor_orbit if profile.is_uniform else _congruence_orbit)(frame, xg, loc_tol)
+    _, p0, q0, res0, _ = next(orbit)
     samples: list[PotentialSample] = []
     try:
         # independent seed check: the large-z Weyl law of the frame against
-        # the trace formula (the frame turns nothing at x = 0)
+        # the x = 0 state (the frame turns nothing at x = 0)
         seed = asymptotic_W(profile_m_function(frame), ygrid)
         seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
-        samples.append(record(xg[0], p0, q0, quad_res + seed_res))
+        samples.append(record(xg[0], p0, q0, res0 + seed_res))
+        # a divisor orbit runs from the checked W(0), so the seed check's
+        # error rides along it; congruence samples past x = 0 carry their
+        # own quadrature residual
+        carried = seed_res if profile.is_uniform else 0.0
         # an overflowing trial step yields non-finite states, which the
         # step control rejects; numpy need not warn about them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for x_next in xg[1:]:
-                x = samples[-1].x
-                h = x_next - x
-                while x < x_next - 1e-13 * max(1.0, abs(x_next)):
-                    h = min(h, x_next - x)
-                    p0, q0, _ = state
-                    # frozen-coefficient midpoint predictor-corrector: a
-                    # coarse step of h against two fine steps of h/2.  The
-                    # coarse step and the first fine step start from the
-                    # same state, so their predictors (h/2 and h/4) and
-                    # correctors (h and h/2) run as one pass over two stacks
-                    pair = np.concatenate((mats, mats), axis=1)
-                    (w_c, err_c), (w_f, err_f) = w_of(
-                        _congruence_step(pair, ts, p0, q0, fracs * h))
-                    if err_c is not None:
-                        raise err_c
-                    pm, qm = np.array([w_c[:2], w_f[:2]], dtype=mats.dtype).T[:, :, None]
-                    both = _congruence_step(pair, ts, pm, qm, fracs * (2.0 * h))
-                    (coarse_w, err_a), (mid_w, err_m) = w_of(both)
-                    if err_a is not None:
-                        raise err_a
-                    pa, qa, _ = coarse_w
-                    # a trial whose states overflow is a rejected step; the
-                    # fine steps' failures count only after a coarse step
-                    # that stays finite and off the cut
-                    err = math.inf
-                    if math.isfinite(pa):
-                        for e in (err_f, err_m):
-                            if e is not None:
-                                raise e
-                        mid = both[:, 1:]
-                        pm, qm, _ = mid_w
-                        half = _congruence_step(mid, ts, pm, qm, 0.25 * h)
-                        pm, qm, _ = w_one(half)
-                        fine = _congruence_step(mid, ts, pm, qm, 0.5 * h)
-                        pb, qb, _ = w_one(fine)
-                        if math.isfinite(pb):
-                            err = math.hypot(pa - pb, qa - qb)
-                    if err <= loc_tol:
-                        # the midpoint scheme is second order, so the coarse/fine
-                        # pair admits one Richardson sweep on the states
-                        mats = _pin((4.0 * fine - both[:, :1]) / 3.0)
-                        x += h
-                        if err:
-                            h *= min(3.0, max(1.0, 0.9 * (loc_tol / err) ** (1 / 3)))
-                        else:
-                            h *= 3.0
-                        # interior acceptances also face the bound check
-                        state = w_one(mats)
-                        record(x, *state)
-                    else:
-                        h *= max(0.25, 0.9 * (loc_tol / err) ** (1 / 3))
-                        if h < 1e-10 * max(x_next, 1.0):
-                            raise NoConvergence(f"x-march stalled near x = {x}")
-                samples.append(record(x_next, *state))
+            # interior acceptances also face the bound check
+            for x, p, q, res, on_grid in orbit:
+                sample = record(x, p, q, res + carried)
+                if on_grid:
+                    samples.append(sample)
     except (BoundViolation, NoConvergence) as exc:
         # grid points accepted before the failure ride along so callers
         # can report the last good x next to the certificate

@@ -1,0 +1,34 @@
+"""Shared test helpers."""
+
+import math
+
+import numpy as np
+import pytest
+
+
+def _two_gap_norm(gaps, x):
+    """||W(x)|| along the orbit of a uniform two-gap profile, in closed form.
+
+    The orbit is the genus-1 solution of the AKNS hierarchy (Kamchatnov,
+    Nonlinear Periodic Waves and Their Modulations, 2000):
+    ||W||^2 = A + B sn^2(kappa (x - x0) | m) with A = (w2 - w1)^2 / 4,
+    B = w1 w2, kappa^2 = (b2 - b1)(a2 - a1) and m = B / kappa^2.  A uniform
+    profile is extremal at x = 0, so the orbit starts at its top, the sharp
+    bound (w1 + w2)/2: x0 = -K(m)/kappa (mod the period 2K/kappa), and
+    sn(u + K) = cd(u).
+    """
+    from scipy.special import ellipj, ellipk
+
+    (a1, b1), (a2, b2) = gaps
+    w1, w2 = b1 - a1, b2 - a2
+    kappa = math.sqrt((b2 - b1) * (a2 - a1))
+    m = w1 * w2 / kappa ** 2
+    sn, _, _, _ = ellipj(kappa * np.asarray(x, dtype=float) + ellipk(m), m)
+    return np.sqrt((w2 - w1) ** 2 / 4 + w1 * w2 * sn ** 2)
+
+
+@pytest.fixture
+def two_gap_norm():
+    """The closed-form ||W(x)|| of a uniform two-gap profile, as a function
+    of the gaps and an array of x."""
+    return _two_gap_norm

@@ -166,31 +166,33 @@ def test_evolve_extremal_rows(tmp_path):
     assert _records(text)["norm_constancy"]["status"] == "pass"
 
 
-def test_evolve_gates_the_residual(tmp_path):
+def test_evolve_gates_the_residual(tmp_path, two_gap_norm):
     code, text = _run(tmp_path, "evolve", SINGLE_GAP)
     assert code == 0
     rec = _records(text)["residual"]
     assert rec["status"] == "pass" and rec["tolerance"] == 1e-5
-    # a two-gap march to x = 20 outruns the trace-formula quadrature: the
-    # bound holds, but the residual at x = 20 is about 2e-3, so it fails
-    cfg = {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": math.pi / 4},
-           "xgrid": [0, 10, 20]}
+    # uniform profiles march their divisor: a two-gap march to x = 20 and a
+    # wide centred pair stay on the closed-form orbit and pass the gate
+    for gaps, angle, xgrid in (([[-2, -1], [1, 2]], math.pi / 4, [0, 10, 20]),
+                               ([[-20, -1], [1, 20]], 0.3, [0, 1])):
+        cfg = {"profile": {"gaps": gaps, "uniform": angle}, "xgrid": xgrid}
+        code, text = _run(tmp_path, "evolve", cfg)
+        assert code == 0
+        rows = json.loads(text)["tables"]["W"]["rows"]
+        err = np.abs([row[3] for row in rows] - two_gap_norm(gaps, xgrid))
+        assert err.max() < 1e-8
+        assert all(row[5] >= e for row, e in zip(rows, err))
+    # orthogonal angles take the congruence march, whose trace-formula
+    # quadrature loses digits on the wide pair: the run fails the residual
+    # gate (about 1e-3), and only it
+    cfg = {"profile": {"gaps": [[-20, -1], [1, 20]], "angles": [0.3, 0.3 + math.pi / 2]},
+           "xgrid": [0, 1]}
     code, text = _run(tmp_path, "evolve", cfg)
     assert code == 1
     failed = [r["name"] for r in json.loads(text)["records"]
               if r["status"] == "fail"]
     assert failed == ["residual"]
-    assert _records(text)["residual"]["value"] > 1e-4
-    # a wide centred pair overflows the first march trials: they count as
-    # rejected steps, and the march ends on the residual gate (about 0.14)
-    # instead of a traceback
-    cfg = {"profile": {"gaps": [[-20, -1], [1, 20]], "uniform": 0.3}, "xgrid": [0, 1]}
-    code, text = _run(tmp_path, "evolve", cfg)
-    assert code == 1
-    failed = [r["name"] for r in json.loads(text)["records"]
-              if r["status"] == "fail"]
-    assert failed == ["residual"]
-    assert 0.1 < _records(text)["residual"]["value"] < 0.2
+    assert 5e-4 < _records(text)["residual"]["value"] < 2e-3
 
 
 def test_evolve_witness_exits_3_with_partial_rows(tmp_path):
@@ -257,9 +259,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: the command line starts without
-    # loading scipy, and with scipy blocked the package, mlog_integral and a
-    # CLI run still work.  Nor does it load numpy.polynomial: the march
-    # computes its Gauss-Legendre rules on first use
+    # loading scipy, and with scipy blocked the package, mlog_integral, an
+    # oracle run and a divisor march with its integrator still work.  Nor
+    # does it load numpy.polynomial: the congruence march computes its
+    # Gauss-Legendre rules on first use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -267,6 +270,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
             "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     cfg = _write(tmp_path, {"constant": [0.0, 1.0]})
+    march = _write(tmp_path, {"profile": {"gaps": [[-2, -1], [1, 2.5]], "uniform": 0.3},
+                              "xgrid": [0, 1, 2]}, "march.json")
     code = "\n".join([
         "import sys",
         "sys.modules['scipy'] = None",
@@ -275,7 +280,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         "a = np.array([[1j, 0.5], [0.2, 2.0 + 1j]])",
         "d = np.abs(kreindirac.mlog_integral(a) - kreindirac.mlog_spectral(a)).max()",
         "assert d < 1e-9, d",
-        f"sys.exit(cli.main(['oracle', '--config', {cfg!r}, '--out', {cfg + '.out'!r}]))",
+        f"assert cli.main(['oracle', '--config', {cfg!r}, '--out', {cfg + '.out'!r}]) == 0",
+        f"sys.exit(cli.main(['evolve', '--config', {march!r}, '--out', {march + '.out'!r}]))",
     ])
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -469,7 +475,7 @@ def _assert_evolve_exit_contract(tmp_path, capsys, cfg):
 def evolve_many_gaps(draw):
     # 16, 32 or 64 gaps with widths and spacings from 1e-2 to 1e1, the
     # first one starting anywhere in [-1e6, 1e6], one angle for all gaps
-    # (a march on real states) or one per gap, and a march to x <= 0.02
+    # (a divisor march) or one per gap, and a march to x <= 0.02
     n = draw(st.sampled_from([16, 32, 64]))
     decades = st.floats(-2.0, 1.0)
     left, gaps = draw(st.floats(-1e6, 1e6)), []
@@ -493,6 +499,30 @@ def test_evolve_with_many_gaps_keeps_the_exit_contract(tmp_path, capsys, cfg):
     _assert_evolve_exit_contract(tmp_path, capsys, cfg)
 
 
+@st.composite
+def evolve_long_marches(draw):
+    # 1 to 4 gaps under one angle (a divisor march) with widths and
+    # spacings from 1e-3 to 3, the first one starting anywhere in
+    # [-1e6, 1e6], and a march to x in [1, 20]
+    n = draw(st.integers(1, 4))
+    decades = st.floats(-3.0, 0.5)
+    left, gaps = draw(st.floats(-1e6, 1e6)), []
+    for _ in range(n):
+        width = 10.0 ** draw(decades)
+        gaps.append([left, left + width])
+        left += width + 10.0 ** draw(decades)
+    stop = draw(st.floats(1.0, 20.0))
+    return {"profile": {"gaps": gaps, "uniform": draw(st.floats(0.0, math.pi))},
+            "xgrid": [0.0, 0.5 * stop, stop]}
+
+
+@given(evolve_long_marches())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evolve_long_marches_keep_the_exit_contract(tmp_path, capsys, cfg):
+    _assert_evolve_exit_contract(tmp_path, capsys, cfg)
+
+
 def test_evolve_far_gap_seeds_on_the_frame(tmp_path):
     # a gap near 1e6: the x = 0 Weyl-law check runs on the co-rotating
     # frame, whose heights keep their digits, so the run passes
@@ -502,6 +532,14 @@ def test_evolve_far_gap_seeds_on_the_frame(tmp_path):
     records = _records(text)
     assert records["residual"]["status"] == "pass"
     assert records["norm_constancy"]["status"] == "pass"
+
+
+def test_verify_far_gap_runs_the_asymptotics_on_the_frame(tmp_path):
+    # the same gap near 1e6: verify's large-z probe runs on the co-rotating
+    # frame too, where y (iI - M(iy)) keeps its digits
+    code, text = _run(tmp_path, "verify", {"profile": {"gaps": [[999950, 1000050]], "uniform": 0.3}})
+    assert code == 0
+    assert _records(text)["asymptotics"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("cfg,flags", [

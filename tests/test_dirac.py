@@ -242,8 +242,8 @@ def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
 
     monkeypatch.setattr(dirac, "_trace_pq", counted_trace)
     monkeypatch.setattr(dirac, "_congruence_step", counted_cong)
-    gaps, alpha = TAYLOR_PROFILE
-    sample_potential(KreinProfile.uniform(GapSet(gaps), alpha), [0.0, 0.1, 0.2, 0.3])
+    # mismatched angles take the congruence march
+    sample_potential(KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES), [0.0, 0.1, 0.2, 0.3])
     assert counts["cong"] > 0
     assert counts["trace"] <= 1.2 * counts["cong"] + 2
 
@@ -267,7 +267,7 @@ def test_fine_step_errors_count_only_after_a_finite_coarse_step(monkeypatch, coa
         return pq, errors
 
     monkeypatch.setattr(dirac, "_trace_pq", faulty)
-    prof = KreinProfile.uniform(GapSet(WITNESS_GAPS), 0.7)
+    prof = KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES)
     if coarse_overflows:
         assert len(sample_potential(prof, [0.0, 0.1])) == 2
     else:
@@ -346,89 +346,21 @@ def test_congruence_step_matches_the_propagator():
                                    rtol=0, atol=1e-13)
 
 
-def _real_per_node(n):
-    # the real-state layout of _per_node: node k's density times -1/2
-    return -0.5 * np.eye(n)
-
-
-def test_real_trace_kernel_matches_the_complex_one():
-    # uniform profiles march real states, whose density is -N/(2r) in
-    # closed form: the same numbers as the complex kernel on the same states
-    mats = _kernel_cases()["aligned"]
-    assert np.abs(mats.imag).max() < 1e-15 * np.abs(mats).max()
-    real = np.ascontiguousarray(_states(mats).real)
-    pq_r, errors_r = dirac._trace_pq(real, _real_per_node(len(mats)))
-    pq_c, errors_c = dirac._trace_pq(real.astype(complex), _per_node(len(mats)))
-    assert pq_r.dtype == float and errors_r == errors_c == [None]
-    np.testing.assert_allclose(pq_r, pq_c, rtol=0, atol=1e-14)
-
-
-def test_real_congruence_step_matches_the_complex_one():
-    # the real propagator takes cosh/sinh where kappa^2 > 0 and cos/sin
-    # where kappa^2 < 0; t = 0.5 is a kappa = 0 node for (p, q) = (0, 0.5),
-    # t = -0.3 is hyperbolic there and t = 1.7 rotational for both stacks
-    ts = np.array([-2.0, -0.5, -0.3, 0.1, 0.5, 1.7])
-    mats = _kernel_cases()["aligned"][:6]
-    real = np.ascontiguousarray(np.concatenate([_states(mats)] * 2, axis=1).real)
-    pqh = [(0.0, 0.5, 0.3), (-0.4, 0.7, 0.05)]
-    cols = [np.array([[v[k]] for v in pqh]) for k in range(3)]
-    k2 = cols[0] ** 2 + cols[1] ** 2 - ts ** 2
-    assert (k2 > 0).any() and (k2 < 0).any() and (k2 == 0).any()
-    out = dirac._congruence_step(real, ts[None], *cols)
-    ref = dirac._congruence_step(real.astype(complex), ts.astype(complex)[None],
-                                 *(c.astype(complex) for c in cols))
-    assert out.dtype == float
-    np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.parametrize("big", [1e6, 2e6, 5e6, 1e7])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_real_trace_kernel_refuses_the_cut_where_mlog_does(big, sign):
-    # a real det = -1 state has eigenvalues of opposite signs, the smaller
-    # modulus 1/(|h| + r); it lies on the cut once (|h| + r)^2 >= 1/_CUT_TOL
-    # = 1e13, between 2e6 and 5e6 here, as mlog_spectral decides it
-    good = _kernel_cases()["aligned"]
-    eigs = (big, -1.0 / big) if sign > 0 else (1.0 / big, -big)
-    mats = np.concatenate([good[:3], [_rotated(eigs, 0.4)], good[3:6]])
-    try:
-        mlog_spectral(mats)
-        expected = None
-    except SpectrumOnCut:
-        expected = SpectrumOnCut
-    assert (expected is None) == (big < 3e6)
-    # three stacks: the matrices above, a clean one, and one that overflowed
-    states = np.concatenate([_states(mats), _states(good[:7]), _states(good[:7])], axis=1)
-    states = np.ascontiguousarray(states.real)
-    states[1, 2, 4] = np.inf
-    states[0, 2, 5] = np.nan
-    with np.errstate(invalid="ignore", over="ignore"):
-        pq, errors = dirac._trace_pq(states, _real_per_node(7))
-    assert errors[1] is None and errors[2] is None
-    if expected is None:
-        assert errors[0] is None
-    else:
-        assert isinstance(errors[0], SpectrumOnCut)
-        # the small eigenvalue, -1/big or 1/big, is the one on the cut
-        word, lam, *rest = str(errors[0]).split()
-        assert word == "eigenvalue" and " ".join(rest) == "lies on the branch cut"
-        assert abs(complex(lam) + sign / big) < 1e-12 / big
-    assert np.isnan(pq[:, 2]).all() and np.isfinite(pq[:, 1]).all()
-
-
 @pytest.mark.parametrize("angles, dtype", [((0.7, 0.7), float), (WITNESS_ANGLES, complex)])
 def test_uniform_marches_carry_real_states(monkeypatch, angles, dtype):
-    # gap values of a uniform profile are real, so its march runs on float
-    # states; mismatched angles keep complex ones
-    seen = set()
-    trace_pq = dirac._trace_pq
-
-    def recorded(states, wq):
-        seen.add(states.dtype)
-        return trace_pq(states, wq)
-
-    monkeypatch.setattr(dirac, "_trace_pq", recorded)
+    # a uniform profile marches its Dirichlet divisor, 2 n real angles, and
+    # never a boundary matrix; mismatched angles, whose gap values are
+    # complex, keep the congruence march of complex boundary matrices
+    seen = {}
+    for name in ("_divisor", "_congruence_step"):
+        def traced(*args, _f=getattr(dirac, name), _name=name):
+            out = _f(*args)
+            seen.setdefault(_name, set()).add(out.dtype)
+            return out
+        monkeypatch.setattr(dirac, name, traced)
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), angles), [0.0, 0.1])
-    assert seen == {np.dtype(dtype)}
+    route = "_divisor" if dtype is float else "_congruence_step"
+    assert seen == {route: {np.dtype(dtype)}}
 
 
 def test_gap_nodes_are_the_legendre_rules():

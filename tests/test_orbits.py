@@ -1,0 +1,106 @@
+"""The march against closed-form orbits.
+
+Two gaps have a closed-form orbit, ||W||^2 = A + B cd^2(kappa x | m) on a
+uniform profile (see ``conftest._two_gap_norm``); one centred gap keeps
+||W|| at its half width.  Uniform profiles march their Dirichlet divisor,
+so these hold the divisor route to its numbers and its reported residual
+to the true error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kreindirac import GapSet, KreinProfile, sample_potential
+from kreindirac import dirac
+from kreindirac.finitegap import build_M, trace_formula_W0
+
+# (gaps, common angle, march length): widths from 0.1 to 20, spacings from
+# 1e-3 to 2, centres from -1e3 to 1e2, angles in every quadrant and next to
+# 0 and pi/2, where the divisor sits within 1e-18 widths of a gap end
+TWO_GAP_ORBITS = [
+    (((-2.0, -1.0), (1.0, 2.0)), math.pi / 4, 20.0),
+    (((-3.0, -2.0), (1.0, 2.5)), 0.3, 20.0),
+    (((-6.0, -1.0), (1.0, 6.0)), 0.3, 20.0),
+    (((-20.0, -1.0), (1.0, 20.0)), 0.3, 5.0),
+    (((-20.0, -0.5), (0.5, 1.0)), 2.0, 20.0),
+    (((-1.0, -0.5), (0.5, 20.5)), 1.0, 20.0),
+    (((100.0, 100.5), (101.5, 102.3)), 2.5, 20.0),
+    (((-1.0, -0.5), (0.5, 1.02)), 1.1, 20.0),
+    (((0.0, 1.0), (1.001, 2.0)), 0.7, 20.0),
+    (((0.0, 1.0), (1.001, 2.0)), 1e-9, 20.0),
+    (((-3.0, -2.9), (1.0, 6.0)), math.pi / 2 - 1e-9, 20.0),
+    (((-1e3, -1e3 + 0.4), (-1e3 + 2.0, -1e3 + 3.0)), 0.2, 20.0),
+]
+
+
+@pytest.mark.parametrize("gaps, alpha, stop", TWO_GAP_ORBITS)
+def test_two_gap_march_follows_the_closed_form(two_gap_norm, gaps, alpha, stop):
+    xg = np.linspace(0.0, stop, 101)
+    samples = sample_potential(KreinProfile.uniform(GapSet(gaps), alpha), xg)
+    err = np.abs([s.norm for s in samples] - two_gap_norm(gaps, xg))
+    assert err.max() < 1e-8
+    # the residual is an honest bound: seed check plus the accumulated
+    # error estimate of the march
+    assert all(s.residual >= e for s, e in zip(samples, err))
+
+
+@pytest.mark.parametrize("r", [10.0, 50.0])
+def test_centred_gap_keeps_its_norm(r):
+    # the divisor of one centred gap stands still: ||W|| stays at r
+    prof = KreinProfile.uniform(GapSet(((-r, r),)), 0.3)
+    samples = sample_potential(prof, np.linspace(0.0, 3.0, 61))
+    assert max(abs(s.norm - r) for s in samples) < 1e-8
+
+
+def _random_uniform(rng, n):
+    widths = rng.uniform(0.1, 2.0, n)
+    spacings = rng.uniform(0.05, 2.0, n)
+    left = np.cumsum(spacings + np.concatenate([[0.0], widths[:-1]])) + rng.uniform(-5, 5)
+    gaps = tuple(zip(left.tolist(), (left + widths).tolist()))
+    return GapSet(gaps), float(rng.uniform(0.0, math.pi))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+def test_divisor_is_the_zero_set_of_m11(n):
+    # one zero of M_11 per gap, where M_12 = +-1 takes the sign of
+    # sin(phi); the trace formula over the divisor is W(0)
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        gs, alpha = _random_uniform(rng, n)
+        a, b = gs.endpoints
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        phi = dirac._divisor(a, b, np.array([[alpha], [alpha - math.pi / 4]]))
+        mu = c + r * np.cos(phi[0])
+        assert ((a < mu) & (mu < b)).all()
+        # M is evaluated only clear of the endpoint margins
+        near = gs.endpoint_errors(mu)
+        clear = [j for j in range(n) if j not in near]
+        m = build_M(KreinProfile.uniform(gs, alpha), mu[clear])
+        np.testing.assert_allclose(m[:, 0, 0], 0.0, atol=1e-11)
+        np.testing.assert_allclose(m[:, 0, 1], np.sign(np.sin(phi[0, clear])), atol=1e-11)
+        w0 = trace_formula_W0(KreinProfile.uniform(gs, alpha))
+        p, q = (r * np.cos(phi)).sum(axis=1)
+        assert abs(p - w0.p) < 1e-12 * n and abs(q - w0.q) < 1e-12 * n
+
+
+def test_divisor_sits_on_the_gap_ends_at_the_axes():
+    # angle 0 puts every zero of M_11 on b_j, angle pi/2 on a_j
+    gs = GapSet(((-2.0, -1.0), (1.0, 2.0), (3.0, 5.0)))
+    a, b = gs.endpoints
+    phi = dirac._divisor(a, b, np.array([[0.0], [math.pi / 2]]))
+    np.testing.assert_allclose(np.abs(phi), [[0.0] * 3, [math.pi] * 3], atol=1e-12)
+
+
+def test_divisor_residual_falls_with_loc_tol(two_gap_norm):
+    # the march error and its estimate both shrink as loc_tol does
+    gaps = ((-2.0, -1.0), (1.0, 2.0))
+    xg = np.linspace(0.0, 10.0, 11)
+    prof = KreinProfile.uniform(GapSet(gaps), 0.4)
+    runs = [sample_potential(prof, xg, loc_tol=tol) for tol in (1e-6, 1e-10)]
+    seed = runs[0][0].residual
+    march = [s[-1].residual - seed for s in runs]
+    errs = [np.abs([s.norm for s in ss] - two_gap_norm(gaps, xg)).max() for ss in runs]
+    assert march[1] < 1e-2 * march[0] and errs[1] < errs[0]
+    assert errs[0] <= runs[0][-1].residual
