@@ -45,7 +45,6 @@ from .herglotz import (
     profile_m_function,
     krein_xi,
     krein_xi_grid,
-    rep_logM,
     asymptotic_W,
     herglotz_defect,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "profile_m_function",
     "krein_xi",
     "krein_xi_grid",
-    "rep_logM",
     "asymptotic_W",
     "herglotz_defect",
     "StepPotential",

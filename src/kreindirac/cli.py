@@ -254,11 +254,17 @@ def _convert(name: str, parse, value):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _check_ygrid(ygrid, gapset: GapSet) -> None:
+def _check_grids(cfg: RunConfig, gapset: GapSet) -> None:
+    """Raise a ConfigError for a ygrid or tgrid that ``gapset`` alone
+    shows to be bad."""
     # the large-z law needs its lowest height 4 spectral radii out
-    if ygrid is not None and gapset.n and ygrid[0] < 4.0 * gapset.spectral_radius:
+    if cfg.ygrid is not None and gapset.n and cfg.ygrid[0] < 4.0 * gapset.spectral_radius:
         raise ConfigError(f'"ygrid" must start at least 4 spectral radii '
                           f'({4.0 * gapset.spectral_radius!r}) out')
+    # a t inside an endpoint margin has no boundary value to extrapolate
+    errs = gapset.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
+    if errs:
+        raise ConfigError(f'"tgrid": {next(iter(errs.values()))}')
 
 
 def load_config(path: str, command: str, overrides: dict) -> RunConfig:
@@ -303,7 +309,7 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     if needs_profile and cfg.profile is None:
         raise ConfigError(f'"{command}" needs a "profile"')
     if cfg.profile is not None:
-        _check_ygrid(cfg.ygrid, cfg.profile.gapset)
+        _check_grids(cfg, cfg.profile.gapset)
     if command == "oracle" and cfg.constant is None:
         raise ConfigError('"oracle" needs a "constant" [p, q]')
     if cfg.zgrid is not None and command in ("verify", "oracle", "construct"):
@@ -358,7 +364,7 @@ def run_construct(cfg: RunConfig) -> Report:
         label = "strict at x = 0: ||W(0)|| is below the sharp bound"
     rep.info("classification", bound - w0.norm, label)
 
-    if gs.n and profile.is_piecewise_constant:
+    if gs.n:
         realness = gap_realness(profile)
         comm = commutator_diag(profile, [(a + b) / 2.0 for a, b in gs.gaps])
         if profile.is_uniform:
@@ -409,8 +415,8 @@ def _random_aligned_profile(rng: np.random.Generator) -> KreinProfile:
 
 def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str) -> None:
     gs = profile.gapset
-    # random profiles meet the ygrid only here, before any probe runs
-    _check_ygrid(cfg.ygrid, gs)
+    # random profiles meet the grids only here, before any probe runs
+    _check_grids(cfg, gs)
     mfun = _mfun(cfg, profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
@@ -458,7 +464,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
 
     rep.probe(prefix + "re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E",
               lambda: reflectionless_defect(mfun, egrid))
-    if gs.n and profile.is_piecewise_constant:
+    if gs.n:
         # the input boundary data at each t: its gap's projection, or I/2
         # for a t in E
         j = gs.containing_gaps(tgrid)

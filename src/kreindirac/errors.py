@@ -35,10 +35,6 @@ class EndpointSingularity(KreinDiracError):
     """Evaluation was requested too close to a gap endpoint (a logarithmic singularity)."""
 
 
-class NotPiecewiseConstant(KreinDiracError):
-    """The operation requires a piecewise-constant (per-gap angle) profile."""
-
-
 class DegenerateEigenproblem(KreinDiracError):
     """An eigenvector extraction hit a (near-)defective matrix."""
 

@@ -1,10 +1,9 @@
 """Finite-gap sets, Krein profiles and the explicit extremal construction.
 
 A finite-gap set is E = R minus a union of n open gaps (a_j, b_j).  A Krein
-profile assigns to each gap a rank-one orthogonal projection P(alpha_j)
-(piecewise-constant mode) or a projection-valued function of t (sampled
-mode); together with the density I/2 on E this is the boundary data of a
-matrix Herglotz function
+profile assigns to each gap a constant rank-one orthogonal projection
+P(alpha_j); together with the density I/2 on E this is the boundary data of
+a matrix Herglotz function
 
     log M(z) = (i pi / 2) I + sum_j log((b_j - z)/(a_j - z)) (P_j - I/2),
 
@@ -28,7 +27,6 @@ from .errors import (
     DegenerateEigenproblem,
     EndpointSingularity,
     NotAdmissible,
-    NotPiecewiseConstant,
     PoleAt,
 )
 from .mat2 import (
@@ -45,7 +43,7 @@ from .mat2 import (
     op_norm_sym,
     re_part,
 )
-from .numerics import LIMIT_OFFSETS, LIMIT_ORDER, adaptive_gauss_legendre, extrapolate_schedule
+from .numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
 __all__ = [
     "ENDPOINT_MARGIN",
@@ -162,40 +160,33 @@ def _angle_distance(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class KreinProfile:
-    """Boundary data on a gap set: one projection direction per gap.
+    """Boundary data on a gap set: one constant projection direction per gap.
 
-    ``angles`` holds one entry per gap, either all floats (piecewise-constant
-    mode; normalized into [0, pi)) or all callables t -> angle (sampled
-    mode).  The gapless profile (n = 0) is admissible and describes the free
-    function M = i I.  ``projection_defects`` is the read-only (n, 2, 2)
-    stack of P_j - I/2 in piecewise-constant mode, None in sampled mode.
+    ``angles`` holds one finite angle per gap, normalized into [0, pi).  The
+    gapless profile (n = 0) is admissible and describes the free function
+    M = i I.  ``projection_defects`` is the read-only (n, 2, 2) stack of
+    P_j - I/2.
     """
 
     gapset: GapSet
     angles: tuple = field(default=())
-    projection_defects: np.ndarray | None = field(init=False, repr=False, compare=False)
+    projection_defects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         angles = tuple(self.angles)
         if len(angles) != self.gapset.n:
             raise ValueError(f"expected {self.gapset.n} angles, got {len(angles)}")
-        kinds = {callable(a) for a in angles}
-        if len(kinds) > 1:
-            raise ValueError("angles must be all numbers or all callables")
-        if angles and not callable(angles[0]):
-            if not all(math.isfinite(a) for a in angles):
-                raise ValueError("angles must be finite")
-            angles = tuple(_circular_angle(a) for a in angles)
+        if not all(math.isfinite(a) for a in angles):
+            raise ValueError("angles must be finite")
+        angles = tuple(_circular_angle(a) for a in angles)
         object.__setattr__(self, "angles", angles)
-        defects = None
-        if self.is_piecewise_constant:
-            ang = np.array(angles, dtype=float)
-            c, s = np.cos(ang), np.sin(ang)
-            defects = np.empty((self.gapset.n, 2, 2))
-            defects[:, 0, 0] = c * c - 0.5
-            defects[:, 0, 1] = defects[:, 1, 0] = s * c
-            defects[:, 1, 1] = s * s - 0.5
-            defects.flags.writeable = False
+        ang = np.array(angles, dtype=float)
+        c, s = np.cos(ang), np.sin(ang)
+        defects = np.empty((self.gapset.n, 2, 2))
+        defects[:, 0, 0] = c * c - 0.5
+        defects[:, 0, 1] = defects[:, 1, 0] = s * c
+        defects[:, 1, 1] = s * s - 0.5
+        defects.flags.writeable = False
         object.__setattr__(self, "projection_defects", defects)
 
     @classmethod
@@ -203,24 +194,12 @@ class KreinProfile:
         return cls(gapset, (float(alpha),) * gapset.n)
 
     @property
-    def is_piecewise_constant(self) -> bool:
-        return not (self.angles and callable(self.angles[0]))
-
-    @property
     def is_uniform(self) -> bool:
         """True if all gaps share one projection direction (mod pi)."""
-        if not self.is_piecewise_constant:
-            return False
-        if self.gapset.n <= 1:
-            return True
         return all(_angle_distance(a, self.angles[0]) <= 1e-12 for a in self.angles[1:])
 
-    def angle_at(self, j: int, t: float | None = None) -> float:
-        a = self.angles[j]
-        return float(a(t)) if callable(a) else a
-
-    def projection(self, j: int, t: float | None = None) -> np.ndarray:
-        return projection_angle(self.angle_at(j, t))
+    def projection(self, j: int) -> np.ndarray:
+        return projection_angle(self.angles[j])
 
 
 def json_number(v) -> float:
@@ -319,14 +298,11 @@ def build_logM(profile: KreinProfile, z) -> np.ndarray:
     Defined for Im z >= 0; real z are evaluated as limits from above
     (inside gaps this is the analytic continuation through the gap, on the
     interior of E it is the purely-imaginary reflectionless boundary value).
-    Piecewise-constant profiles only.
 
     ``z`` is one point, giving a (2, 2) array, or a 1-D array of N points,
     giving an (N, 2, 2) stack.  Real points inside an endpoint exclusion
     zone raise EndpointSingularity.
     """
-    if not profile.is_piecewise_constant:
-        raise NotPiecewiseConstant("closed form needs per-gap constant angles")
     gs = profile.gapset
     zs = _points(gs, z)
     defect = profile.projection_defects
@@ -491,19 +467,13 @@ class PotentialSample:
 def trace_formula_W0(profile: KreinProfile) -> PotentialSample:
     """Potential at the origin from the Krein density:
 
-        W(0) = sum_j int_{a_j}^{b_j} (xi(t) - I/2) dt.
+        W(0) = sum_j int_{a_j}^{b_j} (xi(t) - I/2) dt = sum_j (b_j - a_j)(P_j - I/2),
 
-    Piecewise-constant profiles admit the closed form
-    sum_j (b_j - a_j)(P_j - I/2); sampled profiles are integrated by
-    Gauss-Legendre panels.
+    the density being the constant P_j on gap j.
     """
     total = np.zeros((2, 2), dtype=complex)
     for j, (a, b) in enumerate(profile.gapset.gaps):
-        if profile.is_piecewise_constant:
-            total += (b - a) * (profile.projection(j) - 0.5 * I2)
-        else:
-            total += adaptive_gauss_legendre(
-                lambda t, j=j: profile.projection(j, t) - 0.5 * I2, a, b)
+        total += (b - a) * (profile.projection(j) - 0.5 * I2)
     drift = max(abs(total[0, 0] + total[1, 1]), abs(total[0, 1] - total[1, 0]),
                 float(np.max(np.abs(total.imag))))
     return PotentialSample(x=0.0, p=float(total[0, 0].real),

@@ -13,9 +13,10 @@ exponential representation
     log M(z) = A + (i pi / 2) I + sum_gaps int (xi(t) - I/2) / (t - z) dt,
 
 where A is a real symmetric constant (zero for the canonical construction;
-the density I/2 on E contributes the explicit (i pi/2) I term).  The module
-evaluates xi by limit schedules, evaluates the representation for profile
-data, and extracts the potential at the origin from the two large-z laws
+the density I/2 on E contributes the explicit (i pi/2) I term).  For a
+Krein profile the gap integrals have the closed form of
+``finitegap.build_logM``.  The module evaluates xi by limit schedules and
+extracts the potential at the origin from the two large-z laws
 
     M(i Y) = i (I - W(0) / (iY) + O(Y^-2)),
     log M(i Y) = (i pi / 2) I - W(0) / (iY) + O(Y^-2).
@@ -34,12 +35,11 @@ from .finitegap import (
     KreinProfile,
     PotentialSample,
     boundary_limit,
-    build_logM,
     build_M,
     gap_interior_grid,
 )
-from .mat2 import I2, as_mat2, im_part, mexp, mlog_spectral
-from .numerics import adaptive_gauss_legendre, convergence_error, extrapolate_schedule
+from .mat2 import I2, as_mat2, im_part, mlog_spectral
+from .numerics import convergence_error, extrapolate_schedule
 
 __all__ = [
     "MFunction",
@@ -47,7 +47,6 @@ __all__ = [
     "profile_m_function",
     "krein_xi_grid",
     "krein_xi",
-    "rep_logM",
     "asymptotic_W",
     "herglotz_defect",
 ]
@@ -78,16 +77,8 @@ class MFunction:
 
 
 def profile_m_function(profile: KreinProfile) -> MFunction:
-    """The constructed M function of a Krein profile.
-
-    Piecewise-constant profiles use the closed form; sampled profiles go
-    through the exponential representation with A = 0, one quadrature per
-    gap over all points.
-    """
-    if profile.is_piecewise_constant:
-        return MFunction(lambda z: build_M(profile, z), profile.gapset)
-    zero = np.zeros((2, 2))
-    return MFunction(lambda z: mexp(rep_logM(profile, zero, z)), profile.gapset)
+    """The constructed M function of a Krein profile, in closed form."""
+    return MFunction(lambda z: build_M(profile, z), profile.gapset)
 
 
 @dataclass(frozen=True)
@@ -156,43 +147,6 @@ def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
     if isinstance(hit, KreinDiracError):
         raise hit
     return hit
-
-
-def rep_logM(profile: KreinProfile, a0, z) -> np.ndarray:
-    """Evaluate the exponential representation for profile boundary data.
-
-        rep_logM = A0 + (i pi / 2) I + sum_j int_gap_j (xi(t) - I/2)/(t - z) dt
-
-    The I/2 part of the density over all of E u gaps contributes the exact
-    (i pi / 2) I term; only the gap excess is integrated.  For
-    piecewise-constant profiles the gap integrals have the closed form
-    log((b_j - z)/(a_j - z)) (P_j - I/2) (so rep_logM with A0 = 0 coincides
-    with the closed-form construction); sampled profiles are integrated by
-    Gauss-Legendre panels and require Im z > 0.
-
-    ``A0`` is one 2x2 matrix.  ``z`` is one point, giving a (2, 2) array,
-    or a 1-D array of N points, giving an (N, 2, 2) stack.
-    """
-    A0 = as_mat2(a0)
-    if A0.ndim != 2:
-        raise ValueError(f"A0 must be one 2x2 matrix, got shape {A0.shape}")
-    if float(np.max(np.abs(A0.imag))) > 1e-12 or abs(A0[0, 1] - A0[1, 0]) > 1e-12:
-        raise ValueError("A0 must be real symmetric")
-    if profile.is_piecewise_constant:
-        return A0 + build_logM(profile, z)
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1:
-        raise ValueError("z must be one point or a 1-D array of points")
-    if not (zs.imag > 0).all():
-        raise ValueError("sampled profiles are evaluated on the open upper half plane")
-    # one quadrature per gap covers every point: the integrand at a node t
-    # is the stack of (xi(t) - I/2) / (t - z) over the points
-    w = zs[..., None, None]
-    total = A0 + 0.5j * np.pi * I2
-    for j, (a, b) in enumerate(profile.gapset.gaps):
-        total = total + adaptive_gauss_legendre(
-            lambda t, j=j: (profile.projection(j, t) - 0.5 * I2) / (t - w), a, b)
-    return total
 
 
 def _default_ygrid(gapset: GapSet) -> np.ndarray:

@@ -246,7 +246,10 @@ def _slope(lam: np.ndarray, mod: np.ndarray, half_tr: np.ndarray, a01: np.ndarra
     s = (f_lam[0] - f_lam[1]) / (gap + conf)
     if not conf.any():
         return s, None
-    return np.where(conf, fprime(half_tr), s), conf
+    # fprime only where confluent: 1/half_tr of log is infinite elsewhere
+    # for a trace-free matrix
+    s[conf] = fprime(half_tr[conf])
+    return s, conf
 
 
 def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,

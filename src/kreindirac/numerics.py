@@ -1,4 +1,4 @@
-"""Shared extrapolation and quadrature plumbing.
+"""Shared extrapolation plumbing.
 
 Boundary values on the real axis are never evaluated directly: they are
 reached by sampling at the heights ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k)
@@ -7,15 +7,14 @@ for k = 0, ..., 7 (scaled down near gap endpoints, see
 of order ``LIMIT_ORDER`` = 3 (the sampled quantities extend analytically
 through the relevant real intervals, so low-order polynomial extrapolation
 converges fast).  Large-z asymptotics use the same Neville
-tableau in the variable 1/Y.  Smooth gap integrals for sampled Krein
-profiles go through composite Gauss-Legendre rules with node doubling.
+tableau in the variable 1/Y.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, QuadratureFailure
+from .errors import NoConvergence
 
 __all__ = [
     "LIMIT_OFFSETS",
@@ -23,17 +22,11 @@ __all__ = [
     "neville_at_zero",
     "extrapolate_schedule",
     "convergence_error",
-    "adaptive_gauss_legendre",
 ]
 
 LIMIT_OFFSETS = 1e-2 * 0.5 ** np.arange(8)
 LIMIT_OFFSETS.flags.writeable = False
 LIMIT_ORDER = 3
-
-# Gauss-Legendre node doubling stops at this relative agreement, or fails
-# past this many nodes.
-_GL_TOL = 1e-12
-_GL_MAX_NODES = 1024
 
 
 def _neville_column(xs, values, levels: int) -> np.ndarray:
@@ -96,27 +89,3 @@ def convergence_error(residual: float, tol: float, what: str) -> NoConvergence |
         return None
     return NoConvergence(f"{what}: residual {residual:.3e} exceeds {tol:.1e}")
 
-
-def adaptive_gauss_legendre(f, a: float, b: float) -> np.ndarray:
-    """Integrate a smooth (matrix-valued) function over [a, b].
-
-    Gauss-Legendre rules with doubling node counts until two consecutive
-    results agree to 1e-12 relative to the result size, up to 1024 nodes.
-    Intended for analytic integrands such as sampled Krein profiles against Cauchy
-    kernels with z off the interval.
-    """
-    prev = None
-    n = 16
-    while n <= _GL_MAX_NODES:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        acc = sum(w * np.asarray(f(ti), dtype=complex) for ti, w in zip(t, weights))
-        acc = 0.5 * (b - a) * acc
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(acc))))
-            if float(np.max(np.abs(acc - prev))) <= _GL_TOL * scale:
-                return acc
-        prev = acc
-        n *= 2
-    raise QuadratureFailure(f"Gauss-Legendre did not stabilize below {_GL_TOL:.1e} "
-                            f"with {_GL_MAX_NODES} nodes on [{a}, {b}]")

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 
-def _two_gap_norm(gaps, x):
-    """||W(x)|| along the orbit of a uniform two-gap profile, in closed form.
+def _two_gap_norm(gaps, x, start="top"):
+    """||W(x)|| along the orbit of a two-gap profile, in closed form.
 
     The orbit is the genus-1 solution of the AKNS hierarchy (Kamchatnov,
     Nonlinear Periodic Waves and Their Modulations, 2000):
     ||W||^2 = A + B sn^2(kappa (x - x0) | m) with A = (w2 - w1)^2 / 4,
-    B = w1 w2, kappa^2 = (b2 - b1)(a2 - a1) and m = B / kappa^2.  A uniform
-    profile is extremal at x = 0, so the orbit starts at its top, the sharp
-    bound (w1 + w2)/2: x0 = -K(m)/kappa (mod the period 2K/kappa), and
-    sn(u + K) = cd(u).
+    B = w1 w2, kappa^2 = (b2 - b1)(a2 - a1) and m = B / kappa^2.  ``start``
+    places the orbit at x = 0.  "top": a uniform profile is extremal at
+    x = 0, so the orbit starts at the sharp bound (w1 + w2)/2:
+    x0 = -K(m)/kappa (mod the period 2K/kappa), and sn(u + K) = cd(u).
+    "bottom": an orthogonal profile (angles alpha, alpha + pi/2) starts at
+    |w2 - w1|/2, so x0 = 0.
     """
     from scipy.special import ellipj, ellipk
 
@@ -23,12 +25,13 @@ def _two_gap_norm(gaps, x):
     w1, w2 = b1 - a1, b2 - a2
     kappa = math.sqrt((b2 - b1) * (a2 - a1))
     m = w1 * w2 / kappa ** 2
-    sn, _, _, _ = ellipj(kappa * np.asarray(x, dtype=float) + ellipk(m), m)
+    shift = {"top": ellipk(m), "bottom": 0.0}[start]
+    sn, _, _, _ = ellipj(kappa * np.asarray(x, dtype=float) + shift, m)
     return np.sqrt((w2 - w1) ** 2 / 4 + w1 * w2 * sn ** 2)
 
 
 @pytest.fixture
 def two_gap_norm():
-    """The closed-form ||W(x)|| of a uniform two-gap profile, as a function
-    of the gaps and an array of x."""
+    """The closed-form ||W(x)|| of a two-gap profile, as a function of the
+    gaps, an array of x and the orbit's start ("top" or "bottom")."""
     return _two_gap_norm

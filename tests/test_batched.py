@@ -160,7 +160,9 @@ def _exp_reference(a):
         return expm(a)
     l1, l2 = a[0, 0], a[1, 1]
     d = l1 - l2
-    dd = np.exp(l2) * (np.expm1(d) / d if d != 0 else 1.0)
+    # expm1(d)/d rounds to 1 below |d| = 1e-300, where the complex
+    # division of a subnormal d would overflow
+    dd = np.exp(l2) * (np.expm1(d) / d if abs(d) > 1e-300 else 1.0)
     return np.array([[np.exp(l1), a[0, 1] * dd], [0.0, np.exp(l2)]])
 
 
@@ -171,6 +173,9 @@ def _off_cut(m):
 
 @given(matrix_stacks())
 @settings(max_examples=150, deadline=None)
+# a confluent matrix beside a trace-free one, and a subnormal eigenvalue gap
+@example(np.array([[[1j, 0], [0, 1j]], [[0, 1j], [1, 0]]], dtype=complex))
+@example(np.array([[[0, 0], [0, 2.2250738585e-309j]]], dtype=complex))
 def test_batched_mexp_mlog_agree_with_one_matrix(stack):
     exps = mexp(stack)
     for a, e in zip(stack, exps):

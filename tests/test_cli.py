@@ -244,6 +244,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"random_profiles": 2, "ygrid": [1, 2, 3]},           # below 4 radii
         dict(SINGLE_GAP, ygrid=[8, 4, 16]),                   # not increasing
         dict(SINGLE_GAP, ygrid=[8, 16]),                      # too short
+        dict(SINGLE_GAP, tgrid=[0.0, 1.0]),                   # on a gap end
     ]
     for cfg in bad_cases:
         code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
@@ -253,8 +254,33 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for command, cfg in (("construct", dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]])),
                          ("evolve", dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1,
                                                            "count": 0})),
-                         ("evolve", dict(SINGLE_GAP, ygrid=[1, 2, 3]))):
+                         ("evolve", dict(SINGLE_GAP, ygrid=[1, 2, 3])),
+                         ("construct", dict(SINGLE_GAP, tgrid=[0.0, 1.0]))):
         assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2, cfg
+
+
+def test_tgrid_margin_error_names_the_point(tmp_path, capsys):
+    # a t within 1e-3 widths of a gap end has no boundary limit, which the
+    # config alone shows: for its profile, and for each random profile
+    end = cli._random_aligned_profile(np.random.default_rng(5)).gapset.gaps[0][1]
+    for command, cfg, t in (("construct", dict(SINGLE_GAP, tgrid=[0.0, 1.0005]), 1.0005),
+                            ("verify", {"random_profiles": 1, "seed": 5, "tgrid": [end]}, end)):
+        code = cli.main([command, "--config", _write(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        _assert_config_error(code, err)
+        assert err.startswith(f'config error: "tgrid": t = {t} is within the exclusion margin')
+
+
+def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    # the installed kreindirac script runs console_main on sys.argv
+    golden = str(Path(__file__).resolve().parent / "golden" / "construct.json")
+    bad = _write(tmp_path, dict(SINGLE_GAP, tgrid=[1.0]))
+    for config, expected in ((golden, 0), (bad, 2)):
+        monkeypatch.setattr(sys, "argv", ["kreindirac", "construct", "--config", config,
+                                          "--out", str(tmp_path / "report.json")])
+        with pytest.raises(SystemExit) as stop:
+            cli.console_main()
+        assert stop.value.code == expected
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

@@ -14,7 +14,6 @@ from kreindirac import (
     herglotz_defect,
     krein_xi,
     profile_m_function,
-    rep_logM,
     trace_formula_W0,
 )
 from kreindirac.errors import EndpointSingularity, NoConvergence
@@ -34,13 +33,11 @@ def test_mfunction_wraps_and_coerces():
 
 def test_mfunction_maps_a_point_array_to_a_stack():
     prof = KreinProfile.uniform(TWO_GAP, 0.8)
-    sampled = KreinProfile(TWO_GAP, (lambda t: 0.8, lambda t: 0.8))
     zs = np.array([0.5j, 2.0 + 1.0j, -3.0 + 0.25j])
-    for mfun in (profile_m_function(prof), profile_m_function(sampled)):
-        mats = mfun(zs)
-        assert mats.shape == (3, 2, 2)
-        for z, m in zip(zs, mats):
-            np.testing.assert_allclose(m, build_M(prof, z), atol=1e-9)
+    mats = profile_m_function(prof)(zs)
+    assert mats.shape == (3, 2, 2)
+    for z, m in zip(zs, mats):
+        np.testing.assert_allclose(m, build_M(prof, z), atol=1e-9)
     # an evaluator of one point only is refused on an array
     with pytest.raises(ValueError, match="shape"):
         MFunction(lambda z: np.eye(2))(zs)
@@ -52,42 +49,6 @@ def test_profile_m_function_matches_closed_form():
     for z in (0.5j, 2.0 + 1.0j, -3.0 + 0.25j):
         np.testing.assert_allclose(mfun(z), build_M(prof, z), atol=1e-14)
     assert mfun.gapset is prof.gapset
-
-
-def test_sampled_profile_route_matches_closed_form():
-    # constant callables force the quadrature route through rep_logM;
-    # it must land on the closed form (two independent evaluations)
-    pw = KreinProfile(TWO_GAP, (0.4, 1.1))
-    sampled = KreinProfile(TWO_GAP, (lambda t: 0.4, lambda t: 1.1))
-    msam = profile_m_function(sampled)
-    for z in (1.0j, 1.5 + 0.5j, -2.5 + 2.0j):
-        np.testing.assert_allclose(msam(z), build_M(pw, z), atol=1e-9)
-
-
-def test_rep_logM_closed_form_coincidence():
-    prof = KreinProfile(TWO_GAP, (0.4, 1.1))
-    z = 0.7 + 0.9j
-    from kreindirac.finitegap import build_logM
-    np.testing.assert_allclose(rep_logM(prof, np.zeros((2, 2)), z),
-                               build_logM(prof, z), atol=1e-13)
-    with pytest.raises(ValueError):
-        rep_logM(prof, np.array([[0.0, 1j], [1j, 0.0]]), z)  # A0 not real
-
-
-def test_rep_logM_takes_z_arrays_for_sampled_profiles():
-    # one call over a point array equals the per-point calls, for the
-    # quadrature route as for the closed form
-    a0 = np.array([[0.2, -0.1], [-0.1, 0.3]])
-    zs = np.array([0.5j, 2.0 + 1.0j, -3.0 + 0.25j, 1.5 + 0.3j])
-    for prof in (KreinProfile(TWO_GAP, (0.4, 1.1)),
-                 KreinProfile(TWO_GAP, (lambda t: 0.4 + 0.1 * t, lambda t: 1.1))):
-        logs = rep_logM(prof, a0, zs)
-        assert logs.shape == (4, 2, 2)
-        for z, lg in zip(zs, logs):
-            np.testing.assert_allclose(lg, rep_logM(prof, a0, z), rtol=0, atol=1e-13)
-        # a stack of constants is not one A0
-        with pytest.raises(ValueError, match="shape"):
-            rep_logM(prof, np.stack([a0, a0]), zs)
 
 
 def test_krein_xi_recovers_projection_and_half():

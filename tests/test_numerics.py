@@ -1,4 +1,4 @@
-"""Extrapolation and quadrature helpers."""
+"""Extrapolation helpers."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from kreindirac.errors import NoConvergence
 from kreindirac.numerics import (
     LIMIT_OFFSETS,
     LIMIT_ORDER,
-    adaptive_gauss_legendre,
     convergence_error,
     extrapolate_schedule,
     neville_at_zero,
@@ -52,20 +51,3 @@ def test_convergence_error():
     assert isinstance(convergence_error(float("nan"), 1e-6, "nan is not convergence"),
                       NoConvergence)
 
-
-def test_adaptive_gauss_legendre_polynomial():
-    val = adaptive_gauss_legendre(lambda x: np.array([[x ** 2]]), 0.0, 1.0)
-    np.testing.assert_allclose(val, [[1.0 / 3.0]], atol=1e-14)
-
-
-def test_adaptive_gauss_legendre_analytic():
-    # int_0^1 1/(x + 2) dx = log(3/2)
-    val = adaptive_gauss_legendre(lambda x: np.array([[1.0 / (x + 2.0)]]), 0.0, 1.0)
-    np.testing.assert_allclose(val, [[np.log(1.5)]], atol=1e-12)
-
-
-def test_adaptive_gauss_legendre_matrix_valued():
-    f = lambda x: np.array([[np.exp(x), np.sin(x)], [x, 1.0]], dtype=complex)
-    val = adaptive_gauss_legendre(f, 0.0, 2.0)
-    expect = np.array([[np.e ** 2 - 1.0, 1.0 - np.cos(2.0)], [2.0, 2.0]])
-    np.testing.assert_allclose(val, expect, atol=1e-11)
