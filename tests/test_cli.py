@@ -182,17 +182,22 @@ def test_evolve_gates_the_residual(tmp_path, two_gap_norm):
         err = np.abs([row[3] for row in rows] - two_gap_norm(gaps, xgrid))
         assert err.max() < 1e-8
         assert all(row[5] >= e for row, e in zip(rows, err))
-    # orthogonal angles take the congruence march, whose trace-formula
-    # quadrature loses digits on the wide pair: the run fails the residual
-    # gate (about 1e-3), and only it
-    cfg = {"profile": {"gaps": [[-20, -1], [1, 20]], "angles": [0.3, 0.3 + math.pi / 2]},
-           "xgrid": [0, 1]}
-    code, text = _run(tmp_path, "evolve", cfg)
-    assert code == 1
-    failed = [r["name"] for r in json.loads(text)["records"]
-              if r["status"] == "fail"]
-    assert failed == ["residual"]
-    assert 5e-4 < _records(text)["residual"]["value"] < 2e-3
+    # orthogonal angles take the congruence march, whose errors grow on the
+    # wide pair and over a long march: the propagated march error estimate
+    # bounds them and fails the residual gate, the only check that fails
+    for gaps, alpha, xgrid in (([[-20, -1], [1, 20]], 0.3, [0, 1]),
+                               ([[-2, -1], [1, 2]], 0.0, [0, 10, 20])):
+        cfg = {"profile": {"gaps": gaps, "angles": [alpha, alpha + math.pi / 2]},
+               "xgrid": xgrid}
+        code, text = _run(tmp_path, "evolve", cfg)
+        assert code == 1
+        failed = [r["name"] for r in json.loads(text)["records"]
+                  if r["status"] == "fail"]
+        assert failed == ["residual"]
+        rows = json.loads(text)["tables"]["W"]["rows"]
+        err = np.abs([row[3] for row in rows] - two_gap_norm(gaps, xgrid, start="bottom"))
+        assert all(row[5] >= e for row, e in zip(rows, err))
+        assert _records(text)["residual"]["value"] >= err.max()
 
 
 def test_evolve_witness_exits_3_with_partial_rows(tmp_path):

@@ -23,7 +23,7 @@ from kreindirac import (
 from kreindirac import dirac
 from kreindirac.dirac import coefficient_matrix
 from kreindirac.errors import BoundViolation, DegenerateDichotomy, SpectrumOnCut
-from kreindirac.mat2 import im_part, mexp, mlog_spectral
+from kreindirac.mat2 import im_part, mlog_spectral
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
@@ -224,56 +224,64 @@ def test_march_far_gap_follows_the_rotation_law(c):
 
 
 def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
-    # every march state costs one trace-formula evaluation: each congruence
-    # step makes one state per stack, and accepted states carry their
-    # (p, q) along.  Stacked passes hold several states, so states are
-    # counted as stacks, the middle axis of a (3, S, N) array, not as calls
-    counts = {"trace": 0, "cong": 0}
-    trace_pq, congruence_step = dirac._trace_pq, dirac._congruence_step
+    # every march state costs one trace-formula evaluation: the six new
+    # stages of a Dormand-Prince step, where the state and its companion
+    # ride as two stacks of one call, and the step's fourth-order state,
+    # for its error estimate.  Accepted states carry their (p, q) along
+    calls = {"trace": 0, "rates": 0}
+    stacks = set()
+    trace_pq, rates = dirac._trace_pq, dirac._congruence_rates
 
     def counted_trace(states, wq):
-        counts["trace"] += states.shape[1]
+        calls["trace"] += 1
+        stacks.add(states.shape[1])
         return trace_pq(states, wq)
 
-    def counted_cong(states, ts, *args):
-        out = congruence_step(states, ts, *args)
-        counts["cong"] += out.shape[1]
-        return out
+    def counted_rates(states, ts, p, q):
+        calls["rates"] += 1
+        # each stack is driven by its own (p, q)
+        assert p.shape == q.shape == (states.shape[1], 1)
+        return rates(states, ts, p, q)
 
     monkeypatch.setattr(dirac, "_trace_pq", counted_trace)
-    monkeypatch.setattr(dirac, "_congruence_step", counted_cong)
+    monkeypatch.setattr(dirac, "_congruence_rates", counted_rates)
     # mismatched angles take the congruence march
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES), [0.0, 0.1, 0.2, 0.3])
-    assert counts["cong"] > 0
-    assert counts["trace"] <= 1.2 * counts["cong"] + 2
+    # one rate at x = 0, then six per attempted step
+    attempts, rest = divmod(calls["rates"] - 1, 6)
+    assert attempts > 0 and rest == 0
+    assert calls["trace"] <= 7 * attempts + 1
+    assert max(stacks) <= 2
 
 
-@pytest.mark.parametrize("coarse_overflows", [True, False])
-def test_fine_step_errors_count_only_after_a_finite_coarse_step(monkeypatch, coarse_overflows):
-    # the first stacked pass reports a branch cut error on its fine stack;
-    # as in a sequential march it is raised only if the coarse step stays
-    # finite and off the cut, and an overflowed coarse step is a rejected
-    # trial instead
+@pytest.mark.parametrize("fault", ["overflow", "main_cut", "companion_cut"])
+def test_stage_faults_reject_the_step_or_raise(monkeypatch, fault):
+    # a fault injected into the first stage of the first step: an
+    # overflowed stage (NaN, as _trace_pq reports a non-finite state) is a
+    # rejected step, a branch cut on the finite main state raises, and one
+    # hit by the companion alone is not an error
     trace_pq = dirac._trace_pq
-    injected = []
+    calls = []
 
     def faulty(states, wq):
         pq, errors = trace_pq(states, wq)
-        if len(errors) == 2 and not injected:
-            injected.append(True)
-            errors[1] = SpectrumOnCut("injected")
-            if coarse_overflows:
+        calls.append(states.shape[1])
+        if len(calls) == 2:  # the first stage past x = 0
+            if fault == "overflow":
                 pq[:, 0] = np.nan
+            else:
+                errors[fault == "companion_cut"] = SpectrumOnCut("injected")
         return pq, errors
 
     monkeypatch.setattr(dirac, "_trace_pq", faulty)
     prof = KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES)
-    if coarse_overflows:
-        assert len(sample_potential(prof, [0.0, 0.1])) == 2
-    else:
+    if fault == "main_cut":
         with pytest.raises(SpectrumOnCut, match="injected"):
             sample_potential(prof, [0.0, 0.1])
-    assert injected
+    else:
+        samples = sample_potential(prof, [0.0, 0.1])
+        assert len(samples) == 2 and np.isfinite([samples[-1].p, samples[-1].q]).all()
+    assert calls[:2] == [2, 2]
 
 
 def _states(mats):
@@ -328,20 +336,18 @@ def test_trace_kernel_matches_the_matrix_log(kind):
     np.testing.assert_allclose(pq[1, 0], xi[:, 0, 1], rtol=0, atol=1e-13)
 
 
-def test_congruence_step_matches_the_propagator():
-    # T M T^t with T = exp(h K(p, q, t)) per node, on two stacks with their
-    # own (p, q, h): hyperbolic nodes (|t| < ||W||), rotational ones, and
-    # t = 0.5 where kappa = 0 for (p, q) = (0, 0.5), so T = I + h K there
+def test_congruence_rates_match_the_generator():
+    # K M + M K^t with K = K(p, q, t) per node, on two stacks with their
+    # own (p, q), at hyperbolic nodes (|t| < ||W||) and rotational ones
     ts = np.array([-2.0, -0.5, 0.1, 0.5, 1.7])
     mats = _kernel_cases()["witness"][:5]
-    pqh = [(0.0, 0.5, 0.3), (-0.4, 0.7, 0.05)]
-    cols = [np.array([[v[k]] for v in pqh], dtype=complex) for k in range(3)]
+    pqs = [(0.0, 0.5), (-0.4, 0.7)]
+    cols = [np.array([[v[k]] for v in pqs], dtype=complex) for k in range(2)]
     states = np.concatenate([_states(mats)] * 2, axis=1)
-    out = dirac._congruence_step(states, ts.astype(complex)[None], *cols)
-    for k, (p, q, h) in enumerate(pqh):
-        t = np.array([mexp(h * coefficient_matrix(p, q, tk)) for tk in ts])
-        ref = t @ mats @ np.transpose(t, (0, 2, 1))
-        ref /= np.sqrt(-np.linalg.det(ref))[:, None, None]
+    out = dirac._congruence_rates(states, ts.astype(complex)[None], *cols)
+    for k, (p, q) in enumerate(pqs):
+        kk = np.array([coefficient_matrix(p, q, tk) for tk in ts])
+        ref = kk @ mats + mats @ np.transpose(kk, (0, 2, 1))
         np.testing.assert_allclose(out[:, k], [ref[:, 0, 0], ref[:, 0, 1], ref[:, 1, 1]],
                                    rtol=0, atol=1e-13)
 
@@ -352,14 +358,14 @@ def test_uniform_marches_carry_real_states(monkeypatch, angles, dtype):
     # never a boundary matrix; mismatched angles, whose gap values are
     # complex, keep the congruence march of complex boundary matrices
     seen = {}
-    for name in ("_divisor", "_congruence_step"):
+    for name in ("_divisor", "_congruence_rates"):
         def traced(*args, _f=getattr(dirac, name), _name=name):
             out = _f(*args)
             seen.setdefault(_name, set()).add(out.dtype)
             return out
         monkeypatch.setattr(dirac, name, traced)
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), angles), [0.0, 0.1])
-    route = "_divisor" if dtype is float else "_congruence_step"
+    route = "_divisor" if dtype is float else "_congruence_rates"
     assert seen == {route: {np.dtype(dtype)}}
 
 

@@ -3,9 +3,9 @@
 Two gaps have a closed-form orbit, ||W||^2 = A + B cd^2(kappa x | m) on a
 uniform profile and A + B sn^2(kappa x | m) on an orthogonal one (see
 ``conftest._two_gap_norm``); one centred gap keeps ||W|| at its half
-width.  Uniform profiles march their Dirichlet divisor, so these hold the
-divisor route to its numbers and its reported residual to the true error.
-Orthogonal profiles take the congruence march, held to its numbers only.
+width.  Uniform profiles march their Dirichlet divisor and orthogonal
+ones the congruence march; both routes are held to their numbers and their
+reported residuals to the true error.
 """
 
 import math
@@ -48,26 +48,27 @@ def test_two_gap_march_follows_the_closed_form(two_gap_norm, gaps, alpha, stop):
 
 
 # (gaps, alpha, march length) of orthogonal profiles, angles
-# (alpha, alpha + pi/2): widths 0.5 to 1.5, centres -1.75 to 102.25
+# (alpha, alpha + pi/2): widths 0.5 to 5, centres -3.5 to 102.25
 ORTHOGONAL_ORBITS = [
     (((-2.0, -1.0), (1.0, 2.0)), 0.3, 5.0),
     (((-1.0, -0.5), (0.5, 1.02)), 1.0, 5.0),
     (((-2.0, -1.5), (0.2, 1.7)), 2.5, 3.0),
     (((100.0, 101.0), (101.5, 103.0)), 0.7, 3.0),
+    (((-6.0, -1.0), (1.0, 6.0)), 0.3, 2.0),
 ]
 
 
 @pytest.mark.parametrize("gaps, alpha, stop", ORTHOGONAL_ORBITS)
 def test_orthogonal_march_starts_at_the_bottom_of_the_orbit(two_gap_norm, gaps, alpha, stop):
     # W(0) = sum (b_j - a_j)(P_j - I/2) with P_2 = I - P_1 has norm
-    # |w2 - w1|/2, the bottom of the orbit, so x0 = 0.  Past x = 0 the
-    # congruence march reports only its quadrature residual, which does not
-    # bound its error, so no residual is asserted here.
+    # |w2 - w1|/2, the bottom of the orbit, so x0 = 0
     xg = np.linspace(0.0, stop, 21)
     prof = KreinProfile(GapSet(gaps), (alpha, alpha + math.pi / 2))
     samples = sample_potential(prof, xg)
     err = np.abs([s.norm for s in samples] - two_gap_norm(gaps, xg, start="bottom"))
     assert err.max() < 2e-7
+    # past x = 0 the residual carries the propagated march error estimate
+    assert all(s.residual >= e for s, e in zip(samples[1:], err[1:]))
 
 
 @pytest.mark.parametrize("r", [10.0, 50.0])
