@@ -532,9 +532,11 @@ def run_evolve(cfg: RunConfig) -> Report:
         rep.info("norm_min", min(norms), "smallest sampled ||W(x)||")
         rep.check("bound", max(norms) - bound, cfg.bound_slack,
                   "||W(x)|| <= (1/2) sum of gap widths")
-        # uniform profiles march their divisor, any other profile its
-        # boundary matrices by congruence (see sample_potential)
-        source = ("seed check and divisor march error estimate" if profile.is_uniform
+        # uniform profiles solve for their divisor by Abel inversion, any
+        # other profile marches its boundary matrices by congruence (see
+        # sample_potential)
+        source = ("seed check and last Newton correction of the Abel inversion"
+                  if profile.is_uniform
                   else "seed check, trace formula quadrature and propagated "
                        "congruence march error estimate")
         rep.check("residual", max(s.residual for s in samples), 1e-5 * max(1.0, bound),

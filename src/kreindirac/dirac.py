@@ -14,16 +14,17 @@ Riccati equation
 
 The module provides step potentials with exact piecewise transfer matrices,
 closed-form Weyl functions for constant coefficients (the fixed points of
-this equation), and the orbit sampler, which has two routes, both marched
-with one embedded Dormand-Prince 5(4) step control:
+this equation), and the orbit sampler, which has two routes:
 
-* a uniform profile (one angle for all gaps) marches its Dirichlet divisor,
-  the zeros mu_j(x) of M_11(x, .), one per gap, by Dubrovin's equations,
+* a uniform profile (one angle for all gaps) solves for its Dirichlet
+  divisor, the zeros mu_j(x) of M_11(x, .), one per gap, at each grid
+  point by inverting the Abel map, which is linear in x along the orbit,
   and reads W(x) off the trace formula p = sum_j mu_j - (1/2) sum_k (a_k + b_k);
 * any other profile marches the gap boundary values of its Herglotz
-  matrix by congruence, M_x(t) = T M_0(t) T^t, and reads W(x) off the
-  trace formula over the shifted Krein density; a perturbed companion
-  state measures how the march amplifies its local errors.
+  matrix by congruence, M_x(t) = T M_0(t) T^t, with an embedded
+  Dormand-Prince 5(4) step control, and reads W(x) off the trace formula
+  over the shifted Krein density; a perturbed companion state measures
+  how the march amplifies its local errors.
 
 Both work in the co-rotating frame: moving the spectral parameter by c
 only rotates the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so the
@@ -310,9 +311,9 @@ _DP_ERR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22
 
 def _embedded_march(y: np.ndarray, xg: np.ndarray, tol: float, rate, measure, accept):
     """March the state ``y`` over the grid ``xg`` with the embedded
-    Dormand-Prince 5(4) pair: the step control of both orbit routes.
+    Dormand-Prince 5(4) pair: the step control of the congruence route.
 
-    A route supplies three functions.  ``rate(y)`` returns the rate at a
+    The route supplies three functions.  ``rate(y)`` returns the rate at a
     state and what the route reads off it along the way.
     ``measure(y, dy, info)`` returns the error of a trial from its
     fifth-order state ``y``, its fifth- minus fourth-order difference
@@ -370,10 +371,10 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     with (p, q) the trace formula of the current state (see _trace_pq): one
     evaluation of the trace density over all quadrature nodes per stage.
     A step is accepted where the (p, q) distance between its fifth- and
-    fourth-order states is at most ``loc_tol`` per unit of phase, as on the
-    divisor route.  A node t evolves at rate at most max(||W||, |t|),
-    unlike the Weyl trajectories m_pm(x, iY), which repel perturbations at
-    rate 2Y and cannot carry a forward march.
+    fourth-order states is at most ``loc_tol`` per unit of phase,
+    loc_tol R h with R the frame's largest |t|.  A node t evolves at rate
+    at most max(||W||, |t|), unlike the Weyl trajectories m_pm(x, iY),
+    which repel perturbations at rate 2Y and cannot carry a forward march.
 
     Hyperbolic nodes (|t| < ||W||) amplify the local errors, so the
     accumulated estimate E is propagated, E <- g E + err, with the growth g
@@ -515,11 +516,190 @@ def _divisor(a: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return np.where(np.sin(2.0 * alphas) > 0, -phi, phi)
 
 
-def _divisor_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
-    """March the Dirichlet divisors of the uniform profile ``frame``.
+# Degree of the Chebyshev interpolant of the Abel integrands on a panel;
+# the rules are computed on first use, like the Gauss-Legendre ones
+_CHEB_N = 24
+_CHEBYSHEV: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    Returns the generator of :func:`_embedded_march`, with ``residual`` the
-    integrator's error estimate accumulated up to x.
+
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev-Lobatto nodes cos(pi i / n) on [-1, 1], and the
+    (n + 3, 2, n + 1) map from values at them to the Chebyshev coefficients
+    [k, 0] of the antiderivative from -1 and [k, 1] of the interpolant
+    itself; the rows past their degrees are 0."""
+    if n not in _CHEBYSHEV:
+        i = np.arange(n + 1)
+        weights = np.cos(np.pi * np.outer(i, i) / n) * (2.0 / n)
+        weights[:, [0, -1]] *= 0.5
+        weights[[0, -1]] *= 0.5
+        # the antiderivative of sum a_k T_k has b_k = (a_{k-1} - a_{k+1}) / 2k,
+        # with a_0 counted twice, and b_0 puts its zero at -1
+        integ = np.zeros((n + 2, n + 1))
+        for k in range(1, n + 2):
+            integ[k, k - 1] = (2.0 if k == 1 else 1.0) / (2 * k)
+            if k < n:
+                integ[k, k + 1] = -1.0 / (2 * k)
+        integ[0] = -np.einsum("k,ki->i", (-1.0) ** np.arange(n + 2), integ)
+        maps = np.zeros((n + 3, 2, n + 1))
+        maps[:-1, 0] = np.einsum("ij,jk->ik", integ, weights)
+        maps[:-2, 1] = weights
+        rule = (np.cos(np.pi * i / n), maps)
+        for a in rule:
+            a.flags.writeable = False
+        _CHEBYSHEV[n] = rule
+    return _CHEBYSHEV[n]
+
+
+def _panel_edges(near0: float, near_pi: float) -> list[float]:
+    """Edges of the panels on [0, pi] of an integrand whose nearest complex
+    singularities lie ``near0`` from theta = 0 and ``near_pi`` from pi.
+
+    Panels double in width away from either end, starting at the
+    singularity's distance, and equal panels no wider than the last doubled
+    ones fill the middle.  So every panel is at most as wide as its
+    distance from the singularities, and its Chebyshev interpolant of
+    degree N converges at least like 4.6^-N (Bernstein's ellipse through
+    the singularity of the first panel [0, near0])."""
+    half = 0.5 * math.pi
+    left, right = [0.0], [math.pi]
+    # a singularity nearer than 2^-40, a spacing of 4e-25 half widths, is
+    # graded to 2^-40 only
+    d = max(near0, 2.0 ** -40)
+    while d < half:
+        left.append(d)
+        d *= 2.0
+    d = max(near_pi, 2.0 ** -40)
+    while d < half:
+        right.append(math.pi - d)
+        d *= 2.0
+    lo, hi = left.pop(), right.pop()
+    width = min(max(lo, min(near0, half)), max(math.pi - hi, min(near_pi, half)))
+    k = math.ceil((hi - lo) / width)
+    return left + [lo + (hi - lo) * i / k for i in range(k)] + [hi] + right[::-1]
+
+
+def _abel_map(a: np.ndarray, b: np.ndarray):
+    """The Abel map of the gaps (a_j, b_j) in divisor angles, and its
+    Jacobian, as one function of (S, n) stacks of angles.
+
+    With c_j and r_j the midpoint and half width of gap j and
+    mu_j = c_j + r_j cos(theta), the map is A_m(phi) = sum_j F_mj(phi_j),
+    F_mj an integral of
+
+        f_mj(theta) = eps_j prod_{i != m} (mu_j - c_i) / sqrt(prod_{k != j} (mu_j - a_k)(mu_j - b_k)),
+
+    eps_j = (-1)^(n-1-j): f_jj = D_j and f_mj = D_j r_j cos(theta) / (mu_j - c_m),
+    D_j = prod_{i != j} |mu_j - c_i| / sqrt((mu_j - a_i)(mu_j - b_i)) > 0.
+    Along the divisor of the shift orbit, Dubrovin's equations and
+    Lagrange's identity sum_j mu_j^k / prod_{i != j} (mu_j - mu_i) = h_{k-n+1}
+    (complete symmetric polynomials: 0 below k = n - 1, 1 at it, sum mu at
+    k = n) give dA_m/dx = -2 c_m: the map is linear in x.
+
+    f_mj is 2 pi periodic, so its integral from -pi over [-pi, pi] and a
+    winding count give F_mj for any real angle.  On [-pi, pi] it is a
+    piecewise Chebyshev interpolant, on the panels of _panel_edges and
+    their mirror images: the nearest singularities, where mu_j meets a
+    neighbouring gap, lie acosh(1 + spacing / r_j) off theta = 0 (right
+    neighbour) or +-pi (left neighbour).  The differences to other gaps'
+    points are formed from the near end of gap j,
+    mu_j = b_j - 2 r_j sin^2(theta/2) for gaps to the right and
+    a_j + 2 r_j cos^2(theta/2) for gaps to the left, so a spacing far below
+    the widths keeps its digits.  The Jacobian J_mj = f_mj(phi_j) comes
+    from the same evaluation, one matrix product per angle.
+
+    Returns the function phi -> (A, J) of an (S, n) array, A an (S, n)
+    array and J an (S, n, n) stack, and the period matrix P: P_mj is the
+    change of A_m as phi_j turns once.
+    """
+    n = len(a)
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+
+    def reach(ratio):
+        # acosh(1 + ratio) without cancellation
+        return np.log1p(ratio + np.sqrt(ratio * (ratio + 2.0)))
+
+    # s the spacing to the neighbour on each side; no neighbour, no
+    # singularity
+    s = a[1:] - b[:-1]
+    near0 = np.append(reach(s / r[:-1]), math.inf).tolist()
+    near_pi = np.insert(reach(s / r[1:]), 0, math.inf).tolist()
+    edges = []
+    for d0, dpi in zip(near0, near_pi):
+        half = _panel_edges(d0, dpi)
+        edges.append(np.array([-e for e in half[:0:-1]] + half))
+    counts = [len(e) - 1 for e in edges]
+    ends = np.cumsum(counts)
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+
+    # mu_j - e_i = (near end of gap j - e_i) + r_j move, the near end b_j
+    # for the gaps i to the right and a_j for those to the left, with
+    # mu_j = b_j - 2 r_j sin^2(theta/2) = a_j + 2 r_j cos^2(theta/2); gap
+    # j's own entries are held at 1 and set apart
+    right = np.arange(n) > np.arange(n)[:, None]
+    bases = [np.where(right, b[:, None] - e, a[:, None] - e) for e in (c, a, b)]
+    for base in bases:
+        np.fill_diagonal(base, 1.0)
+    nodes, maps = _chebyshev(_CHEB_N)
+    theta = lo[:, None] + 0.5 * (hi - lo)[:, None] * (1.0 + nodes)
+    from_b = -2.0 * np.sin(0.5 * theta)[..., None] ** 2
+    from_a = 2.0 * np.cos(0.5 * theta)[..., None] ** 2
+    cos = np.cos(theta)[..., None]
+    # per panel, gap by gap: [k, (F, f) x m], the Chebyshev coefficients of
+    # the integral from -pi, then of the integrand, and a last row that
+    # carries the integral over a period, to be weighted by the winding
+    # count.  The integrands are built one gap at a time, which keeps the
+    # scratch arrays at the size of the coefficients
+    coef = np.empty((len(lo), _CHEB_N + 3, 2 * n))
+    period = np.empty((n, n))
+    for j, end in enumerate(ends.tolist()):
+        at = slice(end - counts[j], end)
+        move = r[j] * np.where(right[j], from_b[at], from_a[at])
+        move[..., j] = 0.0
+        dc, da, db = (base[j] + move for base in bases)
+        dj = np.sqrt((dc * dc / (da * db)).prod(axis=-1))[..., None]
+        vals = r[j] * cos[at] / dc
+        vals[..., j] = 1.0
+        vals *= dj
+        block = coef[at]
+        block[:] = (maps.reshape(-1, _CHEB_N + 1) @ vals).reshape(block.shape)
+        block[:, :, :n] *= 0.5 * (hi[at] - lo[at])[:, None, None]
+        # shifted by the integral over the gap's earlier panels
+        whole = block[:, :-1, :n].sum(axis=1)
+        block[:, 0, :n] += np.cumsum(whole, axis=0) - whole
+        period[:, j] = block[:, -1, :n] = whole.sum(axis=0)
+    # the panel's right edge as a search key, gap j's in (8 j, 8 j + 8]
+    # with the last one 8 j + 8, and its map to the Chebyshev variable
+    shift = 8.0 * np.arange(n) + 4.0
+    keys = hi + np.repeat(shift, counts)
+    keys[ends - 1] = shift + 4.0
+    scale, offset = 2.0 / (hi - lo), -(lo + hi) / (hi - lo)
+    degrees = np.arange(_CHEB_N + 2)
+
+    def abel(phi):
+        # Chebyshev polynomials at each angle, then its winding count to
+        # weight the period row
+        cheb = np.empty(phi.shape + (_CHEB_N + 3,))
+        wind = np.rint(phi * (0.5 / math.pi), out=cheb[..., -1])
+        psi = phi - (2.0 * math.pi) * wind
+        p = np.searchsorted(keys, psi + shift, side="right")
+        u = psi * scale.take(p, mode="clip") + offset.take(p, mode="clip")
+        np.minimum(u, 1.0, out=u)
+        np.maximum(u, -1.0, out=u)
+        np.multiply(np.arccos(u)[..., None], degrees, out=cheb[..., :-1])
+        np.cos(cheb[..., :-1], out=cheb[..., :-1])
+        val = (cheb[..., None, :] @ coef.take(p, axis=0, mode="clip"))[..., 0, :]
+        return val[..., :n].sum(axis=-2), val[..., n:].swapaxes(-1, -2)
+
+    return abel, period
+
+
+def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
+    """Solve for the Dirichlet divisors of the uniform profile ``frame`` on
+    the grid ``xg`` by inverting the Abel map.
+
+    A generator: it yields (x, p, q, residual, True) for every grid point,
+    with ``residual`` the size of the last Newton correction (0 at x = 0).
 
     The divisor of W(x) is the set of zeros mu_j(x) of M_11(x, .), one in
     each gap (Gesztesy & Holden, Soliton Equations and Their
@@ -532,54 +712,95 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     and Dubrovin's equations, d_x M_11 = 2 (p - mu) M_12 at a zero, where
     M_12 = +-1 since det M = -1 and sin(phi_j) takes its sign, become
 
-        phi_j' = 2 (p - mu_j) prod_{k != j} sqrt((mu_j - a_k)(mu_j - b_k)) / |mu_j - mu_k|,
+        phi_j' = 2 (p - mu_j) prod_{k != j} sqrt((mu_j - a_k)(mu_j - b_k)) / |mu_j - mu_k|.
 
-    as the own gap's factor sqrt(-(mu_j - a_j)(mu_j - b_j)) = r_j |sin(phi_j)|
-    cancels against d mu_j / d phi_j: there is no endpoint singularity.  The
-    product runs over ratios, each near 1 for far gaps, where two products
-    of n - 1 factors would overflow at large n.  The profile with its angle
-    lowered by pi/4 has the potential
-    [[q, -p], [-p, -q]], so q is the p of its divisor: both systems, 2 n
-    angles, advance as one state.  A step is accepted where its error
-    estimate, mapped to (p, q) by |dp| <= sum_j r_j |dphi_j| and the same
-    for q, is at most ``loc_tol`` per unit of phase, loc_tol R h with R the
-    frame's largest |t|: the divisor turns at rates up to about 2 R.
+    On the Jacobian the flow is linear: the Abel map of _abel_map obeys
+    A(phi(x)) = A(phi(0)) - 2 c x, so each grid point is one Newton solve
+    of n equations, and no error accumulates along x.  The profile with
+    its angle lowered by pi/4 has the potential [[q, -p], [-p, -q]], so q
+    is the p of its divisor: both systems solve as one (2, n) stack on the
+    same map.
+
+    Turning phi_j once moves A by the period column P e_j, so the nearest
+    whole periods of the target's move between grid points go into a
+    winding count, and what is left is a path of at most half a period
+    per gap, however far apart the grid points are.  Along it Newton
+    starts from the rate J^{-1} (target shift) times the stride, Dubrovin's
+    step where no whole period was taken out, and ends when its
+    correction, mapped to (p, q) by |dp| <= sum_j r_j |dphi_j|, falls to
+    rounding level.  Where the corrections grow or 10 do not suffice, the
+    stride halves.
     """
     a, b = frame.gapset.endpoints
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     alpha = frame.angles[0]
     phi = _divisor(a, b, np.array([[alpha], [alpha - 0.25 * math.pi]]))
     n = len(a)
-    a_k, b_k = a[:, None], b[:, None]
+    p, q = (r * np.cos(phi)).sum(axis=1).tolist()
+    # the x = 0 sample comes before any setup that can raise
+    yield 0.0, p, q, 0.0, True
 
-    def rate(phi):
-        # the two rows of Dubrovin's equations.  Ratios run over [system,
-        # k, j] and are squared: their product passes float range only
-        # where the rates themselves pass 1e154.  The ratio of k = j is 1
-        rc = r * np.cos(phi)
-        mu = c + rc
-        m = mu[:, None, :]
-        ratio = (m - a_k) * (m - b_k)
-        den = m - mu[:, :, None]
-        den *= den
-        den.reshape(2, -1)[:, ::n + 1] = 1.0
-        ratio /= den
-        ratio.reshape(2, -1)[:, ::n + 1] = 1.0
-        return 2.0 * (rc.sum(axis=1, keepdims=True) - mu) * np.sqrt(ratio.prod(axis=1)), None
+    if n == 1:
+        # one gap is centred in its frame: the target stands still, and so
+        # does the divisor
+        for x in xg[1:].tolist():
+            yield x, p, q, 0.0, True
+        return
+    abel, period = _abel_map(a, b)
+    target, jac = abel(phi)
+    start = target
+    # phi is the divisor less 2 pi k, so its target is A less P k
+    k = np.zeros_like(phi)
+    lattice = np.linalg.inv(period)
+    # the right-hand sides of Newton's step and of the rate along the
+    # target's shift, solved together
+    rhs = np.empty(phi.shape + (2,))
+    tol = 1e-13 * max(1.0, float(r.sum()))
 
-    def measure(phi, dphi, _):
-        err = math.hypot(*(r * np.abs(dphi)).sum(axis=1).tolist())
-        return err if math.isfinite(err) else math.inf
+    def newton(phi, goal):
+        # the solution, the Jacobian and the rate there, and the size of
+        # the last correction; None where the corrections grow or 10 of
+        # them do not reach rounding level
+        prev = math.inf
+        for _ in range(10):
+            value, jac = abel(phi)
+            np.subtract(goal, value, out=rhs[..., 0])
+            sol = np.linalg.solve(jac, rhs)
+            phi = phi + sol[..., 0]
+            corr = math.hypot(*(np.abs(sol[..., 0]) @ r).tolist())
+            # a small correction that no longer shrinks fourfold sits at
+            # rounding level
+            if corr <= tol or prev <= 1e3 * tol and corr > 0.25 * prev:
+                return phi, jac, sol[..., 1], corr
+            if not corr <= 2.0 * prev:
+                return None
+            prev = corr
+        return None
 
-    err_sum = 0.0
-
-    def accept(x, phi, k, _, err):
-        nonlocal err_sum
-        err_sum += err
+    x = 0.0
+    for x_next in xg[1:].tolist():
+        goal = start - (2.0 * x_next) * c - k @ period.T
+        turns = np.rint((goal - target) @ lattice.T)
+        k += turns
+        goal -= turns @ period.T
+        rhs[..., 1] = goal - target
+        rate = np.linalg.solve(jac, rhs[..., 1:])[..., 0]
+        # continuation along the straight line from target to goal
+        s, h = 0.0, 1.0
+        while s < 1.0:
+            step = min(h, 1.0 - s)
+            s_try = 1.0 if step == 1.0 - s else s + step
+            solved = newton(phi + step * rate, target + s_try * rhs[..., 1])
+            if solved is None:
+                h = 0.5 * step
+                if h < 1e-10:
+                    raise NoConvergence(f"Abel inversion stalled between x = {x} and {x_next}")
+                continue
+            phi, jac, rate, res = solved
+            s, h = s_try, 2.0 * step
+        target, x = goal, x_next
         p, q = (r * np.cos(phi)).sum(axis=1).tolist()
-        return p, q, err_sum
-
-    return _embedded_march(phi, xg, loc_tol * max(-a[0], b[-1]), rate, measure, accept)
+        yield x, p, q, res, True
 
 
 def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
@@ -606,12 +827,14 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     The shifted operator is reflectionless on the same bands.  Two routes
     march it:
 
-    * A uniform profile (one angle for all gaps) marches its Dirichlet
-      divisor, the zeros of M_11(x, .) in the gaps, by Dubrovin's
-      equations, and reads W(x) off the trace formula for the divisor
-      (see _divisor_orbit).  The route carries 2 n angles, has no growing
-      mode and no quadrature, and its residual is the x = 0 seed check
-      below plus the integrator's accumulated error estimate.
+    * A uniform profile (one angle for all gaps) solves for its Dirichlet
+      divisor, the zeros of M_11(x, .) in the gaps, at each grid point by
+      inverting the Abel map, which moves linearly in x, and reads W(x)
+      off the trace formula for the divisor (see _divisor_orbit).  The
+      route carries 2 n angles, has no growing mode, no quadrature and no
+      step tolerance, and its residual is the x = 0 seed check below plus
+      the last Newton correction of the grid point's solve: no error
+      accumulates along x.
     * Any other profile has complex gap values and no real divisor.  Its
       Herglotz matrix has gap boundary values
       M_x(t) = T(0->x, t) M_0(t) T(0->x, t)^t with the (real, unimodular)
@@ -640,9 +863,10 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         Heights for the x = 0 Weyl-law cross-check of the frame; defaults
         to (8, ..., 128) times the frame's spectral scale.
     loc_tol : float
-        Local error target per unit of phase: a step of length h is
-        accepted where its error estimate in (p, q) is at most loc_tol R h,
-        R the largest |t| over the gaps of the co-rotating frame.
+        Local error target per unit of phase of the congruence march: a
+        step of length h is accepted where its error estimate in (p, q) is
+        at most loc_tol R h, R the largest |t| over the gaps of the
+        co-rotating frame.  Uniform profiles do not use it.
     bound_slack : float
         Slack over the sharp bound before BoundViolation is raised.
 
@@ -663,8 +887,10 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         bound, and the exception then certifies non-realizability (check
         herglotz_defect for an independent witness).  Never ignored.
     NoConvergence
-        If the step size underflows before reaching the next grid point, or
-        the x = 0 Weyl-law cross-check does not converge (no samples then).
+        If the step size of the congruence march, or the continuation
+        stride of the Abel inversion, underflows before reaching the next
+        grid point, or the x = 0 Weyl-law cross-check does not converge (no
+        samples then).
 
     Both exceptions carry the grid samples accepted before the failure in
     their ``samples`` attribute.
@@ -691,7 +917,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                 f"{bound:.8f} + {bound_slack:g}")
         return sample
 
-    orbit = (_divisor_orbit if profile.is_uniform else _congruence_orbit)(frame, xg, loc_tol)
+    orbit = (_divisor_orbit(frame, xg) if profile.is_uniform
+             else _congruence_orbit(frame, xg, loc_tol))
     _, p0, q0, res0, _ = next(orbit)
     samples: list[PotentialSample] = []
     try:
@@ -707,7 +934,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         # an overflowing trial step yields non-finite states, which the
         # step control rejects; numpy need not warn about them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # interior acceptances also face the bound check
+            # interior acceptances of a congruence march also face the
+            # bound check
             for x, p, q, res, on_grid in orbit:
                 sample = record(x, p, q, res + carried)
                 if on_grid:

@@ -505,8 +505,9 @@ def _assert_evolve_exit_contract(tmp_path, capsys, cfg):
 @st.composite
 def evolve_many_gaps(draw):
     # 16, 32 or 64 gaps with widths and spacings from 1e-2 to 1e1, the
-    # first one starting anywhere in [-1e6, 1e6], one angle for all gaps
-    # (a divisor march) or one per gap, and a march to x <= 0.02
+    # first one starting anywhere in [-1e6, 1e6], and either one angle for
+    # all gaps (an Abel inversion) to x <= 20 or one per gap (a congruence
+    # march) to x <= 0.02
     n = draw(st.sampled_from([16, 32, 64]))
     decades = st.floats(-2.0, 1.0)
     left, gaps = draw(st.floats(-1e6, 1e6)), []
@@ -517,9 +518,10 @@ def evolve_many_gaps(draw):
     angle = st.floats(0.0, math.pi)
     if draw(st.booleans()):
         angles = [draw(angle)] * n
+        stop = draw(st.floats(1e-3, 20.0))
     else:
         angles = draw(st.lists(angle, min_size=n, max_size=n))
-    stop = draw(st.floats(1e-3, 0.02))
+        stop = draw(st.floats(1e-3, 0.02))
     return {"profile": {"gaps": gaps, "angles": angles}, "xgrid": [0.0, 0.5 * stop, stop]}
 
 
