@@ -21,10 +21,10 @@ this equation), and the orbit sampler, which has two routes:
   point by inverting the Abel map, which is linear in x along the orbit,
   and reads W(x) off the trace formula p = sum_j mu_j - (1/2) sum_k (a_k + b_k);
 * any other profile marches the gap boundary values of its Herglotz
-  matrix by congruence, M_x(t) = T M_0(t) T^t, with an embedded
-  Dormand-Prince 5(4) step control, and reads W(x) off the trace formula
-  over the shifted Krein density; a perturbed companion state measures
-  how the march amplifies its local errors.
+  matrix by congruence, M_x(t) = T M_0(t) T^t, with the embedded
+  Dormand-Prince 8(5) pair of DOP853, and reads W(x) off the trace
+  formula over the shifted Krein density; a perturbed companion state
+  measures how the march amplifies its local errors.
 
 Both work in the co-rotating frame: moving the spectral parameter by c
 only rotates the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so the
@@ -294,42 +294,65 @@ def _trace_pq(states: np.ndarray, wq: np.ndarray):
     return pq, errors
 
 
-# Dormand-Prince 5(4) pair.  The stage rows: the last one holds the
-# fifth-order weights, so its stage is the rate at the new point, which is
-# the next step's first stage.  Then the weights of the embedded error
-# estimate, the fifth-order step minus the fourth-order one.
+# Dormand and Prince's 8(5, 3) pair, DOP853 (Hairer, Norsett & Wanner,
+# Solving Ordinary Differential Equations I, 2nd ed., II.10), its
+# coefficients rounded to doubles.  The stage rows: row i weights the i
+# stages before stage i + 1, and the last one holds the eighth-order
+# weights, so its stage is the rate at the new point, which is the next
+# step's first stage.  Then the weights of the embedded error estimate,
+# the eighth-order step minus the fifth-order one (DOP853's E5 row); its
+# third-order estimate E3 is not used.
 _DP_A = tuple(np.array(row) for row in (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
 ))
-_DP_ERR = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+_DP_E5 = np.array((0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                   -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                   0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0))
 
 
 def _embedded_march(y: np.ndarray, xg: np.ndarray, tol: float, rate, measure, accept):
     """March the state ``y`` over the grid ``xg`` with the embedded
-    Dormand-Prince 5(4) pair: the step control of the congruence route.
+    Dormand-Prince 8(5) pair: the step control of the congruence route.
 
     The route supplies three functions.  ``rate(y)`` returns the rate at a
     state and what the route reads off it along the way.
     ``measure(y, dy, info)`` returns the error of a trial from its
-    fifth-order state ``y``, its fifth- minus fourth-order difference
+    eighth-order state ``y``, its eighth- minus fifth-order difference
     ``dy`` and the reading of ``y``, inf for a trial that failed.
     ``accept(x, y, k, info, err)`` returns (p, q, residual) of an accepted
     state from its rate, reading and error, and may rescale parts of ``y``
-    and ``k`` in place.  A trial is accepted where its error is at most
-    ``tol`` times its step; the step changes by a factor in [0.2, 5] and
-    carries over from one grid interval to the next.
+    and ``k`` in place.  A trial costs 12 rates: 11 stages and the rate at
+    its new point, which is the next trial's first stage.  It is accepted
+    where its error is at most ``tol`` times its step; the step changes by
+    0.9 (target/err)^(1/6), held to [0.2, 10], and carries over from one
+    grid interval to the next.
 
     A generator: it yields (x, p, q, residual, on_grid) for x = 0, for
     every accepted step and for every grid point of ``xg`` past 0.
     """
     # the stages of a step; the last one, the rate at the new point, is the
     # next step's first
-    ks = np.empty((len(_DP_ERR),) + y.shape, dtype=y.dtype)
+    ks = np.empty((len(_DP_E5),) + y.shape, dtype=y.dtype)
     ks[0], info = rate(y)
     last = accept(0.0, y, ks[0], info, 0.0)
     yield (0.0, *last, True)
@@ -340,9 +363,9 @@ def _embedded_march(y: np.ndarray, xg: np.ndarray, tol: float, rate, measure, ac
             for i, row in enumerate(_DP_A, 1):
                 stage = y + step * np.einsum("i,i...->...", row, ks[:i])
                 ks[i], info = rate(stage)
-            err = measure(stage, step * np.einsum("i,i...->...", _DP_ERR, ks), info)
+            err = measure(stage, step * np.einsum("i,i...->...", _DP_E5, ks), info)
             target = tol * step
-            factor = min(5.0, max(0.2, 0.9 * (target / err) ** 0.2)) if err else 5.0
+            factor = min(10.0, max(0.2, 0.9 * (target / err) ** (1 / 6))) if err else 10.0
             if err <= target:
                 x += step
                 y = stage
@@ -370,11 +393,12 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
 
     with (p, q) the trace formula of the current state (see _trace_pq): one
     evaluation of the trace density over all quadrature nodes per stage.
-    A step is accepted where the (p, q) distance between its fifth- and
-    fourth-order states is at most ``loc_tol`` per unit of phase,
-    loc_tol R h with R the frame's largest |t|.  A node t evolves at rate
-    at most max(||W||, |t|), unlike the Weyl trajectories m_pm(x, iY),
-    which repel perturbations at rate 2Y and cannot carry a forward march.
+    A step of the 8(5) pair is accepted where the (p, q) distance between
+    its eighth- and fifth-order states is at most ``loc_tol`` per unit of
+    phase, loc_tol R h with R the frame's largest |t|.  A node t evolves
+    at rate at most max(||W||, |t|), unlike the Weyl trajectories
+    m_pm(x, iY), which repel perturbations at rate 2Y and cannot carry a
+    forward march.
 
     Hyperbolic nodes (|t| < ||W||) amplify the local errors, so the
     accumulated estimate E is propagated, E <- g E + err, with the growth g
@@ -383,9 +407,10 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     and before the step.  It rides as a second stack through every call
     and changes no reported value.  Its offset from the state is rescaled
     when that distance leaves [1e-3, 1e3] times the one at x = 0, and a
-    lost companion makes E infinite.  E bounded the true error by a margin
-    of 10 or more on every orthogonal two-gap profile checked, and
-    overstates it by up to 1e5 on wide gaps.
+    lost companion makes E infinite.  Its local errors measure the
+    fifth-order state, not the eighth-order one that is reported, so E
+    bounded the true error by a margin of 400 or more on every orthogonal
+    two-gap profile checked, and overstates it by up to 2e7 on wide gaps.
     """
     # the trace formula takes a 20-node Gauss-Legendre rule per gap; a coarse
     # 14-node rule rides along to expose the quadrature error
@@ -424,8 +449,8 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     def measure(y, dy, pq):
         # a lost determinant pins the state to NaN, which rejects the step
         states = _pin(y.view(complex))
-        pq4, _ = _trace_pq(states[:, :1] - dy.view(complex)[:, :1], wq)
-        err = math.hypot(pq[0, 0, 0] - pq4[0, 0, 0], pq[1, 0, 0] - pq4[1, 0, 0])
+        pq5, _ = _trace_pq(states[:, :1] - dy.view(complex)[:, :1], wq)
+        err = math.hypot(pq[0, 0, 0] - pq5[0, 0, 0], pq[1, 0, 0] - pq5[1, 0, 0])
         return err if math.isfinite(err) else math.inf
 
     march = 0.0
@@ -840,10 +865,12 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
       M_x(t) = T(0->x, t) M_0(t) T(0->x, t)^t with the (real, unimodular)
       transfer matrices of the potential itself, and W(x) is the trace
       formula at the shifted origin, the integral over the gaps of
-      xi_x(t) - I/2 (see _congruence_orbit).  Its residual is the
-      quadrature residual of the trace formula plus the march's error
-      estimate, propagated with the growth of a perturbed companion state,
-      and the seed check at x = 0.
+      xi_x(t) - I/2 (see _congruence_orbit).  The march steps on the
+      eighth-order state of the Dormand-Prince 8(5) pair of DOP853.  Its
+      residual is the quadrature residual of the trace formula plus the
+      march's error estimate, the accumulated eighth- minus fifth-order
+      differences propagated with the growth of a perturbed companion
+      state, and the seed check at x = 0.
 
     Both routes run in the co-rotating frame of :func:`co_rotating_frame`:
     the profile with gaps moved by the hull midpoint c is marched, and each
@@ -864,9 +891,10 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         to (8, ..., 128) times the frame's spectral scale.
     loc_tol : float
         Local error target per unit of phase of the congruence march: a
-        step of length h is accepted where its error estimate in (p, q) is
-        at most loc_tol R h, R the largest |t| over the gaps of the
-        co-rotating frame.  Uniform profiles do not use it.
+        step of length h is accepted where the (p, q) distance between its
+        eighth- and fifth-order states is at most loc_tol R h, R the
+        largest |t| over the gaps of the co-rotating frame.  Uniform
+        profiles do not use it.
     bound_slack : float
         Slack over the sharp bound before BoundViolation is raised.
 

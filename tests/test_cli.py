@@ -291,7 +291,7 @@ def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):
 def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: the command line starts without
     # loading scipy, and with scipy blocked the package, mlog_integral, an
-    # oracle run and a divisor march with its integrator still work.  Nor
+    # oracle run and an Abel inversion of a uniform orbit still work.  Nor
     # does it load numpy.polynomial: the congruence march computes its
     # Gauss-Legendre rules on first use
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -507,7 +507,7 @@ def evolve_many_gaps(draw):
     # 16, 32 or 64 gaps with widths and spacings from 1e-2 to 1e1, the
     # first one starting anywhere in [-1e6, 1e6], and either one angle for
     # all gaps (an Abel inversion) to x <= 20 or one per gap (a congruence
-    # march) to x <= 0.02
+    # march) to x <= 0.05
     n = draw(st.sampled_from([16, 32, 64]))
     decades = st.floats(-2.0, 1.0)
     left, gaps = draw(st.floats(-1e6, 1e6)), []
@@ -521,7 +521,7 @@ def evolve_many_gaps(draw):
         stop = draw(st.floats(1e-3, 20.0))
     else:
         angles = draw(st.lists(angle, min_size=n, max_size=n))
-        stop = draw(st.floats(1e-3, 0.02))
+        stop = draw(st.floats(1e-3, 0.05))
     return {"profile": {"gaps": gaps, "angles": angles}, "xgrid": [0.0, 0.5 * stop, stop]}
 
 
@@ -534,7 +534,7 @@ def test_evolve_with_many_gaps_keeps_the_exit_contract(tmp_path, capsys, cfg):
 
 @st.composite
 def evolve_long_marches(draw):
-    # 1 to 4 gaps under one angle (a divisor march) with widths and
+    # 1 to 4 gaps under one angle (an Abel inversion) with widths and
     # spacings from 1e-3 to 3, the first one starting anywhere in
     # [-1e6, 1e6], and a march to x in [1, 20]
     n = draw(st.integers(1, 4))

@@ -224,10 +224,10 @@ def test_march_far_gap_follows_the_rotation_law(c):
 
 
 def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
-    # every march state costs one trace-formula evaluation: the six new
-    # stages of a Dormand-Prince step, where the state and its companion
-    # ride as two stacks of one call, and the step's fourth-order state,
-    # for its error estimate.  Accepted states carry their (p, q) along
+    # every march state costs one trace-formula evaluation: the twelve new
+    # stages of a DOP853 step, where the state and its companion ride as
+    # two stacks of one call, and the step's fifth-order state, for its
+    # error estimate.  Accepted states carry their (p, q) along
     calls = {"trace": 0, "rates": 0}
     stacks = set()
     trace_pq, rates = dirac._trace_pq, dirac._congruence_rates
@@ -247,11 +247,44 @@ def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
     monkeypatch.setattr(dirac, "_congruence_rates", counted_rates)
     # mismatched angles take the congruence march
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES), [0.0, 0.1, 0.2, 0.3])
-    # one rate at x = 0, then six per attempted step
-    attempts, rest = divmod(calls["rates"] - 1, 6)
+    # one rate at x = 0, then twelve per attempted step, and at most one
+    # error trace per attempt
+    attempts, rest = divmod(calls["rates"] - 1, 12)
     assert attempts > 0 and rest == 0
-    assert calls["trace"] <= 7 * attempts + 1
+    assert calls["trace"] <= 13 * attempts + 1
     assert max(stacks) <= 2
+
+
+def test_march_tableau_is_the_dop853_pair():
+    # the nodes of DOP853, the last one that of the rate at the new point
+    c4 = (6.0 - math.sqrt(6.0)) / 30.0
+    c = np.array([4.0 * c4 / 9.0, 2.0 * c4 / 3.0, c4, (6.0 + math.sqrt(6.0)) / 30.0,
+                  1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0])
+    rows = dirac._DP_A
+    assert [len(row) for row in rows] == list(range(1, 13))
+    assert np.allclose([row.sum() for row in rows], c, rtol=0.0, atol=1e-14)
+    # the eighth-order weights integrate t^(k-1) exactly for k = 1, ..., 8,
+    # over the nodes of the stages they weight (the first one at 0)
+    b, nodes = rows[-1], np.concatenate([[0.0], c[:-1]])
+    for k in range(1, 9):
+        assert b @ nodes ** (k - 1) == pytest.approx(1.0 / k, abs=1e-14)
+    assert len(dirac._DP_E5) == 13
+    assert abs(dirac._DP_E5.sum()) < 1e-14
+
+    def step(lam, h):
+        # one step of y' = lam y from y = 1: the eighth-order solution and
+        # the embedded fifth-order one
+        ks = np.empty(13, dtype=complex)
+        ks[0] = lam
+        for i, row in enumerate(rows, 1):
+            ks[i] = lam * (1.0 + h * (row @ ks[:i]))
+        y8 = 1.0 + h * (b @ ks[:12])
+        return y8, y8 - h * (dirac._DP_E5 @ ks)
+
+    for lam in (1j, -1.0):
+        coarse, fine = (np.abs(np.array(step(lam, h)) - np.exp(lam * h)) for h in (0.5, 0.25))
+        # halving h divides the errors by about 2^9 and 2^6
+        assert np.log2(coarse / fine) == pytest.approx([9.0, 6.0], abs=0.5)
 
 
 @pytest.mark.parametrize("fault", ["overflow", "main_cut", "companion_cut"])

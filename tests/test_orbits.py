@@ -74,7 +74,7 @@ def test_orthogonal_march_starts_at_the_bottom_of_the_orbit(two_gap_norm, gaps, 
     prof = KreinProfile(GapSet(gaps), (alpha, alpha + math.pi / 2))
     samples = sample_potential(prof, xg)
     err = np.abs([s.norm for s in samples] - two_gap_norm(gaps, xg, start="bottom"))
-    assert err.max() < 2e-7
+    assert err.max() < 1e-9
     # past x = 0 the residual carries the propagated march error estimate
     assert all(s.residual >= e for s, e in zip(samples[1:], err[1:]))
 
