@@ -358,7 +358,7 @@ def run_construct(cfg: RunConfig) -> Report:
         label = "free function M = iI; W = 0 attains the (empty) bound"
     elif abs(w0.norm - bound) <= 1e-9:
         label = "extremal: ||W(0)|| attains the sharp bound"
-        if profile.is_uniform:
+        if profile.is_commuting:
             label += "; realized by an operator in R0(E)"
     else:
         label = "strict at x = 0: ||W(0)|| is below the sharp bound"
@@ -367,7 +367,7 @@ def run_construct(cfg: RunConfig) -> Report:
     if gs.n:
         realness = gap_realness(profile)
         comm = commutator_diag(profile, [(a + b) / 2.0 for a, b in gs.gaps])
-        if profile.is_uniform:
+        if profile.is_commuting:
             rep.check("gap_realness", realness, 1e-9, "Im M = 0 on the gaps")
             rep.check("commutator", comm, 1e-10, "[Re log M, xi] = 0 on the gaps")
         else:
@@ -473,7 +473,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
         rep.probe(prefix + "gap_projection", cfg.xi_tol,
                   "xi equals the input projection inside each gap",
                   lambda: op_norm(xi_stack(on_gaps) - target).max())
-        if profile.is_uniform:
+        if profile.is_commuting:
             rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps",
                       lambda: gap_realness(profile))
 
@@ -532,11 +532,12 @@ def run_evolve(cfg: RunConfig) -> Report:
         rep.info("norm_min", min(norms), "smallest sampled ||W(x)||")
         rep.check("bound", max(norms) - bound, cfg.bound_slack,
                   "||W(x)|| <= (1/2) sum of gap widths")
-        # uniform profiles solve for their divisor by Abel inversion, any
+        # commuting profiles solve for their divisor by Abel inversion, any
         # other profile marches its boundary matrices by congruence (see
-        # sample_potential)
+        # sample_potential); the seed check of the Abel inversion includes
+        # its start's distance from the trace formula W(0)
         source = ("seed check and last Newton correction of the Abel inversion"
-                  if profile.is_uniform
+                  if profile.is_commuting
                   else "seed check, trace formula quadrature and propagated "
                        "congruence march error estimate")
         rep.check("residual", max(s.residual for s in samples), 1e-5 * max(1.0, bound),

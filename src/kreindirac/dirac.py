@@ -16,15 +16,18 @@ The module provides step potentials with exact piecewise transfer matrices,
 closed-form Weyl functions for constant coefficients (the fixed points of
 this equation), and the orbit sampler, which has two routes:
 
-* a uniform profile (one angle for all gaps) solves for its Dirichlet
-  divisor, the zeros mu_j(x) of M_11(x, .), one per gap, at each grid
-  point by inverting the Abel map, which is linear in x along the orbit,
-  and reads W(x) off the trace formula p = sum_j mu_j - (1/2) sum_k (a_k + b_k);
-* any other profile marches the gap boundary values of its Herglotz
-  matrix by congruence, M_x(t) = T M_0(t) T^t, with the embedded
-  Dormand-Prince 8(5) pair of DOP853, and reads W(x) off the trace
-  formula over the shifted Krein density; a perturbed companion state
-  measures how the march amplifies its local errors.
+* a commuting profile (every angle alpha or alpha + pi/2) solves for
+  its Dirichlet divisor, the zeros mu_j(x) of M_11(x, .), one per gap, at
+  each grid point by inverting the Abel map, which is linear in x along
+  the orbit, from a closed-form start on the isospectral torus, and reads
+  W(x) off the trace formula p = sum_j mu_j - (1/2) sum_k (a_k + b_k);
+* a non-commuting profile has complex gap values and no realizing
+  operator; it marches the gap boundary values of its formal M function
+  by congruence, M_x(t) = T M_0(t) T^t, with the embedded Dormand-Prince
+  8(5) pair of DOP853, and reads W(x) off the trace formula over the
+  shifted Krein density, until its orbit crosses the sharp bound; a
+  perturbed companion state measures how the march amplifies its local
+  errors.
 
 Both work in the co-rotating frame: moving the spectral parameter by c
 only rotates the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so the
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
-                        WeylPair, assemble_M, build_M, sphere_ratio)
+                        WeylPair, assemble_M, build_M, sphere_ratio, trace_formula_W0)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
 from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
 
@@ -330,75 +333,34 @@ _DP_E5 = np.array((0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
                    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0))
 
 
-def _embedded_march(y: np.ndarray, xg: np.ndarray, tol: float, rate, measure, accept):
-    """March the state ``y`` over the grid ``xg`` with the embedded
-    Dormand-Prince 8(5) pair: the step control of the congruence route.
-
-    The route supplies three functions.  ``rate(y)`` returns the rate at a
-    state and what the route reads off it along the way.
-    ``measure(y, dy, info)`` returns the error of a trial from its
-    eighth-order state ``y``, its eighth- minus fifth-order difference
-    ``dy`` and the reading of ``y``, inf for a trial that failed.
-    ``accept(x, y, k, info, err)`` returns (p, q, residual) of an accepted
-    state from its rate, reading and error, and may rescale parts of ``y``
-    and ``k`` in place.  A trial costs 12 rates: 11 stages and the rate at
-    its new point, which is the next trial's first stage.  It is accepted
-    where its error is at most ``tol`` times its step; the step changes by
-    0.9 (target/err)^(1/6), held to [0.2, 10], and carries over from one
-    grid interval to the next.
-
-    A generator: it yields (x, p, q, residual, on_grid) for x = 0, for
-    every accepted step and for every grid point of ``xg`` past 0.
-    """
-    # the stages of a step; the last one, the rate at the new point, is the
-    # next step's first
-    ks = np.empty((len(_DP_E5),) + y.shape, dtype=y.dtype)
-    ks[0], info = rate(y)
-    last = accept(0.0, y, ks[0], info, 0.0)
-    yield (0.0, *last, True)
-    h = float(xg[1]) if len(xg) > 1 else 0.0
-    for x, x_next in zip(xg[:-1].tolist(), xg[1:].tolist()):
-        while x < x_next - 1e-13 * max(1.0, abs(x_next)):
-            step = min(h, x_next - x)
-            for i, row in enumerate(_DP_A, 1):
-                stage = y + step * np.einsum("i,i...->...", row, ks[:i])
-                ks[i], info = rate(stage)
-            err = measure(stage, step * np.einsum("i,i...->...", _DP_E5, ks), info)
-            target = tol * step
-            factor = min(10.0, max(0.2, 0.9 * (target / err) ** (1 / 6))) if err else 10.0
-            if err <= target:
-                x += step
-                y = stage
-                ks[0] = ks[-1]
-                # a step cut short at a grid point keeps the longer step
-                h = max(h, step * factor) if step < h else step * factor
-                last = accept(x, y, ks[0], info, err)
-                yield (x, *last, False)
-            else:
-                h = step * factor
-                if h < 1e-10 * max(x_next, 1.0):
-                    raise NoConvergence(f"x-march stalled near x = {x}")
-        yield (x_next, *last, True)
-
-
 def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
-    """March the gap boundary values of ``frame`` by congruence.
+    """March the gap boundary values of the non-commuting profile ``frame``
+    by congruence.
 
-    Returns the generator of :func:`_embedded_march`, with ``residual`` the
-    quadrature residual of the trace formula plus the propagated march
-    error estimate.  The boundary values move as M_x(t) = T M_0(t) T^t, T
-    the transfer matrix of the potential itself, so
+    Such a profile has complex gap values and no real divisor, and its
+    formal M function need not be Herglotz.  The march's job is the
+    certificate: an orbit that crosses the sharp bound shows that no
+    reflectionless operator realizes the profile.  The boundary values
+    move as M_x(t) = T M_0(t) T^t, T the transfer matrix of the potential
+    itself, so
 
         M' = K M + M K^t,   K = K(p(x), q(x), t),
 
     with (p, q) the trace formula of the current state (see _trace_pq): one
     evaluation of the trace density over all quadrature nodes per stage.
-    A step of the 8(5) pair is accepted where the (p, q) distance between
-    its eighth- and fifth-order states is at most ``loc_tol`` per unit of
-    phase, loc_tol R h with R the frame's largest |t|.  A node t evolves
-    at rate at most max(||W||, |t|), unlike the Weyl trajectories
-    m_pm(x, iY), which repel perturbations at rate 2Y and cannot carry a
-    forward march.
+    A node t evolves at rate at most max(||W||, |t|), unlike the Weyl
+    trajectories m_pm(x, iY), which repel perturbations at rate 2Y and
+    cannot carry a forward march.
+
+    The march steps on the eighth-order state of the Dormand-Prince 8(5)
+    pair of DOP853.  A step costs 12 rates: 11 stages and the rate at its
+    new point, which is the next step's first stage.  It is accepted where
+    the (p, q) distance between its eighth- and fifth-order states is at
+    most ``loc_tol`` per unit of phase, loc_tol R h with R the frame's
+    largest |t|; the step changes by 0.9 (target/err)^(1/6), held to
+    [0.2, 10], and carries over from one grid interval to the next.  A
+    step with a non-finite stage, or whose new state loses its determinant
+    (see _pin), is rejected.
 
     Hyperbolic nodes (|t| < ||W||) amplify the local errors, so the
     accumulated estimate E is propagated, E <- g E + err, with the growth g
@@ -409,8 +371,11 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     when that distance leaves [1e-3, 1e3] times the one at x = 0, and a
     lost companion makes E infinite.  Its local errors measure the
     fifth-order state, not the eighth-order one that is reported, so E
-    bounded the true error by a margin of 400 or more on every orthogonal
-    two-gap profile checked, and overstates it by up to 2e7 on wide gaps.
+    bounds the error loosely.
+
+    A generator: it yields (x, p, q, residual, on_grid) for x = 0, for
+    every accepted step and for every grid point of ``xg`` past 0, with
+    ``residual`` the quadrature residual of the trace formula plus E.
     """
     # the trace formula takes a 20-node Gauss-Legendre rule per gap; a coarse
     # 14-node rule rides along to expose the quadrature error
@@ -432,11 +397,10 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     a, b, d = main = np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))
     th = 1e-7 * np.cos(np.arange(len(ts)))
     comp = main + th * np.stack((-2.0 * b, a - d, 2.0 * b))
-    states = _pin(np.stack((main, comp), axis=1))
     ts = ts.astype(complex)[None]
+    gaps = frame.gapset.gaps
+    tol = loc_tol * max(-gaps[0][0], gaps[-1][1])
 
-    # the march runs on the float view (3, 2, 2 N) of the complex states:
-    # numpy forms the same stage combinations twice as fast on floats
     def rate(y):
         # the rates of both stacks and their (2, S, 2) trace integrals; a
         # branch cut hit by the companion alone is not an error
@@ -446,99 +410,65 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
             raise errors[0]
         return _congruence_rates(states, ts, pq[0, :, :1], pq[1, :, :1]).view(float), pq
 
-    def measure(y, dy, pq):
-        # a lost determinant pins the state to NaN, which rejects the step
-        states = _pin(y.view(complex))
-        pq5, _ = _trace_pq(states[:, :1] - dy.view(complex)[:, :1], wq)
-        err = math.hypot(pq[0, 0, 0] - pq5[0, 0, 0], pq[1, 0, 0] - pq5[1, 0, 0])
-        return err if math.isfinite(err) else math.inf
-
-    march = 0.0
-    start = dist = None
-
-    def accept(x, y, k, pq, err):
-        nonlocal march, start, dist
-        (p, pc), (q, qc) = pq[:, :, 0].tolist()
-        quad = math.hypot(p - pq[0, 0, 1], q - pq[1, 0, 1])
-        d = math.hypot(pc - p, qc - q)
-        if start is None:
-            start = dist = d
-        if not 0.0 < d < math.inf or math.isinf(march):
-            march = math.inf  # a lost companion leaves the growth unknown
-            return p, q, march
-        march = march * (d / dist) + err
-        if not 1e-3 * start <= d <= 1e3 * start:
-            # rescale the companion's offset, and its rate's to first order
-            s = start / d
-            for arr in (y, k):
-                arr[:, 1] = arr[:, 0] + s * (arr[:, 1] - arr[:, 0])
-            d = start
-        dist = d
-        return p, q, quad + march
-
-    gaps = frame.gapset.gaps
-    tol = loc_tol * max(-gaps[0][0], gaps[-1][1])
-    return _embedded_march(states.view(float), xg, tol, rate, measure, accept)
-
-
-def _divisor(a: np.ndarray, b: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Dirichlet divisors of uniform profiles on the gaps (a_j, b_j), as angles.
-
-    ``alphas`` is an (S, 1) column of common angles.  Row k of the (S, n)
-    result holds the angles phi_j of alphas[k]: mu_j = c_j + r_j cos(phi_j),
-    with c_j and r_j the midpoint and half width of gap j, is the zero of
-    M_11 in gap j, and sin(phi_j) has the sign of M_12(mu_j).
-
-    Inside gap j the constructed M is -e^{L/2} P + e^{-L/2} (I - P), with
-    P the projection onto (cos alpha, sin alpha) and
-    L(t) = sum_k log|(b_k - t)/(a_k - t)|.  So M_11 vanishes where
-    L(t) = 2 log|tan alpha|, once in each gap, and M_12 = -sign(sin 2 alpha)
-    there, in every gap.  With t = c_j - r_j tanh(s), gap j's own term of
-    L is 2 s, and s solves
-
-        2 s + G_j(t) = 2 log|tan alpha|,
-
-    G_j the sum over the other gaps.  G_j increases on gap j, so its values
-    at the gap's ends bracket s.  The left side increases with s:
-    |dG_j/ds| = r_j sech^2(s) G_j'(t) < 2, as G_j'(t) is below
-    1/(t - a_j) + 1/(b_j - t).  Newton's method runs on every gap at once,
-    bisecting the bracket where a step leaves it.  On one gap G_j is 0 and
-    the first guess is the root.
-    """
-    n = len(a)
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    own = np.eye(n, dtype=bool)
-
-    def other_gaps(t):
-        # G_j(t_j) and dG_j/dt, the sums over the gaps k != j
-        d = t[..., None]
-        g = np.where(own, 0.0, np.log(np.abs((d - b) / (d - a))))
-        dg = np.where(own, 0.0, (b - a) / ((d - a) * (d - b)))
-        return g.sum(axis=-1), dg.sum(axis=-1)
-
-    # the own gap's terms are infinite at its ends, and are dropped
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # 2 log|tan alpha|, held finite: at alpha = 0 or pi/2 every zero
-        # sits on a gap end, phi = 0 or pi
-        rhs = np.clip(2.0 * np.log(np.abs(np.tan(alphas))), -600.0, 600.0)
-        lo = 0.5 * (rhs - other_gaps(b)[0])
-        hi = 0.5 * (rhs - other_gaps(a)[0])
-        s = np.clip(0.5 * rhs, lo, hi)
-        for _ in range(100):
-            th = np.tanh(s)
-            g, dg = other_gaps(c - r * th)
-            f = 2.0 * s + g - rhs
-            lo = np.where(f < 0, s, lo)
-            hi = np.where(f > 0, s, hi)
-            step = s - f / (2.0 - r * (1.0 - th * th) * dg)
-            new = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            done = np.abs(new - s) <= 1e-12 * (1.0 + np.abs(s))
-            s = new
-            if done.all():
-                break
-        # cos(phi) = -tanh(s), sin(phi) = sech(s) before the sign of M_12
-        phi = 2.0 * np.arctan(np.exp(s))
-    return np.where(np.sin(2.0 * alphas) > 0, -phi, phi)
+    # the march runs on the float view (3, 2, 2 N) of the complex states:
+    # numpy forms the same stage combinations twice as fast on floats
+    y = _pin(np.stack((main, comp), axis=1)).view(float)
+    # the stages of a step; the last one, the rate at the new point, is the
+    # next step's first
+    ks = np.empty((len(_DP_E5),) + y.shape)
+    ks[0], pq = rate(y)
+    (p, pc), (q, qc) = pq[:, :, 0].tolist()
+    start = dist = math.hypot(pc - p, qc - q)
+    if 0.0 < start < math.inf:
+        march, last = 0.0, (p, q, math.hypot(p - pq[0, 0, 1], q - pq[1, 0, 1]))
+    else:
+        # a lost companion leaves the growth unknown
+        march, last = math.inf, (p, q, math.inf)
+    yield (0.0, *last, True)
+    h = float(xg[1]) if len(xg) > 1 else 0.0
+    for x, x_next in zip(xg[:-1].tolist(), xg[1:].tolist()):
+        while x < x_next - 1e-13 * max(1.0, abs(x_next)):
+            step = min(h, x_next - x)
+            for i, row in enumerate(_DP_A, 1):
+                stage = y + step * np.einsum("i,i...->...", row, ks[:i])
+                ks[i], pq = rate(stage)
+            dy = step * np.einsum("i,i...->...", _DP_E5, ks)
+            # a lost determinant pins the state to NaN, which rejects the step
+            states = _pin(stage.view(complex))
+            pq5, _ = _trace_pq(states[:, :1] - dy.view(complex)[:, :1], wq)
+            err = math.hypot(pq[0, 0, 0] - pq5[0, 0, 0], pq[1, 0, 0] - pq5[1, 0, 0])
+            if not math.isfinite(err):
+                err = math.inf
+            target = tol * step
+            factor = min(10.0, max(0.2, 0.9 * (target / err) ** (1 / 6))) if err else 10.0
+            if err > target:
+                h = step * factor
+                if h < 1e-10 * max(x_next, 1.0):
+                    raise NoConvergence(f"x-march stalled near x = {x}")
+                continue
+            x += step
+            y = stage
+            ks[0] = ks[-1]
+            # a step cut short at a grid point keeps the longer step
+            h = max(h, step * factor) if step < h else step * factor
+            (p, pc), (q, qc) = pq[:, :, 0].tolist()
+            d = math.hypot(pc - p, qc - q)
+            if not 0.0 < d < math.inf or math.isinf(march):
+                march = math.inf
+                last = p, q, march
+            else:
+                march = march * (d / dist) + err
+                if not 1e-3 * start <= d <= 1e3 * start:
+                    # rescale the companion's offset, and its rate's to
+                    # first order
+                    s = start / d
+                    for arr in (y, ks[0]):
+                        arr[:, 1] = arr[:, 0] + s * (arr[:, 1] - arr[:, 0])
+                    d = start
+                dist = d
+                last = p, q, math.hypot(p - pq[0, 0, 1], q - pq[1, 0, 1]) + march
+            yield (x, *last, False)
+        yield (x_next, *last, True)
 
 
 # Degree of the Chebyshev interpolant of the Abel integrands on a panel;
@@ -720,11 +650,13 @@ def _abel_map(a: np.ndarray, b: np.ndarray):
 
 
 def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
-    """Solve for the Dirichlet divisors of the uniform profile ``frame`` on
-    the grid ``xg`` by inverting the Abel map.
+    """Solve for the Dirichlet divisors of the commuting profile ``frame``
+    on the grid ``xg`` by inverting the Abel map.
 
-    A generator: it yields (x, p, q, residual, True) for every grid point,
-    with ``residual`` the size of the last Newton correction (0 at x = 0).
+    A generator: it yields (x, p, q, residual, True) for every grid point.
+    At x = 0 it yields the trace formula W(0) with residual 0; past x = 0
+    ``residual`` is the size of the last Newton correction plus the (p, q)
+    distance of the solved start from that W(0).
 
     The divisor of W(x) is the set of zeros mu_j(x) of M_11(x, .), one in
     each gap (Gesztesy & Holden, Soliton Equations and Their
@@ -742,38 +674,53 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
     On the Jacobian the flow is linear: the Abel map of _abel_map obeys
     A(phi(x)) = A(phi(0)) - 2 c x, so each grid point is one Newton solve
     of n equations, and no error accumulates along x.  The profile with
-    its angle lowered by pi/4 has the potential [[q, -p], [-p, -q]], so q
+    its angles lowered by pi/4 has the potential [[q, -p], [-p, -q]], so q
     is the p of its divisor: both systems solve as one (2, n) stack on the
     same map.
 
+    The start needs no root-finder.  In the torus coordinates
+    theta = P^{-1} A(phi) mod 1, P the period matrix, the uniform profile
+    of angle alpha sits at (1/2 - alpha/pi) (1, ..., 1), and raising one
+    gap's angle by pi/2 moves its coordinate by 1/2.  So the commuting
+    profile with angles alpha_j = alpha + (pi/2) s_j, s_j in {0, 1},
+    starts at theta_j = 1/2 - alpha_j/pi, and its q-system at theta + 1/4.
+    The Abel map is even in each angle, A(0) = (1/2) P (1, ..., 1), so the
+    start is reached from phi = 0 (every zero at the right end of its gap)
+    by the same continuation as a grid point.  One gap has A(phi) = phi + pi
+    and starts at phi = -2 alpha_1 in closed form.
+
     Turning phi_j once moves A by the period column P e_j, so the nearest
-    whole periods of the target's move between grid points go into a
-    winding count, and what is left is a path of at most half a period
-    per gap, however far apart the grid points are.  Along it Newton
-    starts from the rate J^{-1} (target shift) times the stride, Dubrovin's
-    step where no whole period was taken out, and ends when its
-    correction, mapped to (p, q) by |dp| <= sum_j r_j |dphi_j|, falls to
-    rounding level.  Where the corrections grow or 10 do not suffice, the
-    stride halves.
+    whole periods of the target's move go into a winding count, and what
+    is left is a path of at most half a period per gap, however far apart
+    the grid points are.  Along it Newton starts from the rate
+    J^{-1} (target shift) times the stride, Dubrovin's step where no whole
+    period was taken out, and ends when its correction, mapped to (p, q)
+    by |dp| <= sum_j r_j |dphi_j|, falls to rounding level.  Where the
+    corrections grow or 10 do not suffice, the stride halves.
     """
     a, b = frame.gapset.endpoints
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    alpha = frame.angles[0]
-    phi = _divisor(a, b, np.array([[alpha], [alpha - 0.25 * math.pi]]))
-    n = len(a)
-    p, q = (r * np.cos(phi)).sum(axis=1).tolist()
+    w0 = trace_formula_W0(frame)
     # the x = 0 sample comes before any setup that can raise
-    yield 0.0, p, q, 0.0, True
+    yield 0.0, w0.p, w0.q, 0.0, True
 
+    alphas = np.array(frame.angles)
+    n = len(a)
     if n == 1:
-        # one gap is centred in its frame: the target stands still, and so
-        # does the divisor
+        # one gap: A(phi) = phi + pi puts the start at phi = -2 alpha, and
+        # the gap is centred in its frame, so the target stands still, and
+        # so does the divisor
+        phi = np.array([-2.0 * alphas, 0.5 * math.pi - 2.0 * alphas])
+        p, q = (r * np.cos(phi)).sum(axis=1).tolist()
+        res = math.hypot(p - w0.p, q - w0.q)
         for x in xg[1:].tolist():
-            yield x, p, q, 0.0, True
+            yield x, p, q, res, True
         return
     abel, period = _abel_map(a, b)
+    theta = 0.5 - alphas / math.pi
+    start = np.stack((theta, theta + 0.25)) @ period.T
+    phi = np.zeros_like(start)
     target, jac = abel(phi)
-    start = target
     # phi is the divisor less 2 pi k, so its target is A less P k
     k = np.zeros_like(phi)
     lattice = np.linalg.inv(period)
@@ -802,8 +749,9 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
             prev = corr
         return None
 
-    x = 0.0
-    for x_next in xg[1:].tolist():
+    # the first solve, at x = 0, takes phi from 0 to the start
+    x = shift = 0.0
+    for x_next in xg.tolist():
         goal = start - (2.0 * x_next) * c - k @ period.T
         turns = np.rint((goal - target) @ lattice.T)
         k += turns
@@ -819,13 +767,17 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
             if solved is None:
                 h = 0.5 * step
                 if h < 1e-10:
-                    raise NoConvergence(f"Abel inversion stalled between x = {x} and {x_next}")
+                    raise NoConvergence("Abel inversion stalled " + (
+                        f"between x = {x} and {x_next}" if x_next else "at the start, x = 0"))
                 continue
             phi, jac, rate, res = solved
             s, h = s_try, 2.0 * step
         target, x = goal, x_next
         p, q = (r * np.cos(phi)).sum(axis=1).tolist()
-        yield x, p, q, res, True
+        if x:
+            yield x, p, q, res + shift, True
+        else:
+            shift = math.hypot(p - w0.p, q - w0.q)
 
 
 def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
@@ -852,16 +804,19 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     The shifted operator is reflectionless on the same bands.  Two routes
     march it:
 
-    * A uniform profile (one angle for all gaps) solves for its Dirichlet
-      divisor, the zeros of M_11(x, .) in the gaps, at each grid point by
-      inverting the Abel map, which moves linearly in x, and reads W(x)
-      off the trace formula for the divisor (see _divisor_orbit).  The
-      route carries 2 n angles, has no growing mode, no quadrature and no
-      step tolerance, and its residual is the x = 0 seed check below plus
-      the last Newton correction of the grid point's solve: no error
-      accumulates along x.
-    * Any other profile has complex gap values and no real divisor.  Its
-      Herglotz matrix has gap boundary values
+    * A commuting profile (``profile.is_commuting``: every angle alpha or
+      alpha + pi/2) solves for its Dirichlet divisor, the zeros of
+      M_11(x, .) in the gaps, at each grid point by inverting the Abel
+      map, which moves linearly in x, and reads W(x) off the trace formula
+      for the divisor (see _divisor_orbit).  It starts from a closed-form
+      point of the isospectral torus, and its x = 0 sample is the trace
+      formula W(0).  The route carries 2 n angles, has no growing mode, no
+      quadrature and no step tolerance, and its residual is the x = 0
+      seed check below, plus, past x = 0, the distance of the solved start
+      from W(0) and the last Newton correction of the grid point's solve:
+      no error accumulates along x.
+    * A non-commuting profile has complex gap values and no real divisor.
+      Its formal M function has gap boundary values
       M_x(t) = T(0->x, t) M_0(t) T(0->x, t)^t with the (real, unimodular)
       transfer matrices of the potential itself, and W(x) is the trace
       formula at the shifted origin, the integral over the gaps of
@@ -893,7 +848,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         Local error target per unit of phase of the congruence march: a
         step of length h is accepted where the (p, q) distance between its
         eighth- and fifth-order states is at most loc_tol R h, R the
-        largest |t| over the gaps of the co-rotating frame.  Uniform
+        largest |t| over the gaps of the co-rotating frame.  Commuting
         profiles do not use it.
     bound_slack : float
         Slack over the sharp bound before BoundViolation is raised.
@@ -908,7 +863,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     BoundViolation
         If any sampled ||W(x)|| exceeds sharp_bound + bound_slack.  For a
         profile whose constructed M function is a genuine matrix Herglotz
-        function (every aligned profile is, by the explicit realization),
+        function (every commuting profile is, by the explicit realization),
         the sharp bound holds along the whole orbit and this is never
         raised.  Profiles with mismatched gap projections yield formal M
         functions that need not be Herglotz; their orbits can cross the
@@ -917,8 +872,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     NoConvergence
         If the step size of the congruence march, or the continuation
         stride of the Abel inversion, underflows before reaching the next
-        grid point, or the x = 0 Weyl-law cross-check does not converge (no
-        samples then).
+        grid point or the start, or the x = 0 Weyl-law cross-check does not
+        converge (no samples then).
 
     Both exceptions carry the grid samples accepted before the failure in
     their ``samples`` attribute.
@@ -945,7 +900,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
                 f"{bound:.8f} + {bound_slack:g}")
         return sample
 
-    orbit = (_divisor_orbit(frame, xg) if profile.is_uniform
+    orbit = (_divisor_orbit(frame, xg) if profile.is_commuting
              else _congruence_orbit(frame, xg, loc_tol))
     _, p0, q0, res0, _ = next(orbit)
     samples: list[PotentialSample] = []
@@ -956,9 +911,10 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
         samples.append(record(xg[0], p0, q0, res0 + seed_res))
         # a divisor orbit runs from the checked W(0), so the seed check's
-        # error rides along it; congruence samples past x = 0 carry their
-        # own quadrature residual and march error estimate
-        carried = seed_res if profile.is_uniform else 0.0
+        # error rides along it with the start's distance from that W(0);
+        # congruence samples past x = 0 carry their own quadrature residual
+        # and march error estimate
+        carried = seed_res if profile.is_commuting else 0.0
         # an overflowing trial step yields non-finite states, which the
         # step control rejects; numpy need not warn about them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -194,9 +194,12 @@ class KreinProfile:
         return cls(gapset, (float(alpha),) * gapset.n)
 
     @property
-    def is_uniform(self) -> bool:
-        """True if all gaps share one projection direction (mod pi)."""
-        return all(_angle_distance(a, self.angles[0]) <= 1e-12 for a in self.angles[1:])
+    def is_commuting(self) -> bool:
+        """True if the gap projections commute: every angle is within 1e-12
+        of one angle alpha or of alpha + pi/2 (mod pi).  Doubled, both are
+        one angle mod pi."""
+        return all(_angle_distance(2.0 * a, 2.0 * self.angles[0]) <= 2e-12
+                   for a in self.angles[1:])
 
     def projection(self, j: int) -> np.ndarray:
         return projection_angle(self.angles[j])

@@ -61,8 +61,14 @@ def test_construct_strict_profile(tmp_path):
     rec = _records(text)
     assert rec["w0_norm"]["value"] < 1e-12
     assert rec["classification"]["identity"].startswith("strict")
-    # commuting projections: still a genuine Herglotz function
+    # commuting projections: still a genuine Herglotz function, with real
+    # gap values, and both are checks
     assert rec["herglotz_defect"]["value"] > -1e-9
+    for name, tol in (("gap_realness", 1e-9), ("commutator", 1e-10)):
+        assert rec[name]["status"] == "pass" and rec[name]["tolerance"] == tol
+    code, text = _run(tmp_path, "verify", STRICT_PAIR)
+    assert code == 0
+    assert _records(text)["gap_realness"]["status"] == "pass"
 
 
 def test_construct_gapless_profile(tmp_path):
@@ -182,20 +188,20 @@ def test_evolve_gates_the_residual(tmp_path, two_gap_norm):
         err = np.abs([row[3] for row in rows] - two_gap_norm(gaps, xgrid))
         assert err.max() < 1e-8
         assert all(row[5] >= e for row, e in zip(rows, err))
-    # orthogonal angles take the congruence march, whose errors grow on the
-    # wide pair and over a long march: the propagated march error estimate
-    # bounds them and fails the residual gate, the only check that fails
+    # orthogonal angles commute and take the Abel route too: on the wide
+    # pair, over a long march and on the wide orthogonal pair to x = 2 they
+    # meet the closed form and pass the gate, with residuals that bound
+    # the error
     for gaps, alpha, xgrid in (([[-20, -1], [1, 20]], 0.3, [0, 1]),
-                               ([[-2, -1], [1, 2]], 0.0, [0, 10, 20])):
+                               ([[-2, -1], [1, 2]], 0.0, [0, 10, 20]),
+                               ([[-6, -1], [1, 6]], 0.3, np.linspace(0, 2, 21).tolist())):
         cfg = {"profile": {"gaps": gaps, "angles": [alpha, alpha + math.pi / 2]},
                "xgrid": xgrid}
         code, text = _run(tmp_path, "evolve", cfg)
-        assert code == 1
-        failed = [r["name"] for r in json.loads(text)["records"]
-                  if r["status"] == "fail"]
-        assert failed == ["residual"]
+        assert code == 0
         rows = json.loads(text)["tables"]["W"]["rows"]
         err = np.abs([row[3] for row in rows] - two_gap_norm(gaps, xgrid, start="bottom"))
+        assert err.max() < 1e-8
         assert all(row[5] >= e for row, e in zip(rows, err))
         assert _records(text)["residual"]["value"] >= err.max()
 

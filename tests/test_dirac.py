@@ -385,20 +385,34 @@ def test_congruence_rates_match_the_generator():
                                    rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("angles, dtype", [((0.7, 0.7), float), (WITNESS_ANGLES, complex)])
+@pytest.mark.parametrize("angles, dtype", [((0.7, 0.7), float), (WITNESS_ANGLES, complex),
+                                           ((0.7, 0.7 + math.pi / 2), float)])
 def test_uniform_marches_carry_real_states(monkeypatch, angles, dtype):
-    # a uniform profile marches its Dirichlet divisor, 2 n real angles, and
-    # never a boundary matrix; mismatched angles, whose gap values are
-    # complex, keep the congruence march of complex boundary matrices
+    # a commuting profile, uniform or orthogonal, solves for its Dirichlet
+    # divisor, 2 n real angles, on its Abel map and never marches a
+    # boundary matrix; mismatched angles, whose gap values are complex,
+    # keep the congruence march of complex boundary matrices
     seen = {}
-    for name in ("_divisor", "_congruence_rates"):
-        def traced(*args, _f=getattr(dirac, name), _name=name):
-            out = _f(*args)
-            seen.setdefault(_name, set()).add(out.dtype)
-            return out
-        monkeypatch.setattr(dirac, name, traced)
+    abel_map, rates = dirac._abel_map, dirac._congruence_rates
+
+    def traced_map(a, b):
+        abel, period = abel_map(a, b)
+
+        def traced_abel(phi):
+            value, jac = abel(phi)
+            seen.setdefault("_abel_map", set()).update((value.dtype, jac.dtype))
+            return value, jac
+        return traced_abel, period
+
+    def traced_rates(*args):
+        out = rates(*args)
+        seen.setdefault("_congruence_rates", set()).add(out.dtype)
+        return out
+
+    monkeypatch.setattr(dirac, "_abel_map", traced_map)
+    monkeypatch.setattr(dirac, "_congruence_rates", traced_rates)
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), angles), [0.0, 0.1])
-    route = "_divisor" if dtype is float else "_congruence_rates"
+    route = "_abel_map" if dtype is float else "_congruence_rates"
     assert seen == {route: {np.dtype(dtype)}}
 
 

@@ -89,10 +89,14 @@ def test_profile_validation_and_normalization():
         KreinProfile(gs, (0.1, lambda t: 0.2))  # an angle must be a number
     prof = KreinProfile(gs, (math.pi + 0.25, -0.5))
     np.testing.assert_allclose(prof.angles, [0.25, math.pi - 0.5])
-    assert KreinProfile(gs, (0.3, 0.3 + math.pi)).is_uniform
-    assert not KreinProfile(gs, (0.3, 0.9)).is_uniform
-    assert KreinProfile.uniform(gs, 1.0).is_uniform
-    assert KreinProfile(GapSet(()), ()).is_uniform
+    assert KreinProfile(gs, (0.3, 0.3 + math.pi)).is_commuting
+    # orthogonal projections commute too, on either side of the wrap at pi
+    assert KreinProfile(gs, (0.3, 0.3 + math.pi / 2)).is_commuting
+    assert KreinProfile(gs, (3.0, 3.0 - math.pi / 2 + 1e-13)).is_commuting
+    assert not KreinProfile(gs, (0.3, 0.9)).is_commuting
+    assert not KreinProfile(gs, (0.3, 0.3 + math.pi / 2 + 1e-9)).is_commuting
+    assert KreinProfile.uniform(gs, 1.0).is_commuting
+    assert KreinProfile(GapSet(()), ()).is_commuting
 
 
 def test_profile_json_round_trip():
@@ -100,7 +104,7 @@ def test_profile_json_round_trip():
     assert prof.gapset.gaps == ((-2.0, -1.0), (1.0, 2.0))
     assert prof.angles == (0.3, 1.9)
     uni = profile_from_json({"gaps": [[-1, 1]], "uniform": 0.7})
-    assert uni.is_uniform
+    assert uni.is_commuting
     assert uni.gapset.gaps == ((-1.0, 1.0),) and uni.angles == (0.7,)
     with pytest.raises(ValueError):
         profile_from_json({"angles": [0.1]})

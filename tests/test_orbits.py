@@ -3,9 +3,12 @@
 Two gaps have a closed-form orbit, ||W||^2 = A + B cd^2(kappa x | m) on a
 uniform profile and A + B sn^2(kappa x | m) on an orthogonal one (see
 ``conftest._two_gap_norm``); one centred gap keeps ||W|| at its half
-width.  Uniform profiles solve for their Dirichlet divisor by inverting
-the Abel map and orthogonal ones take the congruence march; both routes
-are held to their numbers and their reported residuals to the true error.
+width.  Commuting profiles, uniform or orthogonal, solve for their
+Dirichlet divisor by inverting the Abel map from a closed-form point of the
+isospectral torus.  The congruence march, the route of non-commuting
+profiles, is held to the orthogonal orbits directly, its only closed-form
+ground truth.  Both routes are held to their numbers and their reported
+residuals to the true error.
 """
 
 import math
@@ -15,6 +18,7 @@ import pytest
 
 from kreindirac import GapSet, KreinProfile, sample_potential, sharp_bound
 from kreindirac import dirac
+from kreindirac.dirac import co_rotating_frame
 from kreindirac.errors import NoConvergence
 from kreindirac.finitegap import build_M, trace_formula_W0
 
@@ -69,14 +73,46 @@ ORTHOGONAL_ORBITS = [
 @pytest.mark.parametrize("gaps, alpha, stop", ORTHOGONAL_ORBITS)
 def test_orthogonal_march_starts_at_the_bottom_of_the_orbit(two_gap_norm, gaps, alpha, stop):
     # W(0) = sum (b_j - a_j)(P_j - I/2) with P_2 = I - P_1 has norm
-    # |w2 - w1|/2, the bottom of the orbit, so x0 = 0
+    # |w2 - w1|/2, the bottom of the orbit, so x0 = 0.  The congruence
+    # march runs on the co-rotating frame, whose turn the norm does not see
+    xg = np.linspace(0.0, stop, 21)
+    _, frame = co_rotating_frame(KreinProfile(GapSet(gaps), (alpha, alpha + math.pi / 2)))
+    rows = [row[1:4] for row in dirac._congruence_orbit(frame, xg, 1e-8) if row[4]]
+    p, q, res = np.array(rows).T
+    err = np.abs(np.hypot(p, q) - two_gap_norm(gaps, xg, start="bottom"))
+    assert err.max() < 1e-9
+    # past x = 0 the residual carries the propagated march error estimate
+    assert (res[1:] >= err[1:]).all()
+
+
+@pytest.mark.parametrize("gaps, alpha, stop", ORTHOGONAL_ORBITS)
+def test_orthogonal_profiles_take_the_abel_route(two_gap_norm, gaps, alpha, stop):
+    # an orthogonal profile commutes: it starts on the isospectral torus at
+    # the flipped point and meets the closed form to rounding
     xg = np.linspace(0.0, stop, 21)
     prof = KreinProfile(GapSet(gaps), (alpha, alpha + math.pi / 2))
     samples = sample_potential(prof, xg)
     err = np.abs([s.norm for s in samples] - two_gap_norm(gaps, xg, start="bottom"))
+    assert err.max() < 1e-11
+    assert all(s.residual >= e for s, e in zip(samples, err))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mixed_commuting_profiles_agree_with_the_congruence_march(n):
+    # angles alpha and alpha + pi/2 over three to five gaps have no closed
+    # form; the congruence march at a tight step tolerance is the reference
+    rng = np.random.default_rng(30 + n)
+    gs, alpha = _random_uniform(rng, n)
+    flips = np.arange(n) % 2
+    rng.shuffle(flips)
+    prof = KreinProfile(gs, tuple(alpha + 0.5 * math.pi * flips))
+    xg = np.linspace(0.0, 2.0, 11)
+    samples = sample_potential(prof, xg)
+    c, frame = co_rotating_frame(prof)
+    ref = [complex(p, q) * np.exp(2j * c * x)
+           for x, p, q, _, on_grid in dirac._congruence_orbit(frame, xg, 1e-11) if on_grid]
+    err = np.abs([complex(s.p, s.q) for s in samples] - np.array(ref))
     assert err.max() < 1e-9
-    # past x = 0 the residual carries the propagated march error estimate
-    assert all(s.residual >= e for s, e in zip(samples[1:], err[1:]))
 
 
 @pytest.mark.parametrize("r", [10.0, 50.0])
@@ -95,35 +131,126 @@ def _random_uniform(rng, n):
     return GapSet(gaps), float(rng.uniform(0.0, math.pi))
 
 
+def _start_divisor(monkeypatch, prof):
+    """The (2, n) divisor angles the Abel route starts from, the q-system's
+    in the second row: for one gap, where p = r cos(phi) and
+    q = -r sin(phi), read back off the orbit, and otherwise the last angles
+    of the start solve, whose final correction is at rounding level."""
+    if prof.gapset.n == 1:
+        _, frame = co_rotating_frame(prof)
+        _, (_, p, q, _, _) = dirac._divisor_orbit(frame, np.array([0.0, 1.0]))
+        phi = math.atan2(-q, p)
+        return np.array([[phi], [phi + math.pi / 2]])
+    seen = []
+    abel_map = dirac._abel_map
+
+    def traced(a, b):
+        abel, period = abel_map(a, b)
+
+        def record(phi):
+            seen.append(phi.copy())
+            return abel(phi)
+        return record, period
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dirac, "_abel_map", traced)
+        sample_potential(prof, [0.0])
+    return seen[-1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
-def test_divisor_is_the_zero_set_of_m11(n):
+def test_divisor_is_the_zero_set_of_m11(monkeypatch, n):
     # one zero of M_11 per gap, where M_12 = +-1 takes the sign of
-    # sin(phi); the trace formula over the divisor is W(0)
-    rng = np.random.default_rng(n)
+    # sin(phi); the trace formula over the divisor is W(0).  The start is
+    # solved from its torus point, with gaps flipped by pi/2 as well
+    rng, flip_rng = np.random.default_rng(n), np.random.default_rng(100 + n)
     for _ in range(4):
         gs, alpha = _random_uniform(rng, n)
         a, b = gs.endpoints
         c, r = 0.5 * (a + b), 0.5 * (b - a)
-        phi = dirac._divisor(a, b, np.array([[alpha], [alpha - math.pi / 4]]))
-        mu = c + r * np.cos(phi[0])
-        assert ((a < mu) & (mu < b)).all()
-        # M is evaluated only clear of the endpoint margins
-        near = gs.endpoint_errors(mu)
-        clear = [j for j in range(n) if j not in near]
-        m = build_M(KreinProfile.uniform(gs, alpha), mu[clear])
-        np.testing.assert_allclose(m[:, 0, 0], 0.0, atol=1e-11)
-        np.testing.assert_allclose(m[:, 0, 1], np.sign(np.sin(phi[0, clear])), atol=1e-11)
-        w0 = trace_formula_W0(KreinProfile.uniform(gs, alpha))
-        p, q = (r * np.cos(phi)).sum(axis=1)
-        assert abs(p - w0.p) < 1e-12 * n and abs(q - w0.q) < 1e-12 * n
+        for flips in (np.zeros(n), flip_rng.integers(0, 2, n)):
+            prof = KreinProfile(gs, tuple(alpha + 0.5 * math.pi * flips))
+            phi = _start_divisor(monkeypatch, prof)
+            mu = c + r * np.cos(phi[0])
+            assert ((a < mu) & (mu < b)).all()
+            # M is evaluated only clear of the endpoint margins
+            near = gs.endpoint_errors(mu)
+            clear = [j for j in range(n) if j not in near]
+            m = build_M(prof, mu[clear])
+            np.testing.assert_allclose(m[:, 0, 0], 0.0, atol=1e-11)
+            np.testing.assert_allclose(m[:, 0, 1], np.sign(np.sin(phi[0, clear])), atol=1e-11)
+            w0 = trace_formula_W0(prof)
+            p, q = (r * np.cos(phi)).sum(axis=1)
+            assert abs(p - w0.p) < 1e-12 * n and abs(q - w0.q) < 1e-12 * n
 
 
-def test_divisor_sits_on_the_gap_ends_at_the_axes():
-    # angle 0 puts every zero of M_11 on b_j, angle pi/2 on a_j
+def test_divisor_sits_on_the_gap_ends_at_the_axes(monkeypatch):
+    # angle 0 puts every zero of M_11 on b_j, angle pi/2 on a_j; the
+    # q-system's angle is pi/4 lower
     gs = GapSet(((-2.0, -1.0), (1.0, 2.0), (3.0, 5.0)))
-    a, b = gs.endpoints
-    phi = dirac._divisor(a, b, np.array([[0.0], [math.pi / 2]]))
-    np.testing.assert_allclose(np.abs(phi), [[0.0] * 3, [math.pi] * 3], atol=1e-12)
+    for alpha, row, end in ((0.0, 0, 0.0), (math.pi / 2, 0, math.pi),
+                            (math.pi / 4, 1, 0.0), (3 * math.pi / 4, 1, math.pi)):
+        phi = _start_divisor(monkeypatch, KreinProfile.uniform(gs, alpha))
+        np.testing.assert_allclose(np.abs(phi[row]), [end] * 3, atol=1e-12)
+
+
+# the isospectral torus: theta = P^{-1} A(phi) mod 1 of a divisor phi found
+# as the zeros of M_11, without the Abel route's start
+TORUS_GAPS = GapSet(((-3.0, -2.0), (-1.0, 0.5), (1.5, 2.0), (3.0, 4.5)))
+
+
+def _torus_point(prof):
+    from scipy.optimize import brentq
+
+    phi = []
+    for lo, hi in prof.gapset.gaps:
+        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        margin = 2e-3 * (hi - lo)
+        mu = brentq(lambda t: build_M(prof, np.array([t]))[0, 0, 0].real,
+                    lo + margin, hi - margin, xtol=1e-15, rtol=1e-15)
+        sign = np.sign(build_M(prof, np.array([mu]))[0, 0, 1].real)
+        phi.append(sign * math.acos((mu - c) / r))
+    abel, period = dirac._abel_map(*prof.gapset.endpoints)
+    return np.linalg.solve(period, abel(np.array([phi]))[0][0])
+
+
+def _mod1(v):
+    return v - np.rint(v)
+
+
+def test_abel_map_starts_at_half_the_periods():
+    # every integrand is even in its angle: A(0) = (1/2) P (1, ..., 1)
+    abel, period = dirac._abel_map(*TORUS_GAPS.endpoints)
+    value, _ = abel(np.zeros((1, TORUS_GAPS.n)))
+    np.testing.assert_allclose(value[0], 0.5 * period.sum(axis=1), rtol=0, atol=1e-13)
+
+
+def test_uniform_profiles_lie_on_the_torus_diagonal():
+    # theta = (1/2 - alpha/pi) (1, ..., 1), so dtheta/dalpha = -1/pi in
+    # every component
+    alphas = [0.4, 0.9, 1.3, 2.0, 2.6]
+    thetas = [_torus_point(KreinProfile.uniform(TORUS_GAPS, al)) for al in alphas]
+    for al, th in zip(alphas, thetas):
+        assert np.abs(_mod1(th - (0.5 - al / math.pi))).max() < 1e-12
+    for a1, a2, t1, t2 in zip(alphas, alphas[1:], thetas, thetas[1:]):
+        np.testing.assert_allclose(_mod1(t2 - t1) / (a2 - a1), -1.0 / math.pi, rtol=0, atol=1e-12)
+
+
+def test_flipping_a_gap_moves_its_coordinate_by_half():
+    # raising gap j's angle by pi/2 moves theta_j by 1/2 and no other
+    base = _torus_point(KreinProfile.uniform(TORUS_GAPS, 0.9))
+    for flips in np.eye(4, dtype=int).tolist() + [[0, 1, 1, 0]]:
+        moved = _torus_point(KreinProfile(TORUS_GAPS, tuple(0.9 + 0.5 * math.pi * np.array(flips))))
+        assert np.abs(_mod1(moved - base - 0.5 * np.array(flips))).max() < 1e-12
+
+
+def test_q_system_sits_a_quarter_period_on():
+    # the profile with every angle lowered by pi/4 has the potential
+    # [[q, -p], [-p, -q]]: its divisor, the q-system, sits at theta + 1/4
+    for angles in ((0.9,) * 4, (0.9, 0.9 + math.pi / 2, 0.9, 0.9 + math.pi / 2)):
+        p = _torus_point(KreinProfile(TORUS_GAPS, angles))
+        q = _torus_point(KreinProfile(TORUS_GAPS, tuple(al - math.pi / 4 for al in angles)))
+        assert np.abs(_mod1(q - p - 0.25)).max() < 1e-12
 
 
 def test_divisor_residual_is_the_seed_check_and_rounding(two_gap_norm):
@@ -143,8 +270,9 @@ def test_divisor_residual_is_the_seed_check_and_rounding(two_gap_norm):
 
 def test_stalled_inversion_raises_with_the_samples(monkeypatch):
     # a Jacobian with no finite correction halves the continuation stride
-    # until it underflows: NoConvergence names x and carries the x = 0
-    # sample, which comes before the Abel map is built
+    # until it underflows, here in the solve of the start: NoConvergence
+    # names x and carries the x = 0 sample, the trace formula W(0), which
+    # comes before the Abel map is built
     abel_map = dirac._abel_map
 
     def broken(a, b):
@@ -153,6 +281,6 @@ def test_stalled_inversion_raises_with_the_samples(monkeypatch):
 
     monkeypatch.setattr(dirac, "_abel_map", broken)
     prof = KreinProfile.uniform(GapSet(((-2.0, -1.0), (1.0, 2.0))), 0.4)
-    with pytest.raises(NoConvergence, match="between x = 0.0 and 0.5") as info:
+    with pytest.raises(NoConvergence, match="stalled at the start, x = 0") as info:
         sample_potential(prof, [0.0, 0.5, 1.0])
     assert [s.x for s in info.value.samples] == [0.0]
