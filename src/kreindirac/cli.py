@@ -33,6 +33,7 @@ codes: 0 all checks pass, 1 at least one check failed, 2 bad config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -605,6 +606,40 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_CONTAINERS = {dict, list, tuple}
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """json's C encoder for a scalar, or a list of scalars laid out one per
+    line at nesting ``depth``, as ``json.dumps(..., indent=2,
+    default=float)`` writes them; ``indent`` would force the pure-Python
+    encoder."""
+    return json.encoder.c_make_encoder(
+        None, float, json.encoder.encode_basestring_ascii, None, ": ",
+        ",\n" + "  " * (depth + 1), False, False, True)
+
+
+def _indented(obj, depth: int = 0) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, default=float)`` writes it:
+    the C encoder writes scalars and the items of flat lists and dicts,
+    and nested ones are laid out here."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return "".join(_flat_encoder(depth)(obj, 0))
+    pad = "\n" + "  " * (depth + 1)
+    items = obj.values() if isinstance(obj, dict) else obj
+    if _CONTAINERS.isdisjoint(map(type, items)):
+        inner = "".join(_flat_encoder(depth)(obj, 0))[1:-1]
+    elif isinstance(obj, dict):
+        key = _flat_encoder(depth)
+        inner = ("," + pad).join(["".join(key(k, 0)) + ": " + _indented(v, depth + 1)
+                                  for k, v in obj.items()])
+    else:
+        inner = ("," + pad).join([_indented(v, depth + 1) for v in obj])
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + pad + inner + "\n" + "  " * depth + brackets[1]
+
+
 def _render_json(rep: Report) -> str:
     def num(x):
         # inf from probe failures must survive strict JSON
@@ -620,8 +655,8 @@ def _render_json(rep: Report) -> str:
     }
     if rep.numerical_failure:
         obj["numerical_failure"] = rep.numerical_failure
-    # default=float catches stray numpy scalars in table rows
-    return json.dumps(obj, indent=2, default=float) + "\n"
+    # float for stray numpy scalars in table rows, as json.dumps's default
+    return _indented(obj) + "\n"
 
 
 def _render_csv(rep: Report) -> str:

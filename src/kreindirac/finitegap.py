@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -165,12 +166,21 @@ class KreinProfile:
     ``angles`` holds one finite angle per gap, normalized into [0, pi).  The
     gapless profile (n = 0) is admissible and describes the free function
     M = i I.  ``projection_defects`` is the read-only (n, 2, 2) stack of
-    P_j - I/2.
+    P_j - I/2.  ``gap_classes`` groups the gap indices whose defects are
+    bitwise equal, each group increasing, the largest group first (ties in
+    the order of their first gap): a uniform profile is one class, and
+    distinct angles give one class per gap.
     """
 
     gapset: GapSet
     angles: tuple = field(default=())
     projection_defects: np.ndarray = field(init=False, repr=False, compare=False)
+    gap_classes: tuple = field(init=False, repr=False, compare=False)
+    # build_logM's layout of the classes: per class size, the complex
+    # (2, classes, size, 1) endpoints and the widest gap; and the (C, 2, 2)
+    # defect of each class
+    _class_groups: tuple = field(init=False, repr=False, compare=False)
+    _class_defects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         angles = tuple(self.angles)
@@ -188,6 +198,19 @@ class KreinProfile:
         defects[:, 1, 1] = s * s - 0.5
         defects.flags.writeable = False
         object.__setattr__(self, "projection_defects", defects)
+        members: dict[bytes, list[int]] = {}
+        for j, d in enumerate(defects):
+            members.setdefault(d.tobytes(), []).append(j)
+        classes = tuple(tuple(m) for m in sorted(members.values(), key=len, reverse=True))
+        object.__setattr__(self, "gap_classes", classes)
+        gaps = self.gapset.gaps
+        groups = []
+        for _, group in groupby(classes, key=len):
+            ends = [[gaps[j] for j in m] for m in group]
+            width = max(b - a for row in ends for a, b in row)
+            groups.append((np.array(ends, dtype=complex).transpose(2, 0, 1)[..., None], width))
+        object.__setattr__(self, "_class_groups", tuple(groups))
+        object.__setattr__(self, "_class_defects", defects[[m[0] for m in classes]])
 
     @classmethod
     def uniform(cls, gapset: GapSet, alpha: float) -> "KreinProfile":
@@ -242,37 +265,77 @@ def profile_from_json(obj: dict) -> KreinProfile:
     return KreinProfile(gapset, tuple(json_number(a) for a in angles))
 
 
-# Largest (points x gaps) block of gap logarithms held at once; longer
-# point arrays are evaluated in consecutive slices.
-_BLOCK = 1 << 15
+# Largest block of Moebius ratios held at once, in (points x classes)
+# entries: longer point arrays are evaluated in consecutive slices, and a
+# slice takes as many factors per class as the block holds.
+_BLOCK = 1 << 12
+
+# Binary orders of magnitude a product of ratios may span between two
+# renormalisations: from modulus about 1 it stays inside float range.
+_RANGE_BITS = 1000
+_LN2 = math.log(2.0)
 
 
-def _gap_logs(gapset: GapSet, z: np.ndarray) -> np.ndarray:
-    """(N, n) values of log((b_j - z)/(a_j - z)) with the upper-boundary branch.
+def _class_logs(groups: tuple, z: np.ndarray) -> np.ndarray:
+    """(C, N) values of sum_{j in class} log((b_j - z)/(a_j - z)) with the
+    upper-boundary branch, one row per class of a profile's ``gap_classes``.
 
-    ``z`` is a 1-D complex array on the closed upper half plane.  For
-    Im z > 0 the Moebius factor lies in the upper half plane and the
-    principal logarithm applies.  For real z the limit from above is taken:
-    inside the own gap the ratio is negative and picks up +i pi, from E the
-    ratio is positive and the logarithm is real.  Real points are evaluated
-    in real arithmetic with the +i pi set explicitly, so no result hangs on
-    the sign of a zero imaginary part.  The caller has checked real points
-    against the endpoint margins.
+    ``groups`` is the profile's ``_class_groups``.  ``z`` holds N points,
+    either all off the axis (complex, Im z > 0) or all on it (float).  Each
+    class takes one logarithm, of the product of its gaps' Moebius ratios.
+    The classes of one size multiply in their next factors together, as
+    many per pass as _BLOCK allows.
+
+    Off the axis the argument of a gap's ratio is the angle the gap
+    subtends at z.  Disjoint gaps subtend less than pi together, so a
+    class's product stays in the upper half plane, and its logarithm with
+    the cut on the negative imaginary axis (:func:`branch_log`, as for one
+    gap) is the sum of its gaps' logarithms; the cut also keeps a product
+    whose argument is within rounding of pi, but which rounds below the
+    axis, at pi.  On the axis the arithmetic is real: the product is
+    negative exactly where t lies inside a gap of the class (at most one
+    gap holds t), which gives i pi.
+
+    A ratio's modulus lies within [1/B, B], B = 1 + w / d, for w the widest
+    gap of the group and d >= Im z the distance from z to the endpoints;
+    on the axis the caller's endpoint-margin check gives d >= w
+    ENDPOINT_MARGIN for each gap.  A product is renormalised by np.frexp
+    before it would hold more than floor(_RANGE_BITS / log2 B) factors, so
+    a point whose ratios are finite gets a finite logarithm.  A non-finite
+    point gets a non-finite one, which the kernel rejects with a ValueError.
     """
-    a, b = gapset.endpoints
-    zc = z[:, None]
-    # off the real axis the factor lies in the upper half plane, where the
-    # strip branch is the principal logarithm; real rows are replaced below.
-    # A ratio beyond float range gives a non-finite logarithm, which the
-    # kernel rejects with a ValueError.
+    real = z.dtype.kind == "f"
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        out = branch_log((b - zc) / (a - zc))
-    real = z.imag == 0
-    if real.any():
-        t = z.real[real, None]
-        inside = (a < t) & (t < b)
-        out[real] = np.log(np.abs((b - t) / (a - t))) + 1j * np.pi * inside
-    return out
+        for ends, width in groups:
+            if real:
+                ends = ends.real
+            _, count, size, _ = ends.shape
+            period = size
+            if size > 1:
+                bound = 1.0 + (1.0 / ENDPOINT_MARGIN if real else width / float(z.imag.min()))
+                # NaN and inf bounds renormalise after every factor
+                period = (int(_RANGE_BITS // max(1.0, math.log2(bound)))
+                          if bound < math.inf else 1)
+            step = max(1, min(period, _BLOCK // (count * len(z))))
+            prod = expo = None
+            held = 0  # factors in prod since its last renormalisation
+            for k in range(0, size, step):
+                part = (ends[1, :, k:k + step] - z) / (ends[0, :, k:k + step] - z)
+                if prod is not None:
+                    if held + part.shape[1] > period:
+                        _, e = np.frexp(np.maximum(np.abs(prod.real), np.abs(prod.imag)))
+                        prod = prod * np.ldexp(1.0, -e)
+                        expo = e if expo is None else expo + e
+                        held = 0
+                    part[:, 0] *= prod
+                prod = part[:, 0] if part.shape[1] == 1 else np.multiply.reduce(part, axis=1)
+                held += part.shape[1]
+            logs = branch_log(prod)
+            if expo is not None:
+                logs.real += _LN2 * expo
+            out.append(logs)
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _points(gapset: GapSet, z) -> np.ndarray:
@@ -302,18 +365,32 @@ def build_logM(profile: KreinProfile, z) -> np.ndarray:
     (inside gaps this is the analytic continuation through the gap, on the
     interior of E it is the purely-imaginary reflectionless boundary value).
 
+    The gaps of each class of ``profile.gap_classes`` share one defect, so
+    their logarithms are summed as the logarithm of the product of their
+    Moebius factors (:func:`_class_logs`): one logarithm per class and
+    point, contracted with the class defects.
+
     ``z`` is one point, giving a (2, 2) array, or a 1-D array of N points,
     giving an (N, 2, 2) stack.  Real points inside an endpoint exclusion
     zone raise EndpointSingularity.
     """
-    gs = profile.gapset
-    zs = _points(gs, z)
-    defect = profile.projection_defects
+    zs = _points(profile.gapset, z)
+    groups = profile._class_groups
+    defect = profile._class_defects
     out = np.zeros((len(zs), 2, 2), dtype=complex)
-    step = max(1, _BLOCK // max(gs.n, 1))
-    for lo in range(0, len(zs), step):
-        logs = _gap_logs(gs, zs[lo:lo + step])
-        out[lo:lo + step] = np.einsum("pj,jab->pab", logs, defect)
+    if groups:
+        step = max(1, _BLOCK // len(defect))
+        for lo in range(0, len(zs), step):
+            block = zs[lo:lo + step]
+            real = block.imag == 0
+            n_real = np.count_nonzero(real)
+            if 0 < n_real < len(block):
+                logs = np.empty((len(defect), len(block)), dtype=complex)
+                logs[:, real] = _class_logs(groups, block.real[real])
+                logs[:, ~real] = _class_logs(groups, block[~real])
+            else:
+                logs = _class_logs(groups, block.real if n_real else block)
+            np.einsum("cp,cab->pab", logs, defect, out=out[lo:lo + step])
     out[:, 0, 0] += 0.5j * math.pi
     out[:, 1, 1] += 0.5j * math.pi
     return out if np.ndim(z) else out[0]
@@ -494,9 +571,10 @@ def boundary_limit(mfun, ts: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
     :func:`extrapolate_schedule`.
 
     ``part`` maps an (N, 2, 2) stack of M values to the stack of sampled
-    matrices.  Each point t is sampled at the heights ``LIMIT_OFFSETS``
-    times min(1, d_t / y0), d_t the distance from t to the nearest endpoint
-    of ``mfun.gapset`` and y0 = 1e-2 the first offset: a point closer to an
+    matrices.  Each point t is sampled at the last LIMIT_ORDER + 2 heights
+    of ``LIMIT_OFFSETS``, the ones the extrapolation reads, times
+    min(1, d_t / y0), d_t the distance from t to the nearest endpoint of
+    ``mfun.gapset`` and y0 = 1e-2 the first offset: a point closer to an
     endpoint than y0 is approached in proportion, so the samples see the
     singularity no nearer than the offsets would at distance y0.  One
     evaluation of M covers every height of every point, and one Neville
@@ -504,7 +582,8 @@ def boundary_limit(mfun, ts: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
     invariant under a common scale of the abscissae, so the unscaled
     offsets serve as abscissae of every point's extrapolation.
     """
-    ys = LIMIT_OFFSETS[:, None]
+    offsets = LIMIT_OFFSETS[-(LIMIT_ORDER + 2):]
+    ys = offsets[:, None]
     gapset = mfun.gapset
     if gapset.n:
         a, b = gapset.endpoints
@@ -514,7 +593,7 @@ def boundary_limit(mfun, ts: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
         ys = ys * (np.minimum(dist, LIMIT_OFFSETS[0]) / LIMIT_OFFSETS[0])
     zs = ts + 1j * ys
     samples = part(mfun(zs.ravel())).reshape(zs.shape + (2, 2))
-    return extrapolate_schedule(LIMIT_OFFSETS, samples, LIMIT_ORDER)
+    return extrapolate_schedule(offsets, samples, LIMIT_ORDER)
 
 
 def reflectionless_defect(mfun, grid: Sequence[float]) -> float:

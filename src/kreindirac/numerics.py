@@ -1,12 +1,14 @@
 """Shared extrapolation plumbing.
 
 Boundary values on the real axis are never evaluated directly: they are
-reached by sampling at the heights ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k)
-for k = 0, ..., 7 (scaled down near gap endpoints, see
-``finitegap.boundary_limit``), and extrapolating to y = 0 by polynomials
-of order ``LIMIT_ORDER`` = 3 (the sampled quantities extend analytically
-through the relevant real intervals, so low-order polynomial extrapolation
-converges fast).  Large-z asymptotics use the same Neville
+reached along the schedule ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k) for
+k = 0, ..., 7, by extrapolating to y = 0 with polynomials of order
+``LIMIT_ORDER`` = 3 (the sampled quantities extend analytically through
+the relevant real intervals, so low-order polynomial extrapolation
+converges fast).  :func:`extrapolate_schedule` reads the last
+``LIMIT_ORDER + 2`` offsets, k = 3, ..., 7, and ``finitegap.boundary_limit``
+samples only those, scaled by min(1, d_t / y_0) at a distance d_t from
+the nearest gap endpoint.  Large-z asymptotics use the same Neville
 tableau in the variable 1/Y.
 """
 

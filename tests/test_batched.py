@@ -46,10 +46,13 @@ unit = st.floats(0.0, 1.0)
 
 @st.composite
 def profile_and_points(draw):
-    """A piecewise-constant profile with 0 to 8 gaps, uniform or mismatched
-    angles, and a shuffled mix of upper-half-plane points, real points in E
-    and real points inside gaps, all clear of the endpoint margins."""
-    n = draw(st.integers(0, 8))
+    """A piecewise-constant profile with 0 to 64 gaps, whose angles are one
+    angle, one angle flipped by pi/2 on some gaps, drawn from a pool of one
+    to three, or all drawn, so that gap classes of one projection have one
+    to 64 members; and a shuffled mix of upper-half-plane points, at
+    heights down to 1e-9 and over gaps and bands, real points in E and real
+    points inside gaps, all clear of the endpoint margins."""
+    n = draw(st.integers(0, 64))
     a = draw(st.floats(-6.0, 0.0))
     gaps = []
     for _ in range(n):
@@ -57,23 +60,38 @@ def profile_and_points(draw):
         gaps.append((a, a + w))
         a += w + draw(st.floats(0.1, 2.0))
     gs = GapSet(tuple(gaps))
-    if draw(st.booleans()):
-        prof = KreinProfile.uniform(gs, draw(st.floats(0.0, math.pi)))
+    alpha = draw(st.floats(0.0, math.pi))
+    kind = draw(st.sampled_from(["uniform", "flipped", "pool", "drawn"]))
+    if kind == "uniform":
+        angles = [alpha] * n
+    elif kind == "flipped":
+        angles = [alpha + 0.5 * math.pi * draw(st.integers(0, 1)) for _ in gaps]
+    elif kind == "pool":
+        pool = draw(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3))
+        angles = [draw(st.sampled_from(pool)) for _ in gaps]
     else:
-        prof = KreinProfile(gs, tuple(draw(st.floats(0.0, math.pi)) for _ in gaps))
+        angles = [draw(st.floats(0.0, math.pi)) for _ in gaps]
+    prof = KreinProfile(gs, tuple(angles))
 
-    pts = [complex(draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 5.0)))
-           for _ in range(draw(st.integers(1, 6)))]
-    # real points in E: outside the hull of the gaps and in the bands between
     edges = [g[0] for g in gaps] + [g[1] for g in gaps]
     lo, hi = (min(edges), max(edges)) if gaps else (0.0, 0.0)
+    height = st.floats(-9.0, 0.7).map(lambda e: 10.0 ** e)
+    pts = [complex(draw(st.floats(lo - 4.0, hi + 4.0)), draw(height))
+           for _ in range(draw(st.integers(1, 6)))]
+    # real points in E: outside the hull of the gaps and in drawn bands
     pts.append(complex(lo - 0.1 - 3.0 * draw(unit)))
     pts.append(complex(hi + 0.1 + 3.0 * draw(unit)))
-    for (_, b), (a2, _) in zip(gaps, gaps[1:]):
-        pts.append(complex(b + (a2 - b) * (0.05 + 0.9 * draw(unit))))
-    # real points inside the gaps
-    for g0, g1 in gaps:
-        pts.append(complex(g0 + (g1 - g0) * (0.05 + 0.9 * draw(unit))))
+    some = st.lists(st.integers(0, max(n - 1, 0)), max_size=6, unique=True)
+    bands = list(zip(gaps, gaps[1:]))
+    for j in draw(some) if len(bands) else []:
+        (_, b), (a2, _) = bands[j % len(bands)]
+        t = b + (a2 - b) * (0.05 + 0.9 * draw(unit))
+        pts += [complex(t), complex(t, draw(height))]
+    # real points inside drawn gaps, and points just above them
+    for j in draw(some) if gaps else []:
+        g0, g1 = gaps[j]
+        t = g0 + (g1 - g0) * (0.05 + 0.9 * draw(unit))
+        pts += [complex(t), complex(t, draw(height))]
     order = draw(st.permutations(range(len(pts))))
     return prof, np.array([pts[i] for i in order])
 
@@ -105,8 +123,49 @@ def test_batched_build_agrees_with_points(case):
         assert _close(lg, _logM_reference(prof, complex(z)), 1e-12)
 
 
+def test_class_products_of_many_gaps_keep_the_branch():
+    # the arguments of a class's ratios sum to the angle its gaps subtend
+    # at z, below pi however many gaps it has; just above a gap the sum
+    # comes within rounding of pi
+    gs = GapSet(tuple((3.0 * j, 3.0 * j + 2.0) for j in range(64)))
+    zs = np.array([98.5 + 1e-9j, 98.5 + 1e-3j, 97.5 + 1e-9j, 96.7 + 1e-12j,
+                   96.7 + 1e-300j, 100.0 + 5.0j, -50.0 + 1e-9j, 300.0 + 1.0j])
+    uniform = KreinProfile.uniform(gs, 0.4)
+    flipped = KreinProfile(gs, tuple(0.4 + 0.5 * math.pi * (j % 3 == 0) for j in range(64)))
+    assert uniform.gap_classes == (tuple(range(64)),)
+    assert [len(m) for m in flipped.gap_classes] == [42, 22]
+    for prof in (uniform, flipped):
+        for z, lg in zip(zs, build_logM(prof, zs)):
+            assert _close(lg, _logM_reference(prof, complex(z)), 1e-12)
+
+
+def test_class_products_that_round_below_the_axis_keep_the_branch():
+    # the gaps cover the line but for two bands 1e-200 and 2^-52 wide, so
+    # the product's argument is within rounding of pi, and rounds below it
+    prof = KreinProfile.uniform(GapSet(((-1e200, -1e-200), (0.0, 1.0),
+                                        (1.0 + 2.0 ** -52, 1e200))), 0.3)
+    zs = (np.linspace(0.05, 0.95, 19)[:, None] + 1j * np.array([1e-9, 1e-7, 1e-5])).ravel()
+    below = [math.prod((b - z) / (a - z) for a, b in prof.gapset.gaps).imag < 0
+             for z in map(complex, zs)]
+    assert sum(below) >= 5
+    for z, lg in zip(zs, build_logM(prof, zs)):
+        assert _close(lg, _logM_reference(prof, complex(z)), 1e-12)
+
+
+def test_class_products_are_renormalised():
+    # two gaps of one class whose ratios at z multiply to 5e319: past float
+    # range, though each ratio and each logarithm is finite
+    prof = KreinProfile.uniform(GapSet(((1e-20, 1.0), (2.0, 1e300))), 0.3)
+    for z in (1e-30j, 0.5e-20 + 1e-25j):
+        ratios = [(b - z) / (a - z) for a, b in prof.gapset.gaps]
+        assert all(map(cmath.isfinite, ratios)) and not cmath.isfinite(ratios[0] * ratios[1])
+        lg = build_logM(prof, z)
+        assert np.isfinite(lg).all()
+        assert _close(lg, _logM_reference(prof, z), 1e-12)
+
+
 def test_batched_build_in_slices():
-    # more points x gaps than one block holds: the slices must line up
+    # more points x classes than one block holds: the slices must line up
     gs = GapSet(tuple((3.0 * j, 3.0 * j + 1.0) for j in range(8)))
     prof = KreinProfile(gs, tuple(0.3 * j for j in range(8)))
     rng = np.random.default_rng(7)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kreindirac import cli
+from kreindirac.errors import NoConvergence
 
 SINGLE_GAP = {"profile": {"gaps": [[-1, 1]], "uniform": math.pi / 4}}
 STRICT_PAIR = {"profile": {"gaps": [[-2, -1], [1, 2]],
@@ -116,7 +117,7 @@ def test_verify_det_corruption_failures_are_frozen(tmp_path):
         "det": "det M = -1 on C+",
         "mj_spectrum": "eig(MJ) = {+1, -1}",
         "weyl_roundtrip": "raised NotAdmissible: det M = "
-                          "(-1.0000020000009997+1.0928757898653885e-16j), expected -1",
+                          "(-1.0000020000009997-6.938893903907228e-17j), expected -1",
         "asymptotics": "raised NoConvergence: large-z extrapolation: "
                        "residual 1.598e-05 exceeds 1.0e-06",
     }
@@ -338,6 +339,46 @@ def test_csv_format_layout(tmp_path):
     value_row = lines[lines.index("# table: M") + 2].split(",")
     for tok in value_row:
         assert float(tok) == float(format(float(tok), ".17g"))
+
+
+def _indented_dumps(rep):
+    """The JSON report as json.dumps lays it out with indent=2."""
+    obj = {
+        "command": rep.command,
+        "records": [{"name": r.name, "status": r.status,
+                     "value": r.value if math.isfinite(r.value) else repr(r.value),
+                     "tolerance": r.tolerance, "identity": r.identity}
+                    for r in rep.records],
+        "tables": {name: {"columns": cols, "rows": rows}
+                   for name, (cols, rows) in rep.tables.items()},
+    }
+    if rep.numerical_failure:
+        obj["numerical_failure"] = rep.numerical_failure
+    return json.dumps(obj, indent=2, default=float) + "\n"
+
+
+def test_json_render_matches_the_indented_dumps(tmp_path):
+    def stall():
+        raise NoConvergence("x-march stalled")
+
+    empty = cli.Report("construct")
+    full = cli.Report("verify")
+    full.check("det", 1.5e-15, 1e-10, "det M = -1")
+    full.check("far", 2.0, 1e-10, "fails")
+    full.info("nan_value", math.nan, "a NaN record")
+    full.info("spectrum", -math.inf, "Ω ≤ ½ sup ‖W‖, \"quoted\"\ttab")
+    full.probe("march", 1e-9, "never reached", stall)
+    full.tables["M"] = (["t", "M00_re"], [[0.5, np.float64(-0.25)], [math.nan, math.inf],
+                                          [np.float32(0.1), -math.inf], [-0.0, 1e-320]])
+    full.tables["none"] = ([], [])
+    full.tables["no_rows"] = (["a", "b"], [])
+    full.numerical_failure = "NoConvergence: stalled at x = 0.5\nsecond line"
+    for rep in (empty, full):
+        assert cli._render_json(rep) == _indented_dumps(rep)
+    # and reports of the commands, numpy scalars in their rows included
+    for cmd, cfg in (("construct", SINGLE_GAP), ("oracle", {"constant": [0.3, -0.4]})):
+        rep = cli.run(cli.load_config(_write(tmp_path, cfg), cmd, {}))
+        assert cli._render_json(rep) == _indented_dumps(rep)
 
 
 def test_stdout_default_and_format_flag(tmp_path, capsys):

@@ -26,8 +26,10 @@ from kreindirac import (
     weyl_from_M,
 )
 from kreindirac.errors import EndpointSingularity, NotAdmissible
-from kreindirac.finitegap import e_interior_grid, gap_interior_grid
-from kreindirac.mat2 import im_part, is_symmetric
+from kreindirac.finitegap import boundary_limit, e_interior_grid, gap_interior_grid
+from kreindirac.herglotz import KreinSample, MFunction, krein_xi_grid
+from kreindirac.mat2 import im_part, is_symmetric, re_part
+from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
 # non-commuting two-gap data whose formal M function is not Herglotz;
 # several tests reuse it as the strictness/realizability witness
@@ -218,6 +220,32 @@ def test_reflectionless_defect_vanishes_on_bands():
     assert reflectionless_defect(mfun, grid) < 1e-8
     with pytest.raises(ValueError):
         reflectionless_defect(mfun, [1.5])  # inside a gap
+
+
+def test_boundary_limit_samples_only_the_heights_it_reads():
+    # the extrapolation reads the last LIMIT_ORDER + 2 offsets, so each
+    # point costs 5 evaluations of M, not one per offset (8)
+    prof = KreinProfile.uniform(GapSet(((-2.0, -1.0), (1.0, 2.0))), 0.9)
+    seen = []
+
+    def evaluator(z):
+        seen.append(np.size(z))
+        return build_M(prof, z)
+
+    mfun = MFunction(evaluator, prof.gapset)
+    bands, gaps = e_interior_grid(prof.gapset), gap_interior_grid(prof.gapset)
+    assert reflectionless_defect(mfun, bands) < 1e-8
+    assert all(isinstance(s, KreinSample) for s in krein_xi_grid(mfun, gaps))
+    assert LIMIT_ORDER + 2 == 5
+    assert seen == [5 * len(bands), 5 * len(gaps)]
+    # the same limits as the whole schedule: the window read is unchanged
+    limit, residual = boundary_limit(mfun, bands, re_part)
+    ys = LIMIT_OFFSETS[:, None] * np.minimum(1.0, [
+        min(abs(t - e) for g in prof.gapset.gaps for e in g) / LIMIT_OFFSETS[0] for t in bands])
+    full = re_part(build_M(prof, (bands + 1j * ys).ravel())).reshape(ys.shape + (2, 2))
+    ref_limit, ref_residual = extrapolate_schedule(LIMIT_OFFSETS, full, LIMIT_ORDER)
+    np.testing.assert_allclose(limit, ref_limit, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(residual, ref_residual, rtol=0, atol=1e-15)
 
 
 def test_gap_realness_separates_aligned_from_witness():
