@@ -51,20 +51,24 @@ from .finitegap import (
     commutator_diag,
     e_interior_grid,
     gap_interior_grid,
-    gap_realness,
+    gap_realness_points,
+    gap_realness_reduce,
     json_number,
     mj_eigenpairs,
     profile_from_json,
-    reflectionless_defect,
+    reflectionless_reduce,
     sharp_bound,
     trace_formula_W0,
     weyl_from_M,
 )
 from .herglotz import (
     MFunction,
-    asymptotic_W,
-    herglotz_defect,
-    krein_xi_grid,
+    asymptotic_points,
+    asymptotic_reduce,
+    herglotz_points,
+    herglotz_reduce,
+    krein_xi_points,
+    krein_xi_reduce,
     profile_m_function,
 )
 from .mat2 import op_norm
@@ -338,6 +342,14 @@ def _mfun(cfg: RunConfig, profile: KreinProfile) -> MFunction:
     return MFunction(lambda z: (1.0 + 1e-6) * base.evaluator(z), profile.gapset)
 
 
+def _evaluate(mfun: MFunction, *point_sets) -> list[np.ndarray]:
+    """M at the points of every array of ``point_sets`` by one call of
+    ``mfun``: one stack per array, shaped like it."""
+    mats = mfun(np.concatenate([np.ravel(p) for p in point_sets]))
+    bounds = np.cumsum([np.size(p) for p in point_sets])[:-1]
+    return [m.reshape(np.shape(p) + (2, 2)) for p, m in zip(point_sets, np.split(mats, bounds))]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -365,30 +377,37 @@ def run_construct(cfg: RunConfig) -> Report:
         label = "strict at x = 0: ||W(0)|| is below the sharp bound"
     rep.info("classification", bound - w0.norm, label)
 
+    # one evaluation of M covers the z grid, the scan, the boundary samples
+    # of tgrid and the gap interiors; a gap interior point inside an
+    # endpoint margin raises before it
+    real_ts = gap_realness_points(gs) if gs.n else np.empty(0)
+    comm = commutator_diag(profile, [(a + b) / 2.0 for a, b in gs.gaps])
+    xi_ts, xi_errors, xi_zs = krein_xi_points(gs, tgrid)
+    mats, scan, xi_mats, real_mats = _evaluate(mfun, zgrid, herglotz_points(gs), xi_zs, real_ts)
+
     if gs.n:
-        realness = gap_realness(profile)
-        comm = commutator_diag(profile, [(a + b) / 2.0 for a, b in gs.gaps])
+        realness = gap_realness_reduce(real_mats)
         if profile.is_commuting:
             rep.check("gap_realness", realness, 1e-9, "Im M = 0 on the gaps")
             rep.check("commutator", comm, 1e-10, "[Re log M, xi] = 0 on the gaps")
         else:
             rep.info("gap_realness", realness, "sup ||Im M|| on the gaps")
             rep.info("commutator", comm, "sup ||[Re log M, xi]|| on the gaps")
-    rep.info("herglotz_defect", herglotz_defect(mfun),
+    rep.info("herglotz_defect", herglotz_reduce(scan),
              "min eigenvalue of Im M over a C+ scan; negative refutes realizability")
 
     mcols = ["z_re", "z_im",
              "M00_re", "M00_im", "M01_re", "M01_im",
              "M10_re", "M10_im", "M11_re", "M11_im"]
     mrows = []
-    for z, m in zip(zgrid, mfun(zgrid)):
+    for z, m in zip(zgrid, mats):
         mrows.append([z.real, z.imag,
                       m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
                       m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag])
     rep.tables["M"] = (mcols, mrows)
 
     xrows = []
-    for s in krein_xi_grid(mfun, tgrid, xi_tol=cfg.xi_tol):
+    for s in krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol):
         if isinstance(s, KreinDiracError):
             raise s
         xrows.append([s.t, s.xi[0, 0].real, s.xi[0, 1].real,
@@ -422,14 +441,26 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
     egrid = e_interior_grid(gs)
-    mats = mfun(zgrid)
+    # every probe but the large-z law reads a slice of one evaluation of M:
+    # the z grid, the scan, the boundary samples of tgrid and egrid (the xi
+    # probes and re_m_on_bands share them) and, for commuting profiles, the
+    # gap interiors.  Real points inside an endpoint margin stay out of it
+    # and fail their own probes.
+    xi_ts, xi_errors, xi_zs = krein_xi_points(gs, np.concatenate([tgrid, egrid]))
+    real_ts, real_error = np.empty(0), None
+    if gs.n and profile.is_commuting:
+        try:
+            real_ts = gap_realness_points(gs)
+        except KreinDiracError as exc:
+            real_error = exc
+    mats, scan, xi_mats, real_mats = _evaluate(mfun, zgrid, herglotz_points(gs), xi_zs, real_ts)
 
     rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
     rep.probe(prefix + "symmetry", 1e-12, "M = M^t",
               lambda: np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max())
     rep.probe(prefix + "herglotz", 1e-9, "Im M >= 0 on C+ (grid scan)",
-              lambda: -herglotz_defect(mfun))
+              lambda: -herglotz_reduce(scan))
 
     def mj_dev():
         _, lo, hi = mj_eigenpairs(mats)
@@ -438,13 +469,12 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     rep.probe(prefix + "mj_spectrum", 1e-10, "eig(MJ) = {+1, -1}", mj_dev)
     rep.probe(prefix + "weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
               lambda: op_norm(assemble_M(weyl_from_M(mats)) - mats).max())
-    # the xi probes share their boundary samples: one krein_xi_grid call
-    # covers every t, and a failed point fails each probe that reaches it,
-    # at the first such t in order
-    xi_ts = np.concatenate([tgrid, egrid])
+    # the xi probes reduce the boundary samples of every t at once, and a
+    # failed point fails each probe that reaches it, at the first such t in
+    # order
     on_gaps, on_bands = slice(0, len(tgrid)), slice(len(tgrid), None)
     try:
-        xi_hits = krein_xi_grid(mfun, xi_ts, xi_tol=cfg.xi_tol)
+        xi_hits = krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol)
     except KreinDiracError as exc:
         xi_hits = [exc] * len(xi_ts)
 
@@ -463,8 +493,15 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     rep.probe(prefix + "xi_on_bands", cfg.xi_tol, "xi = I/2 on the interior of E",
               lambda: op_norm(xi_stack(on_bands) - 0.5 * np.eye(2)).max())
 
-    rep.probe(prefix + "re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E",
-              lambda: reflectionless_defect(mfun, egrid))
+    def band_dev():
+        # the egrid columns of the boundary samples, which are the last
+        # ones when no band point lies inside an endpoint margin
+        for i in range(len(tgrid), len(xi_ts)):
+            if i in xi_errors:
+                raise xi_errors[i]
+        return reflectionless_reduce(xi_mats[:, -len(egrid):])
+
+    rep.probe(prefix + "re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E", band_dev)
     if gs.n:
         # the input boundary data at each t: its gap's projection, or I/2
         # for a t in E
@@ -475,17 +512,24 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
                   "xi equals the input projection inside each gap",
                   lambda: op_norm(xi_stack(on_gaps) - target).max())
         if profile.is_commuting:
-            rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps",
-                      lambda: gap_realness(profile))
+            def realness():
+                if real_error is not None:
+                    raise real_error
+                return gap_realness_reduce(real_mats)
+
+            rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
 
     def asym_dev():
         # the law runs on the co-rotating frame, which has the profile's
-        # W(0) and keeps the digits of y (iI - M(iy)) for gaps far from 0
-        frame_mfun = _mfun(cfg, co_rotating_frame(profile)[1])
+        # W(0) and keeps the digits of y (iI - M(iy)) for gaps far from 0;
+        # both routes read one evaluation of its M
+        frame = co_rotating_frame(profile)[1]
+        ys = asymptotic_points(frame.gapset, cfg.ygrid)
+        frame_mats = _mfun(cfg, frame)(1j * ys)
         w0 = trace_formula_W0(profile)
         dev = 0.0
         for route in ("value", "log"):
-            w = asymptotic_W(frame_mfun, cfg.ygrid, route=route)
+            w = asymptotic_reduce(ys, frame_mats, route)
             dev = max(dev, math.hypot(w.p - w0.p, w.q - w0.q))
         return dev
 

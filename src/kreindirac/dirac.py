@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
-                        WeylPair, assemble_M, build_M, sphere_ratio, trace_formula_W0)
+                        WeylPair, assemble_M, build_M, gap_realness, sphere_ratio,
+                        trace_formula_W0)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
 from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
 
@@ -444,7 +445,12 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
             if err > target:
                 h = step * factor
                 if h < 1e-10 * max(x_next, 1.0):
-                    raise NoConvergence(f"x-march stalled near x = {x}")
+                    # a profile whose M is not real on its gaps has no
+                    # realizing operator, and its formal orbit may stall
+                    raise NoConvergence(
+                        f"x-march stalled near x = {x}; gap_realness is "
+                        f"{gap_realness(frame):.3g} (0 when an operator realizes "
+                        f"the profile)")
                 continue
             x += step
             y = stage
@@ -873,7 +879,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         If the step size of the congruence march, or the continuation
         stride of the Abel inversion, underflows before reaching the next
         grid point or the start, or the x = 0 Weyl-law cross-check does not
-        converge (no samples then).
+        converge (no samples then).  A stalled congruence march names the
+        profile's gap_realness, which is 0 for a realizable profile.
 
     Both exceptions carry the grid samples accepted before the failure in
     their ``samples`` attribute.

@@ -63,8 +63,14 @@ __all__ = [
     "assemble_M",
     "trace_formula_W0",
     "sharp_bound",
+    "boundary_points",
+    "boundary_reduce",
     "boundary_limit",
+    "reflectionless_points",
+    "reflectionless_reduce",
     "reflectionless_defect",
+    "gap_realness_points",
+    "gap_realness_reduce",
     "gap_realness",
     "commutator_diag",
     "hull_norm",
@@ -565,76 +571,112 @@ def sharp_bound(gapset: GapSet) -> float:
     return 0.5 * float(np.sum(gapset.widths()))
 
 
-def boundary_limit(mfun, ts: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
-    """The boundary value part(M(t + i0)) at every point of ``ts``, by the
-    limit schedule: the (T, 2, 2) stack of limits and the (T,) residuals of
-    :func:`extrapolate_schedule`.
-
-    ``part`` maps an (N, 2, 2) stack of M values to the stack of sampled
-    matrices.  Each point t is sampled at the last LIMIT_ORDER + 2 heights
-    of ``LIMIT_OFFSETS``, the ones the extrapolation reads, times
+def boundary_points(gapset: GapSet, ts: np.ndarray) -> np.ndarray:
+    """The (K, T) points at which :func:`boundary_limit` samples M for the
+    T points of ``ts``: the last K = LIMIT_ORDER + 2 heights of
+    ``LIMIT_OFFSETS``, the ones the extrapolation reads, times
     min(1, d_t / y0), d_t the distance from t to the nearest endpoint of
-    ``mfun.gapset`` and y0 = 1e-2 the first offset: a point closer to an
+    ``gapset`` and y0 = 1e-2 the first offset.  A point closer to an
     endpoint than y0 is approached in proportion, so the samples see the
-    singularity no nearer than the offsets would at distance y0.  One
-    evaluation of M covers every height of every point, and one Neville
-    tableau extrapolates them all to y = 0; the Neville weights at 0 are
-    invariant under a common scale of the abscissae, so the unscaled
-    offsets serve as abscissae of every point's extrapolation.
-    """
-    offsets = LIMIT_OFFSETS[-(LIMIT_ORDER + 2):]
-    ys = offsets[:, None]
-    gapset = mfun.gapset
+    singularity no nearer than the offsets would at distance y0."""
+    ys = LIMIT_OFFSETS[-(LIMIT_ORDER + 2):, None]
     if gapset.n:
         a, b = gapset.endpoints
         t = ts[:, None]
         dist = np.minimum(np.abs(t - a), np.abs(t - b)).min(axis=1)
         # min(1, d_t / y0), formed so that a far point cannot overflow
         ys = ys * (np.minimum(dist, LIMIT_OFFSETS[0]) / LIMIT_OFFSETS[0])
-    zs = ts + 1j * ys
-    samples = part(mfun(zs.ravel())).reshape(zs.shape + (2, 2))
-    return extrapolate_schedule(offsets, samples, LIMIT_ORDER)
+    return ts + 1j * ys
 
 
-def reflectionless_defect(mfun, grid: Sequence[float]) -> float:
-    """sup over the grid of || Re M(t + i0) || on the interior of E.
+def boundary_reduce(mats: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary values part(M(t + i0)) from the (K, T, 2, 2) values of
+    M at the :func:`boundary_points` of T points: the (T, 2, 2) stack of
+    limits and the (T,) residuals of :func:`extrapolate_schedule`.
 
-    Each grid point must lie in E, the complement of the gaps of
-    ``mfun.gapset``, beyond the endpoint margins; the boundary value is
-    reached through :func:`boundary_limit`.  Vanishes for reflectionless
-    functions.
+    ``part`` maps an (N, 2, 2) stack of M values to the stack of sampled
+    matrices.  One Neville tableau extrapolates every point to y = 0; the
+    Neville weights at 0 are invariant under a common scale of the
+    abscissae, so the unscaled offsets serve as abscissae of every point's
+    extrapolation.
     """
-    gapset = mfun.gapset
+    samples = part(mats.reshape(-1, 2, 2)).reshape(mats.shape)
+    return extrapolate_schedule(LIMIT_OFFSETS[-(LIMIT_ORDER + 2):], samples, LIMIT_ORDER)
+
+
+def boundary_limit(mfun, ts: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary value part(M(t + i0)) at every point of ``ts``, by the
+    limit schedule: :func:`boundary_reduce` of one evaluation of ``mfun``
+    at the :func:`boundary_points` of ``mfun.gapset``."""
+    zs = boundary_points(mfun.gapset, ts)
+    return boundary_reduce(mfun(zs.ravel()).reshape(zs.shape + (2, 2)), part)
+
+
+def reflectionless_points(gapset: GapSet, grid: Sequence[float]) -> np.ndarray:
+    """The (K, T) :func:`boundary_points` that :func:`reflectionless_defect`
+    reads for ``grid``, whose points must lie in E beyond the endpoint
+    margins: the first bad point raises, a ValueError for a point inside a
+    gap (which takes precedence at a point) or its EndpointSingularity."""
     ts = np.array([float(t) for t in grid])
-    if not len(ts):
-        return 0.0
-    # the first bad point raises; inside a gap takes precedence at a point
     inside = np.flatnonzero(gapset.containing_gaps(ts) >= 0)
     near = gapset.endpoint_errors(ts)
     if len(inside) and (not near or inside[0] <= min(near)):
         raise ValueError(f"grid point {float(ts[inside[0]])} lies inside a gap, not in E")
     if near:
         raise next(iter(near.values()))
-    limit, _ = boundary_limit(mfun, ts, re_part)
-    return float(op_norm(limit).max())
+    return boundary_points(gapset, ts)
+
+
+def reflectionless_reduce(mats: np.ndarray) -> float:
+    """sup || Re M(t + i0) || from the (K, T, 2, 2) values of M at the
+    :func:`reflectionless_points` of T points; 0 for T = 0."""
+    limit, _ = boundary_reduce(mats, re_part)
+    return float(op_norm(limit).max(initial=0.0))
+
+
+def reflectionless_defect(mfun, grid: Sequence[float]) -> float:
+    """sup over the grid of || Re M(t + i0) || on the interior of E.
+
+    Each grid point must lie in E, the complement of the gaps of
+    ``mfun.gapset``, beyond the endpoint margins (see
+    :func:`reflectionless_points`); the boundary value is reached by the
+    limit schedule.  Vanishes for reflectionless functions.
+    """
+    zs = reflectionless_points(mfun.gapset, grid)
+    return reflectionless_reduce(mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
+
+
+def gap_realness_points(gapset: GapSet, grid: Sequence[float] | None = None) -> np.ndarray:
+    """The real points :func:`gap_realness` evaluates M at: ``grid``, by
+    default :func:`gap_interior_grid`.  A point outside every gap raises a
+    ValueError, and the first point inside an endpoint margin (of any gap)
+    raises its EndpointSingularity."""
+    if grid is None:
+        grid = gap_interior_grid(gapset)
+    ts = np.array([float(t) for t in grid])
+    outside = np.flatnonzero(gapset.containing_gaps(ts) < 0)
+    if len(outside):
+        raise ValueError(f"grid point {float(ts[outside[0]])} is not inside a gap")
+    errs = gapset.endpoint_errors(ts)
+    if errs:
+        raise next(iter(errs.values()))
+    return ts
+
+
+def gap_realness_reduce(mats: np.ndarray) -> float:
+    """sup || Im M(t) || from the (T, 2, 2) values of M at the
+    :func:`gap_realness_points`; 0 for T = 0."""
+    return float(op_norm(im_part(mats)).max(initial=0.0))
 
 
 def gap_realness(profile: KreinProfile, grid: Sequence[float] | None = None) -> float:
     """sup over gap-interior points of || Im M(t) || (continuation from above).
 
-    Vanishes (to rounding) for uniform profiles, where M continues to a
-    real symmetric matrix across every gap; for non-uniform profiles the
+    Vanishes (to rounding) for commuting profiles, where M continues to a
+    real symmetric matrix across every gap; for other profiles the
     returned value is a diagnostic with no smallness guarantee.
     """
-    if grid is None:
-        grid = gap_interior_grid(profile.gapset)
-    ts = np.array([float(t) for t in grid])
-    outside = np.flatnonzero(profile.gapset.containing_gaps(ts) < 0)
-    if len(outside):
-        raise ValueError(f"grid point {float(ts[outside[0]])} is not inside a gap")
-    if not len(ts):
-        return 0.0
-    return float(op_norm(im_part(build_M(profile, ts))).max())
+    return gap_realness_reduce(build_M(profile, gap_realness_points(profile.gapset, grid)))
 
 
 def commutator_diag(profile: KreinProfile, grid: Sequence[float]) -> float:

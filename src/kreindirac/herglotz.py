@@ -34,7 +34,8 @@ from .finitegap import (
     GapSet,
     KreinProfile,
     PotentialSample,
-    boundary_limit,
+    boundary_points,
+    boundary_reduce,
     build_M,
     gap_interior_grid,
 )
@@ -45,9 +46,15 @@ __all__ = [
     "MFunction",
     "KreinSample",
     "profile_m_function",
+    "krein_xi_points",
+    "krein_xi_reduce",
     "krein_xi_grid",
     "krein_xi",
+    "asymptotic_points",
+    "asymptotic_reduce",
     "asymptotic_W",
+    "herglotz_points",
+    "herglotz_reduce",
     "herglotz_defect",
 ]
 
@@ -94,33 +101,27 @@ class KreinSample:
     residual: float = 0.0
 
 
-def krein_xi_grid(mfun: MFunction, ts,
-                  xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
-    """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
-    ``ts`` by extrapolation.
-
-    One :func:`boundary_limit` call, with one matrix logarithm per sample,
-    covers every point clear of the endpoint margins.  Failures stay per
-    point: the list holds, in grid order, each point's KreinSample or the
-    error :func:`krein_xi` raises there, an EndpointSingularity for a point
-    inside a gap-endpoint margin of the function's gap set or a
-    NoConvergence when the last two extrapolants differ by more than
-    ``xi_tol``.
-
-    Raises
-    ------
-    SpectrumOnCut
-        If a sampled M has an eigenvalue on the cut of the logarithm; this
-        fails the whole grid.
-    """
+def krein_xi_points(gapset: GapSet, ts) -> tuple[np.ndarray, dict, np.ndarray]:
+    """The points :func:`krein_xi_grid` evaluates M at, for the points of
+    ``ts``: ``ts`` as floats, the EndpointSingularity of each point inside
+    a gap-endpoint margin of ``gapset`` (keyed by its index, see
+    ``GapSet.endpoint_errors``), and the (K, T) :func:`boundary_points` of
+    the T other points, in order."""
     ts = np.array([float(t) for t in np.atleast_1d(ts)])
-    out: list = [None] * len(ts)
-    for i, err in mfun.gapset.endpoint_errors(ts).items():
-        out[i] = err
-    ok = np.flatnonzero([hit is None for hit in out])
-    if len(ok):
-        limit, residual = boundary_limit(mfun, ts[ok],
-                                         lambda m: im_part(mlog_spectral(m)) / np.pi)
+    errors = gapset.endpoint_errors(ts)
+    clear = np.ones(len(ts), dtype=bool)
+    clear[list(errors)] = False
+    return ts, errors, boundary_points(gapset, ts[clear])
+
+
+def krein_xi_reduce(ts: np.ndarray, errors: dict, mats: np.ndarray,
+                    xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
+    """The result of :func:`krein_xi_grid` from :func:`krein_xi_points`'
+    ``ts`` and ``errors`` and the (K, T, 2, 2) values of M at its points."""
+    out: list = [errors.get(i) for i in range(len(ts))]
+    ok = [i for i, hit in enumerate(out) if hit is None]
+    if ok:
+        limit, residual = boundary_reduce(mats, lambda m: im_part(mlog_spectral(m)) / np.pi)
         xi = limit.real
         xi = 0.5 * (xi + np.swapaxes(xi, -1, -2))
         for i, x, r in zip(ok, xi, residual):
@@ -128,6 +129,29 @@ def krein_xi_grid(mfun: MFunction, ts,
             out[i] = (convergence_error(r, xi_tol, f"krein_xi at t = {t}")
                       or KreinSample(t=t, xi=x, residual=float(r)))
     return out
+
+
+def krein_xi_grid(mfun: MFunction, ts,
+                  xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
+    """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
+    ``ts`` by extrapolation.
+
+    One evaluation of ``mfun`` at the :func:`krein_xi_points`, with one
+    matrix logarithm per sample, covers every point clear of the endpoint
+    margins.  Failures stay per point: the list holds, in grid order, each
+    point's KreinSample or the error :func:`krein_xi` raises there, an
+    EndpointSingularity for a point inside a gap-endpoint margin of the
+    function's gap set or a NoConvergence when the last two extrapolants
+    differ by more than ``xi_tol``.
+
+    Raises
+    ------
+    SpectrumOnCut
+        If a sampled M has an eigenvalue on the cut of the logarithm; this
+        fails the whole grid.
+    """
+    ts, errors, zs = krein_xi_points(mfun.gapset, ts)
+    return krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)), xi_tol)
 
 
 def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
@@ -151,6 +175,45 @@ def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
 
 def _default_ygrid(gapset: GapSet) -> np.ndarray:
     return max(1.0, gapset.spectral_radius) * np.array([8.0, 16.0, 32.0, 64.0, 128.0])
+
+
+def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> np.ndarray:
+    """The heights ys of :func:`asymptotic_W`, which evaluates M at i ys:
+    ``ygrid``, by default (8, 16, 32, 64, 128) times max(1, spectral radius
+    of ``gapset``).  Raises ValueError unless the heights increase, number
+    at least 3 and start at least 4 spectral radii out."""
+    ys = np.asarray(_default_ygrid(gapset) if ygrid is None else ygrid, dtype=float)
+    if len(ys) < 3 or np.any(np.diff(ys) <= 0):
+        raise ValueError("ygrid must be increasing with at least 3 entries")
+    if gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
+        raise ValueError("smallest height must be at least 4 spectral radii")
+    return ys
+
+
+def asymptotic_reduce(ys: np.ndarray, mats: np.ndarray, route: str = "value") -> PotentialSample:
+    """W(0) by :func:`asymptotic_W`'s ``route`` from the (Y, 2, 2) values
+    of M at i ys, for the :func:`asymptotic_points` ys.  Both routes can
+    read one evaluation."""
+    if route not in ("value", "log"):
+        raise ValueError(f"unknown route {route!r}")
+    y = ys[:, None, None]
+    if route == "value":
+        vals = 1j * y * I2 - y * mats
+    else:
+        vals = 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats))
+    limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
+    err = convergence_error(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
+                            "large-z extrapolation")
+    if err is not None:
+        raise err
+    tr = abs(limit[0, 0] + limit[1, 1])
+    if tr > 1e-6:
+        raise NotTraceless(f"extracted W(0) has trace magnitude {tr:.3e}")
+    w = limit.real
+    p = 0.5 * float(w[0, 0] - w[1, 1])
+    q = 0.5 * float(w[0, 1] + w[1, 0])
+    drift = max(float(np.max(np.abs(limit.imag))), abs(limit[0, 1] - limit[1, 0]))
+    return PotentialSample(x=0.0, p=p, q=q, residual=max(residual, float(drift)))
 
 
 def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
@@ -182,48 +245,15 @@ def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
     NotTraceless
         If the extrapolated matrix has |trace| > 1e-6.
     """
-    gapset = mfun.gapset
-    ys = np.asarray(_default_ygrid(gapset) if ygrid is None else ygrid, dtype=float)
-    if len(ys) < 3 or np.any(np.diff(ys) <= 0):
-        raise ValueError("ygrid must be increasing with at least 3 entries")
-    if gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
-        raise ValueError("smallest height must be at least 4 spectral radii")
-    if route not in ("value", "log"):
-        raise ValueError(f"unknown route {route!r}")
-    mats = mfun(1j * ys)
-    y = ys[:, None, None]
-    if route == "value":
-        vals = 1j * y * I2 - y * mats
-    else:
-        vals = 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats))
-    limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
-    err = convergence_error(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
-                            "large-z extrapolation")
-    if err is not None:
-        raise err
-    tr = abs(limit[0, 0] + limit[1, 1])
-    if tr > 1e-6:
-        raise NotTraceless(f"extracted W(0) has trace magnitude {tr:.3e}")
-    w = limit.real
-    p = 0.5 * float(w[0, 0] - w[1, 1])
-    q = 0.5 * float(w[0, 1] + w[1, 0])
-    drift = max(float(np.max(np.abs(limit.imag))), abs(limit[0, 1] - limit[1, 0]))
-    return PotentialSample(x=0.0, p=p, q=q, residual=max(residual, float(drift)))
+    ys = asymptotic_points(mfun.gapset, ygrid)
+    return asymptotic_reduce(ys, mfun(1j * ys), route)
 
 
-def herglotz_defect(mfun: MFunction) -> float:
-    """Worst (most negative) eigenvalue of Im M over an upper-half-plane grid.
-
-    A matrix Herglotz function has Im M(z) >= 0 throughout C+, so a
-    negative return value certifies that ``mfun`` is not the M function of
-    any Dirac operator; values >= 0 merely fail to find a witness.  The
-    grid is 41 x 13 points, real parts across 1.5 spectral scales either
-    side of 0 and heights 1e-2 to 3 scales.  Positivity of the formal
-    constructions with mismatched gap projections fails just above the
-    gaps, so the grid is refined by gap-interior columns of ``mfun.gapset``
-    at geometrically small heights.
-    """
-    gapset = mfun.gapset
+def herglotz_points(gapset: GapSet) -> np.ndarray:
+    """The upper-half-plane scan of :func:`herglotz_defect`: 41 x 13
+    points, real parts across 1.5 spectral scales either side of 0 and
+    heights 1e-2 to 3 scales, then 15 gap-interior columns per gap of
+    ``gapset`` at 9 heights from 1e-4 to 3e-2 scales."""
     scale = max(1.0, gapset.spectral_radius)
     re = np.linspace(-1.5 * scale, 1.5 * scale, 41)
     im = scale * np.geomspace(1e-2, 3.0, 13)
@@ -232,8 +262,27 @@ def herglotz_defect(mfun: MFunction) -> float:
         heights = scale * np.geomspace(1e-4, 3e-2, 9)
         cols = gap_interior_grid(gapset, per_gap=15)
         pts = np.concatenate([pts, (cols[:, None] + 1j * heights).ravel()])
-    h = im_part(mfun(pts))
+    return pts
+
+
+def herglotz_reduce(mats: np.ndarray) -> float:
+    """The smallest eigenvalue of Im M over a stack of M values."""
+    h = im_part(mats)
     # smallest eigenvalue of the hermitian 2x2 Im M, in closed form
     mean = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
     half_diff = 0.5 * (h[:, 0, 0].real - h[:, 1, 1].real)
     return float(np.min(mean - np.hypot(half_diff, np.abs(h[:, 0, 1]))))
+
+
+def herglotz_defect(mfun: MFunction) -> float:
+    """Worst (most negative) eigenvalue of Im M over an upper-half-plane grid.
+
+    A matrix Herglotz function has Im M(z) >= 0 throughout C+, so a
+    negative return value certifies that ``mfun`` is not the M function of
+    any Dirac operator; values >= 0 merely fail to find a witness.  The
+    grid is :func:`herglotz_points` of ``mfun.gapset``: positivity of the
+    formal constructions with mismatched gap projections fails just above
+    the gaps, so the grid is refined by gap-interior columns at
+    geometrically small heights.
+    """
+    return herglotz_reduce(mfun(herglotz_points(mfun.gapset)))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kreindirac import cli
 from kreindirac.errors import NoConvergence
+from kreindirac.finitegap import gap_realness
 
 SINGLE_GAP = {"profile": {"gaps": [[-1, 1]], "uniform": math.pi / 4}}
 STRICT_PAIR = {"profile": {"gaps": [[-2, -1], [1, 2]],
@@ -218,6 +219,19 @@ def test_evolve_witness_exits_3_with_partial_rows(tmp_path):
     assert "last good x = 0.5" in obj["numerical_failure"]
     xs = [row[0] for row in obj["tables"]["W"]["rows"]]
     assert xs[-1] == 0.5
+
+
+def test_stalled_march_names_the_gap_realness(tmp_path):
+    # a tolerance no step can meet stalls the witness's congruence march;
+    # the failure names the profile's gap_realness, which is far from 0
+    cfg = dict(WITNESS, xgrid=[0, 0.2], loc_tol=1e-300)
+    code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 3
+    failure = json.loads(text)["numerical_failure"]
+    assert failure.startswith("NoConvergence: x-march stalled near x = 6.4")
+    profile = cli.profile_from_json(WITNESS["profile"])
+    assert f"gap_realness is {gap_realness(profile):.3g} " in failure
+    assert "gap_realness is 0.00959 " in failure
 
 
 def test_oracle_examples(tmp_path):

@@ -1,0 +1,243 @@
+"""One evaluation of M per profile in `construct` and `verify`.
+
+The probes of both commands read slices of one evaluation: each record
+must equal what the library function of its probe computes on its own,
+and a probe must still fail alone.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kreindirac import cli, herglotz
+from kreindirac.dirac import co_rotating_frame
+from kreindirac.errors import KreinDiracError
+from kreindirac.finitegap import (
+    assemble_M,
+    commutator_diag,
+    e_interior_grid,
+    gap_interior_grid,
+    gap_realness,
+    gap_realness_points,
+    mj_eigenpairs,
+    reflectionless_defect,
+    trace_formula_W0,
+    weyl_from_M,
+)
+from kreindirac.herglotz import (
+    asymptotic_W,
+    asymptotic_points,
+    herglotz_defect,
+    herglotz_points,
+    krein_xi_grid,
+    krein_xi_points,
+)
+from kreindirac.mat2 import I2, op_norm
+
+# two gaps 1.3e-5 apart: the narrow gap's interior and the band between
+# lie inside the wide gap's endpoint margin
+NARROW = {"gaps": [[-50.5, 49.5], [49.500013, 50.500013]], "uniform": 0.4}
+PROFILES = {
+    "one_gap": {"profile": {"gaps": [[-1, 1]], "uniform": 0.4}},
+    "flipped": {"profile": {"gaps": [[-2, -1], [1, 2]],
+                            "angles": [0.3, 0.3 + math.pi / 2]}},
+    "witness": {"profile": {"gaps": [[-2, -1], [1, 2]], "angles": [0.3, 1.9]}},
+    "gaps16": {"profile": {"gaps": [[3 * j, 3 * j + 1] for j in range(16)],
+                           "uniform": 0.7}},
+    "det_error": {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": 0.3},
+                  "inject_det_error": True},
+    "narrow": {"profile": NARROW},
+}
+
+
+def _config(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli.load_config(str(path), command, {})
+
+
+def _calls(monkeypatch):
+    """Record (profile, points) of every evaluation of a profile's M."""
+    calls = []
+    build_M = herglotz.build_M
+
+    def counting(profile, z):
+        calls.append((profile, np.array(z, dtype=complex)))
+        return build_M(profile, z)
+
+    monkeypatch.setattr(herglotz, "build_M", counting)
+    return calls
+
+
+def _same_points(got, *sets):
+    want = np.concatenate([np.ravel(s) for s in sets]).astype(complex)
+    return got.shape == want.shape and np.array_equal(np.sort(got), np.sort(want))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, name):
+    cfg = _config(tmp_path, "verify", PROFILES[name])
+    profile, gs = cfg.profile, cfg.profile.gapset
+    calls = _calls(monkeypatch)
+    cli.run(cfg)
+    assert len(calls) == 2
+    (first, pts), (frame, frame_pts) = calls
+    assert first is profile
+    realness = []
+    if profile.is_commuting and not gs.endpoint_errors(gap_interior_grid(gs)):
+        realness = [gap_realness_points(gs)]
+    ts = np.concatenate([gap_interior_grid(gs), e_interior_grid(gs)])
+    assert _same_points(pts, cli._default_zgrid(gs), herglotz_points(gs),
+                        krein_xi_points(gs, ts)[2], *realness)
+    # no real point inside an endpoint margin enters the evaluation
+    assert gs.endpoint_errors(pts.real[pts.imag == 0]) == {}
+    assert frame.gapset == co_rotating_frame(profile)[1].gapset
+    assert _same_points(frame_pts, 1j * asymptotic_points(frame.gapset))
+
+
+@pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
+def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, name):
+    cfg = _config(tmp_path, "construct", PROFILES[name])
+    gs = cfg.profile.gapset
+    calls = _calls(monkeypatch)
+    cli.run(cfg)
+    assert len(calls) == 1
+    tgrid = gap_interior_grid(gs)
+    assert _same_points(calls[0][1], cli._default_zgrid(gs), herglotz_points(gs),
+                        krein_xi_points(gs, tgrid)[2], gap_realness_points(gs))
+
+
+def _xi(mfun, ts, xi_tol):
+    # one krein_xi_grid call; its first failed point raises
+    hits = krein_xi_grid(mfun, ts, xi_tol=xi_tol)
+    for hit in hits:
+        if isinstance(hit, KreinDiracError):
+            raise hit
+    return np.array([hit.xi for hit in hits]).reshape(-1, 2, 2)
+
+
+def _reference_verify(cfg):
+    """Each verify record's value as its probe's library function computes
+    it, one call each, by name in report order; a KreinDiracError stands
+    for a probe that raised it."""
+    profile = cfg.profile
+    gs = profile.gapset
+    mfun = cli._mfun(cfg, profile)
+    zgrid, tgrid, egrid = cli._default_zgrid(gs), gap_interior_grid(gs), e_interior_grid(gs)
+    mats = mfun(zgrid)
+    j = gs.containing_gaps(tgrid)
+    target = profile.projection_defects[j] + 0.5 * I2
+
+    def mj_dev():
+        _, lo, hi = mj_eigenpairs(mats)
+        return max(np.abs(lo + 1.0).max(), np.abs(hi - 1.0).max())
+
+    def trace_dev():
+        xi = _xi(mfun, np.concatenate([tgrid, egrid]), cfg.xi_tol)
+        return np.abs(xi[:, 0, 0] + xi[:, 1, 1] - 1.0).max()
+
+    def asym_dev():
+        frame_mfun = cli._mfun(cfg, co_rotating_frame(profile)[1])
+        w0 = trace_formula_W0(profile)
+        return max(math.hypot(w.p - w0.p, w.q - w0.q)
+                   for w in (asymptotic_W(frame_mfun, route=r) for r in ("value", "log")))
+
+    probes = {
+        "det": lambda: np.abs(np.linalg.det(mats) + 1.0).max(),
+        "symmetry": lambda: np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max(),
+        "herglotz": lambda: -herglotz_defect(mfun),
+        "mj_spectrum": mj_dev,
+        "weyl_roundtrip": lambda: op_norm(assemble_M(weyl_from_M(mats)) - mats).max(),
+        "xi_trace": trace_dev,
+        "xi_on_bands": lambda: op_norm(_xi(mfun, egrid, cfg.xi_tol) - 0.5 * I2).max(),
+        "re_m_on_bands": lambda: reflectionless_defect(mfun, egrid),
+        "gap_projection": lambda: op_norm(_xi(mfun, tgrid, cfg.xi_tol) - target).max(),
+    }
+    if profile.is_commuting:
+        probes["gap_realness"] = lambda: gap_realness(profile)
+    probes["asymptotics"] = asym_dev
+    out = {}
+    for name, fn in probes.items():
+        try:
+            out[name] = float(fn())
+        except KreinDiracError as exc:
+            out[name] = exc
+    return out
+
+
+def _assert_record(rec, ref, atol):
+    if isinstance(ref, KreinDiracError):
+        assert rec.status == "fail" and rec.value == math.inf
+        assert rec.identity == f"raised {type(ref).__name__}: {ref}"
+    elif atol:
+        assert abs(rec.value - ref) <= atol
+    else:
+        assert rec.value == ref
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_verify_records_equal_their_library_functions(tmp_path, name):
+    # exact for n <= 2; 16 gaps round differently in a larger evaluation
+    cfg = _config(tmp_path, "verify", PROFILES[name])
+    atol = 1e-15 if cfg.profile.gapset.n > 2 else 0.0
+    records = cli.run(cfg).records
+    ref = _reference_verify(cfg)
+    assert [r.name for r in records] == list(ref)
+    for rec in records:
+        if rec.name == "gap_realness" and cfg.inject_det_error:
+            # the corrupted M is (1 + 1e-6) M, and every probe reads it
+            assert rec.value == pytest.approx((1.0 + 1e-6) * ref[rec.name], rel=1e-12)
+            continue
+        _assert_record(rec, ref[rec.name], atol)
+
+
+def test_verify_fails_the_narrow_band_probes_alone(tmp_path):
+    # five probes meet the margin of the wide gap, each with its own first
+    # point there; the others pass
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"profile": NARROW}))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    margin = "raised EndpointSingularity: t = {} is within the exclusion margin of gap (-50.5, 49.5)"
+    failed = {r["name"]: r["identity"] for r in json.loads(out.read_text())["records"]
+              if r["status"] == "fail"}
+    assert failed == {
+        "xi_trace": margin.format(49.550013),
+        "xi_on_bands": margin.format(49.5000013),
+        "re_m_on_bands": margin.format(49.5000013),
+        "gap_projection": margin.format(49.550013),
+        "gap_realness": margin.format(49.550013),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
+def test_construct_records_and_tables_equal_their_library_functions(tmp_path, name):
+    cfg = _config(tmp_path, "construct", PROFILES[name])
+    profile = cfg.profile
+    gs = profile.gapset
+    atol = 1e-15 if gs.n > 2 else 0.0
+    rep = cli.run(cfg)
+    mfun = cli._mfun(cfg, profile)
+    records = {r.name: r for r in rep.records}
+    realness = gap_realness(profile)
+    if cfg.inject_det_error:
+        assert records.pop("gap_realness").value == pytest.approx((1.0 + 1e-6) * realness,
+                                                                   rel=1e-12)
+    else:
+        _assert_record(records.pop("gap_realness"), realness, atol)
+    mids = [(a + b) / 2.0 for a, b in gs.gaps]
+    assert records.pop("commutator").value == commutator_diag(profile, mids)
+    _assert_record(records.pop("herglotz_defect"), herglotz_defect(mfun), atol)
+    zgrid, tgrid = cli._default_zgrid(gs), gap_interior_grid(gs)
+    m = mfun(zgrid)
+    mrows = np.column_stack([zgrid.real, zgrid.imag]
+                            + [f(m[:, i, k]) for i in (0, 1) for k in (0, 1)
+                               for f in (np.real, np.imag)])
+    xrows = np.array([[s.t, *s.xi.real.ravel(), s.residual]
+                      for s in krein_xi_grid(mfun, tgrid, xi_tol=cfg.xi_tol)])
+    for table, want in (("M", mrows), ("xi", xrows)):
+        got = np.array(rep.tables[table][1])
+        # M reaches about 10 in modulus over the 16 gap grid
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol * 10)
