@@ -17,7 +17,6 @@ from .mat2 import (
     mexp,
     mlog_spectral,
     mlog_integral,
-    herglotz_positive,
     op_norm,
     op_norm_sym,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "mexp",
     "mlog_spectral",
     "mlog_integral",
-    "herglotz_positive",
     "op_norm",
     "op_norm_sym",
     "GapSet",

@@ -259,15 +259,15 @@ def _convert(name: str, parse, value):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _check_grids(cfg: RunConfig, gapset: GapSet) -> None:
-    """Raise a ConfigError for a ygrid or tgrid that ``gapset`` alone
+def _check_grids(cfg: RunConfig, profile: KreinProfile) -> None:
+    """Raise a ConfigError for a ygrid or tgrid that ``profile`` alone
     shows to be bad."""
-    # the large-z law needs its lowest height 4 spectral radii out
-    if cfg.ygrid is not None and gapset.n and cfg.ygrid[0] < 4.0 * gapset.spectral_radius:
-        raise ConfigError(f'"ygrid" must start at least 4 spectral radii '
-                          f'({4.0 * gapset.spectral_radius!r}) out')
+    # the large-z law runs on the co-rotating frame and sets its own rule
+    if cfg.ygrid is not None:
+        _convert('"ygrid"', lambda ys: asymptotic_points(co_rotating_frame(profile)[1].gapset, ys),
+                 cfg.ygrid)
     # a t inside an endpoint margin has no boundary value to extrapolate
-    errs = gapset.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
+    errs = profile.gapset.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
     if errs:
         raise ConfigError(f'"tgrid": {next(iter(errs.values()))}')
 
@@ -314,7 +314,7 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     if needs_profile and cfg.profile is None:
         raise ConfigError(f'"{command}" needs a "profile"')
     if cfg.profile is not None:
-        _check_grids(cfg, cfg.profile.gapset)
+        _check_grids(cfg, cfg.profile)
     if command == "oracle" and cfg.constant is None:
         raise ConfigError('"oracle" needs a "constant" [p, q]')
     if cfg.zgrid is not None and command in ("verify", "oracle", "construct"):
@@ -436,7 +436,7 @@ def _random_aligned_profile(rng: np.random.Generator) -> KreinProfile:
 def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str) -> None:
     gs = profile.gapset
     # random profiles meet the grids only here, before any probe runs
-    _check_grids(cfg, gs)
+    _check_grids(cfg, profile)
     mfun = _mfun(cfg, profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)

@@ -38,6 +38,7 @@ hull and turns each sample back.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,19 +194,23 @@ def ode_m_function(w: StepPotential) -> MFunction:
     return MFunction(lambda z: assemble_M(ode_weyl(w, z)))
 
 
-# Gauss-Legendre rules on [-1, 1] by node count, computed on first use:
-# numpy.polynomial is not loaded until a congruence march needs it
-_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _read_only(rule: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    # a cached rule is shared by every caller
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], computed on first use:
+    numpy.polynomial is not loaded until a congruence march needs it."""
+    return _read_only(np.polynomial.legendre.leggauss(n))
 
 
 def _gap_nodes(gapset, n: int):
     """Gauss-Legendre nodes and weights on each gap, concatenated."""
-    if n not in _LEGENDRE:
-        rule = np.polynomial.legendre.leggauss(n)
-        for a in rule:
-            a.flags.writeable = False
-        _LEGENDRE[n] = rule
-    u, w = _LEGENDRE[n]
+    u, w = _legendre(n)
     ts, ws = [], []
     for a, b in gapset.gaps:
         ts.append(0.5 * (a + b) + 0.5 * (b - a) * u)
@@ -477,38 +482,32 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
         yield (x_next, *last, True)
 
 
-# Degree of the Chebyshev interpolant of the Abel integrands on a panel;
-# the rules are computed on first use, like the Gauss-Legendre ones
+# Degree of the Chebyshev interpolant of the Abel integrands on a panel
 _CHEB_N = 24
-_CHEBYSHEV: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The Chebyshev-Lobatto nodes cos(pi i / n) on [-1, 1], and the
     (n + 3, 2, n + 1) map from values at them to the Chebyshev coefficients
     [k, 0] of the antiderivative from -1 and [k, 1] of the interpolant
     itself; the rows past their degrees are 0."""
-    if n not in _CHEBYSHEV:
-        i = np.arange(n + 1)
-        weights = np.cos(np.pi * np.outer(i, i) / n) * (2.0 / n)
-        weights[:, [0, -1]] *= 0.5
-        weights[[0, -1]] *= 0.5
-        # the antiderivative of sum a_k T_k has b_k = (a_{k-1} - a_{k+1}) / 2k,
-        # with a_0 counted twice, and b_0 puts its zero at -1
-        integ = np.zeros((n + 2, n + 1))
-        for k in range(1, n + 2):
-            integ[k, k - 1] = (2.0 if k == 1 else 1.0) / (2 * k)
-            if k < n:
-                integ[k, k + 1] = -1.0 / (2 * k)
-        integ[0] = -np.einsum("k,ki->i", (-1.0) ** np.arange(n + 2), integ)
-        maps = np.zeros((n + 3, 2, n + 1))
-        maps[:-1, 0] = np.einsum("ij,jk->ik", integ, weights)
-        maps[:-2, 1] = weights
-        rule = (np.cos(np.pi * i / n), maps)
-        for a in rule:
-            a.flags.writeable = False
-        _CHEBYSHEV[n] = rule
-    return _CHEBYSHEV[n]
+    i = np.arange(n + 1)
+    weights = np.cos(np.pi * np.outer(i, i) / n) * (2.0 / n)
+    weights[:, [0, -1]] *= 0.5
+    weights[[0, -1]] *= 0.5
+    # the antiderivative of sum a_k T_k has b_k = (a_{k-1} - a_{k+1}) / 2k,
+    # with a_0 counted twice, and b_0 puts its zero at -1
+    integ = np.zeros((n + 2, n + 1))
+    for k in range(1, n + 2):
+        integ[k, k - 1] = (2.0 if k == 1 else 1.0) / (2 * k)
+        if k < n:
+            integ[k, k + 1] = -1.0 / (2 * k)
+    integ[0] = -np.einsum("k,ki->i", (-1.0) ** np.arange(n + 2), integ)
+    maps = np.zeros((n + 3, 2, n + 1))
+    maps[:-1, 0] = np.einsum("ij,jk->ik", integ, weights)
+    maps[:-2, 1] = weights
+    return _read_only((np.cos(np.pi * i / n), maps))
 
 
 def _panel_edges(near0: float, near_pi: float) -> list[float]:

@@ -186,7 +186,8 @@ def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> n
     if len(ys) < 3 or np.any(np.diff(ys) <= 0):
         raise ValueError("ygrid must be increasing with at least 3 entries")
     if gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
-        raise ValueError("smallest height must be at least 4 spectral radii")
+        raise ValueError("smallest height must be at least 4 spectral radii "
+                         f"({4.0 * gapset.spectral_radius!r})")
     return ys
 
 

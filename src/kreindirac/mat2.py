@@ -38,7 +38,6 @@ __all__ = [
     "I2",
     "JORDAN_TOL",
     "as_mat2",
-    "is_symmetric",
     "re_part",
     "im_part",
     "eigvals_batch",
@@ -47,7 +46,6 @@ __all__ = [
     "mexp",
     "mlog_spectral",
     "mlog_integral",
-    "herglotz_positive",
     "op_norm",
     "op_norm_sym",
 ]
@@ -94,20 +92,6 @@ def as_mat2(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def _one(a) -> np.ndarray:
-    # as_mat2 for the functions defined on one matrix only
-    m = as_mat2(a)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return m
-
-
-def is_symmetric(a, tol: float = 1e-12) -> bool:
-    """True if ``a`` equals its transpose up to ``tol`` relative to its norm."""
-    m = _one(a)
-    return abs(m[0, 1] - m[1, 0]) <= tol * max(op_norm(m), 1.0)
 
 
 def op_norm(a):
@@ -345,7 +329,9 @@ def mlog_integral(a) -> np.ndarray:
         If the levels run out before two of them agree, as they do for
         eigenvalues close to the negative real axis.
     """
-    m = _one(a)
+    m = as_mat2(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     lam = _eig_pairs(m[None])[1][:, 0]
     if (lam.imag <= 0).any():
         raise SpectrumNotUpper(f"spectrum {{{complex(lam[0])}, {complex(lam[1])}}} "
@@ -373,18 +359,6 @@ def mlog_integral(a) -> np.ndarray:
             return res
     raise QuadratureFailure(f"logarithm quadrature still moved by {np.abs(res - prev).max():.3e} "
                             f"at step {h:g}")
-
-
-def herglotz_positive(a, tol: float = 0.0) -> bool:
-    """True if the matrix imaginary part (A - A*)/(2i) is positive definite.
-
-    For the 2x2 hermitian imaginary part positivity is equivalent to
-    trace > 0 together with det > 0; ``tol`` loosens both checks.
-    """
-    b = im_part(_one(a))
-    tr = b[0, 0].real + b[1, 1].real
-    det = (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]).real
-    return tr > -tol and det > -tol * max(tr, 1.0)
 
 
 def op_norm_sym(p: float, q: float) -> float:

@@ -21,7 +21,6 @@ from .errors import NoConvergence
 __all__ = [
     "LIMIT_OFFSETS",
     "LIMIT_ORDER",
-    "neville_at_zero",
     "extrapolate_schedule",
     "convergence_error",
 ]
@@ -31,28 +30,12 @@ LIMIT_OFFSETS.flags.writeable = False
 LIMIT_ORDER = 3
 
 
-def _neville_column(xs, values, levels: int) -> np.ndarray:
-    """Column ``levels`` of the Neville tableau at 0: entry i is the value at
-    0 of the polynomial through points i, ..., i + levels."""
-    xs = np.asarray(xs, dtype=float)
-    tab = np.asarray(values, dtype=complex)
-    n = len(tab)
-    if n == 0 or xs.shape != (n,):
-        raise ValueError("need one abscissa per value")
-    # one tableau column per step, all its entries at once
-    x = xs.reshape((n,) + (1,) * (tab.ndim - 1))
-    for k in range(1, levels + 1):
-        tab = (x[k:] * tab[:-1] - x[:-k] * tab[1:]) / (x[k:] - x[:-k])
-    return tab
-
-
-def neville_at_zero(xs, values) -> np.ndarray:
-    """Value at 0 of the polynomial through (xs[i], values[i]).
-
-    ``values`` may be scalars or arrays of a common shape; the tableau is
-    carried entrywise.
-    """
-    return _neville_column(xs, values, len(values) - 1)[0]
+def _neville_step(xs: np.ndarray, tab: np.ndarray, k: int) -> np.ndarray:
+    """Column k of the Neville tableau at 0 from column k - 1, all its
+    entries at once: entry i is the value at 0 of the polynomial through
+    points i, ..., i + k."""
+    x = xs.reshape((len(xs),) + (1,) * (tab.ndim - 1))
+    return (x[k:] * tab[:-1] - x[:-k] * tab[1:]) / (x[k:] - x[:-k])
 
 
 def extrapolate_schedule(xs, values, order: int):
@@ -60,28 +43,33 @@ def extrapolate_schedule(xs, values, order: int):
 
     ``values`` holds one sample per abscissa along its first axis: a 2x2
     matrix, or a stack of them (shape (K, ..., 2, 2)), which shares the
-    abscissae and one tableau.  Uses the last ``order + 1`` samples for the
-    returned limit.  The residual is the maximum entry difference against a
-    second extrapolant: the preceding window of the same length when one
-    exists, otherwise the order-lowered extrapolant on the same tail.  It is
-    taken per matrix, so a float for matrix samples and an array of the
-    stack's shape for stacked ones.  Needs ``order + 1`` samples.
+    abscissae.  One Neville tableau over the last min(K, order + 2) samples
+    gives the limit, the extrapolant of order ``order`` through the last
+    ``order + 1`` samples, and a second extrapolant: the one through the
+    preceding window of the same length when there is one, else the one of
+    order ``order - 1`` through the last ``order`` samples.  The residual is
+    the maximum entry difference of the two, per matrix: a float for matrix
+    samples and an array of the stack's shape for stacked ones.  Needs
+    ``order >= 1`` and ``order + 1`` samples.
 
     Returns
     -------
     (limit, residual)
     """
-    xs = np.asarray(xs, dtype=float)
-    if len(values) < order + 1:
-        raise ValueError(f"need at least {order + 1} samples for order {order}")
-    if len(values) > order + 1:
-        # one tableau over the last order + 2 samples holds both windows
-        prev, last = _neville_column(xs[-(order + 2):], values[-(order + 2):], order)
-    else:
-        last = neville_at_zero(xs[-(order + 1):], values[-(order + 1):])
-        prev = neville_at_zero(xs[-order:], values[-order:])
-    residual = np.abs(last - prev).max(axis=(-2, -1))
-    return last, residual
+    if order < 1 or len(values) < order + 1:
+        raise ValueError(f"need order >= 1 and at least order + 1 samples, got order {order} "
+                         f"and {len(values)} samples")
+    m = min(len(values), order + 2)
+    xs = np.asarray(xs, dtype=float)[-m:]
+    tab = np.asarray(values[-m:], dtype=complex)
+    if xs.shape != (m,):
+        raise ValueError("need one abscissa per value")
+    for k in range(1, order):
+        tab = _neville_step(xs, tab, k)
+    top = _neville_step(xs, tab, order)
+    prev = top[-2] if m > order + 1 else tab[-1]
+    residual = np.abs(top[-1] - prev).max(axis=(-2, -1))
+    return top[-1], residual
 
 
 def convergence_error(residual: float, tol: float, what: str) -> NoConvergence | None:

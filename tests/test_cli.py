@@ -285,6 +285,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2, cfg
 
 
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+def test_ygrid_is_held_to_the_co_rotating_frame(tmp_path, capsys, command):
+    # the large-z law runs on the frame, whose gap (-1, 1) has radius 1:
+    # its own default heights are accepted for the far gap (99, 101)
+    profile = {"gaps": [[99, 101]], "uniform": 0.3}
+    code, text = _run(tmp_path, command, {"profile": profile, "ygrid": [8, 16, 32, 64, 128]})
+    assert code == 0
+    assert (code, text) == _run(tmp_path, command, {"profile": profile})
+    code = cli.main([command, "--config",
+                     _write(tmp_path, {"profile": profile, "ygrid": [3.5, 16, 32]})])
+    err = capsys.readouterr().err
+    _assert_config_error(code, err)
+    assert err == ('config error: "ygrid": smallest height must be at least '
+                   '4 spectral radii (4.0)\n')
+
+
 def test_tgrid_margin_error_names_the_point(tmp_path, capsys):
     # a t within 1e-3 widths of a gap end has no boundary limit, which the
     # config alone shows: for its profile, and for each random profile

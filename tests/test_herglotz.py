@@ -18,6 +18,7 @@ from kreindirac import (
 )
 from kreindirac.errors import EndpointSingularity, NoConvergence
 from kreindirac.finitegap import e_interior_grid
+from kreindirac.herglotz import herglotz_reduce
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
@@ -92,6 +93,16 @@ def test_asymptotic_routes_agree_with_trace_formula():
             w = asymptotic_W(mfun, route=route)
             assert math.hypot(w.p - w0.p, w.q - w0.q) < 1e-6
             assert abs(w.residual) < 1e-5
+
+
+def test_herglotz_reduce_is_the_smallest_eigenvalue_of_im_m():
+    cases = [(1j * np.eye(2), 1.0),
+             (-1j * np.eye(2), -1.0),
+             (np.array([[1j, 2j], [2j, 1j]]), -1.0),  # det Im = -3
+             (np.array([[2j, 1j], [1j, 2j]]), 1.0)]
+    for m, smallest in cases:
+        assert herglotz_reduce(m[None]) == smallest
+    assert herglotz_reduce(np.array([m for m, _ in cases])) == -1.0
 
 
 def test_asymptotic_W_validates_ygrid():

@@ -11,7 +11,6 @@ from kreindirac import (
     I2,
     J,
     branch_log,
-    herglotz_positive,
     hull_norm,
     mexp,
     mlog_integral,
@@ -19,8 +18,7 @@ from kreindirac import (
     op_norm_sym,
 )
 from kreindirac.errors import QuadratureFailure, SpectrumNotUpper, SpectrumOnCut
-from kreindirac.mat2 import (as_mat2, eigvals_batch, eigvec_batch, im_part, is_symmetric,
-                             re_part)
+from kreindirac.mat2 import as_mat2, eigvals_batch, eigvec_batch, im_part, re_part
 
 
 def test_constants():
@@ -165,19 +163,10 @@ def test_op_norm_sym_matches_eigenvalues(p, q):
                         rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_herglotz_positive():
-    assert herglotz_positive(1j * I2)
-    assert not herglotz_positive(-1j * I2)
-    assert not herglotz_positive(np.array([[1j, 2j], [2j, 1j]]))  # det Im = -3
-    assert herglotz_positive(np.array([[2j, 1j], [1j, 2j]]))
-
-
 def test_parts_and_symmetry_helpers():
     a = np.array([[1 + 2j, 3 - 1j], [0.5j, -2.0]])
     np.testing.assert_allclose(re_part(a) + 1j * im_part(a), a, atol=1e-15)
     assert np.allclose(im_part(a), im_part(a).conj().T)
-    assert is_symmetric(np.array([[1.0, 2j], [2j, 3.0]]))
-    assert not is_symmetric(np.array([[1.0, 2j], [2.1j, 3.0]]))
 
 
 def test_entry_points_take_one_matrix_or_a_stack():
@@ -195,8 +184,7 @@ def test_entry_points_take_one_matrix_or_a_stack():
         branch_log(np.array([1.0, 0.0]))
     # functions defined on one matrix refuse a stack
     q = np.array([[0.5, 0.5], [0.5, 0.5]])
-    for fn, a in ((is_symmetric, stack), (herglotz_positive, stack),
-                  (mlog_integral, stack), (hull_norm, np.stack([q, q]))):
+    for fn, a in ((mlog_integral, stack), (hull_norm, np.stack([q, q]))):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             fn(a)
 

@@ -9,7 +9,6 @@ from kreindirac.numerics import (
     LIMIT_ORDER,
     convergence_error,
     extrapolate_schedule,
-    neville_at_zero,
 )
 
 
@@ -17,8 +16,8 @@ def test_neville_exact_on_polynomials():
     xs = np.array([0.4, 0.3, 0.2, 0.1])
     coeffs = [2.0, -1.5, 0.25, 3.0]
     values = [sum(c * x ** k for k, c in enumerate(coeffs)) for x in xs]
-    np.testing.assert_allclose(neville_at_zero(xs, values), coeffs[0],
-                               rtol=0, atol=1e-12)
+    limit, _ = extrapolate_schedule(xs, [v * np.eye(2) for v in values], len(xs) - 1)
+    np.testing.assert_allclose(limit, coeffs[0] * np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_neville_carries_matrix_samples():
@@ -26,7 +25,8 @@ def test_neville_carries_matrix_samples():
     a0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     a1 = np.array([[0.5, 0.0], [0.0, -0.5]])
     values = [a0 + x * a1 + x ** 2 * np.eye(2) for x in xs]
-    np.testing.assert_allclose(neville_at_zero(xs, values), a0, atol=1e-13)
+    limit, _ = extrapolate_schedule(xs, values, len(xs) - 1)
+    np.testing.assert_allclose(limit, a0, atol=1e-13)
 
 
 def test_extrapolate_schedule_converges_and_reports_residual():
@@ -36,6 +36,26 @@ def test_extrapolate_schedule_converges_and_reports_residual():
     limit, residual = extrapolate_schedule(xs, values, LIMIT_ORDER)
     np.testing.assert_allclose(limit, np.diag([1.0, 2.0]), atol=1e-10)
     assert residual < 1e-10
+
+
+def _lagrange_at_zero(xs, values):
+    # the interpolating polynomial at 0 in Lagrange form, not by a tableau
+    return sum(v * np.prod([x / (x - xi) for x in xs if x != xi]) for xi, v in zip(xs, values))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_extrapolate_schedule_residual_without_a_preceding_window(order):
+    # with exactly order + 1 samples the second extrapolant is the one of
+    # order - 1 through the last order samples
+    rng = np.random.default_rng(order)
+    xs = 0.4 * 0.5 ** np.arange(order + 1)
+    values = rng.normal(size=(order + 1, 3, 2, 2)) + 1j * rng.normal(size=(order + 1, 3, 2, 2))
+    limit, residual = extrapolate_schedule(xs, values, order)
+    np.testing.assert_allclose(limit, _lagrange_at_zero(xs, values), rtol=0, atol=1e-12)
+    lower = _lagrange_at_zero(xs[1:], values[1:])
+    assert residual.shape == (3,)
+    np.testing.assert_allclose(residual, np.abs(limit - lower).max(axis=(-2, -1)),
+                               rtol=0, atol=1e-12)
 
 
 def test_extrapolate_schedule_needs_enough_samples():
