@@ -262,8 +262,9 @@ def _convert(name: str, parse, value):
 def _check_grids(cfg: RunConfig, profile: KreinProfile) -> None:
     """Raise a ConfigError for a ygrid or tgrid that ``profile`` alone
     shows to be bad."""
-    # the large-z law runs on the co-rotating frame and sets its own rule
-    if cfg.ygrid is not None:
+    # the large-z law, which only verify and evolve run, runs on the
+    # co-rotating frame and sets its own rule
+    if cfg.ygrid is not None and cfg.command in ("verify", "evolve"):
         _convert('"ygrid"', lambda ys: asymptotic_points(co_rotating_frame(profile)[1].gapset, ys),
                  cfg.ygrid)
     # a t inside an endpoint margin has no boundary value to extrapolate

@@ -485,6 +485,10 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
 # Degree of the Chebyshev interpolant of the Abel integrands on a panel
 _CHEB_N = 24
 
+# Floats of Chebyshev coefficients one Abel-map call of _abel_solve may
+# gather: a block of grid points solves together within it
+_BLOCK = 1 << 15
+
 
 @functools.lru_cache(maxsize=None)
 def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -654,14 +658,132 @@ def _abel_map(a: np.ndarray, b: np.ndarray):
     return abel, period
 
 
+def _abel_solve(abel, period: np.ndarray, goals: np.ndarray, r: np.ndarray):
+    """Solve A(phi) = goals[k] for each (2, n) slice of the (K, 2, n) stack
+    ``goals``, by Newton continuation over blocks of consecutive points.
+
+    A generator: per block it yields the (k, 2, n) solved angles and the
+    (k,) sizes of their last Newton corrections, mapped to (p, q) by
+    |dp| <= sum_j r_j |dphi_j|.  A point whose continuation stalls ends
+    the run: its block yields only the points before it, and no later
+    block is solved.
+
+    Every point of a block starts from one known solution: phi = 0, with
+    A(0) = (1/2) P (1, ..., 1), for the first block, and the last point of
+    the block before for the others.  Turning phi_j once moves A by the
+    period column P e_j, so the nearest whole periods of each point's move
+    from the known value go into a winding count (phi is the divisor less
+    2 pi k, its target A less P k), and what is left is a path of at most
+    half a period per gap.  All rows of the block then run one
+    continuation, one Abel-map call and one batched solve per Newton
+    iteration, and each point keeps its own stride and stopping rule.
+    Along its path a point's Newton starts from the rate J^{-1} (move)
+    times its stride and ends when its correction falls to rounding level;
+    where the corrections grow or 10 do not suffice, its stride halves.
+    A converged point is frozen.  A block gathers the Chebyshev
+    coefficients of each of its 2 n k angles, (_CHEB_N + 3) 2 n floats,
+    so it holds as many points as _BLOCK floats allow, and at least one.
+    """
+    n = goals.shape[-1]
+    lattice = np.linalg.inv(period)
+    tol = 1e-13 * max(1.0, float(r.sum()))
+    size = max(1, _BLOCK // (4 * n * n * (_CHEB_N + 3)))
+    # the known solution: its angles, Abel value and Jacobian
+    known = np.zeros((2, n))
+    value, jac = abel(known)
+    for lo in range(0, len(goals), size):
+        goal = goals[lo:lo + size]
+        goal = goal - np.rint((goal - value) @ lattice.T) @ period.T
+        move = goal - value
+        count = len(goal)
+        solved, res = np.empty_like(goal), np.empty(count)
+        # per point still solving, in block order: its place in the block,
+        # progress s along the path, stride h, the trial's step and the
+        # progress it aims at, its last correction and its iterations.
+        # Every first trial takes the whole path, from the known angles
+        # along the rate there
+        live = [[i, 0.0, 1.0, 1.0, 1.0, math.inf, 0] for i in range(count)]
+        anchor = np.repeat(known[None], count, axis=0)
+        rate = np.linalg.solve(jac, move.transpose(1, 2, 0)).transpose(2, 0, 1)
+        phi, aimed = anchor + rate, value + move
+        # Newton's right-hand side, and each point's move, whose solve is
+        # the rate at the Newton iterate
+        rhs = np.empty(goal.shape + (2,))
+        rhs[..., 1] = move
+        stall = count
+        while live:
+            # the (2 m, n, n) Jacobians are solved as they come: numpy
+            # solves a stack of three axes faster than one of four
+            found, jacs = abel(phi.reshape(-1, n))
+            np.subtract(aimed, found.reshape(phi.shape), out=rhs[..., 0])
+            sol = np.linalg.solve(jacs, rhs.reshape(-1, n, 2)).reshape(rhs.shape)
+            phi += sol[..., 0]
+            # the places in ``live`` of the points solved, of those whose
+            # trial is accepted, of those that start a new trial, and of
+            # all that go on
+            done, accepted, retried, keep = [], [], [], []
+            for k, (point, pq) in enumerate(zip(live, (np.abs(sol[..., 0]) @ r).tolist())):
+                at, s, h, step, aim, prev, tries = point
+                corr = math.hypot(*pq)
+                # a small correction that no longer shrinks fourfold sits
+                # at rounding level
+                if corr <= tol or prev <= 1e3 * tol and corr > 0.25 * prev:
+                    if aim == 1.0:
+                        res[at] = corr
+                        done.append(k)
+                        continue
+                    s, h = aim, 2.0 * step
+                    accepted.append(k)
+                elif not corr <= 2.0 * prev or tries == 9:
+                    # the corrections grow or 10 do not suffice: the stride
+                    # halves, and below 1e-10 the point stalls
+                    h = 0.5 * step
+                    if h < 1e-10:
+                        stall = min(stall, at)
+                        continue
+                else:
+                    point[5:] = corr, tries + 1
+                    keep.append(k)
+                    continue
+                step = min(h, 1.0 - s)
+                live[k] = [at, s, h, step, 1.0 if step == 1.0 - s else s + step, math.inf, 0]
+                retried.append(k)
+                keep.append(k)
+            for k in done:
+                solved[live[k][0]] = phi[k]
+            if done and live[done[-1]][0] == count - 1:
+                # the next block's known Jacobian: a copy, so that the Abel
+                # map's output is freed, in the layout abel returns, which
+                # numpy solves faster than a C-ordered one
+                jac = jacs.reshape(phi.shape + (n,))[done[-1]].copy(order="K")
+            if accepted:
+                anchor[accepted], rate[accepted] = phi[accepted], sol[accepted, ..., 1]
+            if retried:
+                step, aim = np.array([live[k][3:5] for k in retried]).T
+                phi[retried] = anchor[retried] + step[:, None, None] * rate[retried]
+                aimed[retried] = value + aim[:, None, None] * rhs[retried, ..., 1]
+            # drop the points solved, and those at or past a stall
+            if stall < count:
+                keep = [k for k in keep if live[k][0] < stall]
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live = [live[k] for k in keep]
+                anchor, rate, phi, aimed, rhs = (v[keep] for v in (anchor, rate, phi, aimed, rhs))
+        yield solved[:stall], res[:stall]
+        if stall < count:
+            return
+        known, value = solved[-1], goal[-1]
+
+
 def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
     """Solve for the Dirichlet divisors of the commuting profile ``frame``
     on the grid ``xg`` by inverting the Abel map.
 
     A generator: it yields (x, p, q, residual, True) for every grid point.
     At x = 0 it yields the trace formula W(0) with residual 0; past x = 0
-    ``residual`` is the size of the last Newton correction plus the (p, q)
-    distance of the solved start from that W(0).
+    ``residual`` is the size of the point's last Newton correction plus
+    the (p, q) distance of the solved start from that W(0).
 
     The divisor of W(x) is the set of zeros mu_j(x) of M_11(x, .), one in
     each gap (Gesztesy & Holden, Soliton Equations and Their
@@ -677,10 +799,10 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
         phi_j' = 2 (p - mu_j) prod_{k != j} sqrt((mu_j - a_k)(mu_j - b_k)) / |mu_j - mu_k|.
 
     On the Jacobian the flow is linear: the Abel map of _abel_map obeys
-    A(phi(x)) = A(phi(0)) - 2 c x, so each grid point is one Newton solve
-    of n equations, and no error accumulates along x.  The profile with
-    its angles lowered by pi/4 has the potential [[q, -p], [-p, -q]], so q
-    is the p of its divisor: both systems solve as one (2, n) stack on the
+    A(phi(x)) = A(phi(0)) - 2 c x, so each grid point is its own Jacobi
+    inversion, and no error accumulates along x.  The profile with its
+    angles lowered by pi/4 has the potential [[q, -p], [-p, -q]], so q is
+    the p of its divisor: both systems solve as one (2, n) slice on the
     same map.
 
     The start needs no root-finder.  In the torus coordinates
@@ -689,19 +811,14 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
     gap's angle by pi/2 moves its coordinate by 1/2.  So the commuting
     profile with angles alpha_j = alpha + (pi/2) s_j, s_j in {0, 1},
     starts at theta_j = 1/2 - alpha_j/pi, and its q-system at theta + 1/4.
-    The Abel map is even in each angle, A(0) = (1/2) P (1, ..., 1), so the
-    start is reached from phi = 0 (every zero at the right end of its gap)
-    by the same continuation as a grid point.  One gap has A(phi) = phi + pi
+    The grid point x_k then has the targets P theta - 2 c x_k and
+    P (theta + 1/4) - 2 c x_k, and the whole grid, the start at x = 0
+    first, is one (K, 2, n) stack of targets for _abel_solve: it takes
+    the whole periods out of each target relative to a known solution,
+    phi = 0 (every zero at the right end of its gap) for the first block
+    of points and the last solved point after that, and solves each block
+    of points in one Newton continuation.  One gap has A(phi) = phi + pi
     and starts at phi = -2 alpha_1 in closed form.
-
-    Turning phi_j once moves A by the period column P e_j, so the nearest
-    whole periods of the target's move go into a winding count, and what
-    is left is a path of at most half a period per gap, however far apart
-    the grid points are.  Along it Newton starts from the rate
-    J^{-1} (target shift) times the stride, Dubrovin's step where no whole
-    period was taken out, and ends when its correction, mapped to (p, q)
-    by |dp| <= sum_j r_j |dphi_j|, falls to rounding level.  Where the
-    corrections grow or 10 do not suffice, the stride halves.
     """
     a, b = frame.gapset.endpoints
     c, r = 0.5 * (a + b), 0.5 * (b - a)
@@ -711,6 +828,7 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
 
     alphas = np.array(frame.angles)
     n = len(a)
+    xs = xg.tolist()
     if n == 1:
         # one gap: A(phi) = phi + pi puts the start at phi = -2 alpha, and
         # the gap is centred in its frame, so the target stands still, and
@@ -718,71 +836,24 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
         phi = np.array([-2.0 * alphas, 0.5 * math.pi - 2.0 * alphas])
         p, q = (r * np.cos(phi)).sum(axis=1).tolist()
         res = math.hypot(p - w0.p, q - w0.q)
-        for x in xg[1:].tolist():
+        for x in xs[1:]:
             yield x, p, q, res, True
         return
     abel, period = _abel_map(a, b)
     theta = 0.5 - alphas / math.pi
-    start = np.stack((theta, theta + 0.25)) @ period.T
-    phi = np.zeros_like(start)
-    target, jac = abel(phi)
-    # phi is the divisor less 2 pi k, so its target is A less P k
-    k = np.zeros_like(phi)
-    lattice = np.linalg.inv(period)
-    # the right-hand sides of Newton's step and of the rate along the
-    # target's shift, solved together
-    rhs = np.empty(phi.shape + (2,))
-    tol = 1e-13 * max(1.0, float(r.sum()))
-
-    def newton(phi, goal):
-        # the solution, the Jacobian and the rate there, and the size of
-        # the last correction; None where the corrections grow or 10 of
-        # them do not reach rounding level
-        prev = math.inf
-        for _ in range(10):
-            value, jac = abel(phi)
-            np.subtract(goal, value, out=rhs[..., 0])
-            sol = np.linalg.solve(jac, rhs)
-            phi = phi + sol[..., 0]
-            corr = math.hypot(*(np.abs(sol[..., 0]) @ r).tolist())
-            # a small correction that no longer shrinks fourfold sits at
-            # rounding level
-            if corr <= tol or prev <= 1e3 * tol and corr > 0.25 * prev:
-                return phi, jac, sol[..., 1], corr
-            if not corr <= 2.0 * prev:
-                return None
-            prev = corr
-        return None
-
-    # the first solve, at x = 0, takes phi from 0 to the start
-    x = shift = 0.0
-    for x_next in xg.tolist():
-        goal = start - (2.0 * x_next) * c - k @ period.T
-        turns = np.rint((goal - target) @ lattice.T)
-        k += turns
-        goal -= turns @ period.T
-        rhs[..., 1] = goal - target
-        rate = np.linalg.solve(jac, rhs[..., 1:])[..., 0]
-        # continuation along the straight line from target to goal
-        s, h = 0.0, 1.0
-        while s < 1.0:
-            step = min(h, 1.0 - s)
-            s_try = 1.0 if step == 1.0 - s else s + step
-            solved = newton(phi + step * rate, target + s_try * rhs[..., 1])
-            if solved is None:
-                h = 0.5 * step
-                if h < 1e-10:
-                    raise NoConvergence("Abel inversion stalled " + (
-                        f"between x = {x} and {x_next}" if x_next else "at the start, x = 0"))
-                continue
-            phi, jac, rate, res = solved
-            s, h = s_try, 2.0 * step
-        target, x = goal, x_next
-        p, q = (r * np.cos(phi)).sum(axis=1).tolist()
-        if x:
-            yield x, p, q, res + shift, True
-        else:
-            shift = math.hypot(p - w0.p, q - w0.q)
+    goals = np.stack((theta, theta + 0.25)) @ period.T - (2.0 * xg)[:, None, None] * c
+    done, shift = 0, 0.0
+    for phi, res in _abel_solve(abel, period, goals, r):
+        pq = (r * np.cos(phi)).sum(axis=-1).tolist()
+        for x, (p, q), e in zip(xs[done:], pq, res.tolist()):
+            if x:
+                yield x, p, q, e + shift, True
+            else:
+                shift = math.hypot(p - w0.p, q - w0.q)
+        done += len(phi)
+    if done < len(xs):
+        raise NoConvergence("Abel inversion stalled " + (
+            f"between x = {xs[done - 1]} and {xs[done]}" if done else "at the start, x = 0"))
 
 
 def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
@@ -811,15 +882,19 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
 
     * A commuting profile (``profile.is_commuting``: every angle alpha or
       alpha + pi/2) solves for its Dirichlet divisor, the zeros of
-      M_11(x, .) in the gaps, at each grid point by inverting the Abel
-      map, which moves linearly in x, and reads W(x) off the trace formula
-      for the divisor (see _divisor_orbit).  It starts from a closed-form
-      point of the isospectral torus, and its x = 0 sample is the trace
-      formula W(0).  The route carries 2 n angles, has no growing mode, no
+      M_11(x, .) in the gaps, by inverting the Abel map, which moves
+      linearly in x, and reads W(x) off the trace formula for the divisor
+      (see _divisor_orbit).  Each grid point x_k has its own target,
+      P theta - 2 c x_k from a closed-form point theta of the isospectral
+      torus (the q-system's a quarter period on); each target less its
+      whole periods from a known solution is one Newton continuation, and
+      all points of a block, as many as a fixed memory budget allows,
+      solve together.  The x = 0 sample is the trace formula W(0).  The
+      route carries 2 n angles per point, has no growing mode, no
       quadrature and no step tolerance, and its residual is the x = 0
       seed check below, plus, past x = 0, the distance of the solved start
-      from W(0) and the last Newton correction of the grid point's solve:
-      no error accumulates along x.
+      from W(0) and the point's own last Newton correction: no error
+      accumulates along x.
     * A non-commuting profile has complex gap values and no real divisor.
       Its formal M function has gap boundary values
       M_x(t) = T(0->x, t) M_0(t) T(0->x, t)^t with the (real, unimodular)
@@ -876,8 +951,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         herglotz_defect for an independent witness).  Never ignored.
     NoConvergence
         If the step size of the congruence march, or the continuation
-        stride of the Abel inversion, underflows before reaching the next
-        grid point or the start, or the x = 0 Weyl-law cross-check does not
+        stride of the Abel inversion, underflows before reaching a grid
+        point or the start, or the x = 0 Weyl-law cross-check does not
         converge (no samples then).  A stalled congruence march names the
         profile's gap_realness, which is 0 for a realizable profile.
 

@@ -724,11 +724,8 @@ def hull_norm(q) -> float:
 def gap_interior_grid(gapset: GapSet, per_gap: int = 7) -> np.ndarray:
     """Evaluation points strictly inside each gap, clear of the margins:
     ``per_gap`` equispaced points from 5% to 95% of each gap's width."""
-    pts: list[float] = []
-    for a, b in gapset.gaps:
-        w = b - a
-        pts.extend(a + w * np.linspace(0.05, 0.95, per_gap))
-    return np.array(pts)
+    a, b = gapset.endpoints
+    return (a[:, None] + (b - a)[:, None] * np.linspace(0.05, 0.95, per_gap)).ravel()
 
 
 def e_interior_grid(gapset: GapSet) -> np.ndarray:
@@ -736,18 +733,13 @@ def e_interior_grid(gapset: GapSet) -> np.ndarray:
 
     Three points in each of the two unbounded components, 0.3 to 1.2
     spectral scales out, and three in every bounded band between
-    consecutive gaps, from 10% to 90% of its width.
+    consecutive gaps, from 10% to 90% of its width, in increasing order.
     """
     if gapset.n == 0:
         return np.array([-1.0, 0.0, 1.0])
-    a1 = gapset.gaps[0][0]
-    bn = gapset.gaps[-1][1]
+    a, b = gapset.endpoints
     scale = max(1.0, gapset.spectral_radius)
-    pts = list(a1 - scale * np.linspace(0.3, 1.2, 3))
-    pts.extend(bn + scale * np.linspace(0.3, 1.2, 3))
-    for (_, b), (a2, _) in zip(gapset.gaps, gapset.gaps[1:]):
-        width = a2 - b
-        lo = b + 0.1 * width
-        hi = a2 - 0.1 * width
-        pts.extend(np.linspace(lo, hi, 3))
-    return np.array(sorted(pts))
+    out = scale * np.linspace(0.3, 1.2, 3)
+    width = a[1:] - b[:-1]
+    bands = np.linspace(b[:-1] + 0.1 * width, a[1:] - 0.1 * width, 3)
+    return np.concatenate([a[0] - out[::-1], bands.T.ravel(), b[-1] + out])

@@ -301,6 +301,21 @@ def test_ygrid_is_held_to_the_co_rotating_frame(tmp_path, capsys, command):
                    '4 spectral radii (4.0)\n')
 
 
+def test_ygrid_rule_binds_only_the_commands_that_read_it(tmp_path, capsys):
+    # construct and oracle run no large-z law: a ygrid below the frame's
+    # 4 radii changes nothing there, while verify and evolve refuse it
+    profile = {"gaps": [[-1, 1]], "uniform": 0.3}
+    for command, cfg in (("construct", {"profile": profile}),
+                         ("oracle", {"profile": profile, "constant": [0.3, -0.2]})):
+        code, text = _run(tmp_path, command, dict(cfg, ygrid=[1, 2, 3]))
+        assert code == 0
+        assert (code, text) == _run(tmp_path, command, cfg)
+    for command in ("verify", "evolve"):
+        cfg = {"profile": profile, "ygrid": [1, 2, 3]}
+        code = cli.main([command, "--config", _write(tmp_path, cfg)])
+        _assert_config_error(code, capsys.readouterr().err)
+
+
 def test_tgrid_margin_error_names_the_point(tmp_path, capsys):
     # a t within 1e-3 widths of a gap end has no boundary limit, which the
     # config alone shows: for its profile, and for each random profile

@@ -297,3 +297,22 @@ def test_interior_grids_respect_margins():
     eg = e_interior_grid(gs)
     assert (gs.containing_gaps(eg) == -1).all()
     assert gs.endpoint_errors(eg) == {}
+
+
+def test_interior_grids_are_the_per_gap_formulas():
+    # one broadcast over all gaps and bands gives, bit for bit, the
+    # linspace of each gap's 5% to 95% and each band's 10% to 90%
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        edges = np.cumsum(rng.uniform(1e-3, 3.0, 2 * n)) + rng.uniform(-50.0, 50.0)
+        gs = GapSet(tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))
+        per_gap = int(rng.integers(1, 16))
+        gaps = [a + (b - a) * np.linspace(0.05, 0.95, per_gap) for a, b in gs.gaps]
+        assert np.array_equal(gap_interior_grid(gs, per_gap), np.concatenate(gaps))
+        scale = max(1.0, gs.spectral_radius)
+        pts = [gs.gaps[0][0] - scale * np.linspace(0.3, 1.2, 3),
+               gs.gaps[-1][1] + scale * np.linspace(0.3, 1.2, 3)]
+        for (_, b), (a, _) in zip(gs.gaps, gs.gaps[1:]):
+            pts.append(np.linspace(b + 0.1 * (a - b), a - 0.1 * (a - b), 3))
+        assert np.array_equal(e_interior_grid(gs), np.sort(np.concatenate(pts)))

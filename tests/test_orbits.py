@@ -284,3 +284,78 @@ def test_stalled_inversion_raises_with_the_samples(monkeypatch):
     with pytest.raises(NoConvergence, match="stalled at the start, x = 0") as info:
         sample_potential(prof, [0.0, 0.5, 1.0])
     assert [s.x for s in info.value.samples] == [0.0]
+
+
+def test_inversion_stalled_past_x_keeps_the_samples_before(monkeypatch):
+    # a Jacobian that breaks only where the Abel value has moved far
+    # enough along the flow: the start and every target lie on
+    # A(0) + R P (1, ..., 1) - 2 c x (uniform profile, R real), so the
+    # value's component u orthogonal to P (1, ..., 1) grows as -2 (c . u) x
+    # along each path, and the break at x = 0.25 leaves the points to
+    # x = 0.2 untouched and stalls the one at x = 0.3
+    gaps = ((-2.0, -1.0), (1.0, 2.5))
+    prof = KreinProfile.uniform(GapSet(gaps), 0.1)
+    _, frame = co_rotating_frame(prof)
+    a, b = frame.gapset.endpoints
+    c = 0.5 * (a + b)
+    abel_map = dirac._abel_map
+
+    def broken(a, b):
+        abel, period = abel_map(a, b)
+        ones = period.sum(axis=1)
+        u = np.array([ones[1], -ones[0]]) / math.hypot(*ones)
+        origin = abel(np.zeros((1, 2)))[0][0]
+        edge = 0.25 * abs(2.0 * c @ u)
+
+        def map_(phi):
+            value, jac = abel(phi)
+            jac[np.abs((value - origin) @ u) > edge] = np.nan
+            return value, jac
+        return map_, period
+
+    monkeypatch.setattr(dirac, "_abel_map", broken)
+    with pytest.raises(NoConvergence, match="stalled between x = 0.2 and 0.3$") as info:
+        sample_potential(prof, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+    assert [s.x for s in info.value.samples] == [0.0, 0.1, 0.2]
+
+
+def _orbit_rows(frame, xg):
+    # (x, p, q, residual) of every grid point of the Abel route
+    return np.array([row[:4] for row in dirac._divisor_orbit(frame, np.asarray(xg, dtype=float))])
+
+
+@pytest.mark.parametrize("n, stop, count, stride", [(2, 20.0, 2001, 23), (16, 2.0, 9, 1)])
+def test_grid_solved_at_once_agrees_with_each_point_alone(n, stop, count, stride):
+    # every grid point is its own Jacobi inversion: a block of points
+    # solved together, or continued from the block before, gives each
+    # point's solve from the start alone, to rounding of the bound's size.
+    # Two gaps take 75 points a block, 16 gaps one
+    gs, alpha = _random_uniform(np.random.default_rng(40 + n), n)
+    _, frame = co_rotating_frame(KreinProfile.uniform(gs, alpha))
+    rows = _orbit_rows(frame, np.linspace(0.0, stop, count))
+    assert (rows[:, 3] <= 1e-12).all()
+    scale = max(1.0, sharp_bound(gs))
+    for row in rows[1::stride]:
+        alone = _orbit_rows(frame, [0.0, row[0]])[1]
+        assert np.abs(alone[1:3] - row[1:3]).max() <= 1e-14 * scale
+        assert alone[3] <= 1e-12
+
+
+def test_two_gap_march_takes_a_few_abel_calls(monkeypatch):
+    # the 21 points of a two-gap march to x = 10 solve as one block: one
+    # call at phi = 0 and one per Newton iteration of the slowest point
+    calls = []
+    abel_map = dirac._abel_map
+
+    def counted(a, b):
+        abel, period = abel_map(a, b)
+
+        def count(phi):
+            calls.append(len(phi))
+            return abel(phi)
+        return count, period
+
+    monkeypatch.setattr(dirac, "_abel_map", counted)
+    prof = KreinProfile.uniform(GapSet(((-2.0, -1.0), (1.0, 2.0))), 0.4)
+    sample_potential(prof, np.linspace(0.0, 10.0, 21))
+    assert len(calls) <= 12
