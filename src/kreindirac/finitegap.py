@@ -287,9 +287,9 @@ def _class_logs(groups: tuple, z: np.ndarray) -> np.ndarray:
 
     ``groups`` is the profile's ``_class_groups``.  ``z`` holds N points,
     either all off the axis (complex, Im z > 0) or all on it (float).  Each
-    class takes one logarithm, of the product of its gaps' Moebius ratios.
-    The classes of one size multiply in their next factors together, as
-    many per pass as _BLOCK allows.
+    class takes one logarithm, of the product of its gaps' Moebius ratios,
+    multiplied in one factor at a time.  The classes of one size form their
+    next factors together, as many per pass as _BLOCK allows.
 
     Off the axis the argument of a gap's ratio is the angle the gap
     subtends at z.  Disjoint gaps subtend less than pi together, so a
@@ -304,10 +304,13 @@ def _class_logs(groups: tuple, z: np.ndarray) -> np.ndarray:
     A ratio's modulus lies within [1/B, B], B = 1 + w / d, for w the widest
     gap of the group and d >= Im z the distance from z to the endpoints;
     on the axis the caller's endpoint-margin check gives d >= w
-    ENDPOINT_MARGIN for each gap.  A product is renormalised by np.frexp
-    before it would hold more than floor(_RANGE_BITS / log2 B) factors, so
-    a point whose ratios are finite gets a finite logarithm.  A non-finite
-    point gets a non-finite one, which the kernel rejects with a ValueError.
+    ENDPOINT_MARGIN for each gap.  A point's product is renormalised by
+    np.frexp before it would hold more than floor(_RANGE_BITS / log2 B)
+    factors, B from its own Im z, so a point whose ratios are finite gets a
+    finite logarithm.  A non-finite point gets a non-finite one, which the
+    kernel rejects with a ValueError.  Neither the pass length nor the
+    renormalisation depends on the other points, so a point's value is the
+    same, bit for bit, alone or in any call.
     """
     real = z.dtype.kind == "f"
     out = []
@@ -316,26 +319,23 @@ def _class_logs(groups: tuple, z: np.ndarray) -> np.ndarray:
             if real:
                 ends = ends.real
             _, count, size, _ = ends.shape
-            period = size
-            if size > 1:
-                bound = 1.0 + (1.0 / ENDPOINT_MARGIN if real else width / float(z.imag.min()))
-                # NaN and inf bounds renormalise after every factor
-                period = (int(_RANGE_BITS // max(1.0, math.log2(bound)))
-                          if bound < math.inf else 1)
-            step = max(1, min(period, _BLOCK // (count * len(z))))
+            # each point's renormalisation period, from its own bound; NaN
+            # and inf bounds renormalise after every factor
+            bits = math.log2(1.0 + 1.0 / ENDPOINT_MARGIN) if real else np.log2(1.0 + width / z.imag)
+            period = np.where(bits < math.inf, _RANGE_BITS // np.maximum(1.0, bits), 1.0)
+            soonest = period.min()
+            step = max(1, _BLOCK // (count * len(z)))
             prod = expo = None
-            held = 0  # factors in prod since its last renormalisation
             for k in range(0, size, step):
                 part = (ends[1, :, k:k + step] - z) / (ends[0, :, k:k + step] - z)
-                if prod is not None:
-                    if held + part.shape[1] > period:
+                for held, f in enumerate(part.transpose(1, 0, 2), k):
+                    due = held >= soonest and held % period == 0
+                    if np.count_nonzero(due):
                         _, e = np.frexp(np.maximum(np.abs(prod.real), np.abs(prod.imag)))
+                        e *= due
                         prod = prod * np.ldexp(1.0, -e)
                         expo = e if expo is None else expo + e
-                        held = 0
-                    part[:, 0] *= prod
-                prod = part[:, 0] if part.shape[1] == 1 else np.multiply.reduce(part, axis=1)
-                held += part.shape[1]
+                    prod = f if prod is None else prod * f
             logs = branch_log(prod)
             if expo is not None:
                 logs.real += _LN2 * expo
@@ -373,12 +373,8 @@ def build_logM(profile: KreinProfile, z) -> np.ndarray:
     The gaps of each class of ``profile.gap_classes`` share one defect, so
     their logarithms are summed as the logarithm of the product of their
     Moebius factors (:func:`_class_logs`): one logarithm per class and
-    point, contracted with the class defects.  How many factors a pass
-    multiplies depends on the number of points in the call, so a point's
-    value can move in its last digit with the other points beside it: by
-    2.2e-16 on the default z grid of 16 gaps (3j, 3j + 1) when 3000 copies
-    of the grid's first point join the call.  The points of one config are
-    the same on every run, so its report is deterministic.
+    point, contracted with the class defects.  A point's value does not
+    depend on the other points of the call.
 
     ``z`` is one point, giving a (2, 2) array, or a 1-D array of N points,
     giving an (N, 2, 2) stack.  Real points inside an endpoint exclusion

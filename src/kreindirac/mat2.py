@@ -167,14 +167,17 @@ def eigvec_batch(a, lam) -> np.ndarray:
     return np.stack([-row[:, 1], row[:, 0]], axis=1).reshape(m.shape[:-1])
 
 
-def _branch_log(w: np.ndarray) -> np.ndarray:
-    # argument moved from (-pi, pi] into (-pi/2, 3pi/2); arctan2 and log|w|
-    # cost a fraction of numpy's complex log on short arrays
+def _branch_log(w: np.ndarray, mod: np.ndarray | None = None) -> np.ndarray:
+    # argument moved from (-pi, pi] into (-pi/2, 3pi/2); arctan2 and log
+    # |w| (``mod``, where the caller has it) cost a fraction of numpy's
+    # complex log on short arrays, as count_nonzero does of a mask's any()
     out = np.empty(w.shape, dtype=complex)
-    np.log(np.abs(w), out=out.real)
+    np.log(np.abs(w) if mod is None else mod, out=out.real)
     ang = out.imag
     np.arctan2(w.imag, w.real, out=ang)
-    np.add(ang, 2.0 * np.pi, out=ang, where=ang < -0.5 * np.pi)
+    low = ang < -0.5 * np.pi
+    if np.count_nonzero(low):
+        ang[low] += 2.0 * np.pi
     return out
 
 
@@ -200,7 +203,7 @@ def _on_cut(lam: np.ndarray, mod: np.ndarray) -> np.ndarray:
     modulus of their pair."""
     tol = _CUT_TOL * np.maximum(mod[0], mod[1])
     near = np.abs(lam.real) <= tol
-    if not near.any():
+    if not np.count_nonzero(near):
         return near
     return near & ((lam.imag < 0.0) | (mod <= tol))
 
@@ -225,28 +228,29 @@ def _slope(lam: np.ndarray, mod: np.ndarray, half_tr: np.ndarray, a01: np.ndarra
     non-normal matrices with tiny spectra); its s is fprime(half_tr).
     """
     gap = lam[0] - lam[1]
-    conf = np.abs(gap) <= JORDAN_TOL * (mod[0] + mod[1] + np.abs(a01) + np.abs(a10))
-    # adding conf keeps the confluent denominators off zero; their s is replaced
+    m01 = np.abs(a01)
+    scale = mod[0] + mod[1] + m01 + (m01 if a10 is a01 else np.abs(a10))
+    conf = np.abs(gap) <= JORDAN_TOL * scale
+    if not np.count_nonzero(conf):
+        return (f_lam[0] - f_lam[1]) / gap, None
+    # adding conf keeps the confluent denominators off zero; their s is
+    # replaced by fprime, taken only there: 1/half_tr of log is infinite
+    # elsewhere for a trace-free matrix
     s = (f_lam[0] - f_lam[1]) / (gap + conf)
-    if not conf.any():
-        return s, None
-    # fprime only where confluent: 1/half_tr of log is infinite elsewhere
-    # for a trace-free matrix
     s[conf] = fprime(half_tr[conf])
     return s, conf
 
 
 def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
-                    mod: np.ndarray, f, fprime) -> np.ndarray:
+                    mod: np.ndarray, f_lam: np.ndarray, f, fprime) -> np.ndarray:
     """f(A) for a stack with eigenvalue pairs ``lam`` ((2, N)), their
-    moduli ``mod`` and the half traces ``half_tr``.
+    moduli ``mod``, values ``f_lam`` = f(lam) and the half traces ``half_tr``.
 
     Newton form of the Lagrange-Sylvester interpolant on the nodes
     lam1, lam2: f(A) = f(lam2) I + s (A - lam2 I), s the divided difference
     of :func:`_slope`.  On confluent matrices (JORDAN_TOL) the node is the
     mean half_tr and s = f'(half_tr), which is f(lam) I + f'(lam) N.
     """
-    f_lam = f(lam)
     s, conf = _slope(lam, mod, half_tr, a[:, 0, 1], a[:, 1, 0], f_lam, fprime)
     mu, f_mu = lam[1], f_lam[1]
     if conf is not None:
@@ -261,7 +265,7 @@ def _apply_analytic(a: np.ndarray, half_tr: np.ndarray, lam: np.ndarray,
 
 def _mexp(m: np.ndarray) -> np.ndarray:
     half_tr, lam = _eig_pairs(m)
-    return _apply_analytic(m, half_tr, lam, np.abs(lam), np.exp, np.exp)
+    return _apply_analytic(m, half_tr, lam, np.abs(lam), np.exp(lam), np.exp, np.exp)
 
 
 def mexp(a) -> np.ndarray:
@@ -275,9 +279,10 @@ def _mlog(m: np.ndarray) -> np.ndarray:
     half_tr, lam = _eig_pairs(m)
     mod = np.abs(lam)
     bad = _on_cut(lam, mod)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise _cut_error(lam, bad)
-    return _apply_analytic(m, half_tr, lam, mod, _branch_log, np.reciprocal)
+    return _apply_analytic(m, half_tr, lam, mod, _branch_log(lam, mod), _branch_log,
+                           np.reciprocal)
 
 
 def mlog_spectral(a) -> np.ndarray:

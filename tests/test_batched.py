@@ -118,8 +118,8 @@ def test_batched_build_agrees_with_points(case):
     ms = build_M(prof, zs)
     assert logs.shape == ms.shape == (len(zs), 2, 2)
     for z, lg, m in zip(zs, logs, ms):
-        assert _close(lg, build_logM(prof, complex(z)), 1e-13)
-        assert _close(m, build_M(prof, complex(z)), 1e-13)
+        np.testing.assert_array_equal(lg, build_logM(prof, complex(z)))
+        np.testing.assert_array_equal(m, build_M(prof, complex(z)))
         assert _close(lg, _logM_reference(prof, complex(z)), 1e-12)
 
 
@@ -172,7 +172,30 @@ def test_batched_build_in_slices():
     zs = rng.uniform(-2.0, 26.0, 5000) + 1j * rng.uniform(1e-3, 3.0, 5000)
     whole = build_M(prof, zs)
     parts = np.concatenate([build_M(prof, zs[i:i + 64]) for i in range(0, 5000, 64)])
-    assert _close(whole, parts, 1e-13)
+    np.testing.assert_array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_a_point_alone_and_in_a_large_call_agree_bitwise(n):
+    # a point's value does not depend on the points beside it in the call:
+    # not through how many factors a pass of a class product takes, nor
+    # through the renormalisation bound of the other points (Im z down to
+    # 1e-6 renormalises 64-gap products of the large call, not of a point
+    # high above the axis alone)
+    rng = np.random.default_rng(n)
+    widths = rng.uniform(0.05, 1.5, n)
+    lefts = np.cumsum(widths + rng.uniform(1e-3, 3.0, n)) - widths
+    gs = GapSet(tuple((float(a), float(a + w)) for a, w in zip(lefts - lefts.mean(), widths)))
+    zs = rng.uniform(-3.0 * n, 3.0 * n, 3000) + 1j * 10.0 ** rng.uniform(-6.0, 3.0, 3000)
+    # every seventh point real, at a gap's centre
+    zs[::7] = rng.choice([(a + b) / 2.0 for a, b in gs.gaps], len(zs[::7]))
+    uniform = KreinProfile.uniform(gs, 0.4)
+    classes = KreinProfile(gs, tuple(rng.choice((0.4, 1.3), n)))
+    for prof in (uniform, classes):
+        for f in (build_logM, build_M):
+            whole = f(prof, zs)
+            for k in range(0, len(zs), 97):
+                np.testing.assert_array_equal(f(prof, zs[k]), whole[k])
 
 
 def test_batched_build_rejects_endpoint_points():

@@ -23,7 +23,7 @@ from kreindirac import (
 from kreindirac import dirac
 from kreindirac.dirac import coefficient_matrix
 from kreindirac.errors import BoundViolation, DegenerateDichotomy, SpectrumOnCut
-from kreindirac.mat2 import im_part, mlog_spectral
+from kreindirac.mat2 import JORDAN_TOL, im_part, mexp, mlog_spectral
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
@@ -476,6 +476,115 @@ def test_trace_kernel_refuses_the_cut_where_mlog_does(eigs):
         assert isinstance(errors[0], SpectrumOnCut)
         assert "lies on the branch cut" in str(errors[0])
     assert np.isnan(pq[:, 2]).all() and np.isfinite(pq[:, 1]).all()
+
+
+# Reference kernel: the formulas of the march's trace and rate kernels and
+# of the spectral exp and log, written out plainly.  The kernels compute the
+# same values with fewer numpy calls, and must match these bit for bit (+0
+# and -0 count as equal, NaN as equal to NaN).
+
+def _ref_branch_log(w):
+    ang = np.arctan2(w.imag, w.real)
+    out = np.empty(w.shape, dtype=complex)
+    out.real = np.log(np.abs(w))
+    out.imag = np.where(ang < -0.5 * np.pi, ang + 2.0 * np.pi, ang)
+    return out
+
+
+def _ref_slope(lam, h, a01, a10, f, fprime):
+    # divided difference of f on the pairs lam, fprime(h) where confluent
+    mod = np.abs(lam)
+    gap = lam[0] - lam[1]
+    conf = np.abs(gap) <= JORDAN_TOL * (mod[0] + mod[1] + np.abs(a01) + np.abs(a10))
+    f_lam = f(lam)
+    s = (f_lam[0] - f_lam[1]) / (gap + conf)
+    s[conf] = fprime(h[conf])
+    return s, conf, f_lam
+
+
+def _ref_on_cut(lam):
+    # the eigenvalues within 1e-13 (relative) of the ray {-iy : y >= 0}
+    mod = np.abs(lam)
+    tol = 1e-13 * np.maximum(mod[0], mod[1])
+    return (np.abs(lam.real) <= tol) & ((lam.imag < 0.0) | (mod <= tol))
+
+
+def _ref_cut_message(lam, bad):
+    k, i = np.argwhere(bad.T)[0]
+    return f"eigenvalue {complex(lam[i, k])} lies on the branch cut"
+
+
+def _ref_trace_pq(states, wq):
+    a, b, d = states
+    h, u = 0.5 * (a + d), 0.5 * (a - d)
+    r = np.sqrt(u * u + b * b)
+    lam = np.stack((h + r, h - r))
+    sigma, _, _ = _ref_slope(lam, h, b, b, _ref_branch_log, np.reciprocal)
+    pq = np.einsum("ijk,rk->ijr", np.stack((sigma * u, sigma * b)).view(float), wq)
+    finite = np.isfinite(states).all(axis=(0, 2))
+    pq[:, ~finite] = np.nan
+    bad = _ref_on_cut(lam)
+    return pq, [_ref_cut_message(lam[:, k], bad[:, k]) if ok and bad[:, k].any() else None
+                for k, ok in enumerate(finite)]
+
+
+def _ref_rates(states, ts, p, q):
+    a, b, d = states
+    pm, pp = p - ts, p + ts
+    return np.stack((2.0 * (pm * b - q * a), pp * a + pm * d, 2.0 * (pp * b + q * d)))
+
+
+def _ref_analytic(m, f, fprime):
+    # f(A) = f(mu) I + s (A - mu I), mu = lam2, or the half trace where confluent
+    h = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    lam = h + np.array([[1.0], [-1.0]]) * np.sqrt(h * h - det)
+    if f is _ref_branch_log and _ref_on_cut(lam).any():
+        return _ref_cut_message(lam, _ref_on_cut(lam))
+    s, conf, f_lam = _ref_slope(lam, h, m[:, 0, 1], m[:, 1, 0], f, fprime)
+    mu = np.where(conf, h, lam[1])
+    f_mu = np.where(conf, f(mu), f_lam[1])
+    out = s[:, None, None] * m
+    diag = f_mu - s * mu
+    out[:, 0, 0] += diag
+    out[:, 1, 1] += diag
+    return out
+
+
+@pytest.mark.parametrize("kind", ["aligned", "witness", "mismatched", "near_confluent"])
+def test_kernels_are_bitwise_the_reference_formulas(kind):
+    mats = _kernel_cases()[kind]
+    n = len(mats)
+    cut = mats.copy()
+    cut[n // 2] = _rotated((1e-15 - 2j, -1.0 / (1e-15 - 2j)), 0.4)  # within the cut tolerance
+    # stacks: the clean matrices, one with an inf, one with a NaN, one with
+    # an eigenvalue on the cut, and the clean ones again
+    states = np.concatenate([_states(m) for m in (mats, mats, mats, cut, mats)], axis=1)
+    states[0, 1, 3] = np.inf
+    states[1, 2, n - 1] = np.nan
+    rng = np.random.default_rng(4)
+    wq = np.zeros((2, 2 * n))
+    wq[:, 1::2] = rng.uniform(0.0, 1.0, (2, n))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for w in (_per_node(n), wq):
+            pq, errors = dirac._trace_pq(states, w)
+            ref, messages = _ref_trace_pq(states, w)
+            np.testing.assert_array_equal(pq, ref)
+            assert [e if e is None else str(e) for e in errors] == messages
+            assert messages[3] is not None and messages[1] is messages[2] is None
+    # rates at real nodes, driven by float (p, q) columns as in the march
+    ts = np.linspace(-2.5, 2.5, n).astype(complex)[None]
+    finite = np.concatenate([_states(mats), _states(cut)], axis=1)
+    p, q = rng.standard_normal((2, 2, 1))
+    np.testing.assert_array_equal(dirac._congruence_rates(finite, ts, p, q),
+                                  _ref_rates(finite, ts, p, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(mexp(mats), _ref_analytic(mats, np.exp, np.exp))
+    np.testing.assert_array_equal(mlog_spectral(mats),
+                                  _ref_analytic(mats, _ref_branch_log, np.reciprocal))
+    with pytest.raises(SpectrumOnCut) as err:
+        mlog_spectral(cut)
+    assert str(err.value) == _ref_analytic(cut, _ref_branch_log, np.reciprocal)
 
 
 def test_march_two_gap_frozen_values():

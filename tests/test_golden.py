@@ -7,10 +7,14 @@ Numbers must agree to 1e-10 relative; a value at round-off level (an
 invariant's defect, a quadrature residual) is held to 1e-12 absolute, since
 its digits are rounding noise that may differ between hosts' libm.
 
+``witness`` is an ``evolve`` of a mismatched profile whose congruence march
+crosses the sharp bound: it exits 3, and its report holds the W rows up to
+the last good x, the ``last_good_x`` record and the ``numerical_failure``.
+
 To regenerate a report after an intended change of the numbers:
 
     PYTHONPATH=src python -m kreindirac.cli CMD \\
-        --config tests/golden/CMD.json --out tests/golden/CMD.report.json
+        --config tests/golden/NAME.json --out tests/golden/NAME.report.json
 """
 
 import json
@@ -22,7 +26,8 @@ import pytest
 from kreindirac import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-COMMANDS = ("construct", "verify", "evolve", "oracle")
+# golden config name -> expected exit code
+CASES = {"construct": 0, "verify": 0, "evolve": 0, "oracle": 0, "witness": 3}
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -34,13 +39,14 @@ def _same_number(a, b) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_report_matches_golden(tmp_path, command):
+@pytest.mark.parametrize("name, code", CASES.items(), ids=CASES)
+def test_report_matches_golden(tmp_path, name, code):
+    config = GOLDEN / f"{name}.json"
+    command = json.loads(config.read_text())["command"]
     out = tmp_path / "report.json"
-    code = cli.main([command, "--config", str(GOLDEN / f"{command}.json"), "--out", str(out)])
-    assert code == 0
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == code
     got = json.loads(out.read_text())
-    want = json.loads((GOLDEN / f"{command}.report.json").read_text())
+    want = json.loads((GOLDEN / f"{name}.report.json").read_text())
 
     assert set(got) == set(want)
     assert got["command"] == want["command"] == command
