@@ -43,34 +43,12 @@ import numpy as np
 
 from .dirac import StepPotential, co_rotating_frame, const_weyl, ode_weyl, sample_potential
 from .errors import BoundViolation, KreinDiracError, NoConvergence
-from .finitegap import (
-    GapSet,
-    KreinProfile,
-    assemble_M,
-    build_M,
-    commutator_diag,
-    e_interior_grid,
-    gap_interior_grid,
-    gap_realness_points,
-    gap_realness_reduce,
-    json_number,
-    mj_eigenpairs,
-    profile_from_json,
-    reflectionless_reduce,
-    sharp_bound,
-    trace_formula_W0,
-    weyl_from_M,
-)
-from .herglotz import (
-    MFunction,
-    asymptotic_points,
-    asymptotic_reduce,
-    herglotz_points,
-    herglotz_reduce,
-    krein_xi_points,
-    krein_xi_reduce,
-    profile_m_function,
-)
+from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
+                        e_interior_grid, gap_interior_grid, gap_realness_points,
+                        gap_realness_reduce, json_number, mj_eigenpairs, profile_from_json,
+                        reflectionless_reduce, sharp_bound, trace_formula_W0, weyl_from_M)
+from .herglotz import (MFunction, _asymptotic_routes, asymptotic_points, herglotz_points,
+                       herglotz_reduce, krein_xi_points, krein_xi_reduce, profile_m_function)
 from .mat2 import op_norm
 
 __all__ = ["RunConfig", "Record", "Report", "load_config", "run", "main", "console_main"]
@@ -442,11 +420,11 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
     egrid = e_interior_grid(gs)
-    # every probe but the large-z law reads a slice of one evaluation of M:
-    # the z grid, the scan, the boundary samples of tgrid and egrid (the xi
-    # probes and re_m_on_bands share them) and, for commuting profiles, the
-    # gap interiors.  Real points inside an endpoint margin stay out of it
-    # and fail their own probes.
+    # every probe reads a slice of one evaluation of M: the z grid, the
+    # scan, the boundary samples of tgrid and egrid (the xi probes and
+    # re_m_on_bands share them), for commuting profiles the gap interiors,
+    # and the large-z heights.  Real points inside an endpoint margin stay
+    # out of it and fail their own probes.
     xi_ts, xi_errors, xi_zs = krein_xi_points(gs, np.concatenate([tgrid, egrid]))
     real_ts, real_error = np.empty(0), None
     if gs.n and profile.is_commuting:
@@ -454,7 +432,14 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
             real_ts = gap_realness_points(gs)
         except KreinDiracError as exc:
             real_error = exc
-    mats, scan, xi_mats, real_mats = _evaluate(mfun, zgrid, herglotz_points(gs), xi_zs, real_ts)
+    # the large-z law runs on the co-rotating frame, the gaps moved by -c,
+    # which has the profile's W(0) and keeps the digits of y (iI - M(iy))
+    # for gaps far from 0; the frame's M at i ys is the profile's M at
+    # c + i ys, bit for bit: the two take the same Moebius ratios
+    c, frame = co_rotating_frame(profile)
+    ys = asymptotic_points(frame.gapset, cfg.ygrid)
+    mats, scan, xi_mats, real_mats, frame_mats = _evaluate(mfun, zgrid, herglotz_points(gs), xi_zs,
+                                                           real_ts, c + 1j * ys)
 
     rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
@@ -463,13 +448,12 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     rep.probe(prefix + "herglotz", 1e-9, "Im M >= 0 on C+ (grid scan)",
               lambda: -herglotz_reduce(scan))
 
-    def mj_dev():
-        _, lo, hi = mj_eigenpairs(mats)
-        return max(np.abs(lo + 1.0).max(), np.abs(hi - 1.0).max())
-
-    rep.probe(prefix + "mj_spectrum", 1e-10, "eig(MJ) = {+1, -1}", mj_dev)
+    # the eigenpairs of M J serve both the spectrum and the Weyl pair
+    eig = mj_eigenpairs(mats)
+    rep.probe(prefix + "mj_spectrum", 1e-10, "eig(MJ) = {+1, -1}",
+              lambda: max(np.abs(eig[1] + 1.0).max(), np.abs(eig[2] - 1.0).max()))
     rep.probe(prefix + "weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
-              lambda: op_norm(assemble_M(weyl_from_M(mats)) - mats).max())
+              lambda: op_norm(assemble_M(_weyl_pair(mats, eig)) - mats).max())
     # the xi probes reduce the boundary samples of every t at once, and a
     # failed point fails each probe that reaches it, at the first such t in
     # order
@@ -521,16 +505,10 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
             rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
 
     def asym_dev():
-        # the law runs on the co-rotating frame, which has the profile's
-        # W(0) and keeps the digits of y (iI - M(iy)) for gaps far from 0;
-        # both routes read one evaluation of its M
-        frame = co_rotating_frame(profile)[1]
-        ys = asymptotic_points(frame.gapset, cfg.ygrid)
-        frame_mats = _mfun(cfg, frame)(1j * ys)
+        # both routes read one extrapolation
         w0 = trace_formula_W0(profile)
         dev = 0.0
-        for route in ("value", "log"):
-            w = asymptotic_reduce(ys, frame_mats, route)
+        for w in _asymptotic_routes(ys, frame_mats):
             dev = max(dev, math.hypot(w.p - w0.p, w.q - w0.q))
         return dev
 

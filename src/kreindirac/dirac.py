@@ -50,6 +50,7 @@ from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
                         trace_formula_W0)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
 from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
+from .numerics import _read_only
 
 __all__ = [
     "StepPotential",
@@ -194,18 +195,11 @@ def ode_m_function(w: StepPotential) -> MFunction:
     return MFunction(lambda z: assemble_M(ode_weyl(w, z)))
 
 
-def _read_only(rule: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    # a cached rule is shared by every caller
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 @functools.lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1], computed on first use:
     numpy.polynomial is not loaded until a congruence march needs it."""
-    return _read_only(np.polynomial.legendre.leggauss(n))
+    return tuple(map(_read_only, np.polynomial.legendre.leggauss(n)))
 
 
 def _gap_nodes(gapset, n: int):
@@ -512,7 +506,7 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     maps = np.zeros((n + 3, 2, n + 1))
     maps[:-1, 0] = np.einsum("ij,jk->ik", integ, weights)
     maps[:-2, 1] = weights
-    return _read_only((np.cos(np.pi * i / n), maps))
+    return _read_only(np.cos(np.pi * i / n)), _read_only(maps)
 
 
 def _panel_edges(near0: float, near_pi: float) -> list[float]:

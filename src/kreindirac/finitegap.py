@@ -17,6 +17,7 @@ together with the convex-hull estimate behind its strictness analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -24,27 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateEigenproblem,
-    EndpointSingularity,
-    NotAdmissible,
-    PoleAt,
-)
-from .mat2 import (
-    I2,
-    J,
-    JORDAN_TOL,
-    as_mat2,
-    branch_log,
-    eigvals_batch,
-    eigvec_batch,
-    im_part,
-    mexp,
-    op_norm,
-    op_norm_sym,
-    re_part,
-)
-from .numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
+from .errors import DegenerateEigenproblem, EndpointSingularity, NotAdmissible, PoleAt
+from .mat2 import (I2, J, JORDAN_TOL, as_mat2, branch_log, eigvals_batch, eigvec_batch, im_part,
+                   mexp, op_norm, op_norm_sym, re_part)
+from .numerics import LIMIT_OFFSETS, LIMIT_ORDER, _read_only, extrapolate_schedule
 
 __all__ = [
     "ENDPOINT_MARGIN",
@@ -465,12 +449,18 @@ def weyl_from_M(m) -> WeylPair:
     matrix raises, with the error the one-matrix call would raise.
     """
     M = as_mat2(m)
+    return _weyl_pair(M, mj_eigenpairs(M.reshape(-1, 2, 2)))
+
+
+def _weyl_pair(M: np.ndarray, eigenpairs: tuple) -> WeylPair:
+    """:func:`weyl_from_M` of the checked M from the :func:`mj_eigenpairs`
+    of its (N, 2, 2) stack, which a caller may share with other probes."""
     stack = M.reshape(-1, 2, 2)
     scale = np.maximum(op_norm(stack), 1.0)
     asym = np.abs(stack[:, 0, 1] - stack[:, 1, 0]) > 1e-8 * scale
     det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
     bad_det = np.abs(det + 1.0) > 1e-8 * scale * scale
-    mj, lam_m, lam_p = mj_eigenpairs(stack)
+    mj, lam_m, lam_p = eigenpairs
     # confluent eigenvalues (JORDAN_TOL, as in the kernel); a scalar M J is
     # antisymmetric M or det M = 0, so a confluent M J that passed the
     # checks above is defective
@@ -595,10 +585,10 @@ def boundary_reduce(mats: np.ndarray, part) -> tuple[np.ndarray, np.ndarray]:
     limits and the (T,) residuals of :func:`extrapolate_schedule`.
 
     ``part`` maps an (N, 2, 2) stack of M values to the stack of sampled
-    matrices.  One Neville tableau extrapolates every point to y = 0; the
-    Neville weights at 0 are invariant under a common scale of the
-    abscissae, so the unscaled offsets serve as abscissae of every point's
-    extrapolation.
+    matrices.  One contraction with the cached Lagrange weights at 0 of
+    the offsets extrapolates every point to y = 0; the weights are
+    invariant under a common scale of the abscissae, so the unscaled
+    offsets serve as abscissae of every point's extrapolation.
     """
     samples = part(mats.reshape(-1, 2, 2)).reshape(mats.shape)
     return extrapolate_schedule(LIMIT_OFFSETS[-(LIMIT_ORDER + 2):], samples, LIMIT_ORDER)
@@ -717,11 +707,19 @@ def hull_norm(q) -> float:
     return float(np.hypot(Q[0, 0].real - 0.5, Q[0, 1].real))
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_row(per_gap: int) -> np.ndarray:
+    return _read_only(np.linspace(0.05, 0.95, per_gap))
+
+
+_OUTER_ROW = _read_only(np.linspace(0.3, 1.2, 3))
+
+
 def gap_interior_grid(gapset: GapSet, per_gap: int = 7) -> np.ndarray:
     """Evaluation points strictly inside each gap, clear of the margins:
     ``per_gap`` equispaced points from 5% to 95% of each gap's width."""
     a, b = gapset.endpoints
-    return (a[:, None] + (b - a)[:, None] * np.linspace(0.05, 0.95, per_gap)).ravel()
+    return (a[:, None] + (b - a)[:, None] * _unit_row(per_gap)).ravel()
 
 
 def e_interior_grid(gapset: GapSet) -> np.ndarray:
@@ -735,7 +733,7 @@ def e_interior_grid(gapset: GapSet) -> np.ndarray:
         return np.array([-1.0, 0.0, 1.0])
     a, b = gapset.endpoints
     scale = max(1.0, gapset.spectral_radius)
-    out = scale * np.linspace(0.3, 1.2, 3)
+    out = scale * _OUTER_ROW
     width = a[1:] - b[:-1]
     bands = np.linspace(b[:-1] + 0.1 * width, a[1:] - 0.1 * width, 3)
     return np.concatenate([a[0] - out[::-1], bands.T.ravel(), b[-1] + out])

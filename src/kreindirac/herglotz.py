@@ -30,17 +30,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import KreinDiracError, NotTraceless
-from .finitegap import (
-    GapSet,
-    KreinProfile,
-    PotentialSample,
-    boundary_points,
-    boundary_reduce,
-    build_M,
-    gap_interior_grid,
-)
+from .finitegap import (GapSet, KreinProfile, PotentialSample, boundary_points, boundary_reduce,
+                        build_M, gap_interior_grid)
 from .mat2 import I2, as_mat2, im_part, mlog_spectral
-from .numerics import convergence_error, extrapolate_schedule
+from .numerics import _read_only, convergence_error, extrapolate_schedule
 
 __all__ = [
     "MFunction",
@@ -59,6 +52,10 @@ __all__ = [
 ]
 
 XI_TOL = 1e-6
+# the input-independent rows of the default grids, in spectral scales
+_YGRID = _read_only(np.array([8.0, 16.0, 32.0, 64.0, 128.0]))
+_SCAN_HEIGHTS = _read_only(np.geomspace(1e-2, 3.0, 13))
+_GAP_HEIGHTS = _read_only(np.geomspace(1e-4, 3e-2, 9))
 
 
 @dataclass(frozen=True)
@@ -173,16 +170,13 @@ def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
     return hit
 
 
-def _default_ygrid(gapset: GapSet) -> np.ndarray:
-    return max(1.0, gapset.spectral_radius) * np.array([8.0, 16.0, 32.0, 64.0, 128.0])
-
-
 def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> np.ndarray:
     """The heights ys of :func:`asymptotic_W`, which evaluates M at i ys:
     ``ygrid``, by default (8, 16, 32, 64, 128) times max(1, spectral radius
     of ``gapset``).  Raises ValueError unless the heights increase, number
     at least 3 and start at least 4 spectral radii out."""
-    ys = np.asarray(_default_ygrid(gapset) if ygrid is None else ygrid, dtype=float)
+    ys = np.asarray(max(1.0, gapset.spectral_radius) * _YGRID if ygrid is None else ygrid,
+                    dtype=float)
     if len(ys) < 3 or np.any(np.diff(ys) <= 0):
         raise ValueError("ygrid must be increasing with at least 3 entries")
     if gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
@@ -195,26 +189,36 @@ def asymptotic_reduce(ys: np.ndarray, mats: np.ndarray, route: str = "value") ->
     """W(0) by :func:`asymptotic_W`'s ``route`` from the (Y, 2, 2) values
     of M at i ys, for the :func:`asymptotic_points` ys.  Both routes can
     read one evaluation."""
-    if route not in ("value", "log"):
-        raise ValueError(f"unknown route {route!r}")
-    y = ys[:, None, None]
-    if route == "value":
-        vals = 1j * y * I2 - y * mats
-    else:
-        vals = 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats))
-    limit, residual = extrapolate_schedule(1.0 / ys, vals, order=min(len(ys) - 1, 6))
-    err = convergence_error(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
-                            "large-z extrapolation")
-    if err is not None:
-        raise err
-    tr = abs(limit[0, 0] + limit[1, 1])
-    if tr > 1e-6:
-        raise NotTraceless(f"extracted W(0) has trace magnitude {tr:.3e}")
-    w = limit.real
-    p = 0.5 * float(w[0, 0] - w[1, 1])
-    q = 0.5 * float(w[0, 1] + w[1, 0])
-    drift = max(float(np.max(np.abs(limit.imag))), abs(limit[0, 1] - limit[1, 0]))
-    return PotentialSample(x=0.0, p=p, q=q, residual=max(residual, float(drift)))
+    return _asymptotic_routes(ys, mats, (route,))[0]
+
+
+def _asymptotic_routes(ys: np.ndarray, mats: np.ndarray,
+                       routes=("value", "log")) -> list[PotentialSample]:
+    """:func:`asymptotic_reduce` by each of ``routes``, extrapolated in one
+    contraction; each route's limit is checked in turn, as if alone."""
+    y, vals = ys[:, None, None], []
+    for route in routes:
+        if route not in ("value", "log"):
+            raise ValueError(f"unknown route {route!r}")
+        vals.append(1j * y * I2 - y * mats if route == "value"
+                    else 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats)))
+    limits, residuals = extrapolate_schedule(1.0 / ys, np.stack(vals, axis=1),
+                                             order=min(len(ys) - 1, 6))
+    out = []
+    for limit, residual in zip(limits, residuals):
+        err = convergence_error(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
+                                "large-z extrapolation")
+        if err is not None:
+            raise err
+        tr = abs(limit[0, 0] + limit[1, 1])
+        if tr > 1e-6:
+            raise NotTraceless(f"extracted W(0) has trace magnitude {tr:.3e}")
+        w = limit.real
+        drift = max(float(np.max(np.abs(limit.imag))), abs(limit[0, 1] - limit[1, 0]))
+        out.append(PotentialSample(x=0.0, p=0.5 * float(w[0, 0] - w[1, 1]),
+                                   q=0.5 * float(w[0, 1] + w[1, 0]),
+                                   residual=max(residual, float(drift))))
+    return out
 
 
 def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
@@ -257,10 +261,10 @@ def herglotz_points(gapset: GapSet) -> np.ndarray:
     ``gapset`` at 9 heights from 1e-4 to 3e-2 scales."""
     scale = max(1.0, gapset.spectral_radius)
     re = np.linspace(-1.5 * scale, 1.5 * scale, 41)
-    im = scale * np.geomspace(1e-2, 3.0, 13)
+    im = scale * _SCAN_HEIGHTS
     pts = (re[:, None] + 1j * im).ravel()
     if gapset.n:
-        heights = scale * np.geomspace(1e-4, 3e-2, 9)
+        heights = scale * _GAP_HEIGHTS
         cols = gap_interior_grid(gapset, per_gap=15)
         pts = np.concatenate([pts, (cols[:, None] + 1j * heights).ravel()])
     return pts

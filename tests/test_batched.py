@@ -30,9 +30,10 @@ from kreindirac.errors import (
     NoConvergence,
     NotAdmissible,
 )
-from kreindirac.finitegap import ENDPOINT_MARGIN
-from kreindirac.herglotz import krein_xi_grid
-from kreindirac.mat2 import im_part, op_norm
+from kreindirac.finitegap import ENDPOINT_MARGIN, boundary_reduce, reflectionless_reduce
+from kreindirac.herglotz import (_asymptotic_routes, asymptotic_points, asymptotic_reduce,
+                                 krein_xi_grid, krein_xi_points, krein_xi_reduce)
+from kreindirac.mat2 import I2, im_part, op_norm, re_part
 from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
 
@@ -196,6 +197,51 @@ def test_a_point_alone_and_in_a_large_call_agree_bitwise(n):
             whole = f(prof, zs)
             for k in range(0, len(zs), 97):
                 np.testing.assert_array_equal(f(prof, zs[k]), whole[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_limits_alone_and_in_a_large_call_agree_bitwise(n):
+    # a point's boundary limits and residuals, and a profile's large-z W(0),
+    # do not depend on the stack they are extrapolated in: the contraction
+    # with the weights is elementwise, with no BLAS call whose rounding
+    # depends on the shape
+    rng = np.random.default_rng(100 + n)
+    widths = rng.uniform(0.05, 1.5, n)
+    lefts = np.cumsum(widths + rng.uniform(1e-3, 3.0, n)) - widths
+    gs = GapSet(tuple((float(a), float(a + w)) for a, w in zip(lefts - lefts.mean(), widths)))
+    prof = KreinProfile(gs, tuple(rng.choice((0.4, 1.3), n)))
+    ts = rng.uniform(-3.0 * n - 2.0, 3.0 * n + 2.0, 1500)
+    ts = np.delete(ts, list(gs.endpoint_errors(ts)))
+    assert len(ts) >= 1000
+    _, errors, zs = krein_xi_points(gs, ts)
+    assert not errors
+    mats = build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2))
+    whole = krein_xi_reduce(ts, {}, mats)
+    band = np.flatnonzero(gs.containing_gaps(ts) < 0)
+    limit, residual = boundary_reduce(mats[:, band], re_part)
+    for k in range(0, len(ts), 7):
+        alone = krein_xi_reduce(ts[k:k + 1], {}, mats[:, k:k + 1])[0]
+        np.testing.assert_array_equal(alone.xi, whole[k].xi)
+        assert alone.residual == whole[k].residual
+    for k in range(0, len(band), 7):
+        one_limit, one_residual = boundary_reduce(mats[:, band[k:k + 1]], re_part)
+        np.testing.assert_array_equal(one_limit[0], limit[k])
+        assert one_residual[0] == residual[k]
+    assert reflectionless_reduce(mats[:, band]) == max(
+        reflectionless_reduce(mats[:, band[k:k + 1]]) for k in range(len(band)))
+    # W(0) of 1000 profiles on one gap set, extrapolated in one stack and
+    # each alone; the two routes of one profile extrapolated together
+    ys = asymptotic_points(gs)
+    y = ys[:, None, None]
+    angles = rng.uniform(0.0, np.pi, 1000)
+    stack = np.stack([build_M(KreinProfile.uniform(gs, a), 1j * ys) for a in angles], axis=1)
+    limits, _ = extrapolate_schedule(1.0 / ys, 1j * y[:, None] * I2 - y[:, None] * stack,
+                                     min(len(ys) - 1, 6))
+    for k in range(0, len(angles), 13):
+        w = asymptotic_reduce(ys, stack[:, k])
+        assert (w.p, w.q) == (0.5 * float(limits[k, 0, 0].real - limits[k, 1, 1].real),
+                              0.5 * float(limits[k, 0, 1].real + limits[k, 1, 0].real))
+        assert _asymptotic_routes(ys, stack[:, k]) == [w, asymptotic_reduce(ys, stack[:, k], "log")]
 
 
 def test_batched_build_rejects_endpoint_points():

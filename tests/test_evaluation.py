@@ -15,7 +15,10 @@ from kreindirac import cli, herglotz
 from kreindirac.dirac import co_rotating_frame
 from kreindirac.errors import KreinDiracError
 from kreindirac.finitegap import (
+    GapSet,
+    KreinProfile,
     assemble_M,
+    build_M,
     commutator_diag,
     e_interior_grid,
     gap_interior_grid,
@@ -82,19 +85,38 @@ def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, 
     profile, gs = cfg.profile, cfg.profile.gapset
     calls = _calls(monkeypatch)
     cli.run(cfg)
-    assert len(calls) == 2
-    (first, pts), (frame, frame_pts) = calls
+    # one call: the frame's M at i ys is read as the profile's at c + i ys
+    assert len(calls) == 1
+    (first, pts), = calls
     assert first is profile
     realness = []
     if profile.is_commuting and not gs.endpoint_errors(gap_interior_grid(gs)):
         realness = [gap_realness_points(gs)]
     ts = np.concatenate([gap_interior_grid(gs), e_interior_grid(gs)])
+    c, frame = co_rotating_frame(profile)
     assert _same_points(pts, cli._default_zgrid(gs), herglotz_points(gs),
-                        krein_xi_points(gs, ts)[2], *realness)
+                        krein_xi_points(gs, ts)[2], *realness,
+                        c + 1j * asymptotic_points(frame.gapset))
     # no real point inside an endpoint margin enters the evaluation
     assert gs.endpoint_errors(pts.real[pts.imag == 0]) == {}
-    assert frame.gapset == co_rotating_frame(profile)[1].gapset
-    assert _same_points(frame_pts, 1j * asymptotic_points(frame.gapset))
+
+
+@pytest.mark.parametrize("centre", [0.0, -3.7, 1e3, 1e6])
+def test_the_frame_at_i_y_is_the_profile_at_c_plus_i_y(centre):
+    # the fold above rests on this: moving the gaps by -c and the point by
+    # -c gives the same Moebius ratios, so the same M, bit for bit
+    rng = np.random.default_rng(int(centre) % 1000)
+    for n in (1, 2, 3, 16, 64):
+        widths = rng.uniform(0.05, 100.0 if centre >= 1e3 else 1.5, n)
+        lefts = centre + np.cumsum(widths + rng.uniform(1e-6, 3.0, n)) - widths
+        gs = GapSet(tuple((float(a), float(a + w)) for a, w in zip(lefts, widths)))
+        for angles in ((0.4,) * n, tuple(rng.uniform(0.0, math.pi, n))):
+            profile = KreinProfile(gs, angles)
+            c, frame = co_rotating_frame(profile)
+            ys = asymptotic_points(frame.gapset)
+            ys = np.concatenate([ys, ys[0] * rng.uniform(1.0, 1e6, 20)])
+            np.testing.assert_array_equal(build_M(profile, c + 1j * ys),
+                                          build_M(frame, 1j * ys))
 
 
 @pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
