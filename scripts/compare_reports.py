@@ -10,7 +10,9 @@ script lists every job whose report, exit code or stderr differs between
 the trees, and exits 1 if any does, 0 if none does.  For a report that
 differs it also prints the largest relative difference among the report's
 numbers and its JSON path, so round-off drift can be told from a real
-change.  Standard library only.
+change, and the same over the numbers of magnitude at least ``SIGNIFICANT``
+(1e-6), where a residual at rounding level that doubles cannot hide a
+moved value.  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
+# the smallest magnitude of the numbers in the second difference line
+SIGNIFICANT = 1e-6
 
 # Runs in a child process with one tree first on sys.path: reads the job
 # list on stdin, writes (exit code, report, stderr) per job to stdout.
@@ -108,16 +112,19 @@ def _leaves(x, y, path: str = "$"):
         yield path, None, None
 
 
-def largest_difference(old: str, new: str) -> tuple[float, str, tuple, list[str]]:
+def largest_difference(old: str, new: str,
+                       floor: float = 0.0) -> tuple[float, str, tuple, list[str]]:
     """The largest relative difference |a - b| / max(|a|, |b|) among the
     numbers two JSON reports hold at the same place, with its JSON path and
     the pair (a, b) (0.0, "" and () if all agree), and the paths where the
-    reports differ in shape or in a value that is not a number."""
+    reports differ in shape or in a value that is not a number.  Pairs with
+    max(|a|, |b|) below ``floor`` are left out of the largest difference;
+    a NaN on either side is not."""
     worst, where, pair, parted = 0.0, "", (), []
     for path, a, b in _leaves(json.loads(old), json.loads(new)):
         if a is None:
             parted.append(path)
-        elif a != b:
+        elif a != b and not (abs(a) < floor and abs(b) < floor):
             scale = max(abs(a), abs(b))
             rel = abs(a - b) / scale if 0.0 < scale < math.inf else math.inf
             if math.isnan(rel):  # a NaN on one side
@@ -127,15 +134,17 @@ def largest_difference(old: str, new: str) -> tuple[float, str, tuple, list[str]
     return worst, where, pair, parted
 
 
-def _difference_line(old, new) -> str:
-    # the size of a report difference, or why there is none to measure
+def _difference_line(old, new, floor: float = 0.0) -> str:
+    # the size of a report difference over the numbers of magnitude at
+    # least floor, or why there is none to measure
     try:
-        rel, path, pair, parted = largest_difference(old, new)
+        rel, path, pair, parted = largest_difference(old, new, floor)
     except (TypeError, ValueError):
         return "    reports are not both JSON"
-    line = (f"    largest relative difference {rel:.3g} at {path}: {pair[0]!r} -> {pair[1]!r}"
-            if path else "    every number agrees")
-    if parted:
+    over = f" over magnitudes >= {floor:g}" if floor else ""
+    line = (f"    largest relative difference{over} {rel:.3g} at {path}: "
+            f"{pair[0]!r} -> {pair[1]!r}" if path else f"    every number{over} agrees")
+    if parted and not floor:
         line += f"; shapes or other values differ at {len(parted)} paths, first {parted[0]}"
     return line
 
@@ -160,7 +169,10 @@ def main(argv: list[str]) -> int:
             print(f"{job['name']} ({job['cmd']}): {', '.join(parts)} differ"
                   f"; exit code {a[0]} -> {b[0]}")
             if "report" in parts:
-                print(_difference_line(a[1], b[1]))
+                # once over all numbers, once over the significant ones; a
+                # report that is not JSON is said once
+                lines = (_difference_line(a[1], b[1], f) for f in (0.0, SIGNIFICANT))
+                print("\n".join(dict.fromkeys(lines)))
     print(f"{differ} of {len(jobs)} jobs differ")
     return 1 if differ else 0
 

@@ -41,13 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import StepPotential, co_rotating_frame, const_weyl, ode_weyl, sample_potential
+from .dirac import StepPotential, const_weyl, ode_weyl, sample_potential
 from .errors import BoundViolation, KreinDiracError, NoConvergence
 from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
                         e_interior_grid, gap_interior_grid, gap_realness_points,
                         gap_realness_reduce, json_number, mj_eigenpairs, profile_from_json,
                         reflectionless_reduce, sharp_bound, trace_formula_W0, weyl_from_M)
-from .herglotz import (MFunction, _asymptotic_routes, asymptotic_points, herglotz_points,
+from .herglotz import (MFunction, asymptotic_points, asymptotic_reduce, herglotz_points,
                        herglotz_reduce, krein_xi_points, krein_xi_reduce, profile_m_function)
 from .mat2 import op_norm
 
@@ -240,11 +240,9 @@ def _convert(name: str, parse, value):
 def _check_grids(cfg: RunConfig, profile: KreinProfile) -> None:
     """Raise a ConfigError for a ygrid or tgrid that ``profile`` alone
     shows to be bad."""
-    # the large-z law, which only verify and evolve run, runs on the
-    # co-rotating frame and sets its own rule
+    # the large-z law, which only verify and evolve run, sets its own rule
     if cfg.ygrid is not None and cfg.command in ("verify", "evolve"):
-        _convert('"ygrid"', lambda ys: asymptotic_points(co_rotating_frame(profile)[1].gapset, ys),
-                 cfg.ygrid)
+        _convert('"ygrid"', lambda ys: asymptotic_points(profile.gapset, ys), cfg.ygrid)
     # a t inside an endpoint margin has no boundary value to extrapolate
     errs = profile.gapset.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
     if errs:
@@ -423,7 +421,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     # every probe reads a slice of one evaluation of M: the z grid, the
     # scan, the boundary samples of tgrid and egrid (the xi probes and
     # re_m_on_bands share them), for commuting profiles the gap interiors,
-    # and the large-z heights.  Real points inside an endpoint margin stay
+    # and the large-z points.  Real points inside an endpoint margin stay
     # out of it and fail their own probes.
     xi_ts, xi_errors, xi_zs = krein_xi_points(gs, np.concatenate([tgrid, egrid]))
     real_ts, real_error = np.empty(0), None
@@ -432,14 +430,9 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
             real_ts = gap_realness_points(gs)
         except KreinDiracError as exc:
             real_error = exc
-    # the large-z law runs on the co-rotating frame, the gaps moved by -c,
-    # which has the profile's W(0) and keeps the digits of y (iI - M(iy))
-    # for gaps far from 0; the frame's M at i ys is the profile's M at
-    # c + i ys, bit for bit: the two take the same Moebius ratios
-    c, frame = co_rotating_frame(profile)
-    ys = asymptotic_points(frame.gapset, cfg.ygrid)
-    mats, scan, xi_mats, real_mats, frame_mats = _evaluate(mfun, zgrid, herglotz_points(gs), xi_zs,
-                                                           real_ts, c + 1j * ys)
+    asym_zs = asymptotic_points(gs, cfg.ygrid)
+    mats, scan, xi_mats, real_mats, asym_mats = _evaluate(mfun, zgrid, herglotz_points(gs), xi_zs,
+                                                          real_ts, asym_zs)
 
     rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
@@ -508,7 +501,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
         # both routes read one extrapolation
         w0 = trace_formula_W0(profile)
         dev = 0.0
-        for w in _asymptotic_routes(ys, frame_mats):
+        for w in asymptotic_reduce(asym_zs, asym_mats, ("value", "log")):
             dev = max(dev, math.hypot(w.p - w0.p, w.q - w0.q))
         return dev
 

@@ -32,7 +32,9 @@ this equation), and the orbit sampler, which has two routes:
 Both work in the co-rotating frame: moving the spectral parameter by c
 only rotates the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so the
 sampler marches the profile with gaps moved by the midpoint c of their
-hull and turns each sample back.
+hull (``GapSet.hull``) and turns each sample back.  The rotation leaves
+||W|| and the sharp bound alone, which is also why the large-z law and the
+Herglotz scan of ``herglotz`` stand on the same hull: they need no frame.
 """
 
 from __future__ import annotations
@@ -855,20 +857,18 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
 
 
 def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
-    """The hull midpoint c = (a_1 + b_n)/2 of the profile's gaps and the
-    profile with every gap moved by -c (c = 0 for the gapless profile).
+    """The hull midpoint c of the profile's gaps (``GapSet.hull``, 0 for
+    the gapless profile) and the profile with every gap moved by -c.
 
     Moving every gap by -c turns the potential,
     (p + iq)(x) -> e^{-2icx} (p + iq)(x), and leaves W(0), which depends
     only on the gap widths and angles.  Of all shifts, the hull midpoint
-    gives the smallest largest |t|, so large-z asymptotics of the frame
-    keep their digits for gaps far from 0.
+    gives the smallest largest |t|, so the march's rates stay near the
+    hull's half width for gaps far from 0.
     """
-    gs = profile.gapset
-    if not gs.n:
-        return 0.0, profile
-    c = 0.5 * (gs.gaps[0][0] + gs.gaps[-1][1])
-    return c, KreinProfile(GapSet(tuple((a - c, b - c) for a, b in gs.gaps)), profile.angles)
+    c = profile.gapset.hull[0]
+    return c, KreinProfile(GapSet(tuple((a - c, b - c) for a, b in profile.gapset.gaps)),
+                           profile.angles)
 
 
 def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
@@ -900,14 +900,16 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
       residual is the trace formula's quadrature residual plus the march's
       propagated error estimate and the seed check at x = 0.
 
-    Both routes run in the co-rotating frame of :func:`co_rotating_frame`:
+    Both routes march in the co-rotating frame of :func:`co_rotating_frame`:
     the profile with gaps moved by the hull midpoint c is marched, and each
     sample is turned back by e^{2icx} before the bound check.  For c = 0
-    the frame is the identity.  The large-z Weyl asymptotics of the frame
-    cross-check the x = 0 sample: the frame has the original's W(0), and
-    its heights stay near the hull's half width, where y (iI - M(iy))
-    keeps its digits for gaps far from 0.  The law is an independent route
-    to W(0), as it shares no code with the trace formula or the divisor.
+    the frame is the identity.  The large-z Weyl law of the profile itself,
+    :func:`asymptotic_W` at the points c + i ys above the same hull
+    midpoint, cross-checks the x = 0 sample; its heights stay near the
+    hull's half width, where y (iI - M(c + iy)) keeps its digits for gaps
+    far from 0, and its value is the frame's W(0) at i ys, bit for bit.
+    The law is an independent route to W(0), as it shares no code with the
+    trace formula or the divisor.
 
     Parameters
     ----------
@@ -915,8 +917,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     xgrid : array_like
         Increasing sample positions starting at 0.
     ygrid : array_like, optional
-        Heights for the x = 0 Weyl-law cross-check of the frame; defaults
-        to (8, ..., 128) times the frame's spectral scale.
+        Heights ys of the x = 0 Weyl-law cross-check, at c + i ys; defaults
+        to (8, ..., 128) times max(1, R), R the hull's half width.
     loc_tol : float
         Local error target per unit of phase of the congruence march: a
         step of length h is accepted where the (p, q) distance between its
@@ -979,9 +981,9 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     _, p0, q0, res0, _ = next(orbit)
     samples: list[PotentialSample] = []
     try:
-        # independent seed check: the large-z Weyl law of the frame against
-        # the x = 0 state (the frame turns nothing at x = 0)
-        seed = asymptotic_W(profile_m_function(frame), ygrid)
+        # independent seed check: the large-z Weyl law against the x = 0
+        # state (the frame turns nothing at x = 0)
+        seed = asymptotic_W(profile_m_function(profile), ygrid)
         seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
         samples.append(record(xg[0], p0, q0, res0 + seed_res))
         # a divisor orbit runs from the checked W(0), so the seed check's

@@ -111,6 +111,15 @@ class GapSet:
             return 0.0
         return max(abs(self.gaps[0][0]), abs(self.gaps[-1][1]))
 
+    @property
+    def hull(self) -> tuple[float, float]:
+        """The midpoint c = (a_1 + b_n)/2 of the gaps' hull and its half
+        width R = max(|a_1 - c|, |b_n - c|), the spectral radius of the
+        gaps moved by -c; (0, 0) for the gapless set."""
+        a, b = (self.gaps[0][0], self.gaps[-1][1]) if self.gaps else (0.0, 0.0)
+        c = 0.5 * (a + b)
+        return c, max(abs(a - c), abs(b - c))
+
     def containing_gaps(self, ts) -> np.ndarray:
         """Per point of ``ts``, the index of the open gap containing it, or
         -1 for points of E."""

@@ -18,8 +18,11 @@ Krein profile the gap integrals have the closed form of
 ``finitegap.build_logM``.  The module evaluates xi by limit schedules and
 extracts the potential at the origin from the two large-z laws
 
-    M(i Y) = i (I - W(0) / (iY) + O(Y^-2)),
-    log M(i Y) = (i pi / 2) I - W(0) / (iY) + O(Y^-2).
+    M(c + i Y) = i (I - W(0) / (iY) + O(Y^-2)),
+    log M(c + i Y) = (i pi / 2) I - W(0) / (iY) + O(Y^-2),
+
+on the vertical through the midpoint c of the gaps' hull, where the
+heights Y stay near the hull's half width for gaps far from 0.
 """
 
 from __future__ import annotations
@@ -171,39 +174,40 @@ def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
 
 
 def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> np.ndarray:
-    """The heights ys of :func:`asymptotic_W`, which evaluates M at i ys:
-    ``ygrid``, by default (8, 16, 32, 64, 128) times max(1, spectral radius
-    of ``gapset``).  Raises ValueError unless the heights increase, number
-    at least 3 and start at least 4 spectral radii out."""
-    ys = np.asarray(max(1.0, gapset.spectral_radius) * _YGRID if ygrid is None else ygrid,
-                    dtype=float)
+    """The points c + i ys at which :func:`asymptotic_W` evaluates M, up
+    the vertical through the midpoint c of the gaps' hull (``GapSet.hull``).
+
+    Moving the spectral parameter by c only rotates the potential and
+    leaves W(0), and the heights stay near the hull's half width R, where
+    y (iI - M(c + iy)) keeps its digits for gaps far from 0.  The heights
+    ys are ``ygrid``, by default (8, 16, 32, 64, 128) times max(1, R).
+    Raises ValueError unless they increase, number at least 3 and start
+    at least 4 R out (R, the spectral radius of the gaps moved by -c, is
+    what the message calls spectral radii).
+    """
+    c, r = gapset.hull
+    ys = np.asarray(max(1.0, r) * _YGRID if ygrid is None else ygrid, dtype=float)
     if len(ys) < 3 or np.any(np.diff(ys) <= 0):
         raise ValueError("ygrid must be increasing with at least 3 entries")
-    if gapset.n and ys[0] < 4.0 * gapset.spectral_radius:
-        raise ValueError("smallest height must be at least 4 spectral radii "
-                         f"({4.0 * gapset.spectral_radius!r})")
-    return ys
+    if gapset.n and ys[0] < 4.0 * r:
+        raise ValueError(f"smallest height must be at least 4 spectral radii ({4.0 * r!r})")
+    return c + 1j * ys
 
 
-def asymptotic_reduce(ys: np.ndarray, mats: np.ndarray, route: str = "value") -> PotentialSample:
-    """W(0) by :func:`asymptotic_W`'s ``route`` from the (Y, 2, 2) values
-    of M at i ys, for the :func:`asymptotic_points` ys.  Both routes can
-    read one evaluation."""
-    return _asymptotic_routes(ys, mats, (route,))[0]
-
-
-def _asymptotic_routes(ys: np.ndarray, mats: np.ndarray,
-                       routes=("value", "log")) -> list[PotentialSample]:
-    """:func:`asymptotic_reduce` by each of ``routes``, extrapolated in one
-    contraction; each route's limit is checked in turn, as if alone."""
-    y, vals = ys[:, None, None], []
+def asymptotic_reduce(zs: np.ndarray, mats: np.ndarray,
+                      routes: Sequence[str]) -> list[PotentialSample]:
+    """W(0) by each of :func:`asymptotic_W`'s ``routes`` from the (Y, 2, 2)
+    values of M at the :func:`asymptotic_points` zs, extrapolated in one
+    contraction in 1/Im z; each route's limit is checked in turn, as if
+    alone, so one evaluation serves both routes."""
+    y, vals = zs.imag[:, None, None], []
     for route in routes:
         if route not in ("value", "log"):
             raise ValueError(f"unknown route {route!r}")
         vals.append(1j * y * I2 - y * mats if route == "value"
                     else 1j * y * (0.5j * np.pi * I2 - mlog_spectral(mats)))
-    limits, residuals = extrapolate_schedule(1.0 / ys, np.stack(vals, axis=1),
-                                             order=min(len(ys) - 1, 6))
+    limits, residuals = extrapolate_schedule(1.0 / zs.imag, np.stack(vals, axis=1),
+                                             order=min(len(zs) - 1, 6))
     out = []
     for limit, residual in zip(limits, residuals):
         err = convergence_error(residual, 1e-6 * max(1.0, float(np.max(np.abs(limit)))),
@@ -230,18 +234,22 @@ def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
     mfun : MFunction
         The matrix Herglotz function.
     ygrid : sequence of float, optional
-        Increasing evaluation heights; defaults to (8, 16, 32, 64, 128)
-        times max(1, spectral radius of the declared gap endpoints).  The
-        smallest height must stay at least 4 spectral radii out.
+        Increasing evaluation heights above the midpoint c of the hull of
+        the declared gaps; defaults to (8, 16, 32, 64, 128) times
+        max(1, R), R the hull's half width.  The smallest height must stay
+        at least 4 R out (:func:`asymptotic_points`).
     route : {"value", "log"}
-        "value" fits W(0) ~ z (I - M(z)/i); "log" fits
-        W(0) ~ z ((i pi/2) I - log M(z)).  The two routes agree for
+        "value" fits W(0) ~ (z - c) (I - M(z)/i); "log" fits
+        W(0) ~ (z - c) ((i pi/2) I - log M(z)).  The two routes agree for
         admissible functions and provide independent consistency checks.
 
     Returns
     -------
     PotentialSample
-        (p, q) at x = 0 with the extrapolation residual.
+        (p, q) at x = 0 with the extrapolation residual.  The points
+        stand above the hull midpoint c, so a profile's value is, bit for
+        bit, the one its co-rotating frame (``dirac.co_rotating_frame``)
+        gives at i ys.
 
     Raises
     ------
@@ -250,17 +258,21 @@ def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
     NotTraceless
         If the extrapolated matrix has |trace| > 1e-6.
     """
-    ys = asymptotic_points(mfun.gapset, ygrid)
-    return asymptotic_reduce(ys, mfun(1j * ys), route)
+    zs = asymptotic_points(mfun.gapset, ygrid)
+    return asymptotic_reduce(zs, mfun(zs), (route,))[0]
 
 
 def herglotz_points(gapset: GapSet) -> np.ndarray:
-    """The upper-half-plane scan of :func:`herglotz_defect`: 41 x 13
-    points, real parts across 1.5 spectral scales either side of 0 and
-    heights 1e-2 to 3 scales, then 15 gap-interior columns per gap of
-    ``gapset`` at 9 heights from 1e-4 to 3e-2 scales."""
-    scale = max(1.0, gapset.spectral_radius)
-    re = np.linspace(-1.5 * scale, 1.5 * scale, 41)
+    """The upper-half-plane scan of :func:`herglotz_defect`, on the hull
+    frame of :func:`asymptotic_points`: with c the midpoint of the gaps'
+    hull and R its half width, a scale max(1, R), 41 x 13 points, real
+    parts across 1.5 scales either side of c and heights 1e-2 to 3 scales,
+    then 15 gap-interior columns per gap of ``gapset`` at 9 heights from
+    1e-4 to 3e-2 scales.  So the scan sees one picture wherever the
+    spectrum sits."""
+    c, r = gapset.hull
+    scale = max(1.0, r)
+    re = c + np.linspace(-1.5 * scale, 1.5 * scale, 41)
     im = scale * _SCAN_HEIGHTS
     pts = (re[:, None] + 1j * im).ravel()
     if gapset.n:

@@ -31,8 +31,8 @@ from kreindirac.errors import (
     NotAdmissible,
 )
 from kreindirac.finitegap import ENDPOINT_MARGIN, boundary_reduce, reflectionless_reduce
-from kreindirac.herglotz import (_asymptotic_routes, asymptotic_points, asymptotic_reduce,
-                                 krein_xi_grid, krein_xi_points, krein_xi_reduce)
+from kreindirac.herglotz import (asymptotic_points, asymptotic_reduce, krein_xi_grid,
+                                 krein_xi_points, krein_xi_reduce)
 from kreindirac.mat2 import I2, im_part, op_norm, re_part
 from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
@@ -231,17 +231,19 @@ def test_limits_alone_and_in_a_large_call_agree_bitwise(n):
         reflectionless_reduce(mats[:, band[k:k + 1]]) for k in range(len(band)))
     # W(0) of 1000 profiles on one gap set, extrapolated in one stack and
     # each alone; the two routes of one profile extrapolated together
-    ys = asymptotic_points(gs)
+    zs = asymptotic_points(gs)
+    ys = zs.imag
     y = ys[:, None, None]
     angles = rng.uniform(0.0, np.pi, 1000)
-    stack = np.stack([build_M(KreinProfile.uniform(gs, a), 1j * ys) for a in angles], axis=1)
+    stack = np.stack([build_M(KreinProfile.uniform(gs, a), zs) for a in angles], axis=1)
     limits, _ = extrapolate_schedule(1.0 / ys, 1j * y[:, None] * I2 - y[:, None] * stack,
                                      min(len(ys) - 1, 6))
     for k in range(0, len(angles), 13):
-        w = asymptotic_reduce(ys, stack[:, k])
+        w, = asymptotic_reduce(zs, stack[:, k], ("value",))
         assert (w.p, w.q) == (0.5 * float(limits[k, 0, 0].real - limits[k, 1, 1].real),
                               0.5 * float(limits[k, 0, 1].real + limits[k, 1, 0].real))
-        assert _asymptotic_routes(ys, stack[:, k]) == [w, asymptotic_reduce(ys, stack[:, k], "log")]
+        assert asymptotic_reduce(zs, stack[:, k], ("value", "log")) == \
+            [w, *asymptotic_reduce(zs, stack[:, k], ("log",))]
 
 
 def test_batched_build_rejects_endpoint_points():

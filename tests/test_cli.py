@@ -151,6 +151,20 @@ def test_verify_witness_fails_herglotz_only(tmp_path):
     assert failed == ["herglotz"]
 
 
+@pytest.mark.parametrize("centre", [0.0, 100.0, 1000.0, -1e3])
+def test_verify_witness_fails_herglotz_wherever_its_spectrum_sits(tmp_path, centre):
+    # moving the spectrum only rotates the potential, and the scan stands
+    # on the gaps' hull, so it finds the witness's negative Im M at every
+    # centre, as deep as at 0
+    gaps = [[a + centre, b + centre] for a, b in WITNESS["profile"]["gaps"]]
+    code, text = _run(tmp_path, "verify", {"profile": dict(WITNESS["profile"], gaps=gaps)})
+    assert code == 1
+    failed = {name: r["value"] for name, r in _records(text).items() if r["status"] == "fail"}
+    assert list(failed) == ["herglotz"]
+    assert failed["herglotz"] == pytest.approx(_records(_run(tmp_path, "verify", WITNESS)[1])
+                                               ["herglotz"]["value"], rel=1e-9)
+
+
 def test_verify_random_batch_deterministic(tmp_path):
     cfg = {"random_profiles": 2, "seed": 5}
     code1, text1 = _run(tmp_path, "verify", cfg)
@@ -287,8 +301,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "evolve"])
 def test_ygrid_is_held_to_the_co_rotating_frame(tmp_path, capsys, command):
-    # the large-z law runs on the frame, whose gap (-1, 1) has radius 1:
-    # its own default heights are accepted for the far gap (99, 101)
+    # the large-z heights count from the hull midpoint 100, about which
+    # the far gap (99, 101) has radius 1: the heights of (-1, 1) pass
     profile = {"gaps": [[99, 101]], "uniform": 0.3}
     code, text = _run(tmp_path, command, {"profile": profile, "ygrid": [8, 16, 32, 64, 128]})
     assert code == 0
@@ -649,8 +663,9 @@ def test_evolve_long_marches_keep_the_exit_contract(tmp_path, capsys, cfg):
 
 
 def test_evolve_far_gap_seeds_on_the_frame(tmp_path):
-    # a gap near 1e6: the x = 0 Weyl-law check runs on the co-rotating
-    # frame, whose heights keep their digits, so the run passes
+    # a gap near 1e6: the x = 0 Weyl-law check stands at c + i ys above
+    # the gap's centre, where the heights keep their digits, so the run
+    # passes
     cfg = {"profile": {"gaps": [[999950, 1000050]], "uniform": 0.3}, "xgrid": [0, 0.2]}
     code, text = _run(tmp_path, "evolve", cfg)
     assert code == 0
@@ -660,8 +675,8 @@ def test_evolve_far_gap_seeds_on_the_frame(tmp_path):
 
 
 def test_verify_far_gap_runs_the_asymptotics_on_the_frame(tmp_path):
-    # the same gap near 1e6: verify's large-z probe runs on the co-rotating
-    # frame too, where y (iI - M(iy)) keeps its digits
+    # the same gap near 1e6: verify's large-z probe stands above the
+    # gap's centre too, where y (iI - M(c + iy)) keeps its digits
     code, text = _run(tmp_path, "verify", {"profile": {"gaps": [[999950, 1000050]], "uniform": 0.3}})
     assert code == 0
     assert _records(text)["asymptotics"]["status"] == "pass"

@@ -66,3 +66,28 @@ def test_nan_and_unreadable_reports():
         "    reports are not both JSON"
     line = compare_reports._difference_line(json.dumps(REPORT), _edited(records__1__value=5e-12))
     assert line == "    largest relative difference 0.5 at $.records[1].value: 2.5e-12 -> 5e-12"
+
+
+def test_significant_numbers_are_measured_apart():
+    # a residual at rounding level that doubles is the largest relative
+    # difference of all numbers; over magnitudes >= 1e-6 the moved table
+    # value is
+    assert compare_reports.SIGNIFICANT == 1e-6
+    new = _edited(tables__W__rows__1__1=-0.25 * (1 + 1e-3), records__1__value=5e-12)
+    old = json.dumps(REPORT)
+    assert compare_reports.largest_difference(old, new)[:2] == (0.5, "$.records[1].value")
+    rel, path, pair, parted = compare_reports.largest_difference(old, new, 1e-6)
+    assert path == "$.tables.W.rows[1][1]"
+    assert rel == pytest.approx(1e-3 / (1 + 1e-3), rel=1e-9)
+    assert (pair, parted) == ((-0.25, -0.25 * (1 + 1e-3)), [])
+    line = compare_reports._difference_line(old, new, 1e-6)
+    assert line.startswith("    largest relative difference over magnitudes >= 1e-06 0.000999 "
+                           "at $.tables.W.rows[1][1]: -0.25 -> ")
+    # below the floor on both sides nothing counts; a NaN always does
+    tiny = _edited(records__1__value=5e-12)
+    assert compare_reports.largest_difference(old, tiny, 1e-6) == (0.0, "", (), [])
+    assert compare_reports._difference_line(old, tiny, 1e-6) == \
+        "    every number over magnitudes >= 1e-06 agrees"
+    rel, path, _, _ = compare_reports.largest_difference(old, _edited(records__1__value=math.nan),
+                                                         1e-6)
+    assert (rel, path) == (math.inf, "$.records[1].value")

@@ -95,6 +95,20 @@ def test_asymptotic_routes_agree_with_trace_formula():
             assert abs(w.residual) < 1e-5
 
 
+def test_far_gap_recovers_the_trace_formula():
+    # the law stands above the gap's centre, where its heights stay near
+    # the gap's half width; heights near 4e6 up the axis through 0 cost
+    # the value route its trace test (trace 1.4e-5).  Both routes land
+    # within 1.2e-7 of the trace formula
+    for alpha in (0.3, 1.1, 2.6):
+        prof = KreinProfile.uniform(GapSet(((999950.0, 1000050.0),)), alpha)
+        w0 = trace_formula_W0(prof)
+        for route in ("value", "log"):
+            w = asymptotic_W(profile_m_function(prof), route=route)
+            assert math.hypot(w.p - w0.p, w.q - w0.q) < 1e-6
+            assert w.residual < 1e-5
+
+
 def test_herglotz_reduce_is_the_smallest_eigenvalue_of_im_m():
     cases = [(1j * np.eye(2), 1.0),
              (-1j * np.eye(2), -1.0),

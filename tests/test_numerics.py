@@ -141,8 +141,8 @@ def test_default_heights_of_any_radius_share_one_cache_entry():
     assert len(radii) == 1000
     for r in radii:
         prof = KreinProfile.uniform(GapSet(((-r, r),)), 0.3)
-        ys = asymptotic_points(prof.gapset)
-        asymptotic_reduce(ys, build_M(prof, 1j * ys))
+        zs = asymptotic_points(prof.gapset)
+        asymptotic_reduce(zs, build_M(prof, zs), ("value",))
     assert _weights.cache_info().currsize == 1
     krein_xi_grid(profile_m_function(prof), [0.5])
     reflectionless_defect(profile_m_function(prof), [r + 0.5, r + 2.0])
