@@ -51,7 +51,7 @@ from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
                         WeylPair, assemble_M, build_M, gap_realness, sphere_ratio,
                         trace_formula_W0)
 from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import I2, J, _branch_log, _cut_error, _on_cut, _slope, mexp
+from .mat2 import I2, J, _Workspace, _stage, mexp
 from .numerics import _read_only
 
 __all__ = [
@@ -230,78 +230,6 @@ def _pin(states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _congruence_rates(states: np.ndarray, ts: np.ndarray, p, q) -> np.ndarray:
-    """Rates of gap boundary values under M' = K M + M K^t, K = K(p, q, t).
-
-    ``states`` is a complex (3, S, N) array of the components (a, b, d) of
-    S stacks of symmetric matrices [[a, b], [b, d]] over the nodes ``ts``,
-    a complex (1, N) row; p and q are (S, 1) columns, one value per stack.
-    With K = [[-q, p - t], [p + t, q]] the rate is K M plus its transpose,
-    written out on the components, so it is symmetric by construction:
-
-        a' = 2 (-q a + (p - t) b),  b' = (p + t) a + (p - t) d,
-        d' = 2 ((p + t) b + q d).
-    """
-    a, b, d = states
-    pm, pp = p - ts, p + ts
-    out = np.empty_like(states)
-    np.multiply(pm, b, out=out[0])
-    out[0] -= q * a
-    np.multiply(pp, a, out=out[1])
-    out[1] += pm * d
-    np.multiply(pp, b, out=out[2])
-    out[2] += q * d
-    out[::2] *= 2.0
-    return out
-
-
-def _trace_pq(states: np.ndarray, wq: np.ndarray):
-    """Trace-formula integrals of stacked march states, with no matrix log.
-
-    ``states`` is a complex (3, S, N) array of the components (a, b, d) of
-    symmetric matrices M = [[a, b], [b, d]].  ``wq`` is an (R, 2 N) array
-    of R quadrature rules over the N nodes, divided by pi, with the weight
-    of node k in column 2 k + 1 and zeros in the even columns: it
-    integrates the imaginary parts of a complex row read as floats.  The
-    sums run in einsum's own loop, which, unlike a matmul, touches no BLAS
-    work buffer, so a march adds nothing to the peak memory.  With
-    M = h I + N, N = [[u, b], [b, -u]] and r = sqrt(u^2 + b^2), the
-    eigenvalues are h +/- r and log M = log(h - r) I + sigma (M - (h - r) I),
-    sigma the divided difference of the branch logarithm (1/h on confluent
-    matrices).  Only the traceless part sigma N of log M enters W, so
-
-        p = (1/pi) int Im(sigma u),   q = (1/pi) int Im(sigma b).
-
-    Returns the (2, S, R) array of (p, q) per stack and rule, NaN on a
-    stack with a non-finite entry, and per stack either None or the
-    SpectrumOnCut error that ``mlog_spectral`` raises on its matrices: the
-    slope, branch logarithm and cut test are its own helpers.  On a march's
-    few nodes about 40 numpy calls, not the arithmetic, set the cost; the
-    per-stack scan runs only when a whole-array test flags a node.
-    """
-    a, b, d = states
-    h = 0.5 * (a + d)
-    u = 0.5 * (a - d)
-    r = np.sqrt(u * u + b * b)
-    lam = np.empty((2,) + h.shape, dtype=complex)
-    np.add(h, r, out=lam[0])
-    np.subtract(h, r, out=lam[1])
-    mod = np.abs(lam)
-    sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam, mod), np.reciprocal)
-    pq = np.empty((2,) + h.shape, dtype=complex)
-    np.multiply(sigma, u, out=pq[0])
-    np.multiply(sigma, b, out=pq[1])
-    pq = np.einsum("ijk,rk->ijr", pq.view(float), wq)
-    bad = _on_cut(lam, mod)
-    if np.count_nonzero(np.isfinite(states)) == states.size and not np.count_nonzero(bad):
-        return pq, [None] * len(h)
-    finite = np.isfinite(states).all(axis=(0, 2))
-    hit = bad.any(axis=(0, 2)) & finite
-    errors = [_cut_error(lam[:, k], bad[:, k]) if cut else None for k, cut in enumerate(hit)]
-    pq[:, ~finite] = np.nan
-    return pq, errors
-
-
 # Dormand and Prince's 8(5, 3) pair, DOP853 (Hairer, Norsett & Wanner,
 # Solving Ordinary Differential Equations I, 2nd ed., II.10), its
 # coefficients rounded to doubles.  The stage rows: row i weights the i
@@ -351,9 +279,11 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
 
         M' = K M + M K^t,   K = K(p(x), q(x), t),
 
-    with (p, q) the trace formula of the current state (see _trace_pq): one
-    evaluation of the trace density over all quadrature nodes per stage,
-    which with the rates and the stage sum makes about 60 numpy calls.
+    with (p, q) the trace formula of the current state: per stage, one call
+    of the stage kernel (``mat2._stage``) evaluates the trace density over
+    all quadrature nodes and writes the rates into the stage's slot, on
+    buffers allocated once per march.  With the stage sum that makes 44
+    numpy calls, none of which allocates its result.
     A node t evolves at rate at most max(||W||, |t|), unlike the Weyl
     trajectories m_pm(x, iY), which repel perturbations at rate 2Y and
     cannot carry a forward march.
@@ -367,6 +297,12 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     [0.2, 10], and carries over from one grid interval to the next.  A
     step with a non-finite stage, or whose new state loses its determinant
     (see _pin), is rejected.
+
+    The step floor is 1e-10 max(|x|, 1): a march whose step falls below it
+    before meeting the tolerance stalls with NoConvergence.  It scales with
+    the position and not with the end of the grid interval, so a first
+    step of a long interval shrinks through rejections down to the step
+    the profile needs.
 
     Hyperbolic nodes (|t| < ||W||) amplify the local errors, so the
     accumulated estimate E is propagated, E <- g E + err, with the growth g
@@ -400,26 +336,31 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     a, b, d = main = np.stack((m0[:, 0, 0], 0.5 * (m0[:, 0, 1] + m0[:, 1, 0]), m0[:, 1, 1]))
     th = 1e-7 * np.cos(np.arange(len(ts)))
     comp = main + th * np.stack((-2.0 * b, a - d, 2.0 * b))
-    ts = ts.astype(complex)[None]
     gaps = frame.gapset.gaps
     tol = loc_tol * max(-gaps[0][0], gaps[-1][1])
+    # the kernel's buffers for the two stacks and for the fifth-order state
+    ws, ws5 = _Workspace(ts, wq, 2), _Workspace(ts, wq, 1)
+    # the march runs on the float view (3, 2, 2 N) of the complex states:
+    # numpy forms the same stage combinations twice as fast on floats.  The
+    # accepted state y and the stage state trade buffers on acceptance
+    yc = _pin(np.stack((main, comp), axis=1))
+    y, stage, acc = yc.view(float), np.empty_like(yc).view(float), np.empty_like(yc).view(float)
+    sc, dyc, y5 = stage.view(complex), acc.view(complex), np.empty_like(yc[:, :1])
+    # the stages of a step, which the kernel writes in place; the last one,
+    # the rate at the new point, is the next step's first
+    ks = np.empty((len(_DP_E5),) + y.shape)
+    kc = ks.view(complex)
 
-    def rate(y):
-        # the rates of both stacks and their (2, S, 2) trace integrals; a
-        # branch cut hit by the companion alone is not an error
-        states = y.view(complex)
-        pq, errors = _trace_pq(states, wq)
+    def rate(states, i):
+        # the rates of both stacks into stage slot i, and their (2, 2, 2)
+        # trace integrals; a branch cut hit by the companion alone is not
+        # an error
+        pq, errors = _stage(ws, states, kc[i])
         if errors[0] is not None:
             raise errors[0]
-        return _congruence_rates(states, ts, pq[0, :, :1], pq[1, :, :1]).view(float), pq
+        return pq
 
-    # the march runs on the float view (3, 2, 2 N) of the complex states:
-    # numpy forms the same stage combinations twice as fast on floats
-    y = _pin(np.stack((main, comp), axis=1)).view(float)
-    # the stages of a step; the last one, the rate at the new point, is the
-    # next step's first
-    ks = np.empty((len(_DP_E5),) + y.shape)
-    ks[0], pq = rate(y)
+    pq = rate(yc, 0)
     (p, pc), (q, qc) = pq[:, :, 0].tolist()
     start = dist = math.hypot(pc - p, qc - q)
     if 0.0 < start < math.inf:
@@ -433,12 +374,15 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
         while x < x_next - 1e-13 * max(1.0, abs(x_next)):
             step = min(h, x_next - x)
             for i, row in enumerate(_DP_A, 1):
-                stage = y + step * np.einsum("i,i...->...", row, ks[:i])
-                ks[i], pq = rate(stage)
-            dy = step * np.einsum("i,i...->...", _DP_E5, ks)
+                np.einsum("i,i...->...", row, ks[:i], out=acc)
+                acc *= step
+                np.add(y, acc, out=stage)
+                pq = rate(sc, i)
+            np.einsum("i,i...->...", _DP_E5, ks, out=acc)
+            acc *= step
             # a lost determinant pins the state to NaN, which rejects the step
-            states = _pin(stage.view(complex))
-            pq5, _ = _trace_pq(states[:, :1] - dy.view(complex)[:, :1], wq)
+            _pin(sc)
+            pq5, _ = _stage(ws5, np.subtract(sc[:, :1], dyc[:, :1], out=y5))
             err = math.hypot(pq[0, 0, 0] - pq5[0, 0, 0], pq[1, 0, 0] - pq5[1, 0, 0])
             if not math.isfinite(err):
                 err = math.inf
@@ -446,7 +390,7 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
             factor = min(10.0, max(0.2, 0.9 * (target / err) ** (1 / 6))) if err else 10.0
             if err > target:
                 h = step * factor
-                if h < 1e-10 * max(x_next, 1.0):
+                if h < 1e-10 * max(abs(x), 1.0):
                     # a profile whose M is not real on its gaps has no
                     # realizing operator, and its formal orbit may stall
                     raise NoConvergence(
@@ -455,7 +399,7 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
                         f"the profile)")
                 continue
             x += step
-            y = stage
+            y, stage, yc, sc = stage, y, sc, yc
             ks[0] = ks[-1]
             # a step cut short at a grid point keeps the longer step
             h = max(h, step * factor) if step < h else step * factor

@@ -19,6 +19,10 @@ defined:
   are private (``_mexp``, ``_mlog``), so no entry point calls itself by
   its public name;
 * the spectral norm has a closed form too (``op_norm``), so no SVD runs;
+* the stage kernel of the congruence march (``_stage``, on the buffers of a
+  ``_Workspace``) integrates the traceless part of log M over stacks of
+  symmetric matrices and forms their congruence rates with the same
+  branch, confluence and cut rules as ``mlog_spectral``;
 * an independent integral representation of the logarithm,
   log A = int_0^inf [ t/(t^2+1) I - (t I + A)^(-1) ] dt, valid for spectra in
   the open upper half plane, serves as a cross-check route.
@@ -167,11 +171,14 @@ def eigvec_batch(a, lam) -> np.ndarray:
     return np.stack([-row[:, 1], row[:, 0]], axis=1).reshape(m.shape[:-1])
 
 
-def _branch_log(w: np.ndarray, mod: np.ndarray | None = None) -> np.ndarray:
+def _branch_log(w: np.ndarray, mod: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     # argument moved from (-pi, pi] into (-pi/2, 3pi/2); arctan2 and log
     # |w| (``mod``, where the caller has it) cost a fraction of numpy's
-    # complex log on short arrays, as count_nonzero does of a mask's any()
-    out = np.empty(w.shape, dtype=complex)
+    # complex log on short arrays, as count_nonzero does of a mask's any();
+    # ``out``, a complex array of w's shape, receives the result
+    if out is None:
+        out = np.empty(w.shape, dtype=complex)
     np.log(np.abs(w) if mod is None else mod, out=out.real)
     ang = out.imag
     np.arctan2(w.imag, w.real, out=ang)
@@ -196,15 +203,22 @@ def branch_log(w):
     return out if arr.ndim else complex(out[0])
 
 
-def _on_cut(lam: np.ndarray, mod: np.ndarray) -> np.ndarray:
+def _on_cut(lam: np.ndarray, mod: np.ndarray, out: tuple | None = None) -> np.ndarray | None:
     """Mask of the eigenvalues ``lam`` (a (2, ...) array of pairs, moduli
     ``mod``) on the ray {-iy : y >= 0}: their distance to it, |lam| in the
     upper half plane and |Re lam| below, is within _CUT_TOL of the larger
-    modulus of their pair."""
-    tol = _CUT_TOL * np.maximum(mod[0], mod[1])
-    near = np.abs(lam.real) <= tol
-    if not np.count_nonzero(near):
-        return near
+    modulus of their pair.  None when every |Re lam| exceeds that
+    tolerance, a test that a NaN or an infinite eigenvalue fails, so None
+    also says that every pair is finite.  ``out`` may lend buffers for the
+    tolerance (of a pair's shape), |Re lam| and the mask (of lam's)."""
+    tol, mag, mask = (None,) * 3 if out is None else out
+    tol = np.maximum(mod[0], mod[1], out=tol)
+    tol *= _CUT_TOL
+    mag = np.abs(lam.real, out=mag)
+    far = np.greater(mag, tol, out=mask)
+    if np.count_nonzero(far) == far.size:
+        return None
+    near = np.less_equal(mag, tol, out=far)
     return near & ((lam.imag < 0.0) | (mod <= tol))
 
 
@@ -216,7 +230,8 @@ def _cut_error(lam: np.ndarray, bad: np.ndarray) -> SpectrumOnCut:
 
 
 def _slope(lam: np.ndarray, mod: np.ndarray, half_tr: np.ndarray, a01: np.ndarray,
-           a10: np.ndarray, f_lam: np.ndarray, fprime) -> tuple[np.ndarray, np.ndarray | None]:
+           a10: np.ndarray, f_lam: np.ndarray, fprime,
+           out: tuple | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Divided difference s = (f(lam1) - f(lam2)) / (lam1 - lam2) of
     matrices with eigenvalue pairs ``lam`` (a (2, ...) array), their moduli
     ``mod``, half traces ``half_tr``, off-diagonal entries ``a01``, ``a10``
@@ -226,17 +241,27 @@ def _slope(lam: np.ndarray, mod: np.ndarray, half_tr: np.ndarray, a01: np.ndarra
     A matrix is confluent when |lam1 - lam2| <= JORDAN_TOL times its scale
     |lam1| + |lam2| + |a01| + |a10| (the eigenvalue moduli alone miss
     non-normal matrices with tiny spectra); its s is fprime(half_tr).
+    ``out`` may lend buffers of the matrices' shape for s, the gap
+    lam1 - lam2 (complex), two moduli (float) and the mask (bool).
     """
-    gap = lam[0] - lam[1]
-    m01 = np.abs(a01)
-    scale = mod[0] + mod[1] + m01 + (m01 if a10 is a01 else np.abs(a10))
-    conf = np.abs(gap) <= JORDAN_TOL * scale
-    if not np.count_nonzero(conf):
-        return (f_lam[0] - f_lam[1]) / gap, None
-    # adding conf keeps the confluent denominators off zero; their s is
-    # replaced by fprime, taken only there: 1/half_tr of log is infinite
-    # elsewhere for a trace-free matrix
-    s = (f_lam[0] - f_lam[1]) / (gap + conf)
+    s, gap, mag, scale, conf = (None,) * 5 if out is None else out
+    gap = np.subtract(lam[0], lam[1], out=gap)
+    m01 = np.abs(a01, out=mag)
+    scale = np.add(mod[0], mod[1], out=scale)
+    scale += m01
+    scale += m01 if a10 is a01 else np.abs(a10)
+    scale *= JORDAN_TOL
+    conf = np.less_equal(np.abs(gap, out=mag), scale, out=conf)
+    confluent = np.count_nonzero(conf)
+    if confluent:
+        # adding conf keeps the confluent denominators off zero; their s is
+        # replaced by fprime, taken only there: 1/half_tr of log is
+        # infinite elsewhere for a trace-free matrix
+        gap += conf
+    s = np.subtract(f_lam[0], f_lam[1], out=s)
+    s /= gap
+    if not confluent:
+        return s, None
     s[conf] = fprime(half_tr[conf])
     return s, conf
 
@@ -279,7 +304,7 @@ def _mlog(m: np.ndarray) -> np.ndarray:
     half_tr, lam = _eig_pairs(m)
     mod = np.abs(lam)
     bad = _on_cut(lam, mod)
-    if np.count_nonzero(bad):
+    if bad is not None and np.count_nonzero(bad):
         raise _cut_error(lam, bad)
     return _apply_analytic(m, half_tr, lam, mod, _branch_log(lam, mod), _branch_log,
                            np.reciprocal)
@@ -305,6 +330,117 @@ def mlog_spectral(a) -> np.ndarray:
     """
     m = as_mat2(a)
     return _mlog(m.reshape(-1, 2, 2)).reshape(m.shape)
+
+
+class _Workspace:
+    """The buffers of the stage kernel ``_stage`` for ``stacks`` stacks of
+    march states over the real nodes ``ts`` (an (N,) array) and the
+    quadrature rules ``wq`` (an (R, 2 N) array), allocated once per march:
+    54 KB for two stacks of 68 nodes, 28 KB for one.  Each call writes
+    every buffer it reads, so no call leaves state for the next."""
+
+    __slots__ = ("tt", "wq", "hu", "h", "u", "r", "sq", "lam", "lam0", "lam1", "mod", "log",
+                 "slope", "cut", "pair0", "pair1", "pair_f", "pq", "pmp", "pb", "pmb", "ppb",
+                 "qad", "qa", "qd", "pda", "pmd", "ppa")
+
+    def __init__(self, ts: np.ndarray, wq: np.ndarray, stacks: int):
+        one, two = (stacks, len(ts)), (2, stacks, len(ts))
+        # the constant (-t, +t) rows: p plus them is (p - t, p + t) exactly
+        self.tt = np.stack((-ts, ts)).astype(complex)[:, None]
+        self.wq = wq
+        (self.hu, self.lam, self.log, pair, self.pmp, self.pb, self.qad,
+         self.pda) = np.empty((8,) + two, dtype=complex)
+        self.h, self.u = self.hu
+        self.lam0, self.lam1 = self.lam
+        self.pair0, self.pair1 = pair
+        self.pair_f = pair.view(float)
+        self.pmb, self.ppb = self.pb
+        self.qa, self.qd = self.qad
+        self.pmd, self.ppa = self.pda
+        self.r, self.sq, s, gap = np.empty((4,) + one, dtype=complex)
+        self.mod = np.empty(two)
+        # _slope's (s, gap, moduli, scale, confluence) and _on_cut's
+        # (tolerance, |Re lam|, mask)
+        self.slope = (s, gap, np.empty(one), np.empty(one), np.empty(one, dtype=bool))
+        self.cut = (np.empty(one), np.empty(two), np.empty(two, dtype=bool))
+        self.pq = np.empty((2, stacks, len(wq)))
+
+
+def _stage(ws: _Workspace, states: np.ndarray, rates: np.ndarray | None = None):
+    """The stage kernel of the congruence march: the trace formula of
+    stacked march states and, into ``rates``, their congruence rates, all
+    on the buffers of the workspace ``ws``.
+
+    ``states`` is a complex (3, S, N) array of the components (a, b, d) of
+    S stacks of symmetric matrices M = [[a, b], [b, d]] over the N nodes of
+    ``ws``, S its stack count.  ``ws.wq`` holds R quadrature rules over the
+    nodes, divided by pi, with the weight of node k in column 2 k + 1 and
+    zeros in the even columns: it integrates the imaginary parts of a
+    complex row read as floats.  The sums run in einsum's own loop, which,
+    unlike a matmul, touches no BLAS work buffer.  With M = h I + N,
+    N = [[u, b], [b, -u]] and r = sqrt(u^2 + b^2), the eigenvalues are
+    h +/- r and log M = log(h - r) I + sigma (M - (h - r) I), sigma the
+    divided difference of the branch logarithm (1/h on confluent
+    matrices).  Only the traceless part sigma N of log M enters W, so
+
+        p = (1/pi) int Im(sigma u),   q = (1/pi) int Im(sigma b).
+
+    Given ``rates``, a complex (3, S, N) array, it receives the rates of
+    M' = K M + M K^t with K = K(p, q, t) = [[-q, p - t], [p + t, q]], (p, q)
+    each stack's values under the first rule, written out on the
+    components, so they are symmetric by construction:
+
+        a' = 2 (-q a + (p - t) b),  b' = (p + t) a + (p - t) d,
+        d' = 2 ((p + t) b + q d).
+
+    Returns the (2, S, R) array of (p, q) per stack and rule, a buffer of
+    ``ws`` that the next call overwrites, NaN on a stack with a non-finite
+    entry; and per stack either None or the SpectrumOnCut error that
+    ``mlog_spectral`` raises on its matrices: the slope, branch logarithm
+    and cut test are its own helpers.  On a march's few nodes the numpy
+    calls, not the arithmetic, set the cost: 33 for the trace and 8 for
+    the rates, none of which allocates its result.  The per-stack scan
+    runs only when the cut test flags a node or a non-finite pair.
+    """
+    a, b, d = states
+    h, u = ws.h, ws.u
+    np.add(a, d, out=h)
+    np.subtract(a, d, out=u)
+    np.multiply(ws.hu, 0.5, out=ws.hu)
+    r = np.multiply(u, u, out=ws.r)
+    r += np.multiply(b, b, out=ws.sq)
+    np.sqrt(r, out=r)
+    lam = ws.lam
+    np.add(h, r, out=ws.lam0)
+    np.subtract(h, r, out=ws.lam1)
+    mod = np.abs(lam, out=ws.mod)
+    sigma, _ = _slope(lam, mod, h, b, b, _branch_log(lam, mod, ws.log), np.reciprocal, ws.slope)
+    np.multiply(sigma, u, out=ws.pair0)
+    np.multiply(sigma, b, out=ws.pair1)
+    pq = np.einsum("ijk,rk->ijr", ws.pair_f, ws.wq, out=ws.pq)
+    # a non-finite entry of a state makes an eigenvalue of its pair
+    # non-finite, so _on_cut returns None only on finite stacks
+    bad = _on_cut(lam, mod, ws.cut)
+    if bad is None:
+        errors = [None] * len(h)
+    else:
+        finite = np.isfinite(states).all(axis=(0, 2))
+        hit = bad.any(axis=(0, 2)) & finite
+        errors = [_cut_error(lam[:, k], bad[:, k]) if cut else None for k, cut in enumerate(hit)]
+        pq[:, ~finite] = np.nan
+    if rates is not None:
+        p, q = pq[:, :, :1]
+        pmp = np.add(p, ws.tt, out=ws.pmp)
+        np.multiply(pmp, b, out=ws.pb)
+        np.multiply(q, states[::2], out=ws.qad)
+        np.subtract(ws.pmb, ws.qa, out=rates[0])
+        np.add(ws.ppb, ws.qd, out=rates[2])
+        # (p - t, p + t) times (d, a)
+        np.multiply(pmp, states[2::-2], out=ws.pda)
+        np.add(ws.ppa, ws.pmd, out=rates[1])
+        ends = rates[::2]
+        np.multiply(ends, 2.0, out=ends)
+    return pq, errors
 
 
 def mlog_integral(a) -> np.ndarray:

@@ -248,6 +248,26 @@ def test_stalled_march_names_the_gap_realness(tmp_path):
     assert "gap_realness is 0.00959 " in failure
 
 
+@pytest.mark.parametrize("stop", [1e8, 1e9, 1e10])
+def test_far_grid_end_does_not_stall_the_witness(tmp_path, stop):
+    # the step floor scales with the position, not with the end of the grid
+    # interval: a first step of the whole interval shrinks by rejections
+    # down to the witness's step, and the march crosses the sharp bound near
+    # x = 0.53 whatever the grid's end (a floor of 1e-10 stop stalled it at
+    # x = 0 from stop = 1e9 on)
+    code, text = _run(tmp_path, "evolve", dict(WITNESS, xgrid=[0, stop]))
+    assert code == 3
+    failure = json.loads(text)["numerical_failure"]
+    assert failure.startswith("BoundViolation: ||W(0.5")
+    # a tolerance that no step meets above rounding level still stalls,
+    # within the first hundredth of x
+    code, text = _run(tmp_path, "evolve", dict(WITNESS, xgrid=[0, stop], loc_tol=1e-15))
+    assert code == 3
+    failure = json.loads(text)["numerical_failure"]
+    assert failure.startswith("NoConvergence: x-march stalled near x = 0.0")
+    assert float(failure.split("x = ")[1].split(";")[0]) < 0.01
+
+
 def test_oracle_examples(tmp_path):
     for const, radius in (([0.0, 1.0], 1.0), ([3.0, 4.0], 5.0)):
         code, text = _run(tmp_path, "oracle", {"constant": const})

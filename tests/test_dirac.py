@@ -224,27 +224,29 @@ def test_march_far_gap_follows_the_rotation_law(c):
 
 
 def test_march_takes_one_trace_evaluation_per_state(monkeypatch):
-    # every march state costs one trace-formula evaluation: the twelve new
-    # stages of a DOP853 step, where the state and its companion ride as
-    # two stacks of one call, and the step's fifth-order state, for its
-    # error estimate.  Accepted states carry their (p, q) along
+    # every march state costs one trace-formula evaluation, one call of the
+    # stage kernel: the twelve new stages of a DOP853 step, where the state
+    # and its companion ride as two stacks of one call that also writes
+    # their rates, and the step's fifth-order state, for its error
+    # estimate, without rates.  Accepted states carry their (p, q) along
     calls = {"trace": 0, "rates": 0}
     stacks = set()
-    trace_pq, rates = dirac._trace_pq, dirac._congruence_rates
+    stage = dirac._stage
 
-    def counted_trace(states, wq):
+    def counted(ws, states, rates=None):
         calls["trace"] += 1
         stacks.add(states.shape[1])
-        return trace_pq(states, wq)
+        pq, errors = stage(ws, states, rates)
+        if rates is not None:
+            calls["rates"] += 1
+            # each stack is driven by its own (p, q), as the written-out
+            # formula with (S, 1) columns of the first rule's values
+            p, q = pq[0, :, :1], pq[1, :, :1]
+            assert p.shape == q.shape == (states.shape[1], 1)
+            np.testing.assert_array_equal(rates, _ref_rates(states, ws.tt[1], p, q))
+        return pq, errors
 
-    def counted_rates(states, ts, p, q):
-        calls["rates"] += 1
-        # each stack is driven by its own (p, q)
-        assert p.shape == q.shape == (states.shape[1], 1)
-        return rates(states, ts, p, q)
-
-    monkeypatch.setattr(dirac, "_trace_pq", counted_trace)
-    monkeypatch.setattr(dirac, "_congruence_rates", counted_rates)
+    monkeypatch.setattr(dirac, "_stage", counted)
     # mismatched angles take the congruence march
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES), [0.0, 0.1, 0.2, 0.3])
     # one rate at x = 0, then twelve per attempted step, and at most one
@@ -290,24 +292,31 @@ def test_march_tableau_is_the_dop853_pair():
 @pytest.mark.parametrize("fault", ["overflow", "main_cut", "companion_cut"])
 def test_stage_faults_reject_the_step_or_raise(monkeypatch, fault):
     # a fault injected into the first stage of the first step: an
-    # overflowed stage (NaN, as _trace_pq reports a non-finite state) is a
-    # rejected step, a branch cut on the finite main state raises, and one
-    # hit by the companion alone is not an error
-    trace_pq = dirac._trace_pq
+    # overflowed stage (an inf entry, whose (p, q) the kernel reports as
+    # NaN) is a rejected step, a branch cut on the finite main state
+    # raises, and one hit by the companion alone is not an error
+    stage = dirac._stage
     calls = []
+    inject = []
 
-    def faulty(states, wq):
-        pq, errors = trace_pq(states, wq)
+    def faulty(ws, states, rates=None):
         calls.append(states.shape[1])
-        if len(calls) == 2:  # the first stage past x = 0
+        if inject and len(calls) == 2 and fault == "overflow":  # the first stage past x = 0
+            states[1, 0, 3] = np.inf
+        pq, errors = stage(ws, states, rates)
+        if inject and len(calls) == 2:
             if fault == "overflow":
-                pq[:, 0] = np.nan
+                assert np.isnan(pq[:, 0]).all() and np.isfinite(pq[:, 1]).all()
             else:
                 errors[fault == "companion_cut"] = SpectrumOnCut("injected")
         return pq, errors
 
-    monkeypatch.setattr(dirac, "_trace_pq", faulty)
+    monkeypatch.setattr(dirac, "_stage", faulty)
     prof = KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES)
+    sample_potential(prof, [0.0, 0.1])
+    clean = len(calls)
+    calls.clear()
+    inject.append(True)
     if fault == "main_cut":
         with pytest.raises(SpectrumOnCut, match="injected"):
             sample_potential(prof, [0.0, 0.1])
@@ -315,11 +324,21 @@ def test_stage_faults_reject_the_step_or_raise(monkeypatch, fault):
         samples = sample_potential(prof, [0.0, 0.1])
         assert len(samples) == 2 and np.isfinite([samples[-1].p, samples[-1].q]).all()
     assert calls[:2] == [2, 2]
+    if fault == "overflow":
+        # the rejected step is retried: 13 more kernel calls than a clean march
+        assert len(calls) == clean + 13
 
 
 def _states(mats):
     # symmetric (N, 2, 2) matrices as one (3, 1, N) stack of march states
     return np.stack((mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]))[:, None]
+
+
+def _stage(states, wq, ts=None, rates=None):
+    # the stage kernel on a fresh workspace for the states' stacks, their
+    # nodes ts (any, when no rates are asked for) and the rules wq
+    ws = dirac._Workspace(np.zeros(states.shape[2]) if ts is None else ts, wq, states.shape[1])
+    return dirac._stage(ws, states, rates)
 
 
 def _per_node(n):
@@ -363,7 +382,7 @@ def test_trace_kernel_matches_the_matrix_log(kind):
     if kind == "mismatched":
         assert 0.1 < np.abs(mats.imag).max() <= 0.2
     xi = im_part(mlog_spectral(mats)) / np.pi
-    pq, errors = dirac._trace_pq(_states(mats), _per_node(len(mats)))
+    pq, errors = _stage(_states(mats), _per_node(len(mats)))
     assert errors == [None]
     np.testing.assert_allclose(pq[0, 0], 0.5 * (xi[:, 0, 0] - xi[:, 1, 1]), rtol=0, atol=1e-13)
     np.testing.assert_allclose(pq[1, 0], xi[:, 0, 1], rtol=0, atol=1e-13)
@@ -371,14 +390,25 @@ def test_trace_kernel_matches_the_matrix_log(kind):
 
 def test_congruence_rates_match_the_generator():
     # K M + M K^t with K = K(p, q, t) per node, on two stacks with their
-    # own (p, q), at hyperbolic nodes (|t| < ||W||) and rotational ones
+    # own (p, q), the kernel's trace values, at hyperbolic nodes
+    # (|t| < ||W||) and rotational ones
     ts = np.array([-2.0, -0.5, 0.1, 0.5, 1.7])
-    mats = _kernel_cases()["witness"][:5]
-    pqs = [(0.0, 0.5), (-0.4, 0.7)]
-    cols = [np.array([[v[k]] for v in pqs], dtype=complex) for k in range(2)]
-    states = np.concatenate([_states(mats)] * 2, axis=1)
-    out = dirac._congruence_rates(states, ts.astype(complex)[None], *cols)
-    for k, (p, q) in enumerate(pqs):
+    cases = _kernel_cases()
+    stacks = [cases["witness"][:5], cases["mismatched"][5:10]]
+    states = np.concatenate([_states(m) for m in stacks], axis=1)
+    # the first rule sums all five nodes, scaled so that the first stack's
+    # ||W|| is 0.6: three of the nodes are hyperbolic for it
+    wq = np.zeros((1, 10))
+    wq[0, 1::2] = 1.0
+    pq, _ = _stage(states, wq)
+    wq *= 0.6 / math.hypot(*pq[:, 0, 0])
+    out = np.empty_like(states)
+    pq, errors = _stage(states, wq, ts, out)
+    assert errors == [None, None]
+    assert math.hypot(*pq[:, 0, 0]) == pytest.approx(0.6, rel=1e-12)
+    assert abs(pq[0, 0, 0] - pq[0, 1, 0]) > 1e-3
+    for k, mats in enumerate(stacks):
+        p, q = pq[:, k, 0]
         kk = np.array([coefficient_matrix(p, q, tk) for tk in ts])
         ref = kk @ mats + mats @ np.transpose(kk, (0, 2, 1))
         np.testing.assert_allclose(out[:, k], [ref[:, 0, 0], ref[:, 0, 1], ref[:, 1, 1]],
@@ -393,7 +423,7 @@ def test_uniform_marches_carry_real_states(monkeypatch, angles, dtype):
     # boundary matrix; mismatched angles, whose gap values are complex,
     # keep the congruence march of complex boundary matrices
     seen = {}
-    abel_map, rates = dirac._abel_map, dirac._congruence_rates
+    abel_map, stage = dirac._abel_map, dirac._stage
 
     def traced_map(a, b):
         abel, period = abel_map(a, b)
@@ -404,15 +434,16 @@ def test_uniform_marches_carry_real_states(monkeypatch, angles, dtype):
             return value, jac
         return traced_abel, period
 
-    def traced_rates(*args):
-        out = rates(*args)
-        seen.setdefault("_congruence_rates", set()).add(out.dtype)
+    def traced_stage(ws, states, rates=None):
+        out = stage(ws, states, rates)
+        seen.setdefault("_stage", set()).update({states.dtype} | (
+            set() if rates is None else {rates.dtype}))
         return out
 
     monkeypatch.setattr(dirac, "_abel_map", traced_map)
-    monkeypatch.setattr(dirac, "_congruence_rates", traced_rates)
+    monkeypatch.setattr(dirac, "_stage", traced_stage)
     sample_potential(KreinProfile(GapSet(WITNESS_GAPS), angles), [0.0, 0.1])
-    route = "_abel_map" if dtype is float else "_congruence_rates"
+    route = "_abel_map" if dtype is float else "_stage"
     assert seen == {route: {np.dtype(dtype)}}
 
 
@@ -439,6 +470,66 @@ def test_pin_rescales_and_drops_lost_determinants():
         a, b, d = dirac._pin(states.copy())
     assert abs(b[0, 0] ** 2 - a[0, 0] * d[0, 0] - 1.0) < 1e-15
     assert np.isnan([a[0, 1], b[0, 1], d[0, 1]]).all()
+
+
+def test_workspace_keeps_no_state():
+    # a stage run after the workspace has served a NaN, an inf, a cut and
+    # near-confluent matrices gives the same bits as on a fresh workspace:
+    # each call writes every buffer it reads
+    cases = _kernel_cases()
+    n = len(cases["witness"])
+    ts = np.linspace(-2.5, 2.5, n)
+    wq = np.zeros((2, 2 * n))
+    wq[:, 1::2] = np.random.default_rng(5).uniform(0.0, 1.0, (2, n))
+    clean = np.concatenate([_states(cases["witness"]), _states(cases["mismatched"])], axis=1)
+    faulty = clean.copy()
+    faulty[0, 0, 3], faulty[2, 1, 5] = np.nan, np.inf
+    cut = clean.copy()
+    cut[:, 0, n // 2] = _states(_rotated((1e-15 - 2j, -1.0 / (1e-15 - 2j)), 0.4)[None])[:, 0, 0]
+    conf = np.concatenate([_states(cases["near_confluent"])] * 2, axis=1)
+
+    def run(ws):
+        rates = np.empty_like(clean)
+        pq, errors = dirac._stage(ws, clean, rates)
+        return pq.copy(), errors, rates
+
+    fresh = run(dirac._Workspace(ts, wq, 2))
+    ws = dirac._Workspace(ts, wq, 2)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        pq, _ = dirac._stage(ws, faulty, np.empty_like(faulty))
+        assert np.isnan(pq).all()
+        _, errors = dirac._stage(ws, cut, np.empty_like(cut))
+        assert errors[0] is not None
+        dirac._stage(ws, conf, np.empty_like(conf))
+    again = run(ws)
+    assert fresh[1] == again[1] == [None, None]
+    for k in (0, 2):  # (p, q) and the rates, bit for bit
+        assert again[k].tobytes() == fresh[k].tobytes()
+
+
+def test_yielded_samples_do_not_change_as_the_march_goes_on():
+    # two marches advanced in turn yield, row for row, what each yields
+    # alone, so the two share no buffer; each row is Python floats and a
+    # flag, so a row already yielded cannot change as the march reuses its
+    # stage slots, stage buffer and accepted state
+    xg = np.linspace(0.0, 0.8, 17)
+    frames = [KreinProfile(GapSet(WITNESS_GAPS), angles) for angles in (WITNESS_ANGLES, (0.0, 1.2))]
+
+    def hexed(row):
+        return [v.hex() for v in row[:4]] + [row[4]]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alone = [[hexed(row) for row in dirac._congruence_orbit(f, xg, 1e-8)] for f in frames]
+        marches = [dirac._congruence_orbit(f, xg, 1e-8) for f in frames]
+        rows, seen = [[], []], [[], []]
+        for pair in zip(*marches):
+            for k, row in enumerate(pair):
+                assert [type(v) for v in row] == [float] * 4 + [bool]
+                rows[k].append(row)
+                seen[k].append(hexed(row))
+    assert [len(r) for r in rows] == [len(a) for a in alone] == [33, 33]
+    assert seen == alone
+    assert [[hexed(row) for row in r] for r in rows] == alone
 
 
 def _rotated(eigs, angle):
@@ -468,7 +559,7 @@ def test_trace_kernel_refuses_the_cut_where_mlog_does(eigs):
     states[1, 2, 4] = np.inf
     # the march evaluates overflowed states under the same errstate
     with np.errstate(invalid="ignore", over="ignore"):
-        pq, errors = dirac._trace_pq(states, _per_node(7))
+        pq, errors = _stage(states, _per_node(7))
     assert errors[1] is None and errors[2] is None
     if expected is None:
         assert errors[0] is None
@@ -565,19 +656,19 @@ def test_kernels_are_bitwise_the_reference_formulas(kind):
     rng = np.random.default_rng(4)
     wq = np.zeros((2, 2 * n))
     wq[:, 1::2] = rng.uniform(0.0, 1.0, (2, n))
+    # rates at real nodes, driven by each stack's float (p, q) columns of the
+    # first rule, as in the march (NaN on the non-finite stacks)
+    ts = np.linspace(-2.5, 2.5, n)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for w in (_per_node(n), wq):
-            pq, errors = dirac._trace_pq(states, w)
+            rates = np.empty_like(states)
+            pq, errors = _stage(states, w, ts, rates)
             ref, messages = _ref_trace_pq(states, w)
             np.testing.assert_array_equal(pq, ref)
             assert [e if e is None else str(e) for e in errors] == messages
             assert messages[3] is not None and messages[1] is messages[2] is None
-    # rates at real nodes, driven by float (p, q) columns as in the march
-    ts = np.linspace(-2.5, 2.5, n).astype(complex)[None]
-    finite = np.concatenate([_states(mats), _states(cut)], axis=1)
-    p, q = rng.standard_normal((2, 2, 1))
-    np.testing.assert_array_equal(dirac._congruence_rates(finite, ts, p, q),
-                                  _ref_rates(finite, ts, p, q))
+            np.testing.assert_array_equal(rates, _ref_rates(
+                states, ts.astype(complex)[None], ref[0, :, :1], ref[1, :, :1]))
     with np.errstate(over="ignore", invalid="ignore"):
         np.testing.assert_array_equal(mexp(mats), _ref_analytic(mats, np.exp, np.exp))
     np.testing.assert_array_equal(mlog_spectral(mats),

@@ -15,15 +15,27 @@ To regenerate a report after an intended change of the numbers:
 
     PYTHONPATH=src python -m kreindirac.cli CMD \\
         --config tests/golden/NAME.json --out tests/golden/NAME.report.json
+
+``witness.march.json`` holds, as ``float.hex``, every (x, p, q, residual)
+that the congruence march yields on the witness's grid, interior
+acceptances and the steps past the bound crossing included, and each row's
+on-grid flag.  They are held exactly: a change to the march's kernel that
+only regroups its numpy calls must keep every bit.  The last bits follow
+numpy's elementwise loops (log, arctan2 and sqrt), which may differ on a
+host that dispatches them to other SIMD code; regenerate the file there, or
+after an intended change of the numbers, with
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kreindirac import cli
+from kreindirac import cli, dirac
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # golden config name -> expected exit code
@@ -67,3 +79,26 @@ def test_report_matches_golden(tmp_path, name, code):
             bad = [(c, x, y) for c, x, y in zip(table["columns"], g, w)
                    if not _same_number(x, y)]
             assert not bad, (name, i, bad)
+
+
+def _witness_march_rows() -> list:
+    # the congruence march of the witness config at the default loc_tol,
+    # every row it yields, as float.hex and the on-grid flag
+    config = json.loads((GOLDEN / "witness.json").read_text())
+    _, frame = dirac.co_rotating_frame(cli.profile_from_json(config["profile"]))
+    xg = cli._xgrid(config["xgrid"])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [[float(v).hex() for v in row[:4]] + [row[4]]
+                for row in dirac._congruence_orbit(frame, xg, 1e-8)]
+
+
+def test_witness_march_bits_are_frozen():
+    want = json.loads((GOLDEN / "witness.march.json").read_text())
+    got = _witness_march_rows()
+    assert sum(not row[4] for row in want) >= 16  # interior acceptances
+    assert got == want
+
+
+if __name__ == "__main__":
+    rows = ",\n".join("  " + json.dumps(row) for row in _witness_march_rows())
+    (GOLDEN / "witness.march.json").write_text("[\n" + rows + "\n]\n")
