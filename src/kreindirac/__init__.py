@@ -43,7 +43,6 @@ from .herglotz import (
     KreinSample,
     profile_m_function,
     krein_xi,
-    krein_xi_grid,
     asymptotic_W,
     herglotz_defect,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "KreinSample",
     "profile_m_function",
     "krein_xi",
-    "krein_xi_grid",
     "asymptotic_W",
     "herglotz_defect",
     "StepPotential",

@@ -41,13 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import StepPotential, const_weyl, ode_weyl, sample_potential
+from .dirac import (BOUND_SLACK, LOC_TOL, StepPotential, const_weyl, ode_weyl,
+                    sample_potential)
 from .errors import BoundViolation, KreinDiracError, NoConvergence
 from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
                         e_interior_grid, gap_interior_grid, gap_realness_points,
                         gap_realness_reduce, json_number, mj_eigenpairs, profile_from_json,
                         reflectionless_reduce, sharp_bound, trace_formula_W0, weyl_from_M)
-from .herglotz import (MFunction, asymptotic_points, asymptotic_reduce, herglotz_points,
+from .herglotz import (XI_TOL, MFunction, asymptotic_points, asymptotic_reduce, herglotz_points,
                        herglotz_reduce, krein_xi_points, krein_xi_reduce, profile_m_function)
 from .mat2 import op_norm
 
@@ -69,9 +70,9 @@ class RunConfig:
     tgrid: np.ndarray | None = None
     xgrid: np.ndarray | None = None
     ygrid: np.ndarray | None = None
-    xi_tol: float = 1e-6
-    loc_tol: float = 1e-8
-    bound_slack: float = 1e-4
+    xi_tol: float = XI_TOL
+    loc_tol: float = LOC_TOL
+    bound_slack: float = BOUND_SLACK
     random_profiles: int = 0
     inject_det_error: bool = False
     seed: int = 0
@@ -373,23 +374,18 @@ def run_construct(cfg: RunConfig) -> Report:
     rep.info("herglotz_defect", herglotz_reduce(scan),
              "min eigenvalue of Im M over a C+ scan; negative refutes realizability")
 
-    mcols = ["z_re", "z_im",
-             "M00_re", "M00_im", "M01_re", "M01_im",
-             "M10_re", "M10_im", "M11_re", "M11_im"]
-    mrows = []
-    for z, m in zip(zgrid, mats):
-        mrows.append([z.real, z.imag,
-                      m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
-                      m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag])
-    rep.tables["M"] = (mcols, mrows)
+    # the float view of a complex row is its (re, im) pairs, in column order
+    rep.tables["M"] = (["z_re", "z_im",
+                        "M00_re", "M00_im", "M01_re", "M01_im",
+                        "M10_re", "M10_im", "M11_re", "M11_im"],
+                       np.column_stack([zgrid.real, zgrid.imag,
+                                        mats.reshape(-1, 4).view(float)]).tolist())
 
-    xrows = []
-    for s in krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol):
-        if isinstance(s, KreinDiracError):
-            raise s
-        xrows.append([s.t, s.xi[0, 0].real, s.xi[0, 1].real,
-                      s.xi[1, 0].real, s.xi[1, 1].real, s.residual])
-    rep.tables["xi"] = (["t", "xi00", "xi01", "xi10", "xi11", "residual"], xrows)
+    xi, residual, failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol)
+    if failed:
+        raise next(iter(failed.values()))
+    rep.tables["xi"] = (["t", "xi00", "xi01", "xi10", "xi11", "residual"],
+                        np.column_stack([xi_ts, xi.reshape(-1, 4), residual]).tolist())
     return rep
 
 
@@ -449,23 +445,22 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
               lambda: op_norm(assemble_M(_weyl_pair(mats, eig)) - mats).max())
     # the xi probes reduce the boundary samples of every t at once, and a
     # failed point fails each probe that reaches it, at the first such t in
-    # order
-    on_gaps, on_bands = slice(0, len(tgrid)), slice(len(tgrid), None)
+    # order; an error of the whole reduction fails every point
+    on_gaps, on_bands = slice(0, len(tgrid)), slice(len(tgrid), len(xi_ts))
     try:
-        xi_hits = krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol)
+        xi, _, xi_failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol)
     except KreinDiracError as exc:
-        xi_hits = [exc] * len(xi_ts)
+        xi, xi_failed = None, dict.fromkeys(range(len(xi_ts)), exc)
 
     def xi_stack(part: slice) -> np.ndarray:
-        hits = xi_hits[part]
-        for hit in hits:
-            if isinstance(hit, KreinDiracError):
-                raise hit
-        return np.array([hit.xi for hit in hits]).reshape(-1, 2, 2)
+        for i, exc in xi_failed.items():
+            if part.start <= i < part.stop:
+                raise exc
+        return xi[part]
 
     def trace_dev():
-        xi = xi_stack(slice(None))
-        return np.abs(xi[:, 0, 0] + xi[:, 1, 1] - 1.0).max()
+        every = xi_stack(slice(0, len(xi_ts)))
+        return np.abs(every[:, 0, 0] + every[:, 1, 1] - 1.0).max()
 
     rep.probe(prefix + "xi_trace", 1e-8, "tr xi = 1", trace_dev)
     rep.probe(prefix + "xi_on_bands", cfg.xi_tol, "xi = I/2 on the interior of E",
@@ -591,8 +586,8 @@ def run_oracle(cfg: RunConfig) -> Report:
     cw = const_weyl(p, q, zgrid)
     ow = ode_weyl(step, zgrid)
     d_ode = max(_sphere_dev(cw.m_plus, ow.m_plus), _sphere_dev(cw.m_minus, ow.m_minus))
-    rows = [[z.real, z.imag, mp.real, mp.imag, mm.real, mm.imag]
-            for z, mp, mm in zip(zgrid, cw.m_plus, cw.m_minus)]
+    rows = np.column_stack([zgrid.real, zgrid.imag, cw.m_plus.real, cw.m_plus.imag,
+                            cw.m_minus.real, cw.m_minus.imag]).tolist()
     # the gap route: one Weyl extraction and one assembly over the grid
     mats = build_M(profile, zgrid)
     gw = weyl_from_M(mats)

@@ -815,8 +815,14 @@ def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
                            profile.angles)
 
 
-def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
-                     loc_tol: float = 1e-8, bound_slack: float = 1e-4) -> list[PotentialSample]:
+# sample_potential's defaults: the local error of a march step, and the
+# slack a sampled ||W(x)|| may take over the sharp bound
+LOC_TOL = 1e-8
+BOUND_SLACK = 1e-4
+
+
+def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = LOC_TOL,
+                     bound_slack: float = BOUND_SLACK) -> list[PotentialSample]:
     """Sample the potential W(x) along the shift orbit of a Krein profile.
 
     The shifted operator is reflectionless on the same bands.  Two routes

@@ -299,9 +299,9 @@ def _class_logs(groups: tuple, z: np.ndarray) -> np.ndarray:
     on the axis the caller's endpoint-margin check gives d >= w
     ENDPOINT_MARGIN for each gap.  A point's product is renormalised by
     np.frexp before it would hold more than floor(_RANGE_BITS / log2 B)
-    factors, B from its own Im z, so a point whose ratios are finite gets a
-    finite logarithm.  A non-finite point gets a non-finite one, which the
-    kernel rejects with a ValueError.  Neither the pass length nor the
+    factors, and at least one, B from its own Im z, so a point whose ratios
+    are finite gets a finite logarithm.  A non-finite point gets a
+    non-finite one, which the kernel rejects with a ValueError.  Neither the pass length nor the
     renormalisation depends on the other points, so a point's value is the
     same, bit for bit, alone or in any call.
     """
@@ -313,9 +313,11 @@ def _class_logs(groups: tuple, z: np.ndarray) -> np.ndarray:
                 ends = ends.real
             _, count, size, _ = ends.shape
             # each point's renormalisation period, from its own bound; NaN
-            # and inf bounds renormalise after every factor
+            # and inf bounds, and bounds past _RANGE_BITS, renormalise after
+            # every factor
             bits = math.log2(1.0 + 1.0 / ENDPOINT_MARGIN) if real else np.log2(1.0 + width / z.imag)
-            period = np.where(bits < math.inf, _RANGE_BITS // np.maximum(1.0, bits), 1.0)
+            period = np.where(bits < math.inf,
+                              np.maximum(1.0, _RANGE_BITS // np.maximum(1.0, bits)), 1.0)
             soonest = period.min()
             step = max(1, _BLOCK // (count * len(z)))
             prod = expo = None

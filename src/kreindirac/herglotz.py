@@ -15,8 +15,9 @@ exponential representation
 where A is a real symmetric constant (zero for the canonical construction;
 the density I/2 on E contributes the explicit (i pi/2) I term).  For a
 Krein profile the gap integrals have the closed form of
-``finitegap.build_logM``.  The module evaluates xi by limit schedules and
-extracts the potential at the origin from the two large-z laws
+``finitegap.build_logM``.  The module evaluates xi by limit schedules, a
+(T, 2, 2) stack over T points with the failed points in a map beside it,
+and extracts the potential at the origin from the two large-z laws
 
     M(c + i Y) = i (I - W(0) / (iY) + O(Y^-2)),
     log M(c + i Y) = (i pi / 2) I - W(0) / (iY) + O(Y^-2),
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import KreinDiracError, NotTraceless
+from .errors import NotTraceless
 from .finitegap import (GapSet, KreinProfile, PotentialSample, boundary_points, boundary_reduce,
                         build_M, gap_interior_grid)
 from .mat2 import I2, as_mat2, im_part, mlog_spectral
@@ -44,7 +45,6 @@ __all__ = [
     "profile_m_function",
     "krein_xi_points",
     "krein_xi_reduce",
-    "krein_xi_grid",
     "krein_xi",
     "asymptotic_points",
     "asymptotic_reduce",
@@ -102,11 +102,12 @@ class KreinSample:
 
 
 def krein_xi_points(gapset: GapSet, ts) -> tuple[np.ndarray, dict, np.ndarray]:
-    """The points :func:`krein_xi_grid` evaluates M at, for the points of
-    ``ts``: ``ts`` as floats, the EndpointSingularity of each point inside
-    a gap-endpoint margin of ``gapset`` (keyed by its index, see
-    ``GapSet.endpoint_errors``), and the (K, T) :func:`boundary_points` of
-    the T other points, in order."""
+    """The points at which M is evaluated for the Krein density at the
+    points of ``ts``: ``ts`` as floats, the EndpointSingularity of each
+    point inside a gap-endpoint margin of ``gapset`` (keyed by its index,
+    see ``GapSet.endpoint_errors``), and the (K, T) :func:`boundary_points`
+    of the T other points, in order.  :func:`krein_xi_reduce` takes all
+    three."""
     ts = np.array([float(t) for t in np.atleast_1d(ts)])
     errors = gapset.endpoint_errors(ts)
     clear = np.ones(len(ts), dtype=bool)
@@ -115,50 +116,47 @@ def krein_xi_points(gapset: GapSet, ts) -> tuple[np.ndarray, dict, np.ndarray]:
 
 
 def krein_xi_reduce(ts: np.ndarray, errors: dict, mats: np.ndarray,
-                    xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
-    """The result of :func:`krein_xi_grid` from :func:`krein_xi_points`'
-    ``ts`` and ``errors`` and the (K, T, 2, 2) values of M at its points."""
-    out: list = [errors.get(i) for i in range(len(ts))]
-    ok = [i for i, hit in enumerate(out) if hit is None]
-    if ok:
-        limit, residual = boundary_reduce(mats, lambda m: im_part(mlog_spectral(m)) / np.pi)
-        xi = limit.real
-        xi = 0.5 * (xi + np.swapaxes(xi, -1, -2))
-        for i, x, r in zip(ok, xi, residual):
-            t = float(ts[i])
-            out[i] = (convergence_error(r, xi_tol, f"krein_xi at t = {t}")
-                      or KreinSample(t=t, xi=x, residual=float(r)))
-    return out
-
-
-def krein_xi_grid(mfun: MFunction, ts,
-                  xi_tol: float = XI_TOL) -> list[KreinSample | KreinDiracError]:
+                    xi_tol: float = XI_TOL) -> tuple[np.ndarray, np.ndarray, dict]:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
-    ``ts`` by extrapolation.
+    ``ts`` by extrapolation, from :func:`krein_xi_points`' ``ts`` and
+    ``errors`` and the (K, T, 2, 2) values of M at its points, with one
+    matrix logarithm per sample.
 
-    One evaluation of ``mfun`` at the :func:`krein_xi_points`, with one
-    matrix logarithm per sample, covers every point clear of the endpoint
-    margins.  Failures stay per point: the list holds, in grid order, each
-    point's KreinSample or the error :func:`krein_xi` raises there, an
-    EndpointSingularity for a point inside a gap-endpoint margin of the
-    function's gap set or a NoConvergence when the last two extrapolants
-    differ by more than ``xi_tol``.
+    Returns the (T, 2, 2) stack of xi, real symmetric, the (T,)
+    extrapolation residuals and the failed points: a map, by index in
+    increasing order, holding the EndpointSingularity of each point of
+    ``errors`` and a NoConvergence for each point whose last two
+    extrapolants differ by more than ``xi_tol``.  The rows and residuals
+    of failed points are NaN.
 
     Raises
     ------
     SpectrumOnCut
         If a sampled M has an eigenvalue on the cut of the logarithm; this
-        fails the whole grid.
+        fails the whole call.
     """
-    ts, errors, zs = krein_xi_points(mfun.gapset, ts)
-    return krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)), xi_tol)
+    xi = np.full((len(ts), 2, 2), np.nan)
+    residual = np.full(len(ts), np.nan)
+    clear = np.ones(len(ts), dtype=bool)
+    clear[list(errors)] = False
+    if clear.any():
+        limit, residual[clear] = boundary_reduce(mats, lambda m: im_part(mlog_spectral(m)) / np.pi)
+        xi[clear] = 0.5 * (limit.real + np.swapaxes(limit.real, -1, -2))
+    # the points of errors have NaN residuals, so they fail here in order
+    failed = {}
+    for i in map(int, np.flatnonzero(~(residual <= xi_tol))):
+        failed[i] = errors[i] if i in errors else convergence_error(
+            residual[i], xi_tol, f"krein_xi at t = {float(ts[i])}")
+        xi[i] = residual[i] = np.nan
+    return xi, residual, failed
 
 
 def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) by extrapolation.
 
-    The one-point form of :func:`krein_xi_grid`.  The point t must stay
-    clear of the gap-endpoint margins of the function's gap set.
+    The one-point form of :func:`krein_xi_points` and
+    :func:`krein_xi_reduce`.  The point t must stay clear of the
+    gap-endpoint margins of the function's gap set.
 
     Raises
     ------
@@ -166,11 +164,15 @@ def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
         If t lies inside a gap-endpoint margin.
     NoConvergence
         If the last two extrapolants differ by more than ``xi_tol``.
+    SpectrumOnCut
+        If a sampled M has an eigenvalue on the cut of the logarithm.
     """
-    hit = krein_xi_grid(mfun, [float(t)], xi_tol)[0]
-    if isinstance(hit, KreinDiracError):
-        raise hit
-    return hit
+    ts, errors, zs = krein_xi_points(mfun.gapset, float(t))
+    xi, residual, failed = krein_xi_reduce(ts, errors,
+                                           mfun(zs.ravel()).reshape(zs.shape + (2, 2)), xi_tol)
+    if failed:
+        raise failed[0]
+    return KreinSample(t=float(ts[0]), xi=xi[0], residual=float(residual[0]))
 
 
 def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> np.ndarray:

@@ -31,8 +31,8 @@ from kreindirac.errors import (
     NotAdmissible,
 )
 from kreindirac.finitegap import ENDPOINT_MARGIN, boundary_reduce, reflectionless_reduce
-from kreindirac.herglotz import (asymptotic_points, asymptotic_reduce, krein_xi_grid,
-                                 krein_xi_points, krein_xi_reduce)
+from kreindirac.herglotz import (asymptotic_points, asymptotic_reduce, krein_xi_points,
+                                 krein_xi_reduce)
 from kreindirac.mat2 import I2, im_part, op_norm, re_part
 from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
@@ -182,14 +182,18 @@ def test_a_point_alone_and_in_a_large_call_agree_bitwise(n):
     # not through how many factors a pass of a class product takes, nor
     # through the renormalisation bound of the other points (Im z down to
     # 1e-6 renormalises 64-gap products of the large call, not of a point
-    # high above the axis alone)
+    # high above the axis alone; at Im z = 1e-305 a ratio's modulus bound
+    # spans more than the 1000 bits a product may, and that point
+    # renormalises after every factor while the others keep their periods)
     rng = np.random.default_rng(n)
     widths = rng.uniform(0.05, 1.5, n)
     lefts = np.cumsum(widths + rng.uniform(1e-3, 3.0, n)) - widths
     gs = GapSet(tuple((float(a), float(a + w)) for a, w in zip(lefts - lefts.mean(), widths)))
     zs = rng.uniform(-3.0 * n, 3.0 * n, 3000) + 1j * 10.0 ** rng.uniform(-6.0, 3.0, 3000)
-    # every seventh point real, at a gap's centre
+    # every seventh point real, at a gap's centre, and every other
+    # compared point at height 1e-305
     zs[::7] = rng.choice([(a + b) / 2.0 for a, b in gs.gaps], len(zs[::7]))
+    zs[97::194] = zs[97::194].real + 1e-305j
     uniform = KreinProfile.uniform(gs, 0.4)
     classes = KreinProfile(gs, tuple(rng.choice((0.4, 1.3), n)))
     for prof in (uniform, classes):
@@ -216,13 +220,41 @@ def test_limits_alone_and_in_a_large_call_agree_bitwise(n):
     _, errors, zs = krein_xi_points(gs, ts)
     assert not errors
     mats = build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2))
-    whole = krein_xi_reduce(ts, {}, mats)
+    whole_xi, whole_res, failed = krein_xi_reduce(ts, {}, mats)
+    assert not failed and np.isfinite(whole_xi).all() and np.isfinite(whole_res).all()
+    for k in range(0, len(ts), 7):
+        one_xi, one_res, _ = krein_xi_reduce(ts[k:k + 1], {}, mats[:, k:k + 1])
+        np.testing.assert_array_equal(one_xi[0], whole_xi[k])
+        assert one_res[0] == whole_res[k]
+    # a point's xi row, residual and error, alone and among points inside
+    # endpoint margins and points that miss a tolerance inside the spread
+    # of the residuals
+    a, b = gs.endpoints
+    margin = ENDPOINT_MARGIN * (b - a)
+    near = np.concatenate([a + 0.5 * margin, b - 0.25 * margin])
+    mixed = rng.permutation(np.concatenate([ts, near]))
+    tol = float(np.median(whole_res))
+    mixed, errors, zs = krein_xi_points(gs, mixed)
+    assert len(errors) == len(near)
+    xi, res, failed = krein_xi_reduce(mixed, errors,
+                                      build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2)), tol)
+    assert list(failed) == sorted(failed)
+    assert {i for i, e in failed.items() if isinstance(e, EndpointSingularity)} == set(errors)
+    unconverged = [i for i, e in failed.items() if isinstance(e, NoConvergence)]
+    assert len(failed) == len(errors) + len(unconverged) and len(unconverged) >= 100
+    assert np.isnan(xi[list(failed)]).all() and np.isnan(res[list(failed)]).all()
+    ok = np.setdiff1d(np.arange(len(mixed)), list(failed))
+    assert np.isfinite(xi[ok]).all() and (res[ok] <= tol).all()
+    for k in [*range(0, len(mixed), 7), *errors]:
+        one_ts, one_errors, one_zs = krein_xi_points(gs, mixed[k:k + 1])
+        one_xi, one_res, one_failed = krein_xi_reduce(
+            one_ts, one_errors, build_M(prof, one_zs.ravel()).reshape(one_zs.shape + (2, 2)), tol)
+        np.testing.assert_array_equal(one_xi[0], xi[k])
+        np.testing.assert_array_equal(one_res[0], res[k])
+        assert [(type(e), str(e)) for e in one_failed.values()] == (
+            [(type(failed[k]), str(failed[k]))] if k in failed else [])
     band = np.flatnonzero(gs.containing_gaps(ts) < 0)
     limit, residual = boundary_reduce(mats[:, band], re_part)
-    for k in range(0, len(ts), 7):
-        alone = krein_xi_reduce(ts[k:k + 1], {}, mats[:, k:k + 1])[0]
-        np.testing.assert_array_equal(alone.xi, whole[k].xi)
-        assert alone.residual == whole[k].residual
     for k in range(0, len(band), 7):
         one_limit, one_residual = boundary_reduce(mats[:, band[k:k + 1]], re_part)
         np.testing.assert_array_equal(one_limit[0], limit[k])
@@ -354,35 +386,37 @@ def xi_grids(draw):
 
 @given(xi_grids(), st.sampled_from((1e-6, 1e-16)))
 @settings(max_examples=60, deadline=None)
-def test_krein_xi_grid_agrees_with_points(case, xi_tol):
-    prof, ts = case
+def test_krein_xi_reduce_agrees_with_points(case, xi_tol):
+    prof, grid = case
     mfun = profile_m_function(prof)
-    hits = krein_xi_grid(mfun, ts, xi_tol=xi_tol)
-    assert len(hits) == len(ts)
-    for t, hit in zip(ts, hits):
+    ts, errors, zs = krein_xi_points(prof.gapset, grid)
+    xi, residual, failed = krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)),
+                                           xi_tol)
+    assert xi.shape == (len(grid), 2, 2) and residual.shape == (len(grid),)
+    for i, t in enumerate(grid):
         try:
             one = krein_xi(mfun, float(t), xi_tol=xi_tol)
         except KreinDiracError as exc:
-            # the grid holds the error the one-point call raises
-            assert type(hit) is type(exc) and str(hit) == str(exc)
+            # the map holds the error the one-point call raises
+            assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
             continue
-        assert hit.t == one.t == float(t)
-        assert np.abs(hit.xi - one.xi).max() <= 1e-14
-        assert abs(hit.residual - one.residual) <= 1e-14
-        xi, residual = _xi_reference(mfun, float(t), xi_tol)
-        assert np.abs(hit.xi - xi).max() <= 1e-14
-        assert abs(hit.residual - residual) <= 1e-14
+        assert i not in failed
+        assert ts[i] == one.t == float(t)
+        assert np.abs(xi[i] - one.xi).max() <= 1e-14
+        assert abs(residual[i] - one.residual) <= 1e-14
+        ref_xi, ref_residual = _xi_reference(mfun, float(t), xi_tol)
+        assert np.abs(xi[i] - ref_xi).max() <= 1e-14
+        assert abs(residual[i] - ref_residual) <= 1e-14
     # only the margin point (if any) is an endpoint failure, and at the
     # default tolerance nothing else fails
     a, b = prof.gapset.endpoints
     m = ENDPOINT_MARGIN * (b - a)
-    in_margin = [bool(((np.abs(t - a) < m) | (np.abs(t - b) < m)).any()) for t in ts]
-    assert [isinstance(h, EndpointSingularity) for h in hits] == in_margin
-    failed = [isinstance(h, KreinDiracError) for h in hits]
+    in_margin = [bool(((np.abs(t - a) < m) | (np.abs(t - b) < m)).any()) for t in grid]
+    assert [isinstance(failed.get(i), EndpointSingularity) for i in range(len(grid))] == in_margin
     if xi_tol == 1e-6:
-        assert failed == in_margin
+        assert [i in failed for i in range(len(grid))] == in_margin
     else:
-        assert any(isinstance(h, NoConvergence) for h in hits)
+        assert any(isinstance(h, NoConvergence) for h in failed.values())
 
 
 def _inf_pair_matrix(m_other, which):

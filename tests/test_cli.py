@@ -788,6 +788,28 @@ def test_far_tgrid_point_warns_nothing(tmp_path):
     np.testing.assert_allclose(row[1:5], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
+TINY_HEIGHT = {"profile": {"gaps": [[-1, 1]], "uniform": 0.3}, "zgrid": [[0, 1e-305], [0, 1]]}
+FAR_WIDE_GAP = {"profile": {"gaps": [[1e300, 2e300]], "uniform": 0.3}}
+
+
+@pytest.mark.parametrize("command, cfg", [("construct", TINY_HEIGHT), ("verify", TINY_HEIGHT),
+                                          ("construct", FAR_WIDE_GAP)],
+                         ids=["construct-tiny-height", "verify-tiny-height", "construct-far-gap"])
+def test_a_point_past_the_renormalisation_range_warns_nothing(tmp_path, command, cfg):
+    # at Im z = 1e-305 over a gap 2 wide, or at the boundary heights of xi
+    # on a gap 1e300 wide, a Moebius ratio's modulus bound spans more than
+    # the 1000 bits a class product may hold: that point renormalises after
+    # every factor, and the ordinary points beside it in the one evaluation
+    # of M keep their own periods
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = _run(tmp_path, command, cfg)
+    assert code == 0
+    if command == "construct":
+        # the xi rows of the gap's seven default interior points
+        assert len(json.loads(text)["tables"]["xi"]["rows"]) == 7
+
+
 def test_main_builds_no_parser(tmp_path, monkeypatch):
     # the parser is built once, at import, not per call
     def refuse(*args, **kwargs):

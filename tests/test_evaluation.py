@@ -35,8 +35,8 @@ from kreindirac.herglotz import (
     asymptotic_reduce,
     herglotz_defect,
     herglotz_points,
-    krein_xi_grid,
     krein_xi_points,
+    krein_xi_reduce,
 )
 from kreindirac.mat2 import I2, op_norm
 
@@ -158,13 +158,19 @@ def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, name):
                         krein_xi_points(gs, tgrid)[2], gap_realness_points(gs))
 
 
-def _xi(mfun, ts, xi_tol):
-    # one krein_xi_grid call; its first failed point raises
-    hits = krein_xi_grid(mfun, ts, xi_tol=xi_tol)
-    for hit in hits:
-        if isinstance(hit, KreinDiracError):
-            raise hit
-    return np.array([hit.xi for hit in hits]).reshape(-1, 2, 2)
+def _xi_reduce(mfun, grid, xi_tol):
+    # the points of grid, and their xi stack, residuals and failed points,
+    # from one evaluation of mfun
+    ts, errors, zs = krein_xi_points(mfun.gapset, grid)
+    return ts, *krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)), xi_tol)
+
+
+def _xi(mfun, grid, xi_tol):
+    # the xi stack of grid; its first failed point raises
+    _, xi, _, failed = _xi_reduce(mfun, grid, xi_tol)
+    if failed:
+        raise next(iter(failed.values()))
+    return xi
 
 
 def _reference_verify(cfg):
@@ -279,7 +285,8 @@ def test_construct_records_and_tables_equal_their_library_functions(tmp_path, na
     mrows = np.column_stack([zgrid.real, zgrid.imag]
                             + [f(m[:, i, k]) for i in (0, 1) for k in (0, 1)
                                for f in (np.real, np.imag)])
-    xrows = np.array([[s.t, *s.xi.real.ravel(), s.residual]
-                      for s in krein_xi_grid(mfun, tgrid, xi_tol=cfg.xi_tol)])
+    ts, xi, residual, failed = _xi_reduce(mfun, tgrid, cfg.xi_tol)
+    assert not failed
+    xrows = np.array([[t, *x.ravel(), r] for t, x, r in zip(ts, xi, residual)])
     for table, want in (("M", mrows), ("xi", xrows)):
         np.testing.assert_array_equal(np.array(rep.tables[table][1]), want)

@@ -27,7 +27,7 @@ from kreindirac import (
 from kreindirac.errors import EndpointSingularity, NotAdmissible
 from kreindirac.finitegap import (boundary_points, boundary_reduce, e_interior_grid,
                                   gap_interior_grid)
-from kreindirac.herglotz import KreinSample, MFunction, herglotz_reduce, krein_xi_grid
+from kreindirac.herglotz import MFunction, herglotz_reduce, krein_xi_points, krein_xi_reduce
 from kreindirac.mat2 import im_part, op_norm, re_part
 from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
@@ -235,7 +235,9 @@ def test_boundary_points_sample_only_the_heights_the_limit_reads():
     mfun = MFunction(evaluator, prof.gapset)
     bands, gaps = e_interior_grid(prof.gapset), gap_interior_grid(prof.gapset)
     assert reflectionless_defect(mfun, bands) < 1e-8
-    assert all(isinstance(s, KreinSample) for s in krein_xi_grid(mfun, gaps))
+    ts, errors, zs = krein_xi_points(prof.gapset, gaps)
+    xi, _, failed = krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
+    assert not failed and np.isfinite(xi).all()
     assert LIMIT_ORDER + 2 == 5
     assert seen == [5 * len(bands), 5 * len(gaps)]
     # the same limits as the whole schedule: the window read is unchanged

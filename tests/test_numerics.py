@@ -21,7 +21,8 @@ from kreindirac.herglotz import (
     asymptotic_points,
     asymptotic_reduce,
     herglotz_points,
-    krein_xi_grid,
+    krein_xi_points,
+    krein_xi_reduce,
     profile_m_function,
 )
 from kreindirac.mat2 import re_part
@@ -144,7 +145,8 @@ def test_default_heights_of_any_radius_share_one_cache_entry():
         zs = asymptotic_points(prof.gapset)
         asymptotic_reduce(zs, build_M(prof, zs), ("value",))
     assert _weights.cache_info().currsize == 1
-    krein_xi_grid(profile_m_function(prof), [0.5])
+    ts, errors, zs = krein_xi_points(prof.gapset, [0.5])
+    krein_xi_reduce(ts, errors, build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2)))
     reflectionless_defect(profile_m_function(prof), [r + 0.5, r + 2.0])
     assert _weights.cache_info().currsize == 2
 
