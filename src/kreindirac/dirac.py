@@ -33,8 +33,9 @@ Both work in the co-rotating frame: moving the spectral parameter by c
 only rotates the potential, (p + iq)(x) -> e^{-2icx} (p + iq)(x), so the
 sampler marches the profile with gaps moved by the midpoint c of their
 hull (``GapSet.hull``) and turns each sample back.  The rotation leaves
-||W|| and the sharp bound alone, which is also why the large-z law and the
-Herglotz scan of ``herglotz`` stand on the same hull: they need no frame.
+||W|| and the sharp bound alone, which is also why the large-z law of
+``herglotz``, which stands above the same hull, and its Herglotz
+certificate, which reads the gaps themselves, need no frame.
 """
 
 from __future__ import annotations
@@ -892,8 +893,10 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
         the sharp bound holds along the whole orbit and this is never
         raised.  Profiles with mismatched gap projections yield formal M
         functions that need not be Herglotz; their orbits can cross the
-        bound, and the exception then certifies non-realizability (check
-        herglotz_defect for an independent witness).  Never ignored.
+        bound, and the exception then certifies non-realizability
+        (herglotz_defect is an independent witness: the smallest
+        eigenvalue of Im M(t + i0) on the gaps, where by the minimum
+        principle Im M takes its least value over C+).  Never ignored.
     NoConvergence
         If the step size of the congruence march, or the continuation
         stride of the Abel inversion, underflows before reaching a grid

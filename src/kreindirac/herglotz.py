@@ -23,7 +23,10 @@ and extracts the potential at the origin from the two large-z laws
     log M(c + i Y) = (i pi / 2) I - W(0) / (iY) + O(Y^-2),
 
 on the vertical through the midpoint c of the gaps' hull, where the
-heights Y stay near the hull's half width for gaps far from 0.
+heights Y stay near the hull's half width for gaps far from 0.  The
+Herglotz certificate reads the closed form at real points of the gaps,
+where M(t + i0) needs no limit: by the minimum principle the smallest
+eigenvalue of Im M over the upper half plane is reached there.
 """
 
 from __future__ import annotations
@@ -55,10 +58,8 @@ __all__ = [
 ]
 
 XI_TOL = 1e-6
-# the input-independent rows of the default grids, in spectral scales
+# the input-independent heights of the large-z points, in spectral scales
 _YGRID = _read_only(np.array([8.0, 16.0, 32.0, 64.0, 128.0]))
-_SCAN_HEIGHTS = _read_only(np.geomspace(1e-2, 3.0, 13))
-_GAP_HEIGHTS = _read_only(np.geomspace(1e-4, 3e-2, 9))
 
 
 @dataclass(frozen=True)
@@ -265,43 +266,39 @@ def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
 
 
 def herglotz_points(gapset: GapSet) -> np.ndarray:
-    """The upper-half-plane scan of :func:`herglotz_defect`, on the hull
-    frame of :func:`asymptotic_points`: with c the midpoint of the gaps'
-    hull and R its half width, a scale max(1, R), 41 x 13 points, real
-    parts across 1.5 scales either side of c and heights 1e-2 to 3 scales,
-    then 15 gap-interior columns per gap of ``gapset`` at 9 heights from
-    1e-4 to 3e-2 scales.  So the scan sees one picture wherever the
-    spectrum sits."""
-    c, r = gapset.hull
-    scale = max(1.0, r)
-    re = c + np.linspace(-1.5 * scale, 1.5 * scale, 41)
-    im = scale * _SCAN_HEIGHTS
-    pts = (re[:, None] + 1j * im).ravel()
-    if gapset.n:
-        heights = scale * _GAP_HEIGHTS
-        cols = gap_interior_grid(gapset, per_gap=15)
-        pts = np.concatenate([pts, (cols[:, None] + 1j * heights).ravel()])
-    return pts
+    """The real points at which :func:`herglotz_defect` reads the boundary
+    values M(t + i0): :func:`gap_interior_grid` of ``gapset``, 7 per gap,
+    less the points inside an endpoint margin of any gap (see
+    ``GapSet.endpoint_errors``).  ``build_M`` evaluates a real gap point
+    in closed form, as the continuation from above, so no limit is taken.
+    Empty for the gapless set."""
+    ts = gap_interior_grid(gapset)
+    return np.delete(ts, list(gapset.endpoint_errors(ts)))
 
 
 def herglotz_reduce(mats: np.ndarray) -> float:
-    """The smallest eigenvalue of Im M over a stack of M values."""
+    """The smallest eigenvalue of Im M over a stack of M values and at
+    infinity, where M = iI: at most 1, and 1 for an empty stack."""
     h = im_part(mats)
     # smallest eigenvalue of the hermitian 2x2 Im M, in closed form
     mean = 0.5 * (h[:, 0, 0].real + h[:, 1, 1].real)
     half_diff = 0.5 * (h[:, 0, 0].real - h[:, 1, 1].real)
-    return float(np.min(mean - np.hypot(half_diff, np.abs(h[:, 0, 1]))))
+    return float(np.min(mean - np.hypot(half_diff, np.abs(h[:, 0, 1])), initial=1.0))
 
 
 def herglotz_defect(mfun: MFunction) -> float:
-    """Worst (most negative) eigenvalue of Im M over an upper-half-plane grid.
+    """Worst (most negative) eigenvalue of Im M over C+, read on the gaps.
 
     A matrix Herglotz function has Im M(z) >= 0 throughout C+, so a
     negative return value certifies that ``mfun`` is not the M function of
-    any Dirac operator; values >= 0 merely fail to find a witness.  The
-    grid is :func:`herglotz_points` of ``mfun.gapset``: positivity of the
-    formal constructions with mismatched gap projections fails just above
-    the gaps, so the grid is refined by gap-interior columns at
-    geometrically small heights.
+    any Dirac operator.  The smallest eigenvalue of Im M is the infimum of
+    the harmonic functions v* Im M v over unit vectors v, so it is
+    superharmonic and takes its infimum over C+ on the boundary or at
+    infinity (the minimum principle).  For the functions built here
+    M -> iI at infinity and Im M(t + i0) = e^{S(t)} > 0 on the bands,
+    with log M(t + i0) = S(t) + (i pi / 2) I, so the infimum sits on the
+    gaps: the value is :func:`herglotz_reduce` of the boundary values at
+    the :func:`herglotz_points` of ``mfun.gapset``, which ``mfun`` must
+    extend to.  A value >= 0 says that no sampled gap point is a witness.
     """
     return herglotz_reduce(mfun(herglotz_points(mfun.gapset)))

@@ -73,6 +73,24 @@ def test_construct_strict_profile(tmp_path):
     assert _records(text)["gap_realness"]["status"] == "pass"
 
 
+def test_construct_classification_is_relative_past_a_unit_bound(tmp_path):
+    # one uniform gap attains the bound; at bound 5e7 its rounding is one
+    # ulp, 7.45e-9, past an absolute 1e-9
+    code, text = _run(tmp_path, "construct", {"profile": {"gaps": [[0, 1e8]], "uniform": 0.3}})
+    assert code == 0
+    rec = _records(text)["classification"]
+    assert 0.0 < rec["value"] < 1e-8
+    assert rec["identity"].startswith("extremal") and "R0(E)" in rec["identity"]
+    # a mismatched pair 1e-4 apart in angle at bound 1e8 falls short by
+    # 0.5, five times the tolerance 1e-9 * 1e8
+    cfg = {"profile": {"gaps": [[-2e8, -1e8], [1e8, 2e8]], "angles": [0.3, 0.3001]}}
+    code, text = _run(tmp_path, "construct", cfg)
+    assert code == 0
+    rec = _records(text)["classification"]
+    assert rec["value"] == pytest.approx(0.5, rel=1e-6)
+    assert rec["identity"].startswith("strict")
+
+
 def test_construct_gapless_profile(tmp_path):
     code, text = _run(tmp_path, "construct", {"profile": {"gaps": []}})
     assert code == 0
@@ -153,9 +171,9 @@ def test_verify_witness_fails_herglotz_only(tmp_path):
 
 @pytest.mark.parametrize("centre", [0.0, 100.0, 1000.0, -1e3])
 def test_verify_witness_fails_herglotz_wherever_its_spectrum_sits(tmp_path, centre):
-    # moving the spectrum only rotates the potential, and the scan stands
-    # on the gaps' hull, so it finds the witness's negative Im M at every
-    # centre, as deep as at 0
+    # moving the spectrum only rotates the potential, and the boundary
+    # points move with the gaps, so they find the witness's negative
+    # Im M(t + i0) at every centre, as deep as at 0
     gaps = [[a + centre, b + centre] for a, b in WITNESS["profile"]["gaps"]]
     code, text = _run(tmp_path, "verify", {"profile": dict(WITNESS["profile"], gaps=gaps)})
     assert code == 1
@@ -163,6 +181,20 @@ def test_verify_witness_fails_herglotz_wherever_its_spectrum_sits(tmp_path, cent
     assert list(failed) == ["herglotz"]
     assert failed["herglotz"] == pytest.approx(_records(_run(tmp_path, "verify", WITNESS)[1])
                                                ["herglotz"]["value"], rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [10.0, 100.0, 1000.0])
+def test_verify_separated_witness_fails_herglotz(tmp_path, s):
+    # the witness's angles on gaps (-s - 1, -s), (s, s + 1): the negative
+    # part of Im M sits on the gaps and falls like 1 / s, far above the
+    # 1e-9 tolerance at these s
+    cfg = {"profile": {"gaps": [[-s - 1, -s], [s, s + 1]], "angles": [0.3, 1.9]}}
+    code, text = _run(tmp_path, "verify", cfg)
+    assert code == 1
+    failed = {name: r for name, r in _records(text).items() if r["status"] == "fail"}
+    assert list(failed) == ["herglotz"]
+    assert failed["herglotz"]["tolerance"] == 1e-9
+    assert failed["herglotz"]["value"] == pytest.approx(0.0113 / s, rel=0.05)
 
 
 def test_verify_random_batch_deterministic(tmp_path):

@@ -90,13 +90,14 @@ def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, 
     assert len(calls) == 1
     (first, pts), = calls
     assert first is profile
-    realness = []
-    if profile.is_commuting and not gs.endpoint_errors(gap_interior_grid(gs)):
-        realness = [gap_realness_points(gs)]
     ts = np.concatenate([gap_interior_grid(gs), e_interior_grid(gs)])
     assert _same_points(pts, cli._default_zgrid(gs), herglotz_points(gs),
-                        krein_xi_points(gs, ts)[2], *realness, asymptotic_points(gs))
-    # no real point inside an endpoint margin enters the evaluation
+                        krein_xi_points(gs, ts)[2], asymptotic_points(gs))
+    # the Herglotz certificate's real points serve gap_realness too, for
+    # every profile; no real point inside an endpoint margin enters the
+    # evaluation
+    if not gs.endpoint_errors(gap_interior_grid(gs)):
+        np.testing.assert_array_equal(herglotz_points(gs), gap_realness_points(gs))
     assert gs.endpoint_errors(pts.real[pts.imag == 0]) == {}
 
 
@@ -154,8 +155,10 @@ def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, name):
     cli.run(cfg)
     assert len(calls) == 1
     tgrid = gap_interior_grid(gs)
-    assert _same_points(calls[0][1], cli._default_zgrid(gs), herglotz_points(gs),
-                        krein_xi_points(gs, tgrid)[2], gap_realness_points(gs))
+    assert _same_points(calls[0][1], cli._default_zgrid(gs), krein_xi_points(gs, tgrid)[2],
+                        gap_realness_points(gs))
+    # the Herglotz certificate reads the gap_realness points
+    np.testing.assert_array_equal(herglotz_points(gs), gap_realness_points(gs))
 
 
 def _xi_reduce(mfun, grid, xi_tol):

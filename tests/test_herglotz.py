@@ -17,7 +17,7 @@ from kreindirac import (
     trace_formula_W0,
 )
 from kreindirac.errors import EndpointSingularity, NoConvergence
-from kreindirac.finitegap import e_interior_grid
+from kreindirac.finitegap import e_interior_grid, gap_interior_grid
 from kreindirac.herglotz import herglotz_reduce
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
@@ -147,11 +147,64 @@ def test_herglotz_defect_accepts_commuting_projections():
 
 
 def test_herglotz_defect_certifies_witness():
-    # non-commuting data: the formal construction is not Herglotz, the
-    # scan finds an eigenvalue of Im M near -0.0066 just above a gap
+    # non-commuting data: the formal construction is not Herglotz, and
+    # Im M(t + i0) has an eigenvalue near -0.0095 on a gap
     prof = KreinProfile(GapSet(WITNESS_GAPS), WITNESS_ANGLES)
     defect = herglotz_defect(profile_m_function(prof))
-    assert -0.008 < defect < -0.005
+    assert -0.011 < defect < -0.008
+
+
+def _upper_half_plane_scan(gs):
+    # the points an earlier certificate scanned: with c and R the midpoint
+    # and half width of the gaps' hull and s = max(1, R), 41 x 13 points
+    # across 1.5 s either side of c at heights 1e-2 s to 3 s, and 15 columns
+    # per gap at 9 heights from 1e-4 s to 3e-2 s
+    c, r = gs.hull
+    s = max(1.0, r)
+    rows = (c + np.linspace(-1.5 * s, 1.5 * s, 41))[:, None] + 1j * s * np.geomspace(1e-2, 3.0, 13)
+    cols = gap_interior_grid(gs, per_gap=15)[:, None] + 1j * s * np.geomspace(1e-4, 3e-2, 9)
+    return np.concatenate([rows.ravel(), cols.ravel()])
+
+
+def test_the_gaps_hold_the_minimum_of_im_m():
+    # the minimum principle as evidence: on mismatched draws the boundary
+    # values on the gaps are never above the smallest eigenvalue of Im M
+    # over the upper-half-plane scan, so they miss no witness it catches
+    rng = np.random.default_rng(2027)
+    for k in range(300):
+        if k < 200:
+            # two separated gaps at angles 0.5 to 1.1 apart
+            c1, c2 = -rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0)
+            w1, w2 = rng.uniform(0.5, 1.2, 2)
+            alpha = rng.uniform(0.0, math.pi)
+            gaps = ((c1 - w1 / 2, c1 + w1 / 2), (c2 - w2 / 2, c2 + w2 / 2))
+            angles = (alpha, alpha + rng.uniform(0.5, 1.1) * rng.choice((-1.0, 1.0)))
+        else:
+            # 2 to 8 gaps down to 0.05 wide, down to 0.01 apart
+            n = int(rng.integers(2, 9))
+            widths = rng.uniform(0.05, 1.5, n)
+            lefts = np.cumsum(widths + rng.uniform(0.01, 2.0, n)) - widths
+            gaps = tuple((float(a), float(a + w)) for a, w in zip(lefts, widths))
+            angles = tuple(rng.uniform(0.0, math.pi, n))
+        prof = KreinProfile(GapSet(gaps), angles)
+        scan = herglotz_reduce(build_M(prof, _upper_half_plane_scan(prof.gapset)))
+        assert herglotz_defect(profile_m_function(prof)) <= scan, (gaps, angles)
+
+
+@pytest.mark.parametrize("gaps, angles", [
+    (((-1.0, 1.0),), (0.3,)),
+    (WITNESS_GAPS, (0.3, 0.3)),
+    (tuple((3.0 * j, 3.0 * j + 1.0) for j in range(16)), (0.7,) * 16),
+    (tuple((3.0 * j, 3.0 * j + 1.0) for j in range(64)), (0.7,) * 64),
+    (WITNESS_GAPS, (0.3, 0.3 + math.pi / 2)),
+    (((999950.0, 1000050.0),), (0.3,)),
+    (((-1.0, 0.0), (1e-6, 1.0)), (0.3, 0.3)),
+], ids=["1", "2", "16", "64", "flipped", "far", "1e-6-apart"])
+def test_herglotz_defect_is_rounding_on_commuting_profiles(gaps, angles):
+    # M(t + i0) is real on the gaps of a commuting profile, so its smallest
+    # Im eigenvalue there is 0 up to rounding
+    prof = KreinProfile(GapSet(gaps), angles)
+    assert abs(herglotz_defect(profile_m_function(prof))) <= 1e-12
 
 
 def test_herglotz_defect_free_function():

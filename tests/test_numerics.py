@@ -153,8 +153,8 @@ def test_default_heights_of_any_radius_share_one_cache_entry():
 
 def test_cached_weights_and_grid_constants_are_read_only():
     shared = [_weights(tuple(LIMIT_OFFSETS[-5:] / LIMIT_OFFSETS[-5]), LIMIT_ORDER),
-              LIMIT_OFFSETS, herglotz._YGRID, herglotz._SCAN_HEIGHTS, herglotz._GAP_HEIGHTS,
-              finitegap._OUTER_ROW, finitegap._unit_row(7), finitegap._unit_row(15)]
+              LIMIT_OFFSETS, herglotz._YGRID, finitegap._OUTER_ROW, finitegap._unit_row(7),
+              finitegap._unit_row(15)]
     for a in shared:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
