@@ -1,33 +1,32 @@
 """Three independent routes to the same Weyl functions.
 
 For a constant potential W = [[p, q], [q, -p]] the half-line Weyl disks
-degenerate to points with closed forms (route 1).  Writing the potential
-as a step potential with breakpoints at -l and l and transporting the
-decaying tail eigenvectors from them to 0 by transfer matrices
-(``ode_weyl``) reaches the same pair (route 2).  And the gap construction with the matching
-single gap and angle assembles the same M function (route 3).
+degenerate to points with closed forms (route 1).  Seeding the decaying
+tail eigenvectors at -l and l and transporting them to 0 by the transfer
+matrix exp(l K) (``ode_weyl``) reaches the same pair (route 2).  And the
+gap construction with the matching single gap and angle assembles the
+same M function (route 3).
 """
 
 import numpy as np
 
 from kreindirac import GapSet, KreinProfile, assemble_M, build_M, const_weyl
-from kreindirac.dirac import StepPotential, ode_weyl
+from kreindirac.dirac import ode_weyl
 
 p, q = 3.0, 4.0
 r = np.hypot(p, q)
 alpha = 0.5 * np.arctan2(q, p)
 prof = KreinProfile.uniform(GapSet(((-r, r),)), alpha)
 zs = np.array([1j, 0.5 + 2j, -4.0 + 0.25j, 10j])
-# l |K| stays of order 1, so the transfer matrices are well conditioned
+# l |K| stays of order 1, so the transfer matrix is well conditioned
 ell = 1.0 / max(1.0, r, np.abs(zs).max())
-step = StepPotential((-ell, ell), ((p, q),), ((p, q), (p, q)))
 
 print(f"constant potential p = {p}, q = {q}  ->  gap (-{r}, {r}), "
-      f"angle {alpha:.6f}, breakpoints +-{ell:g}")
+      f"angle {alpha:.6f}, tails seeded at +-{ell:g}")
 print()
 # every route takes the whole z grid in one call
 exact = const_weyl(p, q, zs)
-marched = ode_weyl(step, zs)
+marched = ode_weyl(p, q, ell, zs)
 dev_ode = np.maximum(abs(marched.m_plus - exact.m_plus),
                      abs(marched.m_minus - exact.m_minus))
 dev_gap = np.linalg.norm(build_M(prof, zs) - assemble_M(exact), 2, axis=(1, 2))

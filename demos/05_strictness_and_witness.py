@@ -52,7 +52,7 @@ mfun = profile_m_function(witness)
 print("witness profile, angles (0.3, 1.9):")
 print("  Herglotz defect:        ", herglotz_defect(mfun))
 print("  Im M inside the gaps:   ", gap_realness(witness))
-print("  projection commutator:  ", commutator_diag(witness, [1.5]))
+print("  projection commutator:  ", commutator_diag(witness))
 try:
     sample_potential(witness, np.linspace(0.0, 1.0, 21))
 except BoundViolation as exc:

@@ -47,11 +47,8 @@ from .herglotz import (
     herglotz_defect,
 )
 from .dirac import (
-    StepPotential,
-    transfer,
     const_weyl,
     ode_weyl,
-    ode_m_function,
     sample_potential,
 )
 
@@ -90,11 +87,8 @@ __all__ = [
     "krein_xi",
     "asymptotic_W",
     "herglotz_defect",
-    "StepPotential",
-    "transfer",
     "const_weyl",
     "ode_weyl",
-    "ode_m_function",
     "sample_potential",
     "__version__",
 ]

@@ -41,15 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import (BOUND_SLACK, LOC_TOL, StepPotential, const_weyl, ode_weyl,
-                    sample_potential)
+from .dirac import BOUND_SLACK, LOC_TOL, const_weyl, ode_weyl, sample_potential
 from .errors import BoundViolation, KreinDiracError, NoConvergence
 from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
                         e_interior_grid, gap_interior_grid, gap_realness_points,
                         gap_realness_reduce, json_number, mj_eigenpairs, profile_from_json,
                         reflectionless_reduce, sharp_bound, trace_formula_W0, weyl_from_M)
-from .herglotz import (XI_TOL, MFunction, asymptotic_points, asymptotic_reduce, herglotz_points,
-                       herglotz_reduce, krein_xi_points, krein_xi_reduce, profile_m_function)
+from .herglotz import (XI_TOL, MFunction, asymptotic_points, asymptotic_reduce, herglotz_reduce,
+                       krein_xi_points, krein_xi_reduce, profile_m_function)
 from .mat2 import op_norm
 
 __all__ = ["RunConfig", "Record", "Report", "load_config", "run", "main", "console_main"]
@@ -231,10 +230,11 @@ _KEYS = {
 
 def _convert(name: str, parse, value):
     """``parse(value)``; a value of the wrong type or range (an int beyond
-    float range included) is a ConfigError naming its key or flag."""
+    float range, or a grid too large to allocate, included) is a
+    ConfigError naming its key or flag."""
     try:
         return parse(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -360,8 +360,10 @@ def run_construct(cfg: RunConfig) -> Report:
     # and the gap interiors, which serve gap_realness and the Herglotz
     # certificate; a gap interior point inside an endpoint margin raises
     # before it
-    real_ts = gap_realness_points(gs) if gs.n else np.empty(0)
-    comm = commutator_diag(profile, [(a + b) / 2.0 for a, b in gs.gaps])
+    real_ts, real_errors = gap_realness_points(gs)
+    if real_errors:
+        raise next(iter(real_errors.values()))
+    comm = commutator_diag(profile)
     xi_ts, xi_errors, xi_zs = krein_xi_points(gs, tgrid)
     mats, xi_mats, real_mats = _evaluate(mfun, zgrid, xi_zs, real_ts)
 
@@ -424,9 +426,9 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     # points.  Real points inside an endpoint margin stay out of it and
     # fail their own probes.
     xi_ts, xi_errors, xi_zs = krein_xi_points(gs, np.concatenate([tgrid, egrid]))
+    real_ts, real_errors = gap_realness_points(gs)
     asym_zs = asymptotic_points(gs, cfg.ygrid)
-    mats, xi_mats, real_mats, asym_mats = _evaluate(mfun, zgrid, xi_zs, herglotz_points(gs),
-                                                    asym_zs)
+    mats, xi_mats, real_mats, asym_mats = _evaluate(mfun, zgrid, xi_zs, real_ts, asym_zs)
 
     rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
@@ -484,7 +486,8 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
                   lambda: op_norm(xi_stack(on_gaps) - target).max())
         if profile.is_commuting:
             def realness():
-                gap_realness_points(gs)  # raises the first margin error
+                if real_errors:
+                    raise next(iter(real_errors.values()))
                 return gap_realness_reduce(real_mats)
 
             rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
@@ -574,14 +577,12 @@ def run_oracle(cfg: RunConfig) -> Report:
     else:
         profile = KreinProfile(GapSet(()), ())
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(profile.gapset)
-    # the constant potential as a step potential with breakpoints at -l and
-    # l, so the ODE route transports through transfer matrices exp(l K)
-    # whose exponents are of order 1
+    # the ODE route seeds the tails at -l and l and transports them through
+    # the transfer matrix exp(l K), whose exponent is of order 1
     ell = 1.0 / max(1.0, r, float(np.abs(zgrid).max()))
-    step = StepPotential((-ell, ell), ((p, q),), ((p, q), (p, q)))
 
     cw = const_weyl(p, q, zgrid)
-    ow = ode_weyl(step, zgrid)
+    ow = ode_weyl(p, q, ell, zgrid)
     d_ode = max(_sphere_dev(cw.m_plus, ow.m_plus), _sphere_dev(cw.m_minus, ow.m_minus))
     rows = np.column_stack([zgrid.real, zgrid.imag, cw.m_plus.real, cw.m_plus.imag,
                             cw.m_minus.real, cw.m_minus.imag]).tolist()

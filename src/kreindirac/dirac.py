@@ -12,9 +12,9 @@ Riccati equation
 
     m' = (p - z) - 2 q m - (p + z) m^2.
 
-The module provides step potentials with exact piecewise transfer matrices,
-closed-form Weyl functions for constant coefficients (the fixed points of
-this equation), and the orbit sampler, which has two routes:
+The module provides the Weyl functions of a constant potential, in closed
+form (the fixed points of this equation) and by transport with its
+transfer matrix exp(l K), and the orbit sampler, which has two routes:
 
 * a commuting profile (every angle alpha or alpha + pi/2) solves for
   its Dirichlet divisor, the zeros mu_j(x) of M_11(x, .), one per gap, at
@@ -40,93 +40,31 @@ certificate, which reads the gaps themselves, need no frame.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
 from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
-                        WeylPair, assemble_M, build_M, gap_realness, sphere_ratio,
-                        trace_formula_W0)
-from .herglotz import MFunction, asymptotic_W, profile_m_function
-from .mat2 import I2, J, _Workspace, _stage, mexp
+                        WeylPair, build_M, gap_realness, sphere_ratio, trace_formula_W0)
+from .herglotz import asymptotic_W, profile_m_function
+from .mat2 import J, _Workspace, _stage, mexp
 from .numerics import _read_only
 
 __all__ = [
-    "StepPotential",
     "coefficient_matrix",
-    "transfer",
     "const_weyl",
     "ode_weyl",
-    "ode_m_function",
     "co_rotating_frame",
     "sample_potential",
 ]
-
-@dataclass(frozen=True)
-class StepPotential:
-    """Piecewise-constant potential: tails outside the breakpoints, one
-    constant (p, q) per bounded interval between consecutive breakpoints."""
-
-    breakpoints: tuple[float, ...]
-    pieces: tuple[tuple[float, float], ...]
-    tails: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        if not bp:
-            raise ValueError("need at least one breakpoint")
-        if any(not b1 < b2 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        pieces = tuple((float(p), float(q)) for p, q in self.pieces)
-        if len(pieces) != len(bp) - 1:
-            raise ValueError(f"expected {len(bp) - 1} pieces, got {len(pieces)}")
-        tails = tuple((float(p), float(q)) for p, q in self.tails)
-        if len(tails) != 2:
-            raise ValueError("need exactly two tails")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "tails", tails)
-
-    @classmethod
-    def constant(cls, p: float, q: float) -> "StepPotential":
-        return cls((0.0,), (), (((p, q)), (p, q)))
-
-    def value_at(self, x: float) -> tuple[float, float]:
-        i = bisect.bisect_right(self.breakpoints, x)
-        if i == 0:
-            return self.tails[0]
-        if i == len(self.breakpoints):
-            return self.tails[1]
-        return self.pieces[i - 1]
 
 
 def coefficient_matrix(p: float, q: float, z) -> np.ndarray:
     """K = J (W + z) = J W + z J = [[-q, p - z], [p + z, q]] (trace zero),
     for one z or as an (N, 2, 2) stack for an array of N points."""
     return np.array([[-q, p], [p, q]], dtype=complex) + np.multiply.outer(z, J)
-
-
-def transfer(w: StepPotential, x0: float, x1: float, z) -> np.ndarray:
-    """Propagator T with y(x1) = T y(x0); det T = 1.
-
-    The product of per-segment matrix exponentials exp(l K) over the
-    constant pieces covering [x0, x1].  For the free piece (p = q = 0) a
-    segment contributes the rotation [[cos zl, -sin zl], [sin zl, cos zl]].
-    One z gives a (2, 2) matrix, an array of N points an (N, 2, 2) stack.
-    """
-    if not x0 <= x1:
-        raise ValueError("need x0 <= x1")
-    cuts = [x0] + [b for b in w.breakpoints if x0 < b < x1] + [x1]
-    # at least one segment, so the product takes the shape of exp(l K)
-    T = I2
-    for u, v in zip(cuts, cuts[1:]):
-        p, q = w.value_at(0.5 * (u + v))
-        T = mexp((v - u) * coefficient_matrix(p, q, z)) @ T
-    return T
 
 
 def _dichotomy(p: float, q: float, z) -> tuple[np.ndarray, np.ndarray]:
@@ -162,40 +100,27 @@ def const_weyl(p: float, q: float, z) -> WeylPair:
                     m_minus=sphere_ratio(z - p, q + lam_p))
 
 
-def ode_weyl(w: StepPotential, z) -> WeylPair:
-    """Weyl pair of a step potential by seeding decaying tail eigenvectors
-    at the outer breakpoints and transporting them to 0 with transfer
-    matrices.  One z gives a pair of complex numbers, an array of N points
-    a pair of (N,) arrays."""
+def ode_weyl(p: float, q: float, ell: float, z) -> WeylPair:
+    """Weyl pair of the constant potential [[p, q], [q, -p]] by transport:
+    the decaying tail eigenvectors are seeded at x = ell and x = -ell and
+    carried to 0 by the one transfer matrix T = exp(ell K), det T = 1, of
+    a piece of length ell.  An independent route to :func:`const_weyl`; T
+    is well conditioned while ell |K| is of order 1.  One z gives a pair
+    of complex numbers, an array of N points a pair of (N,) arrays."""
     z = np.asarray(z, dtype=complex)
     if not (z.imag > 0).all():
         raise ValueError("ode_weyl needs Im z > 0")
-    b_first, b_last = w.breakpoints[0], w.breakpoints[-1]
-
-    pt, qt = w.tails[1]
-    _, lam_m = _dichotomy(pt, qt, z)
-    v0, v1 = pt - z, qt + lam_m
-    if b_last > 0:
-        T = transfer(w, 0.0, b_last, z)
-        # inverse of a det-1 matrix
-        v0, v1 = (T[..., 1, 1] * v0 - T[..., 0, 1] * v1,
-                  -T[..., 1, 0] * v0 + T[..., 0, 0] * v1)
-    m_plus = sphere_ratio(v0, v1)
-
-    pt, qt = w.tails[0]
-    lam_p, _ = _dichotomy(pt, qt, z)
-    v0, v1 = pt - z, qt + lam_p
-    if b_first < 0:
-        T = transfer(w, b_first, 0.0, z)
-        v0, v1 = (T[..., 0, 0] * v0 + T[..., 0, 1] * v1,
-                  T[..., 1, 0] * v0 + T[..., 1, 1] * v1)
-    return WeylPair(m_plus=m_plus, m_minus=sphere_ratio(-v0, v1))
-
-
-def ode_m_function(w: StepPotential) -> MFunction:
-    """The matrix Herglotz function assembled from a step potential's Weyl
-    pair (an independent oracle for the explicit construction)."""
-    return MFunction(lambda z: assemble_M(ode_weyl(w, z)))
+    lam_p, lam_m = _dichotomy(p, q, z)
+    T = mexp(ell * coefficient_matrix(p, q, z))
+    # y(ell) = T y(0): back to 0 by the inverse of the det-1 T
+    v0, v1 = p - z, q + lam_m
+    m_plus = sphere_ratio(T[..., 1, 1] * v0 - T[..., 0, 1] * v1,
+                          -T[..., 1, 0] * v0 + T[..., 0, 0] * v1)
+    # y(0) = T y(-ell)
+    v0, v1 = p - z, q + lam_p
+    return WeylPair(m_plus=m_plus,
+                    m_minus=sphere_ratio(-(T[..., 0, 0] * v0 + T[..., 0, 1] * v1),
+                                         T[..., 1, 0] * v0 + T[..., 1, 1] * v1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -887,22 +812,25 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
     Raises
     ------
     BoundViolation
-        If any sampled ||W(x)|| exceeds sharp_bound + bound_slack.  For a
-        profile whose constructed M function is a genuine matrix Herglotz
-        function (every commuting profile is, by the explicit realization),
-        the sharp bound holds along the whole orbit and this is never
-        raised.  Profiles with mismatched gap projections yield formal M
-        functions that need not be Herglotz; their orbits can cross the
-        bound, and the exception then certifies non-realizability
-        (herglotz_defect is an independent witness: the smallest
-        eigenvalue of Im M(t + i0) on the gaps, where by the minimum
-        principle Im M takes its least value over C+).  Never ignored.
+        If any sampled ||W(x)|| of a non-commuting profile exceeds
+        sharp_bound + bound_slack.  Profiles with mismatched gap
+        projections yield formal M functions that need not be Herglotz;
+        their orbits can cross the bound, and the exception then certifies
+        non-realizability (herglotz_defect is an independent witness: the
+        smallest eigenvalue of Im M(t + i0) on the gaps, where by the
+        minimum principle Im M takes its least value over C+).  Never
+        ignored.  A commuting profile's M function is a genuine matrix
+        Herglotz function, by the explicit realization, so the sharp bound
+        holds along its whole orbit and it never raises this.
     NoConvergence
         If the step size of the congruence march, or the continuation
         stride of the Abel inversion, underflows before reaching a grid
         point or the start, or the x = 0 Weyl-law cross-check does not
         converge (no samples then).  A stalled congruence march names the
-        profile's gap_realness, which is 0 for a realizable profile.
+        profile's gap_realness, which is 0 for a realizable profile.  A
+        commuting orbit that crosses the bound has lost its digits, most
+        likely to 2 c x in its Abel targets at large x, and raises this,
+        naming x and the digits lost.
 
     Both exceptions carry the grid samples accepted before the failure in
     their ``samples`` attribute.
@@ -924,9 +852,19 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
             p, q = p * cos - q * sin, p * sin + q * cos
         sample = PotentialSample(x=float(x), p=p, q=q, residual=residual)
         if sample.norm > bound + bound_slack:
-            raise BoundViolation(
-                f"||W({x:.6g})|| = {sample.norm:.8f} exceeds the sharp bound "
-                f"{bound:.8f} + {bound_slack:g}")
+            crossing = (f"||W({x:.6g})|| = {sample.norm:.8f} exceeds the sharp bound "
+                        f"{bound:.8f} + {bound_slack:g}")
+            if not profile.is_commuting:
+                raise BoundViolation(crossing)
+            # a commuting orbit stays within the bound, so its targets
+            # P theta - 2 c x, c the frame's gap midpoints, have lost the
+            # digits that 2 c x takes from a double
+            a, b = frame.gapset.endpoints
+            shift = float(np.abs((a + b) * x).max())
+            lost = min(16.0, math.log10(max(1.0, shift)))
+            raise NoConvergence(
+                f"{crossing} on a commuting profile: the Abel targets hold "
+                f"2 c x = {shift:.3g} and have lost {lost:.3g} of a double's 16 digits")
         return sample
 
     orbit = (_divisor_orbit(frame, xg) if profile.is_commuting

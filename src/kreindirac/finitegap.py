@@ -17,7 +17,6 @@ together with the convex-hull estimate behind its strictness analysis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -561,10 +560,7 @@ def trace_formula_W0(profile: KreinProfile) -> PotentialSample:
     total = np.zeros((2, 2), dtype=complex)
     for j, (a, b) in enumerate(profile.gapset.gaps):
         total += (b - a) * (profile.projection(j) - 0.5 * I2)
-    drift = max(abs(total[0, 0] + total[1, 1]), abs(total[0, 1] - total[1, 0]),
-                float(np.max(np.abs(total.imag))))
-    return PotentialSample(x=0.0, p=float(total[0, 0].real),
-                           q=float(total[0, 1].real), residual=float(drift))
+    return PotentialSample(x=0.0, p=float(total[0, 0].real), q=float(total[0, 1].real))
 
 
 def sharp_bound(gapset: GapSet) -> float:
@@ -639,29 +635,18 @@ def reflectionless_defect(mfun, grid: Sequence[float]) -> float:
     return reflectionless_reduce(mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
 
 
-def _in_gaps(gapset: GapSet, grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``grid`` as a float array and the index of the gap holding each
-    point; a point outside every gap raises a ValueError."""
-    ts = np.array([float(t) for t in grid])
-    js = gapset.containing_gaps(ts)
-    outside = np.flatnonzero(js < 0)
-    if len(outside):
-        raise ValueError(f"grid point {float(ts[outside[0]])} is not inside a gap")
-    return ts, js
-
-
-def gap_realness_points(gapset: GapSet, grid: Sequence[float] | None = None) -> np.ndarray:
-    """The real points :func:`gap_realness` evaluates M at: ``grid``, by
-    default :func:`gap_interior_grid`.  A point outside every gap raises a
-    ValueError, and the first point inside an endpoint margin (of any gap)
-    raises its EndpointSingularity."""
-    if grid is None:
-        grid = gap_interior_grid(gapset)
-    ts, _ = _in_gaps(gapset, grid)
-    errs = gapset.endpoint_errors(ts)
-    if errs:
-        raise next(iter(errs.values()))
-    return ts
+def gap_realness_points(gapset: GapSet) -> tuple[np.ndarray, dict]:
+    """The real gap points that :func:`gap_realness` and the Herglotz
+    certificate read, in the ``(ts, errors)`` form of
+    ``herglotz.krein_xi_points``: the :func:`gap_interior_grid` of
+    ``gapset``, 7 per gap, less the points inside an endpoint margin of
+    any gap, and the EndpointSingularity of each of those, keyed by its
+    index in the grid (see ``GapSet.endpoint_errors``).  ``build_M``
+    evaluates a real gap point in closed form, as the continuation from
+    above, so no limit is taken.  Both are empty for the gapless set."""
+    ts = gap_interior_grid(gapset)
+    errors = gapset.endpoint_errors(ts)
+    return np.delete(ts, list(errors)), errors
 
 
 def gap_realness_reduce(mats: np.ndarray) -> float:
@@ -670,30 +655,34 @@ def gap_realness_reduce(mats: np.ndarray) -> float:
     return float(op_norm(im_part(mats)).max(initial=0.0))
 
 
-def gap_realness(profile: KreinProfile, grid: Sequence[float] | None = None) -> float:
-    """sup over gap-interior points of || Im M(t) || (continuation from above).
+def gap_realness(profile: KreinProfile) -> float:
+    """sup over the :func:`gap_realness_points` of || Im M(t) ||
+    (continuation from above); a point inside an endpoint margin raises
+    its EndpointSingularity, the first one in order.
 
     Vanishes (to rounding) for commuting profiles, where M continues to a
     real symmetric matrix across every gap; for other profiles the
     returned value is a diagnostic with no smallness guarantee.
     """
-    return gap_realness_reduce(build_M(profile, gap_realness_points(profile.gapset, grid)))
+    ts, errors = gap_realness_points(profile.gapset)
+    if errors:
+        raise next(iter(errors.values()))
+    return gap_realness_reduce(build_M(profile, ts))
 
 
-def commutator_diag(profile: KreinProfile, grid: Sequence[float]) -> float:
-    """sup over gap-interior points of || [Re log M(t), xi(t)] ||.
+def commutator_diag(profile: KreinProfile) -> float:
+    """sup over the gap midpoints of || [Re log M(t), xi(t)] ||.
 
     For a uniform profile every Re log M(t) commutes with the common
     projection, so the value vanishes; a nonzero value witnesses angle
     mismatch between gaps.  Returns 0 for the gapless profile.
     """
-    if profile.gapset.n == 0:
+    gs = profile.gapset
+    if gs.n == 0:
         return 0.0
-    ts, js = _in_gaps(profile.gapset, grid)
-    if not len(ts):
-        return 0.0
-    xi = np.array([profile.projection(j) for j in js])
-    re_log = re_part(build_logM(profile, ts))
+    a, b = gs.endpoints
+    xi = np.array([profile.projection(j) for j in range(gs.n)])
+    re_log = re_part(build_logM(profile, (a + b) / 2.0))
     comm = re_log @ xi - xi @ re_log
     return float(op_norm(comm).max())
 
@@ -718,19 +707,15 @@ def hull_norm(q) -> float:
     return float(np.hypot(Q[0, 0].real - 0.5, Q[0, 1].real))
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_row(per_gap: int) -> np.ndarray:
-    return _read_only(np.linspace(0.05, 0.95, per_gap))
-
-
+_UNIT_ROW = _read_only(np.linspace(0.05, 0.95, 7))
 _OUTER_ROW = _read_only(np.linspace(0.3, 1.2, 3))
 
 
-def gap_interior_grid(gapset: GapSet, per_gap: int = 7) -> np.ndarray:
-    """Evaluation points strictly inside each gap, clear of the margins:
-    ``per_gap`` equispaced points from 5% to 95% of each gap's width."""
+def gap_interior_grid(gapset: GapSet) -> np.ndarray:
+    """Evaluation points strictly inside each gap: 7 equispaced points
+    from 5% to 95% of each gap's width."""
     a, b = gapset.endpoints
-    return (a[:, None] + (b - a)[:, None] * _unit_row(per_gap)).ravel()
+    return (a[:, None] + (b - a)[:, None] * _UNIT_ROW).ravel()
 
 
 def e_interior_grid(gapset: GapSet) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NotTraceless
 from .finitegap import (GapSet, KreinProfile, PotentialSample, boundary_points, boundary_reduce,
-                        build_M, gap_interior_grid)
+                        build_M, gap_realness_points)
 from .mat2 import I2, as_mat2, im_part, mlog_spectral
 from .numerics import _read_only, convergence_error, extrapolate_schedule
 
@@ -52,7 +52,6 @@ __all__ = [
     "asymptotic_points",
     "asymptotic_reduce",
     "asymptotic_W",
-    "herglotz_points",
     "herglotz_reduce",
     "herglotz_defect",
 ]
@@ -184,12 +183,14 @@ def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> n
     leaves W(0), and the heights stay near the hull's half width R, where
     y (iI - M(c + iy)) keeps its digits for gaps far from 0.  The heights
     ys are ``ygrid``, by default (8, 16, 32, 64, 128) times max(1, R).
-    Raises ValueError unless they increase, number at least 3 and start
-    at least 4 R out (R, the spectral radius of the gaps moved by -c, is
-    what the message calls spectral radii).
+    Raises ValueError unless they are finite and positive, increase,
+    number at least 3 and start at least 4 R out (R, the spectral radius
+    of the gaps moved by -c, is what the message calls spectral radii).
     """
     c, r = gapset.hull
     ys = np.asarray(max(1.0, r) * _YGRID if ygrid is None else ygrid, dtype=float)
+    if not np.all(np.isfinite(ys) & (ys > 0)):
+        raise ValueError("heights must be finite and positive")
     if len(ys) < 3 or np.any(np.diff(ys) <= 0):
         raise ValueError("ygrid must be increasing with at least 3 entries")
     if gapset.n and ys[0] < 4.0 * r:
@@ -265,17 +266,6 @@ def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
     return asymptotic_reduce(zs, mfun(zs), (route,))[0]
 
 
-def herglotz_points(gapset: GapSet) -> np.ndarray:
-    """The real points at which :func:`herglotz_defect` reads the boundary
-    values M(t + i0): :func:`gap_interior_grid` of ``gapset``, 7 per gap,
-    less the points inside an endpoint margin of any gap (see
-    ``GapSet.endpoint_errors``).  ``build_M`` evaluates a real gap point
-    in closed form, as the continuation from above, so no limit is taken.
-    Empty for the gapless set."""
-    ts = gap_interior_grid(gapset)
-    return np.delete(ts, list(gapset.endpoint_errors(ts)))
-
-
 def herglotz_reduce(mats: np.ndarray) -> float:
     """The smallest eigenvalue of Im M over a stack of M values and at
     infinity, where M = iI: at most 1, and 1 for an empty stack."""
@@ -298,7 +288,9 @@ def herglotz_defect(mfun: MFunction) -> float:
     M -> iI at infinity and Im M(t + i0) = e^{S(t)} > 0 on the bands,
     with log M(t + i0) = S(t) + (i pi / 2) I, so the infimum sits on the
     gaps: the value is :func:`herglotz_reduce` of the boundary values at
-    the :func:`herglotz_points` of ``mfun.gapset``, which ``mfun`` must
-    extend to.  A value >= 0 says that no sampled gap point is a witness.
+    ``finitegap.gap_realness_points`` of ``mfun.gapset``, 7 per gap clear
+    of the endpoint margins, which ``mfun`` must extend to.  A value >= 0
+    says that no sampled gap point is a witness.
     """
-    return herglotz_reduce(mfun(herglotz_points(mfun.gapset)))
+    ts, _ = gap_realness_points(mfun.gapset)
+    return herglotz_reduce(mfun(ts))

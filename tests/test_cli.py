@@ -280,6 +280,22 @@ def test_stalled_march_names_the_gap_realness(tmp_path):
     assert "gap_realness is 0.00959 " in failure
 
 
+def test_commuting_march_past_its_digits_ends_in_no_convergence(tmp_path):
+    # at x = 1e17 the Abel targets P theta - 2 c x keep no digit, and the
+    # solved divisor reads sqrt(2) times the bound; a commuting orbit cannot
+    # cross the bound, so the crossing is a numerical failure, not a
+    # certificate
+    cfg = {"profile": {"gaps": [[-2, -1], [1, 2.5]], "uniform": 0.3}, "xgrid": [0, 1e17]}
+    code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 3
+    obj = json.loads(text)
+    failure = obj["numerical_failure"]
+    assert failure.startswith("NoConvergence: ||W(1e+17)|| = 1.76776695 exceeds the sharp bound")
+    assert "on a commuting profile" in failure
+    assert "2 c x = 3.5e+17 and have lost 16 of a double's 16 digits" in failure
+    assert [row[0] for row in obj["tables"]["W"]["rows"]] == [0.0]
+
+
 @pytest.mark.parametrize("stop", [1e8, 1e9, 1e10])
 def test_far_grid_end_does_not_stall_the_witness(tmp_path, stop):
     # the step floor scales with the position, not with the end of the grid
@@ -754,6 +770,17 @@ def test_reported_bad_inputs_exit_2(tmp_path, capsys, cfg, flags):
     command = "oracle" if "constant" in cfg else "verify"
     code = cli.main([command, "--config", _write(tmp_path, cfg), *flags])
     _assert_config_error(code, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, key", [("evolve", "xgrid"), ("verify", "tgrid")])
+def test_a_range_too_large_to_allocate_exits_2(tmp_path, capsys, command, key):
+    # 10**15 points fail at once and allocate nothing; they ended in a
+    # traceback, exit 1
+    cfg = dict(SINGLE_GAP, **{key: {"start": 0, "stop": 1, "count": 10**15}})
+    code = cli.main([command, "--config", _write(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    _assert_config_error(code, err)
+    assert err.startswith(f'config error: "{key}": ')
 
 
 def test_unreadable_config_files_exit_2(tmp_path, capsys):

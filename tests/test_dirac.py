@@ -8,16 +8,13 @@ import pytest
 from kreindirac import (
     GapSet,
     KreinProfile,
-    StepPotential,
     assemble_M,
     build_M,
     const_weyl,
-    ode_m_function,
     ode_weyl,
     sample_potential,
     sharp_bound,
     trace_formula_W0,
-    transfer,
     weyl_from_M,
 )
 from kreindirac import dirac
@@ -37,19 +34,6 @@ Q_AT_02 = 0.842317450331
 Q_AT_03 = 0.652766370017
 
 
-def test_step_potential_lookup():
-    w = StepPotential(breakpoints=(0.0, 1.0), pieces=((1.0, 2.0),),
-                      tails=((0.0, 0.0), (3.0, -1.0)))
-    assert w.value_at(-0.5) == (0.0, 0.0)
-    assert w.value_at(0.5) == (1.0, 2.0)
-    assert w.value_at(2.0) == (3.0, -1.0)
-    with pytest.raises(ValueError):
-        StepPotential(breakpoints=(), pieces=(), tails=((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        StepPotential(breakpoints=(1.0, 0.0), pieces=((0, 0),),
-                      tails=((0, 0), (0, 0)))
-
-
 def test_coefficient_matrix_square_is_scalar():
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -62,15 +46,13 @@ def test_coefficient_matrix_square_is_scalar():
 
 
 def test_transfer_cocycle_and_det():
-    w = StepPotential(breakpoints=(0.0, 0.7, 1.3), pieces=((1.0, 0.5), (-0.4, 0.9)),
-                      tails=((0.2, 0.0), (0.0, -0.8)))
-    z = 0.6 + 0.8j
-    t_all = transfer(w, -0.5, 2.0, z)
-    t_two = transfer(w, 1.0, 2.0, z) @ transfer(w, -0.5, 1.0, z)
-    np.testing.assert_allclose(t_all, t_two, atol=1e-12)
+    # the transfer matrix exp(l K) of the constant potential, which
+    # ode_weyl transports by, composes along x and has determinant one
+    p, q, z = 1.0, 0.5, 0.6 + 0.8j
+    k = coefficient_matrix(p, q, z)
+    t_all = mexp(2.5 * k)
+    np.testing.assert_allclose(t_all, mexp(1.0 * k) @ mexp(1.5 * k), atol=1e-12)
     np.testing.assert_allclose(np.linalg.det(t_all), 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        transfer(w, 1.0, 0.0, z)
 
 
 def test_const_weyl_is_riccati_fixed_point():
@@ -103,12 +85,10 @@ def test_dichotomy_degenerates_on_bands():
         const_weyl(0.0, 1.0, 5.0)
 
 
-def _constant_steps(p, q, z):
-    """The constant potential (p, q) as a step potential with breakpoints
-    at -l and l, l = 1 / max(1, r, |z|): the ODE route then transports
-    through transfer matrices with exponents of order 1."""
-    ell = 1.0 / max(1.0, math.hypot(p, q), float(np.abs(z).max()))
-    return StepPotential((-ell, ell), ((p, q),), ((p, q), (p, q)))
+def _ell(p, q, z):
+    """l = 1 / max(1, r, |z|): the ODE route then transports through a
+    transfer matrix whose exponent is of order 1."""
+    return 1.0 / max(1.0, math.hypot(p, q), float(np.abs(z).max()))
 
 
 def test_ode_weyl_matches_const_weyl():
@@ -117,49 +97,44 @@ def test_ode_weyl_matches_const_weyl():
         p, q = rng.normal(size=2)
         z = complex(rng.normal(), abs(rng.normal()) + 0.2)
         cw = const_weyl(p, q, z)
-        ow = ode_weyl(_constant_steps(p, q, z), z)
+        ow = ode_weyl(p, q, _ell(p, q, z), z)
         assert abs(cw.m_plus - ow.m_plus) < 1e-10
         assert abs(cw.m_minus - ow.m_minus) < 1e-10
     with pytest.raises(ValueError):
-        ode_weyl(StepPotential.constant(1.0, 0.0), 2.0)  # needs Im z > 0
+        ode_weyl(1.0, 0.0, 1.0, 2.0)  # needs Im z > 0
 
 
-def test_ode_m_function_triangle():
+def test_ode_route_triangle():
     # constant (p, q) <-> uniform profile on the gap (-r, r): the ODE
     # route, the closed Weyl form and the gap construction coincide
     p, q = 3.0, 4.0
     prof = KreinProfile.uniform(GapSet(((-5.0, 5.0),)), 0.5 * math.atan2(q, p))
     zs = np.array([2j, 6j, 1.0 + 3.0j, -4.0 + 0.5j])
-    mfun = ode_m_function(_constant_steps(p, q, zs))
+    ell = _ell(p, q, zs)
     for z in zs:
-        np.testing.assert_allclose(mfun(z), build_M(prof, z), atol=1e-8)
+        np.testing.assert_allclose(assemble_M(ode_weyl(p, q, ell, z)), build_M(prof, z),
+                                   atol=1e-8)
         np.testing.assert_allclose(assemble_M(const_weyl(p, q, z)),
                                    build_M(prof, z), atol=1e-8)
 
 
 def test_weyl_routes_take_z_arrays():
     # one call over an array of z gives the per-z values
-    w = StepPotential(breakpoints=(-0.4, 0.3, 1.1), pieces=((1.0, 0.5), (-0.4, 0.9)),
-                      tails=((0.2, -0.7), (0.0, -0.8)))
     zs = np.array([0.5j, 1.0 + 2.0j, -3.0 + 0.1j, 40j])
     np.testing.assert_array_equal(coefficient_matrix(0.3, -0.2, zs),
                                   [coefficient_matrix(0.3, -0.2, z) for z in zs])
-    ts = transfer(w, -1.0, 2.0, zs)
-    assert ts.shape == (4, 2, 2)
-    for z, t in zip(zs, ts):
-        np.testing.assert_allclose(transfer(w, -1.0, 2.0, z), t, rtol=1e-14, atol=0)
     for pair, one in ((const_weyl(0.3, -0.2, zs), lambda z: const_weyl(0.3, -0.2, z)),
-                      (ode_weyl(w, zs), lambda z: ode_weyl(w, z))):
+                      (ode_weyl(0.3, -0.2, 0.7, zs), lambda z: ode_weyl(0.3, -0.2, 0.7, z))):
         assert pair.m_plus.shape == pair.m_minus.shape == (4,)
         for k, z in enumerate(zs):
             single = one(z)
             assert isinstance(single.m_plus, complex)
             np.testing.assert_allclose([pair.m_plus[k], pair.m_minus[k]],
                                        [single.m_plus, single.m_minus], rtol=1e-14)
-    mats = ode_m_function(w)(zs)
+    mats = assemble_M(ode_weyl(0.3, -0.2, 0.7, zs))
     assert mats.shape == (4, 2, 2)
     with pytest.raises(ValueError):
-        ode_weyl(w, np.array([1j, 2.0]))  # one point off the upper half plane
+        ode_weyl(0.3, -0.2, 0.7, np.array([1j, 2.0]))  # one point off the upper half plane
 
 
 def test_march_single_gap_is_constant():

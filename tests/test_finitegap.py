@@ -26,7 +26,7 @@ from kreindirac import (
 )
 from kreindirac.errors import EndpointSingularity, NotAdmissible
 from kreindirac.finitegap import (boundary_points, boundary_reduce, e_interior_grid,
-                                  gap_interior_grid)
+                                  gap_interior_grid, gap_realness_points)
 from kreindirac.herglotz import MFunction, herglotz_reduce, krein_xi_points, krein_xi_reduce
 from kreindirac.mat2 import im_part, op_norm, re_part
 from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
@@ -259,16 +259,16 @@ def test_gap_realness_separates_aligned_from_witness():
 
 def test_commutator_diag():
     gs = GapSet(WITNESS_GAPS)
-    grid = gap_interior_grid(gs)
-    assert commutator_diag(KreinProfile.uniform(gs, 0.3), grid) < 1e-12
+    assert commutator_diag(KreinProfile.uniform(gs, 0.3)) < 1e-12
     witness = KreinProfile(gs, WITNESS_ANGLES)
-    # the sup over an array is the largest of the one-point values
-    each = [commutator_diag(witness, [t]) for t in grid]
+    # the sup over the gap midpoints is the largest of the one-point values
+    each = []
+    for j, t in enumerate((-1.5, 1.5)):
+        re_log, xi = re_part(build_logM(witness, np.array([t]))), witness.projection(j)
+        each.append(float(op_norm(re_log @ xi - xi @ re_log).max()))
     assert min(each) > 5e-3
-    assert commutator_diag(witness, grid) == max(each)
-    assert commutator_diag(witness, []) == 0.0
-    with pytest.raises(ValueError, match="grid point 0.0 is not inside a gap"):
-        commutator_diag(KreinProfile.uniform(gs, 0.3), [1.5, 0.0])
+    assert commutator_diag(witness) == max(each)
+    assert commutator_diag(KreinProfile(GapSet(()), ())) == 0.0
 
 
 def test_hull_norm_bound_and_equality():
@@ -299,6 +299,17 @@ def test_interior_grids_respect_margins():
     eg = e_interior_grid(gs)
     assert (gs.containing_gaps(eg) == -1).all()
     assert gs.endpoint_errors(eg) == {}
+    # gaps 1.3e-5 apart: the narrow gap's first interior point lies in the
+    # wide gap's endpoint margin, so the gap probes read the grid less that
+    # point, and gap_realness raises its error
+    near = GapSet(((-50.5, 49.5), (49.500013, 50.500013)))
+    ts, errors = gap_realness_points(near)
+    grid = gap_interior_grid(near)
+    assert list(errors) == [7]
+    np.testing.assert_array_equal(ts, np.delete(grid, 7))
+    with pytest.raises(EndpointSingularity, match="t = 49.550013 is within") as info:
+        gap_realness(KreinProfile.uniform(near, 0.4))
+    assert str(info.value) == str(errors[7])
 
 
 def test_interior_grids_are_the_per_gap_formulas():
@@ -309,9 +320,8 @@ def test_interior_grids_are_the_per_gap_formulas():
         n = int(rng.integers(1, 65))
         edges = np.cumsum(rng.uniform(1e-3, 3.0, 2 * n)) + rng.uniform(-50.0, 50.0)
         gs = GapSet(tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))
-        per_gap = int(rng.integers(1, 16))
-        gaps = [a + (b - a) * np.linspace(0.05, 0.95, per_gap) for a, b in gs.gaps]
-        assert np.array_equal(gap_interior_grid(gs, per_gap), np.concatenate(gaps))
+        gaps = [a + (b - a) * np.linspace(0.05, 0.95, 7) for a, b in gs.gaps]
+        assert np.array_equal(gap_interior_grid(gs), np.concatenate(gaps))
         scale = max(1.0, gs.spectral_radius)
         pts = [gs.gaps[0][0] - scale * np.linspace(0.3, 1.2, 3),
                gs.gaps[-1][1] + scale * np.linspace(0.3, 1.2, 3)]

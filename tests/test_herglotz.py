@@ -1,6 +1,7 @@
 """M functions, Krein densities and the large-z potential law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from kreindirac import (
     trace_formula_W0,
 )
 from kreindirac.errors import EndpointSingularity, NoConvergence
-from kreindirac.finitegap import e_interior_grid, gap_interior_grid
+from kreindirac.finitegap import e_interior_grid
 from kreindirac.herglotz import herglotz_reduce
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
@@ -132,6 +133,20 @@ def test_asymptotic_W_validates_ygrid():
         asymptotic_W(mfun, route="middle")
 
 
+@pytest.mark.parametrize("gaps, ygrid", [((), [0.0, 1.0, 2.0]),
+                                         (((-1.0, 1.0),), [4.0, 8.0, math.inf]),
+                                         (((-1.0, 1.0),), [4.0, 8.0, math.nan])])
+def test_asymptotic_W_refuses_zero_and_non_finite_heights(gaps, ygrid):
+    # a zero height divided by zero in the extrapolation, and an infinite
+    # one reached build_M; both are refused before any evaluation, warning
+    # nothing
+    mfun = profile_m_function(KreinProfile(GapSet(gaps), (0.3,) * len(gaps)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="heights must be finite and positive"):
+            asymptotic_W(mfun, ygrid=ygrid)
+
+
 def test_herglotz_defect_nonnegative_for_aligned():
     for gaps, alpha in ((((-1.0, 1.0),), math.pi / 4),
                         (WITNESS_GAPS, 0.3)):
@@ -162,7 +177,9 @@ def _upper_half_plane_scan(gs):
     c, r = gs.hull
     s = max(1.0, r)
     rows = (c + np.linspace(-1.5 * s, 1.5 * s, 41))[:, None] + 1j * s * np.geomspace(1e-2, 3.0, 13)
-    cols = gap_interior_grid(gs, per_gap=15)[:, None] + 1j * s * np.geomspace(1e-4, 3e-2, 9)
+    a, b = gs.endpoints
+    cols = (a[:, None] + (b - a)[:, None] * np.linspace(0.05, 0.95, 15)).ravel()
+    cols = cols[:, None] + 1j * s * np.geomspace(1e-4, 3e-2, 9)
     return np.concatenate([rows.ravel(), cols.ravel()])
 
 

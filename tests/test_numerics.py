@@ -15,12 +15,12 @@ from kreindirac.finitegap import (
     build_M,
     e_interior_grid,
     gap_interior_grid,
+    gap_realness_points,
     reflectionless_defect,
 )
 from kreindirac.herglotz import (
     asymptotic_points,
     asymptotic_reduce,
-    herglotz_points,
     krein_xi_points,
     krein_xi_reduce,
     profile_m_function,
@@ -153,8 +153,7 @@ def test_default_heights_of_any_radius_share_one_cache_entry():
 
 def test_cached_weights_and_grid_constants_are_read_only():
     shared = [_weights(tuple(LIMIT_OFFSETS[-5:] / LIMIT_OFFSETS[-5]), LIMIT_ORDER),
-              LIMIT_OFFSETS, herglotz._YGRID, finitegap._OUTER_ROW, finitegap._unit_row(7),
-              finitegap._unit_row(15)]
+              LIMIT_OFFSETS, herglotz._YGRID, finitegap._OUTER_ROW, finitegap._UNIT_ROW]
     for a in shared:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -164,9 +163,8 @@ def test_cached_weights_and_grid_constants_are_read_only():
 def test_mutating_a_result_leaves_the_next_call_unchanged():
     gs = GapSet(((-2.0, -1.0), (1.0, 3.0)))
     prof = KreinProfile.uniform(gs, 0.7)
-    grids = [lambda: gap_interior_grid(gs), lambda: gap_interior_grid(gs, per_gap=15),
-             lambda: e_interior_grid(gs), lambda: herglotz_points(gs),
-             lambda: asymptotic_points(gs)]
+    grids = [lambda: gap_interior_grid(gs), lambda: e_interior_grid(gs),
+             lambda: gap_realness_points(gs)[0], lambda: asymptotic_points(gs)]
     zs = boundary_points(gs, e_interior_grid(gs))
     mats = build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2))
     limits = [lambda: boundary_reduce(mats, re_part)[0], lambda: boundary_reduce(mats, re_part)[1],
