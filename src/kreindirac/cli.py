@@ -69,11 +69,8 @@ class RunConfig:
     tgrid: np.ndarray | None = None
     xgrid: np.ndarray | None = None
     ygrid: np.ndarray | None = None
-    xi_tol: float = XI_TOL
     loc_tol: float = LOC_TOL
-    bound_slack: float = BOUND_SLACK
     random_profiles: int = 0
-    inject_det_error: bool = False
     seed: int = 0
     out: str | None = None
     fmt: str = "json"
@@ -128,7 +125,8 @@ class Report:
 
 # ---------------------------------------------------------------------------
 # config parsing: one converter per value type (json_number for a finite
-# number, _integer, _flag, _path), and one per key built from them
+# number, _integer), one per key built from them, and _path and _format for
+# the flags that say where the report goes
 
 def _integer(v, low: int) -> int:
     """A JSON integer no smaller than ``low``."""
@@ -136,12 +134,6 @@ def _integer(v, low: int) -> int:
         raise TypeError(f"{v!r} is not an integer")
     if v < low:
         raise ValueError(f"{v!r} is below {low}")
-    return v
-
-
-def _flag(v) -> bool:
-    if not isinstance(v, bool):
-        raise TypeError(f"{v!r} is not true or false")
     return v
 
 
@@ -203,13 +195,6 @@ def _zgrid(spec) -> np.ndarray:
     return np.array([complex(*_pair(v)) for v in spec])
 
 
-def _output(spec) -> tuple[str | None, str]:
-    if not isinstance(spec, dict) or set(spec) - {"path", "format"}:
-        raise ValueError('takes only "path" and "format"')
-    path = _path(spec["path"]) if "path" in spec else None
-    return path, _format(spec.get("format", "json"))
-
-
 # the parse of each config key; "command" is checked against the invocation
 _KEYS = {
     "profile": profile_from_json,
@@ -218,13 +203,9 @@ _KEYS = {
     "tgrid": _grid,
     "xgrid": _xgrid,
     "ygrid": _ygrid,
-    "xi_tol": _tolerance,
     "loc_tol": _tolerance,
-    "bound_slack": _tolerance,
     "random_profiles": lambda v: _integer(v, 1),
-    "inject_det_error": _flag,
     "seed": lambda v: _integer(v, 0),
-    "output": _output,
 }
 
 
@@ -254,8 +235,9 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     """Read and validate a JSON config against the command's contract.
 
     ``overrides`` holds the command line flags "seed", "out" and "format"
-    as typed (strings), None or absent when not given; they win over the
-    config's keys and go through the same converters.
+    as typed (strings), None or absent when not given.  "seed" wins over
+    the config's key and goes through its converter; "out" and "format"
+    alone say where the report goes and in which format.
     """
     try:
         with open(path) as fh:
@@ -275,11 +257,9 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
             f'config says command "{obj["command"]}" but "{command}" was invoked')
 
     cfg = RunConfig(command=command)
-    values = {key: _convert(f'"{key}"', _KEYS[key], v)
-              for key, v in obj.items() if key != "command"}
-    cfg.out, cfg.fmt = values.pop("output", (None, "json"))
-    for key, v in values.items():
-        setattr(cfg, key, v)
+    for key, v in obj.items():
+        if key != "command":
+            setattr(cfg, key, _convert(f'"{key}"', _KEYS[key], v))
     if overrides.get("seed") is not None:
         cfg.seed = _convert("--seed", lambda s: _KEYS["seed"](int(s)), overrides["seed"])
     if overrides.get("out") is not None:
@@ -311,15 +291,6 @@ def _default_zgrid(gapset: GapSet) -> np.ndarray:
     return np.array([complex(a, b) for b in ims for a in res])
 
 
-def _mfun(cfg: RunConfig, profile: KreinProfile) -> MFunction:
-    base = profile_m_function(profile)
-    if not cfg.inject_det_error:
-        return base
-    # documented negative control: a scalar factor breaks det M = -1
-    # (and the checks downstream of it) without touching symmetry
-    return MFunction(lambda z: (1.0 + 1e-6) * base.evaluator(z), profile.gapset)
-
-
 def _evaluate(mfun: MFunction, *point_sets) -> list[np.ndarray]:
     """M at the points of every array of ``point_sets`` by one call of
     ``mfun``: one stack per array, shaped like it."""
@@ -335,7 +306,7 @@ def run_construct(cfg: RunConfig) -> Report:
     rep = Report("construct")
     profile = cfg.profile
     gs = profile.gapset
-    mfun = _mfun(cfg, profile)
+    mfun = profile_m_function(profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
 
@@ -386,7 +357,7 @@ def run_construct(cfg: RunConfig) -> Report:
                        np.column_stack([zgrid.real, zgrid.imag,
                                         mats.reshape(-1, 4).view(float)]).tolist())
 
-    xi, residual, failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol)
+    xi, residual, failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats)
     if failed:
         raise next(iter(failed.values()))
     rep.tables["xi"] = (["t", "xi00", "xi01", "xi10", "xi11", "residual"],
@@ -415,7 +386,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     gs = profile.gapset
     # random profiles meet the grids only here, before any probe runs
     _check_grids(cfg, profile)
-    mfun = _mfun(cfg, profile)
+    mfun = profile_m_function(profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
     egrid = e_interior_grid(gs)
@@ -448,7 +419,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     # order; an error of the whole reduction fails every point
     on_gaps, on_bands = slice(0, len(tgrid)), slice(len(tgrid), len(xi_ts))
     try:
-        xi, _, xi_failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats, cfg.xi_tol)
+        xi, _, xi_failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats)
     except KreinDiracError as exc:
         xi, xi_failed = None, dict.fromkeys(range(len(xi_ts)), exc)
 
@@ -463,7 +434,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
         return np.abs(every[:, 0, 0] + every[:, 1, 1] - 1.0).max()
 
     rep.probe(prefix + "xi_trace", 1e-8, "tr xi = 1", trace_dev)
-    rep.probe(prefix + "xi_on_bands", cfg.xi_tol, "xi = I/2 on the interior of E",
+    rep.probe(prefix + "xi_on_bands", XI_TOL, "xi = I/2 on the interior of E",
               lambda: op_norm(xi_stack(on_bands) - 0.5 * np.eye(2)).max())
 
     def band_dev():
@@ -481,7 +452,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
         j = gs.containing_gaps(tgrid)
         target = np.where((j >= 0)[:, None, None],
                           profile.projection_defects[j], 0.0) + 0.5 * np.eye(2)
-        rep.probe(prefix + "gap_projection", cfg.xi_tol,
+        rep.probe(prefix + "gap_projection", XI_TOL,
                   "xi equals the input projection inside each gap",
                   lambda: op_norm(xi_stack(on_gaps) - target).max())
         if profile.is_commuting:
@@ -528,8 +499,7 @@ def run_evolve(cfg: RunConfig) -> Report:
     cols = ["x", "p", "q", "norm", "bound", "residual"]
 
     try:
-        samples = sample_potential(profile, xgrid, ygrid=cfg.ygrid,
-                                   loc_tol=cfg.loc_tol, bound_slack=cfg.bound_slack)
+        samples = sample_potential(profile, xgrid, ygrid=cfg.ygrid, loc_tol=cfg.loc_tol)
     except (BoundViolation, NoConvergence) as exc:
         samples = exc.samples
         last = samples[-1].x if samples else math.nan
@@ -542,7 +512,7 @@ def run_evolve(cfg: RunConfig) -> Report:
         norms = [s.norm for s in samples]
         rep.info("norm_max", max(norms), "largest sampled ||W(x)||")
         rep.info("norm_min", min(norms), "smallest sampled ||W(x)||")
-        rep.check("bound", max(norms) - bound, cfg.bound_slack,
+        rep.check("bound", max(norms) - bound, BOUND_SLACK,
                   "||W(x)|| <= (1/2) sum of gap widths")
         # commuting profiles solve for their divisor by Abel inversion, any
         # other profile marches its boundary matrices by congruence (see
@@ -720,6 +690,11 @@ def main(argv=None) -> int:
         # the run, such as a kernel refusing the non-finite M of a point
         # beyond float range
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # grids that fit at parse time can still outgrow memory in the
+        # arrays a run builds from them, such as a tgrid's boundary samples
+        print(f"numerical failure: MemoryError: {exc}", file=sys.stderr)
         return 3
 
     text = _render_json(rep) if cfg.fmt == "json" else _render_csv(rep)

@@ -741,14 +741,16 @@ def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
                            profile.angles)
 
 
-# sample_potential's defaults: the local error of a march step, and the
-# slack a sampled ||W(x)|| may take over the sharp bound
+# sample_potential's default local error of a march step, and the slack a
+# sampled ||W(x)|| may take over the sharp bound
 LOC_TOL = 1e-8
 BOUND_SLACK = 1e-4
+# the rounding unit of a double, for the rounding of the frame's angle
+_EPS = float(np.finfo(float).eps)
 
 
-def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = LOC_TOL,
-                     bound_slack: float = BOUND_SLACK) -> list[PotentialSample]:
+def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
+                     loc_tol: float = LOC_TOL) -> list[PotentialSample]:
     """Sample the potential W(x) along the shift orbit of a Krein profile.
 
     The shifted operator is reflectionless on the same bands.  Two routes
@@ -778,8 +780,12 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
 
     Both routes march in the co-rotating frame of :func:`co_rotating_frame`:
     the profile with gaps moved by the hull midpoint c is marched, and each
-    sample is turned back by e^{2icx} before the bound check.  For c = 0
-    the frame is the identity.  The large-z Weyl law of the profile itself,
+    sample is turned back by e^{2icx} before the bound check.  c and the
+    product 2 c x round by up to half an ulp each, so the angle is off by
+    up to eps |2 c x|, and each sample's residual carries
+    eps |2 c x| ||W(x)|| on top of its route's terms; the rounding of 2 c x
+    inside the Abel targets is not counted.  For c = 0 the frame is the
+    identity and adds nothing, as at x = 0.  The large-z Weyl law of the profile itself,
     :func:`asymptotic_W` at the points c + i ys above the same hull
     midpoint, cross-checks the x = 0 sample; its heights stay near the
     hull's half width, where y (iI - M(c + iy)) keeps its digits for gaps
@@ -801,8 +807,6 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
         eighth- and fifth-order states is at most loc_tol R h, R the
         largest |t| over the gaps of the co-rotating frame.  Commuting
         profiles do not use it.
-    bound_slack : float
-        Slack over the sharp bound before BoundViolation is raised.
 
     Returns
     -------
@@ -813,7 +817,7 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
     ------
     BoundViolation
         If any sampled ||W(x)|| of a non-commuting profile exceeds
-        sharp_bound + bound_slack.  Profiles with mismatched gap
+        sharp_bound + BOUND_SLACK (1e-4).  Profiles with mismatched gap
         projections yield formal M functions that need not be Herglotz;
         their orbits can cross the bound, and the exception then certifies
         non-realizability (herglotz_defect is an independent witness: the
@@ -848,12 +852,15 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None, loc_tol: float = 
 
     def record(x, p, q, residual):
         if c:  # at c = 0 the frame is the identity, signed zeros included
-            cos, sin = math.cos(2.0 * c * x), math.sin(2.0 * c * x)
+            angle = 2.0 * c * x
+            cos, sin = math.cos(angle), math.sin(angle)
             p, q = p * cos - q * sin, p * sin + q * cos
+            # the angle's rounding, up to eps |2 c x|, turns W(x) by as much
+            residual += _EPS * abs(angle) * math.hypot(p, q)
         sample = PotentialSample(x=float(x), p=p, q=q, residual=residual)
-        if sample.norm > bound + bound_slack:
+        if sample.norm > bound + BOUND_SLACK:
             crossing = (f"||W({x:.6g})|| = {sample.norm:.8f} exceeds the sharp bound "
-                        f"{bound:.8f} + {bound_slack:g}")
+                        f"{bound:.8f} + {BOUND_SLACK:g}")
             if not profile.is_commuting:
                 raise BoundViolation(crossing)
             # a commuting orbit stays within the bound, so its targets

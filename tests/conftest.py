@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from kreindirac import cli, herglotz
+from kreindirac.herglotz import MFunction
+
 
 def _two_gap_norm(gaps, x, start="top"):
     """||W(x)|| along the orbit of a two-gap profile, in closed form.
@@ -35,3 +38,17 @@ def two_gap_norm():
     """The closed-form ||W(x)|| of a two-gap profile, as a function of the
     gaps, an array of x and the orbit's start ("top" or "bottom")."""
     return _two_gap_norm
+
+
+@pytest.fixture
+def corrupt_det(monkeypatch):
+    """The negative control, as a function that switches it on: from then
+    on the commands evaluate (1 + 1e-6) M for every profile, a scalar
+    factor that breaks det M = -1 (and the checks downstream of it)
+    without touching symmetry."""
+    def corrupted(profile):
+        # herglotz.build_M read at call time, so a test that counts its
+        # calls counts these too
+        return MFunction(lambda z: (1.0 + 1e-6) * herglotz.build_M(profile, z), profile.gapset)
+
+    return lambda: monkeypatch.setattr(cli, "profile_m_function", corrupted)

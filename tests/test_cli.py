@@ -1,12 +1,14 @@
 """Command line driver: exit codes, determinism, report formats."""
 
 import argparse
+import decimal
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kreindirac import cli
+from kreindirac import cli, herglotz
 from kreindirac.errors import NoConvergence
 from kreindirac.finitegap import gap_realness
 
@@ -116,18 +118,18 @@ def test_verify_uniform_all_pass(tmp_path):
     assert _records(text)["gap_projection"]["value"] < 1e-8
 
 
-def test_verify_det_corruption_hook(tmp_path):
-    cfg = dict(SINGLE_GAP, inject_det_error=True)
-    code, text = _run(tmp_path, "verify", cfg)
+def test_verify_det_corruption_hook(tmp_path, corrupt_det):
+    corrupt_det()
+    code, text = _run(tmp_path, "verify", SINGLE_GAP)
     assert code == 1
     assert _records(text)["det"]["status"] == "fail"
 
 
-def test_verify_det_corruption_failures_are_frozen(tmp_path):
+def test_verify_det_corruption_failures_are_frozen(tmp_path, corrupt_det):
     # the negative control fails the same checks, with the same identities,
     # as the one-matrix-at-a-time probes did
-    cfg = {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": 0.3},
-           "inject_det_error": True}
+    corrupt_det()
+    cfg = {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": 0.3}}
     code, text = _run(tmp_path, "verify", cfg)
     assert code == 1
     failed = {r["name"]: r["identity"] for r in json.loads(text)["records"]
@@ -590,19 +592,9 @@ BAD_VALUES = {
     "tgrid": _BAD_GRID,
     "xgrid": st.one_of(_BAD_GRID, st.just([0.5, 1.0]), st.just([0.0, 1.0, 0.5])),
     "ygrid": st.one_of(_BAD_GRID, st.just([-8.0, 16.0, 32.0]), st.just([8.0, 16.0])),
-    "xi_tol": _BAD_TOL,
     "loc_tol": _BAD_TOL,
-    "bound_slack": _BAD_TOL,
     "random_profiles": _NOT_A_COUNT,
-    "inject_det_error": _other_than("bool"),
     "seed": st.one_of(_other_than("int"), st.integers(max_value=-1)),
-    "output": st.one_of(
-        _other_than("dict"),
-        st.one_of(_other_than("str"), st.just("")).map(lambda v: {"path": v}),
-        st.one_of(_other_than("str"), st.text(max_size=5)).filter(
-            lambda v: v not in ("json", "csv")).map(lambda v: {"format": v}),
-        st.just({"path": "report.json", "mode": "w"}),
-    ),
 }
 
 BAD_FLAGS = st.one_of(
@@ -639,6 +631,22 @@ def test_every_bad_flag_value_exits_2(tmp_path, capsys, flag):
     name, value = flag
     code = cli.main(["verify", "--config", _write(tmp_path, SINGLE_GAP), f"{name}={value}"])
     _assert_config_error(code, capsys.readouterr().err)
+
+
+# a default value of each setting that configs no longer take
+_REMOVED = {"xi_tol": 1e-6, "bound_slack": 1e-4, "inject_det_error": False,
+            "output": {"format": "json"}}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED))
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, key):
+    # the verdicts' tolerances are fixed, the negative control is a test's
+    # substitution, and --out and --format alone say where the report goes
+    cfg = dict(SINGLE_GAP, **{key: _REMOVED[key]})
+    code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    _assert_config_error(code, err)
+    assert err == f"config error: unknown config keys: ['{key}']\n"
 
 
 @st.composite
@@ -742,6 +750,47 @@ def test_evolve_far_gap_seeds_on_the_frame(tmp_path):
     assert records["norm_constancy"]["status"] == "pass"
 
 
+# pi to 50 digits, by which the exact rotation below reduces its angle
+_PI = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _exactly_turned(p, q, c, x):
+    """(p + iq) e^{2icx} for floats p, q, x and a rational c: the angle
+    reduced to [-pi, pi] and its cosine and sine summed in 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        angle = 2 * c * Fraction(x)
+        a = (decimal.Decimal(angle.numerator) / angle.denominator).remainder_near(2 * _PI)
+        # the Taylor series of e^{ia}: a^k / k! into cos and sin by k mod 4
+        parts, term = [decimal.Decimal(0)] * 4, decimal.Decimal(1)
+        for k in range(80):
+            parts[k % 4] += term
+            term = term * a / (k + 1)
+        cos, sin = parts[0] - parts[2], parts[1] - parts[3]
+        p, q = decimal.Decimal(p), decimal.Decimal(q)
+        return float(p * cos - q * sin), float(p * sin + q * cos)
+
+
+@pytest.mark.parametrize("gap, x, code", [
+    ([999950.123, 1000050.456], 1.8e6, 1),
+    ([999950.123, 1000050.456], 1.2e4, 0),
+    ([5.1234567, 6.7654321], 1.431e12, 1),
+], ids=["c1e6-x1.8e6", "c1e6-x1.2e4", "c5.9-x1.431e12"])
+def test_the_frame_rotation_rounding_is_in_the_residual(tmp_path, gap, x, code):
+    # a single gap's W(x) is W(0) turned by 2 c x, c the exact midpoint of
+    # the float endpoints; the rounded angle puts W(x) off by up to
+    # eps |2 c x| ||W||, which the residual left out: the first and last
+    # runs exited 0 with residuals 3.8e-6 and 2.8e-8 against deviations of
+    # 2.4e-3 and 1.7e-4
+    cfg = {"profile": {"gaps": [gap], "uniform": 0.3}, "xgrid": [0, x]}
+    got, text = _run(tmp_path, "evolve", cfg)
+    assert got == code
+    (_, p0, q0, *_), (_, p, q, _, _, residual) = json.loads(text)["tables"]["W"]["rows"]
+    want_p, want_q = _exactly_turned(p0, q0, (Fraction(gap[0]) + Fraction(gap[1])) / 2, x)
+    assert residual >= math.hypot(p - want_p, q - want_q)
+    assert _records(text)["residual"]["status"] == ("fail" if code else "pass")
+
+
 def test_verify_far_gap_runs_the_asymptotics_on_the_frame(tmp_path):
     # the same gap near 1e6: verify's large-z probe stands above the
     # gap's centre too, where y (iI - M(c + iy)) keeps its digits
@@ -781,6 +830,21 @@ def test_a_range_too_large_to_allocate_exits_2(tmp_path, capsys, command, key):
     err = capsys.readouterr().err
     _assert_config_error(code, err)
     assert err.startswith(f'config error: "{key}": ')
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_a_run_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command):
+    # a tgrid that fits at parse time can still outgrow memory in its
+    # boundary samples; a substitute raises where they are allocated, as
+    # numpy does, and the run ended in a traceback, exit 1
+    def out_of_memory(gapset, ts):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr(herglotz, "boundary_points", out_of_memory)
+    code = cli.main([command, "--config", _write(tmp_path, SINGLE_GAP)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: MemoryError: Unable to allocate 7.11 PiB for an array\n")
 
 
 def test_unreadable_config_files_exit_2(tmp_path, capsys):

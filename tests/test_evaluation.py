@@ -30,6 +30,7 @@ from kreindirac.finitegap import (
     weyl_from_M,
 )
 from kreindirac.herglotz import (
+    XI_TOL,
     asymptotic_W,
     asymptotic_points,
     asymptotic_reduce,
@@ -49,15 +50,19 @@ PROFILES = {
     "witness": {"profile": {"gaps": [[-2, -1], [1, 2]], "angles": [0.3, 1.9]}},
     "gaps16": {"profile": {"gaps": [[3 * j, 3 * j + 1] for j in range(16)],
                            "uniform": 0.7}},
-    "det_error": {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": 0.3},
-                  "inject_det_error": True},
+    # evaluated as (1 + 1e-6) M: the corrupt_det fixture
+    "det_error": {"profile": {"gaps": [[-2, -1], [1, 2]], "uniform": 0.3}},
     "narrow": {"profile": NARROW},
 }
 
 
-def _config(tmp_path, command, cfg):
+def _load(tmp_path, corrupt_det, command, name):
+    """The config of PROFILES[name], with the negative control switched on
+    for the det_error case."""
+    if name == "det_error":
+        corrupt_det()
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(PROFILES[name]))
     return cli.load_config(str(path), command, {})
 
 
@@ -80,8 +85,9 @@ def _same_points(got, *sets):
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
-def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, name):
-    cfg = _config(tmp_path, "verify", PROFILES[name])
+def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, corrupt_det,
+                                                         name):
+    cfg = _load(tmp_path, corrupt_det, "verify", name)
     profile, gs = cfg.profile, cfg.profile.gapset
     calls = _calls(monkeypatch)
     point_sets = []
@@ -153,8 +159,8 @@ def test_the_frame_at_i_y_is_the_profile_at_c_plus_i_y(centre):
 
 
 @pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
-def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, name):
-    cfg = _config(tmp_path, "construct", PROFILES[name])
+def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, corrupt_det, name):
+    cfg = _load(tmp_path, corrupt_det, "construct", name)
     gs = cfg.profile.gapset
     calls = _calls(monkeypatch)
     cli.run(cfg)
@@ -165,16 +171,17 @@ def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, name):
                         gap_realness_points(gs)[0])
 
 
-def _xi_reduce(mfun, grid, xi_tol):
+def _xi_reduce(mfun, grid):
     # the points of grid, and their xi stack, residuals and failed points,
     # from one evaluation of mfun
     ts, errors, zs = krein_xi_points(mfun.gapset, grid)
-    return ts, *krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)), xi_tol)
+    return ts, *krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)),
+                                XI_TOL)
 
 
-def _xi(mfun, grid, xi_tol):
+def _xi(mfun, grid):
     # the xi stack of grid; its first failed point raises
-    _, xi, _, failed = _xi_reduce(mfun, grid, xi_tol)
+    _, xi, _, failed = _xi_reduce(mfun, grid)
     if failed:
         raise next(iter(failed.values()))
     return xi
@@ -186,7 +193,7 @@ def _reference_verify(cfg):
     for a probe that raised it."""
     profile = cfg.profile
     gs = profile.gapset
-    mfun = cli._mfun(cfg, profile)
+    mfun = cli.profile_m_function(profile)
     zgrid, tgrid, egrid = cli._default_zgrid(gs), gap_interior_grid(gs), e_interior_grid(gs)
     mats = mfun(zgrid)
     j = gs.containing_gaps(tgrid)
@@ -197,7 +204,7 @@ def _reference_verify(cfg):
         return max(np.abs(lo + 1.0).max(), np.abs(hi - 1.0).max())
 
     def trace_dev():
-        xi = _xi(mfun, np.concatenate([tgrid, egrid]), cfg.xi_tol)
+        xi = _xi(mfun, np.concatenate([tgrid, egrid]))
         return np.abs(xi[:, 0, 0] + xi[:, 1, 1] - 1.0).max()
 
     def asym_dev():
@@ -212,9 +219,9 @@ def _reference_verify(cfg):
         "mj_spectrum": mj_dev,
         "weyl_roundtrip": lambda: op_norm(assemble_M(weyl_from_M(mats)) - mats).max(),
         "xi_trace": trace_dev,
-        "xi_on_bands": lambda: op_norm(_xi(mfun, egrid, cfg.xi_tol) - 0.5 * I2).max(),
+        "xi_on_bands": lambda: op_norm(_xi(mfun, egrid) - 0.5 * I2).max(),
         "re_m_on_bands": lambda: reflectionless_defect(mfun, egrid),
-        "gap_projection": lambda: op_norm(_xi(mfun, tgrid, cfg.xi_tol) - target).max(),
+        "gap_projection": lambda: op_norm(_xi(mfun, tgrid) - target).max(),
     }
     if profile.is_commuting:
         probes["gap_realness"] = lambda: gap_realness(profile)
@@ -237,14 +244,14 @@ def _assert_record(rec, ref):
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
-def test_verify_records_equal_their_library_functions(tmp_path, name):
+def test_verify_records_equal_their_library_functions(tmp_path, corrupt_det, name):
     # exact: a point's M does not depend on the points evaluated beside it
-    cfg = _config(tmp_path, "verify", PROFILES[name])
+    cfg = _load(tmp_path, corrupt_det, "verify", name)
     records = cli.run(cfg).records
     ref = _reference_verify(cfg)
     assert [r.name for r in records] == list(ref)
     for rec in records:
-        if rec.name == "gap_realness" and cfg.inject_det_error:
+        if rec.name == "gap_realness" and name == "det_error":
             # the corrupted M is (1 + 1e-6) M, and every probe reads it
             assert rec.value == pytest.approx((1.0 + 1e-6) * ref[rec.name], rel=1e-12)
             continue
@@ -271,15 +278,16 @@ def test_verify_fails_the_narrow_band_probes_alone(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
-def test_construct_records_and_tables_equal_their_library_functions(tmp_path, name):
-    cfg = _config(tmp_path, "construct", PROFILES[name])
+def test_construct_records_and_tables_equal_their_library_functions(tmp_path, corrupt_det,
+                                                                    name):
+    cfg = _load(tmp_path, corrupt_det, "construct", name)
     profile = cfg.profile
     gs = profile.gapset
     rep = cli.run(cfg)
-    mfun = cli._mfun(cfg, profile)
+    mfun = cli.profile_m_function(profile)
     records = {r.name: r for r in rep.records}
     realness = gap_realness(profile)
-    if cfg.inject_det_error:
+    if name == "det_error":
         assert records.pop("gap_realness").value == pytest.approx((1.0 + 1e-6) * realness,
                                                                    rel=1e-12)
     else:
@@ -291,7 +299,7 @@ def test_construct_records_and_tables_equal_their_library_functions(tmp_path, na
     mrows = np.column_stack([zgrid.real, zgrid.imag]
                             + [f(m[:, i, k]) for i in (0, 1) for k in (0, 1)
                                for f in (np.real, np.imag)])
-    ts, xi, residual, failed = _xi_reduce(mfun, tgrid, cfg.xi_tol)
+    ts, xi, residual, failed = _xi_reduce(mfun, tgrid)
     assert not failed
     xrows = np.array([[t, *x.ravel(), r] for t, x, r in zip(ts, xi, residual)])
     for table, want in (("M", mrows), ("xi", xrows)):
