@@ -3,8 +3,7 @@ matrix Herglotz functions of finite gap reflectionless Dirac operators.
 
 One run is one command and one JSON config file:
 
-    kreindirac {construct,verify,evolve,oracle} --config FILE
-               [--out FILE] [--format {json,csv}] [--seed N]
+    kreindirac {construct,verify,evolve,oracle} --config FILE [--out FILE]
 
 Commands:
 
@@ -16,7 +15,7 @@ verify
     Run the invariant suite (determinant, symmetry, Herglotz positivity,
     Krein density normalization, reflectionless boundary values, MJ
     spectrum, Weyl round trip, large-z asymptotics) on the profile from
-    the config, or on a seeded batch of random aligned profiles.
+    the config.
 evolve
     March the potential W(x) along the shift orbit and tabulate it.
 oracle
@@ -24,10 +23,9 @@ oracle
     Weyl functions (closed form, ODE transport from breakpoints at -l and
     l, gap construction).
 
-Reports are deterministic for a fixed config and seed: no timestamps,
-floats rendered with repr (JSON) or 17 significant digits (CSV).  Exit
-codes: 0 all checks pass, 1 at least one check failed, 2 bad config,
-3 numerical failure.
+Reports are JSON and deterministic for a fixed config: no timestamps,
+floats rendered with repr.  Exit codes: 0 all checks pass, 1 at least one
+check failed, 2 bad config, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -70,10 +68,7 @@ class RunConfig:
     xgrid: np.ndarray | None = None
     ygrid: np.ndarray | None = None
     loc_tol: float = LOC_TOL
-    random_profiles: int = 0
-    seed: int = 0
     out: str | None = None
-    fmt: str = "json"
 
 
 @dataclass
@@ -125,8 +120,8 @@ class Report:
 
 # ---------------------------------------------------------------------------
 # config parsing: one converter per value type (json_number for a finite
-# number, _integer), one per key built from them, and _path and _format for
-# the flags that say where the report goes
+# number, _integer), one per key built from them, and _path for the --out
+# flag that says where the report goes
 
 def _integer(v, low: int) -> int:
     """A JSON integer no smaller than ``low``."""
@@ -143,12 +138,6 @@ def _path(v) -> str:
     return v
 
 
-def _format(v) -> str:
-    if v not in ("json", "csv"):
-        raise ValueError(f"unknown output format {v!r}")
-    return v
-
-
 def _tolerance(v) -> float:
     v = json_number(v)
     if not 0 < v < 1:
@@ -160,6 +149,23 @@ def _pair(v) -> tuple[float, float]:
     if not (isinstance(v, list) and len(v) == 2):
         raise ValueError("must be a [p, q] pair")
     return json_number(v[0]), json_number(v[1])
+
+
+def _equivalent_profile(p: float, q: float) -> KreinProfile:
+    """The one-gap profile whose Weyl functions are those of the constant
+    potential (p, q): the gap (-r, r), r = |p + iq|, at angle arg(p + iq)/2,
+    and the gapless profile for p = q = 0."""
+    r = math.hypot(p, q)
+    if r > 0:
+        return KreinProfile(GapSet(((-r, r),)), (0.5 * math.atan2(q, p),))
+    return KreinProfile(GapSet(()), ())
+
+
+def _constant(v) -> tuple[float, float]:
+    """A [p, q] pair whose equivalent profile's gap set is a valid one."""
+    p, q = _pair(v)
+    _equivalent_profile(p, q)
+    return p, q
 
 
 def _grid(spec) -> np.ndarray:
@@ -198,14 +204,12 @@ def _zgrid(spec) -> np.ndarray:
 # the parse of each config key; "command" is checked against the invocation
 _KEYS = {
     "profile": profile_from_json,
-    "constant": _pair,
+    "constant": _constant,
     "zgrid": _zgrid,
     "tgrid": _grid,
     "xgrid": _xgrid,
     "ygrid": _ygrid,
     "loc_tol": _tolerance,
-    "random_profiles": lambda v: _integer(v, 1),
-    "seed": lambda v: _integer(v, 0),
 }
 
 
@@ -219,25 +223,11 @@ def _convert(name: str, parse, value):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _check_grids(cfg: RunConfig, profile: KreinProfile) -> None:
-    """Raise a ConfigError for a ygrid or tgrid that ``profile`` alone
-    shows to be bad."""
-    # the large-z law, which only verify and evolve run, sets its own rule
-    if cfg.ygrid is not None and cfg.command in ("verify", "evolve"):
-        _convert('"ygrid"', lambda ys: asymptotic_points(profile.gapset, ys), cfg.ygrid)
-    # a t inside an endpoint margin has no boundary value to extrapolate
-    errs = profile.gapset.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
-    if errs:
-        raise ConfigError(f'"tgrid": {next(iter(errs.values()))}')
-
-
 def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     """Read and validate a JSON config against the command's contract.
 
-    ``overrides`` holds the command line flags "seed", "out" and "format"
-    as typed (strings), None or absent when not given.  "seed" wins over
-    the config's key and goes through its converter; "out" and "format"
-    alone say where the report goes and in which format.
+    ``overrides`` holds the command line flag "out" as typed (a string),
+    None or absent when not given; it alone says where the report goes.
     """
     try:
         with open(path) as fh:
@@ -260,19 +250,20 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
     for key, v in obj.items():
         if key != "command":
             setattr(cfg, key, _convert(f'"{key}"', _KEYS[key], v))
-    if overrides.get("seed") is not None:
-        cfg.seed = _convert("--seed", lambda s: _KEYS["seed"](int(s)), overrides["seed"])
     if overrides.get("out") is not None:
         cfg.out = _convert("--out", _path, overrides["out"])
-    if overrides.get("format") is not None:
-        cfg.fmt = _convert("--format", _format, overrides["format"])
 
-    needs_profile = command in ("construct", "evolve") or (
-        command == "verify" and not cfg.random_profiles)
-    if needs_profile and cfg.profile is None:
+    if command != "oracle" and cfg.profile is None:
         raise ConfigError(f'"{command}" needs a "profile"')
     if cfg.profile is not None:
-        _check_grids(cfg, cfg.profile)
+        gs = cfg.profile.gapset
+        # the large-z law, which only verify and evolve run, sets its own rule
+        if cfg.ygrid is not None and command in ("verify", "evolve"):
+            _convert('"ygrid"', lambda ys: asymptotic_points(gs, ys), cfg.ygrid)
+        # a t inside an endpoint margin has no boundary value to extrapolate
+        errs = gs.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
+        if errs:
+            raise ConfigError(f'"tgrid": {next(iter(errs.values()))}')
     if command == "oracle" and cfg.constant is None:
         raise ConfigError('"oracle" needs a "constant" [p, q]')
     if cfg.zgrid is not None and command in ("verify", "oracle", "construct"):
@@ -365,27 +356,10 @@ def run_construct(cfg: RunConfig) -> Report:
     return rep
 
 
-def _random_aligned_profile(rng: np.random.Generator) -> KreinProfile:
-    # aligned profiles are the ones with a realizing operator, so the
-    # random verify batch stays inside the certified class
-    n = int(rng.integers(1, 3))
-    alpha = float(rng.uniform(0.0, math.pi))
-    if n == 1:
-        c = float(rng.uniform(-1.5, 1.5))
-        w = float(rng.uniform(0.4, 1.2))
-        gaps = ((c - w / 2.0, c + w / 2.0),)
-    else:
-        c1 = float(rng.uniform(-2.0, -0.5))
-        c2 = float(rng.uniform(0.5, 2.0))
-        w1, w2 = (float(v) for v in rng.uniform(0.4, 0.9, size=2))
-        gaps = ((c1 - w1 / 2.0, c1 + w1 / 2.0), (c2 - w2 / 2.0, c2 + w2 / 2.0))
-    return KreinProfile.uniform(GapSet(gaps), alpha)
-
-
-def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str) -> None:
+def run_verify(cfg: RunConfig) -> Report:
+    rep = Report("verify")
+    profile = cfg.profile
     gs = profile.gapset
-    # random profiles meet the grids only here, before any probe runs
-    _check_grids(cfg, profile)
     mfun = profile_m_function(profile)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(gs)
     tgrid = cfg.tgrid if cfg.tgrid is not None else gap_interior_grid(gs)
@@ -401,18 +375,18 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
     asym_zs = asymptotic_points(gs, cfg.ygrid)
     mats, xi_mats, real_mats, asym_mats = _evaluate(mfun, zgrid, xi_zs, real_ts, asym_zs)
 
-    rep.probe(prefix + "det", 1e-10, "det M = -1 on C+",
+    rep.probe("det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
-    rep.probe(prefix + "symmetry", 1e-12, "M = M^t",
+    rep.probe("symmetry", 1e-12, "M = M^t",
               lambda: np.abs(mats[:, 0, 1] - mats[:, 1, 0]).max())
-    rep.probe(prefix + "herglotz", 1e-9, "Im M(t + i0) >= 0 on the gaps (minimum principle)",
+    rep.probe("herglotz", 1e-9, "Im M(t + i0) >= 0 on the gaps (minimum principle)",
               lambda: -herglotz_reduce(real_mats))
 
     # the eigenpairs of M J serve both the spectrum and the Weyl pair
     eig = mj_eigenpairs(mats)
-    rep.probe(prefix + "mj_spectrum", 1e-10, "eig(MJ) = {+1, -1}",
+    rep.probe("mj_spectrum", 1e-10, "eig(MJ) = {+1, -1}",
               lambda: max(np.abs(eig[1] + 1.0).max(), np.abs(eig[2] - 1.0).max()))
-    rep.probe(prefix + "weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
+    rep.probe("weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
               lambda: op_norm(assemble_M(_weyl_pair(mats, eig)) - mats).max())
     # the xi probes reduce the boundary samples of every t at once, and a
     # failed point fails each probe that reaches it, at the first such t in
@@ -433,8 +407,8 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
         every = xi_stack(slice(0, len(xi_ts)))
         return np.abs(every[:, 0, 0] + every[:, 1, 1] - 1.0).max()
 
-    rep.probe(prefix + "xi_trace", 1e-8, "tr xi = 1", trace_dev)
-    rep.probe(prefix + "xi_on_bands", XI_TOL, "xi = I/2 on the interior of E",
+    rep.probe("xi_trace", 1e-8, "tr xi = 1", trace_dev)
+    rep.probe("xi_on_bands", XI_TOL, "xi = I/2 on the interior of E",
               lambda: op_norm(xi_stack(on_bands) - 0.5 * np.eye(2)).max())
 
     def band_dev():
@@ -445,14 +419,14 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
                 raise xi_errors[i]
         return reflectionless_reduce(xi_mats[:, -len(egrid):])
 
-    rep.probe(prefix + "re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E", band_dev)
+    rep.probe("re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E", band_dev)
     if gs.n:
         # the input boundary data at each t: its gap's projection, or I/2
         # for a t in E
         j = gs.containing_gaps(tgrid)
         target = np.where((j >= 0)[:, None, None],
                           profile.projection_defects[j], 0.0) + 0.5 * np.eye(2)
-        rep.probe(prefix + "gap_projection", XI_TOL,
+        rep.probe("gap_projection", XI_TOL,
                   "xi equals the input projection inside each gap",
                   lambda: op_norm(xi_stack(on_gaps) - target).max())
         if profile.is_commuting:
@@ -461,7 +435,7 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
                     raise next(iter(real_errors.values()))
                 return gap_realness_reduce(real_mats)
 
-            rep.probe(prefix + "gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
+            rep.probe("gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
 
     def asym_dev():
         # both routes read one extrapolation
@@ -471,22 +445,8 @@ def _verify_one(rep: Report, cfg: RunConfig, profile: KreinProfile, prefix: str)
             dev = max(dev, math.hypot(w.p - w0.p, w.q - w0.q))
         return dev
 
-    rep.probe(prefix + "asymptotics", 1e-6,
+    rep.probe("asymptotics", 1e-6,
               "large-z Weyl law recovers the trace formula W(0)", asym_dev)
-
-
-def run_verify(cfg: RunConfig) -> Report:
-    rep = Report("verify")
-    if cfg.random_profiles:
-        rng = np.random.default_rng(cfg.seed)
-        for k in range(cfg.random_profiles):
-            profile = _random_aligned_profile(rng)
-            rep.info(f"p{k}.profile", float(profile.gapset.n),
-                     "gaps " + json.dumps(profile.gapset.gaps)
-                     + f" angle {profile.angles[0]!r}")
-            _verify_one(rep, cfg, profile, f"p{k}.")
-    else:
-        _verify_one(rep, cfg, cfg.profile, "")
     return rep
 
 
@@ -542,10 +502,7 @@ def run_oracle(cfg: RunConfig) -> Report:
     rep = Report("oracle")
     p, q = cfg.constant
     r = math.hypot(p, q)
-    if r > 0:
-        profile = KreinProfile(GapSet(((-r, r),)), (0.5 * math.atan2(q, p),))
-    else:
-        profile = KreinProfile(GapSet(()), ())
+    profile = _equivalent_profile(p, q)
     zgrid = cfg.zgrid if cfg.zgrid is not None else _default_zgrid(profile.gapset)
     # the ODE route seeds the tails at -l and l and transports them through
     # the transfer matrix exp(l K), whose exponent is of order 1
@@ -580,10 +537,6 @@ def run_oracle(cfg: RunConfig) -> Report:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 _CONTAINERS = {dict, list, tuple}
 
@@ -638,23 +591,6 @@ def _render_json(rep: Report) -> str:
     return _indented(obj) + "\n"
 
 
-def _render_csv(rep: Report) -> str:
-    lines = [f"# command: {rep.command}"]
-    if rep.numerical_failure:
-        lines.append("# numerical_failure: " + rep.numerical_failure.replace("\n", " "))
-    lines.append("# table: records")
-    lines.append("name,status,value,tolerance,identity")
-    for r in rep.records:
-        tol = "" if r.tolerance is None else _g17(r.tolerance)
-        ident = r.identity.replace(",", ";")
-        lines.append(f"{r.name},{r.status},{_g17(r.value)},{tol},{ident}")
-    for name, (cols, rows) in rep.tables.items():
-        lines.append(f"# table: {name}")
-        lines.append(",".join(cols))
-        lines.extend(",".join(_g17(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def run(cfg: RunConfig) -> Report:
     return {"construct": run_construct, "verify": run_verify,
             "evolve": run_evolve, "oracle": run_oracle}[cfg.command](cfg)
@@ -671,18 +607,14 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("command", choices=("construct", "verify", "evolve", "oracle"))
 _PARSER.add_argument("--config", required=True, help="JSON run description")
 _PARSER.add_argument("--out", help="write the report here instead of stdout")
-_PARSER.add_argument("--format", help="report format: json (default) or csv")
-_PARSER.add_argument("--seed", help="override the config seed, an integer >= 0")
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command,
-                          {"seed": args.seed, "out": args.out, "format": args.format})
+        cfg = load_config(args.config, args.command, {"out": args.out})
         rep = run(cfg)
     except ConfigError as exc:
-        # raised by run too, where a random profile meets the config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (KreinDiracError, ValueError) as exc:
@@ -697,7 +629,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: MemoryError: {exc}", file=sys.stderr)
         return 3
 
-    text = _render_json(rep) if cfg.fmt == "json" else _render_csv(rep)
+    text = _render_json(rep)
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:

@@ -77,7 +77,9 @@ class GapSet:
     """Ordered disjoint open gaps (a_1, b_1), ..., (a_n, b_n), possibly none.
 
     ``endpoints`` holds the left and right gap endpoints as two read-only
-    arrays of length n.
+    arrays of length n.  Gaps whose widths, hull width or default grids
+    (5 spectral radii, 128 hull half widths) leave float range, or whose
+    endpoint margin underflows to 0, are refused (ValueError).
     """
 
     gaps: tuple[tuple[float, float], ...]
@@ -92,6 +94,16 @@ class GapSet:
             if not b < a2:
                 raise ValueError("gaps must be strictly increasing and disjoint")
         object.__setattr__(self, "gaps", norm)
+        # the default grids reach 5 spectral radii for z and 128 hull half
+        # widths for the large-z heights
+        widths = [b - a for a, b in norm]
+        if norm and not all(map(math.isfinite, widths + [
+                norm[-1][1] - norm[0][0], 5.0 * self.spectral_radius, 128.0 * self.hull[1]])):
+            raise ValueError("gaps past float range: a width, the hull width, 5 spectral "
+                             "radii or 128 hull half widths is not finite")
+        for (a, b), w in zip(norm, widths):
+            if ENDPOINT_MARGIN * w == 0.0:
+                raise ValueError(f"gap ({a}, {b}) is too narrow for an endpoint margin")
         ab = np.array(norm, dtype=float).reshape(-1, 2).T.copy()
         ab.flags.writeable = False
         object.__setattr__(self, "endpoints", (ab[0], ab[1]))

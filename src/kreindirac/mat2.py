@@ -395,9 +395,9 @@ def _stage(ws: _Workspace, states: np.ndarray, rates: np.ndarray | None = None):
 
     Returns the (2, S, R) array of (p, q) per stack and rule, a buffer of
     ``ws`` that the next call overwrites, NaN on a stack with a non-finite
-    entry; and per stack either None or the SpectrumOnCut error that
-    ``mlog_spectral`` raises on its matrices: the slope, branch logarithm
-    and cut test are its own helpers.  On a march's few nodes the numpy
+    entry or eigenvalue; and per stack either None or the SpectrumOnCut
+    error that ``mlog_spectral`` raises on its matrices: the slope, branch
+    logarithm and cut test are its own helpers.  On a march's few nodes the numpy
     calls, not the arithmetic, set the cost: 33 for the trace and 8 for
     the rates, none of which allocates its result.  The per-stack scan
     runs only when the cut test flags a node or a non-finite pair.
@@ -418,13 +418,15 @@ def _stage(ws: _Workspace, states: np.ndarray, rates: np.ndarray | None = None):
     np.multiply(sigma, u, out=ws.pair0)
     np.multiply(sigma, b, out=ws.pair1)
     pq = np.einsum("ijk,rk->ijr", ws.pair_f, ws.wq, out=ws.pq)
-    # a non-finite entry of a state makes an eigenvalue of its pair
-    # non-finite, so _on_cut returns None only on finite stacks
+    # a non-finite entry of a state, or a u^2 + b^2 that overflows on
+    # finite ones, makes an eigenvalue of its pair non-finite, so _on_cut
+    # returns None only on finite pairs; a stack with a non-finite pair
+    # reads NaN, for the step control to reject
     bad = _on_cut(lam, mod, ws.cut)
     if bad is None:
         errors = [None] * len(h)
     else:
-        finite = np.isfinite(states).all(axis=(0, 2))
+        finite = np.isfinite(lam).all(axis=(0, 2))
         hit = bad.any(axis=(0, 2)) & finite
         errors = [_cut_error(lam[:, k], bad[:, k]) if cut else None for k, cut in enumerate(hit)]
         pq[:, ~finite] = np.nan

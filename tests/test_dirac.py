@@ -363,6 +363,24 @@ def test_trace_kernel_matches_the_matrix_log(kind):
     np.testing.assert_allclose(pq[1, 0], xi[:, 0, 1], rtol=0, atol=1e-13)
 
 
+def test_an_overflowing_pair_reads_as_a_non_finite_stack():
+    # finite states whose u^2 + b^2 overflows, here by a traceless part
+    # u = 1e200, have the eigenvalues (+/-inf + i Im h), which the cut test
+    # flags: the stack reads NaN, for the step control to reject, and
+    # raises no SpectrumOnCut (a march that raised it lost the
+    # BoundViolation of a witness on a far grid)
+    mats = _kernel_cases()["witness"]
+    far = _states(mats) + np.array([1e200, 0.0, -1e200])[:, None, None]
+    states = np.concatenate([_states(mats), far], axis=1)
+    assert np.isfinite(states).all()
+    with np.errstate(all="ignore"):
+        pq, errors = _stage(states, _per_node(len(mats)))
+    assert errors == [None, None]
+    assert np.isnan(pq[:, 1]).all()
+    ref, _ = _stage(_states(mats), _per_node(len(mats)))
+    np.testing.assert_array_equal(pq[:, 0], ref[:, 0])
+
+
 def test_congruence_rates_match_the_generator():
     # K M + M K^t with K = K(p, q, t) per node, on two stacks with their
     # own (p, q), the kernel's trace values, at hyperbolic nodes
