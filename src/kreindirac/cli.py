@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import BOUND_SLACK, LOC_TOL, const_weyl, ode_weyl, sample_potential
+from .dirac import BOUND_SLACK, const_weyl, ode_weyl, sample_potential
 from .errors import BoundViolation, KreinDiracError, NoConvergence
 from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
                         e_interior_grid, gap_interior_grid, gap_realness_points,
@@ -66,8 +66,6 @@ class RunConfig:
     zgrid: np.ndarray | None = None
     tgrid: np.ndarray | None = None
     xgrid: np.ndarray | None = None
-    ygrid: np.ndarray | None = None
-    loc_tol: float = LOC_TOL
     out: str | None = None
 
 
@@ -138,13 +136,6 @@ def _path(v) -> str:
     return v
 
 
-def _tolerance(v) -> float:
-    v = json_number(v)
-    if not 0 < v < 1:
-        raise ValueError(f"{v!r} does not lie in (0, 1)")
-    return v
-
-
 def _pair(v) -> tuple[float, float]:
     if not (isinstance(v, list) and len(v) == 2):
         raise ValueError("must be a [p, q] pair")
@@ -187,13 +178,6 @@ def _xgrid(spec) -> np.ndarray:
     return grid
 
 
-def _ygrid(spec) -> np.ndarray:
-    grid = _grid(spec)
-    if len(grid) < 3 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("must be positive and increasing with at least 3 entries")
-    return grid
-
-
 def _zgrid(spec) -> np.ndarray:
     # complex points are [re, im] pairs; JSON has no complex literal
     if not (isinstance(spec, list) and spec):
@@ -208,8 +192,6 @@ _KEYS = {
     "zgrid": _zgrid,
     "tgrid": _grid,
     "xgrid": _xgrid,
-    "ygrid": _ygrid,
-    "loc_tol": _tolerance,
 }
 
 
@@ -255,13 +237,9 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
 
     if command != "oracle" and cfg.profile is None:
         raise ConfigError(f'"{command}" needs a "profile"')
-    if cfg.profile is not None:
-        gs = cfg.profile.gapset
-        # the large-z law, which only verify and evolve run, sets its own rule
-        if cfg.ygrid is not None and command in ("verify", "evolve"):
-            _convert('"ygrid"', lambda ys: asymptotic_points(gs, ys), cfg.ygrid)
-        # a t inside an endpoint margin has no boundary value to extrapolate
-        errs = gs.endpoint_errors(cfg.tgrid) if cfg.tgrid is not None else {}
+    # a t inside an endpoint margin has no boundary value to extrapolate
+    if cfg.profile is not None and cfg.tgrid is not None:
+        errs = cfg.profile.gapset.endpoint_errors(cfg.tgrid)
         if errs:
             raise ConfigError(f'"tgrid": {next(iter(errs.values()))}')
     if command == "oracle" and cfg.constant is None:
@@ -372,7 +350,7 @@ def run_verify(cfg: RunConfig) -> Report:
     # fail their own probes.
     xi_ts, xi_errors, xi_zs = krein_xi_points(gs, np.concatenate([tgrid, egrid]))
     real_ts, real_errors = gap_realness_points(gs)
-    asym_zs = asymptotic_points(gs, cfg.ygrid)
+    asym_zs = asymptotic_points(gs)
     mats, xi_mats, real_mats, asym_mats = _evaluate(mfun, zgrid, xi_zs, real_ts, asym_zs)
 
     rep.probe("det", 1e-10, "det M = -1 on C+",
@@ -459,7 +437,7 @@ def run_evolve(cfg: RunConfig) -> Report:
     cols = ["x", "p", "q", "norm", "bound", "residual"]
 
     try:
-        samples = sample_potential(profile, xgrid, ygrid=cfg.ygrid, loc_tol=cfg.loc_tol)
+        samples = sample_potential(profile, xgrid)
     except (BoundViolation, NoConvergence) as exc:
         samples = exc.samples
         last = samples[-1].x if samples else math.nan

@@ -219,10 +219,10 @@ def _congruence_orbit(frame: KreinProfile, xg: np.ndarray, loc_tol: float):
     new point, which is the next step's first stage.  It is accepted where
     the (p, q) distance between its eighth- and fifth-order states is at
     most ``loc_tol`` per unit of phase, loc_tol R h with R the frame's
-    largest |t|; the step changes by 0.9 (target/err)^(1/6), held to
-    [0.2, 10], and carries over from one grid interval to the next.  A
-    step with a non-finite stage, or whose new state loses its determinant
-    (see _pin), is rejected.
+    largest |t| (``sample_potential`` passes ``LOC_TOL``); the step
+    changes by 0.9 (target/err)^(1/6), held to [0.2, 10], and carries over
+    from one grid interval to the next.  A step with a non-finite stage,
+    or whose new state loses its determinant (see _pin), is rejected.
 
     The step floor is 1e-10 max(|x|, 1): a march whose step falls below it
     before meeting the tolerance stalls with NoConvergence.  It scales with
@@ -741,16 +741,15 @@ def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
                            profile.angles)
 
 
-# sample_potential's default local error of a march step, and the slack a
-# sampled ||W(x)|| may take over the sharp bound
+# the congruence march's local error target per unit of phase, read at call
+# time, and the slack a sampled ||W(x)|| may take over the sharp bound
 LOC_TOL = 1e-8
 BOUND_SLACK = 1e-4
 # the rounding unit of a double, for the rounding of the frame's angle
 _EPS = float(np.finfo(float).eps)
 
 
-def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
-                     loc_tol: float = LOC_TOL) -> list[PotentialSample]:
+def sample_potential(profile: KreinProfile, xgrid) -> list[PotentialSample]:
     """Sample the potential W(x) along the shift orbit of a Krein profile.
 
     The shifted operator is reflectionless on the same bands.  Two routes
@@ -774,7 +773,8 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     * A non-commuting profile has complex gap values and no real divisor.
       The gap boundary values of its formal M function march by congruence
       with the transfer matrices of the potential itself, and W(x) is the
-      trace formula at the shifted origin (see _congruence_orbit).  Its
+      trace formula at the shifted origin (see _congruence_orbit), whose
+      local error target per unit of phase is ``LOC_TOL`` (1e-8).  Its
       residual is the trace formula's quadrature residual plus the march's
       propagated error estimate and the seed check at x = 0.
 
@@ -798,15 +798,6 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
     profile : KreinProfile
     xgrid : array_like
         Increasing sample positions starting at 0.
-    ygrid : array_like, optional
-        Heights ys of the x = 0 Weyl-law cross-check, at c + i ys; defaults
-        to (8, ..., 128) times max(1, R), R the hull's half width.
-    loc_tol : float
-        Local error target per unit of phase of the congruence march: a
-        step of length h is accepted where the (p, q) distance between its
-        eighth- and fifth-order states is at most loc_tol R h, R the
-        largest |t| over the gaps of the co-rotating frame.  Commuting
-        profiles do not use it.
 
     Returns
     -------
@@ -875,13 +866,13 @@ def sample_potential(profile: KreinProfile, xgrid, ygrid=None,
         return sample
 
     orbit = (_divisor_orbit(frame, xg) if profile.is_commuting
-             else _congruence_orbit(frame, xg, loc_tol))
+             else _congruence_orbit(frame, xg, LOC_TOL))
     _, p0, q0, res0, _ = next(orbit)
     samples: list[PotentialSample] = []
     try:
         # independent seed check: the large-z Weyl law against the x = 0
         # state (the frame turns nothing at x = 0)
-        seed = asymptotic_W(profile_m_function(profile), ygrid)
+        seed = asymptotic_W(profile_m_function(profile))
         seed_res = seed.residual + math.hypot(seed.p - p0, seed.q - q0)
         samples.append(record(xg[0], p0, q0, res0 + seed_res))
         # a divisor orbit runs from the checked W(0), so the seed check's

@@ -64,6 +64,8 @@ __all__ = [
 # objects stay at least ENDPOINT_MARGIN * (gap width) away from the
 # logarithmic singularities.
 ENDPOINT_MARGIN = 1e-3
+# the smallest normal float: a boundary height below it keeps too few digits
+_TINY = float(np.finfo(float).tiny)
 
 
 def projection_angle(alpha: float) -> np.ndarray:
@@ -78,8 +80,15 @@ class GapSet:
 
     ``endpoints`` holds the left and right gap endpoints as two read-only
     arrays of length n.  Gaps whose widths, hull width or default grids
-    (5 spectral radii, 128 hull half widths) leave float range, or whose
-    endpoint margin underflows to 0, are refused (ValueError).
+    (5 spectral radii, 128 hull half widths) leave float range are refused
+    (ValueError).  So is a gap too narrow for its 7 interior points
+    (:func:`gap_interior_grid`): one of them rounds into the gap's own
+    endpoint margin, or the smallest height at which a boundary limit
+    samples them (:func:`boundary_points`) is below the smallest normal
+    float.  A gap one ulp wide rounds its points onto its endpoints, and at
+    subnormal heights ``build_M``'s Moebius ratios overflow.  So a gap
+    needs a width of about 11 ulps of its endpoints, and of at least
+    5.7e-305 anywhere.
     """
 
     gaps: tuple[tuple[float, float], ...]
@@ -101,9 +110,17 @@ class GapSet:
                 norm[-1][1] - norm[0][0], 5.0 * self.spectral_radius, 128.0 * self.hull[1]])):
             raise ValueError("gaps past float range: a width, the hull width, 5 spectral "
                              "radii or 128 hull half widths is not finite")
+        # a gap's first and last interior points (gap_interior_grid) are its
+        # nearest to its endpoints; the smallest height that boundary_points
+        # gives them must be a normal float
+        first, last = float(_UNIT_ROW[0]), float(_UNIT_ROW[-1])
+        y0, y_low = float(LIMIT_OFFSETS[0]), float(LIMIT_OFFSETS[-1])
         for (a, b), w in zip(norm, widths):
-            if ENDPOINT_MARGIN * w == 0.0:
-                raise ValueError(f"gap ({a}, {b}) is too narrow for an endpoint margin")
+            d = min(a + w * first - a, b - (a + w * last))
+            if d < ENDPOINT_MARGIN * w or y_low * (min(d, y0) / y0) < _TINY:
+                raise ValueError(f"gap ({a}, {b}) is too narrow for its interior points: they "
+                                 "round into its endpoint margins or their boundary heights "
+                                 "underflow")
         ab = np.array(norm, dtype=float).reshape(-1, 2).T.copy()
         ab.flags.writeable = False
         object.__setattr__(self, "endpoints", (ab[0], ab[1]))

@@ -56,8 +56,9 @@ __all__ = [
     "herglotz_defect",
 ]
 
+# the convergence tolerance of a boundary limit of xi, and the heights of
+# the large-z points in hull half widths; both are read at call time
 XI_TOL = 1e-6
-# the input-independent heights of the large-z points, in spectral scales
 _YGRID = _read_only(np.array([8.0, 16.0, 32.0, 64.0, 128.0]))
 
 
@@ -115,8 +116,8 @@ def krein_xi_points(gapset: GapSet, ts) -> tuple[np.ndarray, dict, np.ndarray]:
     return ts, errors, boundary_points(gapset, ts[clear])
 
 
-def krein_xi_reduce(ts: np.ndarray, errors: dict, mats: np.ndarray,
-                    xi_tol: float = XI_TOL) -> tuple[np.ndarray, np.ndarray, dict]:
+def krein_xi_reduce(ts: np.ndarray, errors: dict,
+                    mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
     ``ts`` by extrapolation, from :func:`krein_xi_points`' ``ts`` and
     ``errors`` and the (K, T, 2, 2) values of M at its points, with one
@@ -126,8 +127,8 @@ def krein_xi_reduce(ts: np.ndarray, errors: dict, mats: np.ndarray,
     extrapolation residuals and the failed points: a map, by index in
     increasing order, holding the EndpointSingularity of each point of
     ``errors`` and a NoConvergence for each point whose last two
-    extrapolants differ by more than ``xi_tol``.  The rows and residuals
-    of failed points are NaN.
+    extrapolants differ by more than ``XI_TOL`` (1e-6).  The rows and
+    residuals of failed points are NaN.
 
     Raises
     ------
@@ -144,14 +145,14 @@ def krein_xi_reduce(ts: np.ndarray, errors: dict, mats: np.ndarray,
         xi[clear] = 0.5 * (limit.real + np.swapaxes(limit.real, -1, -2))
     # the points of errors have NaN residuals, so they fail here in order
     failed = {}
-    for i in map(int, np.flatnonzero(~(residual <= xi_tol))):
+    for i in map(int, np.flatnonzero(~(residual <= XI_TOL))):
         failed[i] = errors[i] if i in errors else convergence_error(
-            residual[i], xi_tol, f"krein_xi at t = {float(ts[i])}")
+            residual[i], XI_TOL, f"krein_xi at t = {float(ts[i])}")
         xi[i] = residual[i] = np.nan
     return xi, residual, failed
 
 
-def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
+def krein_xi(mfun: MFunction, t: float) -> KreinSample:
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) by extrapolation.
 
     The one-point form of :func:`krein_xi_points` and
@@ -163,39 +164,29 @@ def krein_xi(mfun: MFunction, t: float, xi_tol: float = XI_TOL) -> KreinSample:
     EndpointSingularity
         If t lies inside a gap-endpoint margin.
     NoConvergence
-        If the last two extrapolants differ by more than ``xi_tol``.
+        If the last two extrapolants differ by more than ``XI_TOL``.
     SpectrumOnCut
         If a sampled M has an eigenvalue on the cut of the logarithm.
     """
     ts, errors, zs = krein_xi_points(mfun.gapset, float(t))
-    xi, residual, failed = krein_xi_reduce(ts, errors,
-                                           mfun(zs.ravel()).reshape(zs.shape + (2, 2)), xi_tol)
+    xi, residual, failed = krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
     if failed:
         raise failed[0]
     return KreinSample(t=float(ts[0]), xi=xi[0], residual=float(residual[0]))
 
 
-def asymptotic_points(gapset: GapSet, ygrid: Sequence[float] | None = None) -> np.ndarray:
+def asymptotic_points(gapset: GapSet) -> np.ndarray:
     """The points c + i ys at which :func:`asymptotic_W` evaluates M, up
     the vertical through the midpoint c of the gaps' hull (``GapSet.hull``).
 
     Moving the spectral parameter by c only rotates the potential and
     leaves W(0), and the heights stay near the hull's half width R, where
-    y (iI - M(c + iy)) keeps its digits for gaps far from 0.  The heights
-    ys are ``ygrid``, by default (8, 16, 32, 64, 128) times max(1, R).
-    Raises ValueError unless they are finite and positive, increase,
-    number at least 3 and start at least 4 R out (R, the spectral radius
-    of the gaps moved by -c, is what the message calls spectral radii).
+    y (iI - M(c + iy)) keeps its digits for gaps far from 0: ys is
+    ``_YGRID`` = (8, 16, 32, 64, 128) times max(1, R), finite for every
+    gap set that ``GapSet`` accepts.
     """
     c, r = gapset.hull
-    ys = np.asarray(max(1.0, r) * _YGRID if ygrid is None else ygrid, dtype=float)
-    if not np.all(np.isfinite(ys) & (ys > 0)):
-        raise ValueError("heights must be finite and positive")
-    if len(ys) < 3 or np.any(np.diff(ys) <= 0):
-        raise ValueError("ygrid must be increasing with at least 3 entries")
-    if gapset.n and ys[0] < 4.0 * r:
-        raise ValueError(f"smallest height must be at least 4 spectral radii ({4.0 * r!r})")
-    return c + 1j * ys
+    return c + 1j * (max(1.0, r) * _YGRID)
 
 
 def asymptotic_reduce(zs: np.ndarray, mats: np.ndarray,
@@ -229,19 +220,16 @@ def asymptotic_reduce(zs: np.ndarray, mats: np.ndarray,
     return out
 
 
-def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
-                 route: str = "value") -> PotentialSample:
+def asymptotic_W(mfun: MFunction, route: str = "value") -> PotentialSample:
     """Extract W(0) from the large-z law by Richardson extrapolation.
 
     Parameters
     ----------
     mfun : MFunction
-        The matrix Herglotz function.
-    ygrid : sequence of float, optional
-        Increasing evaluation heights above the midpoint c of the hull of
-        the declared gaps; defaults to (8, 16, 32, 64, 128) times
-        max(1, R), R the hull's half width.  The smallest height must stay
-        at least 4 R out (:func:`asymptotic_points`).
+        The matrix Herglotz function; it is evaluated at the
+        :func:`asymptotic_points` of its gap set, (8, 16, 32, 64, 128)
+        times max(1, R) above the midpoint c of the gaps' hull, R the
+        hull's half width.
     route : {"value", "log"}
         "value" fits W(0) ~ (z - c) (I - M(z)/i); "log" fits
         W(0) ~ (z - c) ((i pi/2) I - log M(z)).  The two routes agree for
@@ -262,7 +250,7 @@ def asymptotic_W(mfun: MFunction, ygrid: Sequence[float] | None = None,
     NotTraceless
         If the extrapolated matrix has |trace| > 1e-6.
     """
-    zs = asymptotic_points(mfun.gapset, ygrid)
+    zs = asymptotic_points(mfun.gapset)
     return asymptotic_reduce(zs, mfun(zs), (route,))[0]
 
 

@@ -15,7 +15,7 @@ Each extrapolation applies the Lagrange weights at 0 of its abscissae
 (Berrut & Trefethen, SIAM Rev. 46, 2004), w_i = prod_{j != i} x_j / (x_j - x_i).
 Every factor is unchanged when all abscissae are scaled alike, so the
 weights are cached per abscissae divided by the largest: the boundary
-schedule and the default large-z heights (any spectral radius) each have
+schedule and the large-z heights (any spectral radius) each have
 one entry, and the cache keeps at most 64.
 """
 

@@ -31,6 +31,7 @@ from kreindirac.errors import (
     NotAdmissible,
 )
 from kreindirac.finitegap import ENDPOINT_MARGIN, boundary_reduce, reflectionless_reduce
+from kreindirac import herglotz
 from kreindirac.herglotz import (asymptotic_points, asymptotic_reduce, krein_xi_points,
                                  krein_xi_reduce)
 from kreindirac.mat2 import I2, im_part, op_norm, re_part
@@ -204,7 +205,7 @@ def test_a_point_alone_and_in_a_large_call_agree_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
-def test_limits_alone_and_in_a_large_call_agree_bitwise(n):
+def test_limits_alone_and_in_a_large_call_agree_bitwise(monkeypatch, n):
     # a point's boundary limits and residuals, and a profile's large-z W(0),
     # do not depend on the stack they are extrapolated in: the contraction
     # with the weights is elementwise, with no BLAS call whose rounding
@@ -234,10 +235,11 @@ def test_limits_alone_and_in_a_large_call_agree_bitwise(n):
     near = np.concatenate([a + 0.5 * margin, b - 0.25 * margin])
     mixed = rng.permutation(np.concatenate([ts, near]))
     tol = float(np.median(whole_res))
+    monkeypatch.setattr(herglotz, "XI_TOL", tol)
     mixed, errors, zs = krein_xi_points(gs, mixed)
     assert len(errors) == len(near)
     xi, res, failed = krein_xi_reduce(mixed, errors,
-                                      build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2)), tol)
+                                      build_M(prof, zs.ravel()).reshape(zs.shape + (2, 2)))
     assert list(failed) == sorted(failed)
     assert {i for i, e in failed.items() if isinstance(e, EndpointSingularity)} == set(errors)
     unconverged = [i for i, e in failed.items() if isinstance(e, NoConvergence)]
@@ -248,7 +250,7 @@ def test_limits_alone_and_in_a_large_call_agree_bitwise(n):
     for k in [*range(0, len(mixed), 7), *errors]:
         one_ts, one_errors, one_zs = krein_xi_points(gs, mixed[k:k + 1])
         one_xi, one_res, one_failed = krein_xi_reduce(
-            one_ts, one_errors, build_M(prof, one_zs.ravel()).reshape(one_zs.shape + (2, 2)), tol)
+            one_ts, one_errors, build_M(prof, one_zs.ravel()).reshape(one_zs.shape + (2, 2)))
         np.testing.assert_array_equal(one_xi[0], xi[k])
         np.testing.assert_array_equal(one_res[0], res[k])
         assert [(type(e), str(e)) for e in one_failed.values()] == (
@@ -350,7 +352,7 @@ def test_batched_mexp_mlog_agree_with_one_matrix(stack):
         assert _close(mexp(lg), a, 1e-8)
 
 
-def _xi_reference(mfun, t, xi_tol):
+def _xi_reference(mfun, t):
     """The one-point limit: the schedule offsets scaled by
     min(1, d_t / y0), one log per offset, extrapolated to 0."""
     a, b = mfun.gapset.endpoints
@@ -390,21 +392,27 @@ def test_krein_xi_reduce_agrees_with_points(case, xi_tol):
     prof, grid = case
     mfun = profile_m_function(prof)
     ts, errors, zs = krein_xi_points(prof.gapset, grid)
-    xi, residual, failed = krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)),
-                                           xi_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(herglotz, "XI_TOL", xi_tol)
+        xi, residual, failed = krein_xi_reduce(ts, errors,
+                                               mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
+        ones = []
+        for t in grid:
+            try:
+                ones.append(krein_xi(mfun, float(t)))
+            except KreinDiracError as exc:
+                ones.append(exc)
     assert xi.shape == (len(grid), 2, 2) and residual.shape == (len(grid),)
-    for i, t in enumerate(grid):
-        try:
-            one = krein_xi(mfun, float(t), xi_tol=xi_tol)
-        except KreinDiracError as exc:
+    for i, (t, one) in enumerate(zip(grid, ones)):
+        if isinstance(one, KreinDiracError):
             # the map holds the error the one-point call raises
-            assert type(failed[i]) is type(exc) and str(failed[i]) == str(exc)
+            assert type(failed[i]) is type(one) and str(failed[i]) == str(one)
             continue
         assert i not in failed
         assert ts[i] == one.t == float(t)
         assert np.abs(xi[i] - one.xi).max() <= 1e-14
         assert abs(residual[i] - one.residual) <= 1e-14
-        ref_xi, ref_residual = _xi_reference(mfun, float(t), xi_tol)
+        ref_xi, ref_residual = _xi_reference(mfun, float(t))
         assert np.abs(xi[i] - ref_xi).max() <= 1e-14
         assert abs(residual[i] - ref_residual) <= 1e-14
     # only the margin point (if any) is an endpoint failure, and at the

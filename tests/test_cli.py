@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kreindirac import cli, herglotz
+from kreindirac import cli, dirac, herglotz
 from kreindirac.errors import NoConvergence
 from kreindirac.finitegap import gap_realness
 
@@ -259,11 +259,11 @@ def test_evolve_witness_exits_3_with_partial_rows(tmp_path):
     assert xs[-1] == 0.5
 
 
-def test_stalled_march_names_the_gap_realness(tmp_path):
+def test_stalled_march_names_the_gap_realness(tmp_path, monkeypatch):
     # a tolerance no step can meet stalls the witness's congruence march;
     # the failure names the profile's gap_realness, which is far from 0
-    cfg = dict(WITNESS, xgrid=[0, 0.2], loc_tol=1e-300)
-    code, text = _run(tmp_path, "evolve", cfg)
+    monkeypatch.setattr(dirac, "LOC_TOL", 1e-300)
+    code, text = _run(tmp_path, "evolve", dict(WITNESS, xgrid=[0, 0.2]))
     assert code == 3
     failure = json.loads(text)["numerical_failure"]
     assert failure.startswith("NoConvergence: x-march stalled near x = 6.4")
@@ -289,7 +289,7 @@ def test_commuting_march_past_its_digits_ends_in_no_convergence(tmp_path):
 
 
 @pytest.mark.parametrize("stop", [1e8, 1e9, 1e10])
-def test_far_grid_end_does_not_stall_the_witness(tmp_path, stop):
+def test_far_grid_end_does_not_stall_the_witness(tmp_path, monkeypatch, stop):
     # the step floor scales with the position, not with the end of the grid
     # interval: a first step of the whole interval shrinks by rejections
     # down to the witness's step, and the march crosses the sharp bound near
@@ -301,7 +301,8 @@ def test_far_grid_end_does_not_stall_the_witness(tmp_path, stop):
     assert failure.startswith("BoundViolation: ||W(0.5")
     # a tolerance that no step meets above rounding level still stalls,
     # within the first hundredth of x
-    code, text = _run(tmp_path, "evolve", dict(WITNESS, xgrid=[0, stop], loc_tol=1e-15))
+    monkeypatch.setattr(dirac, "LOC_TOL", 1e-15)
+    code, text = _run(tmp_path, "evolve", dict(WITNESS, xgrid=[0, stop]))
     assert code == 3
     failure = json.loads(text)["numerical_failure"]
     assert failure.startswith("NoConvergence: x-march stalled near x = 0.0")
@@ -353,9 +354,6 @@ def test_config_errors_exit_2(tmp_path, capsys):
         dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1, "count": 0}),  # empty
         dict(SINGLE_GAP, xgrid=[0.0, 0.5, 0.25]),             # not increasing
         dict(SINGLE_GAP, xgrid=[0.1, 0.2]),                   # not starting at 0
-        dict(SINGLE_GAP, ygrid=[1, 2, 3]),                    # below 4 radii
-        dict(SINGLE_GAP, ygrid=[8, 4, 16]),                   # not increasing
-        dict(SINGLE_GAP, ygrid=[8, 16]),                      # too short
         dict(SINGLE_GAP, tgrid=[0.0, 1.0]),                   # on a gap end
     ]
     for cfg in bad_cases:
@@ -366,40 +364,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for command, cfg in (("construct", dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]])),
                          ("evolve", dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1,
                                                            "count": 0})),
-                         ("evolve", dict(SINGLE_GAP, ygrid=[1, 2, 3])),
                          ("construct", dict(SINGLE_GAP, tgrid=[0.0, 1.0]))):
         assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2, cfg
 
 
 @pytest.mark.parametrize("command", ["verify", "evolve"])
-def test_ygrid_is_held_to_the_co_rotating_frame(tmp_path, capsys, command):
+def test_ygrid_is_held_to_the_co_rotating_frame(tmp_path, command):
     # the large-z heights count from the hull midpoint 100, about which
-    # the far gap (99, 101) has radius 1: the heights of (-1, 1) pass
+    # the far gap (99, 101) has radius 1: its points are those of (-1, 1)
+    # moved by 100, and the run passes
     profile = {"gaps": [[99, 101]], "uniform": 0.3}
-    code, text = _run(tmp_path, command, {"profile": profile, "ygrid": [8, 16, 32, 64, 128]})
+    gs = cli.profile_from_json(profile).gapset
+    assert np.array_equal(herglotz.asymptotic_points(gs), 100.0 + 1j * herglotz._YGRID)
+    code, _ = _run(tmp_path, command, {"profile": profile})
     assert code == 0
-    assert (code, text) == _run(tmp_path, command, {"profile": profile})
-    code = cli.main([command, "--config",
-                     _write(tmp_path, {"profile": profile, "ygrid": [3.5, 16, 32]})])
-    err = capsys.readouterr().err
-    _assert_config_error(code, err)
-    assert err == ('config error: "ygrid": smallest height must be at least '
-                   '4 spectral radii (4.0)\n')
-
-
-def test_ygrid_rule_binds_only_the_commands_that_read_it(tmp_path, capsys):
-    # construct and oracle run no large-z law: a ygrid below the frame's
-    # 4 radii changes nothing there, while verify and evolve refuse it
-    profile = {"gaps": [[-1, 1]], "uniform": 0.3}
-    for command, cfg in (("construct", {"profile": profile}),
-                         ("oracle", {"profile": profile, "constant": [0.3, -0.2]})):
-        code, text = _run(tmp_path, command, dict(cfg, ygrid=[1, 2, 3]))
-        assert code == 0
-        assert (code, text) == _run(tmp_path, command, cfg)
-    for command in ("verify", "evolve"):
-        cfg = {"profile": profile, "ygrid": [1, 2, 3]}
-        code = cli.main([command, "--config", _write(tmp_path, cfg)])
-        _assert_config_error(code, capsys.readouterr().err)
 
 
 def test_tgrid_margin_error_names_the_point(tmp_path, capsys):
@@ -543,9 +521,6 @@ def _not_an_upper_point(v) -> bool:
     return not (isinstance(v, list) and len(v) == 2 and v[1] > 0)
 
 
-_BAD_TOL = st.one_of(_NOT_A_NUMBER, st.floats(max_value=0.0), st.floats(min_value=1.0),
-                     st.integers(max_value=0), st.integers(min_value=1))
-
 BAD_VALUES = {
     "command": _other_than("str"),
     "profile": st.one_of(
@@ -575,8 +550,6 @@ BAD_VALUES = {
     ),
     "tgrid": _BAD_GRID,
     "xgrid": st.one_of(_BAD_GRID, st.just([0.5, 1.0]), st.just([0.0, 1.0, 0.5])),
-    "ygrid": st.one_of(_BAD_GRID, st.just([-8.0, 16.0, 32.0]), st.just([8.0, 16.0])),
-    "loc_tol": _BAD_TOL,
 }
 
 BAD_FLAGS = st.tuples(st.just("--out"), st.sampled_from(["", "a\0b"]))
@@ -611,14 +584,16 @@ def test_every_bad_flag_value_exits_2(tmp_path, capsys, flag):
 
 # a default value of each setting that configs no longer take
 _REMOVED = {"xi_tol": 1e-6, "bound_slack": 1e-4, "inject_det_error": False,
-            "output": {"format": "json"}, "random_profiles": 3, "seed": 7}
+            "output": {"format": "json"}, "random_profiles": 3, "seed": 7,
+            "ygrid": [8, 16, 32, 64, 128], "loc_tol": 1e-8}
 
 
 @pytest.mark.parametrize("key", sorted(_REMOVED))
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, key):
-    # the verdicts' tolerances are fixed, the negative control is a test's
-    # substitution, --out alone says where the report goes, and verify
-    # checks the profile its config names
+    # the verdicts' tolerances, the large-z heights and the march's step
+    # tolerance are fixed, the negative control is a test's substitution,
+    # --out alone says where the report goes, and verify checks the
+    # profile its config names
     cfg = dict(SINGLE_GAP, **{key: _REMOVED[key]})
     code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
     err = capsys.readouterr().err
@@ -845,11 +820,11 @@ def test_unreadable_config_files_exit_2(tmp_path, capsys):
         _assert_config_error(code, capsys.readouterr().err)
 
 
-def test_evolve_failed_seed_check_exits_3(tmp_path):
+def test_evolve_failed_seed_check_exits_3(tmp_path, monkeypatch):
     # the x = 0 Weyl-law cross-check does not converge this far out; the
     # march reports it with no samples instead of a traceback
-    cfg = {"profile": {"gaps": [[-1, 1]], "uniform": 0.3}, "ygrid": [1e10, 2e10, 4e10]}
-    code, text = _run(tmp_path, "evolve", cfg)
+    monkeypatch.setattr(herglotz, "_YGRID", np.array([1e10, 2e10, 4e10]))
+    code, text = _run(tmp_path, "evolve", {"profile": {"gaps": [[-1, 1]], "uniform": 0.3}})
     assert code == 3
     failure = json.loads(text)["numerical_failure"]
     assert failure.startswith("NoConvergence: large-z extrapolation")
@@ -932,8 +907,9 @@ def test_a_point_past_the_renormalisation_range_warns_nothing(tmp_path, command,
         "oracle-wide", "construct-subnormal", "verify-subnormal"])
 def test_gaps_at_the_edges_of_float_range_exit_2(tmp_path, capsys, command, cfg):
     # a width, the hull width or a default grid's extent past float range,
-    # or an endpoint margin that underflows to 0: the runs printed numpy
-    # overflow warnings and exited 3 on an unrelated error
+    # or a gap whose endpoint margin underflows to 0 (too narrow for its
+    # interior points): the runs printed numpy overflow warnings and exited
+    # 3 on an unrelated error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main([command, "--config", _write(tmp_path, cfg)])
@@ -941,6 +917,42 @@ def test_gaps_at_the_edges_of_float_range_exit_2(tmp_path, capsys, command, cfg)
     _assert_config_error(code, err)
     assert err.startswith('config error: "constant": ' if command == "oracle"
                           else 'config error: "profile": ')
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "evolve"])
+@pytest.mark.parametrize("gap", [[1, 1.0000000000000002], [0, 3e-321]], ids=["ulp", "subnormal"])
+def test_a_gap_too_narrow_for_its_interior_points_exits_2(tmp_path, capsys, command, gap):
+    # the interior points of a gap one ulp wide round onto its endpoints,
+    # and those of a subnormal gap have subnormal boundary heights:
+    # construct exited 3, verify 1 or 3 and evolve 0
+    cfg = {"profile": {"gaps": [gap], "uniform": 0.3}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", _write(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    _assert_config_error(code, err)
+    a, b = map(float, gap)
+    assert err.startswith(f'config error: "profile": gap ({a}, {b}) is too narrow for its '
+                          'interior points')
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "evolve"])
+@pytest.mark.parametrize("width", [1e-6, 1e-12])
+def test_a_narrow_gap_with_room_for_its_interior_points_runs(tmp_path, command, width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(tmp_path, command, {"profile": {"gaps": [[0, width]], "uniform": 0.3}})
+    assert code == 0
+
+
+def test_the_readme_lists_every_config_key():
+    # a deleted key leaves no stale row in the README's table of keys, and
+    # a new one is not left out of it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| key | type and range | meaning |\n")[1].split("\n\n")[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = [line.split("`")[1] for line in rows]
+    assert sorted(keys) == sorted({"command"} | set(cli._KEYS))
 
 
 def test_a_far_narrow_gap_in_float_range_constructs(tmp_path):

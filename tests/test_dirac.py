@@ -26,9 +26,19 @@ WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
 
 # march values for the aligned two-gap profile, frozen from converged runs
-# (loc_tol refinement 1e-6 -> 1e-10 moves the x = 0.3 value by < 2e-7, and
-# the small-x law q(x) = 1 - 4 x^2 + O(x^4) matches to the quartic term)
+# (the congruence march at local tolerances 1e-6 to 1e-10 and the Abel
+# inversion agree at x = 0.3 to 1e-9, and the small-x law
+# q(x) = 1 - 4 x^2 + O(x^4) matches to the quartic term)
 TAYLOR_PROFILE = (WITNESS_GAPS, math.pi / 4)
+
+
+def _congruence_march(prof, xs, loc_tol):
+    """The grid samples (x, p, q) of the congruence march of a profile on
+    centred gaps at an explicit local tolerance; sample_potential sends
+    commuting profiles to the Abel inversion, which has no step tolerance."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [(x, p, q) for x, p, q, _, on_grid
+                in dirac._congruence_orbit(prof, np.asarray(xs, dtype=float), loc_tol) if on_grid]
 Q_AT_01 = 0.960136319578
 Q_AT_02 = 0.842317450331
 Q_AT_03 = 0.652766370017
@@ -683,8 +693,8 @@ def test_march_two_gap_frozen_values():
     # p stays zero along this symmetric orbit
     assert max(abs(s.p) for s in ss) < 1e-10
     # small-x law: q(x) = 1 - 4 x^2 + O(x^4)
-    fine = sample_potential(prof, [0.0, 0.005, 0.01], loc_tol=1e-10)
-    qpp = (fine[2].q - 2 * fine[1].q + fine[0].q) / 0.005 ** 2
+    fine = [q for _, _, q in _congruence_march(prof, [0.0, 0.005, 0.01], 1e-10)]
+    qpp = (fine[2] - 2 * fine[1] + fine[0]) / 0.005 ** 2
     assert abs(qpp + 8.0) < 1e-3
 
 
@@ -699,9 +709,9 @@ def test_march_derivative_against_large_z_fit():
     w0 = trace_formula_W0(prof)
     np.testing.assert_allclose(g1, -(w0.q + 1j * w0.p), atol=1e-6)
     slope_law = 2j * g2 - (w0.q ** 2 - w0.p ** 2) - 2j * w0.p * w0.q
-    ss = sample_potential(prof, [0.0, 0.01, 0.02], loc_tol=1e-10)
-    dq = (-3 * ss[0].q + 4 * ss[1].q - ss[2].q) / 0.02
-    dp = (-3 * ss[0].p + 4 * ss[1].p - ss[2].p) / 0.02
+    (_, p0, q0), (_, p1, q1), (_, p2, q2) = _congruence_march(prof, [0.0, 0.01, 0.02], 1e-10)
+    dq = (-3 * q0 + 4 * q1 - q2) / 0.02
+    dp = (-3 * p0 + 4 * p1 - p2) / 0.02
     assert abs(complex(dq, dp) - slope_law) < 1e-3
 
 
@@ -743,7 +753,7 @@ def test_march_validates_xgrid():
 
 def test_march_loc_tol_refinement_consistency():
     prof = KreinProfile.uniform(GapSet(WITNESS_GAPS), math.pi / 4)
-    loose = sample_potential(prof, [0.0, 0.3], loc_tol=1e-6)[-1].q
-    tight = sample_potential(prof, [0.0, 0.3], loc_tol=1e-9)[-1].q
+    loose = _congruence_march(prof, [0.0, 0.3], 1e-6)[-1][2]
+    tight = _congruence_march(prof, [0.0, 0.3], 1e-9)[-1][2]
     assert abs(loose - tight) < 1e-5
     assert abs(tight - Q_AT_03) < 1e-7

@@ -30,7 +30,6 @@ from kreindirac.finitegap import (
     weyl_from_M,
 )
 from kreindirac.herglotz import (
-    XI_TOL,
     asymptotic_W,
     asymptotic_points,
     asymptotic_reduce,
@@ -175,8 +174,7 @@ def _xi_reduce(mfun, grid):
     # the points of grid, and their xi stack, residuals and failed points,
     # from one evaluation of mfun
     ts, errors, zs = krein_xi_points(mfun.gapset, grid)
-    return ts, *krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)),
-                                XI_TOL)
+    return ts, *krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
 
 
 def _xi(mfun, grid):

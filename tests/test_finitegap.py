@@ -83,6 +83,23 @@ def test_endpoint_margin_guard():
         build_logM(prof, np.array([0.5, 1.0 - 1e-5, -1.0 + 1e-5]))
 
 
+def test_a_gap_too_narrow_for_its_interior_points_is_refused():
+    # 10 ulps of its endpoints round a gap's first and last interior
+    # points onto them, 11 keep them clear of the margins
+    for c in (1.0, -7.0, 1e3, 1e6):
+        ulp = math.ulp(c)
+        with pytest.raises(ValueError, match=r"too narrow for its interior points"):
+            GapSet(((c, c + 10 * ulp),))
+        ts, errors = gap_realness_points(GapSet(((c, c + 11 * ulp),)))
+        assert len(ts) == 7 and not errors
+    # below 5.7e-305 the smallest boundary height of the interior points
+    # is subnormal
+    with pytest.raises(ValueError, match=r"gap \(0.0, 5.6e-305\) is too narrow"):
+        GapSet(((0.0, 5.6e-305),))
+    gs = GapSet(((0.0, 5.8e-305),))
+    assert boundary_points(gs, gap_interior_grid(gs)).imag.min() >= np.finfo(float).tiny
+
+
 def test_profile_validation_and_normalization():
     gs = GapSet(((-1.0, 1.0), (2.0, 3.0)))
     with pytest.raises(ValueError):

@@ -82,14 +82,14 @@ def test_report_matches_golden(tmp_path, name, code):
 
 
 def _witness_march_rows() -> list:
-    # the congruence march of the witness config at the default loc_tol,
+    # the congruence march of the witness config at dirac.LOC_TOL,
     # every row it yields, as float.hex and the on-grid flag
     config = json.loads((GOLDEN / "witness.json").read_text())
     _, frame = dirac.co_rotating_frame(cli.profile_from_json(config["profile"]))
     xg = cli._xgrid(config["xgrid"])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return [[float(v).hex() for v in row[:4]] + [row[4]]
-                for row in dirac._congruence_orbit(frame, xg, 1e-8)]
+                for row in dirac._congruence_orbit(frame, xg, dirac.LOC_TOL)]
 
 
 def test_witness_march_bits_are_frozen():

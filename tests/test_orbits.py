@@ -254,18 +254,16 @@ def test_q_system_sits_a_quarter_period_on():
 
 
 def test_divisor_residual_is_the_seed_check_and_rounding(two_gap_norm):
-    # the Abel inversion takes no step tolerance: loc_tol changes no
-    # uniform report, and past x = 0 the residual adds no more than
-    # rounding to the seed check, yet still bounds the error
+    # past x = 0 the Abel inversion's residual adds no more than rounding
+    # to the seed check, yet still bounds the error
     gaps = ((-2.0, -1.0), (1.0, 2.0))
     xg = np.linspace(0.0, 10.0, 11)
     prof = KreinProfile.uniform(GapSet(gaps), 0.4)
-    runs = [sample_potential(prof, xg, loc_tol=tol) for tol in (1e-6, 1e-10)]
-    assert runs[0] == runs[1]
-    seed, bound = runs[0][0].residual, sharp_bound(prof.gapset)
-    assert all(s.residual - seed <= 1e-12 * max(1.0, bound) for s in runs[0][1:])
-    err = np.abs([s.norm for s in runs[0]] - two_gap_norm(gaps, xg))
-    assert all(s.residual >= e for s, e in zip(runs[0], err))
+    run = sample_potential(prof, xg)
+    seed, bound = run[0].residual, sharp_bound(prof.gapset)
+    assert all(s.residual - seed <= 1e-12 * max(1.0, bound) for s in run[1:])
+    err = np.abs([s.norm for s in run] - two_gap_norm(gaps, xg))
+    assert all(s.residual >= e for s, e in zip(run, err))
 
 
 def test_stalled_inversion_raises_with_the_samples(monkeypatch):
