@@ -9,7 +9,9 @@ The jobs are those ``perfbench/workloads.py`` makes for the workload and
 seed.  Each round runs every job once per tree through ``cli.main``, and
 which tree goes first alternates from job to job and from round to round,
 so a drift of the host's speed falls on both.  Every call is timed by
-``time.process_time``.
+``time.process_time``, and writes a fresh report: the one the call before
+it wrote is removed before the clock starts, as the benchmark's worker
+removes each report after its pass.
 
 The script prints, per class of job (command, kind and gap count), the
 median time of one job on each tree and their ratio, then the median time
@@ -64,7 +66,9 @@ def job_list(workload: str, seed: int, workdir: Path) -> list[dict]:
 
 
 def run_job(main, argv: list[str]) -> tuple[object, float]:
-    """(exit code, process seconds) of one ``cli.main`` call."""
+    """(exit code, process seconds) of one ``cli.main`` call, whose
+    ``--out`` report does not exist when it starts."""
+    Path(argv[argv.index("--out") + 1]).unlink(missing_ok=True)
     with contextlib.redirect_stderr(io.StringIO()):
         t0 = time.process_time()
         try:

@@ -46,8 +46,8 @@ import math
 import numpy as np
 
 from .errors import BoundViolation, DegenerateDichotomy, NoConvergence
-from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound,
-                        WeylPair, build_M, gap_realness, sphere_ratio, trace_formula_W0)
+from .finitegap import (GapSet, KreinProfile, PotentialSample, sharp_bound, WeylPair,
+                        _trace_formula, build_M, gap_realness, sphere_ratio)
 from .herglotz import asymptotic_W, profile_m_function
 from .mat2 import J, _Workspace, _stage, mexp
 from .numerics import _read_only
@@ -646,12 +646,15 @@ def _abel_solve(abel, period: np.ndarray, goals: np.ndarray, r: np.ndarray):
         known, value = solved[-1], goal[-1]
 
 
-def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
-    """Solve for the Dirichlet divisors of the commuting profile ``frame``
-    on the grid ``xg`` by inverting the Abel map.
+def _divisor_orbit(a: np.ndarray, b: np.ndarray, angles, xg: np.ndarray):
+    """Solve for the Dirichlet divisors of the commuting profile with gaps
+    (a_j, b_j) and ``angles`` on the grid ``xg`` by inverting the Abel map.
+
+    The gaps are those of the co-rotating frame, :func:`_frame_endpoints`.
 
     A generator: it yields (x, p, q, residual, True) for every grid point.
-    At x = 0 it yields the trace formula W(0) with residual 0; past x = 0
+    At x = 0 it yields the trace formula W(0) of the gaps' widths, with
+    residual 0; past x = 0
     ``residual`` is the size of the point's last Newton correction plus
     the (p, q) distance of the solved start from that W(0).
 
@@ -690,13 +693,12 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
     of points in one Newton continuation.  One gap has A(phi) = phi + pi
     and starts at phi = -2 alpha_1 in closed form.
     """
-    a, b = frame.gapset.endpoints
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    w0 = trace_formula_W0(frame)
+    w0 = _trace_formula((b - a).tolist(), angles)
     # the x = 0 sample comes before any setup that can raise
     yield 0.0, w0.p, w0.q, 0.0, True
 
-    alphas = np.array(frame.angles)
+    alphas = np.array(angles)
     n = len(a)
     xs = xg.tolist()
     if n == 1:
@@ -726,9 +728,11 @@ def _divisor_orbit(frame: KreinProfile, xg: np.ndarray):
             f"between x = {xs[done - 1]} and {xs[done]}" if done else "at the start, x = 0"))
 
 
-def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
-    """The hull midpoint c of the profile's gaps (``GapSet.hull``, 0 for
-    the gapless profile) and the profile with every gap moved by -c.
+def _frame_endpoints(gs: GapSet) -> tuple[float, np.ndarray, np.ndarray]:
+    """The hull midpoint c of the gaps (``GapSet.hull``, 0 for the gapless
+    set) and the gaps' endpoint arrays a - c and b - c, not validated
+    again: a narrow gap far from c keeps whatever width the shift leaves
+    it, 0 included.
 
     Moving every gap by -c turns the potential,
     (p + iq)(x) -> e^{-2icx} (p + iq)(x), and leaves W(0), which depends
@@ -736,9 +740,16 @@ def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
     gives the smallest largest |t|, so the march's rates stay near the
     hull's half width for gaps far from 0.
     """
-    c = profile.gapset.hull[0]
-    return c, KreinProfile(GapSet(tuple((a - c, b - c) for a, b in profile.gapset.gaps)),
-                           profile.angles)
+    c = gs.hull[0]
+    a, b = gs.endpoints
+    return c, a - c, b - c
+
+
+def co_rotating_frame(profile: KreinProfile) -> tuple[float, KreinProfile]:
+    """The hull midpoint c of the profile's gaps and the profile with every
+    gap moved by -c (:func:`_frame_endpoints`), validated as a GapSet."""
+    c, a, b = _frame_endpoints(profile.gapset)
+    return c, KreinProfile(GapSet(tuple(zip(a.tolist(), b.tolist()))), profile.angles)
 
 
 # the congruence march's local error target per unit of phase, read at call
@@ -778,9 +789,12 @@ def sample_potential(profile: KreinProfile, xgrid) -> list[PotentialSample]:
       residual is the trace formula's quadrature residual plus the march's
       propagated error estimate and the seed check at x = 0.
 
-    Both routes march in the co-rotating frame of :func:`co_rotating_frame`:
-    the profile with gaps moved by the hull midpoint c is marched, and each
-    sample is turned back by e^{2icx} before the bound check.  c and the
+    Both routes march in the co-rotating frame of :func:`_frame_endpoints`:
+    the gaps moved by the hull midpoint c are marched, and each sample is
+    turned back by e^{2icx} before the bound check.  The Abel route reads
+    the moved endpoints as arrays, so a narrow gap far from c marches with
+    whatever width the shift leaves it; only the congruence route builds
+    the frame as a profile (:func:`co_rotating_frame`).  c and the
     product 2 c x round by up to half an ulp each, so the angle is off by
     up to eps |2 c x|, and each sample's residual carries
     eps |2 c x| ||W(x)|| on top of its route's terms; the rounding of 2 c x
@@ -839,7 +853,7 @@ def sample_potential(profile: KreinProfile, xgrid) -> list[PotentialSample]:
                 for x in xg]
 
     bound = sharp_bound(gs)
-    c, frame = co_rotating_frame(profile)
+    c, a, b = _frame_endpoints(gs)
 
     def record(x, p, q, residual):
         if c:  # at c = 0 the frame is the identity, signed zeros included
@@ -857,7 +871,6 @@ def sample_potential(profile: KreinProfile, xgrid) -> list[PotentialSample]:
             # a commuting orbit stays within the bound, so its targets
             # P theta - 2 c x, c the frame's gap midpoints, have lost the
             # digits that 2 c x takes from a double
-            a, b = frame.gapset.endpoints
             shift = float(np.abs((a + b) * x).max())
             lost = min(16.0, math.log10(max(1.0, shift)))
             raise NoConvergence(
@@ -865,8 +878,8 @@ def sample_potential(profile: KreinProfile, xgrid) -> list[PotentialSample]:
                 f"2 c x = {shift:.3g} and have lost {lost:.3g} of a double's 16 digits")
         return sample
 
-    orbit = (_divisor_orbit(frame, xg) if profile.is_commuting
-             else _congruence_orbit(frame, xg, LOC_TOL))
+    orbit = (_divisor_orbit(a, b, profile.angles, xg) if profile.is_commuting
+             else _congruence_orbit(co_rotating_frame(profile)[1], xg, LOC_TOL))
     _, p0, q0, res0, _ = next(orbit)
     samples: list[PotentialSample] = []
     try:

@@ -191,10 +191,12 @@ def asymptotic_points(gapset: GapSet) -> np.ndarray:
 
 def asymptotic_reduce(zs: np.ndarray, mats: np.ndarray,
                       routes: Sequence[str]) -> list[PotentialSample]:
-    """W(0) by each of :func:`asymptotic_W`'s ``routes`` from the (Y, 2, 2)
-    values of M at the :func:`asymptotic_points` zs, extrapolated in one
-    contraction in 1/Im z; each route's limit is checked in turn, as if
-    alone, so one evaluation serves both routes."""
+    """W(0) by each of ``routes`` from the (Y, 2, 2) values of M at the
+    :func:`asymptotic_points` zs, extrapolated in one contraction in
+    1/Im z: "value" fits W(0) ~ (z - c) (I - M(z)/i) and "log" fits
+    W(0) ~ (z - c) ((i pi/2) I - log M(z)).  The two routes agree for
+    admissible functions and check each other.  Each route's limit is
+    checked in turn, as if alone, so one evaluation serves both routes."""
     y, vals = zs.imag[:, None, None], []
     for route in routes:
         if route not in ("value", "log"):
@@ -220,8 +222,10 @@ def asymptotic_reduce(zs: np.ndarray, mats: np.ndarray,
     return out
 
 
-def asymptotic_W(mfun: MFunction, route: str = "value") -> PotentialSample:
-    """Extract W(0) from the large-z law by Richardson extrapolation.
+def asymptotic_W(mfun: MFunction) -> PotentialSample:
+    """Extract W(0) from the large-z law by Richardson extrapolation,
+    fitting W(0) ~ (z - c) (I - M(z)/i), the "value" route of
+    :func:`asymptotic_reduce`, which also reads the "log" route.
 
     Parameters
     ----------
@@ -230,10 +234,6 @@ def asymptotic_W(mfun: MFunction, route: str = "value") -> PotentialSample:
         :func:`asymptotic_points` of its gap set, (8, 16, 32, 64, 128)
         times max(1, R) above the midpoint c of the gaps' hull, R the
         hull's half width.
-    route : {"value", "log"}
-        "value" fits W(0) ~ (z - c) (I - M(z)/i); "log" fits
-        W(0) ~ (z - c) ((i pi/2) I - log M(z)).  The two routes agree for
-        admissible functions and provide independent consistency checks.
 
     Returns
     -------
@@ -251,7 +251,7 @@ def asymptotic_W(mfun: MFunction, route: str = "value") -> PotentialSample:
         If the extrapolated matrix has |trace| > 1e-6.
     """
     zs = asymptotic_points(mfun.gapset)
-    return asymptotic_reduce(zs, mfun(zs), (route,))[0]
+    return asymptotic_reduce(zs, mfun(zs), ("value",))[0]
 
 
 def herglotz_reduce(mats: np.ndarray) -> float:

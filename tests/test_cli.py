@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from kreindirac import cli, dirac, herglotz
 from kreindirac.errors import NoConvergence
-from kreindirac.finitegap import gap_realness
+from kreindirac.finitegap import build_M, gap_realness, gap_realness_points
 
 SINGLE_GAP = {"profile": {"gaps": [[-1, 1]], "uniform": math.pi / 4}}
 STRICT_PAIR = {"profile": {"gaps": [[-2, -1], [1, 2]],
@@ -112,10 +112,6 @@ def test_verify_uniform_all_pass(tmp_path):
     statuses = {r["name"]: r["status"] for r in json.loads(text)["records"]}
     assert statuses and all(s == "pass" for s in statuses.values())
     assert "det" in statuses and "asymptotics" in statuses
-    # a tgrid point in E is held to the density I/2 there
-    code, text = _run(tmp_path, "verify", dict(SINGLE_GAP, tgrid=[0.0, 2.0]))
-    assert code == 0
-    assert _records(text)["gap_projection"]["value"] < 1e-8
 
 
 def test_verify_det_corruption_hook(tmp_path, corrupt_det):
@@ -185,18 +181,81 @@ def test_verify_witness_fails_herglotz_wherever_its_spectrum_sits(tmp_path, cent
                                                ["herglotz"]["value"], rel=1e-9)
 
 
-@pytest.mark.parametrize("s", [10.0, 100.0, 1000.0])
+def _failed(tmp_path, profile):
+    # the names of the records that fail verify on the profile
+    code, text = _run(tmp_path, "verify", {"profile": profile})
+    failed = {name for name, r in _records(text).items() if r["status"] == "fail"}
+    assert code == (1 if failed else 0)
+    return failed
+
+
+def _herglotz_tolerance(profile):
+    # 64 eps times the power of two above max(1, max |M_ij|) over the
+    # certificate's points
+    prof = cli.profile_from_json(profile)
+    mats = build_M(prof, gap_realness_points(prof.gapset)[0])
+    return 64.0 * np.finfo(float).eps * 2.0 ** math.frexp(max(1.0, float(np.abs(mats).max())))[1]
+
+
+@pytest.mark.parametrize("s", [10.0, 100.0, 1000.0, 1e8, 1e9, 1e10])
 def test_verify_separated_witness_fails_herglotz(tmp_path, s):
     # the witness's angles on gaps (-s - 1, -s), (s, s + 1): the negative
-    # part of Im M sits on the gaps and falls like 1 / s, far above the
-    # 1e-9 tolerance at these s
-    cfg = {"profile": {"gaps": [[-s - 1, -s], [s, s + 1]], "angles": [0.3, 1.9]}}
+    # part of Im M sits on the gaps and falls like 1 / s, above the
+    # tolerance at rounding level at these s (s = 1e8 to 1e10 passed an
+    # absolute 1e-9)
+    gaps = [[-s - 1, -s], [s, s + 1]]
+    # on gaps 2e8 or more apart the large-z law loses its digits on the
+    # uniform profile too (a known defect of its heights); up to s = 1000
+    # herglotz is the only record that fails
+    known = {"asymptotics"} if s >= 1e8 else set()
+    assert _failed(tmp_path, {"gaps": gaps, "uniform": 0.3}) == known
+    profile = {"gaps": gaps, "angles": [0.3, 1.9]}
+    code, text = _run(tmp_path, "verify", {"profile": profile})
+    assert code == 1
+    records = _records(text)
+    assert {name for name, r in records.items() if r["status"] == "fail"} == known | {"herglotz"}
+    assert records["herglotz"]["tolerance"] == _herglotz_tolerance(profile)
+    assert records["herglotz"]["value"] == pytest.approx(0.0113 / s, rel=0.05)
+
+
+# four gap sets and the records that fail verify on their uniform
+# profiles: the large-z law loses its digits on gaps near 1e6, and a band
+# 1e-6 wide fails its own probes
+NEAR_DIAGONAL_GAPS = {
+    "unit": ([[-2, -1], [1, 2]], set()),
+    "near-1e6": ([[999800, 999900], [1000000, 1000100]], {"asymptotics"}),
+    "touching": ([[0, 1], [1.000001, 2]], {"re_m_on_bands", "xi_on_bands", "xi_trace"}),
+    "64-gaps": ([[3 * j, 3 * j + 1] for j in range(64)], set()),
+}
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-11])
+@pytest.mark.parametrize("gaps", sorted(NEAR_DIAGONAL_GAPS))
+def test_verify_fails_herglotz_next_to_the_diagonal(tmp_path, gaps, delta):
+    # angles (0.3, ..., 0.3, 0.3 + delta): the certificate reads about
+    # -0.3 delta to -2 delta, at least 10 times its tolerance, and passed
+    # an absolute 1e-9
+    gs, known = NEAR_DIAGONAL_GAPS[gaps]
+    assert _failed(tmp_path, {"gaps": gs, "uniform": 0.3}) == known
+    cfg = {"profile": {"gaps": gs, "angles": [0.3] * (len(gs) - 1) + [0.3 + delta]}}
     code, text = _run(tmp_path, "verify", cfg)
     assert code == 1
-    failed = {name: r for name, r in _records(text).items() if r["status"] == "fail"}
-    assert list(failed) == ["herglotz"]
-    assert failed["herglotz"]["tolerance"] == 1e-9
-    assert failed["herglotz"]["value"] == pytest.approx(0.0113 / s, rel=0.05)
+    records = _records(text)
+    assert {name for name, r in records.items() if r["status"] == "fail"} == known | {"herglotz"}
+    assert records["herglotz"]["value"] > 10.0 * records["herglotz"]["tolerance"]
+
+
+@pytest.mark.parametrize("turn", [0.0, math.pi / 2])
+@pytest.mark.parametrize("gaps", sorted(NEAR_DIAGONAL_GAPS))
+def test_verify_passes_herglotz_at_the_edge_of_commuting(tmp_path, gaps, turn):
+    # is_commuting allows each angle 1e-14 from alpha or alpha + pi/2; a
+    # profile at that edge passes the certificate, and the profile 1e-12
+    # off the diagonal, which is not commuting, fails it
+    gs, known = NEAR_DIAGONAL_GAPS[gaps]
+    for angle, fails in ((0.3 + turn + 0.999e-14, set()), (0.3 + turn + 1e-12, {"herglotz"})):
+        profile = {"gaps": gs, "angles": [0.3] * (len(gs) - 1) + [angle]}
+        assert cli.profile_from_json(profile).is_commuting == (not fails)
+        assert _failed(tmp_path, profile) == known | fails
 
 
 def test_evolve_extremal_rows(tmp_path):
@@ -347,25 +406,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"profile": {"gaps": [[1, -1]]}},                     # bad gap
         {},                                                   # needs profile
         dict(SINGLE_GAP, command="oracle"),                   # command clash
-        dict(SINGLE_GAP, zgrid=[[0.0, -1.0]]),                # lower half z
         dict(SINGLE_GAP, xgrid={"start": 0, "count": 3}),     # missing stop
         dict(SINGLE_GAP, output={"path": "x", "mode": "w"}),  # bad output key
-        dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]]),            # non-finite z
         dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1, "count": 0}),  # empty
         dict(SINGLE_GAP, xgrid=[0.0, 0.5, 0.25]),             # not increasing
         dict(SINGLE_GAP, xgrid=[0.1, 0.2]),                   # not starting at 0
-        dict(SINGLE_GAP, tgrid=[0.0, 1.0]),                   # on a gap end
     ]
     for cfg in bad_cases:
         code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
         assert code == 2, cfg
     assert cli.main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
-    # the same bad grids under the commands that use them
-    for command, cfg in (("construct", dict(SINGLE_GAP, zgrid=[[math.nan, 1.0]])),
-                         ("evolve", dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1,
-                                                           "count": 0})),
-                         ("construct", dict(SINGLE_GAP, tgrid=[0.0, 1.0]))):
-        assert cli.main([command, "--config", _write(tmp_path, cfg)]) == 2, cfg
+    # the same bad grid under the command that uses it
+    cfg = dict(SINGLE_GAP, xgrid={"start": 0, "stop": 1, "count": 0})
+    assert cli.main(["evolve", "--config", _write(tmp_path, cfg)]) == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "evolve"])
@@ -380,21 +433,10 @@ def test_ygrid_is_held_to_the_co_rotating_frame(tmp_path, command):
     assert code == 0
 
 
-def test_tgrid_margin_error_names_the_point(tmp_path, capsys):
-    # a t within 1e-3 widths of a gap end has no boundary limit, which the
-    # config alone shows
-    for command, cfg, t in (("construct", dict(SINGLE_GAP, tgrid=[0.0, 1.0005]), 1.0005),
-                            ("verify", dict(STRICT_PAIR, tgrid=[1.9995]), 1.9995)):
-        code = cli.main([command, "--config", _write(tmp_path, cfg)])
-        err = capsys.readouterr().err
-        _assert_config_error(code, err)
-        assert err.startswith(f'config error: "tgrid": t = {t} is within the exclusion margin')
-
-
 def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):
     # the installed kreindirac script runs console_main on sys.argv
     golden = str(Path(__file__).resolve().parent / "golden" / "construct.json")
-    bad = _write(tmp_path, dict(SINGLE_GAP, tgrid=[1.0]))
+    bad = _write(tmp_path, dict(SINGLE_GAP, xgrid=[1.0]))
     for config, expected in ((golden, 0), (bad, 2)):
         monkeypatch.setattr(sys, "argv", ["kreindirac", "construct", "--config", config,
                                           "--out", str(tmp_path / "report.json")])
@@ -516,11 +558,6 @@ _BAD_GRID = st.one_of(
 )
 
 
-def _not_an_upper_point(v) -> bool:
-    """False for an [re, im] pair of numbers with im > 0, a valid z."""
-    return not (isinstance(v, list) and len(v) == 2 and v[1] > 0)
-
-
 BAD_VALUES = {
     "command": _other_than("str"),
     "profile": st.one_of(
@@ -540,15 +577,6 @@ BAD_VALUES = {
         _NOT_A_NUMBER.map(lambda v: [v, 1.0]),
         _NOT_A_NUMBER.map(lambda v: [0.0, v]),
     ),
-    "zgrid": st.one_of(
-        _other_than("list"),
-        st.just([]),
-        _NOT_A_NUMBER.map(lambda v: [[v, 1.0]]),
-        # a drawn list can be a valid [re, im] pair with im > 0: not here
-        st.one_of(_NOT_A_NUMBER.filter(_not_an_upper_point), st.floats(-1.0, 1.0),
-                  st.just([1.0, 2.0, 3.0])).map(lambda v: [[0.0, 1.0], v]),
-    ),
-    "tgrid": _BAD_GRID,
     "xgrid": st.one_of(_BAD_GRID, st.just([0.5, 1.0]), st.just([0.0, 1.0, 0.5])),
 }
 
@@ -585,15 +613,28 @@ def test_every_bad_flag_value_exits_2(tmp_path, capsys, flag):
 # a default value of each setting that configs no longer take
 _REMOVED = {"xi_tol": 1e-6, "bound_slack": 1e-4, "inject_det_error": False,
             "output": {"format": "json"}, "random_profiles": 3, "seed": 7,
-            "ygrid": [8, 16, 32, 64, 128], "loc_tol": 1e-8}
+            "ygrid": [8, 16, 32, 64, 128], "loc_tol": 1e-8,
+            "zgrid": [[0.0, 1.0]], "tgrid": [0.0]}
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "evolve", "oracle"])
+@pytest.mark.parametrize("key", ["zgrid", "tgrid"])
+def test_the_grids_are_unknown_keys_under_every_command(tmp_path, capsys, command, key):
+    # the M and xi points are each command's defaults
+    base = {"constant": [0.3, 0.4]} if command == "oracle" else SINGLE_GAP
+    code = cli.main([command, "--config", _write(tmp_path, dict(base, **{key: _REMOVED[key]}))])
+    err = capsys.readouterr().err
+    _assert_config_error(code, err)
+    assert err == f"config error: unknown config keys: ['{key}']\n"
 
 
 @pytest.mark.parametrize("key", sorted(_REMOVED))
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, key):
     # the verdicts' tolerances, the large-z heights and the march's step
     # tolerance are fixed, the negative control is a test's substitution,
-    # --out alone says where the report goes, and verify checks the
-    # profile its config names
+    # --out alone says where the report goes, verify checks the profile
+    # its config names, and every command computes M and xi on its default
+    # grids
     cfg = dict(SINGLE_GAP, **{key: _REMOVED[key]})
     code = cli.main(["verify", "--config", _write(tmp_path, cfg)])
     err = capsys.readouterr().err
@@ -783,7 +824,7 @@ def test_reported_bad_inputs_exit_2(tmp_path, capsys, cfg, flags):
     _assert_config_error(code, capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command, key", [("evolve", "xgrid"), ("verify", "tgrid")])
+@pytest.mark.parametrize("command, key", [("evolve", "xgrid")])
 def test_a_range_too_large_to_allocate_exits_2(tmp_path, capsys, command, key):
     # 10**15 points fail at once and allocate nothing; they ended in a
     # traceback, exit 1
@@ -796,9 +837,9 @@ def test_a_range_too_large_to_allocate_exits_2(tmp_path, capsys, command, key):
 
 @pytest.mark.parametrize("command", ["construct", "verify"])
 def test_a_run_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command):
-    # a tgrid that fits at parse time can still outgrow memory in its
-    # boundary samples; a substitute raises where they are allocated, as
-    # numpy does, and the run ended in a traceback, exit 1
+    # the boundary samples of very many gaps can outgrow memory; a
+    # substitute raises where they are allocated, as numpy does, and the
+    # run ended in a traceback, exit 1
     def out_of_memory(gapset, ts):
         raise MemoryError("Unable to allocate 7.11 PiB for an array")
 
@@ -831,61 +872,78 @@ def test_evolve_failed_seed_check_exits_3(tmp_path, monkeypatch):
     assert failure.endswith("(last good x = nan)")
 
 
+def _grid_of(monkeypatch, name, points):
+    # the command's default grid ``name`` replaced by ``points``: the
+    # library functions take any point, and these reach the run's
+    # evaluation and exit paths through the command
+    monkeypatch.setattr(cli, name, lambda gapset: np.array(points))
+
+
 @pytest.mark.parametrize("command", ["construct", "verify"])
 @pytest.mark.parametrize("cfg", [
-    {"profile": {"gaps": [[0, 1]], "uniform": 0.3}, "zgrid": [[1e308, 1e308]]},
-    {"profile": {"gaps": [[0, 1e200]], "uniform": 0.3}, "zgrid": [[0, 1e-200]]},
+    ({"profile": {"gaps": [[0, 1]], "uniform": 0.3}}, 1e308 + 1e308j),
+    ({"profile": {"gaps": [[0, 1e200]], "uniform": 0.3}}, 1e-200j),
 ])
-def test_run_stage_value_error_exits_3(tmp_path, capsys, command, cfg):
+def test_run_stage_value_error_exits_3(tmp_path, capsys, monkeypatch, command, cfg):
     # the gap ratio (b - z)/(a - z) overflows at these points and the kernel
-    # refuses the non-finite M: one typed line, and no overflow warning,
-    # which this filter would turn into an escaping exception
+    # refuses the non-finite M (test_finitegap has the library's side): one
+    # typed line, and no overflow warning, which this filter would turn
+    # into an escaping exception
+    profile, point = cfg
+    _grid_of(monkeypatch, "_default_zgrid", [point])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main([command, "--config", _write(tmp_path, cfg)])
+        code = cli.main([command, "--config", _write(tmp_path, profile)])
     assert code == 3
     assert capsys.readouterr().err == \
         "numerical failure: ValueError: matrix entries must be finite\n"
 
 
 @pytest.mark.parametrize("point", [[1e308, 1e308], [1e200, 1e200]])
-def test_oracle_far_zgrid_point_exits_3_without_warning(tmp_path, capsys, point):
+def test_oracle_far_zgrid_point_exits_3_without_warning(tmp_path, capsys, monkeypatch, point):
     # lambda^2 = p^2 + q^2 - z^2 overflows: the dichotomy check refuses the
-    # non-finite lambda with one typed line and no overflow warning
-    cfg = {"constant": [0.3, 0.4], "zgrid": [point]}
+    # non-finite lambda (test_dirac has the library's side) with one typed
+    # line and no overflow warning
+    _grid_of(monkeypatch, "_default_zgrid", [complex(*point)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main(["oracle", "--config", _write(tmp_path, cfg)])
+        code = cli.main(["oracle", "--config", _write(tmp_path, {"constant": [0.3, 0.4]})])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: DegenerateDichotomy: Re lambda = inf")
     assert err.count("\n") == 1
 
 
-def test_far_tgrid_point_warns_nothing(tmp_path):
+def test_far_tgrid_point_warns_nothing(tmp_path, monkeypatch):
     # the limit offsets of a point far from every gap are formed without
-    # overflow: xi there is I/2, and no warning is raised
+    # overflow: xi there is I/2, and no warning is raised (test_herglotz
+    # has the library's side)
+    _grid_of(monkeypatch, "gap_interior_grid", [1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, text = _run(tmp_path, "construct", dict(SINGLE_GAP, tgrid=[1e308]))
+        code, text = _run(tmp_path, "construct", SINGLE_GAP)
     assert code == 0
     row = json.loads(text)["tables"]["xi"]["rows"][0]
     np.testing.assert_allclose(row[1:5], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
-TINY_HEIGHT = {"profile": {"gaps": [[-1, 1]], "uniform": 0.3}, "zgrid": [[0, 1e-305], [0, 1]]}
+TINY_HEIGHT = {"profile": {"gaps": [[-1, 1]], "uniform": 0.3}}
 FAR_WIDE_GAP = {"profile": {"gaps": [[1e300, 2e300]], "uniform": 0.3}}
 
 
 @pytest.mark.parametrize("command, cfg", [("construct", TINY_HEIGHT), ("verify", TINY_HEIGHT),
                                           ("construct", FAR_WIDE_GAP)],
                          ids=["construct-tiny-height", "verify-tiny-height", "construct-far-gap"])
-def test_a_point_past_the_renormalisation_range_warns_nothing(tmp_path, command, cfg):
-    # at Im z = 1e-305 over a gap 2 wide, or at the boundary heights of xi
-    # on a gap 1e300 wide, a Moebius ratio's modulus bound spans more than
-    # the 1000 bits a class product may hold: that point renormalises after
-    # every factor, and the ordinary points beside it in the one evaluation
-    # of M keep their own periods
+def test_a_point_past_the_renormalisation_range_warns_nothing(tmp_path, monkeypatch,
+                                                              command, cfg):
+    # at Im z = 1e-305 over a gap 2 wide (as the z grid, beside an ordinary
+    # point; test_finitegap has the library's side), or at the boundary
+    # heights of xi on a gap 1e300 wide, a Moebius ratio's modulus bound
+    # spans more than the 1000 bits a class product may hold: that point
+    # renormalises after every factor, and the ordinary points beside it in
+    # the one evaluation of M keep their own periods
+    if cfg is TINY_HEIGHT:
+        _grid_of(monkeypatch, "_default_zgrid", [1e-305j, 1j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, text = _run(tmp_path, command, cfg)
@@ -943,6 +1001,23 @@ def test_a_narrow_gap_with_room_for_its_interior_points_runs(tmp_path, command, 
         warnings.simplefilter("error")
         code, _ = _run(tmp_path, command, {"profile": {"gaps": [[0, width]], "uniform": 0.3}})
     assert code == 0
+
+
+@pytest.mark.parametrize("width", [1e-15, 1e-14])
+def test_a_narrow_gap_far_from_the_hull_midpoint_evolves(tmp_path, width):
+    # the co-rotating frame moves the gap (0, width) by the hull midpoint
+    # -50, where it keeps about an ulp of 50 or collapses to (50.0, 50.0):
+    # the Abel route reads the frame's endpoints as they round, and the
+    # runs exited 3 on the frame's gap set refusing them
+    cfg = {"profile": {"gaps": [[-100, -99], [0, width]], "uniform": 0.3}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = _run(tmp_path, "evolve", cfg)
+    assert code == 0
+    rows = json.loads(text)["tables"]["W"]["rows"]
+    assert len(rows) == 11
+    for _, _, _, norm, bound, _ in rows:
+        assert norm <= bound + dirac.BOUND_SLACK
 
 
 def test_the_readme_lists_every_config_key():

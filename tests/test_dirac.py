@@ -1,6 +1,7 @@
 """Dirac system oracles and the potential march."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ def test_dichotomy_degenerates_on_bands():
         _dichotomy(0.0, 1.0, 5.0)
     with pytest.raises(ValueError):
         const_weyl(0.0, 1.0, 5.0)
+
+
+@pytest.mark.parametrize("z", [1e308 + 1e308j, 1e200 + 1e200j])
+def test_const_weyl_far_out_raises_degenerate_dichotomy(z):
+    # lambda^2 = p^2 + q^2 - z^2 overflows: the dichotomy check refuses the
+    # non-finite lambda, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDichotomy, match="^Re lambda = inf"):
+            const_weyl(0.3, 0.4, np.array([z]))
 
 
 def _ell(p, q, z):

@@ -1,6 +1,7 @@
 """Gap sets, Krein profiles and the closed-form M construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,11 @@ def test_profile_validation_and_normalization():
     assert KreinProfile(gs, (0.3, 0.3 + math.pi)).is_commuting
     # orthogonal projections commute too, on either side of the wrap at pi
     assert KreinProfile(gs, (0.3, 0.3 + math.pi / 2)).is_commuting
-    assert KreinProfile(gs, (3.0, 3.0 - math.pi / 2 + 1e-13)).is_commuting
+    # within 1e-14, the mismatch that verify's Herglotz certificate does
+    # not resolve, and no further
+    assert KreinProfile(gs, (3.0, 3.0 - math.pi / 2 + 9e-15)).is_commuting
+    assert not KreinProfile(gs, (3.0, 3.0 - math.pi / 2 + 1e-13)).is_commuting
+    assert not KreinProfile(gs, (0.3, 0.300000000001)).is_commuting
     assert not KreinProfile(gs, (0.3, 0.9)).is_commuting
     assert not KreinProfile(gs, (0.3, 0.3 + math.pi / 2 + 1e-9)).is_commuting
     assert KreinProfile.uniform(gs, 1.0).is_commuting
@@ -195,6 +200,32 @@ def test_single_gap_closed_form_value():
     # gap (-1, 1), angle pi/4, z = 2i: M = (2i I - [[0,1],[1,0]]) / sqrt(5)
     prof = KreinProfile.uniform(GapSet(((-1.0, 1.0),)), math.pi / 4)
     np.testing.assert_allclose(build_M(prof, 2j), M_2I_EXPECTED, atol=1e-10)
+
+
+def test_a_point_past_the_renormalisation_range_warns_nothing():
+    # at Im z = 1e-305 over a gap 2 wide a Moebius ratio's modulus bound
+    # spans more than the 1000 bits a class product may hold: that point
+    # renormalises after every factor, and the ordinary point beside it in
+    # the one call keeps its own period
+    prof = KreinProfile.uniform(GapSet(((-1.0, 1.0),)), 0.3)
+    zs = np.array([1e-305j, 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mats = build_M(prof, zs)
+        alone = [build_M(prof, z) for z in zs]
+    np.testing.assert_array_equal(mats, alone)
+    np.testing.assert_allclose(np.linalg.det(mats), -1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gap, z", [((0.0, 1.0), 1e308 + 1e308j), ((0.0, 1e200), 1e-200j)])
+def test_build_M_refuses_a_point_whose_gap_ratio_overflows(gap, z):
+    # the ratio (b - z)/(a - z) overflows at these points, and the kernel
+    # refuses the non-finite M with no overflow warning
+    prof = KreinProfile.uniform(GapSet((gap,)), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            build_M(prof, np.array([z]))
 
 
 def test_weyl_round_trips():

@@ -1,6 +1,7 @@
 """M functions, Krein densities and the large-z potential law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from kreindirac import (
 from kreindirac.errors import EndpointSingularity, NoConvergence
 from kreindirac.finitegap import e_interior_grid
 from kreindirac import herglotz
-from kreindirac.herglotz import herglotz_reduce
+from kreindirac.herglotz import asymptotic_points, asymptotic_reduce, herglotz_reduce
 
 WITNESS_GAPS = ((-2.0, -1.0), (1.0, 2.0))
 WITNESS_ANGLES = (0.3, 1.9)
@@ -84,15 +85,31 @@ def test_krein_xi_flags_non_convergence(monkeypatch):
         krein_xi(mfun, 0.4)
 
 
+def _both_routes(prof):
+    # W(0) by the value route of asymptotic_W and by asymptotic_reduce's
+    # log route, each alone
+    mfun = profile_m_function(prof)
+    zs = asymptotic_points(prof.gapset)
+    return asymptotic_W(mfun), asymptotic_reduce(zs, mfun(zs), ("log",))[0]
+
+
+def test_xi_far_from_every_gap_is_half_the_identity():
+    # the limit offsets of a point far from every gap are formed without
+    # overflow: xi there is I/2, and no warning is raised
+    mfun = profile_m_function(KreinProfile.uniform(GapSet(((-1.0, 1.0),)), math.pi / 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = krein_xi(mfun, 1e308)
+    np.testing.assert_allclose(sample.xi, 0.5 * np.eye(2), rtol=0, atol=1e-12)
+
+
 def test_asymptotic_routes_agree_with_trace_formula():
     rng = np.random.default_rng(31)
     for _ in range(6):
         alpha = float(rng.uniform(0.0, math.pi))
         prof = KreinProfile.uniform(TWO_GAP, alpha)
         w0 = trace_formula_W0(prof)
-        mfun = profile_m_function(prof)
-        for route in ("value", "log"):
-            w = asymptotic_W(mfun, route=route)
+        for w in _both_routes(prof):
             assert math.hypot(w.p - w0.p, w.q - w0.q) < 1e-6
             assert abs(w.residual) < 1e-5
 
@@ -105,8 +122,7 @@ def test_far_gap_recovers_the_trace_formula():
     for alpha in (0.3, 1.1, 2.6):
         prof = KreinProfile.uniform(GapSet(((999950.0, 1000050.0),)), alpha)
         w0 = trace_formula_W0(prof)
-        for route in ("value", "log"):
-            w = asymptotic_W(profile_m_function(prof), route=route)
+        for w in _both_routes(prof):
             assert math.hypot(w.p - w0.p, w.q - w0.q) < 1e-6
             assert w.residual < 1e-5
 
@@ -121,10 +137,11 @@ def test_herglotz_reduce_is_the_smallest_eigenvalue_of_im_m():
     assert herglotz_reduce(np.array([m for m, _ in cases])) == -1.0
 
 
-def test_asymptotic_W_refuses_an_unknown_route():
-    mfun = profile_m_function(KreinProfile.uniform(TWO_GAP, 0.5))
+def test_asymptotic_reduce_refuses_an_unknown_route():
+    zs = asymptotic_points(TWO_GAP)
+    mats = profile_m_function(KreinProfile.uniform(TWO_GAP, 0.5))(zs)
     with pytest.raises(ValueError, match="unknown route 'middle'"):
-        asymptotic_W(mfun, route="middle")
+        asymptotic_reduce(zs, mats, ("value", "middle"))
 
 
 def test_herglotz_defect_nonnegative_for_aligned():

@@ -138,7 +138,8 @@ def _start_divisor(monkeypatch, prof):
     of the start solve, whose final correction is at rounding level."""
     if prof.gapset.n == 1:
         _, frame = co_rotating_frame(prof)
-        _, (_, p, q, _, _) = dirac._divisor_orbit(frame, np.array([0.0, 1.0]))
+        _, (_, p, q, _, _) = dirac._divisor_orbit(*frame.gapset.endpoints, frame.angles,
+                                                  np.array([0.0, 1.0]))
         phi = math.atan2(-q, p)
         return np.array([[phi], [phi + math.pi / 2]])
     seen = []
@@ -319,7 +320,9 @@ def test_inversion_stalled_past_x_keeps_the_samples_before(monkeypatch):
 
 def _orbit_rows(frame, xg):
     # (x, p, q, residual) of every grid point of the Abel route
-    return np.array([row[:4] for row in dirac._divisor_orbit(frame, np.asarray(xg, dtype=float))])
+    xg = np.asarray(xg, dtype=float)
+    return np.array([row[:4] for row in
+                     dirac._divisor_orbit(*frame.gapset.endpoints, frame.angles, xg)])
 
 
 @pytest.mark.parametrize("n, stop, count, stride", [(2, 20.0, 2001, 23), (16, 2.0, 9, 1)])

@@ -85,8 +85,8 @@ def test_torus_points_on_an_orbit_reproduce_its_samples():
     gaps, alpha = TORUS_SETS[5], 0.7
     _, frame = co_rotating_frame(KreinProfile.uniform(GapSet(gaps), alpha))
     xg = np.linspace(0.0, 3.0, 7)
-    rows = np.array([row[1:3] for row in dirac._divisor_orbit(frame, xg)])
     a, b = frame.gapset.endpoints
+    rows = np.array([row[1:3] for row in dirac._divisor_orbit(a, b, frame.angles, xg)])
     _, period = dirac._abel_map(a, b)
     thetas = (0.5 - alpha / math.pi) - 2.0 * np.outer(xg, np.linalg.solve(period, 0.5 * (a + b)))
     np.testing.assert_allclose(_torus_W(frame.gapset.gaps, thetas), rows, rtol=0, atol=1e-12)
