@@ -23,6 +23,10 @@ oracle
     Weyl functions (closed form, ODE transport from breakpoints at -l and
     l, gap construction).
 
+construct and verify read the Krein density, and verify reads Re M on E,
+from the boundary values M(t + i0), which the closed form gives at real
+points clear of the gaps' endpoint margins, with no limit taken.
+
 Reports are JSON and deterministic for a fixed config: no timestamps,
 floats rendered with repr.  Exit codes: 0 all checks pass, 1 at least one
 check failed, 2 bad config, 3 numerical failure.
@@ -42,11 +46,11 @@ import numpy as np
 from .dirac import _EPS, BOUND_SLACK, const_weyl, ode_weyl, sample_potential
 from .errors import BoundViolation, KreinDiracError, NoConvergence
 from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
-                        e_interior_grid, gap_interior_grid, gap_realness_points,
-                        gap_realness_reduce, json_number, mj_eigenpairs, profile_from_json,
-                        reflectionless_reduce, sharp_bound, trace_formula_W0, weyl_from_M)
+                        e_interior_grid, gap_realness_points, gap_realness_reduce, json_number,
+                        mj_eigenpairs, profile_from_json, reflectionless_boundary_reduce,
+                        sharp_bound, trace_formula_W0, weyl_from_M)
 from .herglotz import (XI_TOL, MFunction, asymptotic_points, asymptotic_reduce, herglotz_reduce,
-                       krein_xi_points, krein_xi_reduce, profile_m_function)
+                       krein_xi_values, profile_m_function)
 from .mat2 import op_norm
 
 __all__ = ["RunConfig", "Record", "Report", "load_config", "run", "main", "console_main"]
@@ -273,16 +277,15 @@ def run_construct(cfg: RunConfig) -> Report:
         label = "strict at x = 0: ||W(0)|| is below the sharp bound"
     rep.info("classification", bound - w0.norm, label)
 
-    # one evaluation of M covers the z grid, the boundary samples of the
-    # gap interiors for xi and the gap interiors themselves, which serve
-    # gap_realness and the Herglotz certificate; a gap interior point
-    # inside an endpoint margin raises before it
+    # one evaluation of M covers the z grid and the gap interiors, whose
+    # boundary values M(t + i0) serve gap_realness, the Herglotz
+    # certificate and the xi table; a gap interior point inside an
+    # endpoint margin raises before it
     real_ts, real_errors = gap_realness_points(gs)
     if real_errors:
         raise next(iter(real_errors.values()))
     comm = commutator_diag(profile)
-    xi_ts, xi_errors, xi_zs = krein_xi_points(gs, gap_interior_grid(gs))
-    mats, xi_mats, real_mats = _evaluate(mfun, zgrid, xi_zs, real_ts)
+    mats, real_mats = _evaluate(mfun, zgrid, real_ts)
 
     if gs.n:
         realness = gap_realness_reduce(real_mats)
@@ -303,11 +306,9 @@ def run_construct(cfg: RunConfig) -> Report:
                        np.column_stack([zgrid.real, zgrid.imag,
                                         mats.reshape(-1, 4).view(float)]).tolist())
 
-    xi, residual, failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats)
-    if failed:
-        raise next(iter(failed.values()))
-    rep.tables["xi"] = (["t", "xi00", "xi01", "xi10", "xi11", "residual"],
-                        np.column_stack([xi_ts, xi.reshape(-1, 4), residual]).tolist())
+    rep.tables["xi"] = (["t", "xi00", "xi01", "xi10", "xi11"],
+                        np.column_stack([real_ts, krein_xi_values(real_mats).reshape(-1, 4)])
+                        .tolist())
     return rep
 
 
@@ -317,19 +318,19 @@ def run_verify(cfg: RunConfig) -> Report:
     gs = profile.gapset
     mfun = profile_m_function(profile)
     zgrid = _default_zgrid(gs)
-    tgrid = gap_interior_grid(gs)
-    egrid = e_interior_grid(gs)
     # every probe reads a slice of one evaluation of M: the z grid, the
-    # boundary samples of tgrid and egrid (the xi probes and re_m_on_bands
-    # share them), the gap interiors clear of the endpoint margins (the
-    # Herglotz certificate and gap_realness share them) and the large-z
-    # points.  Real points inside an endpoint margin stay out of it and
-    # fail their own probes.
-    xi_ts, xi_errors, xi_zs = krein_xi_points(gs, np.concatenate([tgrid, egrid]))
-    real_ts, real_errors = gap_realness_points(gs)
+    # real points of the gap interiors and of the bands clear of the
+    # endpoint margins, whose boundary values M(t + i0) serve the Herglotz
+    # certificate, gap_realness, the xi probes and re_m_on_bands, and the
+    # large-z points.  Gap interior points inside an endpoint margin stay
+    # out of it and fail the probes that read them.
+    gap_ts, gap_errors = gap_realness_points(gs)
+    egrid = e_interior_grid(gs)
     asym_zs = asymptotic_points(gs)
-    mats, xi_mats, real_mats, asym_mats = _evaluate(mfun, zgrid, xi_zs, real_ts, asym_zs)
-
+    mats, real_mats, asym_mats = _evaluate(mfun, zgrid, np.concatenate([gap_ts, egrid]),
+                                           asym_zs)
+    on_gaps, on_bands = slice(0, len(gap_ts)), slice(len(gap_ts), len(real_mats))
+    gap_mats = real_mats[on_gaps]
     rep.probe("det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
     rep.probe("symmetry", 1e-12, "M = M^t",
@@ -338,10 +339,10 @@ def run_verify(cfg: RunConfig) -> Report:
     # profiles, measured at most 6.7 eps max(1, max |M_ij|) over its
     # points; the scale is the power of two above that max, so that an ulp
     # of M does not move the tolerance between hosts
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(real_mats).max(initial=1.0)))[1])
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(gap_mats).max(initial=1.0)))[1])
     rep.probe("herglotz", 64.0 * _EPS * scale,
               "Im M(t + i0) >= 0 on the gaps (minimum principle)",
-              lambda: -herglotz_reduce(real_mats))
+              lambda: -herglotz_reduce(gap_mats))
 
     # the eigenpairs of M J serve both the spectrum and the Weyl pair
     eig = mj_eigenpairs(mats)
@@ -349,49 +350,41 @@ def run_verify(cfg: RunConfig) -> Report:
               lambda: max(np.abs(eig[1] + 1.0).max(), np.abs(eig[2] - 1.0).max()))
     rep.probe("weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
               lambda: op_norm(assemble_M(_weyl_pair(mats, eig)) - mats).max())
-    # the xi probes reduce the boundary samples of every t at once, and a
-    # failed point fails each probe that reaches it, at the first such t in
-    # order; an error of the whole reduction fails every point
-    on_gaps, on_bands = slice(0, len(tgrid)), slice(len(tgrid), len(xi_ts))
+    # the xi probes map the boundary values of every point at once; a gap
+    # point inside an endpoint margin fails each xi probe that reaches it,
+    # the first in order, and an error of the whole map fails every xi probe
     try:
-        xi, _, xi_failed = krein_xi_reduce(xi_ts, xi_errors, xi_mats)
+        xi, xi_error = krein_xi_values(real_mats), None
     except KreinDiracError as exc:
-        xi, xi_failed = None, dict.fromkeys(range(len(xi_ts)), exc)
+        xi, xi_error = None, exc
 
-    def xi_stack(part: slice) -> np.ndarray:
-        for i, exc in xi_failed.items():
-            if part.start <= i < part.stop:
-                raise exc
+    def xi_stack(part: slice, errors: dict) -> np.ndarray:
+        if xi_error is not None:
+            raise xi_error
+        if errors:
+            raise next(iter(errors.values()))
         return xi[part]
 
     def trace_dev():
-        every = xi_stack(slice(0, len(xi_ts)))
+        every = xi_stack(slice(None), gap_errors)
         return np.abs(every[:, 0, 0] + every[:, 1, 1] - 1.0).max()
 
     rep.probe("xi_trace", 1e-8, "tr xi = 1", trace_dev)
     rep.probe("xi_on_bands", XI_TOL, "xi = I/2 on the interior of E",
-              lambda: op_norm(xi_stack(on_bands) - 0.5 * np.eye(2)).max())
-
-    def band_dev():
-        # the egrid columns of the boundary samples, which are the last
-        # ones when no band point lies inside an endpoint margin
-        for i in range(len(tgrid), len(xi_ts)):
-            if i in xi_errors:
-                raise xi_errors[i]
-        return reflectionless_reduce(xi_mats[:, -len(egrid):])
-
-    rep.probe("re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E", band_dev)
+              lambda: op_norm(xi_stack(on_bands, {}) - 0.5 * np.eye(2)).max())
+    rep.probe("re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E",
+              lambda: reflectionless_boundary_reduce(real_mats[on_bands]))
     if gs.n:
         # the input boundary data at each t: its gap's projection
-        target = profile.projection_defects[gs.containing_gaps(tgrid)] + 0.5 * np.eye(2)
+        target = profile.projection_defects[gs.containing_gaps(gap_ts)] + 0.5 * np.eye(2)
         rep.probe("gap_projection", XI_TOL,
                   "xi equals the input projection inside each gap",
-                  lambda: op_norm(xi_stack(on_gaps) - target).max())
+                  lambda: op_norm(xi_stack(on_gaps, gap_errors) - target).max())
         if profile.is_commuting:
             def realness():
-                if real_errors:
-                    raise next(iter(real_errors.values()))
-                return gap_realness_reduce(real_mats)
+                if gap_errors:
+                    raise next(iter(gap_errors.values()))
+                return gap_realness_reduce(gap_mats)
 
             rep.probe("gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
 

@@ -50,6 +50,7 @@ __all__ = [
     "boundary_reduce",
     "reflectionless_points",
     "reflectionless_reduce",
+    "reflectionless_boundary_reduce",
     "reflectionless_defect",
     "gap_realness_points",
     "gap_realness_reduce",
@@ -660,6 +661,14 @@ def reflectionless_reduce(mats: np.ndarray) -> float:
     return float(op_norm(limit).max(initial=0.0))
 
 
+def reflectionless_boundary_reduce(mats: np.ndarray) -> float:
+    """sup || Re M(t + i0) || from the (T, 2, 2) boundary values of M at T
+    points of E clear of the margins, which ``build_M`` gives in closed
+    form: the value :func:`reflectionless_defect` reaches by its limit;
+    0 for T = 0."""
+    return float(op_norm(re_part(mats)).max(initial=0.0))
+
+
 def reflectionless_defect(mfun, grid: Sequence[float]) -> float:
     """sup over the grid of || Re M(t + i0) || on the interior of E.
 
@@ -760,7 +769,10 @@ def e_interior_grid(gapset: GapSet) -> np.ndarray:
 
     Three points in each of the two unbounded components, 0.3 to 1.2
     spectral scales out, and three in every bounded band between
-    consecutive gaps, from 10% to 90% of its width, in increasing order.
+    consecutive gaps, from 10% to 90% of its width, in increasing order,
+    less the points inside an endpoint margin of any gap
+    (``GapSet.endpoint_errors``): a band narrower than its neighbours'
+    margins gives none.
     """
     if gapset.n == 0:
         return np.array([-1.0, 0.0, 1.0])
@@ -769,4 +781,5 @@ def e_interior_grid(gapset: GapSet) -> np.ndarray:
     out = scale * _OUTER_ROW
     width = a[1:] - b[:-1]
     bands = np.linspace(b[:-1] + 0.1 * width, a[1:] - 0.1 * width, 3)
-    return np.concatenate([a[0] - out[::-1], bands.T.ravel(), b[-1] + out])
+    grid = np.concatenate([a[0] - out[::-1], bands.T.ravel(), b[-1] + out])
+    return np.delete(grid, list(gapset.endpoint_errors(grid)))

@@ -15,9 +15,15 @@ exponential representation
 where A is a real symmetric constant (zero for the canonical construction;
 the density I/2 on E contributes the explicit (i pi/2) I term).  For a
 Krein profile the gap integrals have the closed form of
-``finitegap.build_logM``.  The module evaluates xi by limit schedules, a
-(T, 2, 2) stack over T points with the failed points in a map beside it,
-and extracts the potential at the origin from the two large-z laws
+``finitegap.build_logM``, and ``build_M`` evaluates a real point t clear
+of the endpoint margins as the limit from above, M(t + i0).  The module
+reads xi by one map of such boundary values, a (T, 2, 2) stack over T
+points (:func:`krein_xi_values`, which the commands apply to the closed
+form), or by the limit schedule of any MFunction, which applies the same
+map at heights above each point and extrapolates (:func:`krein_xi`, the
+reference of the boundary read), with the failed points in a map beside
+the stack.  It extracts the potential at the origin from the two large-z
+laws
 
     M(c + i Y) = i (I - W(0) / (iY) + O(Y^-2)),
     log M(c + i Y) = (i pi / 2) I - W(0) / (iY) + O(Y^-2),
@@ -46,6 +52,7 @@ __all__ = [
     "MFunction",
     "KreinSample",
     "profile_m_function",
+    "krein_xi_values",
     "krein_xi_points",
     "krein_xi_reduce",
     "krein_xi",
@@ -56,8 +63,10 @@ __all__ = [
     "herglotz_defect",
 ]
 
-# the convergence tolerance of a boundary limit of xi, and the heights of
-# the large-z points in hull half widths; both are read at call time
+# the convergence tolerance of a boundary limit of xi, which verify also
+# applies to the boundary values of xi on the bands and gaps, and the
+# heights of the large-z points in hull half widths; both are read at call
+# time
 XI_TOL = 1e-6
 _YGRID = _read_only(np.array([8.0, 16.0, 32.0, 64.0, 128.0]))
 
@@ -102,13 +111,35 @@ class KreinSample:
     residual: float = 0.0
 
 
+def krein_xi_values(mats: np.ndarray) -> np.ndarray:
+    """Krein density xi(t) = (1/pi) Im log M(t + i0) from the (T, 2, 2)
+    boundary values of M at T real points, symmetrised: a real symmetric
+    (T, 2, 2) stack.
+
+    ``build_M`` gives the constructed function's boundary values in closed
+    form at every real point clear of the endpoint margins, so the
+    commands read xi there with no limit; :func:`krein_xi_reduce` applies
+    this map to each sample of its limit schedule.  Each point's value
+    goes through ``mlog_spectral``, its branch and its eigen-apparatus.
+
+    Raises
+    ------
+    SpectrumOnCut
+        If an M has an eigenvalue on the cut of the logarithm.
+    """
+    x = im_part(mlog_spectral(mats)).real / np.pi
+    return 0.5 * (x + np.swapaxes(x, -1, -2))
+
+
 def krein_xi_points(gapset: GapSet, ts) -> tuple[np.ndarray, dict, np.ndarray]:
-    """The points at which M is evaluated for the Krein density at the
-    points of ``ts``: ``ts`` as floats, the EndpointSingularity of each
-    point inside a gap-endpoint margin of ``gapset`` (keyed by its index,
-    see ``GapSet.endpoint_errors``), and the (K, T) :func:`boundary_points`
-    of the T other points, in order.  :func:`krein_xi_reduce` takes all
-    three."""
+    """The points at which the limit schedule evaluates M for the Krein
+    density at the points of ``ts``: ``ts`` as floats, the
+    EndpointSingularity of each point inside a gap-endpoint margin of
+    ``gapset`` (keyed by its index, see ``GapSet.endpoint_errors``), and
+    the (K, T) :func:`boundary_points` of the T other points, at heights
+    above them, in order.  :func:`krein_xi_reduce` takes all three.  The
+    commands read the constructed M at the real points instead
+    (:func:`krein_xi_values`)."""
     ts = np.array([float(t) for t in np.atleast_1d(ts)])
     errors = gapset.endpoint_errors(ts)
     clear = np.ones(len(ts), dtype=bool)
@@ -121,7 +152,7 @@ def krein_xi_reduce(ts: np.ndarray, errors: dict,
     """Krein density xi(t) = (1/pi) lim Im log M(t + iy) at every point of
     ``ts`` by extrapolation, from :func:`krein_xi_points`' ``ts`` and
     ``errors`` and the (K, T, 2, 2) values of M at its points, with one
-    matrix logarithm per sample.
+    matrix logarithm per sample: the map of :func:`krein_xi_values`.
 
     Returns the (T, 2, 2) stack of xi, real symmetric, the (T,)
     extrapolation residuals and the failed points: a map, by index in
@@ -141,8 +172,8 @@ def krein_xi_reduce(ts: np.ndarray, errors: dict,
     clear = np.ones(len(ts), dtype=bool)
     clear[list(errors)] = False
     if clear.any():
-        limit, residual[clear] = boundary_reduce(mats, lambda m: im_part(mlog_spectral(m)) / np.pi)
-        xi[clear] = 0.5 * (limit.real + np.swapaxes(limit.real, -1, -2))
+        limit, residual[clear] = boundary_reduce(mats, krein_xi_values)
+        xi[clear] = limit.real
     # the points of errors have NaN residuals, so they fail here in order
     failed = {}
     for i in map(int, np.flatnonzero(~(residual <= XI_TOL))):

@@ -1,7 +1,11 @@
 """Shared extrapolation plumbing.
 
-Boundary values on the real axis are never evaluated directly: they are
-reached along the schedule ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k) for
+The constructed M gives its boundary values on the real axis in closed
+form, and ``construct`` and ``verify`` read them there.  The library's
+limit routes (``herglotz.krein_xi``, ``finitegap.reflectionless_defect``),
+which take any M function and are the reference the commands' boundary
+values are tested against, never evaluate the real axis: they reach it
+along the schedule ``LIMIT_OFFSETS``, y_k = 1e-2 * 2^(-k) for
 k = 0, ..., 7, by extrapolating to y = 0 with polynomials of order
 ``LIMIT_ORDER`` = 3 (the sampled quantities extend analytically through
 the relevant real intervals, so low-order polynomial extrapolation

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kreindirac import cli, dirac, herglotz
+from kreindirac import cli, dirac, finitegap, herglotz
 from kreindirac.errors import NoConvergence
-from kreindirac.finitegap import build_M, gap_realness, gap_realness_points
+from kreindirac.finitegap import build_M, e_interior_grid, gap_realness, gap_realness_points
 
 SINGLE_GAP = {"profile": {"gaps": [[-1, 1]], "uniform": math.pi / 4}}
 STRICT_PAIR = {"profile": {"gaps": [[-2, -1], [1, 2]],
@@ -143,8 +143,8 @@ def test_verify_det_corruption_failures_are_frozen(tmp_path, corrupt_det):
 @pytest.mark.parametrize("gaps", [[[0.0, 1e-2]], [[0.0, 1e-6]],
                                   [[5.0, 5.000001], [7.0, 8.0]]])
 def test_narrow_gaps_construct_and_verify(tmp_path, gaps):
-    # the limit schedule scales to the nearest endpoint, so gap-interior
-    # densities converge however narrow the gap
+    # the densities are read at the boundary values on the real points, so
+    # they hold however narrow the gap; a row is t and the four entries
     cfg = {"profile": {"gaps": gaps, "uniform": 0.3}}
     code, text = _run(tmp_path, "construct", cfg)
     assert code == 0
@@ -152,11 +152,25 @@ def test_narrow_gaps_construct_and_verify(tmp_path, gaps):
     assert len(rows) == 7 * len(gaps)
     c, s = math.cos(0.3), math.sin(0.3)
     for row in rows:
+        assert len(row) == 5
         np.testing.assert_allclose(row[1:5], [c * c, s * c, s * c, s * s], atol=1e-6)
-        assert row[5] <= 1e-6
     code, text = _run(tmp_path, "verify", cfg)
     assert code == 0
     assert all(r["status"] == "pass" for r in json.loads(text)["records"])
+
+
+def test_verify_passes_a_band_inside_the_endpoint_margins(tmp_path):
+    # the band (1, 1.000001) lies inside both gaps' endpoint margins, so it
+    # gives no band points; the probes read the six outer band points, and
+    # verify failed xi_trace, xi_on_bands and re_m_on_bands on an
+    # EndpointSingularity at t = 1.0000001
+    profile = {"gaps": [[0, 1], [1.000001, 2]], "uniform": 0.3}
+    gs = cli.profile_from_json(profile).gapset
+    assert len(e_interior_grid(gs)) == 6 and gs.endpoint_errors(e_interior_grid(gs)) == {}
+    code, text = _run(tmp_path, "verify", {"profile": profile})
+    assert code == 0
+    records = _records(text)
+    assert len(records) == 11 and all(r["status"] == "pass" for r in records.values())
 
 
 def test_verify_witness_fails_herglotz_only(tmp_path):
@@ -219,12 +233,13 @@ def test_verify_separated_witness_fails_herglotz(tmp_path, s):
 
 
 # four gap sets and the records that fail verify on their uniform
-# profiles: the large-z law loses its digits on gaps near 1e6, and a band
-# 1e-6 wide fails its own probes
+# profiles: the large-z law loses its digits on gaps near 1e6.  A band
+# 1e-6 wide lies inside its gaps' endpoint margins and gives no band
+# points, so it fails nothing
 NEAR_DIAGONAL_GAPS = {
     "unit": ([[-2, -1], [1, 2]], set()),
     "near-1e6": ([[999800, 999900], [1000000, 1000100]], {"asymptotics"}),
-    "touching": ([[0, 1], [1.000001, 2]], {"re_m_on_bands", "xi_on_bands", "xi_trace"}),
+    "touching": ([[0, 1], [1.000001, 2]], set()),
     "64-gaps": ([[3 * j, 3 * j + 1] for j in range(64)], set()),
 }
 
@@ -837,13 +852,13 @@ def test_a_range_too_large_to_allocate_exits_2(tmp_path, capsys, command, key):
 
 @pytest.mark.parametrize("command", ["construct", "verify"])
 def test_a_run_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command):
-    # the boundary samples of very many gaps can outgrow memory; a
-    # substitute raises where they are allocated, as numpy does, and the
-    # run ended in a traceback, exit 1
-    def out_of_memory(gapset, ts):
+    # the real points of very many gaps can outgrow memory; a substitute
+    # raises where both commands allocate them, as numpy does, and the run
+    # ended in a traceback, exit 1
+    def out_of_memory(gapset):
         raise MemoryError("Unable to allocate 7.11 PiB for an array")
 
-    monkeypatch.setattr(herglotz, "boundary_points", out_of_memory)
+    monkeypatch.setattr(finitegap, "gap_interior_grid", out_of_memory)
     code = cli.main([command, "--config", _write(tmp_path, SINGLE_GAP)])
     assert code == 3
     assert capsys.readouterr().err == (
@@ -915,15 +930,20 @@ def test_oracle_far_zgrid_point_exits_3_without_warning(tmp_path, capsys, monkey
 
 
 def test_far_tgrid_point_warns_nothing(tmp_path, monkeypatch):
-    # the limit offsets of a point far from every gap are formed without
-    # overflow: xi there is I/2, and no warning is raised (test_herglotz
-    # has the library's side)
-    _grid_of(monkeypatch, "gap_interior_grid", [1e308])
+    # the boundary value at a real point far from every gap is formed
+    # without overflow: xi there is I/2, and no warning is raised
+    # (test_herglotz has the library's side).  The point lies in E, where
+    # Im M = I, so gap_realness, which reads the same points, fails
+    monkeypatch.setattr(cli, "gap_realness_points", lambda gapset: (np.array([1e308]), {}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, text = _run(tmp_path, "construct", SINGLE_GAP)
-    assert code == 0
-    row = json.loads(text)["tables"]["xi"]["rows"][0]
+    assert code == 1
+    records = _records(text)
+    assert [name for name, r in records.items() if r["status"] == "fail"] == ["gap_realness"]
+    assert records["gap_realness"]["value"] == pytest.approx(1.0, abs=1e-12)
+    row, = json.loads(text)["tables"]["xi"]["rows"]
+    assert row[0] == 1e308
     np.testing.assert_allclose(row[1:5], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 

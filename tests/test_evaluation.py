@@ -2,7 +2,8 @@
 
 The probes of both commands read slices of one evaluation: each record
 must equal what the library function of its probe computes on its own,
-and a probe must still fail alone.
+and a probe must still fail alone.  The boundary values M(t + i0) that
+they read at real points must equal the library's limit from above.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from kreindirac import cli, herglotz
 from kreindirac.dirac import co_rotating_frame
-from kreindirac.errors import KreinDiracError
+from kreindirac.errors import EndpointSingularity, KreinDiracError
 from kreindirac.finitegap import (
     GapSet,
     KreinProfile,
@@ -25,6 +26,7 @@ from kreindirac.finitegap import (
     gap_realness,
     gap_realness_points,
     mj_eigenpairs,
+    reflectionless_boundary_reduce,
     reflectionless_defect,
     trace_formula_W0,
     weyl_from_M,
@@ -34,10 +36,11 @@ from kreindirac.herglotz import (
     asymptotic_points,
     asymptotic_reduce,
     herglotz_defect,
-    krein_xi_points,
-    krein_xi_reduce,
+    krein_xi,
+    krein_xi_values,
 )
 from kreindirac.mat2 import I2, op_norm
+from test_torus import TORUS_SETS
 
 # two gaps 1.3e-5 apart: the narrow gap's interior and the band between
 # lie inside the wide gap's endpoint margin
@@ -101,14 +104,14 @@ def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, 
     assert len(calls) == 1
     (first, pts), = calls
     assert first is profile
-    ts = np.concatenate([gap_interior_grid(gs), e_interior_grid(gs)])
     assert _same_points(pts, cli._default_zgrid(gs), gap_realness_points(gs)[0],
-                        krein_xi_points(gs, ts)[2], asymptotic_points(gs))
-    # the Herglotz certificate and gap_realness read one point set, made
-    # once for every profile; no real point inside an endpoint margin
-    # enters the evaluation
+                        e_interior_grid(gs), asymptotic_points(gs))
+    # the gap probes read one point set, made once for every profile; no
+    # real point inside an endpoint margin enters the evaluation, and no
+    # height above a real point does
     assert point_sets == [gs]
     assert gs.endpoint_errors(pts.real[pts.imag == 0]) == {}
+    assert _same_points(pts[pts.imag != 0], cli._default_zgrid(gs), asymptotic_points(gs))
 
 
 def _outcome(call):
@@ -167,25 +170,34 @@ def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, corrupt_det
     calls = _calls(monkeypatch)
     cli.run(cfg)
     assert len(calls) == 1
-    tgrid = gap_interior_grid(gs)
-    # the Herglotz certificate reads the gap_realness points
-    assert _same_points(calls[0][1], cli._default_zgrid(gs), krein_xi_points(gs, tgrid)[2],
-                        gap_realness_points(gs)[0])
+    # the xi table, gap_realness and the Herglotz certificate read the
+    # boundary values at the gap_realness points
+    assert _same_points(calls[0][1], cli._default_zgrid(gs), gap_realness_points(gs)[0])
 
 
-def _xi_reduce(mfun, grid):
-    # the points of grid, and their xi stack, residuals and failed points,
-    # from one evaluation of mfun
-    ts, errors, zs = krein_xi_points(mfun.gapset, grid)
-    return ts, *krein_xi_reduce(ts, errors, mfun(zs.ravel()).reshape(zs.shape + (2, 2)))
+@pytest.mark.parametrize("command, gaps, count", [
+    ("construct", [[3 * j, 3 * j + 1] for j in range(64)], 20 + 64 * 7),
+    ("verify", [[-1, 1]], 20 + 7 + 6 + 5),
+])
+def test_the_one_evaluation_takes_one_point_per_boundary_value(tmp_path, monkeypatch, command,
+                                                               gaps, count):
+    # the z grid, 7 real points per gap, 6 band points per gap set and 5
+    # large-z heights: no point takes heights above it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"profile": {"gaps": gaps, "uniform": 0.7}}))
+    calls = _calls(monkeypatch)
+    assert cli.run(cli.load_config(str(path), command, {})).failed is False
+    (_, pts), = calls
+    assert len(pts) == count
 
 
-def _xi(mfun, grid):
-    # the xi stack of grid; its first failed point raises
-    _, xi, _, failed = _xi_reduce(mfun, grid)
-    if failed:
-        raise next(iter(failed.values()))
-    return xi
+def _gap_points(gs):
+    # the gap interior points clear of the margins; the first point inside
+    # one raises
+    ts, errors = gap_realness_points(gs)
+    if errors:
+        raise next(iter(errors.values()))
+    return ts
 
 
 def _reference_verify(cfg):
@@ -205,7 +217,7 @@ def _reference_verify(cfg):
         return max(np.abs(lo + 1.0).max(), np.abs(hi - 1.0).max())
 
     def trace_dev():
-        xi = _xi(mfun, np.concatenate([tgrid, egrid]))
+        xi = krein_xi_values(mfun(np.concatenate([_gap_points(gs), egrid])))
         return np.abs(xi[:, 0, 0] + xi[:, 1, 1] - 1.0).max()
 
     def asym_dev():
@@ -221,9 +233,10 @@ def _reference_verify(cfg):
         "mj_spectrum": mj_dev,
         "weyl_roundtrip": lambda: op_norm(assemble_M(weyl_from_M(mats)) - mats).max(),
         "xi_trace": trace_dev,
-        "xi_on_bands": lambda: op_norm(_xi(mfun, egrid) - 0.5 * I2).max(),
-        "re_m_on_bands": lambda: reflectionless_defect(mfun, egrid),
-        "gap_projection": lambda: op_norm(_xi(mfun, tgrid) - target).max(),
+        "xi_on_bands": lambda: op_norm(krein_xi_values(mfun(egrid)) - 0.5 * I2).max(),
+        "re_m_on_bands": lambda: reflectionless_boundary_reduce(mfun(egrid)),
+        "gap_projection": lambda: op_norm(krein_xi_values(mfun(_gap_points(gs)))
+                                          - target).max(),
     }
     if profile.is_commuting:
         probes["gap_realness"] = lambda: gap_realness(profile)
@@ -261,8 +274,9 @@ def test_verify_records_equal_their_library_functions(tmp_path, corrupt_det, nam
 
 
 def test_verify_fails_the_narrow_band_probes_alone(tmp_path):
-    # five probes meet the margin of the wide gap, each with its own first
-    # point there; the others pass
+    # three probes meet the margin of the wide gap at the narrow gap's
+    # first interior point; the band between the gaps lies inside the
+    # margin and gives no band points, so the others pass
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"profile": NARROW}))
     out = tmp_path / "report.json"
@@ -272,8 +286,6 @@ def test_verify_fails_the_narrow_band_probes_alone(tmp_path):
               if r["status"] == "fail"}
     assert failed == {
         "xi_trace": margin.format(49.550013),
-        "xi_on_bands": margin.format(49.5000013),
-        "re_m_on_bands": margin.format(49.5000013),
         "gap_projection": margin.format(49.550013),
         "gap_realness": margin.format(49.550013),
     }
@@ -296,13 +308,68 @@ def test_construct_records_and_tables_equal_their_library_functions(tmp_path, co
         _assert_record(records.pop("gap_realness"), realness)
     assert records.pop("commutator").value == commutator_diag(profile)
     _assert_record(records.pop("herglotz_defect"), herglotz_defect(mfun))
-    zgrid, tgrid = cli._default_zgrid(gs), gap_interior_grid(gs)
+    zgrid, ts = cli._default_zgrid(gs), _gap_points(gs)
     m = mfun(zgrid)
     mrows = np.column_stack([zgrid.real, zgrid.imag]
                             + [f(m[:, i, k]) for i in (0, 1) for k in (0, 1)
                                for f in (np.real, np.imag)])
-    ts, xi, residual, failed = _xi_reduce(mfun, tgrid)
-    assert not failed
-    xrows = np.array([[t, *x.ravel(), r] for t, x, r in zip(ts, xi, residual)])
+    xrows = np.array([[t, *x.ravel()] for t, x in zip(ts, krein_xi_values(mfun(ts)))])
     for table, want in (("M", mrows), ("xi", xrows)):
         np.testing.assert_array_equal(np.array(rep.tables[table][1]), want)
+
+
+# tier-1's gap sets: test_torus's eight, then gaps 1e-8 and 1.3e-5 apart,
+# whose bands lie inside the endpoint margins, and gaps near 1e3 and 1e6
+BOUNDARY_SETS = list(TORUS_SETS) + [
+    ((-1.0, 0.0), (1e-8, 1.0)),
+    tuple(map(tuple, NARROW["gaps"])),
+    ((-1000.5, -999.5), (999.5, 1000.5)),
+    ((1e6, 1e6 + 1.0), (1e6 + 2.0, 1e6 + 3.0)),
+    ((999950.0, 1000050.0),),
+]
+# |xi(t) - krein_xi(t)| measured at most 2.7e-11 over these sets (gaps
+# near -1e3), |re_m_on_bands - reflectionless_defect| at most 4.3e-13
+# (16 gaps): the limit's extrapolation error, well inside its 1e-6
+XI_LIMIT_TOL = 1e-9
+RE_M_LIMIT_TOL = 1e-11
+
+
+@pytest.mark.parametrize("commuting", [True, False], ids=["commuting", "mismatched"])
+@pytest.mark.parametrize("gaps", BOUNDARY_SETS, ids=range(len(BOUNDARY_SETS)))
+def test_the_boundary_read_equals_the_limit_from_above(tmp_path, monkeypatch, gaps, commuting):
+    # the commands read xi and Re M at M(t + i0) on the real points; the
+    # library's limit route reaches the same values along heights above t
+    angles = [0.7] * len(gaps) if commuting else [0.3 + 1.1 * j for j in range(len(gaps))]
+    profile = {"gaps": [list(g) for g in gaps], "angles": angles}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"profile": profile}))
+    read = []
+    values = cli.krein_xi_values
+
+    def spy(mats):
+        read.append(values(mats))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "krein_xi_values", spy)
+    gs = GapSet(gaps)
+    gap_ts, errors = gap_realness_points(gs)
+    egrid = e_interior_grid(gs)
+    if errors:
+        # a gap point inside another gap's margin: construct raises it
+        with pytest.raises(EndpointSingularity) as info:
+            cli.run(cli.load_config(str(path), "construct", {}))
+        assert str(info.value) == str(next(iter(errors.values())))
+    else:
+        # construct's table holds the gap points' xi, as verify maps them
+        table = np.array(cli.run(cli.load_config(str(path), "construct", {})).tables["xi"][1])
+        assert np.array_equal(table[:, 0], gap_ts)
+        assert np.array_equal(table[:, 1:].reshape(-1, 2, 2), read[0])
+    verify = cli.run(cli.load_config(str(path), "verify", {}))
+    assert len(read) == 1 + (not errors)
+    assert np.array_equal(read[0][:len(gap_ts)], read[-1][:len(gap_ts)])
+    mfun = cli.profile_m_function(cli.profile_from_json(profile))
+    ts = np.concatenate([gap_ts, egrid])
+    dev = max(float(np.abs(x - krein_xi(mfun, t).xi).max()) for t, x in zip(ts, read[-1]))
+    assert dev <= XI_LIMIT_TOL
+    re_m = {r.name: r.value for r in verify.records}["re_m_on_bands"]
+    assert abs(re_m - reflectionless_defect(mfun, egrid)) <= RE_M_LIMIT_TOL
