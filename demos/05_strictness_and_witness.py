@@ -17,10 +17,11 @@ import numpy as np
 from kreindirac import (
     GapSet,
     KreinProfile,
-    commutator_diag,
+    build_M,
     gap_realness,
     herglotz_defect,
     hull_norm,
+    mlog_spectral,
     profile_m_function,
     projection_angle,
     sample_potential,
@@ -28,6 +29,7 @@ from kreindirac import (
     trace_formula_W0,
 )
 from kreindirac.errors import BoundViolation
+from kreindirac.finitegap import commutator_reduce, gap_realness_points
 
 gs = GapSet(((-2.0, -1.0), (1.0, 2.0)))
 for angles in [(0.3, 0.3), (0.3, 0.9), (0.3, 1.9)]:
@@ -52,7 +54,12 @@ mfun = profile_m_function(witness)
 print("witness profile, angles (0.3, 1.9):")
 print("  Herglotz defect:        ", herglotz_defect(mfun))
 print("  Im M inside the gaps:   ", gap_realness(witness))
-print("  projection commutator:  ", commutator_diag(witness))
+# sup ||[Re log M(t), P_j]|| over the gap points, P_j the projection of
+# t's gap: it vanishes for commuting projections
+ts, _ = gap_realness_points(gs)
+logs = mlog_spectral(build_M(witness, ts))
+projections = np.array([witness.projection(j) for j in gs.containing_gaps(ts)])
+print("  projection commutator:  ", commutator_reduce(logs, projections))
 try:
     sample_potential(witness, np.linspace(0.0, 1.0, 21))
 except BoundViolation as exc:

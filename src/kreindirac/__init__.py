@@ -35,7 +35,6 @@ from .finitegap import (
     sharp_bound,
     reflectionless_defect,
     gap_realness,
-    commutator_diag,
     hull_norm,
 )
 from .herglotz import (
@@ -79,7 +78,6 @@ __all__ = [
     "sharp_bound",
     "reflectionless_defect",
     "gap_realness",
-    "commutator_diag",
     "hull_norm",
     "MFunction",
     "KreinSample",

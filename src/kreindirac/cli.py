@@ -23,9 +23,14 @@ oracle
     Weyl functions (closed form, ODE transport from breakpoints at -l and
     l, gap construction).
 
-construct and verify read the Krein density, and verify reads Re M on E,
-from the boundary values M(t + i0), which the closed form gives at real
-points clear of the gaps' endpoint margins, with no limit taken.
+construct and verify evaluate a profile's M once, at every point their
+probes read (``_evaluate``).  They read the Krein density, and verify
+reads Re M on E, from the boundary values M(t + i0), which the closed
+form gives at real points clear of the gaps' endpoint margins, with no
+limit taken; one matrix logarithm of those values gives xi and the
+Re log M of construct's commutator [Re log M, xi].  A gap point inside
+another gap's endpoint margin is left out of the evaluation and fails
+each check that reads every gap point; the other records read the rest.
 
 Reports are JSON and deterministic for a fixed config: no timestamps,
 floats rendered with repr.  Exit codes: 0 all checks pass, 1 at least one
@@ -45,13 +50,13 @@ import numpy as np
 
 from .dirac import _EPS, BOUND_SLACK, const_weyl, ode_weyl, sample_potential
 from .errors import BoundViolation, KreinDiracError, NoConvergence
-from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_diag,
+from .finitegap import (GapSet, KreinProfile, _weyl_pair, assemble_M, build_M, commutator_reduce,
                         e_interior_grid, gap_realness_points, gap_realness_reduce, json_number,
                         mj_eigenpairs, profile_from_json, reflectionless_boundary_reduce,
                         sharp_bound, trace_formula_W0, weyl_from_M)
-from .herglotz import (XI_TOL, MFunction, asymptotic_points, asymptotic_reduce, herglotz_reduce,
-                       krein_xi_values, profile_m_function)
-from .mat2 import op_norm
+from .herglotz import (XI_TOL, _krein_xi_of_logs, asymptotic_points, asymptotic_reduce,
+                       herglotz_reduce, profile_m_function)
+from .mat2 import mlog_spectral, op_norm
 
 __all__ = ["RunConfig", "Record", "Report", "load_config", "run", "main", "console_main"]
 
@@ -233,7 +238,8 @@ def load_config(path: str, command: str, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic default grids
+# deterministic default grids, and the one evaluation of M that construct
+# and verify reduce
 
 def _default_zgrid(gapset: GapSet) -> np.ndarray:
     s = max(1.0, gapset.spectral_radius)
@@ -242,12 +248,63 @@ def _default_zgrid(gapset: GapSet) -> np.ndarray:
     return np.array([complex(a, b) for b in ims for a in res])
 
 
-def _evaluate(mfun: MFunction, *point_sets) -> list[np.ndarray]:
-    """M at the points of every array of ``point_sets`` by one call of
-    ``mfun``: one stack per array, shaped like it."""
-    mats = mfun(np.concatenate([np.ravel(p) for p in point_sets]))
-    bounds = np.cumsum([np.size(p) for p in point_sets])[:-1]
-    return [m.reshape(np.shape(p) + (2, 2)) for p, m in zip(point_sets, np.split(mats, bounds))]
+@dataclass
+class _Evaluation:
+    """The one evaluation of a profile's M that every probe of construct
+    and verify reduces (:func:`_evaluate`).
+
+    ``mats`` holds M on ``zgrid`` and ``asym_mats`` M at the large-z points
+    ``asym_zs``.  ``real_mats`` holds the boundary values M(t + i0) at the
+    real points: first the gap interior points ``gap_ts`` clear of the
+    endpoint margins, whose gaps' projections are ``projections``, then
+    the band points.  ``gap_errors`` holds the margin error of each gap
+    point left out, by index (``gap_realness_points``).  One matrix
+    logarithm of ``real_mats`` gives ``logs`` and the Krein density
+    ``xi``, or, where it raised, its error in place of both.
+    """
+
+    zgrid: np.ndarray
+    mats: np.ndarray
+    gap_ts: np.ndarray
+    gap_errors: dict
+    projections: np.ndarray
+    real_mats: np.ndarray
+    asym_zs: np.ndarray
+    asym_mats: np.ndarray
+    logs: np.ndarray | KreinDiracError
+    xi: np.ndarray | KreinDiracError
+
+    def read(self, values: np.ndarray | KreinDiracError, gaps: bool) -> np.ndarray:
+        """``values``, a stack over the real points; the logarithm's error
+        in its place raises, and then, for a read of every gap point
+        (``gaps``), the first of ``gap_errors``."""
+        if isinstance(values, KreinDiracError):
+            raise values
+        if gaps and self.gap_errors:
+            raise next(iter(self.gap_errors.values()))
+        return values
+
+
+def _evaluate(profile: KreinProfile, bands: bool) -> _Evaluation:
+    """M of ``profile`` at every point its command reads, by one call: the
+    z grid, the gap interior points clear of the endpoint margins, and for
+    ``bands`` (verify) the band points and the large-z points."""
+    gs = profile.gapset
+    zgrid = _default_zgrid(gs)
+    gap_ts, gap_errors = gap_realness_points(gs)
+    band_ts = e_interior_grid(gs) if bands else gap_ts[:0]
+    asym_zs = asymptotic_points(gs) if bands else zgrid[:0]
+    mats, real_mats, asym_mats = np.split(
+        profile_m_function(profile)(np.concatenate([zgrid, gap_ts, band_ts, asym_zs])),
+        np.cumsum([len(zgrid), len(gap_ts) + len(band_ts)]))
+    try:
+        logs = mlog_spectral(real_mats)
+        xi = _krein_xi_of_logs(logs)
+    except KreinDiracError as exc:
+        logs = xi = exc
+    projections = profile.projection_defects[gs.containing_gaps(gap_ts)] + 0.5 * np.eye(2)
+    return _Evaluation(zgrid, mats, gap_ts, gap_errors, projections, real_mats, asym_zs,
+                       asym_mats, logs, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +314,6 @@ def run_construct(cfg: RunConfig) -> Report:
     rep = Report("construct")
     profile = cfg.profile
     gs = profile.gapset
-    mfun = profile_m_function(profile)
-    zgrid = _default_zgrid(gs)
 
     bound = sharp_bound(gs)
     w0 = trace_formula_W0(profile)
@@ -277,25 +332,27 @@ def run_construct(cfg: RunConfig) -> Report:
         label = "strict at x = 0: ||W(0)|| is below the sharp bound"
     rep.info("classification", bound - w0.norm, label)
 
-    # one evaluation of M covers the z grid and the gap interiors, whose
-    # boundary values M(t + i0) serve gap_realness, the Herglotz
-    # certificate and the xi table; a gap interior point inside an
-    # endpoint margin raises before it
-    real_ts, real_errors = gap_realness_points(gs)
-    if real_errors:
-        raise next(iter(real_errors.values()))
-    comm = commutator_diag(profile)
-    mats, real_mats = _evaluate(mfun, zgrid, real_ts)
-
+    # one evaluation of M covers the z grid and the gap interiors clear of
+    # the endpoint margins, whose boundary values M(t + i0) and their one
+    # logarithm serve gap_realness, the commutator, the Herglotz
+    # certificate and the xi table
+    ev = _evaluate(profile, bands=False)
     if gs.n:
-        realness = gap_realness_reduce(real_mats)
-        if profile.is_commuting:
-            rep.check("gap_realness", realness, 1e-9, "Im M = 0 on the gaps")
-            rep.check("commutator", comm, 1e-10, "[Re log M, xi] = 0 on the gaps")
-        else:
-            rep.info("gap_realness", realness, "sup ||Im M|| on the gaps")
-            rep.info("commutator", comm, "sup ||[Re log M, xi]|| on the gaps")
-    rep.info("herglotz_defect", herglotz_reduce(real_mats),
+        # a commuting profile's checks read every gap point and fail at the
+        # first one left out of the evaluation; any other profile's
+        # diagnostics, like the Herglotz certificate and the xi table, read
+        # the rest
+        checked = profile.is_commuting
+        for name, tol, law, reduce in (
+                ("gap_realness", 1e-9, "Im M",
+                 lambda: gap_realness_reduce(ev.read(ev.real_mats, checked))),
+                ("commutator", 1e-10, "[Re log M, xi]",
+                 lambda: commutator_reduce(ev.read(ev.logs, checked), ev.projections))):
+            if checked:
+                rep.probe(name, tol, f"{law} = 0 on the gaps", reduce)
+            else:
+                rep.info(name, reduce(), f"sup ||{law}|| on the gaps")
+    rep.info("herglotz_defect", herglotz_reduce(ev.real_mats),
              "min eigenvalue of Im M(t + i0) on the gaps (minimum principle); "
              "negative refutes realizability")
 
@@ -303,11 +360,11 @@ def run_construct(cfg: RunConfig) -> Report:
     rep.tables["M"] = (["z_re", "z_im",
                         "M00_re", "M00_im", "M01_re", "M01_im",
                         "M10_re", "M10_im", "M11_re", "M11_im"],
-                       np.column_stack([zgrid.real, zgrid.imag,
-                                        mats.reshape(-1, 4).view(float)]).tolist())
+                       np.column_stack([ev.zgrid.real, ev.zgrid.imag,
+                                        ev.mats.reshape(-1, 4).view(float)]).tolist())
 
     rep.tables["xi"] = (["t", "xi00", "xi01", "xi10", "xi11"],
-                        np.column_stack([real_ts, krein_xi_values(real_mats).reshape(-1, 4)])
+                        np.column_stack([ev.gap_ts, ev.read(ev.xi, False).reshape(-1, 4)])
                         .tolist())
     return rep
 
@@ -316,21 +373,16 @@ def run_verify(cfg: RunConfig) -> Report:
     rep = Report("verify")
     profile = cfg.profile
     gs = profile.gapset
-    mfun = profile_m_function(profile)
-    zgrid = _default_zgrid(gs)
     # every probe reads a slice of one evaluation of M: the z grid, the
     # real points of the gap interiors and of the bands clear of the
     # endpoint margins, whose boundary values M(t + i0) serve the Herglotz
     # certificate, gap_realness, the xi probes and re_m_on_bands, and the
-    # large-z points.  Gap interior points inside an endpoint margin stay
-    # out of it and fail the probes that read them.
-    gap_ts, gap_errors = gap_realness_points(gs)
-    egrid = e_interior_grid(gs)
-    asym_zs = asymptotic_points(gs)
-    mats, real_mats, asym_mats = _evaluate(mfun, zgrid, np.concatenate([gap_ts, egrid]),
-                                           asym_zs)
-    on_gaps, on_bands = slice(0, len(gap_ts)), slice(len(gap_ts), len(real_mats))
-    gap_mats = real_mats[on_gaps]
+    # large-z points.  A gap point inside an endpoint margin is left out
+    # and fails each probe that reads every gap point, the first in order;
+    # an error of the xi map fails every xi probe
+    ev = _evaluate(profile, bands=True)
+    mats, n = ev.mats, len(ev.gap_ts)
+    gap_mats = ev.real_mats[:n]
     rep.probe("det", 1e-10, "det M = -1 on C+",
               lambda: np.abs(np.linalg.det(mats) + 1.0).max())
     rep.probe("symmetry", 1e-12, "M = M^t",
@@ -350,51 +402,30 @@ def run_verify(cfg: RunConfig) -> Report:
               lambda: max(np.abs(eig[1] + 1.0).max(), np.abs(eig[2] - 1.0).max()))
     rep.probe("weyl_roundtrip", 1e-9, "M -> (m+, m-) -> M is the identity",
               lambda: op_norm(assemble_M(_weyl_pair(mats, eig)) - mats).max())
-    # the xi probes map the boundary values of every point at once; a gap
-    # point inside an endpoint margin fails each xi probe that reaches it,
-    # the first in order, and an error of the whole map fails every xi probe
-    try:
-        xi, xi_error = krein_xi_values(real_mats), None
-    except KreinDiracError as exc:
-        xi, xi_error = None, exc
-
-    def xi_stack(part: slice, errors: dict) -> np.ndarray:
-        if xi_error is not None:
-            raise xi_error
-        if errors:
-            raise next(iter(errors.values()))
-        return xi[part]
 
     def trace_dev():
-        every = xi_stack(slice(None), gap_errors)
-        return np.abs(every[:, 0, 0] + every[:, 1, 1] - 1.0).max()
+        xi = ev.read(ev.xi, True)
+        return np.abs(xi[:, 0, 0] + xi[:, 1, 1] - 1.0).max()
 
     rep.probe("xi_trace", 1e-8, "tr xi = 1", trace_dev)
     rep.probe("xi_on_bands", XI_TOL, "xi = I/2 on the interior of E",
-              lambda: op_norm(xi_stack(on_bands, {}) - 0.5 * np.eye(2)).max())
+              lambda: op_norm(ev.read(ev.xi, False)[n:] - 0.5 * np.eye(2)).max())
     rep.probe("re_m_on_bands", 1e-6, "Re M(t + i0) = 0 on E",
-              lambda: reflectionless_boundary_reduce(real_mats[on_bands]))
+              lambda: reflectionless_boundary_reduce(ev.real_mats[n:]))
     if gs.n:
         # the input boundary data at each t: its gap's projection
-        target = profile.projection_defects[gs.containing_gaps(gap_ts)] + 0.5 * np.eye(2)
         rep.probe("gap_projection", XI_TOL,
                   "xi equals the input projection inside each gap",
-                  lambda: op_norm(xi_stack(on_gaps, gap_errors) - target).max())
+                  lambda: op_norm(ev.read(ev.xi, True)[:n] - ev.projections).max())
         if profile.is_commuting:
-            def realness():
-                if gap_errors:
-                    raise next(iter(gap_errors.values()))
-                return gap_realness_reduce(gap_mats)
-
-            rep.probe("gap_realness", 1e-9, "Im M = 0 on the gaps", realness)
+            rep.probe("gap_realness", 1e-9, "Im M = 0 on the gaps",
+                      lambda: gap_realness_reduce(ev.read(gap_mats, True)))
 
     def asym_dev():
         # both routes read one extrapolation
         w0 = trace_formula_W0(profile)
-        dev = 0.0
-        for w in asymptotic_reduce(asym_zs, asym_mats, ("value", "log")):
-            dev = max(dev, math.hypot(w.p - w0.p, w.q - w0.q))
-        return dev
+        return max(math.hypot(w.p - w0.p, w.q - w0.q)
+                   for w in asymptotic_reduce(ev.asym_zs, ev.asym_mats, ("value", "log")))
 
     rep.probe("asymptotics", 1e-6,
               "large-z Weyl law recovers the trace formula W(0)", asym_dev)

@@ -55,7 +55,7 @@ __all__ = [
     "gap_realness_points",
     "gap_realness_reduce",
     "gap_realness",
-    "commutator_diag",
+    "commutator_reduce",
     "hull_norm",
     "gap_interior_grid",
     "e_interior_grid",
@@ -716,21 +716,18 @@ def gap_realness(profile: KreinProfile) -> float:
     return gap_realness_reduce(build_M(profile, ts))
 
 
-def commutator_diag(profile: KreinProfile) -> float:
-    """sup over the gap midpoints of || [Re log M(t), xi(t)] ||.
+def commutator_reduce(logs: np.ndarray, projections: np.ndarray) -> float:
+    """sup || [Re log M(t), P_j] || from the (T, 2, 2) logarithms of M at T
+    gap points (``mlog_spectral`` of the values at the
+    :func:`gap_realness_points`) and the (T, 2, 2) projection P_j of each
+    point's gap; 0 for T = 0.
 
-    For a uniform profile every Re log M(t) commutes with the common
-    projection, so the value vanishes; a nonzero value witnesses angle
-    mismatch between gaps.  Returns 0 for the gapless profile.
+    For a commuting profile every Re log M(t) is a real combination of
+    commuting projections, so the value vanishes (to rounding); a nonzero
+    value witnesses angle mismatch between gaps.
     """
-    gs = profile.gapset
-    if gs.n == 0:
-        return 0.0
-    a, b = gs.endpoints
-    xi = np.array([profile.projection(j) for j in range(gs.n)])
-    re_log = re_part(build_logM(profile, (a + b) / 2.0))
-    comm = re_log @ xi - xi @ re_log
-    return float(op_norm(comm).max())
+    re_log = re_part(logs)
+    return float(op_norm(re_log @ projections - projections @ re_log).max(initial=0.0))
 
 
 def hull_norm(q) -> float:

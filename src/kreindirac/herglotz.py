@@ -19,8 +19,9 @@ Krein profile the gap integrals have the closed form of
 of the endpoint margins as the limit from above, M(t + i0).  The module
 reads xi by one map of such boundary values, a (T, 2, 2) stack over T
 points (:func:`krein_xi_values`, which the commands apply to the closed
-form), or by the limit schedule of any MFunction, which applies the same
-map at heights above each point and extrapolates (:func:`krein_xi`, the
+form through the matrix logarithm they share with other reads), or by
+the limit schedule of any MFunction, which applies the same map at
+heights above each point and extrapolates (:func:`krein_xi`, the
 reference of the boundary read), with the failed points in a map beside
 the stack.  It extracts the potential at the origin from the two large-z
 laws
@@ -127,7 +128,13 @@ def krein_xi_values(mats: np.ndarray) -> np.ndarray:
     SpectrumOnCut
         If an M has an eigenvalue on the cut of the logarithm.
     """
-    x = im_part(mlog_spectral(mats)).real / np.pi
+    return _krein_xi_of_logs(mlog_spectral(mats))
+
+
+def _krein_xi_of_logs(logs: np.ndarray) -> np.ndarray:
+    """:func:`krein_xi_values` from the ``mlog_spectral`` of the boundary
+    values, which a caller may share with other reads of log M."""
+    x = im_part(logs).real / np.pi
     return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
@@ -142,9 +149,7 @@ def krein_xi_points(gapset: GapSet, ts) -> tuple[np.ndarray, dict, np.ndarray]:
     (:func:`krein_xi_values`)."""
     ts = np.array([float(t) for t in np.atleast_1d(ts)])
     errors = gapset.endpoint_errors(ts)
-    clear = np.ones(len(ts), dtype=bool)
-    clear[list(errors)] = False
-    return ts, errors, boundary_points(gapset, ts[clear])
+    return ts, errors, boundary_points(gapset, np.delete(ts, list(errors)))
 
 
 def krein_xi_reduce(ts: np.ndarray, errors: dict,

@@ -1,8 +1,9 @@
 """One evaluation of M per profile in `construct` and `verify`.
 
-The probes of both commands read slices of one evaluation: each record
-must equal what the library function of its probe computes on its own,
-and a probe must still fail alone.  The boundary values M(t + i0) that
+The probes of both commands read slices of one evaluation, one call of
+``build_M`` and so of ``build_logM``: each record must equal what the
+library function of its probe computes on its own, and a probe must still
+fail alone.  The boundary values M(t + i0) that
 they read at real points must equal the library's limit from above.
 """
 
@@ -12,15 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from kreindirac import cli, herglotz
+from kreindirac import cli, finitegap, herglotz
 from kreindirac.dirac import co_rotating_frame
-from kreindirac.errors import EndpointSingularity, KreinDiracError
+from kreindirac.errors import KreinDiracError
 from kreindirac.finitegap import (
     GapSet,
     KreinProfile,
     assemble_M,
     build_M,
-    commutator_diag,
+    commutator_reduce,
     e_interior_grid,
     gap_interior_grid,
     gap_realness,
@@ -39,7 +40,7 @@ from kreindirac.herglotz import (
     krein_xi,
     krein_xi_values,
 )
-from kreindirac.mat2 import I2, op_norm
+from kreindirac.mat2 import I2, mlog_spectral, op_norm
 from test_torus import TORUS_SETS
 
 # two gaps 1.3e-5 apart: the narrow gap's interior and the band between
@@ -69,16 +70,31 @@ def _load(tmp_path, corrupt_det, command, name):
 
 
 def _calls(monkeypatch):
-    """Record (profile, points) of every evaluation of a profile's M."""
-    calls = []
-    build_M = herglotz.build_M
+    """Record (profile, points) of every evaluation of a profile's M, and
+    of every evaluation of its logarithm, in two lists."""
+    calls, log_calls = [], []
+    build_M, build_logM = herglotz.build_M, finitegap.build_logM
 
     def counting(profile, z):
         calls.append((profile, np.array(z, dtype=complex)))
         return build_M(profile, z)
 
+    def counting_logs(profile, z):
+        log_calls.append((profile, np.array(z, dtype=complex)))
+        return build_logM(profile, z)
+
     monkeypatch.setattr(herglotz, "build_M", counting)
-    return calls
+    monkeypatch.setattr(finitegap, "build_logM", counting_logs)
+    return calls, log_calls
+
+
+def _one_evaluation(calls, log_calls):
+    """The (profile, points) of the one evaluation, with its one call of
+    build_logM at the same points."""
+    (profile, pts), = calls
+    (log_profile, log_pts), = log_calls
+    assert log_profile is profile and np.array_equal(log_pts, pts)
+    return profile, pts
 
 
 def _same_points(got, *sets):
@@ -101,8 +117,7 @@ def test_verify_evaluates_the_profile_and_the_frame_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "gap_realness_points", counting_points)
     cli.run(cfg)
     # one call, the large-z points c + i ys above the gaps' hull included
-    assert len(calls) == 1
-    (first, pts), = calls
+    first, pts = _one_evaluation(*calls)
     assert first is profile
     assert _same_points(pts, cli._default_zgrid(gs), gap_realness_points(gs)[0],
                         e_interior_grid(gs), asymptotic_points(gs))
@@ -163,16 +178,18 @@ def test_the_frame_at_i_y_is_the_profile_at_c_plus_i_y(centre):
     assert failed == [(n, uniform, "value", "NotTraceless") for n, uniform in want]
 
 
-@pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
+@pytest.mark.parametrize("name", sorted(PROFILES))
 def test_construct_evaluates_the_profile_once(tmp_path, monkeypatch, corrupt_det, name):
     cfg = _load(tmp_path, corrupt_det, "construct", name)
     gs = cfg.profile.gapset
     calls = _calls(monkeypatch)
     cli.run(cfg)
-    assert len(calls) == 1
-    # the xi table, gap_realness and the Herglotz certificate read the
-    # boundary values at the gap_realness points
-    assert _same_points(calls[0][1], cli._default_zgrid(gs), gap_realness_points(gs)[0])
+    # the xi table, gap_realness, the commutator and the Herglotz
+    # certificate read the boundary values at the gap_realness points
+    # clear of the endpoint margins, and their one logarithm
+    first, pts = _one_evaluation(*calls)
+    assert first is cfg.profile
+    assert _same_points(pts, cli._default_zgrid(gs), gap_realness_points(gs)[0])
 
 
 @pytest.mark.parametrize("command, gaps, count", [
@@ -187,7 +204,7 @@ def test_the_one_evaluation_takes_one_point_per_boundary_value(tmp_path, monkeyp
     path.write_text(json.dumps({"profile": {"gaps": gaps, "uniform": 0.7}}))
     calls = _calls(monkeypatch)
     assert cli.run(cli.load_config(str(path), command, {})).failed is False
-    (_, pts), = calls
+    _, pts = _one_evaluation(*calls)
     assert len(pts) == count
 
 
@@ -241,13 +258,15 @@ def _reference_verify(cfg):
     if profile.is_commuting:
         probes["gap_realness"] = lambda: gap_realness(profile)
     probes["asymptotics"] = asym_dev
-    out = {}
-    for name, fn in probes.items():
-        try:
-            out[name] = float(fn())
-        except KreinDiracError as exc:
-            out[name] = exc
-    return out
+    return {name: _value_or_error(fn) for name, fn in probes.items()}
+
+
+def _value_or_error(call):
+    # a call's value as a float, or the KreinDiracError it raised
+    try:
+        return float(call())
+    except KreinDiracError as exc:
+        return exc
 
 
 def _assert_record(rec, ref):
@@ -291,7 +310,22 @@ def test_verify_fails_the_narrow_band_probes_alone(tmp_path):
     }
 
 
-@pytest.mark.parametrize("name", sorted(set(PROFILES) - {"narrow"}))
+def test_construct_fails_the_narrow_gap_checks_alone(tmp_path):
+    # the same margin point fails construct's two checks that read every
+    # gap point; the xi table holds the 13 clear gap points
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"profile": NARROW}))
+    out = tmp_path / "report.json"
+    assert cli.main(["construct", "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    margin = ("raised EndpointSingularity: t = 49.550013 is within the exclusion margin of "
+              "gap (-50.5, 49.5)")
+    failed = {r["name"]: r["identity"] for r in report["records"] if r["status"] == "fail"}
+    assert failed == {"gap_realness": margin, "commutator": margin}
+    assert len(report["tables"]["xi"]["rows"]) == 13
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
 def test_construct_records_and_tables_equal_their_library_functions(tmp_path, corrupt_det,
                                                                     name):
     cfg = _load(tmp_path, corrupt_det, "construct", name)
@@ -300,15 +334,21 @@ def test_construct_records_and_tables_equal_their_library_functions(tmp_path, co
     rep = cli.run(cfg)
     mfun = cli.profile_m_function(profile)
     records = {r.name: r for r in rep.records}
-    realness = gap_realness(profile)
+    realness = _value_or_error(lambda: gap_realness(profile))
     if name == "det_error":
         assert records.pop("gap_realness").value == pytest.approx((1.0 + 1e-6) * realness,
                                                                    rel=1e-12)
     else:
         _assert_record(records.pop("gap_realness"), realness)
-    assert records.pop("commutator").value == commutator_diag(profile)
+    # sup ||[Re log M(t), P_j]|| over the gap points clear of the margins,
+    # from the logarithm of their boundary values; the checks of a
+    # commuting profile fail at the first point left out
+    ts = gap_realness_points(gs)[0]
+    projections = profile.projection_defects[gs.containing_gaps(ts)] + 0.5 * np.eye(2)
+    _assert_record(records.pop("commutator"), _value_or_error(
+        lambda: commutator_reduce(mlog_spectral(mfun(_gap_points(gs))), projections)))
     _assert_record(records.pop("herglotz_defect"), herglotz_defect(mfun))
-    zgrid, ts = cli._default_zgrid(gs), _gap_points(gs)
+    zgrid = cli._default_zgrid(gs)
     m = mfun(zgrid)
     mrows = np.column_stack([zgrid.real, zgrid.imag]
                             + [f(m[:, i, k]) for i in (0, 1) for k in (0, 1)
@@ -332,6 +372,7 @@ BOUNDARY_SETS = list(TORUS_SETS) + [
 # (16 gaps): the limit's extrapolation error, well inside its 1e-6
 XI_LIMIT_TOL = 1e-9
 RE_M_LIMIT_TOL = 1e-11
+COMMUTATOR_FLOOR = 1e-15
 
 
 @pytest.mark.parametrize("commuting", [True, False], ids=["commuting", "mismatched"])
@@ -344,28 +385,35 @@ def test_the_boundary_read_equals_the_limit_from_above(tmp_path, monkeypatch, ga
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"profile": profile}))
     read = []
-    values = cli.krein_xi_values
+    evaluate = cli._evaluate
 
-    def spy(mats):
-        read.append(values(mats))
-        return read[-1]
+    def spy(profile, bands):
+        ev = evaluate(profile, bands)
+        read.append(ev.xi)
+        return ev
 
-    monkeypatch.setattr(cli, "krein_xi_values", spy)
+    monkeypatch.setattr(cli, "_evaluate", spy)
     gs = GapSet(gaps)
     gap_ts, errors = gap_realness_points(gs)
     egrid = e_interior_grid(gs)
-    if errors:
-        # a gap point inside another gap's margin: construct raises it
-        with pytest.raises(EndpointSingularity) as info:
-            cli.run(cli.load_config(str(path), "construct", {}))
-        assert str(info.value) == str(next(iter(errors.values())))
-    else:
-        # construct's table holds the gap points' xi, as verify maps them
-        table = np.array(cli.run(cli.load_config(str(path), "construct", {})).tables["xi"][1])
-        assert np.array_equal(table[:, 0], gap_ts)
-        assert np.array_equal(table[:, 1:].reshape(-1, 2, 2), read[0])
+    # construct's table holds the xi of the gap points clear of the
+    # margins, as verify maps them; a gap point inside another gap's
+    # margin fails the checks of a commuting profile that read it
+    construct = cli.run(cli.load_config(str(path), "construct", {}))
+    table = np.array(construct.tables["xi"][1])
+    assert np.array_equal(table[:, 0], gap_ts)
+    assert np.array_equal(table[:, 1:].reshape(-1, 2, 2), read[0])
+    failed = {r.name: r.identity for r in construct.records if r.status == "fail"}
+    margin = f"raised EndpointSingularity: {next(iter(errors.values()), '')}"
+    assert failed == (dict.fromkeys(["gap_realness", "commutator"], margin)
+                      if errors and commuting else {})
+    if commuting and not errors:
+        # Re log M(t) and the projections commute to rounding: measured at
+        # most 2.2e-16 over these sets
+        commutator = {r.name: r.value for r in construct.records}["commutator"]
+        assert commutator <= COMMUTATOR_FLOOR
     verify = cli.run(cli.load_config(str(path), "verify", {}))
-    assert len(read) == 1 + (not errors)
+    assert len(read) == 2
     assert np.array_equal(read[0][:len(gap_ts)], read[-1][:len(gap_ts)])
     mfun = cli.profile_m_function(cli.profile_from_json(profile))
     ts = np.concatenate([gap_ts, egrid])

@@ -14,7 +14,6 @@ from kreindirac import (
     assemble_M,
     build_M,
     build_logM,
-    commutator_diag,
     gap_realness,
     hull_norm,
     profile_from_json,
@@ -26,10 +25,10 @@ from kreindirac import (
     weyl_from_M,
 )
 from kreindirac.errors import EndpointSingularity, NotAdmissible
-from kreindirac.finitegap import (boundary_points, boundary_reduce, e_interior_grid,
-                                  gap_interior_grid, gap_realness_points)
+from kreindirac.finitegap import (boundary_points, boundary_reduce, commutator_reduce,
+                                  e_interior_grid, gap_interior_grid, gap_realness_points)
 from kreindirac.herglotz import MFunction, herglotz_reduce, krein_xi_points, krein_xi_reduce
-from kreindirac.mat2 import im_part, op_norm, re_part
+from kreindirac.mat2 import im_part, mlog_spectral, op_norm, re_part
 from kreindirac.numerics import LIMIT_OFFSETS, LIMIT_ORDER, extrapolate_schedule
 
 # non-commuting two-gap data whose formal M function is not Herglotz;
@@ -305,18 +304,26 @@ def test_gap_realness_separates_aligned_from_witness():
     assert gap_realness(KreinProfile(gs, WITNESS_ANGLES)) > 1e-3
 
 
-def test_commutator_diag():
+def test_commutator_reduce():
+    # construct's certificate: Re log M from mlog_spectral of the boundary
+    # values at the gap points, against each point's gap projection
     gs = GapSet(WITNESS_GAPS)
-    assert commutator_diag(KreinProfile.uniform(gs, 0.3)) < 1e-12
+    ts, _ = gap_realness_points(gs)
+
+    def reads(profile, pts):
+        projections = np.array([profile.projection(j) for j in gs.containing_gaps(pts)])
+        return mlog_spectral(build_M(profile, pts)), projections
+
+    assert commutator_reduce(*reads(KreinProfile.uniform(gs, 0.3), ts)) < 1e-12
     witness = KreinProfile(gs, WITNESS_ANGLES)
-    # the sup over the gap midpoints is the largest of the one-point values
-    each = []
-    for j, t in enumerate((-1.5, 1.5)):
-        re_log, xi = re_part(build_logM(witness, np.array([t]))), witness.projection(j)
-        each.append(float(op_norm(re_log @ xi - xi @ re_log).max()))
+    logs, _ = reads(witness, ts)
+    # the logarithm of M(t + i0) is the closed form's, log M(t)
+    assert np.abs(re_part(logs) - re_part(build_logM(witness, ts))).max() < 1e-13
+    # the sup over the gap points is the largest of the one-point values
+    each = [commutator_reduce(*reads(witness, ts[i:i + 1])) for i in range(len(ts))]
     assert min(each) > 5e-3
-    assert commutator_diag(witness) == max(each)
-    assert commutator_diag(KreinProfile(GapSet(()), ())) == 0.0
+    assert commutator_reduce(*reads(witness, ts)) == max(each)
+    assert commutator_reduce(np.empty((0, 2, 2), complex), np.empty((0, 2, 2))) == 0.0
 
 
 def test_hull_norm_bound_and_equality():
